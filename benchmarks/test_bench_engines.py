@@ -1,10 +1,11 @@
 """Ablation — walk engine vs dataflow fixpoint engine.
 
-DESIGN.md commits to two interchangeable propagation engines: the
-faithful walk mechanics of Section 4.1 and a single-pass topological
-fixpoint. This bench pins their equivalence on a real design and
-measures the speed difference (the reason the fixpoint engine is the
-default).
+Two reference engines implement the propagation semantics the compiled
+engine runs: the faithful walk mechanics of Section 4.1 and a
+single-pass topological fixpoint (both under :mod:`repro.verify`). This
+bench pins their equivalence on a real design and measures the speed
+difference (the reason the fixpoint, not the walk, became the basis of
+the compiled engine).
 """
 
 from __future__ import annotations
@@ -14,11 +15,17 @@ import time
 import pytest
 
 from conftest import print_table
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import SartConfig
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.designs.tinycore.programs import default_dmem, program
+from repro.verify.reference import run_reference
+
+# dangling="top" matches the walk engine's unvisited-stays-conservative
+# behaviour (the dataflow default refines dead logic to AVF 0).
+DATAFLOW_CFG = SartConfig(partition_by_fub=False, dangling="top")
+WALK_CFG = SartConfig(partition_by_fub=False)
 
 
 @pytest.fixture(scope="module")
@@ -32,38 +39,27 @@ def setup():
 
 def test_bench_dataflow_engine(benchmark, setup):
     netlist, ports = setup
-    benchmark(lambda: run_sart(
-        netlist.module, ports,
-        SartConfig(engine="dataflow", partition_by_fub=False, dangling="top"),
-    ))
+    benchmark(lambda: run_reference(netlist.module, ports, DATAFLOW_CFG))
 
 
 def test_bench_walk_engine(benchmark, setup):
     netlist, ports = setup
     benchmark.pedantic(
-        lambda: run_sart(
-            netlist.module, ports,
-            SartConfig(engine="walk", partition_by_fub=False),
-        ),
+        lambda: run_reference(netlist.module, ports, WALK_CFG, engine="walk"),
         rounds=2, iterations=1,
     )
 
 
 def test_bench_engines_equivalent(setup):
     netlist, ports = setup
-    # dangling="top" matches the walk engine's unvisited-stays-conservative
-    # behaviour (the dataflow default refines dead logic to AVF 0).
-    df = run_sart(netlist.module, ports,
-                  SartConfig(engine="dataflow", partition_by_fub=False, dangling="top"))
-    wk = run_sart(netlist.module, ports,
-                  SartConfig(engine="walk", partition_by_fub=False))
+    df = run_reference(netlist.module, ports, DATAFLOW_CFG)
+    wk = run_reference(netlist.module, ports, WALK_CFG, engine="walk")
 
     t0 = time.perf_counter()
-    run_sart(netlist.module, ports,
-             SartConfig(engine="dataflow", partition_by_fub=False, dangling="top"))
+    run_reference(netlist.module, ports, DATAFLOW_CFG)
     df_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    run_sart(netlist.module, ports, SartConfig(engine="walk", partition_by_fub=False))
+    run_reference(netlist.module, ports, WALK_CFG, engine="walk")
     wk_s = time.perf_counter() - t0
 
     diffs = [net for net in df.node_avfs
@@ -73,7 +69,7 @@ def test_bench_engines_equivalent(setup):
         ["engine", "seconds", "rounds", "mismatching nodes"],
         [
             ["dataflow fixpoint", df_s, 1, len(diffs)],
-            ["faithful walks", wk_s, wk.walker_rounds_used, len(diffs)],
+            ["faithful walks", wk_s, int(wk.stats["walker_rounds"]), len(diffs)],
         ],
     )
     assert not diffs, diffs[:5]

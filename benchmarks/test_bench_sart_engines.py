@@ -1,12 +1,13 @@
-"""Perf — compiled propagation core vs the dict-based seed engine.
+"""Perf — compiled propagation core vs the dict-based reference solver.
 
 The compiled engine lowers the design once into CSR arrays with a cached
 topological order (a reusable SolvePlan) and runs the forward/backward
 fixpoints as index-based kernels. This bench pins the two contracts the
 engine ships with:
 
-* **equivalence** — per-FUB and per-node AVFs match the seed dataflow
-  engine within 1e-9 on bigcore, and
+* **equivalence** — per-FUB and per-node AVFs match the dataflow
+  reference (the seed engine, now :mod:`repro.verify.dataflow`) within
+  1e-9 on bigcore, and
 * **speed** — an end-to-end ``--scale 2`` SART run is at least 5x faster
   than the seed engine once the plan is built (plan reuse is the product
   configuration: sweeps, per-net loop studies and re-analysis all hold a
@@ -16,16 +17,14 @@ Results land in ``BENCH_sart.json`` as a scale ladder — ``smoke`` (0.5),
 ``scale2``, ``scale4``, and the ``mega`` rung (a 10^6-node systolic
 array streamed straight from EXLIF) — each with ``nodes_per_second``,
 plus ``batched_sweep`` (one matrix pass for a 16-workload Figure-8
-sweep vs the per-workload loop) and ``worker_scaling``. The ``smoke``
-subset (``-k smoke``) runs the equivalence + timing check on
-``--scale 0.5`` in well under 30 s for CI, with or without numpy
-installed; the mega rung carries ``@pytest.mark.mega`` and is
-deselected from tier-1.
+sweep vs the per-workload loop). The ``smoke`` subset (``-k smoke``)
+runs the equivalence + timing check on ``--scale 0.5`` in well under
+30 s for CI, with or without numpy installed; the mega rung carries
+``@pytest.mark.mega`` and is deselected from tier-1.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -36,6 +35,7 @@ from repro.core.compiled import HAVE_NUMPY
 from repro.core.sart import SartConfig, build_plan, run_sart
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
 from repro.netlist.graph import extract_graph
+from repro.verify.reference import run_reference
 
 
 def _setup(scale, model_ports):
@@ -85,14 +85,10 @@ def _max_node_delta(a, b):
 
 
 def _compare(graph, ports, *, rounds):
-    t_seed, seed = _best_of(
-        lambda: run_sart(graph, ports, SartConfig(engine="dataflow")), rounds
-    )
-    t_cold, cold = _best_of(
-        lambda: run_sart(graph, ports, SartConfig(engine="compiled")), rounds
-    )
+    t_seed, seed = _best_of(lambda: run_reference(graph, ports), rounds)
+    t_cold, cold = _best_of(lambda: run_sart(graph, ports), rounds)
     plan = build_plan(graph, ports)
-    warm_cfg = SartConfig(engine="compiled")
+    warm_cfg = SartConfig()
     run_sart(graph, ports, warm_cfg, plan=plan)  # populate plan caches
     t_warm, warm = _best_of(
         lambda: run_sart(graph, ports, warm_cfg, plan=plan), rounds
@@ -158,50 +154,6 @@ def test_bench_scale2_speedup(scale2_setup, bench_sart_json):
     assert record["cold_speedup"] >= 1.5
 
 
-def test_bench_relax_worker_scaling(scale2_setup, bench_sart_json):
-    """Process-pool relaxation: identical results at any worker count.
-
-    Workers attach to one shared-memory plan export instead of each
-    unpickling the whole SolvePlan, so the pool is worth having on a
-    scale-2 design whenever real cores exist. On single-core hosts the
-    numbers are recorded but the speedup is not asserted — there is
-    nothing to scale onto.
-    """
-    graph, ports = scale2_setup
-    plan = build_plan(graph, ports)
-    rows, records = [], {}
-    base = None
-    times: dict[int, float] = {}
-    for workers in (1, 2, 4):
-        cfg = SartConfig(
-            engine="compiled", workers=workers, min_parallel_nodes=0
-        )
-        run_sart(graph, ports, cfg, plan=plan)
-        elapsed, result = _best_of(
-            lambda: run_sart(graph, ports, cfg, plan=plan), rounds=2
-        )
-        if base is None:
-            base = result
-        else:
-            assert result.node_avfs == base.node_avfs  # bit-exact
-            assert result.trace.max_delta == base.trace.max_delta
-        times[workers] = elapsed
-        rows.append([workers, elapsed, result.trace.iterations])
-        records[str(workers)] = elapsed
-    records["cpus"] = os.cpu_count() or 1
-    records["speedup_at_2"] = times[1] / times[2]
-    bench_sart_json["worker_scaling"] = records
-    print_table(
-        "partitioned relaxation — worker scaling (scale 2, shm plans)",
-        ["workers", "seconds", "iterations"],
-        rows,
-    )
-    print(f"speedup at 2 workers: {records['speedup_at_2']:.2f}x "
-          f"on {records['cpus']} cpu(s)")
-    if (os.cpu_count() or 1) >= 2:
-        assert records["speedup_at_2"] > 1.0
-
-
 def test_bench_scale4_rung(scale4_setup, bench_sart_json):
     """Scale-ladder rung between the bigcore default and the mega array."""
     graph, ports = scale4_setup
@@ -228,14 +180,12 @@ def test_bench_batched_workload_sweep(scale2_setup, bench_sart_json):
     graph, ports = scale2_setup
     plan = build_plan(graph, ports)
     values = [i / 15 for i in range(16)]
-    base_cfg = SartConfig(engine="compiled", partition_by_fub=False)
+    base_cfg = SartConfig(partition_by_fub=False)
 
     def _looped():
         reports = []
         for value in values:
-            cfg = SartConfig(
-                engine="compiled", partition_by_fub=False, loop_pavf=value
-            )
+            cfg = SartConfig(partition_by_fub=False, loop_pavf=value)
             reports.append(run_sart(graph, ports, cfg, plan=plan).report)
         return reports
 
@@ -305,7 +255,7 @@ def test_bench_mega_systolic(bench_sart_json, tmp_path):
     plan = build_plan(graph)
     t_plan = time.perf_counter() - started
 
-    base_cfg = SartConfig(engine="compiled", partition_by_fub=False)
+    base_cfg = SartConfig(partition_by_fub=False)
     started = time.perf_counter()
     plan.solve_monolithic(base_cfg.max_terms, base_cfg.dangling)
     t_solve = time.perf_counter() - started
@@ -318,9 +268,7 @@ def test_bench_mega_systolic(bench_sart_json, tmp_path):
     # Per-workload compiled reference on a sample of the sweep.
     delta = 0.0
     for w in (0, 3):
-        cfg_point = SartConfig(
-            engine="compiled", partition_by_fub=False, loop_pavf=values[w]
-        )
+        cfg_point = SartConfig(partition_by_fub=False, loop_pavf=values[w])
         point = run_sart(graph, config=cfg_point, plan=plan)
         rows_a = {r.fub: r.seq_avg_avf for r in point.report.fubs}
         rows_b = {r.fub: r.seq_avg_avf for r in batched.report(w).fubs}

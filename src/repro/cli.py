@@ -109,8 +109,6 @@ def _sart_spec(args) -> SartSpec:
         loop_pavf=args.loop_pavf,
         iterations=args.iterations,
         monolithic=args.monolithic,
-        engine=args.engine,
-        relax_workers=getattr(args, "relax_workers", 1),
     )
 
 
@@ -835,13 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relaxation iteration budget (paper: 20)")
         p.add_argument("--monolithic", action="store_true",
                        help="solve the whole graph at once instead of per FUB")
-        p.add_argument("--engine", choices=("compiled", "dataflow", "walk"),
-                       default="compiled",
-                       help="propagation engine (compiled: CSR solve plan; "
-                            "dataflow: dict fixpoint; walk: faithful walks)")
-        p.add_argument("--relax-workers", type=int, default=1, metavar="N",
-                       help="worker processes for partitioned relaxation "
-                            "(compiled engine; identical results at any N)")
         p.add_argument("--export-csv", metavar="PATH",
                        help="write per-node AVFs as CSV")
         p.add_argument("--export-fubs", metavar="PATH",

@@ -1,7 +1,7 @@
 """Compiled propagation core: CSR graph kernel and reusable solve plans.
 
-The dict-based engines in :mod:`repro.core.dataflow` re-extract the
-dependency structure (indegrees, dependents, topological order) from
+The dict-based reference solver (:mod:`repro.verify.dataflow`) re-extracts
+the dependency structure (indegrees, dependents, topological order) from
 string-keyed maps on every solve — once per FUB per relaxation iteration.
 This module lowers the annotated model **once** into integer form:
 
@@ -18,11 +18,8 @@ A :class:`SolvePlan` bundles all of that and is reusable across many
 structural, so their set-id vectors are cached and a new environment (a
 Figure 8 sweep point, a ``loop_pavf_per_net`` study) is a re-evaluation,
 not a re-solve. Partitioned relaxation re-runs per-FUB kernels against the
-cached schedules, re-solving only FUBs whose imported boundary values
-changed in the previous merge, and can fan the independent per-iteration
-FUB solves out across a process pool (the worker-pool pattern of
-:mod:`repro.sfi.parallel`) with results that are identical at any worker
-count.
+cached schedules, in the calling process, re-solving only FUBs whose
+imported boundary values changed in the previous merge.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
@@ -33,7 +30,6 @@ installed and a pure-Python loop otherwise, with bit-identical results
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SartError
@@ -71,20 +67,10 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 HAVE_NUMPY = _np is not None
 
-# On-disk/artifact format version of compiled plans. v2: shared-memory
-# export layout and the shared-prefix set-id shipping protocol.
+# Layout version of the SolvePlans the artifact store pickles, recorded on
+# every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
+# what invalidates cached plans), when the SolvePlan fields change.
 PLAN_FORMAT = 2
-
-# Below this node count a worker pool costs more than it saves (process
-# startup, boundary shipping, per-worker memo warmup), so relaxation
-# auto-selects the serial kernels. Callers can force the pool by passing
-# ``min_parallel_nodes=0``.
-MIN_PARALLEL_NODES = 20_000
-
-
-class SmallDesignSerialWarning(UserWarning):
-    """``workers > 1`` requested for a design too small to benefit."""
-
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -234,7 +220,7 @@ class SolvePlan:
         self.special_l: list[object] = []  # struct name | injected Atom | None
         # Structural knobs the plan was built with (for config validation).
         self.knobs: dict[str, object] = {}
-        # Caches (dropped when the plan is pickled to worker processes).
+        # Caches (dropped when the plan is pickled into the artifact store).
         self._union_memo: dict[int, dict[tuple[int, ...], int]] = {}
         self._mono_cache: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
         self._partition: FubPartition | None = None
@@ -579,8 +565,8 @@ class SolvePlan:
         """Reject configs whose *structural* knobs differ from the plan's.
 
         Environment knobs (loop/ctrl/const/boundary pAVFs) and solve knobs
-        (engine, partitioning, iterations, max_terms, dangling) are free
-        to vary across runs of one plan.
+        (partitioning, iterations, max_terms, dangling) are free to vary
+        across runs of one plan.
         """
         wanted = {
             "detect_ctrl": config.detect_ctrl,
@@ -621,8 +607,9 @@ class SolvePlan:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Worker processes rebuild memo/evaluation caches on demand; only
-        # the interner table itself must travel (fixed ids reference it).
+        # A pickled plan (the artifact store's copy) rebuilds its memo and
+        # solve caches on demand; only the interner table itself must
+        # travel, because the fixed set ids reference it.
         state["_union_memo"] = {}
         state["_mono_cache"] = {}
         state["_partition"] = None
@@ -769,67 +756,6 @@ class SolvePlan:
 # partitioned relaxation (paper Section 5.2) on the compiled kernels
 # ----------------------------------------------------------------------
 
-_POOL_PLAN: SolvePlan | None = None
-
-
-def _pool_init(payload) -> None:
-    """Worker-process initializer: adopt the shipped plan once.
-
-    *payload* is whatever :func:`repro.core.shmplan.export_plan` produced
-    — a shared-memory handle the worker attaches to in place (zero-copy),
-    a slim pickled plan (no-numpy fallback), or, for backward
-    compatibility, a bare :class:`SolvePlan`.
-    """
-    from repro.core import shmplan
-
-    global _POOL_PLAN
-    plan = shmplan.adopt_payload(payload)
-    _POOL_PLAN = plan
-    plan._w_f_bnd = [_TOP_ID] * plan.n
-    plan._w_b_bnd = [_TOP_ID] * plan.n
-    plan._w_f_out = [-1] * plan.n
-    plan._w_b_out = [-1] * plan.n
-
-
-def _pool_solve_fub(task):
-    """Solve one FUB against shipped boundary values; return its sets.
-
-    Pure function of (plan, task): workers at any count produce identical
-    results, and the master folds them back in submission order — the
-    same determinism contract as :mod:`repro.sfi.parallel`.
-
-    Boundary imports arrive and results return as plain interned set ids
-    whenever the id predates the plan export (master and workers agree on
-    every id below the shared prefix); only sets minted after the
-    snapshot travel as raw frozensets. Warm re-solves therefore ship
-    almost no set contents at all.
-    """
-    fub_idx, f_items, b_items, max_terms, dangling = task
-    plan = _POOL_PLAN
-    intern = plan.interner.id_of
-    sets = plan.interner.sets
-    prefix = plan._shared_prefix
-    f_bnd, b_bnd = plan._w_f_bnd, plan._w_b_bnd
-    for nid, val in f_items:
-        f_bnd[nid] = intern(val) if isinstance(val, frozenset) else val
-    for nid, val in b_items:
-        b_bnd[nid] = intern(val) if isinstance(val, frozenset) else val
-    f_out, b_out = plan._w_f_out, plan._w_b_out
-    forder = plan.fub_forder[fub_idx]
-    border = plan.fub_border[fub_idx]
-    plan._forward_pass(forder, fub_idx, f_bnd, f_out, max_terms)
-    plan._backward_pass(border, fub_idx, b_bnd, b_out, max_terms, dangling)
-    out_f = []
-    for nid in forder:
-        sid = int(f_out[nid])
-        out_f.append((nid, sid if sid < prefix else sets[sid]))
-    out_b = []
-    for nid in border:
-        sid = int(b_out[nid])
-        out_b.append((nid, sid if sid < prefix else sets[sid]))
-    return (fub_idx, out_f, out_b)
-
-
 def relax_compiled(
     plan: SolvePlan,
     env: PavfEnv,
@@ -839,39 +765,16 @@ def relax_compiled(
     tol: float = 1e-9,
     max_terms: int = 0,
     dangling: str = "unace",
-    workers: int = 1,
-    min_parallel_nodes: int | None = None,
     warm_start: WarmStart | None = None,
     capture_boundary: dict | None = None,
 ) -> tuple[list[int], list[int], RelaxationTrace]:
     """Jacobi relaxation across FUB partitions on the compiled kernels.
 
-    Matches :func:`repro.core.relaxation.relax` iteration for iteration
-    (same merges, same trace, same convergence decision) with two
-    engine-level speedups that cannot change results:
-
-    * a FUB is re-solved only when one of the boundary values it imports
-      changed in the previous merge (an unchanged-input re-solve would
-      reproduce its previous sets verbatim), and
-    * with ``workers > 1`` the independent per-iteration FUB solves run
-      on a process pool, folded back in deterministic submission order.
-
-    Workers never unpickle the plan: it is exported once through
-    :func:`repro.core.shmplan.export_plan` — a shared-memory segment the
-    workers attach to (or a slim pickle without numpy) — and boundary
-    values/results travel as interned set ids under the export's shared
-    prefix. Designs below *min_parallel_nodes* (default
-    :data:`MIN_PARALLEL_NODES`, ``0`` disables the guard) fall back to
-    the serial kernels with a :class:`SmallDesignSerialWarning`, because
-    pool overhead dominates at small scale.
-
-    The pool runs on the fault-tolerant campaign runtime
-    (:class:`repro.sfi.runtime.ResilientPool`): a dead worker respawns
-    the pool and replays only the in-flight FUB solves (each task ships
-    its full boundary imports, so a respawned worker needs no history),
-    and repeated breakage degrades to serial in-process execution with a
-    warning instead of aborting the relaxation. Either way the results
-    are bit-identical — every solve is a pure function of (plan, task).
+    Matches the dict-based reference :func:`repro.verify.dataflow.relax`
+    iteration for iteration (same merges, same trace, same convergence
+    decision), except that a FUB is re-solved only when one of the
+    boundary values it imports changed in the previous merge: an
+    unchanged-input re-solve would reproduce its previous sets verbatim.
 
     *warm_start* switches the relaxation to ECO mode: node outputs and
     FUBIO boundary entries are pre-seeded from a previous converged
@@ -901,12 +804,8 @@ def relax_compiled(
     value), and replaying that tie history is what keeps warm re-solves
     bit-identical.
     """
-    from repro.errors import CampaignError
-    from repro.sfi.runtime import ResilientPool
-
     ev = evaluator or SetEvaluator(plan.interner, env)
     n, n_fubs = plan.n, plan.n_fubs
-    interner = plan.interner
     f_bnd = [_TOP_ID] * n
     b_bnd = [_TOP_ID] * n
     f_out = [-1] * n
@@ -921,150 +820,67 @@ def relax_compiled(
         trace.dirty_fubs = len(dirty)
         trace.warm_fubs = n_fubs - len(dirty)
     resolved: set[int] = set()
-    workers = max(1, int(workers or 1))
-    threshold = (
-        MIN_PARALLEL_NODES if min_parallel_nodes is None else int(min_parallel_nodes)
-    )
-    if workers > 1 and 0 < n < threshold:
-        warnings.warn(
-            f"ignoring workers={workers}: the {n}-node design is below the "
-            f"{threshold}-node parallel threshold, so process-pool overhead "
-            "would dominate; relaxing serially (pass min_parallel_nodes=0 "
-            "to force the pool)",
-            SmallDesignSerialWarning,
-            stacklevel=2,
+
+    for iteration in range(iterations):
+        resolved.update(dirty)
+        for f in dirty:
+            plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out, max_terms)
+            plan._backward_pass(
+                plan.fub_border[f], f, b_bnd, b_out, max_terms, dangling
+            )
+
+        # FUBIO merge, marking the importers of every changed entry
+        # dirty for the next iteration. Cold/exact runs apply the
+        # MIN rule (values only descend from TOP); optimistic warm
+        # runs accept any value *change* — seeds are a stale
+        # fixpoint, not a lower bound — but both keep the old set
+        # on equal-value ties, so the tie history matches a cold run.
+        # A cold boundary entry only ever leaves TOP on a strict
+        # value decrease, so any cold entry at the TOP value *is*
+        # TOP; an optimistic increase that saturates must therefore
+        # store TOP itself, not the computed set, to land on the
+        # same representation.
+        delta = 0.0
+        next_dirty: set[int] = set()
+        value = ev.value
+        top_val = value(_TOP_ID)
+        for nid in plan.f_exports:
+            new = f_out[nid]
+            old = f_bnd[nid]
+            if new == old or new < 0:
+                continue
+            new_val, old_val = value(new), value(old)
+            if new_val < old_val or (optimistic and new_val > old_val):
+                f_bnd[nid] = _TOP_ID if new_val >= top_val else new
+                next_dirty.update(plan.f_importers.get(nid, ()))
+                if abs(old_val - new_val) > delta:
+                    delta = abs(old_val - new_val)
+        for nid in plan.b_exports:
+            new = b_out[nid]
+            old = b_bnd[nid]
+            if new == old or new < 0:
+                continue
+            new_val, old_val = value(new), value(old)
+            if new_val < old_val or (optimistic and new_val > old_val):
+                b_bnd[nid] = _TOP_ID if new_val >= top_val else new
+                next_dirty.update(plan.b_importers.get(nid, ()))
+                if abs(old_val - new_val) > delta:
+                    delta = abs(old_val - new_val)
+
+        trace.iterations = iteration + 1
+        trace.max_delta.append(delta)
+        _record_fub_averages_compiled(
+            plan, f_out, b_out, ev, trace,
+            fubs=dirty if optimistic else None,
         )
-        workers = 1
-    pool: ResilientPool | None = None
-    segment = None
-    shared_prefix = 0
-    try:
-        if workers > 1 and n_fubs > 1:
-            from repro.core import shmplan
-
-            segment = shmplan.export_plan(plan)
-            shared_prefix = segment.shared_prefix
-            pool = ResilientPool(
-                _pool_init, segment.payload,
-                workers=min(workers, n_fubs),
-                max_pool_restarts=2,
-                label="relaxation",
-            )
-
-        # Per-FUB import lists: the boundary entries each FUB's kernels read.
-        f_imp_by_fub: list[list[int]] = [[] for _ in range(n_fubs)]
-        for nid, fubs in plan.f_importers.items():
-            for f in fubs:
-                f_imp_by_fub[f].append(nid)
-        b_imp_by_fub: list[list[int]] = [[] for _ in range(n_fubs)]
-        for nid, fubs in plan.b_importers.items():
-            for f in fubs:
-                b_imp_by_fub[f].append(nid)
-
-        for iteration in range(iterations):
-            resolved.update(dirty)
-            # Once the pool has degraded, the inline kernels are the
-            # faster serial path (no boundary shipping / interning).
-            if pool is not None and not pool.degraded and len(dirty) > 1:
-                sets = interner.sets
-
-                def _ship(sid, _sets=sets, _n0=shared_prefix):
-                    # Ids below the export prefix mean the same set on
-                    # both sides; newer sets must travel by content.
-                    return sid if sid < _n0 else _sets[sid]
-
-                tasks = [
-                    (
-                        f,
-                        [(nid, _ship(f_bnd[nid])) for nid in f_imp_by_fub[f]],
-                        [(nid, _ship(b_bnd[nid])) for nid in b_imp_by_fub[f]],
-                        max_terms,
-                        dangling,
-                    )
-                    for f in dirty
-                ]
-                results: list = [None] * len(tasks)
-
-                def _collect(index: int, solved, _results=results) -> None:
-                    _results[index] = solved
-
-                try:
-                    pool.run(
-                        _pool_solve_fub, tasks,
-                        max_retries=2, on_result=_collect, on_error="raise",
-                    )
-                except CampaignError as exc:
-                    raise SartError(f"relaxation solve failed: {exc}") from exc
-                intern = interner.id_of
-                for fub_idx, f_items, b_items in results:
-                    for nid, val in f_items:
-                        f_out[nid] = intern(val) if isinstance(val, frozenset) else val
-                    for nid, val in b_items:
-                        b_out[nid] = intern(val) if isinstance(val, frozenset) else val
-            else:
-                for f in dirty:
-                    plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out, max_terms)
-                    plan._backward_pass(
-                        plan.fub_border[f], f, b_bnd, b_out, max_terms, dangling
-                    )
-
-            # FUBIO merge, marking the importers of every changed entry
-            # dirty for the next iteration. Cold/exact runs apply the
-            # MIN rule (values only descend from TOP); optimistic warm
-            # runs accept any value *change* — seeds are a stale
-            # fixpoint, not a lower bound — but both keep the old set
-            # on equal-value ties, so the tie history matches a cold run.
-            # A cold boundary entry only ever leaves TOP on a strict
-            # value decrease, so any cold entry at the TOP value *is*
-            # TOP; an optimistic increase that saturates must therefore
-            # store TOP itself, not the computed set, to land on the
-            # same representation.
-            delta = 0.0
-            next_dirty: set[int] = set()
-            value = ev.value
-            top_val = value(_TOP_ID)
-            for nid in plan.f_exports:
-                new = f_out[nid]
-                old = f_bnd[nid]
-                if new == old or new < 0:
-                    continue
-                new_val, old_val = value(new), value(old)
-                if new_val < old_val or (optimistic and new_val > old_val):
-                    f_bnd[nid] = _TOP_ID if new_val >= top_val else new
-                    next_dirty.update(plan.f_importers.get(nid, ()))
-                    if abs(old_val - new_val) > delta:
-                        delta = abs(old_val - new_val)
-            for nid in plan.b_exports:
-                new = b_out[nid]
-                old = b_bnd[nid]
-                if new == old or new < 0:
-                    continue
-                new_val, old_val = value(new), value(old)
-                if new_val < old_val or (optimistic and new_val > old_val):
-                    b_bnd[nid] = _TOP_ID if new_val >= top_val else new
-                    next_dirty.update(plan.b_importers.get(nid, ()))
-                    if abs(old_val - new_val) > delta:
-                        delta = abs(old_val - new_val)
-
-            trace.iterations = iteration + 1
-            trace.max_delta.append(delta)
-            _record_fub_averages_compiled(
-                plan, f_out, b_out, ev, trace,
-                fubs=dirty if optimistic else None,
-            )
-            if delta <= tol:
-                trace.converged = True
-                break
-            dirty = sorted(next_dirty)
-    finally:
-        if pool is not None:
-            pool.close()
-        if segment is not None:
-            segment.close()
+        if delta <= tol:
+            trace.converged = True
+            break
+        dirty = sorted(next_dirty)
     trace.resolved_fubs = len(resolved)
     trace.resolved_fub_ids = tuple(sorted(resolved))
     if capture_boundary is not None:
-        sets = interner.sets
+        sets = plan.interner.sets
         names = plan.names
         capture_boundary["f"] = {
             names[nid]: sets[f_bnd[nid]] for nid in plan.f_exports

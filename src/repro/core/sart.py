@@ -8,9 +8,15 @@ netlist (or a pre-extracted node graph):
 3. map ACE-structure bits onto RTL bits and build the annotated model,
 4. bind the ACE-model port AVFs plus the injected values into a
    :class:`~repro.core.pavf.PavfEnv`,
-5. propagate — monolithically, per-FUB with relaxation, or with the
-   faithful walk engine — and
+5. propagate on the compiled engine (:mod:`repro.core.compiled`),
+   monolithically or per FUB with relaxation, and
 6. resolve ``AVF = MIN(forward, backward)`` per node and aggregate per FUB.
+
+Steps 1-3 are structural and live in a reusable
+:class:`~repro.core.compiled.SolvePlan` (:func:`build_plan`). The
+dict-based fixpoint and the faithful walk engine implement the same
+semantics as references for the oracles and equivalence tests; they run
+through :func:`repro.verify.reference.run_reference`.
 """
 
 from __future__ import annotations
@@ -21,15 +27,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import SartError, WarmStartDegradedWarning
-from repro.core import controlregs, loops
+from repro.core import controlregs
 from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
-from repro.core.dataflow import solve_backward, solve_forward
-from repro.core.graphmodel import (
-    AvfModel,
-    StructurePorts,
-    build_model,
-    structure_nets,
-)
+from repro.core.graphmodel import AvfModel, StructurePorts
 from repro.core.pavf import (
     BOUNDARY,
     CONST,
@@ -37,19 +37,13 @@ from repro.core.pavf import (
     LOOP,
     Atom,
     PavfEnv,
-    TOP_SET,
 )
-from repro.core.relaxation import RelaxationTrace, WarmStart, relax
+from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.report import DesignReport, fub_report
-from repro.core.resolve import NodeAvf, resolve
+from repro.core.resolve import NodeAvf
 from repro.core.symbolic import ClosedForm, atom_value
-from repro.core.walker import WalkEngine, fill_unvisited
-from repro.netlist.graph import NetGraph, extract_graph
+from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
-
-ENGINE_COMPILED = "compiled"
-ENGINE_DATAFLOW = "dataflow"
-ENGINE_WALK = "walk"
 
 
 @dataclass
@@ -76,17 +70,6 @@ class SartConfig:
     partition_by_fub: bool = True
     iterations: int = 20
     tol: float = 1e-9
-    # Propagation engine: compiled CSR kernels (default), the dict-based
-    # fixpoint it replaced, or faithful walks.
-    engine: str = ENGINE_COMPILED
-    walker_rounds: int = 100
-    # Worker processes for compiled partitioned relaxation (1 = in-process;
-    # results are identical at any count).
-    workers: int = 1
-    # Auto-serial guard: designs below this node count ignore ``workers``
-    # (pool overhead dominates). None = the engine default
-    # (repro.core.compiled.MIN_PARALLEL_NODES); 0 always honors workers.
-    min_parallel_nodes: int | None = None
     # 0 keeps exact symbolic sets (closed-form capable); >0 collapses
     # oversized sets to TOP as a memory guard.
     max_terms: int = 0
@@ -126,10 +109,9 @@ class SartResult:
     b_sets: dict[str, frozenset[Atom]]
     config: SartConfig
     trace: RelaxationTrace | None = None
-    walker_rounds_used: int = 0
     elapsed_seconds: float = 0.0
     stats: dict[str, float] = field(default_factory=dict)
-    # Converged FUBIO boundary tables (compiled partitioned runs only) —
+    # Converged FUBIO boundary tables (partitioned runs only) —
     # the extra state a later warm start must replay verbatim; see
     # repro.core.relaxation.WarmStart.
     f_boundary: dict[str, frozenset[Atom]] | None = None
@@ -204,16 +186,15 @@ def run_sart(
 ) -> SartResult:
     """Run the full SART flow and return per-node sequential AVFs.
 
-    With ``engine="compiled"`` a reusable :class:`SolvePlan` drives the
-    propagation; pass one built by :func:`build_plan` to amortize the
-    lowering across many runs (*design*/*structures* are then taken from
-    the plan).
+    A :class:`SolvePlan` drives the propagation; pass one built by
+    :func:`build_plan` to amortize the lowering across many runs
+    (*design*/*structures* are then taken from the plan).
 
-    *warm_start* (ECO mode) seeds the compiled partitioned relaxation
-    from a previous converged solution so only the dirty FUBs re-solve;
-    build one with :mod:`repro.pipeline.delta`. Requires the compiled
-    engine with FUB partitioning — other engines have no per-FUB state
-    to seed and raise :class:`~repro.errors.SartError`.
+    *warm_start* (ECO mode) seeds the partitioned relaxation from a
+    previous converged solution so only the dirty FUBs re-solve; build
+    one with :mod:`repro.pipeline.delta`. It needs FUB partitioning on a
+    multi-FUB design and raises :class:`~repro.errors.SartError`
+    otherwise.
     """
     config = config or SartConfig()
     started = time.perf_counter()
@@ -223,61 +204,50 @@ def run_sart(
     if plan is not None and not isinstance(plan, SolvePlan):
         plan = getattr(plan, "plan", plan)
     plan_reused = plan is not None
-    if config.engine == ENGINE_COMPILED:
-        if plan is None:
-            plan = build_plan(
-                design, structures, config, extra_struct_bits=extra_struct_bits
-            )
-        else:
-            plan.check_config(config)
-        graph = plan.graph
-        model = plan.model
+    if plan is None:
+        plan = build_plan(
+            design, structures, config, extra_struct_bits=extra_struct_bits
+        )
     else:
-        if plan is not None:
-            raise SartError(
-                f"engine {config.engine!r} does not use a SolvePlan; "
-                "use engine='compiled' or drop the plan argument"
-            )
-        graph = design if isinstance(design, NetGraph) else extract_graph(design)
-
-        # Structure bits and control registers terminate walks, so cycles
-        # passing through them are not propagation loops — identify them
-        # before loop classification.
-        struct_nets = structure_nets(graph, extra_struct_bits)
-        ctrl_nets = (
-            controlregs.find_control_registers(graph, patterns=config.ctrl_patterns)
-            if config.detect_ctrl
-            else set()
-        )
-        loop_nets = loops.find_loop_nets(graph, cut=struct_nets | ctrl_nets)
-
-        model = build_model(
-            graph,
-            structures,
-            loop_nets=loop_nets,
-            ctrl_nets=ctrl_nets,
-            port_traffic_on_addresses=config.port_traffic_on_addresses,
-            extra_struct_bits=extra_struct_bits,
-        )
+        plan.check_config(config)
+    graph = plan.graph
+    model = plan.model
     env = build_env(model, config)
 
     trace: RelaxationTrace | None = None
-    walker_rounds_used = 0
-    node_avfs: dict[str, NodeAvf] | None = None
     f_boundary: dict[str, frozenset[Atom]] | None = None
     b_boundary: dict[str, frozenset[Atom]] | None = None
-    partitioned = config.engine == ENGINE_COMPILED and (
-        config.partition_by_fub and plan is not None and plan.n_fubs > 1
-    )
+    partitioned = config.partition_by_fub and plan.n_fubs > 1
     if warm_start is not None and not partitioned:
         raise SartError(
-            "warm_start requires the compiled engine with FUB "
-            "partitioning and a multi-FUB design; run cold instead"
+            "warm_start requires FUB partitioning and a multi-FUB design; "
+            "run cold instead"
         )
-    if config.engine == ENGINE_COMPILED:
-        evaluator = SetEvaluator(plan.interner, env)
-        if partitioned:
-            boundary_state: dict = {}
+    evaluator = SetEvaluator(plan.interner, env)
+    if partitioned:
+        boundary_state: dict = {}
+        f_ids, b_ids, trace = relax_compiled(
+            plan,
+            env,
+            evaluator=evaluator,
+            iterations=config.iterations,
+            tol=config.tol,
+            max_terms=config.max_terms,
+            dangling=config.dangling,
+            warm_start=warm_start,
+            capture_boundary=boundary_state,
+        )
+        if warm_start is not None and warm_start.optimistic and not trace.converged:
+            # A truncated optimistic trajectory is not comparable to a
+            # truncated cold one (different starting points), so restart
+            # cold to keep ECO output bit-identical with non-ECO runs.
+            warnings.warn(
+                "optimistic warm start did not converge in "
+                f"{config.iterations} iterations; restarting cold",
+                WarmStartDegradedWarning,
+                stacklevel=2,
+            )
+            boundary_state = {}
             f_ids, b_ids, trace = relax_compiled(
                 plan,
                 env,
@@ -286,111 +256,53 @@ def run_sart(
                 tol=config.tol,
                 max_terms=config.max_terms,
                 dangling=config.dangling,
-                workers=config.workers,
-                min_parallel_nodes=config.min_parallel_nodes,
-                warm_start=warm_start,
                 capture_boundary=boundary_state,
             )
-            if (
-                warm_start is not None
-                and warm_start.optimistic
-                and not trace.converged
-            ):
-                # A truncated optimistic trajectory is not comparable to a
-                # truncated cold one (different starting points), so restart
-                # cold to keep ECO output bit-identical with non-ECO runs.
-                warnings.warn(
-                    "optimistic warm start did not converge in "
-                    f"{config.iterations} iterations; restarting cold",
-                    WarmStartDegradedWarning,
-                    stacklevel=2,
-                )
-                boundary_state = {}
-                f_ids, b_ids, trace = relax_compiled(
-                    plan,
-                    env,
-                    evaluator=evaluator,
-                    iterations=config.iterations,
-                    tol=config.tol,
-                    max_terms=config.max_terms,
-                    dangling=config.dangling,
-                    workers=config.workers,
-                    min_parallel_nodes=config.min_parallel_nodes,
-                    capture_boundary=boundary_state,
-                )
-            f_boundary = boundary_state.get("f")
-            b_boundary = boundary_state.get("b")
-        else:
-            f_ids, b_ids = plan.solve_monolithic(config.max_terms, config.dangling)
-        if (
-            warm_start is not None
-            and warm_start.optimistic
-            and trace is not None
-            and trace.warm
-            and trace.converged
-            and warm_start.baseline_avfs
-        ):
-            # Assemble the result from the baseline: only nodes of FUBs the
-            # cascade actually re-solved need fresh resolution; everything
-            # else is bit-identical to the seeded baseline by construction.
-            resolved_set = set(trace.resolved_fub_ids)
-            fub_of = plan.fub_of
-            recompute = [
-                nid for nid in range(plan.n) if fub_of[nid] in resolved_set
-            ]
-            fresh = resolve_ids(
-                plan, f_ids, b_ids, env, evaluator=evaluator, only=recompute
-            )
-            # Rebuild the tables in plan (node-id) order — the same
-            # order a cold solve emits — so every downstream consumer
-            # that folds over them (per-FUB averages, weighted report
-            # figures) sums floats in the identical sequence.
-            names, interned = plan.names, plan.interner.sets
-            base_avfs = warm_start.baseline_avfs
-            base_f, base_b = warm_start.f_sets, warm_start.b_sets
-            node_avfs = {}
-            f_sets = {}
-            b_sets = {}
-            for nid in range(plan.n):
-                name = names[nid]
-                if fub_of[nid] in resolved_set:
-                    node_avfs[name] = fresh[name]
-                    f_sets[name] = interned[f_ids[nid]]
-                    b_sets[name] = interned[b_ids[nid]]
-                else:
-                    node_avfs[name] = base_avfs[name]
-                    f_sets[name] = base_f[name]
-                    b_sets[name] = base_b[name]
-        else:
-            node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
-            f_sets = plan.sets_dict(f_ids)
-            b_sets = plan.sets_dict(b_ids)
-    elif config.engine == ENGINE_WALK:
-        engine = WalkEngine(model, env, max_rounds=config.walker_rounds)
-        f_sets = fill_unvisited(engine.run_forward(), graph.nodes)
-        b_sets = fill_unvisited(engine.run_backward(), graph.nodes)
-        walker_rounds_used = engine.rounds_used
-    elif config.engine == ENGINE_DATAFLOW:
-        if config.partition_by_fub and len(graph.nets_by_fub()) > 1:
-            result = relax(
-                model,
-                env,
-                iterations=config.iterations,
-                tol=config.tol,
-                max_terms=config.max_terms,
-                dangling=config.dangling,
-            )
-            f_sets, b_sets, trace = result.f_sets, result.b_sets, result.trace
-        else:
-            f_sets = solve_forward(model, max_terms=config.max_terms)
-            b_sets = solve_backward(
-                model, max_terms=config.max_terms, dangling=config.dangling
-            )
+        f_boundary = boundary_state.get("f")
+        b_boundary = boundary_state.get("b")
     else:
-        raise SartError(f"unknown engine {config.engine!r}")
+        f_ids, b_ids = plan.solve_monolithic(config.max_terms, config.dangling)
+    if (
+        warm_start is not None
+        and warm_start.optimistic
+        and trace.warm
+        and trace.converged
+        and warm_start.baseline_avfs
+    ):
+        # Assemble the result from the baseline: only nodes of FUBs the
+        # cascade actually re-solved need fresh resolution; everything
+        # else is bit-identical to the seeded baseline by construction.
+        resolved_set = set(trace.resolved_fub_ids)
+        fub_of = plan.fub_of
+        recompute = [nid for nid in range(plan.n) if fub_of[nid] in resolved_set]
+        fresh = resolve_ids(
+            plan, f_ids, b_ids, env, evaluator=evaluator, only=recompute
+        )
+        # Rebuild the tables in plan (node-id) order — the same
+        # order a cold solve emits — so every downstream consumer
+        # that folds over them (per-FUB averages, weighted report
+        # figures) sums floats in the identical sequence.
+        names, interned = plan.names, plan.interner.sets
+        base_avfs = warm_start.baseline_avfs
+        base_f, base_b = warm_start.f_sets, warm_start.b_sets
+        node_avfs: dict[str, NodeAvf] = {}
+        f_sets: dict[str, frozenset[Atom]] = {}
+        b_sets: dict[str, frozenset[Atom]] = {}
+        for nid in range(plan.n):
+            name = names[nid]
+            if fub_of[nid] in resolved_set:
+                node_avfs[name] = fresh[name]
+                f_sets[name] = interned[f_ids[nid]]
+                b_sets[name] = interned[b_ids[nid]]
+            else:
+                node_avfs[name] = base_avfs[name]
+                f_sets[name] = base_f[name]
+                b_sets[name] = base_b[name]
+    else:
+        node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
+        f_sets = plan.sets_dict(f_ids)
+        b_sets = plan.sets_dict(b_ids)
 
-    if node_avfs is None:
-        node_avfs = resolve(model, f_sets, b_sets, env)
     report = fub_report(
         node_avfs, loop_bits=len(model.loop_nets), ctrl_bits=len(model.ctrl_nets)
     )
@@ -418,7 +330,6 @@ def run_sart(
         b_sets=b_sets,
         config=config,
         trace=trace,
-        walker_rounds_used=walker_rounds_used,
         elapsed_seconds=elapsed,
         stats=stats,
         f_boundary=f_boundary,

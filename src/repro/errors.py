@@ -140,13 +140,3 @@ class QueueFullError(ServeError):
 
 class ServerDrainingError(ServeError):
     """Job admission rejected: the server is draining for shutdown."""
-
-
-class PassTimeoutError(CampaignError):
-    """A campaign pass exceeded its soft timeout budget.
-
-    The fault-tolerant runtime normally records stragglers as structured
-    ``timeout`` failures and keeps going; this is raised only by callers
-    that demand every pass result (e.g. :func:`repro.sfi.parallel
-    .parallel_map`'s all-or-nothing contract).
-    """

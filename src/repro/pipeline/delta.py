@@ -333,8 +333,7 @@ def eco_context_fingerprint(
     The structural side lives in the per-FUB fingerprints; this covers
     the numeric environment (injected pAVFs, port bindings via the
     port-env fingerprint) and the solve knobs that shape the iteration
-    itself. Worker count and parallel thresholds are deliberately
-    absent — results are bit-identical at any worker count.
+    itself.
     """
     return fingerprint(
         "eco-context",

@@ -106,8 +106,6 @@ def sart_config(spec: SartSpec) -> SartConfig:
         loop_pavf=spec.loop_pavf,
         partition_by_fub=not spec.monolithic,
         iterations=spec.iterations,
-        engine=spec.engine,
-        workers=spec.relax_workers,
     )
 
 
@@ -134,14 +132,13 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
     any run (so a configured store serves its per-FUB solutions), then
     the two compiled plans are diffed and the baseline's converged
     solution seeds the main solve. Returns None — and the main solve
-    runs cold — when the eco path cannot apply (non-compiled engine,
-    single-FUB design, or a baseline without a converged partitioned
-    solution).
+    runs cold — when the eco path cannot apply (single-FUB design, or a
+    baseline without a converged partitioned solution).
     """
     from repro.pipeline import delta as delta_mod
 
-    if outcome.plan is None or outcome.plan.plan.n_fubs < 2:
-        ctx.notify("eco:skip", reason="eco needs a compiled multi-FUB plan")
+    if outcome.plan.plan.n_fubs < 2:
+        ctx.notify("eco:skip", reason="eco needs a multi-FUB plan")
         return None
     provider = resolve_design(spec.eco.baseline)
     base_design = stage_design(ctx, provider)
@@ -219,8 +216,7 @@ def execute(
     # --- SART report ---------------------------------------------------
     if "sart" in stages:
         config = sart_config(spec.sart or SartSpec())
-        if config.engine == "compiled":
-            outcome.plan = stage_plan(ctx, design, outcome.port_env, config)
+        outcome.plan = stage_plan(ctx, design, outcome.port_env, config)
         warm = None
         if spec.eco is not None:
             warm = _eco_warm_start(ctx, spec, outcome, config)

@@ -50,13 +50,27 @@ class WorkloadsSpec:
 
 @dataclass(frozen=True)
 class SartSpec:
-    """SART environment knobs (``[sart]``)."""
+    """SART environment knobs (``[sart]``).
+
+    Validated on construction, so a spec file, an HTTP body and the CLI
+    flags all fail the same way: a bad value raises :class:`SpecError`
+    before anything runs.
+    """
 
     loop_pavf: float = 0.3
     iterations: int = 20
     monolithic: bool = False
-    engine: str = "compiled"
-    relax_workers: int = 1
+
+    def __post_init__(self) -> None:
+        loop = self.loop_pavf
+        if (isinstance(loop, bool) or not isinstance(loop, (int, float))
+                or not 0.0 <= loop <= 1.0):
+            raise SpecError(
+                f"[sart] loop_pavf must be a number in [0, 1], got {loop!r}")
+        its = self.iterations
+        if isinstance(its, bool) or not isinstance(its, int) or its < 1:
+            raise SpecError(
+                f"[sart] iterations must be an integer >= 1, got {its!r}")
 
 
 @dataclass(frozen=True)
@@ -222,8 +236,10 @@ def _section(cls, data: Mapping[str, Any], name: str):
             f"unknown key(s) {sorted(unknown)} in [{name}]; have {sorted(known)}"
         )
     kwargs = dict(data)
-    for key in _BOOLEANS & set(kwargs):
-        kwargs[key] = bool(kwargs[key])
+    for key in sorted(_BOOLEANS & set(kwargs)):
+        if not isinstance(kwargs[key], bool):
+            raise SpecError(
+                f"[{name}] {key} must be true or false, got {kwargs[key]!r}")
     try:
         return cls(**kwargs)
     except TypeError as exc:

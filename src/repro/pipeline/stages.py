@@ -27,8 +27,8 @@ derating  design fingerprint + sart fingerprint (when a solve rode
 ========  ==========================================================
 
 SART solves themselves are *not* persisted whole: with a cached plan
-they are re-evaluations, which is the paper's own speed story. Compiled
-partitioned solves do persist their per-(FUB, direction) converged
+they are re-evaluations, which is the paper's own speed story.
+Partitioned solves do persist their per-(FUB, direction) converged
 sub-solutions under ``fubsol`` keys (ECO mode, see
 :mod:`repro.pipeline.delta`), so a later solve of an edited design hits
 on every unchanged FUB and warm-starts the relaxation over the dirty
@@ -313,7 +313,7 @@ def stage_sart(
     design: DesignArtifact,
     port_env: PortEnv | None,
     config: SartConfig,
-    plan: PlanArtifact | None = None,
+    plan: PlanArtifact,
     *,
     warm_start=None,
 ) -> SartOutcome:
@@ -321,7 +321,7 @@ def stage_sart(
 
     The whole-design solve is never persisted — with a cached plan it is
     a re-evaluation, the paper's own speed story. What *is* persisted,
-    for compiled partitioned runs against a real store, are the
+    for partitioned runs against a real store, are the
     per-(FUB, direction) converged sub-solutions (ECO mode,
     :mod:`repro.pipeline.delta`): before solving, the store is consulted
     per FUB, hits seed a warm start so only the FUBs whose sub-results
@@ -339,9 +339,7 @@ def stage_sart(
     ports = port_env.ports if port_env is not None else None
     eco = (
         warm_start is None
-        and plan is not None
         and not isinstance(ctx.store, NullStore)
-        and config.engine == "compiled"
         and config.partition_by_fub
         and plan.plan.n_fubs > 1
     )
@@ -368,12 +366,7 @@ def stage_sart(
             dirty=sorted(warm.dirty_fubs) if warm is not None else None,
         )
 
-    if plan is not None:
-        result = run_sart(
-            design.module, ports, config, plan=plan.plan, warm_start=warm
-        )
-    else:
-        result = run_sart(design.module, ports, config)
+    result = run_sart(design.module, ports, config, plan=plan.plan, warm_start=warm)
 
     if eco and misses:
         from repro.pipeline import delta as delta_mod
@@ -383,15 +376,15 @@ def stage_sart(
         )
     fp = fingerprint(
         "sart",
-        plan.fingerprint if plan is not None else design.fingerprint,
+        plan.fingerprint,
         port_env.fingerprint if port_env is not None else None,
         config.loop_pavf, config.iterations, config.partition_by_fub,
-        config.engine, config.max_terms, config.dangling,
+        config.max_terms, config.dangling,
     )
     outcome = SartOutcome(
         fingerprint=fp,
         result=result,
-        plan_fingerprint=plan.fingerprint if plan is not None else None,
+        plan_fingerprint=plan.fingerprint,
         fub_fingerprints=fub_fps,
         fub_hits=hits,
         fub_misses=misses,

@@ -15,7 +15,8 @@ The scheduler owns three things:
 * **Recovery** — ``recover()`` replays the job journal on boot:
   completed jobs are re-registered so their recorded results are
   re-served byte-identically, unfinished ones re-enter the queue and
-  resume from their campaign checkpoints.
+  resume from their campaign checkpoints (or fail, when their journaled
+  spec no longer validates).
 
 ``job_worker``/``job_initializer`` are module level so they pickle into
 pool workers. The worker injects the job's checkpoint path into the
@@ -31,7 +32,7 @@ import threading
 import time
 from collections import deque
 
-from repro.errors import QueueFullError, ServerDrainingError
+from repro.errors import QueueFullError, ServerDrainingError, SpecError
 from repro.serve.dedupe import DedupIndex, ServeCounters
 from repro.serve.jobs import (
     DONE,
@@ -120,7 +121,7 @@ class JobScheduler:
         from repro.sfi.runtime import ResilientPool
         self.pool = ResilientPool(
             initializer, None, workers=workers,
-            max_pool_restarts=max_pool_restarts, label="serve",
+            max_pool_restarts=max_pool_restarts,
         )
 
         self._cond = threading.Condition()
@@ -138,17 +139,31 @@ class JobScheduler:
         self._thread.start()
 
     def recover(self) -> None:
-        """Replay the job journal: re-serve finished, re-queue the rest."""
+        """Replay the job journal: re-serve finished, re-queue the rest.
+
+        An unfinished job is re-validated first: a spec journaled under
+        an older schema (a key this version no longer accepts) fails
+        with the :class:`~repro.errors.SpecError` naming the key instead
+        of being re-queued.
+        """
+        from repro.pipeline.spec import spec_from_mapping
+
         for job in replay_journal(load_journal(self.journal.path)):
             if self.index.get(job.id) is not None:
                 continue   # already admitted live (pre-start submission)
             self.index.adopt(job)
             self.counters.bump("recovered")
-            if job.state not in TERMINAL_STATES:
-                self.counters.bump("resumed")
-                with self._cond:
-                    self._queue.append(job)
-                    self._cond.notify()
+            if job.state in TERMINAL_STATES:
+                continue
+            try:
+                spec_from_mapping(job.spec)
+            except SpecError as exc:
+                self._fail(job, str(exc))
+                continue
+            self.counters.bump("resumed")
+            with self._cond:
+                self._queue.append(job)
+                self._cond.notify()
 
     def drain(self, grace: float = 30.0) -> bool:
         """Stop admitting, finish in-flight work, shut the pool down.
@@ -268,6 +283,7 @@ class JobScheduler:
     def _complete(self, job: Job, result: dict) -> None:
         now = time.time()
         self.journal.record(event=DONE, job=job.id, result=result, time=now)
+        self._free_slot(job)
         job.transition(DONE, result=result)
         self.counters.bump("completed")
         eco = result.get("eco") if isinstance(result, dict) else None
@@ -283,8 +299,16 @@ class JobScheduler:
     def _fail(self, job: Job, message: str) -> None:
         now = time.time()
         self.journal.record(event=FAILED, job=job.id, error=message, time=now)
+        self._free_slot(job)
         job.transition(FAILED, error=message)
         self.counters.bump("failed")
+
+    def _free_slot(self, job: Job) -> None:
+        # Release the job's admission slot before its watchers wake, so a
+        # client that sees the job finish can submit into the freed slot.
+        with self._cond:
+            self._running.discard(job.id)
+            self._cond.notify_all()
 
     def _cleanup_checkpoint(self, job: Job) -> None:
         try:

@@ -45,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import CampaignError, CheckpointError, PassTimeoutError
+from repro.errors import CheckpointError
 from repro.sfi.results import CRASH, TIMEOUT, PassFailure
 
 _ITEM = TypeVar("_ITEM")
@@ -252,10 +252,10 @@ class ResilientPool:
 
     Wraps :class:`ProcessPoolExecutor` with respawn-on-break, bounded
     per-task retry, soft task timeouts, and a final serial in-process
-    fallback. One instance may serve several :meth:`run` calls (the
-    relaxation engine reuses it across Jacobi iterations); worker state
-    is rebuilt by re-running *initializer* after every respawn, so
-    workers must treat it as their only setup channel.
+    fallback. One instance may serve several :meth:`run` calls (the job
+    server reuses it across job batches); worker state is rebuilt by
+    re-running *initializer* after every respawn, so workers must treat
+    it as their only setup channel.
     """
 
     def __init__(
@@ -265,13 +265,11 @@ class ResilientPool:
         *,
         workers: int | None = 1,
         max_pool_restarts: int = 3,
-        label: str = "campaign",
     ):
         self._initializer = initializer
         self._payload = payload
         self.workers = resolve_workers(workers)
         self.max_pool_restarts = max(0, max_pool_restarts)
-        self.label = label
         self.restarts = 0          # every pool respawn (broken or wedged)
         self.degraded = False      # fell back to serial due to failures
         self._serial = self.workers <= 1
@@ -317,7 +315,7 @@ class ResilientPool:
         self.degraded = True
         self._teardown(kill=True)
         warnings.warn(
-            f"{self.label}: degrading to serial in-process execution ({why})",
+            f"worker pool degrading to serial in-process execution ({why})",
             DegradedExecutionWarning,
             stacklevel=4,
         )
@@ -347,7 +345,6 @@ class ResilientPool:
         max_retries: int = 3,
         timeout: float | None = None,
         on_result: Callable[[int, Any], None] | None = None,
-        on_error: str = "record",
         backoff_base: float = 0.0,
         backoff_cap: float = 2.0,
         backoff_seed: int = 0,
@@ -355,10 +352,8 @@ class ResilientPool:
         """Run ``fn(tasks[i])`` for every index, surviving failures.
 
         *on_result(index, result)* fires as each task completes (the
-        checkpoint hook). With ``on_error="record"`` permanent failures
-        come back as :class:`PassFailure` records; ``"raise"`` turns the
-        first one into :class:`CampaignError` / :class:`PassTimeoutError`
-        for callers that need every result (relaxation). A non-zero
+        checkpoint hook). Permanent failures come back as
+        :class:`PassFailure` records. A non-zero
         ``backoff_base`` inserts the bounded jittered exponential delay
         of :func:`backoff_delay` before each retry attempt instead of
         re-queueing immediately (requeues caused by a broken pool or a
@@ -381,18 +376,7 @@ class ResilientPool:
                 base=backoff_base, cap=backoff_cap, seed=backoff_seed,
             )
 
-        def fail(index: int, attempts: int, kind: str, message: str,
-                 exc: BaseException | None = None) -> None:
-            if on_error == "raise":
-                if kind == TIMEOUT:
-                    raise PassTimeoutError(
-                        f"{self.label} pass {index} exceeded its "
-                        f"{timeout:g}s soft timeout"
-                    )
-                raise CampaignError(
-                    f"{self.label} pass {index} failed permanently after "
-                    f"{attempts} attempt(s): {message}"
-                ) from exc
+        def fail(index: int, attempts: int, kind: str, message: str) -> None:
             failures.append(
                 PassFailure(index=index, kind=kind, error=message, attempts=attempts)
             )
@@ -478,7 +462,7 @@ class ResilientPool:
                     if att < max_retries:
                         queue.append((i, att + 1, retry_ready(i, att + 1)))
                     else:
-                        fail(i, att, CRASH, f"{type(exc).__name__}: {exc}", exc)
+                        fail(i, att, CRASH, f"{type(exc).__name__}: {exc}")
                 else:
                     succeed(i, result)
 
@@ -555,7 +539,7 @@ class ResilientPool:
                         if retry_ready is not None:
                             ready = retry_ready(i, att)
                         continue
-                    fail(i, att, CRASH, f"{type(exc).__name__}: {exc}", exc)
+                    fail(i, att, CRASH, f"{type(exc).__name__}: {exc}")
                     break
                 else:
                     succeed(i, result)

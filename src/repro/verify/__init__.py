@@ -7,6 +7,12 @@ oracle's sensitivity (:mod:`repro.verify.defects`), a content-addressed
 golden corpus (:mod:`repro.verify.corpus`), greedy reproducer shrinking
 (:mod:`repro.verify.shrink`), and the budgeted fuzz loop behind
 ``repro-sart verify`` (:mod:`repro.verify.harness`).
+
+The reference solvers the cross-engine oracle and the equivalence tests
+compare the compiled engine against also live here: the dict-based
+fixpoint (:mod:`repro.verify.dataflow`) and the faithful walk engine
+(:mod:`repro.verify.walker`), run on a design by
+:func:`~repro.verify.reference.run_reference`.
 """
 
 from repro.verify.cases import (
@@ -36,6 +42,7 @@ from repro.verify.oracles import (
     default_oracles,
     oracles_by_name,
 )
+from repro.verify.reference import run_reference
 from repro.verify.shrink import shrink
 
 __all__ = [
@@ -62,6 +69,7 @@ __all__ = [
     "random_circuit_spec",
     "random_spec",
     "replay",
+    "run_reference",
     "run_verify",
     "shrink",
     "update_corpus",

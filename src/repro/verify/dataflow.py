@@ -1,4 +1,4 @@
-"""Fixpoint propagation engine.
+"""Dict-based fixpoint solver: the reference the compiled engine is checked against.
 
 Solves the forward (pAVF_R, "down") and backward (pAVF_W, "up") systems of
 the paper with one topological pass each. After loop breaking, every
@@ -6,22 +6,40 @@ cyclic dependency runs through a fixed node (structure bit, loop boundary,
 control register, constant, primary input), so the dependency graph seen
 by each direction is acyclic and a single pass reaches the fixpoint the
 paper's iterated walks converge to. The faithful walk-by-walk
-implementation lives in :mod:`repro.core.walker`; equivalence of the two
-engines is asserted in the test suite and benchmarked as an ablation.
+implementation lives in :mod:`repro.verify.walker`; equivalence of the two
+is asserted in the test suite and benchmarked as an ablation.
 
 Both solvers accept a *subset* of nets plus boundary values, which is how
-the per-FUB partitioned mode (paper Section 5.2) reuses them: inside one
-relaxation iteration each FUB is solved against the FUBIO values exported
-by its neighbours in the previous iteration.
+:func:`relax` runs the per-FUB partitioned mode (paper Section 5.2):
+inside one relaxation iteration each FUB is solved against the FUBIO
+values exported by its neighbours in the previous iteration.
+
+Production runs use :mod:`repro.core.compiled`, which lowers the same
+semantics onto integer kernels. This module stays as the independent
+reference for the cross-engine oracle (:mod:`repro.verify.oracles`) and
+the equivalence tests; run it on a design with
+:func:`repro.verify.reference.run_reference`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.graphmodel import AvfModel
-from repro.core.pavf import Atom, SetInterner, TOP_SET, collapse_if_large, union
+from repro.core.partition import FubPartition, partition_by_fub
+from repro.core.pavf import (
+    Atom,
+    PavfEnv,
+    SetInterner,
+    TOP_SET,
+    collapse_if_large,
+    union,
+    value_of,
+)
+from repro.core.relaxation import RelaxationTrace
+from repro.netlist.graph import NodeKind
 
 
 def shared_interner(interner: SetInterner | None) -> SetInterner:
@@ -29,8 +47,8 @@ def shared_interner(interner: SetInterner | None) -> SetInterner:
 
     Both directional solvers intern the sets they produce through this
     helper's result, so passing one :class:`SetInterner` to a forward and a
-    backward solve (as :mod:`repro.core.relaxation` does across all FUBs
-    and iterations) shares every duplicate annotation set between them.
+    backward solve (as :func:`relax` does across all FUBs and iterations)
+    shares every duplicate annotation set between them.
     """
     return interner if interner is not None else SetInterner()
 
@@ -188,3 +206,117 @@ def solve_backward(
         stuck = [n for n, d in indegree.items() if d > 0][:8]
         raise RuntimeError(f"backward solve: cyclic dependencies remain at {stuck}")
     return out
+
+
+# ----------------------------------------------------------------------
+# partitioned relaxation (paper Section 5.2)
+# ----------------------------------------------------------------------
+
+@dataclass
+class RelaxationResult:
+    f_sets: dict[str, frozenset[Atom]]
+    b_sets: dict[str, frozenset[Atom]]
+    trace: RelaxationTrace
+    partition: FubPartition
+
+
+def relax(
+    model: AvfModel,
+    env: PavfEnv,
+    *,
+    iterations: int = 20,
+    tol: float = 1e-9,
+    max_terms: int = 0,
+    dangling: str = "unace",
+    partition: FubPartition | None = None,
+    interner: SetInterner | None = None,
+) -> RelaxationResult:
+    """Run the partitioned analysis to convergence (or *iterations*).
+
+    Each iteration performs "one up and one down walk through the
+    netlist for each FUB" against the FUBIO values merged at the end of
+    the previous iteration (Jacobi style: a pAVF value crosses exactly
+    one partition per iteration, as the paper notes). FUBIO merging
+    applies the same rule as internal logic: "smallest conservative value
+    is used". The trace records, per FUB and iteration, the average
+    resolved pAVF of its sequential nodes, the quantity the paper plotted
+    to declare 20 iterations sufficient.
+    """
+    partition = partition or partition_by_fub(model)
+    trace = RelaxationTrace()
+    # One interner across every FUB, iteration and direction: duplicate
+    # annotation sets are shared instead of re-allocated per solve.
+    interner = shared_interner(interner)
+
+    f_boundary: dict[str, frozenset[Atom]] = {}
+    b_boundary: dict[str, frozenset[Atom]] = {}
+    f_sets: dict[str, frozenset[Atom]] = {}
+    b_sets: dict[str, frozenset[Atom]] = {}
+
+    for iteration in range(iterations):
+        new_f: dict[str, frozenset[Atom]] = {}
+        new_b: dict[str, frozenset[Atom]] = {}
+        for nets in partition.fubs.values():
+            new_f.update(
+                solve_forward(
+                    model, nets=nets, boundary=f_boundary, max_terms=max_terms,
+                    interner=interner,
+                )
+            )
+            new_b.update(
+                solve_backward(
+                    model, nets=nets, boundary=b_boundary, max_terms=max_terms,
+                    dangling=dangling, interner=interner,
+                )
+            )
+
+        # FUBIO merge: export boundary values, keeping the smaller estimate.
+        delta = 0.0
+        for net in partition.forward_exports:
+            delta = max(delta, _merge(f_boundary, net, new_f.get(net, TOP_SET), env))
+        for net in partition.backward_exports:
+            delta = max(delta, _merge(b_boundary, net, new_b.get(net, TOP_SET), env))
+
+        f_sets, b_sets = new_f, new_b
+        trace.iterations = iteration + 1
+        trace.max_delta.append(delta)
+        _record_fub_averages(model, partition, f_sets, b_sets, env, trace)
+        if delta <= tol:
+            trace.converged = True
+            break
+
+    return RelaxationResult(f_sets=f_sets, b_sets=b_sets, trace=trace, partition=partition)
+
+
+def _merge(
+    table: dict[str, frozenset[Atom]], net: str, new: frozenset[Atom], env: PavfEnv
+) -> float:
+    """MIN-rule merge; returns the magnitude of the value change."""
+    old = table.get(net, TOP_SET)
+    old_val = value_of(old, env)
+    new_val = value_of(new, env)
+    if new_val < old_val:
+        table[net] = new
+        return old_val - new_val
+    return 0.0
+
+
+def _record_fub_averages(
+    model: AvfModel,
+    partition: FubPartition,
+    f_sets: Mapping[str, frozenset[Atom]],
+    b_sets: Mapping[str, frozenset[Atom]],
+    env: PavfEnv,
+    trace: RelaxationTrace,
+) -> None:
+    nodes = model.graph.nodes
+    for fub, nets in partition.fubs.items():
+        seq_vals = []
+        for net in nets:
+            if nodes[net].kind != NodeKind.SEQ or net in model.struct_nodes:
+                continue
+            f_val = value_of(f_sets.get(net, TOP_SET), env)
+            b_val = value_of(b_sets.get(net, TOP_SET), env)
+            seq_vals.append(min(f_val, b_val))
+        avg = sum(seq_vals) / len(seq_vals) if seq_vals else 0.0
+        trace.fub_avg.setdefault(fub, []).append(avg)

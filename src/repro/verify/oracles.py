@@ -32,6 +32,7 @@ from typing import Callable, Mapping
 from repro.core.report import average_seq_avf
 from repro.core.resolve import NodeAvf, ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
 from repro.core.sart import SartConfig, SartResult, run_sart
+from repro.verify.reference import run_reference
 from repro.verify.cases import (
     CircuitSpec,
     DesignCase,
@@ -76,13 +77,20 @@ class CaseContext:
 
     def sart(self, *, engine: str = "compiled", loop_pavf: float | None = None,
              partition: bool = True) -> SartResult:
+        """SART result of the case; *engine* ``"compiled"`` is the
+        production solver, ``"dataflow"``/``"walk"`` the references of
+        :func:`~repro.verify.reference.run_reference`."""
         loop = self.case.spec.loop_pavf if loop_pavf is None else loop_pavf
         key = (engine, loop, partition)
         found = self._cache.get(key)
         if found is None:
-            config = SartConfig(engine=engine, loop_pavf=loop,
-                                partition_by_fub=partition)
-            found = run_sart(self.case.module, self.case.structures, config)
+            config = SartConfig(loop_pavf=loop, partition_by_fub=partition)
+            case = self.case
+            if engine == "compiled":
+                found = run_sart(case.module, case.structures, config)
+            else:
+                found = run_reference(case.module, case.structures, config,
+                                      engine=engine)
             if self.mutate is not None:
                 found = self.mutate(engine, found)
             self._cache[key] = found
@@ -176,7 +184,7 @@ class CtrlPinnedOracle(Oracle):
 
 
 class CrossEngineOracle(Oracle):
-    """Compiled and dataflow engines resolve identically (<= tol).
+    """The compiled engine and the dataflow reference resolve identically (<= tol).
 
     Both the monolithic fixpoint and the partitioned relaxation paths
     are compared — they take different code routes through both engines.

@@ -17,9 +17,13 @@ This engine reproduces the paper's mechanics literally:
 
 Rounds of walks repeat until a full round changes nothing. On a monolithic
 graph the result provably matches the single-pass fixpoint of
-:mod:`repro.core.dataflow` for every node both engines annotate; nodes no
+:mod:`repro.verify.dataflow` for every node both engines annotate; nodes no
 walk can reach keep TOP here (they are the paper's unvisited ~2 %), whereas
 the dataflow engine resolves them exactly. The test suite pins both facts.
+
+Production runs use the compiled engine; this one is kept as a reference
+for the walk-agreement tests and the walk-vs-fixpoint ablation. Run it on
+a design with :func:`repro.verify.reference.run_reference`.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def _per_point_reports(module, plan):
     ctrl_bits = len(plan.model.ctrl_nets)
     for value in SWEEP:
         cfg = SartConfig(
-            engine="compiled", partition_by_fub=False, loop_pavf=value
+            partition_by_fub=False, loop_pavf=value
         )
         result = run_sart(module, STRUCTS, cfg, plan=plan)
         reports.append(
@@ -65,7 +65,7 @@ def _per_point_reports(module, plan):
 class TestSweepEquivalence:
     def test_reports_match_per_point_flow(self, module, plan):
         batched = sweep_batched(
-            plan, SWEEP, SartConfig(engine="compiled", partition_by_fub=False)
+            plan, SWEEP, SartConfig(partition_by_fub=False)
         )
         expected = _per_point_reports(module, plan)
         assert batched.width == len(SWEEP)
@@ -76,18 +76,18 @@ class TestSweepEquivalence:
 
     def test_node_avfs_hook_matches_run_sart(self, module, plan):
         batched = sweep_batched(
-            plan, SWEEP, SartConfig(engine="compiled", partition_by_fub=False)
+            plan, SWEEP, SartConfig(partition_by_fub=False)
         )
         for w, value in enumerate(SWEEP):
             cfg = SartConfig(
-                engine="compiled", partition_by_fub=False, loop_pavf=value
+                partition_by_fub=False, loop_pavf=value
             )
             result = run_sart(module, STRUCTS, cfg, plan=plan)
             assert batched.node_avfs(w) == result.node_avfs, value
 
     @needs_numpy
     def test_fallback_path_identical_to_numpy_path(self, plan):
-        cfg = SartConfig(engine="compiled", partition_by_fub=False)
+        cfg = SartConfig(partition_by_fub=False)
         fast = sweep_batched(plan, SWEEP, cfg, use_numpy=True)
         slow = sweep_batched(plan, SWEEP, cfg, use_numpy=False)
         for w in range(len(SWEEP)):

@@ -1,9 +1,9 @@
-"""Compiled propagation core: CSR kernels, SolvePlan reuse, parallel relax.
+"""Compiled propagation core: CSR kernels, SolvePlan reuse, relaxation.
 
-The compiled engine must be indistinguishable from the dict-based seed
-engine — same annotation sets monolithically, same per-node AVFs (within
-1e-9) under partitioned relaxation, same relaxation trace — while being
-reusable across environments and deterministic at any worker count.
+The compiled engine must be indistinguishable from the dict-based
+reference solver — same annotation sets monolithically, same per-node
+AVFs (within 1e-9) under partitioned relaxation, same relaxation trace —
+while being reusable across environments.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.core.sart import SartConfig, build_env, build_plan, run_sart
 from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
+from repro.verify.reference import run_reference
 
 
 def _pipeline(n_fubs=4, stages_per_fub=3, fan=2):
@@ -76,16 +77,16 @@ def _assert_results_match(a, b, tol=1e-9):
 class TestEquivalence:
     def test_monolithic_sets_identical(self, tinycore_module):
         cfg = dict(partition_by_fub=False)
-        a = run_sart(tinycore_module, config=SartConfig(engine="dataflow", **cfg))
-        b = run_sart(tinycore_module, config=SartConfig(engine="compiled", **cfg))
+        a = run_reference(tinycore_module, config=SartConfig(**cfg))
+        b = run_sart(tinycore_module, config=SartConfig(**cfg))
         # Not just values: the interned annotation sets are the same sets.
         assert a.f_sets == b.f_sets
         assert a.b_sets == b.b_sets
         _assert_results_match(a, b)
 
     def test_partitioned_avfs_and_trace(self, tinycore_module):
-        a = run_sart(tinycore_module, config=SartConfig(engine="dataflow"))
-        b = run_sart(tinycore_module, config=SartConfig(engine="compiled"))
+        a = run_reference(tinycore_module)
+        b = run_sart(tinycore_module)
         _assert_results_match(a, b)
         assert b.trace is not None
         assert b.trace.iterations == a.trace.iterations
@@ -95,16 +96,16 @@ class TestEquivalence:
             assert b.trace.fub_avg[fub] == pytest.approx(avgs)
 
     def test_partitioned_bigcore_within_1e9(self, bigcore_half_graph):
-        a = run_sart(bigcore_half_graph, config=SartConfig(engine="dataflow"))
-        b = run_sart(bigcore_half_graph, config=SartConfig(engine="compiled"))
+        a = run_reference(bigcore_half_graph)
+        b = run_sart(bigcore_half_graph)
         _assert_results_match(a, b, tol=1e-9)
 
     def test_walk_agreement_preserved(self):
         # dangling="top" removes the one refinement walks can't express.
         module = _pipeline()
         cfg = dict(partition_by_fub=False, dangling="top")
-        w = run_sart(module, STRUCTS, SartConfig(engine="walk", **cfg))
-        c = run_sart(module, STRUCTS, SartConfig(engine="compiled", **cfg))
+        w = run_reference(module, STRUCTS, SartConfig(**cfg), engine="walk")
+        c = run_sart(module, STRUCTS, SartConfig(**cfg))
         for net, nw in w.node_avfs.items():
             assert c.node_avfs[net].avf == pytest.approx(nw.avf), net
 
@@ -113,9 +114,9 @@ class TestRelaxation:
     def test_partitioned_matches_monolithic_tinycore(self, tinycore_module):
         mono = run_sart(
             tinycore_module,
-            config=SartConfig(engine="compiled", partition_by_fub=False),
+            config=SartConfig(partition_by_fub=False),
         )
-        part = run_sart(tinycore_module, config=SartConfig(engine="compiled"))
+        part = run_sart(tinycore_module, config=SartConfig())
         assert part.trace.converged
         tol = part.config.tol
         for net, nm in mono.node_avfs.items():
@@ -124,88 +125,20 @@ class TestRelaxation:
     def test_partitioned_matches_monolithic_bigcore(self, bigcore_half_graph):
         mono = run_sart(
             bigcore_half_graph,
-            config=SartConfig(engine="compiled", partition_by_fub=False),
+            config=SartConfig(partition_by_fub=False),
         )
-        part = run_sart(bigcore_half_graph, config=SartConfig(engine="compiled"))
+        part = run_sart(bigcore_half_graph, config=SartConfig())
         assert part.trace.converged
         tol = part.config.tol
         for net, nm in mono.node_avfs.items():
             assert abs(part.node_avfs[net].avf - nm.avf) <= tol, net
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_does_not_change_results(self, workers):
-        # min_parallel_nodes=0 forces the pool path on this tiny design.
-        module = _pipeline()
-        base = run_sart(module, STRUCTS, SartConfig(engine="compiled", workers=1))
-        multi = run_sart(
-            module,
-            STRUCTS,
-            SartConfig(engine="compiled", workers=workers, min_parallel_nodes=0),
-        )
-        # Bit-exact: the pool path must be a pure execution detail.
-        assert base.node_avfs == multi.node_avfs
-        assert base.trace.max_delta == multi.trace.max_delta
-        assert base.trace.fub_avg == multi.trace.fub_avg
-
-    def test_pool_workers_match_on_tinycore(self, tinycore_module):
-        base = run_sart(tinycore_module, config=SartConfig(engine="compiled"))
-        multi = run_sart(
-            tinycore_module,
-            config=SartConfig(
-                engine="compiled", workers=2, min_parallel_nodes=0
-            ),
-        )
-        assert base.node_avfs == multi.node_avfs
-
-    def test_small_design_auto_serial_warns(self):
-        # Default threshold: a tiny design ignores workers>1 (pool overhead
-        # dominates) and says so.
-        from repro.core.compiled import SmallDesignSerialWarning
-
-        module = _pipeline()
-        base = run_sart(module, STRUCTS, SartConfig(engine="compiled", workers=1))
-        with pytest.warns(SmallDesignSerialWarning, match="parallel threshold"):
-            auto = run_sart(
-                module, STRUCTS, SartConfig(engine="compiled", workers=4)
-            )
-        assert base.node_avfs == auto.node_avfs
-        assert base.trace.max_delta == auto.trace.max_delta
-
-    def test_pool_start_failure_degrades_to_serial(self, monkeypatch):
-        # The relaxation pool rides the fault-tolerant campaign runtime:
-        # an unspawnable pool warns and falls back to the serial kernels
-        # instead of raising, with bit-identical results.
-        import warnings
-
-        import repro.sfi.runtime as runtime
-
-        module = _pipeline()
-        base = run_sart(module, STRUCTS, SartConfig(engine="compiled", workers=1))
-
-        class Unspawnable:
-            def __init__(self, *args, **kwargs):
-                raise OSError("fork refused")
-
-        monkeypatch.setattr(runtime, "ProcessPoolExecutor", Unspawnable)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            degraded = run_sart(
-                module,
-                STRUCTS,
-                SartConfig(engine="compiled", workers=3, min_parallel_nodes=0),
-            )
-        assert any(
-            isinstance(w.message, runtime.DegradedExecutionWarning) for w in caught
-        )
-        assert base.node_avfs == degraded.node_avfs
-        assert base.trace.max_delta == degraded.trace.max_delta
 
 
 class TestSolvePlan:
     def test_plan_reuse_matches_fresh_runs(self, tinycore_module):
         plan = build_plan(tinycore_module)
         for loop_pavf in (0.0, 0.3, 1.0):
-            cfg = SartConfig(engine="compiled", loop_pavf=loop_pavf)
+            cfg = SartConfig(loop_pavf=loop_pavf)
             fresh = run_sart(tinycore_module, config=cfg)
             reused = run_sart(tinycore_module, config=cfg, plan=plan)
             _assert_results_match(fresh, reused, tol=0.0)
@@ -214,7 +147,7 @@ class TestSolvePlan:
 
     def test_monolithic_reuse_is_cached(self, tinycore_module):
         plan = build_plan(tinycore_module)
-        cfg = dict(engine="compiled", partition_by_fub=False)
+        cfg = dict(partition_by_fub=False)
         run_sart(tinycore_module, config=SartConfig(**cfg), plan=plan)
         sets_before = len(plan.interner)
         run_sart(
@@ -228,21 +161,13 @@ class TestSolvePlan:
         with pytest.raises(SartError, match="structural"):
             run_sart(
                 tinycore_module,
-                config=SartConfig(engine="compiled", detect_ctrl=False),
+                config=SartConfig(detect_ctrl=False),
                 plan=plan,
-            )
-
-    def test_plan_rejected_by_other_engines(self, tinycore_module):
-        plan = build_plan(tinycore_module)
-        with pytest.raises(SartError, match="SolvePlan"):
-            run_sart(
-                tinycore_module, config=SartConfig(engine="dataflow"), plan=plan
             )
 
     def test_environment_knobs_are_free(self, tinycore_module):
         plan = build_plan(tinycore_module)
         cfg = SartConfig(
-            engine="compiled",
             loop_pavf=0.9,
             ctrl_pavf=0.5,
             const_pavf=0.2,

@@ -10,6 +10,7 @@ import pytest
 from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, run_sart
 from repro.netlist.builder import ModuleBuilder
+from repro.verify.reference import run_reference
 from tests.conftest import FIG7_STRUCTS, make_fig7, make_simple_pipe
 
 CFG = SartConfig(partition_by_fub=False)
@@ -117,8 +118,10 @@ class TestFigure7:
     @pytest.fixture(params=["dataflow", "walk", "compiled"])
     def result(self, request):
         module, nets, structs = make_fig7()[0], make_fig7()[1], dict(FIG7_STRUCTS)
-        cfg = SartConfig(engine=request.param, partition_by_fub=False)
-        return run_sart(module, structs, cfg), nets
+        cfg = SartConfig(partition_by_fub=False)
+        if request.param == "compiled":
+            return run_sart(module, structs, cfg), nets
+        return run_reference(module, structs, cfg, engine=request.param), nets
 
     def test_forward_annotations(self, result):
         res, nets = result
@@ -150,11 +153,12 @@ class TestFigure7:
 
 def test_engines_agree_on_fig7():
     module, nets = make_fig7()
-    a = run_sart(module, dict(FIG7_STRUCTS), SartConfig(engine="dataflow", partition_by_fub=False))
+    cfg = SartConfig(partition_by_fub=False)
+    a = run_reference(module, dict(FIG7_STRUCTS), cfg, engine="dataflow")
     module2, nets2 = make_fig7()
-    b = run_sart(module2, dict(FIG7_STRUCTS), SartConfig(engine="walk", partition_by_fub=False))
+    b = run_reference(module2, dict(FIG7_STRUCTS), cfg, engine="walk")
     module3, nets3 = make_fig7()
-    c = run_sart(module3, dict(FIG7_STRUCTS), SartConfig(engine="compiled", partition_by_fub=False))
+    c = run_sart(module3, dict(FIG7_STRUCTS), cfg)
     for key, net in nets.items():
         assert a.avf(net) == pytest.approx(b.avf(nets2[key])), key
         assert a.avf(net) == pytest.approx(c.avf(nets3[key])), key

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.graphmodel import StructurePorts
 from repro.core.partition import partition_by_fub
-from repro.core.relaxation import relax
 from repro.core.sart import SartConfig, build_env, run_sart
 from repro.core import controlregs, loops
 from repro.core.graphmodel import build_model
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
+from repro.verify.dataflow import relax
 
 
 def _chain_of_fubs(n_fubs=4, stages_per_fub=2):

@@ -6,7 +6,7 @@ netlists:
 * every resolved AVF is a probability;
 * raising any structure's port AVFs never lowers any node's AVF
   (monotonicity of the conservative estimate);
-* the walk engine and the dataflow engine resolve identically;
+* the walk reference and the compiled engine resolve identically;
 * closed-form re-evaluation equals a fresh run for arbitrary new pAVFs.
 """
 
@@ -22,6 +22,7 @@ from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, run_sart
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.netlist import Module
+from repro.verify.reference import run_reference
 
 
 def _random_design(seed: int, n_structs: int = 3, n_flops: int = 25) -> tuple[Module, list[str]]:
@@ -112,8 +113,8 @@ def test_engines_agree_on_random_designs(design_seed, port_seed):
     df = run_sart(module, _ports(port_seed),
                   SartConfig(partition_by_fub=False, dangling="top"))
     module2, _ = _random_design(design_seed)
-    wk = run_sart(module2, _ports(port_seed),
-                  SartConfig(partition_by_fub=False, engine="walk"))
+    wk = run_reference(module2, _ports(port_seed),
+                       SartConfig(partition_by_fub=False), engine="walk")
     for net in df.node_avfs:
         assert df.avf(net) == pytest.approx(wk.avf(net)), net
 

@@ -74,7 +74,7 @@ class TestGenerator:
 
 class TestSolve:
     def test_run_sart_finds_the_expected_features(self, design):
-        result = run_sart(design.module, config=SartConfig(engine="compiled"))
+        result = run_sart(design.module, config=SartConfig())
         stats = result.stats
         assert stats["visited_fraction"] == 1.0
         # Every accumulator bit is a loop member; each tile contributes
@@ -85,7 +85,7 @@ class TestSolve:
         assert len(fubs) == 4
 
     def test_weight_buffer_bits_are_ace_structures(self, design):
-        result = run_sart(design.module, config=SartConfig(engine="compiled"))
+        result = run_sart(design.module, config=SartConfig())
         from repro.core.resolve import ROLE_STRUCT
 
         struct_nodes = [

@@ -115,7 +115,7 @@ class TestEquivalence:
         module = build_systolic(cfg).module
         csr = stream_graph(systolic_exlif_text(cfg).splitlines())
         _assert_graphs_equal(extract_graph(module), csr)
-        sart_cfg = SartConfig(engine="compiled")
+        sart_cfg = SartConfig()
         assert (
             run_sart(module, config=sart_cfg).node_avfs
             == run_sart(csr, config=sart_cfg).node_avfs

@@ -8,8 +8,6 @@ per-direction reachable set.
 """
 
 import dataclasses
-import multiprocessing
-import os
 
 import pytest
 
@@ -37,7 +35,7 @@ STRUCTS = {
     "SNK": StructurePorts("SNK", pavf_r=0.0, pavf_w=0.1, avf=0.5),
 }
 
-CFG = SartConfig(engine="compiled", partition_by_fub=True, iterations=20)
+CFG = SartConfig(partition_by_fub=True, iterations=20)
 
 
 def _design(
@@ -352,10 +350,9 @@ class TestStoreKeys:
         # D is disconnected: both keys survive.
         assert keys_a["D"] == keys_b["D"]
 
-    def test_context_fingerprint_tracks_solve_knobs_not_workers(self):
+    def test_context_fingerprint_tracks_solve_knobs(self):
         base = eco_context_fingerprint(CFG, None)
-        assert eco_context_fingerprint(
-            dataclasses.replace(CFG, workers=8), None) == base
+        assert eco_context_fingerprint(dataclasses.replace(CFG), None) == base
         assert eco_context_fingerprint(
             dataclasses.replace(CFG, loop_pavf=0.7), None) != base
         assert eco_context_fingerprint(CFG, "ports-fp") != base
@@ -443,63 +440,3 @@ class TestStoreKeys:
         assert extract_fub_solutions(
             _plan(module), dataclasses.replace(part, b_boundary=None)
         ) == {}
-
-
-# ----------------------------------------------------------------------
-# chaos: a worker crash mid-incremental-solve must not cost correctness
-# ----------------------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool tests assume fork workers",
-)
-
-_REAL_SOLVE_FUB = None
-
-
-def _crashy_solve_fub(task):
-    """Kill the first worker process to touch a task, then behave."""
-    from repro.core import compiled
-
-    scratch = os.environ["ECO_CHAOS_SCRATCH"]
-    marker = os.path.join(scratch, "crashed")
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        pass
-    else:
-        os.close(fd)
-        os._exit(13)
-    return _REAL_SOLVE_FUB(task)
-
-
-@needs_fork
-def test_pool_crash_mid_incremental_solve_resumes_bit_identical(
-    tmp_path, monkeypatch
-):
-    global _REAL_SOLVE_FUB
-
-    from repro.core import compiled
-
-    base_module, target_module = _design(), _design(value_edit="B")
-    plan_b = _plan(target_module)
-    baseline = _solve(base_module)
-    # Over-marking dirty FUBs is allowed; here it guarantees the first
-    # iteration has more than one task, so the pool actually dispatches.
-    warm_start = warm_start_from_result(plan_b, {"A", "B"}, baseline)
-    cold = _solve(target_module, plan=plan_b)
-
-    parallel = dataclasses.replace(
-        CFG, workers=2, min_parallel_nodes=0
-    )
-    monkeypatch.setenv("ECO_CHAOS_SCRATCH", str(tmp_path))
-    _REAL_SOLVE_FUB = compiled._pool_solve_fub
-    monkeypatch.setattr(compiled, "_pool_solve_fub", _crashy_solve_fub)
-    warm = _solve(target_module, plan=plan_b,
-                  warm_start=warm_start, config=parallel)
-
-    assert os.path.exists(str(tmp_path / "crashed")), "no crash happened"
-    assert warm.trace.warm and warm.trace.converged
-    _assert_identical(warm, cold)
-
-

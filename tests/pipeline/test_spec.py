@@ -73,6 +73,35 @@ def test_validation_errors(tmp_path):
     bad.write_text("design = [unclosed")
     with pytest.raises(SpecError, match="malformed"):
         load_spec(str(bad))
+    # [sart] values are checked, never coerced; the removed engine and
+    # relax_workers keys are unknown keys like any other.
+    for sart, message in BAD_SART:
+        with pytest.raises(SpecError, match=message):
+            spec_from_mapping({"design": "tinycore:fib", "sart": sart})
+    with pytest.raises(SpecError, match="batched must be true or false"):
+        spec_from_mapping({"design": "bigcore", "sweep": {"batched": 1}})
+    # Direct construction (the CLI path) runs the same checks.
+    with pytest.raises(SpecError, match="loop_pavf"):
+        SartSpec(loop_pavf=7.0)
+    with pytest.raises(SpecError, match="iterations"):
+        SartSpec(iterations=0)
+
+
+BAD_SART = (
+    ({"loop_pavf": 7}, r"loop_pavf must be a number in \[0, 1\], got 7"),
+    ({"loop_pavf": -0.1}, "loop_pavf must be a number"),
+    ({"loop_pavf": "0.3"}, "loop_pavf must be a number"),
+    ({"loop_pavf": True}, "loop_pavf must be a number"),
+    ({"loop_pavf": float("nan")}, "loop_pavf must be a number"),
+    ({"iterations": "abc"}, "iterations must be an integer >= 1, got 'abc'"),
+    ({"iterations": 0}, "iterations must be an integer >= 1, got 0"),
+    ({"iterations": 2.5}, "iterations must be an integer >= 1"),
+    ({"iterations": True}, "iterations must be an integer >= 1"),
+    ({"monolithic": "false"}, r"\[sart\] monolithic must be true or false"),
+    ({"monolithic": 1}, "monolithic must be true or false"),
+    ({"engine": "compiled"}, r"unknown key\(s\) \['engine'\] in \[sart\]"),
+    ({"relax_workers": 2}, r"unknown key\(s\) \['relax_workers'\]"),
+)
 
 
 def test_ports_section_forms():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve import loadgen
-from repro.serve.jobs import DONE, stable_result
+from repro.serve.jobs import DONE, FAILED, job_id_for, stable_result
 from repro.serve.scheduler import JobScheduler
 
 SPEC = {"design": "tinycore:fib", "sart": {"monolithic": True}}
@@ -93,6 +93,44 @@ def test_restart_tolerates_torn_final_journal_record(tmp_path):
         assert second.index.get("job-torn") is None
     finally:
         second.drain(grace=5)
+
+
+def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
+    # A job queued by an older server: its journaled normalized spec
+    # spells out the since-removed [sart] engine and relax_workers keys.
+    state = tmp_path / "state"
+    old_spec = {"design": "tinycore:fib",
+                "sart": {"loop_pavf": 0.3, "iterations": 20,
+                         "monolithic": True, "engine": "compiled",
+                         "relax_workers": 1}}
+    first = JobScheduler(str(state), worker=_ok_worker)
+    fingerprint = "0123456789abcdef" * 4
+    first.journal.record(event="submitted", job=job_id_for(fingerprint),
+                         fingerprint=fingerprint, spec=old_spec, time=0.0)
+    first.journal.close()                            # never started
+
+    second = JobScheduler(str(state), worker=_ok_worker)
+    second.start()
+    try:
+        old = second.index.get(job_id_for(fingerprint))
+        assert old is not None and old.state == FAILED
+        assert "['engine', 'relax_workers']" in old.error
+        counters = second.counters.snapshot()
+        assert counters["resumed"] == 0 and counters["executions"] == 0
+        # ...and the server keeps serving new work.
+        job, created = second.submit(dict(SPEC))
+        assert created and job.await_terminal(timeout=30)
+        assert job.state == DONE
+    finally:
+        second.drain(grace=5)
+
+    # The failure is journaled: a further restart re-serves it as failed.
+    third = JobScheduler(str(state), worker=_ok_worker)
+    third.start()
+    try:
+        assert third.index.get(job_id_for(fingerprint)).state == FAILED
+    finally:
+        third.drain(grace=5)
 
 
 # -- the full kill -9 acceptance test --------------------------------------

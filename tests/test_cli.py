@@ -100,9 +100,12 @@ def test_sweep(capsys):
     assert out.count("\n") >= 4
 
 
-def test_walk_engine_flag(capsys):
-    rc = main(["tinycore", "fib", "--engine", "walk", "--monolithic"])
-    assert rc == 0
+def test_bad_sart_flag_is_a_spec_error():
+    # The CLI builds the same validated [sart] section a spec file does.
+    with pytest.raises(SystemExit, match=r"loop_pavf must be a number in \[0, 1\]"):
+        main(["tinycore", "fib", "--loop-pavf", "7"])
+    with pytest.raises(SystemExit, match="iterations must be an integer >= 1"):
+        main(["tinycore", "fib", "--iterations", "0"])
 
 
 def test_export_exlif(tmp_path, capsys):

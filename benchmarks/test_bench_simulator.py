@@ -1,17 +1,15 @@
-"""E8 — lane-scalable backend throughput and campaign wall time.
+"""E8 — lane-scalable simulator throughput and campaign wall time.
 
-Measures, on tinycore, (a) simulator cycles/second per backend as the
-lane count grows — the python backend's bigint ops scale with lane count
-while the numpy backend's word-sliced ufunc passes are near-constant
-until well past 1024 lanes — and (b) SFI campaign wall time for the
-seed-era configuration (63 fault lanes per pass, serial) against the
+Measures, on tinycore, (a) simulator cycles/second as the lane count
+grows — per-gate bigint cost rises with the lane count, but far more
+slowly than the lanes it carries — and (b) SFI campaign wall time for
+the seed-era configuration (63 fault lanes per pass, serial) against the
 wide-batch and multi-worker configurations this repo now supports.
 
 Results are flushed to ``BENCH_simulator.json`` via the ``bench_json``
 fixture for machine consumption (CI trend lines, the acceptance ratio).
 
-The ``smoke`` subset (``-k smoke``) runs both backends in well under 30
-seconds for CI.
+The ``smoke`` subset (``-k smoke``) runs in well under 30 seconds for CI.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.designs.tinycore.programs import default_dmem, program
 from repro.netlist.graph import extract_graph
-from repro.rtlsim.backends import available_backends, make_simulator
+from repro.rtlsim.simulator import Simulator
 from repro.sfi import plan_campaign, run_sfi_campaign
 
-BACKENDS = available_backends()
 LANE_POINTS = (1, 64, 256, 1024)
 CAMPAIGN_PROGRAM = "matmul"
 CAMPAIGN_INJECTIONS = 256
@@ -50,8 +47,8 @@ def campaign_setup():
     return words, dmem, netlist, plans
 
 
-def _cycles_per_second(words, dmem, netlist, backend, lanes):
-    sim = make_simulator(netlist.module, lanes=lanes, backend=backend)
+def _cycles_per_second(words, dmem, netlist, lanes):
+    sim = Simulator(netlist.module, lanes=lanes)
     started = time.perf_counter()
     run = run_gate_level(words, dmem, netlist=netlist, sim=sim)
     elapsed = time.perf_counter() - started
@@ -62,18 +59,16 @@ def test_bench_cycles_per_second_by_lanes(fib_setup, bench_json):
     words, dmem, netlist = fib_setup
     rows = []
     record = {}
-    for backend in BACKENDS:
-        for lanes in LANE_POINTS:
-            cps, cycles = _cycles_per_second(words, dmem, netlist, backend, lanes)
-            rows.append([backend, lanes, cycles, f"{cps:,.0f}",
-                         f"{cps * lanes:,.0f}"])
-            record[f"{backend}_lanes{lanes}"] = {
-                "cycles_per_second": round(cps, 1),
-                "lane_cycles_per_second": round(cps * lanes, 1),
-            }
+    for lanes in LANE_POINTS:
+        cps, cycles = _cycles_per_second(words, dmem, netlist, lanes)
+        rows.append([lanes, cycles, f"{cps:,.0f}", f"{cps * lanes:,.0f}"])
+        record[f"lanes{lanes}"] = {
+            "cycles_per_second": round(cps, 1),
+            "lane_cycles_per_second": round(cps * lanes, 1),
+        }
     print_table(
         "simulator throughput on tinycore fib (one full run per point)",
-        ["backend", "lanes", "cycles", "cyc/s", "lane-cyc/s"],
+        ["lanes", "cycles", "cyc/s", "lane-cyc/s"],
         rows,
     )
     bench_json["throughput"] = record
@@ -82,14 +77,9 @@ def test_bench_cycles_per_second_by_lanes(fib_setup, bench_json):
 def test_bench_campaign_wall_time(campaign_setup, bench_json):
     words, dmem, netlist, plans = campaign_setup
     configs = [
-        ("python 63/pass serial (seed config)",
-         dict(backend="python", lanes_per_pass=63, workers=1)),
-        ("python 255/pass serial",
-         dict(backend="python", lanes_per_pass=255, workers=1)),
-        ("python 255/pass 4 workers",
-         dict(backend="python", lanes_per_pass=255, workers=4)),
-        ("numpy 255/pass serial",
-         dict(backend="numpy", lanes_per_pass=255, workers=1)),
+        ("63/pass serial (seed config)", dict(lanes_per_pass=63, workers=1)),
+        ("255/pass serial", dict(lanes_per_pass=255, workers=1)),
+        ("255/pass 4 workers", dict(lanes_per_pass=255, workers=4)),
     ]
     rows, timings = [], {}
     baseline_sig = baseline_seconds = None
@@ -109,7 +99,7 @@ def test_bench_campaign_wall_time(campaign_setup, bench_json):
         ["configuration", "passes", "seconds", "vs 63/pass serial"],
         rows,
     )
-    wide = timings["python 255/pass serial"]
+    wide = timings["255/pass serial"]
     ratio = wide / baseline_seconds
     bench_json["campaign_matmul_256inj"] = {
         label: round(seconds, 3) for label, seconds in timings.items()
@@ -121,21 +111,19 @@ def test_bench_campaign_wall_time(campaign_setup, bench_json):
     assert ratio < 1.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bench_smoke(backend, fib_setup, bench_json):
-    """CI smoke: one short campaign per backend, seconds each."""
+def test_bench_smoke(fib_setup, bench_json):
+    """CI smoke: one short campaign, seconds."""
     words, dmem, netlist = fib_setup
     golden = run_gate_level(words, dmem, netlist=netlist)
     seqs = extract_graph(netlist.module).seq_nets()
     plans = plan_campaign(seqs, golden.cycles - 2, 60, seed=1)
     result = run_sfi_campaign(
-        words, dmem, plans, netlist=netlist, backend=backend,
-        lanes_per_pass=None,
+        words, dmem, plans, netlist=netlist, lanes_per_pass=None,
     )
     assert len(result.outcomes) == 60
-    bench_json.setdefault("smoke", {})[backend] = {
+    bench_json["smoke"] = {
         "seconds": round(result.elapsed_seconds, 3),
         "counts": result.counts(),
     }
-    print(f"\nsmoke[{backend}]: 60 injections in "
+    print(f"\nsmoke: 60 injections in "
           f"{result.elapsed_seconds:.2f}s counts={result.counts()}")

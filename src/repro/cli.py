@@ -36,8 +36,8 @@ Subcommands:
     EXLIF or structural Verilog for external tools.
 ``sfi``
     Standalone statistical fault-injection campaign on a tinycore
-    program, with ``--backend``/``--workers``/``--lanes-per-pass``
-    control over the simulation substrate.
+    program, with ``--workers``/``--lanes-per-pass`` control over the
+    simulation substrate.
 ``deadlines``
     Error-reporting deadline view: per-structure distributions of the
     cycles between a bit becoming corrupted and its architectural
@@ -45,7 +45,7 @@ Subcommands:
     additionally prints the per-flop logic-derating summary.
 ``beam``
     Simulated accelerated beam test (Poisson strikes into all storage)
-    with the same backend/worker controls.
+    with the same worker controls.
 ``run``
     Execute a declarative TOML/JSON run-spec describing any composition
     of stages (docs/ARCHITECTURE.md documents the format).
@@ -59,7 +59,7 @@ Subcommands:
     the ``BENCH_serve.json`` metrics document.
 ``verify``
     Adversarial self-check: budgeted fuzz loop over randomized designs
-    and circuits with cross-engine / cross-backend / metamorphic /
+    and circuits with cross-engine / lane-isolation / metamorphic /
     statistical oracles, plus the golden regression corpus. Failing
     cases are shrunk to minimal reproducers (docs/TESTING.md).
 """
@@ -116,7 +116,6 @@ def _campaign_spec(args) -> CampaignSpec:
     # --resume implies checkpointing to the same file, so a run that is
     # interrupted *again* keeps extending the same checkpoint.
     return CampaignSpec(
-        backend=getattr(args, "backend", None),
         workers=getattr(args, "workers", 1),
         lanes_per_pass=getattr(args, "lanes_per_pass", None),
         max_retries=getattr(args, "max_retries", 3),
@@ -193,7 +192,7 @@ def _render_sart(result, args) -> None:
     )
 
 
-def _render_sfi_standalone(outcome, program, backend, workers) -> None:
+def _render_sfi_standalone(outcome, program, workers) -> None:
     from repro.sfi import overall_avf
 
     campaign = outcome.result
@@ -202,7 +201,7 @@ def _render_sfi_standalone(outcome, program, backend, workers) -> None:
     print(
         f"{program}: {outcome.injections} injections over "
         f"{outcome.golden_cycles} cycles "
-        f"(backend={backend}, workers={workers}, passes={campaign.passes})"
+        f"(workers={workers}, passes={campaign.passes})"
     )
     print(f"  counts: {campaign.counts()}")
     print(f"  SDC AVF={avf:.3f} [{lo:.3f},{hi:.3f}]  DUE AVF={due:.3f}")
@@ -214,13 +213,13 @@ def _render_sfi_standalone(outcome, program, backend, workers) -> None:
                           campaign.degraded, campaign.resumed_passes)
 
 
-def _render_beam(outcome, program, backend, workers) -> None:
+def _render_beam(outcome, program, workers) -> None:
     result = outcome.result
     lo, hi = result.rate_interval()
     print(
         f"{program}: {result.exposures} exposures x "
         f"{result.cycles_per_run} cycles under flux {result.flux:g} "
-        f"(backend={backend}, workers={workers})"
+        f"(workers={workers})"
     )
     print(
         f"  {result.strikes} strikes into {result.storage_bits} storage bits: "
@@ -243,12 +242,6 @@ def _render_bigcore_design(artifact) -> None:
 def _render_plan_line(plan, seconds) -> None:
     verb = "reused from cache" if plan.cached else "lowered"
     print(f"solve plan: {plan.n} nodes {verb} in {seconds:.2f}s")
-
-
-def _backend_name(spec_backend) -> str:
-    from repro.rtlsim.backends import DEFAULT_BACKEND
-
-    return spec_backend or DEFAULT_BACKEND
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +352,7 @@ def cmd_sfi(args) -> int:
         outcome = execute(spec, store=_store_from_args(args))
     except KeyboardInterrupt:
         return _interrupted(args)
-    _render_sfi_standalone(outcome.sfi, args.program,
-                           _backend_name(args.backend), args.workers)
+    _render_sfi_standalone(outcome.sfi, args.program, args.workers)
     if getattr(args, "export_json", None):
         export_campaign_json(outcome.sfi, args.export_json,
                              program=args.program)
@@ -381,8 +373,7 @@ def cmd_beam(args) -> int:
         outcome = execute(spec, store=_store_from_args(args))
     except KeyboardInterrupt:
         return _interrupted(args)
-    _render_beam(outcome.beam, args.program,
-                 _backend_name(args.backend), args.workers)
+    _render_beam(outcome.beam, args.program, args.workers)
     if getattr(args, "export_json", None):
         export_campaign_json(outcome.beam, args.export_json,
                              program=args.program)
@@ -585,7 +576,6 @@ def cmd_run(args) -> int:
     from repro.pipeline.spec import load_spec
 
     spec = load_spec(args.spec)
-    backend = _backend_name(spec.campaign.backend)
     workers = spec.campaign.workers
 
     state: dict = {}
@@ -641,10 +631,9 @@ def cmd_run(args) -> int:
     program = outcome.design.program_name
     if outcome.sfi is not None:
         _render_sfi_standalone(outcome.sfi, program or outcome.design.ref,
-                               backend, workers)
+                               workers)
     if outcome.beam is not None:
-        _render_beam(outcome.beam, program or outcome.design.ref,
-                     backend, workers)
+        _render_beam(outcome.beam, program or outcome.design.ref, workers)
     if getattr(args, "export_json", None):
         from repro.pipeline.emit import run_summary, write_json
 
@@ -797,17 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "fingerprints still match")
 
     def sim_opts(p):
-        from repro.rtlsim.backends import BACKEND_NAMES, DEFAULT_BACKEND
-
-        p.add_argument("--backend", choices=BACKEND_NAMES, default=DEFAULT_BACKEND,
-                       help="simulation backend (python: bigint lanes; "
-                            "numpy: word-sliced uint64 vectors)")
         p.add_argument("--workers", type=int, default=1, metavar="N",
                        help="fan independent passes out across N processes "
                             "(seed-deterministic at any worker count)")
         p.add_argument("--lanes-per-pass", type=int, default=None, metavar="L",
-                       help="fault lanes per simulator pass "
-                            "(default: the backend's preferred width)")
+                       help="fault lanes per simulator pass (default 63)")
         p.add_argument("--checkpoint", metavar="PATH",
                        help="append each completed pass to a JSONL checkpoint "
                             "so an interrupted campaign can be resumed")
@@ -906,8 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-seed", type=int, default=11)
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="worker processes for the MC campaign")
-    p.add_argument("--backend", default=None,
-                   help="simulation backend for the MC campaign")
     p.add_argument("--workloads-per-class", type=int, default=2)
     p.add_argument("--workload-length", type=int, default=4000)
     p.add_argument("--export-json", metavar="PATH",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.designs.tinycore.archsim import ArchSim, run_program
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.errors import SimulationError
-from repro.rtlsim.simulator import DEFAULT_BACKEND, BaseSimulator, Simulator, make_simulator
+from repro.rtlsim.simulator import Simulator
 
 
 @dataclass
@@ -22,7 +22,7 @@ class GateLevelRun:
     """Result of one gate-level program run (per lane)."""
 
     netlist: TinycoreNetlist
-    sim: BaseSimulator
+    sim: Simulator
     cycles: int
     outputs: dict[int, list[int]]          # lane -> output stream
     halted_lanes: set[int] = field(default_factory=set)
@@ -51,15 +51,13 @@ def run_gate_level(
     lanes: int = 1,
     max_cycles: int = 100_000,
     netlist: TinycoreNetlist | None = None,
-    sim: BaseSimulator | None = None,
-    backend: str = DEFAULT_BACKEND,
+    sim: Simulator | None = None,
     on_cycle=None,
 ) -> GateLevelRun:
     """Run *program* to HALT on the gate-level core.
 
     Pass a prebuilt *netlist*/*sim* to amortize construction across runs
-    (the SFI campaign reuses one simulator and just resets it); *backend*
-    selects the simulation backend when no *sim* is supplied. The run
+    (the SFI campaign reuses one simulator and just resets it). The run
     ends when **lane 0** halts; other lanes may have diverged (that is the
     point of fault injection) and their outputs are whatever they emitted
     by then. *on_cycle(sim, cycle)* is invoked once per cycle before the
@@ -68,7 +66,7 @@ def run_gate_level(
     if netlist is None:
         netlist = build_tinycore(program, dmem_init)
     if sim is None:
-        sim = make_simulator(netlist.module, lanes=lanes, backend=backend)
+        sim = Simulator(netlist.module, lanes=lanes)
     else:
         sim.reset()
 

@@ -290,9 +290,7 @@ def execute(
 
             raise SpecError("the sfi stage needs a tinycore design")
         if outcome.golden is None:
-            outcome.golden = stage_golden(
-                ctx, design, backend=spec.campaign.backend
-            )
+            outcome.golden = stage_golden(ctx, design)
         outcome.sfi = stage_sfi(
             ctx, design, outcome.golden, spec.sfi, spec.campaign
         )

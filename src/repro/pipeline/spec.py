@@ -20,7 +20,6 @@ TOML example (``docs/ARCHITECTURE.md`` documents every key)::
     seed = 1
 
     [campaign]
-    backend = "python"
     workers = 2
 
 JSON files with the same shape are accepted (``.json`` extension).
@@ -110,7 +109,6 @@ class BeamSpec:
 class CampaignSpec:
     """Execution substrate shared by sfi/beam (``[campaign]``)."""
 
-    backend: str | None = None      # None: the default backend
     workers: int = 1
     lanes_per_pass: int | None = None
     max_retries: int = 3

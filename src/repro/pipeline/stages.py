@@ -12,8 +12,7 @@ The cache contract per stage:
 ========  ==========================================================
 stage     keyed on
 ========  ==========================================================
-golden    design fingerprint (+ cycle budget); backend-independent —
-          the simulation backends are bit-identical by contract
+golden    design fingerprint (+ cycle budget)
 ports     design fingerprint + golden cycles (archsim), or the
           workload-suite signature (ACE suite; design-independent)
 plan      design + port-env fingerprints + the structural SartConfig
@@ -22,8 +21,8 @@ sfi/beam  design fingerprint + full campaign plan parameters; skipped
           when checkpoint/resume is in play and never saved for
           campaigns that recorded permanent pass failures
 derating  design fingerprint + sart fingerprint (when a solve rode
-          along) + the MC validation knobs; backend/workers are
-          execution-only, the MC estimator is bit-identical across them
+          along) + the MC validation knobs; workers are execution-only,
+          the MC estimator is bit-identical across them
 ========  ==========================================================
 
 SART solves themselves are *not* persisted whole: with a cached plan
@@ -132,7 +131,6 @@ def stage_golden(
     ctx: PipelineContext,
     design: DesignArtifact,
     *,
-    backend: str | None = None,
     max_cycles: int = 100_000,
 ) -> GoldenRun:
     """Fault-free gate-level run of a tinycore design."""
@@ -140,12 +138,10 @@ def stage_golden(
 
     def compute() -> GoldenRun:
         from repro.designs.tinycore.harness import run_gate_level
-        from repro.rtlsim.backends import DEFAULT_BACKEND
 
         run = run_gate_level(
             list(design.program), list(design.dmem) if design.dmem else None,
             netlist=design.netlist, max_cycles=max_cycles,
-            backend=backend or DEFAULT_BACKEND,
         )
         return GoldenRun(
             fingerprint=fp,
@@ -409,9 +405,9 @@ def stage_derating(
 
     The analytic pass runs on any design; the Monte-Carlo masking
     estimator needs the simulable gate-level core, so ``mc_trials > 0``
-    is tinycore-only. Backend and worker count are execution placement:
-    the MC outcomes are bit-identical across them by the runtime's
-    determinism contract, so they stay out of the fingerprint.
+    is tinycore-only. Worker count and lane width are execution
+    placement: the MC outcomes are bit-identical across them by the
+    runtime's determinism contract, so they stay out of the fingerprint.
     """
     fp = stage_fingerprint(
         "derating", design.fingerprint,
@@ -445,18 +441,14 @@ def stage_derating(
                     "[derating] mc_trials needs a simulable gate-level "
                     f"core; design {design.ref!r} is {design.kind!r}"
                 )
-            from repro.rtlsim.backends import DEFAULT_BACKEND
-
             result = measure_masking_mc(
                 list(design.program),
                 list(design.dmem) if design.dmem else None,
                 MaskingConfig(
                     trials=spec.mc_trials, seed=spec.mc_seed,
-                    lanes_per_pass=campaign.lanes_per_pass
-                    if campaign.lanes_per_pass is not None else 63,
+                    lanes_per_pass=campaign.lanes_per_pass,
                 ),
                 netlist=design.netlist,
-                backend=campaign.backend or DEFAULT_BACKEND,
                 workers=campaign.workers,
             )
             mc = result.to_summary()
@@ -499,12 +491,10 @@ def stage_sfi(
 ) -> CampaignOutcome:
     """Plan and execute a statistical fault-injection campaign."""
     from repro.netlist.graph import extract_graph
-    from repro.rtlsim.backends import DEFAULT_BACKEND
     from repro.sfi import plan_campaign, run_sfi_campaign
     from repro.sfi.campaign import resolve_lanes_per_pass
 
-    backend = campaign.backend or DEFAULT_BACKEND
-    lanes = resolve_lanes_per_pass(campaign.lanes_per_pass, backend)
+    lanes = resolve_lanes_per_pass(campaign.lanes_per_pass)
     seqs = extract_graph(design.netlist.module).seq_nets()
     plans = plan_campaign(
         seqs, golden.cycles - 2, spec.injections, seed=spec.seed,
@@ -518,7 +508,7 @@ def stage_sfi(
     def compute():
         return run_sfi_campaign(
             list(design.program), list(design.dmem) if design.dmem else None,
-            plans, netlist=design.netlist, backend=backend,
+            plans, netlist=design.netlist,
             workers=campaign.workers, lanes_per_pass=campaign.lanes_per_pass,
             max_cycles=max_cycles, runtime=_runtime_options(campaign),
         )
@@ -560,19 +550,13 @@ def stage_beam(
     max_cycles: int = 100_000,
 ) -> CampaignOutcome:
     """Run a simulated accelerated beam test."""
-    from repro.rtlsim.backends import DEFAULT_BACKEND
     from repro.ser.beam import BeamConfig, run_beam_test
     from repro.sfi.campaign import resolve_lanes_per_pass
 
-    backend = campaign.backend or DEFAULT_BACKEND
-    lanes = resolve_lanes_per_pass(
-        campaign.lanes_per_pass if campaign.lanes_per_pass is not None else 63,
-        backend,
-    )
+    lanes = resolve_lanes_per_pass(campaign.lanes_per_pass)
     config = BeamConfig(
         flux=spec.flux, exposures=spec.exposures, seed=spec.seed,
-        lanes_per_pass=campaign.lanes_per_pass if campaign.lanes_per_pass
-        is not None else 63,
+        lanes_per_pass=lanes,
         max_cycles=max_cycles,
         include_arrays=spec.include_arrays, parity=spec.parity,
     )
@@ -584,7 +568,7 @@ def stage_beam(
     def compute():
         return run_beam_test(
             list(design.program), list(design.dmem) if design.dmem else None,
-            config, netlist=design.netlist, backend=backend,
+            config, netlist=design.netlist,
             workers=campaign.workers, runtime=_runtime_options(campaign),
         )
 

@@ -9,27 +9,13 @@ baseline (Section 3.1) tractable in pure Python, and it is also how the
 simulated beam test (:mod:`repro.ser.beam`) achieves useful statistics.
 """
 
-from repro.rtlsim.simulator import (
-    DEFAULT_BACKEND,
-    BaseSimulator,
-    Simulator,
-    available_backends,
-    get_backend,
-    make_simulator,
-    preferred_fault_lanes,
-)
+from repro.rtlsim.simulator import Simulator
 from repro.rtlsim.levelize import levelize
 from repro.rtlsim.probes import Probe, StateSnapshot
 
 __all__ = [
-    "BaseSimulator",
-    "DEFAULT_BACKEND",
     "Probe",
     "Simulator",
     "StateSnapshot",
-    "available_backends",
-    "get_backend",
     "levelize",
-    "make_simulator",
-    "preferred_fault_lanes",
 ]

@@ -29,8 +29,8 @@ from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.errors import CampaignError
 from repro.netlist.graph import extract_graph
-from repro.rtlsim.backends import DEFAULT_BACKEND, BaseSimulator, make_simulator
-from repro.sfi.campaign import resolve_lanes_per_pass
+from repro.rtlsim.simulator import Simulator
+from repro.sfi.campaign import DEFAULT_FAULT_LANES, resolve_lanes_per_pass
 from repro.sfi.results import PassFailure
 from repro.sfi.runtime import RuntimeOptions, campaign_fingerprint, run_passes
 
@@ -42,7 +42,7 @@ class BeamConfig:
     flux: float = 2e-5          # upset probability per storage bit per cycle
     exposures: int = 252        # device-runs under the beam (4 passes of 63)
     seed: int = 2024
-    lanes_per_pass: int | None = 63  # None: the backend's preferred width
+    lanes_per_pass: int | None = DEFAULT_FAULT_LANES  # None selects it too
     max_cycles: int = 100_000
     # Arrays are parity/ECC protected in the modelled product (their
     # strikes become DUE, not SDC) — matching the paper's setup, which
@@ -172,7 +172,6 @@ class _BeamPayload:
     program: list[int]
     dmem_init: list[int] | None
     netlist: TinycoreNetlist
-    backend: str
     max_cycles: int
     count_architectural_state: bool
 
@@ -180,14 +179,12 @@ class _BeamPayload:
 class _BeamContext:
     def __init__(self, payload: _BeamPayload):
         self.payload = payload
-        self._sims: dict[int, BaseSimulator] = {}
+        self._sims: dict[int, Simulator] = {}
 
-    def sim_for(self, lanes: int) -> BaseSimulator:
+    def sim_for(self, lanes: int) -> Simulator:
         sim = self._sims.get(lanes)
         if sim is None:
-            sim = make_simulator(
-                self.payload.netlist.module, lanes=lanes, backend=self.payload.backend
-            )
+            sim = Simulator(self.payload.netlist.module, lanes=lanes)
             self._sims[lanes] = sim
         return sim
 
@@ -212,7 +209,7 @@ def _run_beam_pass(group: list[list[BeamStrike]]) -> tuple[int, int, int]:
         for s in strikes:
             strikes_by_cycle.setdefault(s.cycle, []).append((s, lane_offset + 1))
 
-    def strike(simulator: BaseSimulator, cycle: int) -> None:
+    def strike(simulator: Simulator, cycle: int) -> None:
         for s, lane in strikes_by_cycle.get(cycle, ()):
             if s.kind == "flop":
                 simulator.flip(s.target, 1 << lane)
@@ -246,24 +243,22 @@ def run_beam_test(
     config: BeamConfig | None = None,
     *,
     netlist: TinycoreNetlist | None = None,
-    backend: str = DEFAULT_BACKEND,
     workers: int = 1,
     runtime: RuntimeOptions | None = None,
 ) -> BeamResult:
     """Expose the core to the simulated beam and measure the SDC rate.
 
-    *backend* selects the simulation backend and *workers* > 1 fans the
-    independent passes out across processes; for a fixed seed the counts
-    are identical at any worker count. *runtime* enables the
-    fault-tolerant execution layer — checkpoint/resume, bounded retry,
-    pool respawn with serial degradation, soft pass timeouts (see
-    docs/ROBUSTNESS.md); a resumed measurement is bit-identical to an
-    uninterrupted one.
+    *workers* > 1 fans the independent passes out across processes; for
+    a fixed seed the counts are identical at any worker count. *runtime*
+    enables the fault-tolerant execution layer — checkpoint/resume,
+    bounded retry, pool respawn with serial degradation, soft pass
+    timeouts (see docs/ROBUSTNESS.md); a resumed measurement is
+    bit-identical to an uninterrupted one.
     """
     config = config or BeamConfig()
     if config.flux <= 0:
         raise CampaignError("flux must be positive")
-    lanes_per_pass = resolve_lanes_per_pass(config.lanes_per_pass, backend)
+    lanes_per_pass = resolve_lanes_per_pass(config.lanes_per_pass)
     started = time.perf_counter()
     if netlist is None:
         netlist = build_tinycore(program, dmem_init, parity=config.parity)
@@ -289,7 +284,7 @@ def run_beam_test(
     ]
 
     result = BeamResult(flux=config.flux, storage_bits=bits)
-    golden = run_gate_level(program, dmem_init, netlist=netlist, backend=backend)
+    golden = run_gate_level(program, dmem_init, netlist=netlist)
     result.cycles_per_run = golden.cycles
 
     exposures = plan_beam_exposures(
@@ -304,12 +299,11 @@ def run_beam_test(
         program=list(program),
         dmem_init=list(dmem_init) if dmem_init is not None else None,
         netlist=netlist,
-        backend=backend,
         max_cycles=config.max_cycles,
         count_architectural_state=config.count_architectural_state,
     )
     fingerprint = campaign_fingerprint(
-        "beam", payload.program, payload.dmem_init, backend, config.flux,
+        "beam", payload.program, payload.dmem_init, config.flux,
         config.exposures, config.seed, config.max_cycles,
         config.include_arrays, config.include_irom,
         config.count_architectural_state, config.parity,

@@ -32,7 +32,7 @@ Two estimators live here:
     observe whether the machine's state, memories, or outputs diverge
     one cycle later. Every trial is planned up front from the seed and
     executed on the fault-tolerant lane-parallel runtime, so results are
-    bit-identical across rtlsim backends and at any worker count.
+    bit-identical at any lane width and worker count.
 
 Terminal capture factors (uniform-input model, documented so the MC
 estimator and the oracles agree on what is being predicted): a plain DFF
@@ -56,7 +56,8 @@ from typing import Mapping
 from repro.errors import ReproError
 from repro.netlist.cells import input_sensitivities
 from repro.netlist.graph import NetGraph, NodeKind, extract_graph
-from repro.rtlsim.backends import DEFAULT_BACKEND, BaseSimulator, make_simulator
+from repro.rtlsim.simulator import Simulator
+from repro.sfi.campaign import DEFAULT_FAULT_LANES, resolve_lanes_per_pass
 from repro.sfi.results import PassFailure
 from repro.sfi.runtime import RuntimeOptions, campaign_fingerprint, run_passes
 
@@ -197,7 +198,7 @@ class MaskingConfig:
 
     trials: int = 256
     seed: int = 11
-    lanes_per_pass: int | None = 63  # None: the backend's preferred width
+    lanes_per_pass: int | None = DEFAULT_FAULT_LANES  # None selects it too
     max_cycles: int = 100_000
 
 
@@ -216,7 +217,7 @@ class MaskingResult:
 
     ``outcomes`` is ordered by trial index and holds one bool per trial
     (did the flip reach a capture point one cycle later) — the unit the
-    cross-backend bit-identity tests compare.
+    lane-width and worker-count bit-identity tests compare.
     """
 
     trials: int = 0
@@ -263,7 +264,6 @@ class _MaskPayload:
     program: list[int]
     dmem_init: list[int] | None
     netlist: object            # TinycoreNetlist
-    backend: str
     max_cycles: int
     output_nets: tuple[str, ...]
 
@@ -271,15 +271,12 @@ class _MaskPayload:
 class _MaskContext:
     def __init__(self, payload: _MaskPayload):
         self.payload = payload
-        self._sims: dict[int, BaseSimulator] = {}
+        self._sims: dict[int, Simulator] = {}
 
-    def sim_for(self, lanes: int) -> BaseSimulator:
+    def sim_for(self, lanes: int) -> Simulator:
         sim = self._sims.get(lanes)
         if sim is None:
-            sim = make_simulator(
-                self.payload.netlist.module, lanes=lanes,
-                backend=self.payload.backend,
-            )
+            sim = Simulator(self.payload.netlist.module, lanes=lanes)
             self._sims[lanes] = sim
         return sim
 
@@ -315,7 +312,7 @@ def _run_mask_pass(group: list[MaskTrial]) -> list[list]:
         checks.setdefault(trial.cycle + 1, []).append((trial, offset + 1))
     hits: dict[int, bool] = {}
 
-    def on_cycle(simulator: BaseSimulator, cycle: int) -> None:
+    def on_cycle(simulator: Simulator, cycle: int) -> None:
         pending = checks.get(cycle)
         if pending:
             diverged = simulator.lanes_differing_from(0)
@@ -346,7 +343,6 @@ def measure_masking_mc(
     config: MaskingConfig | None = None,
     *,
     netlist=None,
-    backend: str = DEFAULT_BACKEND,
     workers: int = 1,
     runtime: RuntimeOptions | None = None,
 ) -> MaskingResult:
@@ -354,12 +350,10 @@ def measure_masking_mc(
 
     Deterministic for a fixed seed: trials are planned up front and
     folded in submission order, so the measurement is bit-identical at
-    any ``workers`` count and across simulation backends (the backends
-    are bit-identical by contract).
+    any ``workers`` count and any ``lanes_per_pass`` grouping.
     """
     from repro.designs.tinycore.core import build_tinycore
     from repro.designs.tinycore.harness import run_gate_level
-    from repro.sfi.campaign import resolve_lanes_per_pass
 
     config = config or MaskingConfig()
     if config.trials <= 0:
@@ -369,10 +363,9 @@ def measure_masking_mc(
         netlist = build_tinycore(program, dmem_init)
     graph = extract_graph(netlist.module)
     seq_nets = graph.seq_nets()
-    golden = run_gate_level(program, dmem_init, netlist=netlist,
-                            backend=backend)
+    golden = run_gate_level(program, dmem_init, netlist=netlist)
     trials = plan_mask_trials(config, seq_nets, golden.cycles)
-    lanes_per_pass = resolve_lanes_per_pass(config.lanes_per_pass, backend)
+    lanes_per_pass = resolve_lanes_per_pass(config.lanes_per_pass)
     groups = [
         trials[i:i + lanes_per_pass]
         for i in range(0, len(trials), lanes_per_pass)
@@ -381,7 +374,6 @@ def measure_masking_mc(
         program=list(program),
         dmem_init=list(dmem_init) if dmem_init is not None else None,
         netlist=netlist,
-        backend=backend,
         max_cycles=config.max_cycles,
         output_nets=tuple(graph.outputs),
     )

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import CampaignError
+from repro.rtlsim.simulator import MAX_LANES
+
+#: Fault lanes per simulator pass when a campaign does not choose: with
+#: the golden lane a pass carries 64 lanes, one machine word.
+DEFAULT_FAULT_LANES = 63
 
 # Outcome classes.
 MASKED = "masked"
@@ -78,29 +83,22 @@ def plan_campaign(
     return plans
 
 
-def resolve_lanes_per_pass(lanes_per_pass: int | None, backend: str | None = None) -> int:
-    """Validate the campaign batch width against the chosen backend.
+def resolve_lanes_per_pass(lanes_per_pass: int | None) -> int:
+    """Validate the campaign batch width.
 
-    ``None`` resolves to the backend's preferred fault-lane count (the
-    seed's historical 63 for the ``python`` backend, 255 for ``numpy``).
-    Raises :class:`CampaignError` on misuse: a non-positive width, an
-    unknown backend, or a width exceeding the simulator's per-pass cap
-    (one golden lane rides along in every pass).
+    ``None`` resolves to :data:`DEFAULT_FAULT_LANES`. Raises
+    :class:`CampaignError` on misuse: a non-positive width, or a width
+    exceeding the simulator's per-pass cap (one golden lane rides along
+    in every pass).
     """
-    from repro.rtlsim.backends import MAX_LANES, get_backend
-
-    try:
-        cls = get_backend(backend)
-    except Exception as exc:
-        raise CampaignError(f"cannot batch for backend {backend!r}: {exc}") from exc
     if lanes_per_pass is None:
-        return cls.preferred_fault_lanes
+        return DEFAULT_FAULT_LANES
     if lanes_per_pass < 1:
         raise CampaignError("need at least one fault lane per pass")
     if lanes_per_pass + 1 > MAX_LANES:
         raise CampaignError(
-            f"lanes_per_pass={lanes_per_pass} exceeds the {cls.backend_name} "
-            f"backend's per-pass cap of {MAX_LANES - 1} fault lanes "
+            f"lanes_per_pass={lanes_per_pass} exceeds the simulator's "
+            f"per-pass cap of {MAX_LANES - 1} fault lanes "
             "(the golden lane occupies one slot); split into more passes"
         )
     return lanes_per_pass
@@ -108,17 +106,14 @@ def resolve_lanes_per_pass(lanes_per_pass: int | None, backend: str | None = Non
 
 def batches(
     plans: Iterable[FaultPlan],
-    lanes_per_pass: int | None = 63,
-    *,
-    backend: str | None = None,
+    lanes_per_pass: int | None = DEFAULT_FAULT_LANES,
 ) -> list[list[FaultPlan]]:
     """Split plans into simulator passes (lane 0 stays golden).
 
-    The batch width is validated against *backend* (default: the
-    ``python`` backend's limits); pass ``lanes_per_pass=None`` to use the
-    backend's preferred width.
+    The batch width is validated by :func:`resolve_lanes_per_pass`;
+    ``lanes_per_pass=None`` selects :data:`DEFAULT_FAULT_LANES`.
     """
-    lanes_per_pass = resolve_lanes_per_pass(lanes_per_pass, backend)
+    lanes_per_pass = resolve_lanes_per_pass(lanes_per_pass)
     plans = list(plans)
     return [
         plans[i:i + lanes_per_pass] for i in range(0, len(plans), lanes_per_pass)

@@ -1,9 +1,9 @@
 """SFI campaign execution on tinycore.
 
 One simulator pass carries the golden lane plus a configurable number of
-fault lanes (the backend's preferred width by default); each fault lane
-gets its planned bit flip at its planned cycle. After lane 0 halts,
-every fault lane is classified against the golden lane.
+fault lanes (63 by default); each fault lane gets its planned bit flip
+at its planned cycle. After lane 0 halts, every fault lane is
+classified against the golden lane.
 
 Passes are independent, so campaigns fan out across worker processes:
 each worker compiles its own simulator once and streams classified
@@ -20,8 +20,9 @@ from typing import Sequence
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.designs.tinycore.harness import GateLevelRun, run_gate_level
 from repro.errors import CampaignError
-from repro.rtlsim.backends import DEFAULT_BACKEND, BaseSimulator, make_simulator
+from repro.rtlsim.simulator import Simulator
 from repro.sfi.campaign import (
+    DEFAULT_FAULT_LANES,
     DUE,
     MASKED,
     SDC,
@@ -49,7 +50,6 @@ class CampaignResult:
     passes: int = 0
     simulated_cycles: int = 0
     elapsed_seconds: float = 0.0
-    backend: str = DEFAULT_BACKEND
     workers: int = 1
     failures: list[PassFailure] = field(default_factory=list)
     pool_restarts: int = 0
@@ -89,7 +89,9 @@ class CampaignResult:
             "passes": self.passes,
             "simulated_cycles": self.simulated_cycles,
             "elapsed_seconds": self.elapsed_seconds,
-            "backend": self.backend,
+            # A constant, kept so summary documents and the digests
+            # taken over them stay byte-identical.
+            "backend": "python",
             "workers": self.workers,
             "failed_passes": len(self.failures),
             "pool_restarts": self.pool_restarts,
@@ -105,7 +107,6 @@ class _SfiPayload:
     program: list[int]
     dmem_init: list[int] | None
     netlist: TinycoreNetlist
-    backend: str
     max_cycles: int
 
 
@@ -114,14 +115,12 @@ class _SfiContext:
 
     def __init__(self, payload: _SfiPayload):
         self.payload = payload
-        self._sims: dict[int, BaseSimulator] = {}
+        self._sims: dict[int, Simulator] = {}
 
-    def sim_for(self, lanes: int) -> BaseSimulator:
+    def sim_for(self, lanes: int) -> Simulator:
         sim = self._sims.get(lanes)
         if sim is None:
-            sim = make_simulator(
-                self.payload.netlist.module, lanes=lanes, backend=self.payload.backend
-            )
+            sim = Simulator(self.payload.netlist.module, lanes=lanes)
             self._sims[lanes] = sim
         return sim
 
@@ -144,7 +143,7 @@ def _run_sfi_batch(batch: Sequence[FaultPlan]) -> tuple[list[InjectionOutcome], 
     for lane_offset, plan in enumerate(batch):
         by_cycle.setdefault(plan.cycle, []).append((plan.net, 1 << (lane_offset + 1)))
 
-    def inject(simulator: BaseSimulator, cycle: int) -> None:
+    def inject(simulator: Simulator, cycle: int) -> None:
         for net, lane_mask in by_cycle.get(cycle, ()):
             simulator.flip(net, lane_mask)
 
@@ -178,26 +177,25 @@ def run_sfi_campaign(
     plans: Sequence[FaultPlan],
     *,
     max_cycles: int = 100_000,
-    lanes_per_pass: int | None = 63,
+    lanes_per_pass: int | None = DEFAULT_FAULT_LANES,
     netlist: TinycoreNetlist | None = None,
-    backend: str = DEFAULT_BACKEND,
     workers: int = 1,
     runtime: RuntimeOptions | None = None,
 ) -> CampaignResult:
     """Execute every planned injection and classify the outcomes.
 
-    *lanes_per_pass* is validated against *backend* (``None`` selects the
-    backend's preferred width). *workers* > 1 fans passes out across
-    processes; outcomes are identical to the serial run for a fixed plan
-    list because every pass is independent and results are reassembled in
-    plan order.
+    *lanes_per_pass* fault lanes share each simulator pass (``None``
+    selects :data:`~repro.sfi.campaign.DEFAULT_FAULT_LANES`). *workers*
+    > 1 fans passes out across processes; outcomes are identical to the
+    serial run for a fixed plan list because every pass is independent
+    and results are reassembled in plan order.
 
     *runtime* configures the fault-tolerant execution layer: durable
     checkpointing with resume, bounded per-pass retry, pool respawn with
     serial degradation, and soft pass timeouts (docs/ROBUSTNESS.md). A
     resumed campaign reproduces the uninterrupted campaign's outcomes
     bit for bit, because the checkpoint keys on a fingerprint of the
-    program, plan list, batching, and backend.
+    program, plan list, and batching.
     """
     started = time.perf_counter()
     if netlist is None:
@@ -207,16 +205,15 @@ def run_sfi_campaign(
         if plan.net not in known:
             raise CampaignError(f"fault plan targets unknown net {plan.net!r}")
 
-    plan_batches = batches(plans, lanes_per_pass, backend=backend)
+    plan_batches = batches(plans, lanes_per_pass)
     payload = _SfiPayload(
         program=list(program),
         dmem_init=list(dmem_init) if dmem_init is not None else None,
         netlist=netlist,
-        backend=backend,
         max_cycles=max_cycles,
     )
     fingerprint = campaign_fingerprint(
-        "sfi", payload.program, payload.dmem_init, max_cycles, backend,
+        "sfi", payload.program, payload.dmem_init, max_cycles,
         [(p.net, p.cycle) for p in plans], [len(b) for b in plan_batches],
     )
     report = run_passes(
@@ -224,7 +221,7 @@ def run_sfi_campaign(
         workers=workers, options=runtime, fingerprint=fingerprint,
         encode=_encode_sfi_pass, decode=_decode_sfi_pass,
     )
-    result = CampaignResult(backend=backend, workers=max(1, workers))
+    result = CampaignResult(workers=max(1, workers))
     for pass_result in report.results:
         if pass_result is None:
             continue  # recorded in result.failures

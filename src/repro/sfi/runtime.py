@@ -148,7 +148,7 @@ def campaign_fingerprint(*parts: object) -> str:
     """Stable digest identifying one campaign's full configuration.
 
     Stored in the checkpoint header so a checkpoint can never be
-    resumed against a different program/plan/backend combination.
+    resumed against a different program/plan/batching combination.
     """
     digest = hashlib.sha256()
     for part in parts:

@@ -1,7 +1,7 @@
 """Differential & metamorphic verification harness.
 
 Randomized design/circuit generation (:mod:`repro.verify.cases`),
-a library of cross-engine / cross-backend / metamorphic / statistical
+a library of cross-engine / lane-isolation / metamorphic / statistical
 oracles (:mod:`repro.verify.oracles`), seeded defects proving each
 oracle's sensitivity (:mod:`repro.verify.defects`), a content-addressed
 golden corpus (:mod:`repro.verify.corpus`), greedy reproducer shrinking

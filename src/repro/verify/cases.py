@@ -11,7 +11,7 @@ Two families of cases feed the oracle library
   shapes in ``tests/core/test_sart_properties.py``.
 * **Circuit cases** — randomized gate/flop/memory circuits plus a
   deterministic stimulus and fault schedule, used for bit-exact
-  cross-backend simulation checks.
+  lane-isolation simulation checks.
 
 Both are built from small frozen *specs* that are trivially
 JSON-serializable. That is what makes shrinking and replay work: a
@@ -249,12 +249,12 @@ def _pointer_counter(b: ModuleBuilder, rng: random.Random, pool: list[str],
 
 
 # ----------------------------------------------------------------------
-# circuit cases (cross-backend simulation)
+# circuit cases (lane-isolation simulation)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Genome of one cross-backend simulation case (JSON-safe)."""
+    """Genome of one lane-isolation simulation case (JSON-safe)."""
 
     seed: int
     n_inputs: int = 4
@@ -294,7 +294,7 @@ def build_circuit(spec: CircuitSpec) -> Module:
 
     Beyond ``tests/rtlsim/test_random_circuits.py`` this also drops in a
     small MEM array (write port fed from the fabric, read address from
-    flops), which exercises the backends' memory fast paths.
+    flops), which exercises the simulator's memory fast paths.
     """
     rng = random.Random(spec.seed)
     b = ModuleBuilder(f"vcirc{spec.seed}")

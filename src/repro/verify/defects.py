@@ -3,8 +3,8 @@
 An oracle that never fires is indistinguishable from an oracle that
 stopped looking. Each entry here is a *seeded defect*: a corruption of
 exactly one seam the matching oracle reads through — a perturbed
-dataflow engine, an out-of-range resolver, a bit-flipping simulator
-backend, an optimistic analytic model, a tampered golden. The
+dataflow engine, an out-of-range resolver, a bit-flipping wide
+simulator, an optimistic analytic model, a tampered golden. The
 mutation-kill suite (``tests/verify/test_mutation_kill.py``) and
 ``repro-sart verify --inject-defect <name>`` both prove the oracle
 catches its defect, so the harness's sensitivity is itself under test.
@@ -141,13 +141,10 @@ class _BitrotSimulator:
                 self._inner.flip(victim, 1 << 1)
 
 
-def _bitrot_make_sim(module, lanes=1, backend=None):
-    from repro.rtlsim.backends import make_simulator
+def _bitrot_make_sim(module, lanes=1):
+    from repro.rtlsim.simulator import Simulator
 
-    sim = make_simulator(module, lanes=lanes, backend=backend)
-    if backend == "numpy":
-        return _BitrotSimulator(sim)
-    return sim
+    return _BitrotSimulator(Simulator(module, lanes=lanes))
 
 
 def _optimistic_analytic(program: str) -> float:
@@ -217,9 +214,9 @@ DEFECTS: dict[str, Defect] = {
             mutate_sart=_loop_monotonicity_mutation,
         ),
         Defect(
-            name="cross-backend",
-            oracle="cross-backend",
-            description="numpy backend flips one lane bit after 2 cycles",
+            name="lane-isolation",
+            oracle="lane-isolation",
+            description="wide simulator flips one lane bit after 2 cycles",
             make_sim=_bitrot_make_sim,
         ),
         Defect(

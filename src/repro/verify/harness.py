@@ -39,9 +39,9 @@ from repro.verify.corpus import check_corpus, update_corpus
 from repro.verify.defects import Defect
 from repro.verify.oracles import (
     CaseContext,
-    CrossBackendOracle,
     DeadlineSanityOracle,
     DeratedSerOracle,
+    LaneIsolationOracle,
     Oracle,
     SCOPE_CIRCUIT,
     SCOPE_DESIGN,
@@ -112,11 +112,9 @@ def build_oracles(options: VerifyOptions,
     for oracle in default_oracles():
         if options.oracle_names and oracle.name not in options.oracle_names:
             continue
-        if isinstance(oracle, CrossBackendOracle):
+        if isinstance(oracle, LaneIsolationOracle):
             if defect is not None and defect.make_sim is not None:
-                oracle = CrossBackendOracle(make_sim=defect.make_sim)
-            if not oracle.available():
-                continue
+                oracle = LaneIsolationOracle(make_sim=defect.make_sim)
         if isinstance(oracle, SfiConsistencyOracle):
             if options.skip_global:
                 continue

@@ -8,8 +8,9 @@ Each oracle answers one question about a case and returns a list of
     shared :class:`CaseContext` that caches SART results per
     (engine, knobs) so five oracles don't pay for five solves.
 ``circuit``
-    Runs against a :class:`~repro.verify.cases.CircuitSpec`:
-    lane-for-lane bit-exact agreement between simulation backends.
+    Runs against a :class:`~repro.verify.cases.CircuitSpec`: every lane
+    of a wide simulator pass agrees bit-exactly with a 1-lane run of
+    that lane's faults.
 ``global``
     Design-independent statistical checks (the budgeted SFI-vs-
     analytical consistency check on tinycore); run once per verify
@@ -32,6 +33,7 @@ from typing import Callable, Mapping
 from repro.core.report import average_seq_avf
 from repro.core.resolve import NodeAvf, ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
 from repro.core.sart import SartConfig, SartResult, run_sart
+from repro.rtlsim.simulator import Simulator
 from repro.verify.reference import run_reference
 from repro.verify.cases import (
     CircuitSpec,
@@ -266,74 +268,72 @@ class LoopMonotonicityOracle(Oracle):
 # circuit-scope oracle
 # ----------------------------------------------------------------------
 
-class CrossBackendOracle(Oracle):
-    """python and numpy simulator backends agree bit-for-bit.
+class LaneIsolationOracle(Oracle):
+    """Every lane of a wide run equals a 1-lane run with only its flips.
 
-    Runs the same circuit, stimulus, and fault schedule on both
-    backends and compares every net (not just the outputs) each cycle,
-    plus the full memory contents at the end. ``make_sim`` is the
-    injectable seam: tests substitute a deliberately corrupted
-    simulator factory to prove divergence is caught.
+    Lanes share one simulator pass but must never interact. Lane L of a
+    ``spec.lanes``-wide run is compared against a 1-lane
+    :class:`~repro.rtlsim.simulator.Simulator` driven by the same
+    stimulus and only lane L's fault flips: net for net every cycle, and
+    word for word in every memory at the end. A 1-lane run never takes
+    :class:`~repro.rtlsim.simulator.MemState`'s divergence paths, so it
+    is an independent reference for the per-lane overlay code.
+    ``make_sim`` builds the wide simulator only and is the injectable
+    seam: tests substitute a deliberately corrupted factory to prove
+    divergence is caught.
     """
 
-    name = "cross-backend"
+    name = "lane-isolation"
     scope = SCOPE_CIRCUIT
 
-    def __init__(self, make_sim=None, reference_backend: str = "python",
-                 subject_backend: str = "numpy"):
-        from repro.rtlsim.backends import make_simulator
-
-        self.make_sim = make_sim or make_simulator
-        self.reference_backend = reference_backend
-        self.subject_backend = subject_backend
-
-    def available(self) -> bool:
-        from repro.rtlsim.backends import available_backends
-
-        have = available_backends()
-        return (self.reference_backend in have
-                and self.subject_backend in have)
+    def __init__(self, make_sim=None):
+        self.make_sim = make_sim or Simulator
 
     def check(self, spec: CircuitSpec, ctx=None) -> list[Violation]:
         module = build_circuit(spec)
         stimulus, faults = circuit_schedule(spec, module)
-        ref = self.make_sim(module, lanes=spec.lanes,
-                            backend=self.reference_backend)
-        sub = self.make_sim(module, lanes=spec.lanes,
-                            backend=self.subject_backend)
+        wide = self.make_sim(module, lanes=spec.lanes)
+        singles = [Simulator(module, lanes=1) for _ in range(spec.lanes)]
         case = f"circuit({spec.to_json()})"
         nets = sorted(module.nets)
         by_cycle: dict[int, list[tuple[str, int]]] = {}
         for cycle, net, mask in faults:
             by_cycle.setdefault(cycle, []).append((net, mask))
         for cycle, frame in enumerate(stimulus):
-            for sim in (ref, sub):
+            for sim in (wide, *singles):
                 for net, bit in frame.items():
                     sim.poke_all_lanes(net, bit)
             for net in nets:
-                r, s = ref.peek(net), sub.peek(net)
-                if r != s:
+                got = wide.peek(net)
+                want = 0
+                for lane, single in enumerate(singles):
+                    want |= single.peek(net) << lane
+                if got != want:
+                    diff = got ^ want
+                    lane = (diff & -diff).bit_length() - 1
                     return [Violation(
                         self.name, case,
-                        f"cycle {cycle}: {net} differs "
-                        f"({self.reference_backend}={r:#x}, "
-                        f"{self.subject_backend}={s:#x})")]
+                        f"cycle {cycle}: {net} lane {lane} differs from "
+                        f"its 1-lane run (wide={got:#x}, "
+                        f"1-lane runs={want:#x})")]
             for net, mask in by_cycle.get(cycle, ()):
-                ref.flip(net, mask)
-                sub.flip(net, mask)
-            ref.step()
-            sub.step()
-        for mem_name, ref_mem in ref.mems.items():
-            sub_mem = sub.mems[mem_name]
-            for lane in range(spec.lanes):
-                for addr in range(ref_mem.depth):
-                    r = ref_mem.lane_word(lane, addr)
-                    s = sub_mem.lane_word(lane, addr)
-                    if r != s:
+                wide.flip(net, mask)
+                for lane, single in enumerate(singles):
+                    if (mask >> lane) & 1:
+                        single.flip(net, 1)
+            for sim in (wide, *singles):
+                sim.step()
+        for mem_name, mem in wide.mems.items():
+            for lane, single in enumerate(singles):
+                ref = single.mems[mem_name]
+                for addr in range(mem.depth):
+                    got, want = mem.lane_word(lane, addr), ref.lane_word(0, addr)
+                    if got != want:
                         return [Violation(
                             self.name, case,
                             f"final mem {mem_name}[{addr}] lane {lane} "
-                            f"differs ({r:#x} vs {s:#x})")]
+                            f"differs from its 1-lane run "
+                            f"({got:#x} vs {want:#x})")]
         return []
 
 
@@ -597,7 +597,7 @@ def default_oracles() -> list[Oracle]:
         CtrlPinnedOracle(),
         CrossEngineOracle(),
         LoopMonotonicityOracle(),
-        CrossBackendOracle(),
+        LaneIsolationOracle(),
         SfiConsistencyOracle(),
         DeadlineSanityOracle(),
         DeratedSerOracle(),

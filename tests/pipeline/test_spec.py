@@ -80,6 +80,11 @@ def test_validation_errors(tmp_path):
             spec_from_mapping({"design": "tinycore:fib", "sart": sart})
     with pytest.raises(SpecError, match="batched must be true or false"):
         spec_from_mapping({"design": "bigcore", "sweep": {"batched": 1}})
+    # The removed [campaign] backend key is an unknown key too.
+    with pytest.raises(SpecError,
+                       match=r"unknown key\(s\) \['backend'\] in \[campaign\]"):
+        spec_from_mapping({"design": "tinycore:fib",
+                           "campaign": {"backend": "python"}})
     # Direct construction (the CLI path) runs the same checks.
     with pytest.raises(SpecError, match="loop_pavf"):
         SartSpec(loop_pavf=7.0)

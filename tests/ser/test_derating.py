@@ -3,9 +3,8 @@
 Three layers: the per-pin gate sensitization closed forms, the analytic
 observability pass on hand-built modules with known answers, and the MC
 estimator's determinism contract — trials planned up front from the
-seed, so outcomes are bit-identical at any ``--workers`` count. The
-cross-backend half of that contract lives in
-``tests/rtlsim/test_masking_backends.py``.
+seed, so outcomes are bit-identical at any ``--workers`` count and any
+lane width.
 """
 
 from __future__ import annotations
@@ -157,6 +156,23 @@ def test_masking_mc_worker_count_is_bit_identical():
     assert serial.trials == parallel.trials == 48
     assert serial.outcomes == parallel.outcomes
     assert serial.rate() == parallel.rate()
+
+
+def test_masking_outcomes_survive_lane_width_changes():
+    # lanes_per_pass reshapes the pass grouping, not the trial plan;
+    # every grouping must land on one vector.
+    from repro.designs.tinycore.core import build_tinycore
+
+    prog, dmem = program("fib"), default_dmem("fib")
+    netlist = build_tinycore(prog, dmem)
+    narrow, wide = (
+        measure_masking_mc(prog, dmem, MaskingConfig(trials=32, seed=17,
+                                                     lanes_per_pass=lanes),
+                           netlist=netlist)
+        for lanes in (7, 31)
+    )
+    assert narrow.trials == wide.trials == 32
+    assert narrow.outcomes == wide.outcomes
 
 
 def test_masking_mc_agrees_with_analytic_mean():

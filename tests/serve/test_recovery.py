@@ -96,25 +96,36 @@ def test_restart_tolerates_torn_final_journal_record(tmp_path):
 
 
 def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
-    # A job queued by an older server: its journaled normalized spec
-    # spells out the since-removed [sart] engine and relax_workers keys.
+    # Jobs queued by older servers: their journaled normalized specs
+    # spell out the since-removed [sart] engine and relax_workers keys,
+    # or the since-removed [campaign] backend key.
     state = tmp_path / "state"
-    old_spec = {"design": "tinycore:fib",
-                "sart": {"loop_pavf": 0.3, "iterations": 20,
-                         "monolithic": True, "engine": "compiled",
-                         "relax_workers": 1}}
+    old_specs = {
+        "0123456789abcdef" * 4: (
+            {"design": "tinycore:fib",
+             "sart": {"loop_pavf": 0.3, "iterations": 20,
+                      "monolithic": True, "engine": "compiled",
+                      "relax_workers": 1}},
+            "['engine', 'relax_workers']"),
+        "fedcba9876543210" * 4: (
+            {"design": "tinycore:fib",
+             "sfi": {"injections": 8, "seed": 1},
+             "campaign": {"backend": None, "workers": 1}},
+            "['backend'] in [campaign]"),
+    }
     first = JobScheduler(str(state), worker=_ok_worker)
-    fingerprint = "0123456789abcdef" * 4
-    first.journal.record(event="submitted", job=job_id_for(fingerprint),
-                         fingerprint=fingerprint, spec=old_spec, time=0.0)
+    for fingerprint, (old_spec, _) in old_specs.items():
+        first.journal.record(event="submitted", job=job_id_for(fingerprint),
+                             fingerprint=fingerprint, spec=old_spec, time=0.0)
     first.journal.close()                            # never started
 
     second = JobScheduler(str(state), worker=_ok_worker)
     second.start()
     try:
-        old = second.index.get(job_id_for(fingerprint))
-        assert old is not None and old.state == FAILED
-        assert "['engine', 'relax_workers']" in old.error
+        for fingerprint, (_, named) in old_specs.items():
+            old = second.index.get(job_id_for(fingerprint))
+            assert old is not None and old.state == FAILED
+            assert named in old.error
         counters = second.counters.snapshot()
         assert counters["resumed"] == 0 and counters["executions"] == 0
         # ...and the server keeps serving new work.
@@ -124,11 +135,12 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     finally:
         second.drain(grace=5)
 
-    # The failure is journaled: a further restart re-serves it as failed.
+    # The failures are journaled: a further restart re-serves them failed.
     third = JobScheduler(str(state), worker=_ok_worker)
     third.start()
     try:
-        assert third.index.get(job_id_for(fingerprint)).state == FAILED
+        for fingerprint in old_specs:
+            assert third.index.get(job_id_for(fingerprint)).state == FAILED
     finally:
         third.drain(grace=5)
 
@@ -140,7 +152,7 @@ SFI_SPEC = {
     "sfi": {"injections": 160, "seed": 7},
     # One fault lane per pass: many short passes, so the checkpoint
     # gains records quickly and SIGKILL reliably lands mid-campaign.
-    "campaign": {"backend": "python", "lanes_per_pass": 1},
+    "campaign": {"lanes_per_pass": 1},
 }
 
 

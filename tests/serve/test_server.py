@@ -59,15 +59,18 @@ def test_error_codes(tmp_path):
         status, doc = post_json(f"{app.url}/jobs",
                                 {"design": "tinycore:fib", "bogus": {}})
         assert status == 400 and "bogus" in doc["error"]
-        # Bad [sart] values and the removed engine/relax_workers keys are
-        # refused at admission, naming the offending key.
-        for sart in ({"iterations": "abc"}, {"iterations": 0},
-                     {"loop_pavf": 7}, {"monolithic": "false"},
-                     {"engine": "walk"}, {"relax_workers": 2}):
+        # Bad [sart] values and the removed [sart] engine/relax_workers
+        # and [campaign] backend keys are refused at admission, naming
+        # the offending key.
+        for section, body in (
+                ("sart", {"iterations": "abc"}), ("sart", {"iterations": 0}),
+                ("sart", {"loop_pavf": 7}), ("sart", {"monolithic": "false"}),
+                ("sart", {"engine": "walk"}), ("sart", {"relax_workers": 2}),
+                ("campaign", {"backend": "python"})):
             status, doc = post_json(f"{app.url}/jobs",
-                                    {"design": "tinycore:fib", "sart": sart})
-            assert status == 400, sart
-            assert next(iter(sart)) in doc["error"]
+                                    {"design": "tinycore:fib", section: body})
+            assert status == 400, body
+            assert next(iter(body)) in doc["error"]
 
         request = urllib.request.Request(
             f"{app.url}/jobs", data=b"not json", method="POST")

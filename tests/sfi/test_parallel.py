@@ -14,7 +14,11 @@ from repro.designs.tinycore.programs import default_dmem, program
 from repro.errors import CampaignError
 from repro.netlist.graph import extract_graph
 from repro.ser.beam import BeamConfig, run_beam_test
-from repro.sfi.campaign import plan_campaign, resolve_lanes_per_pass
+from repro.sfi.campaign import (
+    DEFAULT_FAULT_LANES,
+    plan_campaign,
+    resolve_lanes_per_pass,
+)
 from repro.sfi.injector import run_sfi_campaign
 from repro.sfi.parallel import parallel_map, resolve_workers
 
@@ -71,20 +75,15 @@ class TestBeamDeterminism:
 
 
 class TestLanesPerPass:
-    def test_default_is_backend_preference(self):
-        assert resolve_lanes_per_pass(None) == 63
-        assert resolve_lanes_per_pass(None, "python") == 63
+    def test_default_is_default_fault_lanes(self):
+        assert resolve_lanes_per_pass(None) == DEFAULT_FAULT_LANES == 63
 
     def test_explicit_width_passes_through(self):
-        assert resolve_lanes_per_pass(10, "python") == 10
+        assert resolve_lanes_per_pass(10) == 10
 
     def test_rejects_non_positive(self):
         with pytest.raises(CampaignError, match="at least one fault lane"):
             resolve_lanes_per_pass(0)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(CampaignError, match="cannot batch"):
-            resolve_lanes_per_pass(None, "spice")
 
 
 class TestParallelMap:

@@ -14,7 +14,7 @@ def test_list_oracles(capsys):
     rc = main(["verify", "--list-oracles"])
     out = capsys.readouterr().out
     assert rc == 0
-    for name in ("range", "cross-engine", "cross-backend",
+    for name in ("range", "cross-engine", "lane-isolation",
                  "sfi-consistency"):
         assert name in out
 

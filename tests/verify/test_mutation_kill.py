@@ -17,9 +17,9 @@ from repro.verify.corpus import check_corpus
 from repro.verify.defects import DEFECTS, get_defect
 from repro.verify.oracles import (
     CaseContext,
-    CrossBackendOracle,
     DeadlineSanityOracle,
     DeratedSerOracle,
+    LaneIsolationOracle,
     SCOPE_CIRCUIT,
     SCOPE_DESIGN,
     SCOPE_GLOBAL,
@@ -64,14 +64,13 @@ def test_design_defect_killed_by_its_oracle(name):
     assert all(v.oracle == defect.oracle for v in mutated)
 
 
-def test_cross_backend_defect_killed():
-    defect = get_defect("cross-backend")
-    oracle = CrossBackendOracle(make_sim=defect.make_sim)
-    if not oracle.available():
-        pytest.skip("numpy backend unavailable")
-    assert CrossBackendOracle().check(KILL_CIRCUIT) == []
+def test_lane_isolation_defect_killed():
+    defect = get_defect("lane-isolation")
+    oracle = LaneIsolationOracle(make_sim=defect.make_sim)
+    assert LaneIsolationOracle().check(KILL_CIRCUIT) == []
     violations = oracle.check(KILL_CIRCUIT)
-    assert violations and violations[0].oracle == "cross-backend"
+    assert violations and violations[0].oracle == "lane-isolation"
+    assert "lane 1 differs" in violations[0].message
 
 
 def test_sfi_defect_killed():

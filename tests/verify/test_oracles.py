@@ -15,9 +15,9 @@ from repro.verify.cases import (
 )
 from repro.verify.oracles import (
     CaseContext,
-    CrossBackendOracle,
     CrossEngineOracle,
     CtrlPinnedOracle,
+    LaneIsolationOracle,
     LoopMonotonicityOracle,
     MinResolutionOracle,
     RangeOracle,
@@ -75,20 +75,16 @@ def test_ctrl_oracle_reports_missing_register(loopy_case):
     assert violations and "missing" in violations[0].message
 
 
-def test_cross_backend_oracle_clean_on_random_circuits():
-    oracle = CrossBackendOracle()
-    if not oracle.available():
-        pytest.skip("numpy backend unavailable")
+def test_lane_isolation_oracle_clean_on_random_circuits():
+    oracle = LaneIsolationOracle()
     rng = random.Random(9)
     for _ in range(5):
         assert oracle.check(random_circuit_spec(rng)) == []
 
 
-def test_cross_backend_oracle_reports_backend_pair():
-    oracle = CrossBackendOracle()
-    if not oracle.available():
-        pytest.skip("numpy backend unavailable")
+def test_lane_isolation_oracle_clean_on_mem_circuit():
     # A mem-bearing circuit exercises the final memory sweep too.
+    oracle = LaneIsolationOracle()
     assert oracle.check(CircuitSpec(seed=2, with_mem=True, n_faults=2)) == []
 
 
@@ -116,7 +112,7 @@ def test_registry_names_unique_and_complete():
     named = oracles_by_name()
     assert len(named) == len(default_oracles())
     assert {"range", "min-resolution", "ctrl-pinned", "cross-engine",
-            "loop-monotonicity", "cross-backend",
+            "loop-monotonicity", "lane-isolation",
             "sfi-consistency", "deadline-sanity",
             "derated-ser"} == set(named)
 
@@ -138,10 +134,8 @@ def test_design_oracles_clean_on_many_random_cases():
 
 
 @pytest.mark.fuzz
-def test_cross_backend_clean_on_many_random_circuits():
-    oracle = CrossBackendOracle()
-    if not oracle.available():
-        pytest.skip("numpy backend unavailable")
+def test_lane_isolation_clean_on_many_random_circuits():
+    oracle = LaneIsolationOracle()
     rng = random.Random(4321)
     for _ in range(40):
         spec = random_circuit_spec(rng)

@@ -209,8 +209,7 @@ def _render_sfi_standalone(outcome, program, workers) -> None:
         f"  {campaign.simulated_cycles} simulated cycles "
         f"in {campaign.elapsed_seconds:.2f}s"
     )
-    print_runtime_summary(campaign.failures, campaign.pool_restarts,
-                          campaign.degraded, campaign.resumed_passes)
+    print_runtime_summary(campaign)
 
 
 def _render_beam(outcome, program, workers) -> None:
@@ -229,8 +228,7 @@ def _render_beam(outcome, program, workers) -> None:
         f"  SDC rate {result.sdc_rate_per_cycle:.3e}/cycle "
         f"[{lo:.3e},{hi:.3e}] in {result.elapsed_seconds:.2f}s"
     )
-    print_runtime_summary(result.failures, result.pool_restarts,
-                          result.degraded, result.resumed_passes)
+    print_runtime_summary(result)
 
 
 def _render_bigcore_design(artifact) -> None:
@@ -329,8 +327,7 @@ def cmd_tinycore(args) -> int:
                 f"[{lo:.3f},{hi:.3f}] counts={campaign.counts()} "
                 f"in {campaign.elapsed_seconds:.1f}s"
             )
-            print_runtime_summary(campaign.failures, campaign.pool_restarts,
-                                  campaign.degraded, campaign.resumed_passes)
+            print_runtime_summary(campaign)
 
     try:
         execute(spec, store=_store_from_args(args), observer=observer)

@@ -467,7 +467,8 @@ def save_fub_solutions(
     """Persist per-FUB solutions under *keys*; returns entries written.
 
     *skip* lists ``(fub, direction)`` pairs already served as hits —
-    re-saving them would be byte-churn for no information.
+    re-saving them would be byte-churn for no information. An
+    unwritable store warns once and stops.
     """
     solutions = extract_fub_solutions(plan, result)
     skipped = set(skip)
@@ -475,7 +476,8 @@ def save_fub_solutions(
     for (fub, direction), solution in solutions.items():
         if (fub, direction) in skipped:
             continue
-        store.save("fubsol", keys[fub][direction], solution)
+        if not store.persist("fubsol", keys[fub][direction], solution):
+            break
         written += 1
     return written
 

@@ -222,18 +222,16 @@ def export_campaign_json(
     echo(f"wrote {outcome.kind} summary to {path}")
 
 
-def print_runtime_summary(
-    failures, pool_restarts, degraded, resumed,
-    echo: Callable[[str], None] = print,
-) -> None:
-    """Fault-tolerant-runtime footer shared by the campaign flows."""
-    if resumed:
-        echo(f"  resumed: {resumed} pass(es) loaded from checkpoint")
-    if pool_restarts or degraded:
-        note = f"  runtime: worker pool respawned {pool_restarts} time(s)"
-        if degraded:
+def print_runtime_summary(result, echo: Callable[[str], None] = print) -> None:
+    """Fault-tolerant-runtime footer of a campaign result (sfi or beam)."""
+    if result.resumed_passes:
+        echo(f"  resumed: {result.resumed_passes} pass(es) loaded from checkpoint")
+    if result.pool_restarts or result.degraded:
+        note = f"  runtime: worker pool respawned {result.pool_restarts} time(s)"
+        if result.degraded:
             note += "; degraded to serial execution"
         echo(note)
+    failures = result.failures
     if failures:
         echo(f"  WARNING: {len(failures)} pass(es) failed permanently:")
         for f in failures[:5]:

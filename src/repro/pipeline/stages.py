@@ -80,11 +80,15 @@ class PipelineContext:
             self.observer(event, info)
 
     def memoize(self, stage: str, fp: str, compute: Callable[[], Any],
-                *, cache: bool = True) -> tuple[Any, bool]:
-        """Fetch-or-compute with event recording; returns (obj, cached)."""
+                *, cache: bool = True,
+                keep: Callable[[Any], bool] | None = None) -> tuple[Any, bool]:
+        """Fetch-or-compute with event recording; returns (obj, cached).
+
+        ``cache=False`` bypasses the store; *keep* vetoes saving a result.
+        """
         started = time.perf_counter()
         if cache:
-            obj, hit = self.store.fetch(stage, fp, compute)
+            obj, hit = self.store.fetch(stage, fp, compute, keep=keep)
         else:
             obj, hit = compute(), False
         self.events.append(
@@ -201,33 +205,20 @@ def stage_ace_ports(
 
     signature = suite_signature(per_class, length)
     ace_fp = stage_fingerprint("ace", signature, True)  # bitwise=True
+    n_workloads = len(signature)
 
     def compute_suite():
         from repro.ace.portavf import suite_ports_and_table
         from repro.workloads import default_suite
 
+        ctx.notify("ace:run", workloads=n_workloads)
         traces = default_suite(per_class=per_class, length=length)
         model_ports, table = suite_ports_and_table(traces)
         return {"model_ports": model_ports, "table": table}
 
-    n_workloads = len(signature)
-    started = time.perf_counter()
-    suite = ctx.store.load("ace", ace_fp)
-    hit = suite is not None
+    suite, hit = ctx.memoize("ace", ace_fp, compute_suite)
     if hit:
-        ctx.store.hits += 1
         ctx.notify("ace:cached", workloads=n_workloads, fingerprint=ace_fp)
-    else:
-        ctx.store.misses += 1
-        ctx.notify("ace:run", workloads=n_workloads)
-        suite = compute_suite()
-        try:
-            ctx.store.save("ace", ace_fp, suite)
-        except Exception:
-            pass
-    ctx.events.append(
-        StageEvent("ace", ace_fp, hit, time.perf_counter() - started)
-    )
 
     from repro.designs.bigcore import map_structure_ports
 
@@ -480,6 +471,17 @@ def _runtime_options(campaign: CampaignSpec):
     )
 
 
+def _memoize_campaign(ctx: PipelineContext, stage: str, fp: str,
+                      compute: Callable[[], Any], campaign: CampaignSpec):
+    """Memoize an sfi/beam campaign. A cache hit would bypass checkpoint/
+    resume, so either one opts out; failed passes veto the save."""
+    return ctx.memoize(
+        stage, fp, compute,
+        cache=not (campaign.checkpoint or campaign.resume),
+        keep=lambda result: not result.failures,
+    )
+
+
 def stage_sfi(
     ctx: PipelineContext,
     design: DesignArtifact,
@@ -513,26 +515,7 @@ def stage_sfi(
             max_cycles=max_cycles, runtime=_runtime_options(campaign),
         )
 
-    # Checkpoint/resume semantics belong to the campaign runtime; a
-    # cache hit would silently bypass them, so opt out entirely.
-    use_cache = not (campaign.checkpoint or campaign.resume)
-    started = time.perf_counter()
-    if use_cache:
-        result = ctx.store.load("sfi", fp)
-        hit = result is not None
-        if hit:
-            ctx.store.hits += 1
-        else:
-            ctx.store.misses += 1
-            result = compute()
-            if not result.failures:
-                try:
-                    ctx.store.save("sfi", fp, result)
-                except Exception:
-                    pass
-    else:
-        result, hit = compute(), False
-    ctx.events.append(StageEvent("sfi", fp, hit, time.perf_counter() - started))
+    result, hit = _memoize_campaign(ctx, "sfi", fp, compute, campaign)
     outcome = CampaignOutcome(
         fingerprint=fp, kind="sfi", result=result,
         injections=len(plans), golden_cycles=golden.cycles, cached=hit,
@@ -572,24 +555,7 @@ def stage_beam(
             workers=campaign.workers, runtime=_runtime_options(campaign),
         )
 
-    use_cache = not (campaign.checkpoint or campaign.resume)
-    started = time.perf_counter()
-    if use_cache:
-        result = ctx.store.load("beam", fp)
-        hit = result is not None
-        if hit:
-            ctx.store.hits += 1
-        else:
-            ctx.store.misses += 1
-            result = compute()
-            if not result.failures:
-                try:
-                    ctx.store.save("beam", fp, result)
-                except Exception:
-                    pass
-    else:
-        result, hit = compute(), False
-    ctx.events.append(StageEvent("beam", fp, hit, time.perf_counter() - started))
+    result, hit = _memoize_campaign(ctx, "beam", fp, compute, campaign)
     outcome = CampaignOutcome(fingerprint=fp, kind="beam", result=result, cached=hit)
     ctx.notify("beam", outcome=outcome)
     return outcome

@@ -107,25 +107,36 @@ class ArtifactStore:
         return path
 
     def fetch(
-        self, stage: str, fingerprint: str, compute: Callable[[], Any]
+        self, stage: str, fingerprint: str, compute: Callable[[], Any],
+        *, keep: Callable[[Any], bool] | None = None,
     ) -> tuple[Any, bool]:
-        """Load the artifact or compute-and-save it; returns (obj, hit)."""
+        """Load the artifact or compute-and-save it; returns (obj, hit).
+
+        A computed artifact is saved only if *keep* (when given) accepts it.
+        """
         obj = self.load(stage, fingerprint)
         if obj is not None:
             self.hits += 1
             return obj, True
         self.misses += 1
         obj = compute()
+        if keep is None or keep(obj):
+            self.persist(stage, fingerprint, obj)
+        return obj, False
+
+    def persist(self, stage: str, fingerprint: str, obj: Any) -> bool:
+        """:meth:`save`, degrading a read-only or full cache dir to a
+        :class:`CacheDegradedWarning`; returns whether *obj* was saved."""
         try:
             self.save(stage, fingerprint, obj)
         except (OSError, pickle.PicklingError) as exc:
-            # A read-only or full cache dir degrades to pass-through.
             warnings.warn(
                 f"could not persist {stage}/{fingerprint[:12]} to "
                 f"{self.root} ({type(exc).__name__}: {exc}); continuing "
                 "without caching",
-                CacheDegradedWarning, stacklevel=2)
-        return obj, False
+                CacheDegradedWarning, stacklevel=3)
+            return False
+        return True
 
     def load_many(
         self, stage: str, fingerprints: list[str]
@@ -204,7 +215,8 @@ class NullStore:
         return {}, 0, len(fingerprints)
 
     def fetch(
-        self, stage: str, fingerprint: str, compute: Callable[[], Any]
+        self, stage: str, fingerprint: str, compute: Callable[[], Any],
+        *, keep: Callable[[Any], bool] | None = None,
     ) -> tuple[Any, bool]:
         self.misses += 1
         return compute(), False

@@ -23,16 +23,23 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.errors import CampaignError
 from repro.netlist.graph import extract_graph
 from repro.rtlsim.simulator import Simulator
-from repro.sfi.campaign import DEFAULT_FAULT_LANES, resolve_lanes_per_pass
-from repro.sfi.results import PassFailure
-from repro.sfi.runtime import RuntimeOptions, campaign_fingerprint, run_passes
+from repro.sfi.campaign import (
+    DEFAULT_FAULT_LANES,
+    DUE,
+    SDC,
+    UNKNOWN,
+    batches,
+    resolve_lanes_per_pass,
+)
+from repro.sfi.lanes import CampaignRuntime, LanePayload, lane_verdicts, run_lane_passes
+from repro.sfi.runtime import RuntimeOptions
 
 
 @dataclass
@@ -58,8 +65,12 @@ class BeamConfig:
 
 
 @dataclass
-class BeamResult:
-    """Measured beam statistics."""
+class BeamResult(CampaignRuntime):
+    """Measured beam statistics.
+
+    The devices of a pass that failed permanently are excluded from
+    ``exposures``.
+    """
 
     sdc_events: int = 0
     due_events: int = 0
@@ -68,14 +79,6 @@ class BeamResult:
     strikes: int = 0
     storage_bits: int = 0
     flux: float = 0.0
-    elapsed_seconds: float = 0.0
-    # Fault-tolerant runtime bookkeeping: passes that failed permanently
-    # (their devices are excluded from `exposures`), pool respawns, and
-    # whether execution degraded to serial / resumed from a checkpoint.
-    failures: list[PassFailure] = field(default_factory=list)
-    pool_restarts: int = 0
-    degraded: bool = False
-    resumed_passes: int = 0
 
     @property
     def sdc_rate_per_cycle(self) -> float:
@@ -165,45 +168,10 @@ def plan_beam_exposures(
     return plans
 
 
-@dataclass
-class _BeamPayload:
-    """Everything a worker process needs to run beam passes on its own."""
-
-    program: list[int]
-    dmem_init: list[int] | None
-    netlist: TinycoreNetlist
-    max_cycles: int
-    count_architectural_state: bool
-
-
-class _BeamContext:
-    def __init__(self, payload: _BeamPayload):
-        self.payload = payload
-        self._sims: dict[int, Simulator] = {}
-
-    def sim_for(self, lanes: int) -> Simulator:
-        sim = self._sims.get(lanes)
-        if sim is None:
-            sim = Simulator(self.payload.netlist.module, lanes=lanes)
-            self._sims[lanes] = sim
-        return sim
-
-
-_BEAM_CTX: _BeamContext | None = None
-
-
-def _init_beam_worker(payload: _BeamPayload) -> None:
-    global _BEAM_CTX
-    _BEAM_CTX = _BeamContext(payload)
-
-
-def _run_beam_pass(group: list[list[BeamStrike]]) -> tuple[int, int, int]:
+def _run_beam_pass(
+    payload: LanePayload, sim: Simulator, group: list[list[BeamStrike]]
+) -> tuple[int, int, int]:
     """Expose one batch of devices; return (sdc_events, due_events, devices)."""
-    ctx = _BEAM_CTX
-    assert ctx is not None, "worker used before initialization"
-    payload = ctx.payload
-    lanes = len(group) + 1
-    sim = ctx.sim_for(lanes)
     strikes_by_cycle: dict[int, list[tuple[BeamStrike, int]]] = {}
     for lane_offset, strikes in enumerate(group):
         for s in strikes:
@@ -216,25 +184,10 @@ def _run_beam_pass(group: list[list[BeamStrike]]) -> tuple[int, int, int]:
             else:
                 simulator.mems[s.target].flip_bit(lane, s.addr, s.bit)
 
-    run = run_gate_level(
-        payload.program, payload.dmem_init, netlist=payload.netlist, sim=sim,
-        max_cycles=payload.max_cycles, on_cycle=strike,
-    )
-    golden_arch = run.architectural_state(0)
-    due_net = payload.netlist.due
-    due_bits = run.sim.peek(due_net) if due_net is not None else 0
-    sdc = due = 0
-    for lane in range(1, lanes):
-        if due_net is not None and (due_bits >> lane) & 1 and not (due_bits & 1):
-            due += 1  # detected: the machine signals
-            continue
-        halted_matches = (lane in run.halted_lanes) == (0 in run.halted_lanes)
-        faulted = run.outputs[lane] != run.outputs[0] or not halted_matches
-        if not faulted and payload.count_architectural_state:
-            faulted = run.architectural_state(lane) != golden_arch
-        if faulted:
-            sdc += 1
-    return sdc, due, lanes - 1
+    verdicts = lane_verdicts(payload.run(sim, strike))
+    # payload.extra is BeamConfig.count_architectural_state.
+    silent = (SDC, UNKNOWN) if payload.extra else (SDC,)
+    return sum(v in silent for v in verdicts), verdicts.count(DUE), len(group)
 
 
 def run_beam_test(
@@ -291,27 +244,14 @@ def run_beam_test(
         config, targets, weights, mem_sizes, bits, golden.cycles
     )
     result.strikes = sum(len(p) for p in exposures)
-    groups = [
-        exposures[i:i + lanes_per_pass]
-        for i in range(0, len(exposures), lanes_per_pass)
-    ]
-    payload = _BeamPayload(
-        program=list(program),
-        dmem_init=list(dmem_init) if dmem_init is not None else None,
-        netlist=netlist,
-        max_cycles=config.max_cycles,
-        count_architectural_state=config.count_architectural_state,
-    )
-    fingerprint = campaign_fingerprint(
-        "beam", payload.program, payload.dmem_init, config.flux,
-        config.exposures, config.seed, config.max_cycles,
-        config.include_arrays, config.include_irom,
-        config.count_architectural_state, config.parity,
-        [len(g) for g in groups],
-    )
-    report = run_passes(
-        _run_beam_pass, _init_beam_worker, payload, groups,
-        workers=workers, options=runtime, fingerprint=fingerprint,
+    report = run_lane_passes(
+        "beam", _run_beam_pass, program, dmem_init, netlist,
+        batches(exposures, lanes_per_pass),
+        (config.flux, config.exposures, config.seed, config.max_cycles,
+         config.include_arrays, config.include_irom,
+         config.count_architectural_state, config.parity),
+        max_cycles=config.max_cycles, workers=workers, runtime=runtime,
+        extra=config.count_architectural_state,
         decode=tuple,  # JSON round-trips the (sdc, due, devices) tuple as a list
     )
     for pass_result in report.results:
@@ -321,12 +261,7 @@ def run_beam_test(
         result.sdc_events += sdc
         result.due_events += due
         result.exposures += devices
-    result.failures = report.failures
-    result.pool_restarts = report.pool_restarts
-    result.degraded = report.degraded
-    result.resumed_passes = report.resumed
-
-    result.elapsed_seconds = time.perf_counter() - started
+    result.absorb(report, started)
     return result
 
 

@@ -50,16 +50,18 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
+from repro.designs.tinycore.core import build_tinycore
+from repro.designs.tinycore.harness import run_gate_level
 from repro.errors import ReproError
 from repro.netlist.cells import input_sensitivities
 from repro.netlist.graph import NetGraph, NodeKind, extract_graph
 from repro.rtlsim.simulator import Simulator
-from repro.sfi.campaign import DEFAULT_FAULT_LANES, resolve_lanes_per_pass
-from repro.sfi.results import PassFailure
-from repro.sfi.runtime import RuntimeOptions, campaign_fingerprint, run_passes
+from repro.sfi.campaign import DEFAULT_FAULT_LANES, batches
+from repro.sfi.lanes import CampaignRuntime, LanePayload, run_lane_passes
+from repro.sfi.runtime import RuntimeOptions
 
 # Capture probability of the "coin flip" terminals under uniform inputs:
 # enabled-DFF d/en/hold paths and every memory pin.
@@ -212,7 +214,7 @@ class MaskTrial:
 
 
 @dataclass
-class MaskingResult:
+class MaskingResult(CampaignRuntime):
     """Measured propagation statistics plus per-trial outcomes.
 
     ``outcomes`` is ordered by trial index and holds one bool per trial
@@ -224,11 +226,6 @@ class MaskingResult:
     propagated: int = 0
     outcomes: tuple[bool, ...] = ()
     cycles: int = 0
-    elapsed_seconds: float = 0.0
-    failures: list[PassFailure] = field(default_factory=list)
-    pool_restarts: int = 0
-    degraded: bool = False
-    resumed_passes: int = 0
 
     def rate(self) -> float:
         """Measured propagation probability (1 - masking rate)."""
@@ -257,39 +254,9 @@ def plan_mask_trials(
     ]
 
 
-@dataclass
-class _MaskPayload:
-    """Everything a worker needs to run masking passes on its own."""
-
-    program: list[int]
-    dmem_init: list[int] | None
-    netlist: object            # TinycoreNetlist
-    max_cycles: int
-    output_nets: tuple[str, ...]
-
-
-class _MaskContext:
-    def __init__(self, payload: _MaskPayload):
-        self.payload = payload
-        self._sims: dict[int, Simulator] = {}
-
-    def sim_for(self, lanes: int) -> Simulator:
-        sim = self._sims.get(lanes)
-        if sim is None:
-            sim = Simulator(self.payload.netlist.module, lanes=lanes)
-            self._sims[lanes] = sim
-        return sim
-
-
-_MASK_CTX: _MaskContext | None = None
-
-
-def _init_mask_worker(payload: _MaskPayload) -> None:
-    global _MASK_CTX
-    _MASK_CTX = _MaskContext(payload)
-
-
-def _run_mask_pass(group: list[MaskTrial]) -> list[list]:
+def _run_mask_pass(
+    payload: LanePayload, sim: Simulator, group: list[MaskTrial]
+) -> list[list]:
     """Run one batch of trials; return ``[index, propagated]`` pairs.
 
     Lane 0 stays golden; each trial owns one fault lane. The flip lands
@@ -298,13 +265,6 @@ def _run_mask_pass(group: list[MaskTrial]) -> list[list]:
     memory divergence is sampled at the next cycle's entry — exactly the
     one-logic-level capture window the analytic model scores.
     """
-    from repro.designs.tinycore.harness import run_gate_level
-
-    ctx = _MASK_CTX
-    assert ctx is not None, "worker used before initialization"
-    payload = ctx.payload
-    lanes = len(group) + 1
-    sim = ctx.sim_for(lanes)
     flips: dict[int, list[tuple[MaskTrial, int]]] = {}
     checks: dict[int, list[tuple[MaskTrial, int]]] = {}
     for offset, trial in enumerate(group):
@@ -324,15 +284,12 @@ def _run_mask_pass(group: list[MaskTrial]) -> list[list]:
             simulator.flip(trial.net, 1 << lane)
             # Combinational capture at a primary output happens within
             # the flip cycle; peeking settles the flipped state.
-            for net in payload.output_nets:
+            for net in payload.extra:  # the primary outputs
                 bits = simulator.peek(net)
                 if ((bits >> lane) ^ bits) & 1:
                     hits[trial.index] = True
 
-    run_gate_level(
-        payload.program, payload.dmem_init, netlist=payload.netlist,
-        sim=sim, max_cycles=payload.max_cycles, on_cycle=on_cycle,
-    )
+    payload.run(sim, on_cycle)
     return [[trial.index, bool(hits.get(trial.index, False))]
             for trial in group]
 
@@ -352,9 +309,6 @@ def measure_masking_mc(
     folded in submission order, so the measurement is bit-identical at
     any ``workers`` count and any ``lanes_per_pass`` grouping.
     """
-    from repro.designs.tinycore.core import build_tinycore
-    from repro.designs.tinycore.harness import run_gate_level
-
     config = config or MaskingConfig()
     if config.trials <= 0:
         raise ReproError("masking measurement needs at least one trial")
@@ -365,25 +319,12 @@ def measure_masking_mc(
     seq_nets = graph.seq_nets()
     golden = run_gate_level(program, dmem_init, netlist=netlist)
     trials = plan_mask_trials(config, seq_nets, golden.cycles)
-    lanes_per_pass = resolve_lanes_per_pass(config.lanes_per_pass)
-    groups = [
-        trials[i:i + lanes_per_pass]
-        for i in range(0, len(trials), lanes_per_pass)
-    ]
-    payload = _MaskPayload(
-        program=list(program),
-        dmem_init=list(dmem_init) if dmem_init is not None else None,
-        netlist=netlist,
-        max_cycles=config.max_cycles,
-        output_nets=tuple(graph.outputs),
-    )
-    fingerprint = campaign_fingerprint(
-        "masking", payload.program, payload.dmem_init, config.trials,
-        config.seed, config.max_cycles, [len(g) for g in groups],
-    )
-    report = run_passes(
-        _run_mask_pass, _init_mask_worker, payload, groups,
-        workers=workers, options=runtime, fingerprint=fingerprint,
+    report = run_lane_passes(
+        "masking", _run_mask_pass, program, dmem_init, netlist,
+        batches(trials, config.lanes_per_pass),
+        (config.trials, config.seed, config.max_cycles),
+        max_cycles=config.max_cycles, workers=workers, runtime=runtime,
+        extra=tuple(graph.outputs),
     )
     result = MaskingResult(cycles=golden.cycles)
     outcome_by_index: dict[int, bool] = {}
@@ -397,9 +338,5 @@ def measure_masking_mc(
     )
     result.trials = len(result.outcomes)
     result.propagated = sum(result.outcomes)
-    result.failures = report.failures
-    result.pool_restarts = report.pool_restarts
-    result.degraded = report.degraded
-    result.resumed_passes = report.resumed
-    result.elapsed_seconds = time.perf_counter() - started
+    result.absorb(report, started)
     return result

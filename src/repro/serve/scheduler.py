@@ -47,6 +47,9 @@ from repro.serve.jobs import (
     replay_journal,
 )
 
+# Base of the jittered exponential delay before a job's retry (seconds).
+_RETRY_BACKOFF = 0.05
+
 
 def job_initializer(payload: object) -> None:
     """Worker-process setup hook (state travels in each task instead)."""
@@ -97,8 +100,6 @@ class JobScheduler:
         queue_limit: int = 32,
         job_timeout: float | None = None,
         max_retries: int = 2,
-        max_pool_restarts: int = 3,
-        retry_backoff: float = 0.05,
         worker=job_worker,
         initializer=job_initializer,
     ):
@@ -110,7 +111,6 @@ class JobScheduler:
         self.queue_limit = max(1, int(queue_limit))
         self.job_timeout = job_timeout
         self.max_retries = max(1, int(max_retries))
-        self.retry_backoff = retry_backoff
         self._worker = worker
         self._initializer = initializer
 
@@ -119,10 +119,7 @@ class JobScheduler:
         self.journal = JobJournal(os.path.join(self.state_dir, "jobs.jsonl"))
 
         from repro.sfi.runtime import ResilientPool
-        self.pool = ResilientPool(
-            initializer, None, workers=workers,
-            max_pool_restarts=max_pool_restarts,
-        )
+        self.pool = ResilientPool(initializer, None, workers=workers)
 
         self._cond = threading.Condition()
         self._queue: deque[Job] = deque()
@@ -273,7 +270,7 @@ class JobScheduler:
             max_retries=self.max_retries,
             timeout=self.job_timeout,
             on_result=on_result,
-            backoff_base=self.retry_backoff,
+            backoff_base=_RETRY_BACKOFF,
         )
         for failure in failures:
             self._fail(batch[failure.index],

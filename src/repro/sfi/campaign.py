@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro.errors import CampaignError
 from repro.rtlsim.simulator import MAX_LANES
+
+_PLAN = TypeVar("_PLAN")
 
 #: Fault lanes per simulator pass when a campaign does not choose: with
 #: the golden lane a pass carries 64 lanes, one machine word.
@@ -105,10 +107,10 @@ def resolve_lanes_per_pass(lanes_per_pass: int | None) -> int:
 
 
 def batches(
-    plans: Iterable[FaultPlan],
+    plans: Iterable[_PLAN],
     lanes_per_pass: int | None = DEFAULT_FAULT_LANES,
-) -> list[list[FaultPlan]]:
-    """Split plans into simulator passes (lane 0 stays golden).
+) -> list[list[_PLAN]]:
+    """Split planned trials into simulator passes (lane 0 stays golden).
 
     The batch width is validated by :func:`resolve_lanes_per_pass`;
     ``lanes_per_pass=None`` selects :data:`DEFAULT_FAULT_LANES`.

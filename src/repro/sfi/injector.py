@@ -5,10 +5,11 @@ fault lanes (63 by default); each fault lane gets its planned bit flip
 at its planned cycle. After lane 0 halts, every fault lane is
 classified against the golden lane.
 
-Passes are independent, so campaigns fan out across worker processes:
-each worker compiles its own simulator once and streams classified
-:class:`InjectionOutcome` batches back. Results are reassembled in plan
-order, so a fixed seed gives identical outcomes at any worker count.
+Passes are independent, so campaigns fan out across worker processes
+through :func:`repro.sfi.lanes.run_lane_passes`, and every lane gets the
+shared :func:`repro.sfi.lanes.lane_verdicts` rule. Results are
+reassembled in plan order, so a fixed seed gives identical outcomes at
+any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
-from repro.designs.tinycore.harness import GateLevelRun, run_gate_level
 from repro.errors import CampaignError
 from repro.rtlsim.simulator import Simulator
 from repro.sfi.campaign import (
@@ -31,30 +31,23 @@ from repro.sfi.campaign import (
     InjectionOutcome,
     batches,
 )
-from repro.sfi.results import PassFailure
-from repro.sfi.runtime import RuntimeOptions, campaign_fingerprint, run_passes
+from repro.sfi.lanes import CampaignRuntime, LanePayload, lane_verdicts, run_lane_passes
+from repro.sfi.runtime import RuntimeOptions
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(CampaignRuntime):
     """All outcomes of one SFI campaign plus bookkeeping.
 
-    ``failures`` holds structured records for passes that failed
-    permanently (crash after the retry budget, or soft timeout); their
-    planned injections are simply absent from ``outcomes``. ``resumed
-    _passes``/``pool_restarts``/``degraded`` report what the
-    fault-tolerant runtime had to do to finish the campaign.
+    The planned injections of a pass that failed permanently (see
+    :class:`~repro.sfi.lanes.CampaignRuntime`) are simply absent from
+    ``outcomes``.
     """
 
     outcomes: list[InjectionOutcome] = field(default_factory=list)
     passes: int = 0
     simulated_cycles: int = 0
-    elapsed_seconds: float = 0.0
     workers: int = 1
-    failures: list[PassFailure] = field(default_factory=list)
-    pool_restarts: int = 0
-    degraded: bool = False
-    resumed_passes: int = 0
 
     def counts(self) -> dict[str, int]:
         out = {MASKED: 0, SDC: 0, UNKNOWN: 0, DUE: 0}
@@ -100,45 +93,10 @@ class CampaignResult:
         }
 
 
-@dataclass
-class _SfiPayload:
-    """Everything a worker process needs to run passes on its own."""
-
-    program: list[int]
-    dmem_init: list[int] | None
-    netlist: TinycoreNetlist
-    max_cycles: int
-
-
-class _SfiContext:
-    """Per-process simulator cache (one compile per lane count)."""
-
-    def __init__(self, payload: _SfiPayload):
-        self.payload = payload
-        self._sims: dict[int, Simulator] = {}
-
-    def sim_for(self, lanes: int) -> Simulator:
-        sim = self._sims.get(lanes)
-        if sim is None:
-            sim = Simulator(self.payload.netlist.module, lanes=lanes)
-            self._sims[lanes] = sim
-        return sim
-
-
-_SFI_CTX: _SfiContext | None = None
-
-
-def _init_sfi_worker(payload: _SfiPayload) -> None:
-    global _SFI_CTX
-    _SFI_CTX = _SfiContext(payload)
-
-
-def _run_sfi_batch(batch: Sequence[FaultPlan]) -> tuple[list[InjectionOutcome], int]:
+def _run_sfi_pass(
+    payload: LanePayload, sim: Simulator, batch: Sequence[FaultPlan]
+) -> tuple[list[InjectionOutcome], int]:
     """Execute one simulator pass and classify its injections."""
-    ctx = _SFI_CTX
-    assert ctx is not None, "worker used before initialization"
-    payload = ctx.payload
-    sim = ctx.sim_for(len(batch) + 1)
     by_cycle: dict[int, list[tuple[str, int]]] = {}
     for lane_offset, plan in enumerate(batch):
         by_cycle.setdefault(plan.cycle, []).append((plan.net, 1 << (lane_offset + 1)))
@@ -147,11 +105,12 @@ def _run_sfi_batch(batch: Sequence[FaultPlan]) -> tuple[list[InjectionOutcome], 
         for net, lane_mask in by_cycle.get(cycle, ()):
             simulator.flip(net, lane_mask)
 
-    run = run_gate_level(
-        payload.program, payload.dmem_init, max_cycles=payload.max_cycles,
-        netlist=payload.netlist, sim=sim, on_cycle=inject,
-    )
-    return _classify_batch(run, batch), run.cycles
+    run = payload.run(sim, inject)
+    verdicts = lane_verdicts(run, latent=True)
+    return [
+        InjectionOutcome(plan=plan, outcome=verdict)
+        for plan, verdict in zip(batch, verdicts)
+    ], run.cycles
 
 
 def _encode_sfi_pass(result: tuple[list[InjectionOutcome], int]) -> list:
@@ -205,20 +164,11 @@ def run_sfi_campaign(
         if plan.net not in known:
             raise CampaignError(f"fault plan targets unknown net {plan.net!r}")
 
-    plan_batches = batches(plans, lanes_per_pass)
-    payload = _SfiPayload(
-        program=list(program),
-        dmem_init=list(dmem_init) if dmem_init is not None else None,
-        netlist=netlist,
-        max_cycles=max_cycles,
-    )
-    fingerprint = campaign_fingerprint(
-        "sfi", payload.program, payload.dmem_init, max_cycles,
-        [(p.net, p.cycle) for p in plans], [len(b) for b in plan_batches],
-    )
-    report = run_passes(
-        _run_sfi_batch, _init_sfi_worker, payload, plan_batches,
-        workers=workers, options=runtime, fingerprint=fingerprint,
+    report = run_lane_passes(
+        "sfi", _run_sfi_pass, program, dmem_init, netlist,
+        batches(plans, lanes_per_pass),
+        (max_cycles, [(p.net, p.cycle) for p in plans]),
+        max_cycles=max_cycles, workers=workers, runtime=runtime,
         encode=_encode_sfi_pass, decode=_decode_sfi_pass,
     )
     result = CampaignResult(workers=max(1, workers))
@@ -229,35 +179,6 @@ def run_sfi_campaign(
         result.passes += 1
         result.simulated_cycles += cycles
         result.outcomes.extend(outcomes)
-    result.failures = report.failures
-    result.pool_restarts = report.pool_restarts
-    result.degraded = report.degraded
-    result.resumed_passes = report.resumed
-    result.elapsed_seconds = time.perf_counter() - started
+    result.absorb(report, started)
     return result
 
-
-def _classify_batch(run: GateLevelRun, batch: Sequence[FaultPlan]) -> list[InjectionOutcome]:
-    golden_arch = run.architectural_state(0)
-    latent_lanes = run.sim.lanes_differing_from(0)
-    due_net = run.netlist.due
-    due_bits = run.sim.peek(due_net) if due_net is not None else 0
-    outcomes = []
-    for lane_offset, plan in enumerate(batch):
-        lane = lane_offset + 1
-        arch = run.architectural_state(lane)
-        halted_matches = (lane in run.halted_lanes) == (0 in run.halted_lanes)
-        if due_net is not None and (due_bits >> lane) & 1 and not (due_bits & 1):
-            # Detection fired in this replica (and not in the golden run):
-            # the machine signals the error — detected, not silent.
-            outcome = DUE
-        elif arch[0] != golden_arch[0] or not halted_matches:
-            outcome = SDC  # visible at the program outputs
-        elif arch[1:] != golden_arch[1:]:
-            outcome = UNKNOWN  # architectural state still corrupted
-        elif lane in latent_lanes:
-            outcome = UNKNOWN  # microarchitectural state still corrupted
-        else:
-            outcome = MASKED
-        outcomes.append(InjectionOutcome(plan=plan, outcome=outcome))
-    return outcomes

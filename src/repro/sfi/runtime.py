@@ -4,7 +4,8 @@ SFI and beam campaigns run thousands of independent passes; at that scale
 the campaign infrastructure itself becomes the dominant failure mode —
 worker processes die, single passes hang, and a multi-hour run that
 aborts on the first straggler loses everything it already computed. This
-module hardens the fan-out layer that :mod:`repro.sfi.parallel` exposes:
+module hardens the process-pool fan-out that the lane-campaign runner
+(:mod:`repro.sfi.lanes`) and the job server run on:
 
 * **Durable checkpointing** — every completed pass is appended to a
   versioned JSONL checkpoint file and flushed immediately, so an
@@ -119,8 +120,6 @@ class RuntimeOptions:
     resume: str | None = None
     max_pool_restarts: int = 3
     retry_backoff: float = 0.05
-    retry_backoff_cap: float = 2.0
-    retry_backoff_seed: int = 0
 
 
 @dataclass
@@ -346,8 +345,6 @@ class ResilientPool:
         timeout: float | None = None,
         on_result: Callable[[int, Any], None] | None = None,
         backoff_base: float = 0.0,
-        backoff_cap: float = 2.0,
-        backoff_seed: int = 0,
     ) -> list[PassFailure]:
         """Run ``fn(tasks[i])`` for every index, surviving failures.
 
@@ -371,10 +368,7 @@ class ResilientPool:
             return failures
 
         def retry_ready(index: int, attempt: int) -> float:
-            return time.monotonic() + backoff_delay(
-                index, attempt,
-                base=backoff_base, cap=backoff_cap, seed=backoff_seed,
-            )
+            return time.monotonic() + backoff_delay(index, attempt, base=backoff_base)
 
         def fail(index: int, attempts: int, kind: str, message: str) -> None:
             failures.append(
@@ -564,13 +558,14 @@ def run_passes(
 ) -> RunReport:
     """Execute every pass with checkpointing, retry, and timeouts.
 
-    The hardened replacement for :func:`repro.sfi.parallel.parallel_map`:
-    instead of a bare result list it returns a :class:`RunReport` whose
-    ``results`` are ordered by pass index (``None`` for permanent
-    failures). *encode*/*decode* translate one pass result to/from a
-    JSON-serializable payload for the checkpoint file; omit them when
-    results already are (lists/ints — note JSON round-trips tuples into
-    lists, so tuple results need a ``decode``).
+    *initializer(payload)* builds per-process state once per worker (and
+    once in this process on the serial path); *worker* and *initializer*
+    must be module-level so pools pickle them. The returned
+    :class:`RunReport` has ``results`` ordered by pass index (``None``
+    for permanent failures). *encode*/*decode* translate one pass result
+    to/from a JSON-serializable payload for the checkpoint file; omit
+    them when results already are (lists/ints — note JSON round-trips
+    tuples into lists, so tuple results need a ``decode``).
     """
     opts = options or RuntimeOptions()
     work = list(items)
@@ -622,8 +617,6 @@ def run_passes(
             timeout=opts.pass_timeout,
             on_result=on_result,
             backoff_base=opts.retry_backoff,
-            backoff_cap=opts.retry_backoff_cap,
-            backoff_seed=opts.retry_backoff_seed,
         )
     finally:
         # Flush-and-release even on KeyboardInterrupt: whatever completed

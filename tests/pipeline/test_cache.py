@@ -2,12 +2,17 @@
 
 import re
 
+import pytest
+
 from repro.cli import main
+from repro.errors import CacheDegradedWarning
 from repro.pipeline import (
     ArtifactStore,
+    BeamSpec,
     CampaignSpec,
     DeratingSpec,
     RunSpec,
+    SartSpec,
     SfiSpec,
     WorkloadsSpec,
     execute,
@@ -160,3 +165,43 @@ def test_checkpoint_bypasses_campaign_cache(tmp_path):
     # golden may hit, but the campaign itself must re-run
     assert not outcome.sfi.cached
     assert "sfi" not in {s for s, _ in ArtifactStore(cache).entries()}
+
+
+@pytest.mark.parametrize("spec, persisted", [
+    (RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True),
+             sfi=SfiSpec(injections=12, seed=1),
+             beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
+             campaign=CampaignSpec(lanes_per_pass=8)),
+     {"golden", "ports", "plan", "sfi", "beam"}),
+    (RunSpec(design="bigcore@scale=0.1",
+             workloads=WorkloadsSpec(per_class=1, length=400)),
+     {"ace", "plan", "fubsol"}),
+], ids=["tinycore-campaigns", "bigcore-ace"])
+def test_unwritable_cache_dir_warns_for_every_computed_stage(
+        tmp_path, spec, persisted):
+    # A plain file where the cache directory should be: every save fails.
+    root = tmp_path / "cache"
+    root.write_text("not a directory")
+    with pytest.warns(CacheDegradedWarning) as caught:
+        outcome = execute(spec, store=ArtifactStore(root))
+    warned = {match.group(1) for w in caught
+              if (match := re.match(r"could not persist (\w+)/", str(w.message)))}
+    assert warned == persisted
+    # Only the design and the whole-design solve are never persisted.
+    assert {e.stage for e in outcome.events} - {"design", "sart"} <= warned
+
+
+def test_campaign_with_failed_pass_is_not_cached(tmp_path, monkeypatch):
+    import repro.sfi.injector as injector
+
+    def broken(payload, sim, batch):
+        raise RuntimeError("injected pass failure")
+
+    monkeypatch.setattr(injector, "_run_sfi_pass", broken)
+    spec = RunSpec(design="tinycore:fib", sfi=SfiSpec(injections=10, seed=1),
+                   campaign=CampaignSpec(max_retries=1))
+    cache = tmp_path / "cache"
+    outcome = execute(spec, store=ArtifactStore(cache))
+    assert len(outcome.sfi.result.failures) == 1
+    stages = {stage for stage, _ in ArtifactStore(cache).entries()}
+    assert "golden" in stages and "sfi" not in stages

@@ -91,6 +91,15 @@ def test_fetch_counts_hits_and_misses(tmp_path):
     assert (store.hits, store.misses) == (1, 1)
 
 
+def test_fetch_keep_vetoes_the_save(tmp_path):
+    store = ArtifactStore(tmp_path)
+    obj, hit = store.fetch("sfi", FP, lambda: "partial", keep=lambda obj: False)
+    assert (obj, hit) == ("partial", False)
+    assert store.entries() == []
+    store.fetch("sfi", FP, lambda: "whole", keep=lambda obj: True)
+    assert store.entries() == [("sfi", FP)]
+
+
 def test_metadata_sidecar(tmp_path):
     import json
 

@@ -20,7 +20,7 @@ from repro.sfi.campaign import (
     resolve_lanes_per_pass,
 )
 from repro.sfi.injector import run_sfi_campaign
-from repro.sfi.parallel import parallel_map, resolve_workers
+from repro.sfi.runtime import resolve_workers, run_passes
 
 
 def _fib():
@@ -87,18 +87,21 @@ class TestLanesPerPass:
 
 
 class TestParallelMap:
+    """The pass runner maps one worker over the passes, in pass order."""
+
     def test_serial_path_runs_initializer_in_process(self):
         seen = []
 
         def init(payload):
             seen.append(payload)
 
-        results = parallel_map(str, init, "ctx", [1, 2, 3], workers=1)
-        assert results == ["1", "2", "3"]
+        report = run_passes(str, init, "ctx", [1, 2, 3], workers=1)
+        assert report.results == ["1", "2", "3"]
         assert seen == ["ctx"]
 
     def test_empty_items(self):
-        assert parallel_map(str, lambda p: None, None, [], workers=4) == []
+        report = run_passes(str, lambda p: None, None, [], workers=4)
+        assert report.results == [] and report.ok
 
     def test_resolve_workers_normalizes_to_serial(self):
         assert resolve_workers(1) == 1

@@ -16,9 +16,8 @@ import warnings
 
 import pytest
 
-from repro.errors import CampaignError, CheckpointError
+from repro.errors import CheckpointError
 from repro.sfi import plan_campaign, run_sfi_campaign
-from repro.sfi.parallel import parallel_map
 from repro.sfi.results import CRASH, TIMEOUT, PassFailure
 from repro.sfi.runtime import (
     DegradedExecutionWarning,
@@ -97,19 +96,6 @@ class TestWorkerLoss:
         assert "ChaosCrash" in failure.error
         # ...while every other pass still completed.
         assert report.results == EXPECT[:3] + [None, 16, 25]
-
-    def test_parallel_map_contract_raises_on_permanent_failure(self, tmp_path):
-        plan = _chaos(tmp_path, raises={1: 99})
-        with pytest.raises(CampaignError, match="failed permanently"):
-            parallel_map(chaos_worker, chaos_init, plan, list(range(4)),
-                         workers=2, max_retries=2)
-
-    def test_parallel_map_survives_one_crash(self, tmp_path):
-        # The previously `pragma: no cover` BrokenProcessPool path: a dead
-        # worker no longer aborts the map, it respawns and recomputes.
-        plan = _chaos(tmp_path, crash={0: 1})
-        assert parallel_map(chaos_worker, chaos_init, plan, list(range(4)),
-                            workers=2) == [0, 1, 4, 9]
 
 
 class TestTimeouts:
@@ -217,22 +203,26 @@ class TestCheckpoint:
         assert sorted(rec["pass"] for rec in lines[1:]) == [0, 1, 2, 3, 4]
 
 
+def _fib_campaign(seed: int):
+    """fib's program, dmem, netlist and a 40-injection plan list."""
+    from repro.designs.tinycore.core import build_tinycore
+    from repro.designs.tinycore.harness import run_gate_level
+    from repro.designs.tinycore.programs import default_dmem, program
+    from repro.netlist.graph import extract_graph
+
+    words, dmem = program("fib"), default_dmem("fib")
+    netlist = build_tinycore(words, dmem)
+    golden = run_gate_level(words, dmem, netlist=netlist)
+    seqs = extract_graph(netlist.module).seq_nets()
+    return words, dmem, netlist, plan_campaign(seqs, golden.cycles - 2, 40, seed=seed)
+
+
 class TestCampaignResumeEquivalence:
     """Acceptance: interrupted+resumed campaigns match uninterrupted ones."""
 
     @pytest.fixture(scope="class")
     def fib_campaign(self):
-        from repro.designs.tinycore.core import build_tinycore
-        from repro.designs.tinycore.harness import run_gate_level
-        from repro.designs.tinycore.programs import default_dmem, program
-        from repro.netlist.graph import extract_graph
-
-        words, dmem = program("fib"), default_dmem("fib")
-        netlist = build_tinycore(words, dmem)
-        golden = run_gate_level(words, dmem, netlist=netlist)
-        seqs = extract_graph(netlist.module).seq_nets()
-        plans = plan_campaign(seqs, golden.cycles - 2, 40, seed=11)
-        return words, dmem, netlist, plans
+        return _fib_campaign(seed=11)
 
     @staticmethod
     def _sig(campaign):
@@ -281,22 +271,22 @@ class TestCampaignResumeEquivalence:
         import repro.sfi.injector as injector
 
         words, dmem, netlist, plans = fib_campaign
-        original = injector._run_sfi_batch
+        original = injector._run_sfi_pass
 
         # Deterministic: the worker blows up on the second batch only
         # (workers=1 keeps it in-process, no pickling of the closure).
-        def crashy(batch):
+        def crashy(payload, sim, batch):
             if batch[0] in plans[10:20]:  # the second 10-plan batch
                 raise RuntimeError("injected batch failure")
-            return original(batch)
+            return original(payload, sim, batch)
 
-        injector._run_sfi_batch = crashy
+        injector._run_sfi_pass = crashy
         try:
             result = run_sfi_campaign(words, dmem, plans, netlist=netlist,
                                       lanes_per_pass=10, workers=1,
                                       runtime=RuntimeOptions(max_retries=2))
         finally:
-            injector._run_sfi_batch = original
+            injector._run_sfi_pass = original
         [failure] = result.failures
         assert failure.index == 1 and failure.attempts == 2
         assert result.passes == 3               # the other three completed
@@ -356,3 +346,43 @@ class TestRetryBackoff:
         assert attempts_of(plan, 2) == 3
         # Two backoff waits (attempts 2 and 3): floors 0.1 + 0.2.
         assert elapsed >= 0.25
+
+
+class TestCheckpointCompatibility:
+    """Checkpoint fingerprints are pinned: a checkpoint written by an
+    earlier version of the campaign code must keep resuming."""
+
+    @pytest.fixture(scope="class")
+    def fib(self):
+        return _fib_campaign(seed=5)
+
+    @staticmethod
+    def _header_fingerprint(path) -> str:
+        with open(path) as handle:
+            return json.loads(handle.readline())["fingerprint"]
+
+    def test_sfi_fingerprint(self, tmp_path, fib):
+        words, dmem, netlist, plans = fib
+        ck = tmp_path / "sfi.jsonl"
+        run_sfi_campaign(words, dmem, plans, netlist=netlist, lanes_per_pass=10,
+                         runtime=RuntimeOptions(checkpoint=str(ck)))
+        assert self._header_fingerprint(ck) == "e9192040364150e2"
+
+    def test_beam_fingerprint(self, tmp_path, fib):
+        from repro.ser.beam import BeamConfig, run_beam_test
+
+        words, dmem, _netlist, _plans = fib
+        ck = tmp_path / "beam.jsonl"
+        config = BeamConfig(flux=5e-5, exposures=24, seed=9, lanes_per_pass=8)
+        run_beam_test(words, dmem, config, runtime=RuntimeOptions(checkpoint=str(ck)))
+        assert self._header_fingerprint(ck) == "e5b3159266ef8e66"
+
+    def test_masking_fingerprint(self, tmp_path, fib):
+        from repro.ser.derating import MaskingConfig, measure_masking_mc
+
+        words, dmem, netlist, _plans = fib
+        ck = tmp_path / "masking.jsonl"
+        config = MaskingConfig(trials=40, seed=3, lanes_per_pass=10)
+        measure_masking_mc(words, dmem, config, netlist=netlist,
+                           runtime=RuntimeOptions(checkpoint=str(ck)))
+        assert self._header_fingerprint(ck) == "8631e006b96bde40"

@@ -9,10 +9,11 @@ what dominates a Figure-8 sweep once the plan is cached.
 
 This module evaluates **all W environments in one matrix pass**:
 
-* :class:`BatchedEvaluator` extends the :class:`~repro.core.compiled.
-  SetEvaluator` kernel with a trailing environment axis — each padded-
-  width bucket becomes a ``(sets, width, W)`` array halved along the
-  middle axis. Element-wise IEEE adds keep every column's reduction tree
+* :class:`BatchedEvaluator` runs the :class:`~repro.core.compiled.
+  SetEvaluator` kernel (:func:`~repro.core.compiled.gather_halve`) with
+  one atom-value column per environment — each padded-width bucket
+  gathers into a ``(sets, width, W)`` array halved along the middle
+  axis. Element-wise IEEE adds keep every column's reduction tree
   identical to the per-environment evaluator's, so values are
   bit-identical per workload by construction.
 * :func:`solve_batched` resolves the ``(nodes, W)`` AVF matrix (Table 1
@@ -28,19 +29,19 @@ no batching speedup.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.compiled import (
     HAVE_NUMPY,
     _MODE_ATOM,
-    _MODE_MIN,
     _MODE_STRUCT,
+    AtomTable,
     SetEvaluator,
     SolvePlan,
     resolve_ids,
 )
-from repro.core.pavf import Atom, PavfEnv, SetInterner
+from repro.core.pavf import LOOP, Atom, PavfEnv, SetInterner
 from repro.core.report import DesignReport, FubReport, fub_report
 from repro.core.resolve import NodeAvf, ROLE_STRUCT
 from repro.netlist.graph import NodeKind
@@ -50,6 +51,7 @@ try:  # pragma: no cover - numpy presence is environment-dependent
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
+_EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
 
 
@@ -58,9 +60,10 @@ class BatchedEvaluator:
 
     ``matrix(sids)`` returns a ``(len(sids), W)`` float array whose
     column *w* is bit-identical to ``SetEvaluator(interner, envs[w])``
-    values for the same ids (same balanced reduction tree per set, see
-    the SetEvaluator docstring). Ids below 0 evaluate to 1.0, matching
-    the unvisited convention of :func:`~repro.core.compiled.resolve_ids`.
+    values for the same ids: both run :func:`~repro.core.compiled.
+    gather_halve`, here with one table column per environment. Ids below
+    0 evaluate to 1.0, matching the unvisited convention of
+    :func:`~repro.core.compiled.resolve_ids`.
     """
 
     def __init__(
@@ -74,12 +77,14 @@ class BatchedEvaluator:
         self.envs = list(envs)
         self.width = len(self.envs)
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
-        self._rows: dict[int, object] = {}
-        self._atom_rows: dict[Atom, object] = {}
         if self.use_numpy:
-            # Seed EMPTY and TOP like SetEvaluator (they have no atom rows).
-            self._rows[SetInterner.EMPTY_ID] = _np.zeros(self.width)
-            self._rows[SetInterner.TOP_ID] = _np.ones(self.width)
+            self._table = AtomTable(interner, self.envs)
+            # One dense row of W values per set id, valid where filled;
+            # EMPTY and TOP are seeded like SetEvaluator's.
+            self._vals = _np.zeros((len(interner), self.width), dtype=_np.float64)
+            self._vals[_TOP_ID] = 1.0
+            self._filled = _np.zeros(len(interner), dtype=bool)
+            self._filled[[_EMPTY_ID, _TOP_ID]] = True
         # Fallback path: one scalar evaluator per environment.
         self._scalar = (
             None
@@ -87,47 +92,26 @@ class BatchedEvaluator:
             else [SetEvaluator(interner, env, use_numpy=False) for env in self.envs]
         )
 
-    def _atom_row(self, atom: Atom):
-        row = self._atom_rows.get(atom)
-        if row is None:
-            row = _np.array([env.lookup(atom) for env in self.envs], dtype=_np.float64)
-            self._atom_rows[atom] = row
-        return row
-
     def _fill(self, sids) -> None:
-        rows = self._rows
-        pending = sorted({int(s) for s in sids if s >= 0 and int(s) not in rows})
-        if not pending:
-            return
-        sorted_atoms = self.interner.sorted_atoms
-        atom_row = self._atom_row
-        buckets: dict[int, tuple[list[int], list[tuple[Atom, ...]]]] = {}
-        for sid in pending:
-            atoms = sorted_atoms(sid)
-            k = len(atoms)
-            width = k if not (k & (k - 1)) else 1 << k.bit_length()
-            ids, atom_lists = buckets.setdefault(width, ([], []))
-            ids.append(sid)
-            atom_lists.append(atoms)
-        for width, (ids, atom_lists) in buckets.items():
-            arr = _np.zeros((len(ids), width, self.width), dtype=_np.float64)
-            for i, atoms in enumerate(atom_lists):
-                for j, atom in enumerate(atoms):
-                    arr[i, j, :] = atom_row(atom)
-            while arr.shape[1] > 1:
-                arr = arr[:, 0::2, :] + arr[:, 1::2, :]
-            capped = _np.minimum(arr[:, 0, :], 1.0)
-            for i, sid in enumerate(ids):
-                rows[sid] = capped[i]
+        grow = len(self.interner) - len(self._filled)
+        if grow > 0:
+            self._vals = _np.concatenate(
+                (self._vals, _np.zeros((grow, self.width), dtype=_np.float64))
+            )
+            self._filled = _np.concatenate((self._filled, _np.zeros(grow, dtype=bool)))
+        wanted = _np.zeros(len(self._filled), dtype=bool)
+        wanted[sids[sids >= 0]] = True
+        pending = _np.flatnonzero(wanted & ~self._filled)
+        if len(pending):
+            self._vals[pending] = self._table.values(pending)
+            self._filled[pending] = True
 
     def matrix(self, sids: Sequence[int]):
         """``(len(sids), W)`` values; requires numpy."""
+        sids = _np.asarray(sids, dtype=_np.int64)
         self._fill(sids)
-        rows = self._rows
-        out = _np.ones((len(sids), self.width), dtype=_np.float64)
-        for i, sid in enumerate(sids):
-            if sid >= 0:
-                out[i] = rows[int(sid)]
+        out = self._vals[_np.maximum(sids, 0)]
+        out[sids < 0] = 1.0
         return out
 
     def value(self, sid: int, w: int) -> float:
@@ -136,8 +120,7 @@ class BatchedEvaluator:
             return 1.0
         if not self.use_numpy:
             return self._scalar[w].value(sid)
-        self._fill((sid,))
-        return float(self._rows[int(sid)][w])
+        return float(self.matrix((sid,))[0, w])
 
 
 @dataclass
@@ -291,8 +274,9 @@ def solve_batched(
         measured = ports.avf if ports is not None else None
         if measured is not None:
             avf[nids, :] = measured
-    for atom, nids in meta.atom_groups.items():
-        avf[nids, :] = bev._atom_row(atom)
+    atom_vals = bev._table.atom_values(list(meta.atom_groups))
+    for i, nids in enumerate(meta.atom_groups.values()):
+        avf[nids, :] = atom_vals[i]
 
     n_fubs = plan.n_fubs
     width = len(envs)
@@ -368,15 +352,21 @@ def sweep_batched(
 
     Each sweep point's environment is exactly what the per-point path
     binds (``build_env(plan.model, SartConfig(loop_pavf=value, ...))``),
-    so the batched reports match per-point ``run_sart`` results.
+    so the batched reports match per-point ``run_sart`` results. The
+    points differ only in the LOOP kind default, so the structure and
+    boundary bindings are made once and each point re-binds that default
+    on a copy.
     """
     from repro.core.sart import SartConfig, build_env
 
     if config is None:
         config = SartConfig()
-    envs = [
-        build_env(plan.model, replace(config, loop_pavf=value)) for value in values
-    ]
+    base = build_env(plan.model, config)
+    envs = []
+    for value in values:
+        env = base.copy()
+        env.bind_kind(LOOP, value)
+        envs.append(env)
     return solve_batched(
         plan,
         envs,

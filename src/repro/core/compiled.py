@@ -23,9 +23,11 @@ imported boundary values changed in the previous merge.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
-trace; it uses numpy segmented sums when the ``[numpy]`` extra is
-installed and a pure-Python loop otherwise, with bit-identical results
-(both sum the same atoms in the same stable order).
+trace. With the ``[numpy]`` extra installed it runs :func:`gather_halve`,
+which gathers atom values through the interner's sorted atom-id rows and
+halves them pairwise (the batched sweep runs the same kernel with one
+column per environment); otherwise a pure-Python loop sums the same atoms
+in the same order through the same tree, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -81,6 +83,76 @@ _MODE_STRUCT = 1   # measured structure AVF when available, else MIN
 _MODE_ATOM = 2     # injected atom value (loop boundaries, control regs)
 
 
+def gather_halve(interner: SetInterner, sids, table):
+    """Capped tree sums of sets *sids* under the columns of *table*.
+
+    *sids* is an int64 array of set ids whose rows
+    (:meth:`SetInterner.build_rows`) are built; *table* is an
+    ``(atoms + 1, W)`` float array of atom values whose last row is
+    zeros. Sets are grouped by padded width (their size, rounded up to a
+    power of two); each group gathers its atom values through the row
+    columns into an ``(n, width, W)`` array, zero-padded by pointing the
+    spare slots at the last table row, and halves it pairwise down to
+    one value per set and column. Returns ``(len(sids), W)`` values
+    capped at 1.0.
+    """
+    out = _np.empty((len(sids), table.shape[1]), dtype=_np.float64)
+    zero = len(table) - 1
+    # Views of the row columns live only inside this call: an ``array``
+    # that exports its buffer cannot grow.
+    starts = _np.frombuffer(interner.row_start, dtype=_np.int64)[sids]
+    lens = _np.frombuffer(interner.row_len, dtype=_np.int32)[sids]
+    flat = _np.frombuffer(interner.row_ids, dtype=_np.int32)
+    last = len(flat) - 1
+    # log2 of the padded width; frexp is exact on these small integers.
+    exps = _np.frexp(_np.maximum(lens, 1) - 1)[1]
+    for exp in _np.flatnonzero(_np.bincount(exps)).tolist():
+        group = _np.flatnonzero(exps == exp)
+        cols = _np.arange(1 << exp, dtype=_np.int64)
+        gather = flat[_np.minimum(starts[group, None] + cols, last)]
+        gather[cols >= lens[group, None]] = zero
+        level = table[gather]
+        while level.shape[1] > 1:
+            level = level[:, 0::2] + level[:, 1::2]
+        out[group] = _np.minimum(level[:, 0], 1.0)
+    return out
+
+
+class AtomTable:
+    """Atom values of W environments, laid out for :func:`gather_halve`.
+
+    Row *i* holds the values of ``interner.atoms[i]`` under each
+    environment; the last row is the zero pad. Rows are looked up once
+    per distinct atom and appended as the interner's atom table grows.
+    """
+
+    def __init__(self, interner: SetInterner, envs: Sequence[PavfEnv]):
+        self.interner = interner
+        self.envs = list(envs)
+        self.table = _np.zeros((1, len(self.envs)), dtype=_np.float64)
+
+    def _sync(self):
+        have = len(self.table) - 1
+        fresh = self.interner.atoms[have:]
+        if fresh:
+            new = _np.array(
+                [list(map(env.lookup, fresh)) for env in self.envs],
+                dtype=_np.float64,
+            ).reshape(len(self.envs), len(fresh))
+            self.table = _np.concatenate((self.table[:have], new.T, self.table[have:]))
+        return self.table
+
+    def values(self, sids):
+        """``(len(sids), W)`` values of set ids *sids* (all >= 0)."""
+        self.interner.build_rows(sids.tolist())
+        return gather_halve(self.interner, sids, self._sync())
+
+    def atom_values(self, atoms: Sequence[Atom]):
+        """``(len(atoms), W)`` values of *atoms* themselves."""
+        ids = [self.interner.atom_id(atom) for atom in atoms]
+        return self._sync()[_np.asarray(ids, dtype=_np.int64)]
+
+
 class SetEvaluator:
     """Numeric values of interned pAVF sets under one environment.
 
@@ -91,12 +163,12 @@ class SetEvaluator:
     balanced binary tree (pairwise halving, zero-padded to a power of
     two). Element-wise IEEE additions are exact and ``x + 0.0 == x`` for
     the non-negative values involved, so the tree's rounding is fully
-    determined by its shape — the vectorized numpy path (one batched
-    halving loop per size bucket) and the pure-Python fallback are
-    bit-identical by construction, and a value never depends on how
-    ``fill`` batches were formed. (A left-to-right ``reduceat`` sum would
-    NOT be reproducible: numpy's reductions use SIMD partial
-    accumulators with version-dependent rounding order.)
+    determined by its shape — the vectorized numpy path
+    (:func:`gather_halve` with one environment column) and the
+    pure-Python fallback are bit-identical by construction, and a value
+    never depends on how ``fill`` batches were formed. (A left-to-right
+    ``reduceat`` sum would NOT be reproducible: numpy's reductions use
+    SIMD partial accumulators with version-dependent rounding order.)
     """
 
     def __init__(
@@ -107,6 +179,7 @@ class SetEvaluator:
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
         self._vals: list[float | None] = [0.0, 1.0]  # EMPTY, TOP
         self._atom_vals: dict[Atom, float] = {}
+        self._table = AtomTable(interner, (env,)) if self.use_numpy else None
 
     def _atom_value(self, atom: Atom) -> float:
         val = self._atom_vals.get(atom)
@@ -149,26 +222,9 @@ class SetEvaluator:
             for sid in pending:
                 self.value(sid)
             return
-        # Bucket by padded width so each bucket is one rectangular array
-        # reduced with a batched version of the same halving loop.
-        sorted_atoms = self.interner.sorted_atoms
-        atom_value = self._atom_value
-        buckets: dict[int, tuple[list[int], list[tuple[Atom, ...]]]] = {}
-        for sid in pending:
-            atoms = sorted_atoms(sid)
-            k = len(atoms)
-            width = k if not (k & (k - 1)) else 1 << k.bit_length()
-            ids, rows = buckets.setdefault(width, ([], []))
-            ids.append(sid)
-            rows.append(atoms)
-        for width, (ids, rows) in buckets.items():
-            arr = _np.zeros((len(ids), width), dtype=_np.float64)
-            for i, atoms in enumerate(rows):
-                arr[i, : len(atoms)] = [atom_value(a) for a in atoms]
-            while arr.shape[1] > 1:
-                arr = arr[:, 0::2] + arr[:, 1::2]
-            for sid, val in zip(ids, _np.minimum(arr[:, 0], 1.0).tolist()):
-                vals[sid] = val
+        got = self._table.values(_np.asarray(pending, dtype=_np.int64))
+        for sid, val in zip(pending, got[:, 0].tolist()):
+            vals[sid] = val
 
 
 class SolvePlan:

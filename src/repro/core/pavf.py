@@ -23,7 +23,11 @@ pAVFs are just a new environment.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable
 
 # Atom kinds.
 READ = "read"        # structure read-port bit (pAVF_R source)
@@ -139,6 +143,10 @@ def capped_sum(values) -> float:
     return total
 
 
+# The field order ``Atom(order=True)`` compares by, as a C-level sort key.
+_ATOM_ORDER = attrgetter("kind", "name", "bit")
+
+
 class SetInterner:
     """Shared table of canonical pAVF sets.
 
@@ -149,17 +157,45 @@ class SetInterner:
     compiled kernels (:mod:`repro.core.compiled`) index with.
 
     Id 0 is always the empty set and id 1 the TOP singleton.
+
+    The numeric kernels read each set as a *row*: its members' ids in the
+    dense :attr:`atoms` table, in stable (kind, name, bit) order. Rows are
+    built once per set, on first use, into three flat ``array`` columns:
+    ``row_start``/``row_len`` per set id (-1/0 until built) and
+    ``row_ids``, the concatenated atom ids. Atom ids are assigned in
+    first-seen order, so building a row never reorders older ones. The
+    rows and the atom table are derived caches: they are not pickled.
     """
 
     EMPTY_ID = 0
     TOP_ID = 1
 
-    __slots__ = ("sets", "_ids", "_sorted")
+    __slots__ = ("sets", "_ids", "atoms", "_atom_ids", "row_start", "row_len",
+                 "row_ids")
 
     def __init__(self) -> None:
         self.sets: list[frozenset[Atom]] = [EMPTY, TOP_SET]
         self._ids: dict[frozenset[Atom], int] = {EMPTY: 0, TOP_SET: 1}
-        self._sorted: list[tuple[Atom, ...] | None] = [(), (TOP,)]
+        self._reset_rows()
+
+    def _reset_rows(self) -> None:
+        # EMPTY and TOP get their rows up front, so row_ids is never empty.
+        self.atoms: list[Atom] = [TOP]
+        self._atom_ids: dict[Atom, int] = {TOP: 0}
+        self.row_start = array("q", (0, 0))
+        self.row_len = array("i", (0, 1))
+        self.row_ids = array("i", (0,))
+
+    def __getstate__(self):
+        return (None, {"sets": self.sets, "_ids": self._ids})
+
+    def __setstate__(self, state) -> None:
+        # Also loads interners pickled with the old per-set ``_sorted``
+        # tuple cache in their slot state; it is dropped like the rows.
+        slots = state[1]
+        self.sets = slots["sets"]
+        self._ids = slots["_ids"]
+        self._reset_rows()
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -171,20 +207,45 @@ class SetInterner:
             sid = len(self.sets)
             self._ids[atoms] = sid
             self.sets.append(atoms)
-            self._sorted.append(None)
         return sid
 
     def canon(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
         """Return the shared canonical instance equal to *atoms*."""
         return self.sets[self.id_of(atoms)]
 
+    def atom_id(self, atom: Atom) -> int:
+        """Dense id of *atom* in :attr:`atoms` (added on first sight)."""
+        aid = self._atom_ids.get(atom)
+        if aid is None:
+            aid = self._atom_ids[atom] = len(self.atoms)
+            self.atoms.append(atom)
+        return aid
+
+    def build_rows(self, sids: Iterable[int]) -> None:
+        """Build the rows of every set in *sids* that has none yet."""
+        start, length = self.row_start, self.row_len
+        grow = len(self.sets) - len(start)
+        if grow > 0:
+            start.extend(repeat(-1, grow))
+            length.extend(repeat(0, grow))
+        flat, sets = self.row_ids, self.sets
+        known, atom_id = self._atom_ids.get, self.atom_id
+        for sid in [sid for sid in sids if start[sid] < 0]:
+            members = sorted(sets[sid], key=_ATOM_ORDER)
+            row = list(map(known, members))
+            if None in row:
+                row = list(map(atom_id, members))
+            start[sid] = len(flat)
+            length[sid] = len(row)
+            flat.extend(row)
+
     def sorted_atoms(self, sid: int) -> tuple[Atom, ...]:
         """Members of set *sid* in stable (kind, name, bit) order."""
-        cached = self._sorted[sid]
-        if cached is None:
-            cached = tuple(sorted(self.sets[sid]))
-            self._sorted[sid] = cached
-        return cached
+        if sid >= len(self.row_start) or self.row_start[sid] < 0:
+            self.build_rows((sid,))
+        lo = self.row_start[sid]
+        return tuple(map(self.atoms.__getitem__,
+                         self.row_ids[lo:lo + self.row_len[sid]]))
 
 
 def collapse_if_large(atoms: frozenset[Atom], max_terms: int) -> frozenset[Atom]:

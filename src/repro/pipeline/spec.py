@@ -78,11 +78,18 @@ class SweepSpec:
 
     ``batched=True`` (the default) evaluates every sweep point in one
     multi-workload matrix pass (:mod:`repro.core.batched`); ``false``
-    falls back to one ``run_sart`` per point.
+    falls back to one ``run_sart`` per point. Validated on construction,
+    like :class:`SartSpec`.
     """
 
     points: int = 11
     batched: bool = True
+
+    def __post_init__(self) -> None:
+        points = self.points
+        if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+            raise SpecError(
+                f"[sweep] points must be an integer >= 1, got {points!r}")
 
 
 @dataclass(frozen=True)

@@ -138,3 +138,36 @@ class TestBatchedEvaluator:
         bev = BatchedEvaluator(plan.interner, envs)
         assert bev.value(-1, 0) == 1.0
         assert (bev.matrix([-1, -5]) == 1.0).all()
+
+    def test_sorted_atoms_follow_the_dataclass_order(self, plan):
+        # Rows sort with a field-tuple key; this pins that key to the
+        # order Atom(order=True) defines, on every set of a solved plan.
+        plan.solve_monolithic(0, "unace")
+        interner = plan.interner
+        for sid in range(len(interner)):
+            assert interner.sorted_atoms(sid) == tuple(sorted(interner.sets[sid]))
+
+    @needs_numpy
+    def test_matrix_keeps_values_as_the_interner_grows(self, plan, envs):
+        import pickle
+
+        import numpy as np
+
+        from repro.core.pavf import LOOP, Atom
+
+        copy = pickle.loads(pickle.dumps(plan))
+        interner = copy.interner
+        f_ids, b_ids = copy.solve_monolithic(0, "unace")
+        bev = BatchedEvaluator(interner, envs)
+        before = bev.matrix(f_ids)
+        # New sets with atoms the table has not seen, after the fill.
+        grown = [
+            interner.id_of(interner.sets[sid] | {Atom(LOOP, f"extra{i}")})
+            for i, sid in enumerate(sorted({s for s in b_ids if s >= 0})[:50])
+        ]
+        after = bev.matrix(list(f_ids) + grown)
+        assert np.array_equal(after[: len(f_ids)], before)
+        for w, env in enumerate(envs):
+            scalar = SetEvaluator(interner, env, use_numpy=False)
+            for i, sid in enumerate(grown):
+                assert after[len(f_ids) + i, w] == scalar.value(sid), (sid, w)

@@ -217,6 +217,103 @@ class TestSetEvaluator:
         for sid in sids:
             assert 0.0 <= ev.value(sid) <= 1.0
 
+    SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_kernel_matches_python_value_at_every_padded_width(self, width):
+        import random
+
+        import numpy as np
+
+        from repro.core.compiled import AtomTable
+        from repro.core.pavf import BOUNDARY, CTRL, READ, TOP, SetInterner
+
+        rng = random.Random(width)
+        interner = SolvePlan().interner
+        pool = [Atom(kind, f"n{i % 7}", i) for i, kind in enumerate(
+            (READ, LOOP, CTRL, BOUNDARY) * 20)]
+        envs = [PavfEnv(kind_defaults={LOOP: 0.01 * w, BOUNDARY: 0.02})
+                for w in range(width)]
+        for env in envs:
+            for atom in pool[::2]:  # odd atoms read their kind default
+                env.bind(atom, rng.random() * 0.05)
+        early = [interner.id_of(frozenset(rng.sample(pool[:40], k)))
+                 for k in self.SIZES]
+        table = AtomTable(interner, envs)
+        first = table.values(np.asarray(early + [SetInterner.TOP_ID]))
+        early_rows = [interner.sorted_atoms(sid) for sid in early]
+        # Intern more sets over the whole pool: the atom table grows and
+        # must not reorder the rows built above.
+        late = [interner.id_of(frozenset(rng.sample(pool, k)))
+                for k in self.SIZES]
+        sids = early + late + [SetInterner.TOP_ID]
+        got = table.values(np.asarray(sids))
+        assert [interner.sorted_atoms(sid) for sid in early] == early_rows
+        assert interner.sorted_atoms(SetInterner.TOP_ID) == (TOP,)
+        for w, env in enumerate(envs):
+            ref = SetEvaluator(interner, env, use_numpy=False)
+            for i, sid in enumerate(sids):
+                assert got[i, w] == ref.value(sid), (sid, w)
+            for i, sid in enumerate(early + [SetInterner.TOP_ID]):
+                assert first[i, w] == ref.value(sid), (sid, w)
+        if width == 1:
+            fast = SetEvaluator(interner, envs[0], use_numpy=True)
+            fast.fill(sids)
+            assert [fast.value(sid) for sid in sids] == got[:, 0].tolist()
+
+    def test_interner_pickled_with_old_sorted_cache_evaluates_identically(self):
+        import pickle
+
+        interner, env, sids = self._random_env_and_sets()
+        restored = pickle.loads(_pickle_with_sorted_cache(interner))
+        again = pickle.loads(pickle.dumps(restored))
+        for copy in (restored, again):
+            assert copy.sets == interner.sets
+            for use_numpy in (False, HAVE_NUMPY):
+                want = SetEvaluator(interner, env, use_numpy=use_numpy)
+                got = SetEvaluator(copy, env, use_numpy=use_numpy)
+                got.fill(sids)
+                assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+
+    def test_plan_pickle_round_trip_evaluates_identically(self, tinycore_module):
+        import pickle
+
+        plan = build_plan(tinycore_module)
+        env = build_env(plan.model, SartConfig())
+        f_ids, b_ids = plan.solve_monolithic()
+        sids = sorted({s for s in f_ids + b_ids if s >= 0})
+        want = SetEvaluator(plan.interner, env)
+        want.fill(sids)
+        for blob in (pickle.dumps(plan), _pickle_with_sorted_cache(plan)):
+            copy = pickle.loads(blob)
+            got = SetEvaluator(copy.interner, env)
+            got.fill(sids)
+            assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+
+
+def _pickle_with_sorted_cache(obj) -> bytes:
+    """Pickle *obj* the way interners were pickled before the row columns:
+    slot state ``sets``, ``_ids`` and the per-set ``_sorted`` tuple cache
+    (only EMPTY and TOP filled, as on a freshly cached plan)."""
+    import copyreg
+    import io
+    import pickle
+
+    from repro.core.pavf import TOP, SetInterner
+
+    class OldPickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is not SetInterner:
+                return NotImplemented
+            cached = [(), (TOP,)] + [None] * (len(value) - 2)
+            state = {"sets": value.sets, "_ids": value._ids, "_sorted": cached}
+            return copyreg.__newobj__, (SetInterner,), (None, state)
+
+    buf = io.BytesIO()
+    OldPickler(buf, protocol=pickle.DEFAULT_PROTOCOL).dump(obj)
+    return buf.getvalue()
+
 
 def test_resolve_ids_matches_resolve(tinycore_module):
     from repro.core.resolve import resolve

@@ -9,6 +9,7 @@ from repro.pipeline.spec import (
     CampaignSpec,
     RunSpec,
     SartSpec,
+    SweepSpec,
     load_spec,
     spec_from_mapping,
 )
@@ -80,6 +81,14 @@ def test_validation_errors(tmp_path):
             spec_from_mapping({"design": "tinycore:fib", "sart": sart})
     with pytest.raises(SpecError, match="batched must be true or false"):
         spec_from_mapping({"design": "bigcore", "sweep": {"batched": 1}})
+    # [sweep] points is checked too: these raised an uncaught TypeError
+    # or ran an empty or one-point sweep.
+    for points in ("x", 2.5, 0, -3, True):
+        with pytest.raises(
+                SpecError,
+                match=rf"\[sweep\] points must be an integer >= 1, got {points!r}"):
+            spec_from_mapping({"design": "tinycore:fib",
+                               "sweep": {"points": points}})
     # The removed [campaign] backend key is an unknown key too.
     with pytest.raises(SpecError,
                        match=r"unknown key\(s\) \['backend'\] in \[campaign\]"):
@@ -90,6 +99,8 @@ def test_validation_errors(tmp_path):
         SartSpec(loop_pavf=7.0)
     with pytest.raises(SpecError, match="iterations"):
         SartSpec(iterations=0)
+    with pytest.raises(SpecError, match="points"):
+        SweepSpec(points=0)
 
 
 BAD_SART = (

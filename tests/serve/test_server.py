@@ -59,14 +59,17 @@ def test_error_codes(tmp_path):
         status, doc = post_json(f"{app.url}/jobs",
                                 {"design": "tinycore:fib", "bogus": {}})
         assert status == 400 and "bogus" in doc["error"]
-        # Bad [sart] values and the removed [sart] engine/relax_workers
-        # and [campaign] backend keys are refused at admission, naming
-        # the offending key.
+        # Bad [sart] and [sweep] values and the removed [sart]
+        # engine/relax_workers and [campaign] backend keys are refused
+        # at admission, naming the offending key.
         for section, body in (
                 ("sart", {"iterations": "abc"}), ("sart", {"iterations": 0}),
                 ("sart", {"loop_pavf": 7}), ("sart", {"monolithic": "false"}),
                 ("sart", {"engine": "walk"}), ("sart", {"relax_workers": 2}),
-                ("campaign", {"backend": "python"})):
+                ("campaign", {"backend": "python"}),
+                ("sweep", {"points": "x"}), ("sweep", {"points": 2.5}),
+                ("sweep", {"points": 0}), ("sweep", {"points": -3}),
+                ("sweep", {"points": True})):
             status, doc = post_json(f"{app.url}/jobs",
                                     {"design": "tinycore:fib", section: body})
             assert status == 400, body

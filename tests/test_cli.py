@@ -108,6 +108,15 @@ def test_bad_sart_flag_is_a_spec_error():
         main(["tinycore", "fib", "--iterations", "0"])
 
 
+def test_bad_sweep_points_is_a_spec_error(tmp_path):
+    with pytest.raises(SystemExit, match=r"\[sweep\] points must be an integer >= 1"):
+        main(["sweep", "--points", "0"])
+    spec = tmp_path / "sweep.toml"
+    spec.write_text('design = "tinycore:fib"\n[sweep]\npoints = true\n')
+    with pytest.raises(SystemExit, match="points must be an integer >= 1, got True"):
+        main(["run", str(spec)])
+
+
 def test_export_exlif(tmp_path, capsys):
     out = tmp_path / "tiny.exlif"
     rc = main(["export", "tinycore", str(out), "--program", "fib"])

@@ -450,7 +450,7 @@ def cmd_sweep(args) -> int:
         design=f"bigcore@scale={args.scale},seed={args.seed}",
         workloads=WorkloadsSpec(per_class=args.workloads_per_class,
                                 length=args.workload_length),
-        sweep=SweepSpec(points=args.points, batched=args.batched),
+        sweep=SweepSpec(points=args.points),
     )
 
     def observer(event, info):
@@ -692,9 +692,7 @@ def cmd_loadgen(args) -> int:
         print(
             f"eco: {counters['eco_jobs']} job(s), "
             f"{counters.get('warm_solves', 0)} warm / "
-            f"{counters.get('cold_solves', 0)} cold, FUB store "
-            f"{counters.get('fub_hits', 0)} hit(s) / "
-            f"{counters.get('fub_misses', 0)} miss(es)"
+            f"{counters.get('cold_solves', 0)} cold"
         )
     for error in doc["errors"]:
         print(f"  ERROR {error}", file=sys.stderr)
@@ -919,9 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="loop-boundary pAVF sweep (Figure 8)")
     p.add_argument("--points", type=int, default=11)
-    p.add_argument("--no-batched", dest="batched", action="store_false",
-                   help="evaluate sweep points one run_sart at a time "
-                        "instead of the batched multi-workload kernel")
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workloads-per-class", type=int, default=2, metavar="N",

@@ -832,25 +832,17 @@ def relax_compiled(
     boundary values it imports changed in the previous merge: an
     unchanged-input re-solve would reproduce its previous sets verbatim.
 
-    *warm_start* switches the relaxation to ECO mode: node outputs and
-    FUBIO boundary entries are pre-seeded from a previous converged
-    solution (:class:`~repro.core.relaxation.WarmStart`) and the initial
-    re-solve set shrinks from every FUB to ``warm_start.dirty_fubs``.
-    Two disciplines, selected by ``warm_start.optimistic``:
-
-    * exact (store-path) seeds are proven equal to the new fixpoint, so
-      the normal MIN merge applies; dirty FUBs start from TOP boundaries
-      (the post-edit fixpoint may sit above the baseline's, and the MIN
-      merge can never climb back up), and a merge that dirties a seeded
-      FUB repairs it through the normal importer-dirtying.
-    * optimistic (delta-path) seeds are the *baseline's* fixpoint, which
-      an edit may have moved in either direction, so the merge accepts
-      any boundary whose *value* changed — increases included — while
-      still rejecting equal-value set churn, exactly as the cold MIN
-      merge keeps the first set to reach a value. The re-solve front
-      then expands along the edit's actual value influence and the run
-      converges when values quiesce, on the same ``tol`` a cold run
-      uses.
+    *warm_start* switches the relaxation to ECO mode: FUBIO boundary
+    entries are pre-seeded from a baseline's converged solution
+    (:class:`~repro.core.relaxation.WarmStart`) and the initial re-solve
+    set shrinks from every FUB to ``warm_start.dirty_fubs``. The seeds
+    are the *baseline's* fixpoint, which an edit may have moved in
+    either direction, so the merge accepts any boundary whose *value*
+    changed — increases included — while still rejecting equal-value
+    set churn, exactly as the cold MIN merge keeps the first set to
+    reach a value. The re-solve front then expands along the edit's
+    actual value influence and the run converges when values quiesce,
+    on the same ``tol`` a cold run uses.
 
     *capture_boundary*, when a dict, receives the converged FUBIO tables
     — ``{"f"|"b": {net: frozenset}}`` over ``plan.f_exports`` /
@@ -868,10 +860,9 @@ def relax_compiled(
     b_out = [-1] * n
     trace = RelaxationTrace()
     dirty: list[int] = list(range(n_fubs))
-    optimistic = False
-    if warm_start is not None:
-        dirty = _apply_warm_start(plan, warm_start, f_bnd, b_bnd, f_out, b_out)
-        optimistic = warm_start.optimistic
+    warm = warm_start is not None
+    if warm:
+        dirty = _apply_warm_start(plan, warm_start, f_bnd, b_bnd)
         trace.warm = True
         trace.dirty_fubs = len(dirty)
         trace.warm_fubs = n_fubs - len(dirty)
@@ -886,16 +877,15 @@ def relax_compiled(
             )
 
         # FUBIO merge, marking the importers of every changed entry
-        # dirty for the next iteration. Cold/exact runs apply the
-        # MIN rule (values only descend from TOP); optimistic warm
-        # runs accept any value *change* — seeds are a stale
-        # fixpoint, not a lower bound — but both keep the old set
-        # on equal-value ties, so the tie history matches a cold run.
-        # A cold boundary entry only ever leaves TOP on a strict
-        # value decrease, so any cold entry at the TOP value *is*
-        # TOP; an optimistic increase that saturates must therefore
-        # store TOP itself, not the computed set, to land on the
-        # same representation.
+        # dirty for the next iteration. Cold runs apply the MIN rule
+        # (values only descend from TOP); warm runs accept any value
+        # *change* — seeds are a stale fixpoint, not a lower bound —
+        # but both keep the old set on equal-value ties, so the tie
+        # history matches a cold run. A cold boundary entry only ever
+        # leaves TOP on a strict value decrease, so any cold entry at
+        # the TOP value *is* TOP; a warm increase that saturates must
+        # therefore store TOP itself, not the computed set, to land on
+        # the same representation.
         delta = 0.0
         next_dirty: set[int] = set()
         value = ev.value
@@ -906,7 +896,7 @@ def relax_compiled(
             if new == old or new < 0:
                 continue
             new_val, old_val = value(new), value(old)
-            if new_val < old_val or (optimistic and new_val > old_val):
+            if new_val < old_val or (warm and new_val > old_val):
                 f_bnd[nid] = _TOP_ID if new_val >= top_val else new
                 next_dirty.update(plan.f_importers.get(nid, ()))
                 if abs(old_val - new_val) > delta:
@@ -917,7 +907,7 @@ def relax_compiled(
             if new == old or new < 0:
                 continue
             new_val, old_val = value(new), value(old)
-            if new_val < old_val or (optimistic and new_val > old_val):
+            if new_val < old_val or (warm and new_val > old_val):
                 b_bnd[nid] = _TOP_ID if new_val >= top_val else new
                 next_dirty.update(plan.b_importers.get(nid, ()))
                 if abs(old_val - new_val) > delta:
@@ -927,7 +917,7 @@ def relax_compiled(
         trace.max_delta.append(delta)
         _record_fub_averages_compiled(
             plan, f_out, b_out, ev, trace,
-            fubs=dirty if optimistic else None,
+            fubs=dirty if warm else None,
         )
         if delta <= tol:
             trace.converged = True
@@ -952,38 +942,23 @@ def _apply_warm_start(
     warm: WarmStart,
     f_bnd: list[int],
     b_bnd: list[int],
-    f_out: list[int],
-    b_out: list[int],
 ) -> list[int]:
-    """Seed solver state from *warm* and return the initial dirty list.
+    """Seed the FUBIO boundaries from *warm*; return the initial dirty list.
 
     Seeds are name-keyed (plan node ids do not survive a rebuild); names
     absent from the new plan are skipped — they belong to removed FUBs.
-    Node outputs are seeded besides boundaries: a boundary entry with no
-    baseline value (a previously-unexported node that gained an importer)
-    starts at TOP and self-corrects from the seeded owner output at the
-    first merge.
+    Node outputs stay unseeded (-1): the merge skips entries whose owner
+    never re-solved — an unsolved owner's exports cannot have changed —
+    and the final result reuses the baseline's outputs for untouched
+    FUBs, so interning every node set would be pure overhead on the path
+    whose whole point is to skip O(n) work.
     """
     ids = plan.ids
     intern = plan.interner.id_of
     dirty = [
         f for f, fub in enumerate(plan.fub_names) if fub in warm.dirty_fubs
     ]
-    if warm.optimistic:
-        # Node outputs stay unseeded (-1): the merge skips entries whose
-        # owner never re-solved — an unsolved owner's exports cannot have
-        # changed — and the final result reuses the baseline's outputs
-        # for untouched FUBs, so interning every node set would be pure
-        # overhead on the path whose whole point is to skip O(n) work.
-        tables = ((f_bnd, warm.f_boundary), (b_bnd, warm.b_boundary))
-    else:
-        tables = (
-            (f_out, warm.f_sets),
-            (b_out, warm.b_sets),
-            (f_bnd, warm.f_boundary),
-            (b_bnd, warm.b_boundary),
-        )
-    for table, seeds in tables:
+    for table, seeds in ((f_bnd, warm.f_boundary), (b_bnd, warm.b_boundary)):
         for name, value in seeds.items():
             nid = ids.get(name)
             if nid is not None:
@@ -1001,7 +976,7 @@ def _record_fub_averages_compiled(
 ) -> None:
     """Record per-FUB average AVFs; *fubs* restricts to a subset.
 
-    Optimistic warm runs pass the FUBs solved this iteration: untouched
+    Warm runs pass the FUBs solved this iteration: untouched
     FUBs' node outputs are intentionally unseeded there, and their
     converged averages are the baseline's anyway.
     """

@@ -31,7 +31,7 @@ class RelaxationTrace:
     warm_fubs: int = 0      # FUBs whose solution was seeded, not re-solved
     dirty_fubs: int = 0     # FUBs in the initial re-solve set
     resolved_fubs: int = 0  # distinct FUBs actually re-solved (≥ dirty_fubs)
-    # Plan indices of the re-solved FUBs; on optimistic warm runs
+    # Plan indices of the re-solved FUBs; on warm runs
     # ``fub_avg`` covers only these (untouched FUBs have no new values
     # to record — their solution is the seeded baseline's).
     resolved_fub_ids: tuple[int, ...] = ()
@@ -44,29 +44,22 @@ class WarmStart:
     Carries a baseline converged solution keyed by net name (node/set
     ids are plan-private and do not survive a rebuild):
 
-    * ``f_sets``/``b_sets`` — converged per-node annotation sets.
-    * ``f_boundary``/``b_boundary`` — converged FUBIO boundary entries.
-      Boundaries are seeded separately from node values because the MIN
-      merge keeps the *first* set to reach a value: at convergence a
-      boundary entry may hold an older, equal-valued set than the
-      owner's final output, and bit-identical replay must preserve that
-      history.
+    * ``f_boundary``/``b_boundary`` — converged FUBIO boundary entries,
+      the relaxation's seed. They are kept apart from node values
+      because the MIN merge keeps the *first* set to reach a value: at
+      convergence a boundary entry may hold an older, equal-valued set
+      than the owner's final output, and bit-identical replay must
+      preserve that history.
+    * ``f_sets``/``b_sets``/``baseline_avfs`` — converged per-node
+      annotation sets and resolved AVFs (name -> NodeAvf). The solver
+      front end reuses them for every FUB the re-solve never touched
+      instead of re-resolving the whole design.
     * ``dirty_fubs`` — the FUBs the relaxation re-solves up front.
       Everything else starts converged and is only re-solved if a
       boundary merge dirties it.
 
-    Two seeding disciplines, selected by ``optimistic``:
-
-    **Exact** (``optimistic=False``, the per-FUB store path): every
-    seeded value is known to equal the new design's fixpoint — the
-    store key chained the full dependency-closure fingerprints — and
-    only node/boundary state of those proven FUBs may be seeded. Dirty
-    FUBs restart from TOP and the normal MIN merge applies; seeds are
-    genuine lower-bound-safe fixpoint values.
-
-    **Optimistic** (``optimistic=True``, the design-delta path): the
-    *entire* baseline solution is seeded, including FUBs whose values
-    the edit may have changed, and ``dirty_fubs`` lists only the
+    The *entire* baseline solution is seeded, including FUBs whose
+    values the edit may have changed, and ``dirty_fubs`` lists only the
     structurally changed FUBs. Seeds are then *not* lower bounds (an
     edit can raise values), so the relaxation switches its merge to
     replace-on-set-change and converges on quiescence: a re-solved
@@ -86,9 +79,4 @@ class WarmStart:
     b_sets: Mapping[str, frozenset] = field(default_factory=dict)
     f_boundary: Mapping[str, frozenset] = field(default_factory=dict)
     b_boundary: Mapping[str, frozenset] = field(default_factory=dict)
-    optimistic: bool = False
-    # Optimistic runs only: the baseline's resolved per-node AVFs
-    # (name -> NodeAvf), carried so the solver front end can assemble
-    # the final result from the baseline for every FUB the cascade never
-    # touched instead of re-resolving the whole design.
     baseline_avfs: Mapping[str, Any] = field(default_factory=dict)

@@ -237,12 +237,12 @@ def run_sart(
             warm_start=warm_start,
             capture_boundary=boundary_state,
         )
-        if warm_start is not None and warm_start.optimistic and not trace.converged:
-            # A truncated optimistic trajectory is not comparable to a
+        if warm_start is not None and not trace.converged:
+            # A truncated warm trajectory is not comparable to a
             # truncated cold one (different starting points), so restart
             # cold to keep ECO output bit-identical with non-ECO runs.
             warnings.warn(
-                "optimistic warm start did not converge in "
+                "warm start did not converge in "
                 f"{config.iterations} iterations; restarting cold",
                 WarmStartDegradedWarning,
                 stacklevel=2,
@@ -264,7 +264,6 @@ def run_sart(
         f_ids, b_ids = plan.solve_monolithic(config.max_terms, config.dangling)
     if (
         warm_start is not None
-        and warm_start.optimistic
         and trace.warm
         and trace.converged
         and warm_start.baseline_avfs

@@ -104,7 +104,7 @@ class CacheDegradedWarning(UserWarning):
 class WarmStartDegradedWarning(UserWarning):
     """An incremental (ECO) solve fell back to a cold solve.
 
-    Emitted when an optimistic warm relaxation exhausts its iteration
+    Emitted when a warm-started relaxation exhausts its iteration
     budget before quiescing: a truncated warm trajectory is not
     comparable to a truncated cold one, so the solve restarts cold to
     keep results bit-identical with non-ECO runs. Correctness is

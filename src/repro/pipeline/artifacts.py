@@ -113,22 +113,10 @@ class PlanArtifact:
     plan: Any                    # repro.core.compiled.SolvePlan
     cached: bool = field(default=False, compare=False)
     format: int = 2              # repro.core.compiled.PLAN_FORMAT at build
-    # Lazily computed per-FUB sub-fingerprints (repro.pipeline.delta);
-    # memoized because ECO paths ask several times per plan.
-    _fub_fps: Any = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.plan.n
-
-    @property
-    def fub_fingerprints(self) -> dict[str, str]:
-        """Per-FUB structural sub-fingerprints of the lowered plan."""
-        if self._fub_fps is None:
-            from repro.pipeline.delta import fub_fingerprints
-
-            object.__setattr__(self, "_fub_fps", fub_fingerprints(self.plan))
-        return self._fub_fps
 
 
 @dataclass(frozen=True)
@@ -139,13 +127,8 @@ class SartOutcome:
     result: SartResult
     plan_fingerprint: str | None = None
     cached: bool = field(default=False, compare=False)
-    # ECO mode: per-FUB sub-fingerprints of the plan this solve ran on,
-    # and how the per-(FUB, direction) store lookups went. ``warm``
-    # means the relaxation was seeded from cached sub-solutions and only
-    # the dirty set re-solved.
-    fub_fingerprints: Mapping[str, str] | None = None
-    fub_hits: int = 0
-    fub_misses: int = 0
+    # ``[eco]`` runs: ``warm`` means the relaxation was seeded from the
+    # baseline's solution with ``dirty_fubs`` as the initial re-solve set.
     warm: bool = False
     dirty_fubs: tuple[str, ...] = ()
 

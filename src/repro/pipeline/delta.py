@@ -27,24 +27,15 @@ can actually observe it:
   only on its forward-ancestors, its backward fixpoint only on its
   backward-descendants.
 
-* Two reuse paths with different soundness arguments:
-
-  - the **store path** (:func:`fub_solution_keys`,
-    :func:`warm_start_from_store`) content-addresses per-(FUB,
-    direction) converged sub-solutions. A key chains the dependency
-    closure's fingerprints, so a hit *proves* the entry equals the cold
-    fixpoint; hits seed the relaxation exactly and misses restart from
-    TOP under the normal MIN merge.
-
-  - the **delta path** (:func:`warm_start_from_result`) seeds the whole
-    baseline solution optimistically and marks only the structurally
-    changed FUBs dirty. The relaxation then runs its replace-on-change
-    merge (see :class:`~repro.core.relaxation.WarmStart`): the re-solve
-    front expands along the edit's *actual value influence* instead of
-    the static closure — which on designs like bigcore, whose FUBs form
-    one connected dependency web, is the difference between re-solving
-    one FUB and re-solving all of them. Either way the converged result
-    is bit-identical to a cold solve of the edited design.
+* :func:`warm_start_from_result` seeds the whole baseline solution and
+  marks only the structurally changed FUBs dirty. The relaxation then
+  runs its replace-on-change merge (see
+  :class:`~repro.core.relaxation.WarmStart`): the re-solve front expands
+  along the edit's *actual value influence* instead of the static
+  closure — which on designs like bigcore, whose FUBs form one connected
+  dependency web, is the difference between re-solving one FUB and
+  re-solving all of them. The converged result is bit-identical to a
+  cold solve of the edited design.
 """
 
 from __future__ import annotations
@@ -56,8 +47,7 @@ from typing import Any, Iterable, Mapping
 from repro.core.compiled import SolvePlan
 from repro.core.pavf import Atom
 from repro.core.relaxation import WarmStart
-from repro.core.sart import SartConfig, SartResult
-from repro.pipeline.fingerprint import fingerprint, stage_fingerprint, stage_token
+from repro.core.sart import SartResult
 
 _SEP = "\x1f"
 
@@ -130,10 +120,9 @@ def fub_fingerprints(plan: SolvePlan) -> dict[str, str]:
             ",".join(fanouts),
         )))
 
-    token = stage_token("fubsol")
     out: dict[str, str] = {}
     for f, fub in enumerate(plan.fub_names):
-        digest = hashlib.sha256(f"{token}{_SEP}{fub}".encode())
+        digest = hashlib.sha256(fub.encode())
         for line in sorted(lines[f]):
             digest.update(b"\x1e")
             digest.update(line.encode())
@@ -278,8 +267,6 @@ def diff_plans(
     *,
     ref_a: str = "baseline",
     ref_b: str = "target",
-    fingerprints_a: Mapping[str, str] | None = None,
-    fingerprints_b: Mapping[str, str] | None = None,
 ) -> DesignDelta:
     """Diff two built plans into a :class:`DesignDelta`.
 
@@ -288,8 +275,8 @@ def diff_plans(
     classification) and therefore a changed fingerprint already. A
     renamed FUB appears as removed + added.
     """
-    fps_a = dict(fingerprints_a) if fingerprints_a else fub_fingerprints(plan_a)
-    fps_b = dict(fingerprints_b) if fingerprints_b else fub_fingerprints(plan_b)
+    fps_a = fub_fingerprints(plan_a)
+    fps_b = fub_fingerprints(plan_b)
 
     changed = tuple(
         fub for fub in plan_b.fub_names
@@ -322,89 +309,8 @@ def diff_plans(
 
 
 # ----------------------------------------------------------------------
-# per-(FUB, direction) cache keys and store entries
+# warm-start assembly
 # ----------------------------------------------------------------------
-
-def eco_context_fingerprint(
-    config: SartConfig, port_env_fingerprint: str | None
-) -> str:
-    """Everything non-structural a converged per-FUB solution depends on.
-
-    The structural side lives in the per-FUB fingerprints; this covers
-    the numeric environment (injected pAVFs, port bindings via the
-    port-env fingerprint) and the solve knobs that shape the iteration
-    itself.
-    """
-    return fingerprint(
-        "eco-context",
-        port_env_fingerprint,
-        config.loop_pavf,
-        sorted((config.loop_pavf_per_net or {}).items()),
-        config.ctrl_pavf,
-        config.const_pavf,
-        config.boundary_in_pavf,
-        config.boundary_out_pavf,
-        sorted((config.boundary_overrides or {}).items()),
-        config.iterations,
-        config.tol,
-        config.max_terms,
-        config.dangling,
-    )
-
-
-def fub_solution_keys(
-    plan: SolvePlan,
-    context_fingerprint: str,
-    fingerprints: Mapping[str, str] | None = None,
-) -> dict[str, dict[str, str]]:
-    """``{fub: {"f": key, "b": key}}`` store keys for per-FUB solutions.
-
-    A key chains the FUB's own fingerprint, the sorted fingerprints of
-    its per-direction dependency closure, and the context fingerprint:
-    editing FUB *k* changes exactly the keys of *k* and the FUBs that
-    can reach it — every other entry keeps addressing the old (still
-    valid) converged sub-solution. The own fingerprint is listed
-    separately because mutually-dependent FUBs share a closure *set*
-    but must not share a key.
-    """
-    fps = dict(fingerprints) if fingerprints else fub_fingerprints(plan)
-    f_clo, b_clo = fub_closures(plan)
-    names = plan.fub_names
-    keys: dict[str, dict[str, str]] = {}
-    for f, fub in enumerate(names):
-        own = fps[fub]
-        keys[fub] = {
-            "f": stage_fingerprint(
-                "fubsol", "f", own,
-                sorted(fps[names[g]] for g in f_clo[f]),
-                context_fingerprint,
-            ),
-            "b": stage_fingerprint(
-                "fubsol", "b", own,
-                sorted(fps[names[g]] for g in b_clo[f]),
-                context_fingerprint,
-            ),
-        }
-    return keys
-
-
-@dataclass(frozen=True)
-class FubSolution:
-    """One FUB's converged solution in one direction (a store entry).
-
-    ``sets`` carries the annotation set of every node the FUB owns,
-    ``boundary`` the converged FUBIO entries it exports. Boundaries are
-    stored besides node sets because the MIN merge keeps the *first*
-    set to reach a value: at convergence an exported entry may hold an
-    older (equal-valued) set than the owner's final output, and warm
-    re-solves must replay that history to stay bit-identical.
-    """
-
-    fub: str
-    direction: str  # "f" | "b"
-    sets: dict[str, frozenset]
-    boundary: dict[str, frozenset]
-
 
 def _fub_node_names(plan: SolvePlan) -> list[list[str]]:
     names = plan.names
@@ -414,91 +320,20 @@ def _fub_node_names(plan: SolvePlan) -> list[list[str]]:
     return by_fub
 
 
-def extract_fub_solutions(
-    plan: SolvePlan, result: SartResult
-) -> dict[tuple[str, str], FubSolution]:
-    """Split a converged partitioned result into per-(FUB, dir) entries.
-
-    Requires the boundary tables run_sart captures on compiled
-    partitioned runs; returns ``{}`` for anything else (nothing safe to
-    reuse). Non-converged results are also refused — their sets are a
-    truncation artifact, not a fixpoint.
-    """
-    if (
-        result.trace is None
-        or not result.trace.converged
-        or result.f_boundary is None
-        or result.b_boundary is None
-    ):
-        return {}
-    by_fub = _fub_node_names(plan)
-    names = plan.names
-    fub_of = plan.fub_of
-    f_bnd_by_fub: list[dict[str, frozenset]] = [{} for _ in range(plan.n_fubs)]
-    for nid in plan.f_exports:
-        f_bnd_by_fub[fub_of[nid]][names[nid]] = result.f_boundary[names[nid]]
-    b_bnd_by_fub: list[dict[str, frozenset]] = [{} for _ in range(plan.n_fubs)]
-    for nid in plan.b_exports:
-        b_bnd_by_fub[fub_of[nid]][names[nid]] = result.b_boundary[names[nid]]
-
-    out: dict[tuple[str, str], FubSolution] = {}
-    for f, fub in enumerate(plan.fub_names):
-        out[(fub, "f")] = FubSolution(
-            fub=fub, direction="f",
-            sets={name: result.f_sets[name] for name in by_fub[f]},
-            boundary=f_bnd_by_fub[f],
-        )
-        out[(fub, "b")] = FubSolution(
-            fub=fub, direction="b",
-            sets={name: result.b_sets[name] for name in by_fub[f]},
-            boundary=b_bnd_by_fub[f],
-        )
-    return out
-
-
-def save_fub_solutions(
-    store,
-    plan: SolvePlan,
-    result: SartResult,
-    keys: Mapping[str, Mapping[str, str]],
-    *,
-    skip: Iterable[tuple[str, str]] = (),
-) -> int:
-    """Persist per-FUB solutions under *keys*; returns entries written.
-
-    *skip* lists ``(fub, direction)`` pairs already served as hits —
-    re-saving them would be byte-churn for no information. An
-    unwritable store warns once and stops.
-    """
-    solutions = extract_fub_solutions(plan, result)
-    skipped = set(skip)
-    written = 0
-    for (fub, direction), solution in solutions.items():
-        if (fub, direction) in skipped:
-            continue
-        if not store.persist("fubsol", keys[fub][direction], solution):
-            break
-        written += 1
-    return written
-
-
-# ----------------------------------------------------------------------
-# warm-start assembly
-# ----------------------------------------------------------------------
-
 def warm_start_from_result(
     plan: SolvePlan,
     touched_fubs: Iterable[str],
     baseline: SartResult,
 ) -> WarmStart | None:
-    """Optimistic warm start for *plan* from a baseline solution.
+    """Warm start for *plan* from a baseline solution.
 
     *touched_fubs* are the changed+added FUBs of the delta (see
     :meth:`DesignDelta.touched`). The entire baseline solution is
     seeded — including FUBs the edit may influence — and only the
     touched FUBs enter the dirty set; the relaxation's replace-on-change
     merge then expands the re-solve front along the edit's actual value
-    influence (``WarmStart.optimistic``). Returns None when the baseline
+    influence (see :class:`~repro.core.relaxation.WarmStart`). Returns
+    None when the baseline
     has nothing safe to seed from: not a converged compiled partitioned
     run, or no captured boundary tables. FUBs whose nodes the baseline
     does not fully cover (added or renamed ones reaching this path) are
@@ -542,67 +377,5 @@ def warm_start_from_result(
         b_sets=b_base,
         f_boundary=f_boundary,
         b_boundary=b_boundary,
-        optimistic=True,
         baseline_avfs=baseline.node_avfs,
     )
-
-
-def warm_start_from_store(
-    store,
-    plan: SolvePlan,
-    keys: Mapping[str, Mapping[str, str]],
-) -> tuple[WarmStart | None, int, int, list[tuple[str, str]]]:
-    """Assemble a warm start from per-FUB store entries.
-
-    Returns ``(warm_start, hits, misses, hit_pairs)`` where *hit_pairs*
-    are the ``(fub, direction)`` entries served from the store (the
-    caller skips re-saving them). ``warm_start`` is None when nothing
-    hit — a plain cold solve. An entry whose node coverage does not
-    match the plan (a corrupt or colliding blob) counts as a miss.
-    """
-    order = [(fub, d) for fub in plan.fub_names for d in ("f", "b")]
-    fps = [keys[fub][d] for fub, d in order]
-    found, _, _ = store.load_many("fubsol", fps)
-    by_fub = _fub_node_names(plan)
-    expected = {
-        fub: set(by_fub[f]) for f, fub in enumerate(plan.fub_names)
-    }
-
-    f_sets: dict[str, frozenset] = {}
-    b_sets: dict[str, frozenset] = {}
-    f_boundary: dict[str, frozenset] = {}
-    b_boundary: dict[str, frozenset] = {}
-    hit_pairs: list[tuple[str, str]] = []
-    clean: dict[str, set[str]] = {"f": set(), "b": set()}
-    for (fub, direction), fp in zip(order, fps):
-        solution = found.get(fp)
-        if (
-            not isinstance(solution, FubSolution)
-            or set(solution.sets) != expected[fub]
-        ):
-            continue
-        hit_pairs.append((fub, direction))
-        clean[direction].add(fub)
-        if direction == "f":
-            f_sets.update(solution.sets)
-            f_boundary.update(solution.boundary)
-        else:
-            b_sets.update(solution.sets)
-            b_boundary.update(solution.boundary)
-
-    hits = len(hit_pairs)
-    misses = len(order) - hits
-    if not hits:
-        return None, hits, misses, hit_pairs
-    dirty = frozenset(
-        fub for fub in plan.fub_names
-        if fub not in clean["f"] or fub not in clean["b"]
-    )
-    warm = WarmStart(
-        dirty_fubs=dirty,
-        f_sets=f_sets,
-        b_sets=b_sets,
-        f_boundary=f_boundary,
-        b_boundary=b_boundary,
-    )
-    return warm, hits, misses, hit_pairs

@@ -182,12 +182,10 @@ def run_summary(outcome, *, program: str | None = None) -> dict:
     if outcome.sart is not None:
         payload["weighted_seq_avf"] = outcome.sart.result.report.weighted_seq_avf
         sart = outcome.sart
-        if sart.warm or sart.fub_hits or sart.fub_misses:
+        if outcome.spec.eco is not None:
             trace = sart.result.trace
             payload["eco"] = {
                 "warm": sart.warm,
-                "fub_hits": sart.fub_hits,
-                "fub_misses": sart.fub_misses,
                 "dirty_fubs": list(sart.dirty_fubs),
                 "resolved_fubs": trace.resolved_fubs if trace else 0,
             }

@@ -41,10 +41,6 @@ STAGE_VERSIONS: dict[str, int] = {
     "beam": 1,
     # Logic-derating analysis (combinational masking per flop).
     "derating": 1,
-    # Per-(FUB, direction) converged sub-solutions (ECO mode). Bump when
-    # the per-FUB structural fingerprint scheme or the FubSolution layout
-    # changes (repro.pipeline.delta).
-    "fubsol": 1,
 }
 
 

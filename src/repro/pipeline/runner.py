@@ -59,7 +59,7 @@ class SweepPoint:
     """One evaluated point of the loop-boundary pAVF sweep."""
 
     value: float
-    result: object               # SartResult or BatchedSweepResult
+    result: object               # BatchedSweepResult
     seconds: float
 
 
@@ -126,14 +126,15 @@ def _export_design(design: DesignArtifact, export, notify) -> str:
 
 
 def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig):
-    """Solve the ``[eco]`` baseline and build the optimistic warm start.
+    """Solve the ``[eco]`` baseline and build the warm start.
 
-    The baseline design goes through the same design/plan/sart stages as
-    any run (so a configured store serves its per-FUB solutions), then
-    the two compiled plans are diffed and the baseline's converged
-    solution seeds the main solve. Returns None — and the main solve
-    runs cold — when the eco path cannot apply (single-FUB design, or a
-    baseline without a converged partitioned solution).
+    This is the one place that decides whether a solve warm-starts. The
+    baseline design goes through the same design/plan/sart stages as any
+    run (so a configured store serves its ACE suite and plan), then the
+    two compiled plans are diffed and the baseline's converged solution
+    seeds the main solve. Returns None — and the main solve runs cold —
+    when the eco path cannot apply (single-FUB design, or a baseline
+    without a converged partitioned solution).
     """
     from repro.pipeline import delta as delta_mod
 
@@ -237,7 +238,7 @@ def execute(
     if "sweep" in stages:
         import time
 
-        from repro.core.sart import run_sart
+        from repro.core.batched import sweep_batched
 
         if outcome.plan is None:
             outcome.plan = stage_plan(
@@ -245,43 +246,25 @@ def execute(
             )
         points = spec.sweep.points
         ctx.notify("sweep:begin", plan=outcome.plan, points=points)
-        ports = outcome.port_env.ports if outcome.port_env else None
         values = [i / (points - 1) if points > 1 else 0.0
                   for i in range(points)]
-        if spec.sweep.batched:
-            from repro.core.batched import sweep_batched
-
-            plan = outcome.plan.plan
-            started = time.perf_counter()
-            batch = sweep_batched(
-                plan, values, SartConfig(partition_by_fub=False)
+        plan = outcome.plan.plan
+        started = time.perf_counter()
+        batch = sweep_batched(plan, values, SartConfig(partition_by_fub=False))
+        elapsed = time.perf_counter() - started
+        ctx.notify(
+            "sweep:batched", points=points, seconds=elapsed,
+            nodes=plan.n,
+            nodes_per_second=plan.n * points / elapsed if elapsed > 0 else 0.0,
+        )
+        share = elapsed / points
+        for w, value in enumerate(values):
+            result = BatchedSweepResult(
+                report=batch.report(w), batch=batch, index=w
             )
-            elapsed = time.perf_counter() - started
-            ctx.notify(
-                "sweep:batched", points=points, seconds=elapsed,
-                nodes=plan.n,
-                nodes_per_second=(
-                    plan.n * points / elapsed if elapsed > 0 else 0.0
-                ),
-            )
-            share = elapsed / points if points else 0.0
-            for w, value in enumerate(values):
-                result = BatchedSweepResult(
-                    report=batch.report(w), batch=batch, index=w
-                )
-                outcome.sweep.append(SweepPoint(value, result, share))
-                ctx.notify("sweep:point", value=value, result=result,
-                           seconds=share)
-        else:
-            for value in values:
-                config = SartConfig(loop_pavf=value, partition_by_fub=False)
-                started = time.perf_counter()
-                result = run_sart(design.module, ports, config,
-                                  plan=outcome.plan.plan)
-                elapsed = time.perf_counter() - started
-                outcome.sweep.append(SweepPoint(value, result, elapsed))
-                ctx.notify("sweep:point", value=value, result=result,
-                           seconds=elapsed)
+            outcome.sweep.append(SweepPoint(value, result, share))
+            ctx.notify("sweep:point", value=value, result=result,
+                       seconds=share)
 
     # --- campaigns -----------------------------------------------------
     if "sfi" in stages:

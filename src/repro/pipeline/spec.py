@@ -76,14 +76,12 @@ class SartSpec:
 class SweepSpec:
     """Loop-boundary pAVF sweep (``[sweep]``, Figure 8).
 
-    ``batched=True`` (the default) evaluates every sweep point in one
-    multi-workload matrix pass (:mod:`repro.core.batched`); ``false``
-    falls back to one ``run_sart`` per point. Validated on construction,
-    like :class:`SartSpec`.
+    Every sweep point is evaluated in one multi-workload matrix pass
+    (:mod:`repro.core.batched`). Validated on construction, like
+    :class:`SartSpec`.
     """
 
     points: int = 11
-    batched: bool = True
 
     def __post_init__(self) -> None:
         points = self.points
@@ -151,7 +149,7 @@ class EcoSpec:
     """Incremental re-solve against a baseline design (``[eco]``).
 
     ``baseline`` is a design reference; the runner solves it first (its
-    per-FUB solutions come from the artifact store when one is
+    ACE suite and plan come from the artifact store when one is
     configured), diffs the two compiled plans, and warm-starts the main
     design's SART solve from the baseline so only the FUBs the edit
     actually influences re-solve — bit-identical to a cold run.
@@ -227,8 +225,7 @@ _SECTIONS = {
     "eco": EcoSpec,
     "derating": DeratingSpec,
 }
-_BOOLEANS = {"monolithic", "per_node", "include_arrays", "parity", "batched",
-             "check"}
+_BOOLEANS = {"monolithic", "per_node", "include_arrays", "parity", "check"}
 
 
 def _section(cls, data: Mapping[str, Any], name: str):

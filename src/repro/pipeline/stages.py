@@ -25,13 +25,8 @@ derating  design fingerprint + sart fingerprint (when a solve rode
           the MC estimator is bit-identical across them
 ========  ==========================================================
 
-SART solves themselves are *not* persisted whole: with a cached plan
-they are re-evaluations, which is the paper's own speed story.
-Partitioned solves do persist their per-(FUB, direction) converged
-sub-solutions under ``fubsol`` keys (ECO mode, see
-:mod:`repro.pipeline.delta`), so a later solve of an edited design hits
-on every unchanged FUB and warm-starts the relaxation over the dirty
-set alone.
+SART solves are *not* persisted: with a cached plan they are
+re-evaluations, which is the paper's own speed story.
 """
 
 from __future__ import annotations
@@ -237,24 +232,43 @@ def stage_ace_ports(
 
 
 def stage_ports_file(ctx: PipelineContext, path: str) -> PortEnv:
-    """Load a ``name pavf_r pavf_w [avf]`` structure-port table."""
+    """Load a ``name pavf_r pavf_w [avf]`` structure-port table.
+
+    The path comes from outside the program (a flag, a spec, a job), so
+    an unreadable file or a malformed line is a
+    :class:`~repro.errors.SpecError` naming the path (and the line).
+    """
+    from repro.errors import SpecError
+
     started = time.perf_counter()
+    try:
+        with open(path) as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or type(exc).__name__
+        raise SpecError(f"{path}: cannot read ports file ({reason})") from None
     ports: dict[str, StructurePorts] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 4):
-                raise SystemExit(
-                    f"{path}:{lineno}: expected 'name pavf_r pavf_w [avf]'"
-                )
-            name = fields[0]
-            avf = float(fields[3]) if len(fields) == 4 else None
-            ports[name] = StructurePorts(
-                name=name, pavf_r=float(fields[1]), pavf_w=float(fields[2]), avf=avf
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise SpecError(
+                f"{path}:{lineno}: expected 'name pavf_r pavf_w [avf]'"
             )
+        try:
+            values = [float(text) for text in fields[1:]]
+        except ValueError:
+            raise SpecError(
+                f"{path}:{lineno}: pavf_r, pavf_w and avf must be numbers, "
+                f"got {line!r}"
+            ) from None
+        name = fields[0]
+        ports[name] = StructurePorts(
+            name=name, pavf_r=values[0], pavf_w=values[1],
+            avf=values[2] if len(values) == 3 else None,
+        )
     table = sorted(
         (p.name, float(p.pavf_r), float(p.pavf_w), p.avf) for p in ports.values()
     )
@@ -304,63 +318,16 @@ def stage_sart(
     *,
     warm_start=None,
 ) -> SartOutcome:
-    """One SART solve (propagation + resolution).
+    """One SART solve (propagation + resolution), never persisted.
 
-    The whole-design solve is never persisted — with a cached plan it is
-    a re-evaluation, the paper's own speed story. What *is* persisted,
-    for partitioned runs against a real store, are the
-    per-(FUB, direction) converged sub-solutions (ECO mode,
-    :mod:`repro.pipeline.delta`): before solving, the store is consulted
-    per FUB, hits seed a warm start so only the FUBs whose sub-results
-    are missing re-solve, and after a converged solve the missing
-    entries are back-filled. A one-FUB edit therefore hits on every
-    other FUB and re-solves only the edit's reachable dirty set —
-    bit-identical to a cold solve.
-
-    An explicit *warm_start* (the design-delta flow, built by
-    :func:`repro.pipeline.delta.warm_start_from_result`) takes
-    precedence: the store is neither consulted nor back-filled, the
-    supplied seed drives the solve directly.
+    *warm_start* (the ``[eco]`` flow, built by
+    :func:`repro.pipeline.delta.warm_start_from_result`) seeds the
+    relaxation from a baseline solution; without it the solve runs cold.
     """
     started = time.perf_counter()
     ports = port_env.ports if port_env is not None else None
-    eco = (
-        warm_start is None
-        and not isinstance(ctx.store, NullStore)
-        and config.partition_by_fub
-        and plan.plan.n_fubs > 1
-    )
-    warm = warm_start
-    fub_keys = None
-    fub_fps = None
-    hits = misses = 0
-    hit_pairs: list[tuple[str, str]] = []
-    if eco:
-        from repro.pipeline import delta as delta_mod
-
-        context_fp = delta_mod.eco_context_fingerprint(
-            config, port_env.fingerprint if port_env is not None else None
-        )
-        fub_fps = plan.fub_fingerprints
-        fub_keys = delta_mod.fub_solution_keys(
-            plan.plan, context_fp, fingerprints=fub_fps
-        )
-        warm, hits, misses, hit_pairs = delta_mod.warm_start_from_store(
-            ctx.store, plan.plan, fub_keys
-        )
-        ctx.notify(
-            "eco", fub_hits=hits, fub_misses=misses,
-            dirty=sorted(warm.dirty_fubs) if warm is not None else None,
-        )
-
-    result = run_sart(design.module, ports, config, plan=plan.plan, warm_start=warm)
-
-    if eco and misses:
-        from repro.pipeline import delta as delta_mod
-
-        delta_mod.save_fub_solutions(
-            ctx.store, plan.plan, result, fub_keys, skip=hit_pairs
-        )
+    result = run_sart(design.module, ports, config, plan=plan.plan,
+                      warm_start=warm_start)
     fp = fingerprint(
         "sart",
         plan.fingerprint,
@@ -372,11 +339,9 @@ def stage_sart(
         fingerprint=fp,
         result=result,
         plan_fingerprint=plan.fingerprint,
-        fub_fingerprints=fub_fps,
-        fub_hits=hits,
-        fub_misses=misses,
-        warm=warm is not None,
-        dirty_fubs=tuple(sorted(warm.dirty_fubs)) if warm is not None else (),
+        warm=warm_start is not None,
+        dirty_fubs=(tuple(sorted(warm_start.dirty_fubs))
+                    if warm_start is not None else ()),
     )
     ctx.events.append(
         StageEvent("sart", fp, False, time.perf_counter() - started)

@@ -4,10 +4,15 @@ Layout (one directory per stage, one pickle per fingerprint)::
 
     <cache-dir>/
         golden/<sha256>.pkl        + <sha256>.json   (metadata sidecar)
-        ace/<sha256>.pkl           ...
+        ports/<sha256>.pkl         ...
+        ace/<sha256>.pkl
         plan/<sha256>.pkl
+        derating/<sha256>.pkl
         sfi/<sha256>.pkl
         beam/<sha256>.pkl
+
+SART solves are never stored: with a cached plan a solve is a cheap
+re-evaluation.
 
 The fingerprint *is* the address: it already encodes the design config,
 program, workload suite, stage knobs, and stage code version
@@ -138,28 +143,6 @@ class ArtifactStore:
             return False
         return True
 
-    def load_many(
-        self, stage: str, fingerprints: list[str]
-    ) -> tuple[dict[str, Any], int, int]:
-        """Batch-load one stage's entries: ``(found, hits, misses)``.
-
-        The per-FUB solution path (ECO mode) addresses dozens of
-        sub-results per solve; this keeps the hit/miss accounting in one
-        place — a missing or corrupt entry is a miss, never an error —
-        and bumps the instance tallies so ``BENCH_eco.json`` and the
-        serve counters read one source of truth.
-        """
-        found: dict[str, Any] = {}
-        for fp in fingerprints:
-            obj = self.load(stage, fp)
-            if obj is not None:
-                found[fp] = obj
-        hits = len(found)
-        misses = len(fingerprints) - hits
-        self.hits += hits
-        self.misses += misses
-        return found, hits, misses
-
     def entries(self) -> list[tuple[str, str]]:
         """All (stage, fingerprint) pairs currently on disk."""
         out: list[tuple[str, str]] = []
@@ -207,12 +190,6 @@ class NullStore:
 
     def save(self, stage: str, fingerprint: str, obj: Any) -> None:
         return None
-
-    def load_many(
-        self, stage: str, fingerprints: list[str]
-    ) -> tuple[dict[str, Any], int, int]:
-        self.misses += len(fingerprints)
-        return {}, 0, len(fingerprints)
 
     def fetch(
         self, stage: str, fingerprint: str, compute: Callable[[], Any],

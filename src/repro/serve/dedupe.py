@@ -36,13 +36,10 @@ class ServeCounters:
     recovered: int = 0         # jobs replayed from the journal on boot
     resumed: int = 0           # recovered jobs that had to re-execute
     retries: int = 0           # job-level retry attempts
-    # ECO mode: jobs whose SART solve touched the per-FUB solution
-    # store or an explicit warm-start baseline.
+    # ECO mode: jobs whose spec has an ``[eco]`` section.
     eco_jobs: int = 0          # completed jobs that reported an eco block
-    fub_hits: int = 0          # per-(FUB, direction) store hits across jobs
-    fub_misses: int = 0        # per-(FUB, direction) store misses
-    warm_solves: int = 0       # eco jobs solved from a warm start
-    cold_solves: int = 0       # eco jobs that still ran cold (all misses)
+    warm_solves: int = 0       # eco jobs solved from the baseline's warm start
+    cold_solves: int = 0       # eco jobs whose warm start did not apply
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -64,8 +61,6 @@ class ServeCounters:
                 "resumed": self.resumed,
                 "retries": self.retries,
                 "eco_jobs": self.eco_jobs,
-                "fub_hits": self.fub_hits,
-                "fub_misses": self.fub_misses,
                 "warm_solves": self.warm_solves,
                 "cold_solves": self.cold_solves,
             }

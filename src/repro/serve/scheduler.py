@@ -286,8 +286,6 @@ class JobScheduler:
         eco = result.get("eco") if isinstance(result, dict) else None
         if eco:
             self.counters.bump("eco_jobs")
-            self.counters.bump("fub_hits", int(eco.get("fub_hits", 0)))
-            self.counters.bump("fub_misses", int(eco.get("fub_misses", 0)))
             self.counters.bump(
                 "warm_solves" if eco.get("warm") else "cold_solves"
             )

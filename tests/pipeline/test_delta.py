@@ -3,8 +3,7 @@
 The contract under test: a warm-started solve of an edited design is
 bit-identical — node AVFs *and* annotation sets — to a cold solve of
 the same design, while re-solving only the FUBs the edit can actually
-influence. Store keys must invalidate exactly the edited FUB plus its
-per-direction reachable set.
+influence.
 """
 
 import dataclasses
@@ -16,19 +15,12 @@ from repro.core.relaxation import WarmStart
 from repro.core.sart import SartConfig, build_plan, run_sart
 from repro.pipeline.delta import (
     DesignDelta,
-    FubSolution,
     diff_plans,
     dirty_fub_indices,
-    eco_context_fingerprint,
-    extract_fub_solutions,
     fub_closures,
     fub_fingerprints,
-    fub_solution_keys,
-    save_fub_solutions,
     warm_start_from_result,
-    warm_start_from_store,
 )
-from repro.pipeline.store import ArtifactStore
 
 STRUCTS = {
     "SRC": StructurePorts("SRC", pavf_r=0.3, pavf_w=0.0, avf=0.5),
@@ -230,16 +222,9 @@ class TestDiff:
         assert doc["n_fubs"] == delta.n_fubs
         assert 0.0 < doc["dirty_fraction"] <= 1.0
 
-    def test_precomputed_fingerprints_are_honored(self):
-        plan_a, plan_b = _plan(_design()), _plan(_design(edit="B"))
-        fps_a, fps_b = fub_fingerprints(plan_a), fub_fingerprints(plan_b)
-        delta = diff_plans(plan_a, plan_b,
-                           fingerprints_a=fps_a, fingerprints_b=fps_b)
-        assert delta.changed == ("B",)
-
 
 # ----------------------------------------------------------------------
-# optimistic warm start (the delta path)
+# warm start from a baseline result
 # ----------------------------------------------------------------------
 
 class TestWarmStartFromResult:
@@ -248,7 +233,7 @@ class TestWarmStartFromResult:
         baseline = _solve(base_module, plan=plan_a, config=config)
         delta = diff_plans(plan_a, plan_b)
         warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
-        assert warm_start is not None and warm_start.optimistic
+        assert warm_start is not None
         warm = _solve(target_module, plan=plan_b,
                       warm_start=warm_start, config=config)
         cold = _solve(target_module, plan=plan_b, config=config)
@@ -326,117 +311,3 @@ class TestWarmStartFromResult:
         assert warm.node_avfs == cold.node_avfs
         assert not warm.trace.warm
 
-
-# ----------------------------------------------------------------------
-# per-(FUB, direction) store keys and round trips
-# ----------------------------------------------------------------------
-
-class TestStoreKeys:
-    def test_edit_invalidates_only_the_reachable_keys(self):
-        plan_a, plan_b = _plan(_design()), _plan(_design(edit="B"))
-        ctx = eco_context_fingerprint(CFG, None)
-        keys_a = fub_solution_keys(plan_a, ctx)
-        keys_b = fub_solution_keys(plan_b, ctx)
-        # B itself: both directions invalid.
-        assert keys_a["B"]["f"] != keys_b["B"]["f"]
-        assert keys_a["B"]["b"] != keys_b["B"]["b"]
-        # A feeds B: its forward solution is unaffected, its backward
-        # solution reads B's exports.
-        assert keys_a["A"]["f"] == keys_b["A"]["f"]
-        assert keys_a["A"]["b"] != keys_b["A"]["b"]
-        # C mirrors A.
-        assert keys_a["C"]["f"] != keys_b["C"]["f"]
-        assert keys_a["C"]["b"] == keys_b["C"]["b"]
-        # D is disconnected: both keys survive.
-        assert keys_a["D"] == keys_b["D"]
-
-    def test_context_fingerprint_tracks_solve_knobs(self):
-        base = eco_context_fingerprint(CFG, None)
-        assert eco_context_fingerprint(dataclasses.replace(CFG), None) == base
-        assert eco_context_fingerprint(
-            dataclasses.replace(CFG, loop_pavf=0.7), None) != base
-        assert eco_context_fingerprint(CFG, "ports-fp") != base
-
-    def test_round_trip_serves_hits_and_stays_identical(self, tmp_path):
-        module = _design()
-        plan = _plan(module)
-        store = ArtifactStore(tmp_path / "cache")
-        keys = fub_solution_keys(plan, eco_context_fingerprint(CFG, None))
-        cold = _solve(module, plan=plan)
-        written = save_fub_solutions(store, plan, cold, keys)
-        assert written == 2 * plan.n_fubs
-
-        warm_start, hits, misses, hit_pairs = warm_start_from_store(
-            ArtifactStore(tmp_path / "cache"), plan, keys
-        )
-        assert hits == 2 * plan.n_fubs and misses == 0
-        assert not warm_start.dirty_fubs and not warm_start.optimistic
-        warm = _solve(module, plan=plan, warm_start=warm_start)
-        _assert_identical(warm, cold)
-        assert warm.trace.warm and warm.trace.resolved_fubs == 0
-        assert warm.trace.iterations == 1
-
-    def test_partial_hits_after_an_edit(self, tmp_path):
-        base_module, target_module = _design(), _design(edit="B")
-        plan_a, plan_b = _plan(base_module), _plan(target_module)
-        ctx = eco_context_fingerprint(CFG, None)
-        store = ArtifactStore(tmp_path / "cache")
-        save_fub_solutions(
-            store, plan_a, _solve(base_module, plan=plan_a),
-            fub_solution_keys(plan_a, ctx),
-        )
-
-        keys_b = fub_solution_keys(plan_b, ctx)
-        warm_start, hits, misses, hit_pairs = warm_start_from_store(
-            store, plan_b, keys_b
-        )
-        # The unreachable halves survive the edit: A forward, C
-        # backward, D both, plus the structure-less top FUB.
-        assert {("A", "f"), ("C", "b"), ("D", "f"), ("D", "b")} <= set(
-            hit_pairs
-        )
-        assert ("B", "f") not in hit_pairs and ("B", "b") not in hit_pairs
-        assert hits + misses == 2 * plan_b.n_fubs
-        assert {"A", "B", "C"} <= set(warm_start.dirty_fubs)
-        assert "D" not in warm_start.dirty_fubs
-
-        cold = _solve(target_module, plan=plan_b)
-        warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
-        _assert_identical(warm, cold)
-        # Back-filling skips the served hits.
-        wrote = save_fub_solutions(store, plan_b, warm, keys_b,
-                                   skip=hit_pairs)
-        assert wrote == 2 * plan_b.n_fubs - hits
-
-    def test_corrupt_entry_counts_as_miss(self, tmp_path):
-        module = _design()
-        plan = _plan(module)
-        store = ArtifactStore(tmp_path / "cache")
-        keys = fub_solution_keys(plan, eco_context_fingerprint(CFG, None))
-        save_fub_solutions(store, plan, _solve(module, plan=plan), keys)
-        # Overwrite B's forward entry with a blob whose node coverage
-        # does not match the plan.
-        store.save("fubsol", keys["B"]["f"], FubSolution(
-            fub="B", direction="f", sets={"bogus": frozenset()}, boundary={}
-        ))
-        _, hits, misses, hit_pairs = warm_start_from_store(store, plan, keys)
-        assert misses == 1 and ("B", "f") not in hit_pairs
-
-    def test_all_misses_mean_no_warm_start(self, tmp_path):
-        plan = _plan(_design())
-        keys = fub_solution_keys(plan, eco_context_fingerprint(CFG, None))
-        warm_start, hits, misses, hit_pairs = warm_start_from_store(
-            ArtifactStore(tmp_path / "cache"), plan, keys
-        )
-        assert warm_start is None and hits == 0 and not hit_pairs
-        assert misses == 2 * plan.n_fubs
-
-    def test_extract_refuses_unusable_results(self):
-        module = _design()
-        mono = run_sart(module, STRUCTS,
-                        dataclasses.replace(CFG, partition_by_fub=False))
-        assert extract_fub_solutions(_plan(module), mono) == {}
-        part = _solve(module)
-        assert extract_fub_solutions(
-            _plan(module), dataclasses.replace(part, b_boundary=None)
-        ) == {}

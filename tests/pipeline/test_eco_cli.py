@@ -103,41 +103,12 @@ def test_eco_cli_monolithic_falls_back_cold(cache_dir, capsys):
 
 
 # ----------------------------------------------------------------------
-# per-FUB store reuse across design references
+# the [eco] spec section
 # ----------------------------------------------------------------------
 
-def test_store_serves_unchanged_fubs_across_designs(cache_dir):
-    workloads = WorkloadsSpec(per_class=1, length=400)
-    store = ArtifactStore(cache_dir)
-    execute(RunSpec(design=BASE, workloads=workloads), store=store)
-
-    edited = execute(
-        RunSpec(design=EDIT, workloads=workloads),
-        store=ArtifactStore(cache_dir),
-    )
-    sart = edited.sart
-    # The LSU's keys (and those of FUBs that can reach it) miss; the
-    # rest of the design is served from the baseline's entries.
-    assert sart.warm and sart.fub_hits > 0 and sart.fub_misses > 0
-    assert sart.result.trace.converged
-
-    cold = execute(RunSpec(design=EDIT, workloads=workloads))
-    assert sart.result.node_avfs == cold.sart.result.node_avfs
-    assert sart.result.f_sets == cold.sart.result.f_sets
-    assert sart.result.b_sets == cold.sart.result.b_sets
-
-    # A third run of the edited design hits on every entry.
-    again = execute(
-        RunSpec(design=EDIT, workloads=workloads),
-        store=ArtifactStore(cache_dir),
-    )
-    assert again.sart.fub_misses == 0
-    assert again.sart.result.trace.resolved_fubs == 0
-
-
-def test_eco_spec_flow_matches_store_flow(cache_dir):
-    # The [eco] delta path and the per-FUB store path are independent
-    # reuse disciplines; both must land on the same numbers.
+def test_eco_spec_flow_with_cache_dir_matches_cold(cache_dir):
+    # The [eco] warm start with a cache dir lands on the numbers of a
+    # cold, cache-free solve.
     workloads = WorkloadsSpec(per_class=1, length=400)
     eco = execute(
         RunSpec(design=EDIT, workloads=workloads,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import SpecError
+from repro.pipeline.runner import execute
 from repro.pipeline.spec import (
     CampaignSpec,
     RunSpec,
@@ -79,8 +80,6 @@ def test_validation_errors(tmp_path):
     for sart, message in BAD_SART:
         with pytest.raises(SpecError, match=message):
             spec_from_mapping({"design": "tinycore:fib", "sart": sart})
-    with pytest.raises(SpecError, match="batched must be true or false"):
-        spec_from_mapping({"design": "bigcore", "sweep": {"batched": 1}})
     # [sweep] points is checked too: these raised an uncaught TypeError
     # or ran an empty or one-point sweep.
     for points in ("x", 2.5, 0, -3, True):
@@ -89,11 +88,17 @@ def test_validation_errors(tmp_path):
                 match=rf"\[sweep\] points must be an integer >= 1, got {points!r}"):
             spec_from_mapping({"design": "tinycore:fib",
                                "sweep": {"points": points}})
-    # The removed [campaign] backend key is an unknown key too.
+    # The removed [campaign] backend and [sweep] batched keys are
+    # unknown keys too.
     with pytest.raises(SpecError,
                        match=r"unknown key\(s\) \['backend'\] in \[campaign\]"):
         spec_from_mapping({"design": "tinycore:fib",
                            "campaign": {"backend": "python"}})
+    for batched in (False, True):
+        with pytest.raises(SpecError,
+                           match=r"unknown key\(s\) \['batched'\] in \[sweep\]"):
+            spec_from_mapping({"design": "bigcore",
+                               "sweep": {"batched": batched}})
     # Direct construction (the CLI path) runs the same checks.
     with pytest.raises(SpecError, match="loop_pavf"):
         SartSpec(loop_pavf=7.0)
@@ -129,6 +134,19 @@ def test_ports_section_forms():
     assert spec.ports_file == "ports.txt"
     with pytest.raises(SpecError, match=r"in \[ports\]"):
         spec_from_mapping({"design": "exlif:x", "ports": {"path": "p"}})
+
+
+@pytest.mark.parametrize("content, message", [
+    ("S2 0.1\n", r"ports\.txt:2: expected 'name pavf_r pavf_w \[avf\]'"),
+    ("S2 0.1 high\n", r"ports\.txt:2: pavf_r, pavf_w and avf must be numbers"),
+    (None, r"ports\.txt: cannot read ports file"),
+], ids=["short-line", "not-a-number", "unreadable"])
+def test_malformed_ports_file_is_a_spec_error(tmp_path, content, message):
+    path = tmp_path / "ports.txt"
+    if content is not None:
+        path.write_text("S1 0.1 0.0 0.3\n" + content)
+    with pytest.raises(SpecError, match=message):
+        execute(RunSpec(design="tinycore:fib", ports_file=str(path)))
 
 
 # ----------------------------------------------------------------------

@@ -98,7 +98,8 @@ def test_restart_tolerates_torn_final_journal_record(tmp_path):
 def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     # Jobs queued by older servers: their journaled normalized specs
     # spell out the since-removed [sart] engine and relax_workers keys,
-    # or the since-removed [campaign] backend key.
+    # the since-removed [campaign] backend key, or the since-removed
+    # [sweep] batched key.
     state = tmp_path / "state"
     old_specs = {
         "0123456789abcdef" * 4: (
@@ -112,6 +113,10 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
              "sfi": {"injections": 8, "seed": 1},
              "campaign": {"backend": None, "workers": 1}},
             "['backend'] in [campaign]"),
+        "00112233445566778899aabbccddeeff" * 2: (
+            {"design": "bigcore@scale=0.1",
+             "sweep": {"points": 4, "batched": True}},
+            "['batched'] in [sweep]"),
     }
     first = JobScheduler(str(state), worker=_ok_worker)
     for fingerprint, (old_spec, _) in old_specs.items():

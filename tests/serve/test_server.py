@@ -60,8 +60,8 @@ def test_error_codes(tmp_path):
                                 {"design": "tinycore:fib", "bogus": {}})
         assert status == 400 and "bogus" in doc["error"]
         # Bad [sart] and [sweep] values and the removed [sart]
-        # engine/relax_workers and [campaign] backend keys are refused
-        # at admission, naming the offending key.
+        # engine/relax_workers, [campaign] backend and [sweep] batched
+        # keys are refused at admission, naming the offending key.
         for section, body in (
                 ("sart", {"iterations": "abc"}), ("sart", {"iterations": 0}),
                 ("sart", {"loop_pavf": 7}), ("sart", {"monolithic": "false"}),
@@ -69,7 +69,7 @@ def test_error_codes(tmp_path):
                 ("campaign", {"backend": "python"}),
                 ("sweep", {"points": "x"}), ("sweep", {"points": 2.5}),
                 ("sweep", {"points": 0}), ("sweep", {"points": -3}),
-                ("sweep", {"points": True})):
+                ("sweep", {"points": True}), ("sweep", {"batched": False})):
             status, doc = post_json(f"{app.url}/jobs",
                                     {"design": "tinycore:fib", section: body})
             assert status == 400, body

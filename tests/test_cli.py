@@ -235,7 +235,8 @@ def test_loadgen_cli_against_live_server(tmp_path, capsys):
 
     def stub_worker(task):
         return {"ok": True,
-                "eco": {"warm": True, "fub_hits": 3, "fub_misses": 1}}
+                "eco": {"warm": True, "dirty_fubs": ["LSU"],
+                        "resolved_fubs": 1}}
 
     app = ServeApp(str(tmp_path / "state"), worker=stub_worker,
                    queue_limit=16).start_background()
@@ -254,7 +255,6 @@ def test_loadgen_cli_against_live_server(tmp_path, capsys):
     assert doc["dedup_burst"]["executions"] == 1
     counters = doc["server_counters"]
     assert counters["eco_jobs"] == counters["completed"]
-    assert counters["fub_hits"] == 3 * counters["eco_jobs"]
     assert counters["warm_solves"] == counters["eco_jobs"]
 
 

@@ -225,17 +225,18 @@ def test_bench_batched_workload_sweep(scale2_setup, bench_sart_json):
 def test_bench_mega_systolic(bench_sart_json, tmp_path):
     """The 10^6-node rung: streamed systolic array, batched workloads.
 
-    End-to-end object-free path — EXLIF streamed to disk, re-read into
-    CSR arrays, lowered to one plan, solved once, evaluated under a
-    4-point workload sweep — checked bit-equivalent (1e-9) against the
-    per-workload compiled engine on a sample of sweep points.
+    EXLIF streamed to disk, read back line by line through ``exlif:``
+    into the columnar graph (no Module), lowered to one plan, solved
+    once, evaluated under a 4-point workload sweep — checked
+    bit-equivalent (1e-9) against the per-workload compiled engine on a
+    sample of sweep points.
     """
     from repro.designs.bigcore.systolic import (
         SystolicConfig,
         node_count,
         write_systolic_exlif,
     )
-    from repro.netlist.stream import stream_graph
+    from repro.pipeline.registry import resolve_design
 
     cfg = SystolicConfig(rows=104, cols=104)
     expected = node_count(cfg)
@@ -247,7 +248,7 @@ def test_bench_mega_systolic(bench_sart_json, tmp_path):
     t_write = time.perf_counter() - started
 
     started = time.perf_counter()
-    graph = stream_graph(path)
+    graph = resolve_design(f"exlif:{path}").build().graph
     t_stream = time.perf_counter() - started
     assert len(graph) == expected
 

@@ -73,7 +73,7 @@ import sys
 import threading
 
 from repro import __version__
-from repro.errors import PipelineError
+from repro.errors import ReproError
 from repro.pipeline.emit import (
     export_campaign_json,
     export_sart,
@@ -249,42 +249,12 @@ def _render_plan_line(plan, seconds) -> None:
 def cmd_analyze(args) -> int:
     from repro.pipeline.runner import execute
 
-    if args.stream:
-        return _analyze_streamed(args)
     ref = f"exlif:{args.netlist}"
     if args.top:
         ref += f"@top={args.top}"
     spec = RunSpec(design=ref, ports_file=args.ports, sart=_sart_spec(args))
     outcome = execute(spec, store=_store_from_args(args))
     _render_sart(outcome.sart.result, args)
-    return 0
-
-
-def _analyze_streamed(args) -> int:
-    """``analyze --stream``: file -> columnar graph -> compiled solve.
-
-    Skips the Module/Node object model and the artifact cache entirely;
-    this is the mega-scale path for netlists too large to materialize.
-    """
-    import time
-
-    from repro.core.sart import run_sart
-    from repro.netlist.stream import stream_graph
-    from repro.pipeline.runner import sart_config
-
-    if args.top:
-        raise SystemExit("--stream reads single-module files; drop --top")
-    started = time.perf_counter()
-    graph = stream_graph(args.netlist)
-    print(f"streamed {len(graph)} nodes from {args.netlist} "
-          f"in {time.perf_counter() - started:.2f}s")
-    ports = None
-    if args.ports:
-        from repro.pipeline.stages import PipelineContext, stage_ports_file
-
-        ports = stage_ports_file(PipelineContext(), args.ports).ports
-    result = run_sart(graph, ports, sart_config(_sart_spec(args)))
-    _render_sart(result, args)
     return 0
 
 
@@ -823,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("netlist", help="EXLIF file")
     p.add_argument("--top", help="top module name (default: first in file)")
     p.add_argument("--ports", help="structure pAVF table (name r w [avf])")
-    p.add_argument("--stream", action="store_true",
-                   help="stream the netlist straight to the compiled "
-                        "engine (no object model, no artifact cache; "
-                        "for mega-scale single-module files)")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -1051,7 +1017,7 @@ def main(argv: list[str] | None = None) -> int:
         return _interrupted(args, code=143, label="terminated")
     except KeyboardInterrupt:
         return _interrupted(args)
-    except PipelineError as exc:
+    except ReproError as exc:
         raise SystemExit(str(exc))
 
 

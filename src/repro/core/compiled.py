@@ -47,7 +47,6 @@ from repro.core.pavf import (
     collapse_if_large,
     union,
 )
-from repro.core.partition import FubPartition
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.resolve import (
     NodeAvf,
@@ -72,7 +71,7 @@ HAVE_NUMPY = _np is not None
 # Layout version of the SolvePlans the artifact store pickles, recorded on
 # every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
 # what invalidates cached plans), when the SolvePlan fields change.
-PLAN_FORMAT = 2
+PLAN_FORMAT = 3  # v3: the plan's graph is the columnar NetGraph
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -279,7 +278,6 @@ class SolvePlan:
         # Caches (dropped when the plan is pickled into the artifact store).
         self._union_memo: dict[int, dict[tuple[int, ...], int]] = {}
         self._mono_cache: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
-        self._partition: FubPartition | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -327,18 +325,12 @@ class SolvePlan:
         return plan
 
     def _lower_connectivity(self) -> None:
-        # The graph serves its interned CSR directly (columnar graphs
-        # share their arrays; dict graphs build them once here).
-        names, fanin_ptr, fanin_ix = self.graph.csr_connectivity()
-        self.names = names
-        self.fanin_ptr = fanin_ptr
-        self.fanin_ix = fanin_ix
-        self.n = n = len(names)
-        graph_ids = getattr(self.graph, "ids", None)
-        if graph_ids is not None and len(graph_ids) == n:
-            self.ids = graph_ids
-        else:
-            self.ids = {net: i for i, net in enumerate(names)}
+        # The plan shares the graph's interned names and fan-in CSR.
+        graph = self.graph
+        self.names, self.ids = graph.names, graph.ids
+        self.fanin_ptr = fanin_ptr = graph.fanin_ptr
+        self.fanin_ix = fanin_ix = graph.fanin_ix
+        self.n = n = len(graph)
         outdeg = [0] * n
         for sid in fanin_ix:
             outdeg[sid] += 1
@@ -365,7 +357,7 @@ class SolvePlan:
         n = self.n
         ids, names = self.ids, self.names
         fanin_ptr, fanin_ix = self.fanin_ptr, self.fanin_ix
-        kinds = self.graph.kind_column()
+        kinds = self.graph.kinds
         is_cut = bytearray(n)
         for net in cut:
             nid = ids.get(net)
@@ -483,7 +475,7 @@ class SolvePlan:
         # topological order of the full graph).
         fub_ix: dict[str, int] = {}
         fub_of = self.fub_of = [0] * n
-        fub_l = self.fub_l = list(self.graph.fub_column())
+        fub_l = self.fub_l = self.graph.fubs
         for nid, fub in enumerate(fub_l):
             ix = fub_ix.get(fub)
             if ix is None:
@@ -572,14 +564,14 @@ class SolvePlan:
 
         struct_ids = {self.ids[net] for net in self.model.struct_nodes}
         self.fub_seq = [[] for _ in self.fub_names]
-        kinds = self.graph.kind_column()
+        kinds = self.graph.kinds
         for nid in range(self.n):
             if kinds[nid] == NodeKind.SEQ and nid not in struct_ids:
                 self.fub_seq[fub_of[nid]].append(nid)
 
     def _build_resolution_metadata(self) -> None:
         model, names = self.model, self.names
-        kind_l = self.kind_l = list(self.graph.kind_column())
+        kind_l = self.kind_l = self.graph.kinds
         role_l = self.role_l = [ROLE_LOGIC] * self.n
         mode_l = self.mode_l = [_MODE_MIN] * self.n
         special_l = self.special_l = [None] * self.n
@@ -636,21 +628,6 @@ class SolvePlan:
                 "rebuild the plan for this config"
             )
 
-    def partition(self) -> FubPartition:
-        """String-keyed view of the FUB partition (lazy, cached)."""
-        if self._partition is None:
-            part = FubPartition()
-            for fub in self.fub_names:
-                part.fubs[fub] = set()
-            names, fub_of = self.names, self.fub_of
-            fub_names = self.fub_names
-            for nid, net in enumerate(names):
-                part.fubs[fub_names[fub_of[nid]]].add(net)
-            part.forward_exports = {names[nid] for nid in self.f_exports}
-            part.backward_exports = {names[nid] for nid in self.b_exports}
-            self._partition = part
-        return self._partition
-
     def sets_dict(self, sids: Sequence[int]) -> dict[str, frozenset[Atom]]:
         """Materialize a set-id vector as the legacy net -> frozenset map."""
         sets = self.interner.sets
@@ -668,7 +645,6 @@ class SolvePlan:
         # travel, because the fixed set ids reference it.
         state["_union_memo"] = {}
         state["_mono_cache"] = {}
-        state["_partition"] = None
         return state
 
     def _memo_for(self, max_terms: int) -> dict[tuple[int, ...], int]:

@@ -27,7 +27,7 @@ def node_avfs_csv(result: SartResult, *, only_sequential: bool = False) -> str:
     for net, node in sorted(result.node_avfs.items()):
         if only_sequential and node.kind != "seq":
             continue
-        inst = graph.nodes[net].inst or ""
+        inst = graph.inst(graph.ids[net]) or ""
         writer.writerow([
             net, inst, node.fub, node.kind, node.role,
             f"{node.forward:.6f}", f"{node.backward:.6f}",

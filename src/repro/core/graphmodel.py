@@ -187,8 +187,8 @@ def build_model(
         bindings[net] = (attrs["struct"], bit)
 
     for net, (sname, bit) in bindings.items():
-        node = graph.nodes.get(net)
-        if node is None or node.kind != NodeKind.SEQ:
+        nid = graph.ids.get(net)
+        if nid is None or graph.kinds[nid] != NodeKind.SEQ:
             raise MappingError(f"structure bit {sname}.{bit}: {net!r} is not a sequential node")
         ports = ports_for(sname)
         r_atom = Atom(READ, sname, bit)

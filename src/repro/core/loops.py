@@ -39,10 +39,10 @@ def strongly_connected_components(
     on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
-    nodes = graph.nodes
+    fanins = graph.fanins()
     empty: tuple[str, ...] = ()
 
-    for root in nodes:
+    for root in fanins:
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]
@@ -54,7 +54,7 @@ def strongly_connected_components(
                 index_counter += 1
                 stack.append(net)
                 on_stack.add(net)
-            fanin = empty if net in cut else nodes[net].fanin
+            fanin = empty if net in cut else fanins[net]
             advanced = False
             for i in range(child_i, len(fanin)):
                 child = fanin[i]
@@ -95,24 +95,21 @@ def find_loop_nets(graph: NetGraph, cut: frozenset[str] | set[str] = frozenset()
     """
     loops: set[str] = set()
     cut_set = cut if isinstance(cut, (set, frozenset)) else set(cut)
-    nodes = graph.nodes
+    fanins, ids, kinds = graph.fanins(), graph.ids, graph.kinds
     for component in strongly_connected_components(graph, cut_set):
         if len(component) == 1:
             # Fast path: almost every SCC is a single node, which is a
             # loop only via a self edge (and never when cut — cut nodes
             # have no fan-in, so their self edge is not traversed).
             net = component[0]
-            if net in cut_set or net not in nodes[net].fanin:
+            if net in cut_set or net not in fanins[net]:
                 continue
-            members = component
-        else:
-            # A multi-node SCC cannot contain cut nodes (no fan-in).
-            members = component
-        seq = {net for net in members if nodes[net].kind == NodeKind.SEQ}
+        # A multi-node SCC cannot contain cut nodes (no fan-in).
+        seq = {net for net in component if kinds[ids[net]] == NodeKind.SEQ}
         if not seq:
             raise SartError(
                 "combinational cycle in node graph (validation should have "
-                f"caught this): {sorted(members)[:8]}"
+                f"caught this): {sorted(component)[:8]}"
             )
         loops.update(seq)
     return loops

@@ -28,24 +28,17 @@ class FubPartition:
     # Nets whose backward value must be exported (consumers of cross edges).
     backward_exports: set[str] = field(default_factory=set)
 
-    def fub_of(self, net: str) -> str | None:
-        for fub, nets in self.fubs.items():
-            if net in nets:
-                return fub
-        return None
-
 
 def partition_by_fub(model: AvfModel) -> FubPartition:
     """Partition the node graph along FUB boundaries."""
     part = FubPartition()
     graph = model.graph
-    owner: dict[str, str] = {}
-    for net, node in graph.nodes.items():
-        part.fubs.setdefault(node.fub, set()).add(net)
-        owner[net] = node.fub
-    for net, node in graph.nodes.items():
-        for driver in node.fanin:
-            if owner[driver] != node.fub:
-                part.forward_exports.add(driver)
+    names, fubs, ptr, ix = graph.names, graph.fubs, graph.fanin_ptr, graph.fanin_ix
+    for net, fub in zip(names, fubs):
+        part.fubs.setdefault(fub, set()).add(net)
+    for nid, net in enumerate(names):
+        for j in ix[ptr[nid]:ptr[nid + 1]]:
+            if fubs[j] != fubs[nid]:
+                part.forward_exports.add(names[j])
                 part.backward_exports.add(net)
     return part

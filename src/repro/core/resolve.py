@@ -57,7 +57,8 @@ def resolve(
     """
     structures = structures if structures is not None else model.structures
     out: dict[str, NodeAvf] = {}
-    for net, node in model.graph.nodes.items():
+    graph = model.graph
+    for net, kind, fub in zip(graph.names, graph.kinds, graph.fubs):
         f_set = f_sets.get(net)
         b_set = b_sets.get(net)
         f_val = value_of(f_set, env) if f_set is not None else 1.0
@@ -83,13 +84,13 @@ def resolve(
             role = ROLE_CTRL
             avf = env.lookup(Atom(CTRL, net))
             visited = True
-        elif node.kind == NodeKind.CONST:
+        elif kind == NodeKind.CONST:
             role = ROLE_CONST
             avf = min(f_val, b_val)
-        elif node.kind == NodeKind.INPUT:
+        elif kind == NodeKind.INPUT:
             role = ROLE_INPUT
             avf = min(f_val, b_val)
-        elif node.kind == NodeKind.MEM_RDATA:
+        elif kind == NodeKind.MEM_RDATA:
             role = ROLE_MEM
             avf = min(f_val, b_val)
             visited = True
@@ -99,8 +100,8 @@ def resolve(
 
         out[net] = NodeAvf(
             net=net,
-            kind=node.kind,
-            fub=node.fub,
+            kind=kind,
+            fub=fub,
             role=role,
             avf=avf,
             forward=f_val,

@@ -307,7 +307,7 @@ def run_sart(
     )
     elapsed = time.perf_counter() - started
     stats = {
-        "nodes": float(len(graph.nodes)),
+        "nodes": float(len(graph)),
         "sequentials": float(len(graph.seq_nets())),
         "loop_bits": float(len(model.loop_nets)),
         "ctrl_bits": float(len(model.ctrl_nets)),

@@ -21,10 +21,10 @@ accumulator sign bits to primary outputs.
 The same emitter drives two sinks: :class:`ModuleSink` materializes a
 :class:`~repro.netlist.netlist.Module` (for the registry / pipeline
 path), :class:`ExlifSink` streams EXLIF text straight to a file — byte
-for byte what ``write_exlif`` would produce for the Module — so
-mega-scale netlists can be generated and re-read through
-:func:`repro.netlist.stream.stream_graph` without ever holding a
-per-node object model in memory.
+for byte what ``write_exlif`` would produce for the Module — so a
+mega-scale netlist can be written without a Module and analyzed through
+``exlif:``, which reads a flat file line by line into the columnar node
+graph.
 
 Node counts: ``~(3*data_width + acc_width + adder) + 1`` graph nodes
 per PE (:func:`node_count` is exact); ``rows = cols = 102`` at the
@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import io
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO
 
+from repro.netlist.exlif import cell_line
 from repro.netlist.netlist import INPUT, OUTPUT, Instance, Module
 from repro.netlist.validate import validate_module
 
@@ -117,9 +119,9 @@ class ModuleSink:
 class ExlifSink:
     """Streams emitted cells as EXLIF text.
 
-    Emits exactly the bytes :func:`repro.netlist.exlif.write_exlif`
-    produces for the equivalent Module (same field order, sorted pins
-    and attributes), so the two generation paths are interchangeable.
+    Each cell goes through :func:`repro.netlist.exlif.cell_line`, the
+    line writer :func:`~repro.netlist.exlif.write_exlif` uses, so the
+    bytes equal ``write_exlif`` of the equivalent Module.
     """
 
     def __init__(self, name: str, handle: IO[str]):
@@ -133,26 +135,13 @@ class ExlifSink:
         if outputs:
             self._out.write(".outputs " + " ".join(outputs) + "\n")
 
-    @staticmethod
-    def _attr_text(attrs: dict[str, str]) -> str:
-        return "".join(f" @{k}={v}" for k, v in sorted(attrs.items()))
-
     def gate(self, kind: str, name: str, conn: dict[str, str],
              attrs: dict[str, str]) -> None:
-        fields = " ".join(f"{pin}={net}" for pin, net in sorted(conn.items()))
-        self._out.write(
-            f".gate {kind} {name} {fields}{self._attr_text(attrs)}\n"
-        )
+        self._out.write(cell_line(name, kind, conn, {}, attrs))
 
     def latch(self, name: str, conn: dict[str, str],
               attrs: dict[str, str]) -> None:
-        fields = [f"d={conn['d']}", f"q={conn['q']}"]
-        if "en" in conn:
-            fields.append(f"en={conn['en']}")
-        fields.append("init=0")
-        self._out.write(
-            f".latch {name} " + " ".join(fields) + self._attr_text(attrs) + "\n"
-        )
+        self._out.write(cell_line(name, "DFF", conn, {"init": 0}, attrs))
 
     def finish(self) -> None:
         self._out.write(".end\n")
@@ -283,18 +272,13 @@ def write_systolic_exlif(
     """Stream the array as EXLIF text without building a Module.
 
     *target* is a path or an open text handle. Peak memory is one line
-    of text — pair with :func:`repro.netlist.stream.stream_graph` for an
-    end-to-end object-free path to the compiled engine.
+    of text; ``exlif:`` reads the file back without a Module either.
     """
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", buffering=1 << 20) as handle:
-            sink = ExlifSink("systolic", handle)
-            _emit(config, sink)
-            sink.finish()
-        return
-    sink = ExlifSink("systolic", target)
-    _emit(config, sink)
-    sink.finish()
+    opened = isinstance(target, (str, os.PathLike))
+    with open(target, "w", buffering=1 << 20) if opened else nullcontext(target) as handle:
+        sink = ExlifSink("systolic", handle)
+        _emit(config, sink)
+        sink.finish()
 
 
 def systolic_exlif_text(config: SystolicConfig) -> str:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Names of the variadic combinational gates (pins a0..a{n-1} -> y).
 VARIADIC_GATES = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
@@ -137,7 +137,7 @@ def mem_pins(depth: int, width: int, nread: int) -> tuple[list[str], list[str]]:
 
     The address is ``ceil(log2(depth))`` bits wide (minimum one bit).
     """
-    abits = max(1, (depth - 1).bit_length())
+    abits = mem_addr_bits(depth)
     inputs: list[str] = []
     outputs: list[str] = []
     for port in range(nread):
@@ -152,6 +152,15 @@ def mem_pins(depth: int, width: int, nread: int) -> tuple[list[str], list[str]]:
 def mem_addr_bits(depth: int) -> int:
     """Number of address bits for a MEM of the given depth."""
     return max(1, (depth - 1).bit_length())
+
+
+def variadic_pins(conn: Iterable[str]) -> list[str]:
+    """The ``a<i>`` input pins of a variadic gate, in index order.
+
+    Raises :class:`ValueError` for an ``a`` pin whose index is not an
+    integer.
+    """
+    return sorted([p for p in conn if p.startswith("a")], key=lambda p: int(p[1:]))
 
 
 # Arity above which truth-table enumeration (2^k patterns) gives way to

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import NetlistError
-from repro.netlist.cells import CELLS, mem_pins
+from repro.netlist.cells import CELLS, mem_pins, variadic_pins
 
 INPUT = "input"
 OUTPUT = "output"
@@ -76,11 +76,7 @@ class Instance:
         if spec is None:
             raise NetlistError(f"instance {self.name!r}: {self.kind!r} is not a primitive")
         if spec.variadic:
-            pins = sorted(
-                (p for p in self.conn if p.startswith("a")),
-                key=lambda p: int(p[1:]),
-            )
-            return pins
+            return variadic_pins(self.conn)
         if spec.name == "MEM":
             ins, _ = mem_pins(self.params["depth"], self.params["width"], self.params.get("nread", 1))
             return [p for p in ins if p in self.conn]

@@ -13,7 +13,9 @@ Artifact types
 --------------
 
 ``DesignArtifact``
-    A built design: the netlist :class:`~repro.netlist.netlist.Module`
+    A built design: the flattened netlist
+    :class:`~repro.netlist.netlist.Module` of a generated design, or the
+    lowered :class:`~repro.netlist.graph.NetGraph` of an ``exlif:`` file,
     plus whatever design-specific inventory downstream stages need
     (tinycore netlist + program words, bigcore FUB inventory).
 ``GoldenRun``
@@ -46,6 +48,7 @@ from typing import Any, Mapping
 
 from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartResult
+from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
 
 
@@ -56,7 +59,8 @@ class DesignArtifact:
     ref: str                     # normalized registry reference
     kind: str                    # "tinycore" | "bigcore" | "exlif"
     fingerprint: str
-    module: Module               # flattened analysis target
+    module: Module | None = None  # flattened netlist (generated designs)
+    graph: NetGraph | None = None  # lowered node graph (exlif:)
     # tinycore: the simulable netlist and its program image.
     netlist: Any = None          # TinycoreNetlist | None
     program: tuple[int, ...] | None = None
@@ -64,6 +68,11 @@ class DesignArtifact:
     program_name: str | None = None
     # bigcore: the generated design inventory (structure_kinds etc.).
     design: Any = None           # BigcoreDesign | None
+
+    @property
+    def target(self) -> Module | NetGraph:
+        """What the analysis stages lower: the graph when there is one."""
+        return self.graph if self.graph is not None else self.module
 
     def describe(self) -> str:
         return f"{self.ref} [{self.fingerprint[:12]}]"
@@ -112,7 +121,7 @@ class PlanArtifact:
     fingerprint: str
     plan: Any                    # repro.core.compiled.SolvePlan
     cached: bool = field(default=False, compare=False)
-    format: int = 2              # repro.core.compiled.PLAN_FORMAT at build
+    format: int = 3              # repro.core.compiled.PLAN_FORMAT at build
 
     @property
     def n(self) -> int:

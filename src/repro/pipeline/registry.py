@@ -28,8 +28,9 @@ themselves (:mod:`repro.designs.tinycore.provider`,
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
 from repro.errors import DesignRefError
 from repro.pipeline.artifacts import DesignArtifact
@@ -48,12 +49,19 @@ class DesignProvider(Protocol):
     def build(self) -> DesignArtifact: ...
 
 
+# Text-mode read size for hashing and reading EXLIF files.
+_BLOCK = 1 << 20
+
+
 @dataclass(frozen=True)
 class ExlifProvider:
     """``exlif:<path>[@top=<module>]`` — an external EXLIF netlist.
 
     The fingerprint hashes the file *content*, so editing the netlist
-    invalidates downstream caches even when the path is unchanged.
+    invalidates downstream caches even when the path is unchanged. The
+    file decides how it is read: a flat single-model file lowers line by
+    line into the node graph, one with ``.subckt`` or several ``.model``
+    blocks is parsed and flattened first. The artifact carries the graph.
     """
 
     path: str
@@ -64,36 +72,65 @@ class ExlifProvider:
         suffix = f"@top={self.top}" if self.top else ""
         return f"exlif:{self.path}{suffix}"
 
-    def _text(self) -> str:
+    def _lines(self, digest) -> Iterator[str]:
+        """The file's lines, read as text blocks (universal newlines) that
+        are hashed into *digest*: the digest of the whole text."""
+        tail = ""
         try:
             with open(self.path) as handle:
-                return handle.read()
-        except OSError as exc:
+                while block := handle.read(_BLOCK):
+                    digest.update(block.encode())
+                    *lines, tail = (tail + block).split("\n")
+                    yield from lines
+        except (OSError, UnicodeDecodeError) as exc:
             raise DesignRefError(f"cannot read EXLIF file {self.path!r}: {exc}")
+        if tail:
+            yield tail
+
+    def _fingerprint(self, digest) -> str:
+        return stage_fingerprint("design", "exlif", digest.hexdigest(), self.top)
 
     def fingerprint(self) -> str:
-        digest = hashlib.sha256(self._text().encode()).hexdigest()
-        return stage_fingerprint("design", "exlif", digest, self.top)
+        digest = hashlib.sha256()
+        for _ in self._lines(digest):
+            pass
+        return self._fingerprint(digest)
 
-    def build(self) -> DesignArtifact:
+    def flat_module(self, text: str | None = None):
+        """The design as a flattened Module, parsed from *text* or read
+        again from the file (``[export]``; analysis needs only the graph)."""
         from repro.netlist.exlif import parse_exlif
         from repro.netlist.flatten import flatten
 
-        modules = parse_exlif(self._text())
-        if self.top:
-            if self.top not in modules:
-                raise DesignRefError(
-                    f"module {self.top!r} not in {self.path!r}; "
-                    f"have {sorted(modules)}"
-                )
-            top = modules[self.top]
-        else:
-            top = next(iter(modules.values()))
+        if text is None:
+            text = "\n".join(self._lines(hashlib.sha256()))
+        modules = parse_exlif(text)
+        top = self.top or next(iter(modules), None)
+        if top not in modules:
+            raise DesignRefError(
+                f"module {top!r} not in {self.path!r}; have {sorted(modules)}"
+            )
+        return flatten(modules[top], modules)
+
+    def build(self) -> DesignArtifact:
+        from repro.netlist.exlif import FlattenRequired, read_exlif_graph
+        from repro.netlist.graph import extract_graph
+
+        digest = hashlib.sha256()
+        try:
+            with closing(self._lines(digest)) as lines:
+                graph = read_exlif_graph(lines)
+        except FlattenRequired:
+            graph = None
+        if graph is None or self.top not in (None, graph.name):
+            # Hierarchy, several models or another top: parse and flatten.
+            digest = hashlib.sha256()
+            graph = extract_graph(self.flat_module("\n".join(self._lines(digest))))
         return DesignArtifact(
             ref=self.ref,
             kind="exlif",
-            fingerprint=self.fingerprint(),
-            module=flatten(top, modules),
+            fingerprint=self._fingerprint(digest),
+            graph=graph,
         )
 
 

@@ -109,19 +109,20 @@ def sart_config(spec: SartSpec) -> SartConfig:
     )
 
 
-def _export_design(design: DesignArtifact, export, notify) -> str:
+def _export_design(design: DesignArtifact, provider, export, notify) -> str:
+    # An exlif: design carries only its graph; the export re-reads the file.
+    module = design.module if design.module is not None else provider.flat_module()
     if export.format == "exlif":
         from repro.netlist.exlif import write_exlif
 
-        text = write_exlif(design.module)
+        text = write_exlif(module)
     else:
         from repro.netlist.verilog import write_verilog
 
-        text, _names = write_verilog(design.module)
+        text, _names = write_verilog(module)
     with open(export.output, "w") as handle:
         handle.write(text)
-    notify("export", path=export.output, format=export.format,
-           module=design.module)
+    notify("export", path=export.output, format=export.format, module=module)
     return export.output
 
 
@@ -167,7 +168,7 @@ def _eco_check(ctx, design: DesignArtifact, outcome: RunOutcome,
     from repro.errors import PipelineError
 
     ports = outcome.port_env.ports if outcome.port_env is not None else None
-    cold = run_sart(design.module, ports, config, plan=outcome.plan.plan)
+    cold = run_sart(design.target, ports, config, plan=outcome.plan.plan)
     warm_result = outcome.sart.result
     identical = (
         warm_result.node_avfs == cold.node_avfs
@@ -198,7 +199,9 @@ def execute(
     stages = spec.stages()
 
     if spec.export:
-        outcome.export_path = _export_design(design, spec.export, ctx.notify)
+        outcome.export_path = _export_design(
+            design, provider, spec.export, ctx.notify
+        )
 
     # --- structure ports (and the golden run they may depend on) -------
     if "sart" in stages or "sweep" in stages:

@@ -296,7 +296,7 @@ def stage_plan(
 
     def compute():
         ports = port_env.ports if port_env is not None else None
-        return build_plan(design.module, ports, config)
+        return build_plan(design.target, ports, config)
 
     started = time.perf_counter()
     plan, hit = ctx.memoize("plan", fp, compute)
@@ -326,7 +326,7 @@ def stage_sart(
     """
     started = time.perf_counter()
     ports = port_env.ports if port_env is not None else None
-    result = run_sart(design.module, ports, config, plan=plan.plan,
+    result = run_sart(design.target, ports, config, plan=plan.plan,
                       warm_start=warm_start)
     fp = fingerprint(
         "sart",
@@ -378,7 +378,7 @@ def stage_derating(
             MaskingConfig, analytic_derating, measure_masking_mc,
         )
 
-        derating = analytic_derating(design.module)
+        derating = analytic_derating(design.target)
         derated_seq_avf = None
         if sart is not None:
             products = [

@@ -101,38 +101,41 @@ def analytic_derating(design) -> DeratingResult:
     :class:`~repro.netlist.netlist.Module` (extracted on the fly).
     """
     graph = design if isinstance(design, NetGraph) else extract_graph(design)
-    sinks = _build_sinks(graph)
-    obs = _observabilities(sinks)
+    obs = _observabilities(_build_sinks(graph))
     return DeratingResult(flop_derating={
-        net: min(1.0, max(0.0, obs.get(net, 0.0))) for net in graph.seq_nets()
+        net: min(1.0, max(0.0, value))
+        for net, kind, value in zip(graph.names, graph.kinds, obs)
+        if kind == NodeKind.SEQ
     })
 
 
-def _build_sinks(graph: NetGraph) -> dict[str, list]:
-    """Net -> sink list: ``("f", factor)`` terminals and
-    ``("c", consumer_net, sensitization)`` combinational consumers."""
-    sinks: dict[str, list] = {net: [] for net in graph.nodes}
+def _build_sinks(graph: NetGraph) -> list[list]:
+    """Node id -> sink list: ``("f", factor)`` terminals and
+    ``("c", consumer_id, sensitization)`` combinational consumers."""
+    ids, ptr, ix, cells = graph.ids, graph.fanin_ptr, graph.fanin_ix, graph.cells
+    sinks: list[list] = [[] for _ in ids]
 
     def terminal(net: str, factor: float) -> None:
-        entry = sinks.get(net)
-        if entry is not None:
-            entry.append(("f", factor))
+        nid = ids.get(net)
+        if nid is not None:
+            sinks[nid].append(("f", factor))
 
-    for node in graph.nodes.values():
-        if node.kind == NodeKind.COMB:
-            sens = input_sensitivities(node.cell, len(node.fanin))
+    for nid, kind in enumerate(graph.kinds):
+        lo, hi = ptr[nid], ptr[nid + 1]
+        if kind == NodeKind.COMB:
+            sens = input_sensitivities(cells[nid], hi - lo)
             # A net feeding several pins of one gate contributes through
             # each pin; the independent composition below is the same
             # noisy-or the path model uses everywhere else.
-            for pos, src in enumerate(node.fanin):
+            for pos, src in enumerate(ix[lo:hi]):
                 if sens[pos] > 0.0:
-                    sinks[src].append(("c", node.net, sens[pos]))
-        elif node.kind == NodeKind.SEQ:
-            has_en = len(node.fanin) == 3
-            terminal(node.fanin[0], _HALF if has_en else 1.0)  # d
+                    sinks[src].append(("c", nid, sens[pos]))
+        elif kind == NodeKind.SEQ:
+            has_en = hi - lo == 3
+            sinks[ix[lo]].append(("f", _HALF if has_en else 1.0))  # d
             if has_en:
-                terminal(node.fanin[1], _HALF)                 # en
-                terminal(node.fanin[2], _HALF)                 # hold path
+                sinks[ix[lo + 1]].append(("f", _HALF))             # en
+                sinks[ix[lo + 2]].append(("f", _HALF))             # hold path
 
     for mem in graph.mems.values():
         for net in mem.wdata:
@@ -149,43 +152,43 @@ def _build_sinks(graph: NetGraph) -> dict[str, list]:
     return sinks
 
 
-def _observabilities(sinks: Mapping[str, list]) -> dict[str, float]:
+def _observabilities(sinks: list[list]) -> list[float]:
     """Memoized reverse pass: ``obs = 1 - prod(1 - s * t)`` over sinks.
 
     Iterative post-order over the consumer DAG (combinational logic is
     acyclic in a synchronous design — the only cycles run through flops,
-    which are terminals here). A net still being resolved when revisited
+    which are terminals here). A node still being resolved when revisited
     would indicate a combinational loop; it contributes 0 rather than
     recursing forever.
     """
-    obs: dict[str, float] = {}
-    visiting: set[str] = set()
-    for root in sinks:
-        if root in obs:
+    obs: list[float | None] = [None] * len(sinks)
+    visiting = bytearray(len(sinks))
+    for root in range(len(sinks)):
+        if obs[root] is not None:
             continue
         stack = [root]
         while stack:
-            net = stack[-1]
-            if net in obs:
+            nid = stack[-1]
+            if obs[nid] is not None:
                 stack.pop()
                 continue
-            visiting.add(net)
+            visiting[nid] = 1
             pending = [
-                entry[1] for entry in sinks[net]
-                if entry[0] == "c" and entry[1] not in obs
-                and entry[1] not in visiting
+                entry[1] for entry in sinks[nid]
+                if entry[0] == "c" and obs[entry[1]] is None
+                and not visiting[entry[1]]
             ]
             if pending:
                 stack.extend(pending)
                 continue
             survive = 1.0
-            for entry in sinks[net]:
+            for entry in sinks[nid]:
                 if entry[0] == "f":
                     survive *= 1.0 - entry[1]
                 else:
-                    survive *= 1.0 - entry[2] * obs.get(entry[1], 0.0)
-            obs[net] = 1.0 - survive
-            visiting.discard(net)
+                    survive *= 1.0 - entry[2] * (obs[entry[1]] or 0.0)
+            obs[nid] = 1.0 - survive
+            visiting[nid] = 0
             stack.pop()
     return obs
 

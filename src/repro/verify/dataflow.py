@@ -72,8 +72,9 @@ def solve_forward(
     subset = set(nets) if nets is not None else None
     boundary = boundary or {}
     fixed = model.forward_fixed
+    fanins = graph.fanins()
 
-    members = subset if subset is not None else graph.nodes.keys()
+    members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
     interner = shared_interner(interner)
 
@@ -88,7 +89,7 @@ def solve_forward(
             continue
         deps = [
             d
-            for d in graph.nodes[net].fanin
+            for d in fanins[net]
             if (subset is None or d in subset) and d not in fixed
         ]
         indegree[net] = len(deps)
@@ -109,7 +110,7 @@ def solve_forward(
         net = ready.popleft()
         processed += 1
         if net not in out:  # not fixed: compute from fan-in
-            fanin = graph.nodes[net].fanin
+            fanin = fanins[net]
             if not fanin:
                 out[net] = frozenset()
             elif len(fanin) == 1:
@@ -156,7 +157,7 @@ def solve_backward(
     through_fixed = model.contrib_through
     fanout = graph.fanout()
 
-    members = subset if subset is not None else graph.nodes.keys()
+    members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
     interner = shared_interner(interner)
 
@@ -309,11 +310,11 @@ def _record_fub_averages(
     env: PavfEnv,
     trace: RelaxationTrace,
 ) -> None:
-    nodes = model.graph.nodes
+    ids, kinds = model.graph.ids, model.graph.kinds
     for fub, nets in partition.fubs.items():
         seq_vals = []
         for net in nets:
-            if nodes[net].kind != NodeKind.SEQ or net in model.struct_nodes:
+            if kinds[ids[net]] != NodeKind.SEQ or net in model.struct_nodes:
                 continue
             f_val = value_of(f_sets.get(net, TOP_SET), env)
             b_val = value_of(b_sets.get(net, TOP_SET), env)

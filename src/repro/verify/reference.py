@@ -77,8 +77,8 @@ def run_reference(
     stats: dict[str, float] = {}
     if engine == WALK:
         walker = WalkEngine(model, env)
-        f_sets = fill_unvisited(walker.run_forward(), graph.nodes)
-        b_sets = fill_unvisited(walker.run_backward(), graph.nodes)
+        f_sets = fill_unvisited(walker.run_forward(), graph.names)
+        b_sets = fill_unvisited(walker.run_backward(), graph.names)
         stats["walker_rounds"] = float(walker.rounds_used)
     elif config.partition_by_fub and len(graph.nets_by_fub()) > 1:
         relaxed = relax(

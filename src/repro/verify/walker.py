@@ -67,7 +67,7 @@ class WalkEngine:
     def _walk_forward(self, source, annotations, fanout) -> bool:
         model = self.model
         env = self.env
-        nodes = model.graph.nodes
+        fanins = model.graph.fanins()
         fixed = model.forward_fixed
         changed = False
         visited = {source}
@@ -82,7 +82,7 @@ class WalkEngine:
                     continue  # walks stop at structures / injected nodes
                 pieces = []
                 complete = True
-                for driver in nodes[consumer].fanin:
+                for driver in fanins[consumer]:
                     annot = annotations.get(driver)
                     if annot is None:
                         complete = False
@@ -113,9 +113,9 @@ class WalkEngine:
         # (memory pins, primary outputs). Control registers contribute the
         # empty set, i.e. their write-port walks are omitted (Section 5.1).
         sources: list[str] = list(model.static_sinks)
-        for net, node in model.graph.nodes.items():
+        for net, fanin in model.graph.fanins().items():
             if net in through_fixed and through_fixed[net]:
-                sources.extend(d for d in node.fanin)
+                sources.extend(fanin)
         sources = list(dict.fromkeys(sources))
 
         for round_no in range(self.max_rounds):
@@ -131,7 +131,7 @@ class WalkEngine:
     def _walk_backward(self, source, annotations, fanout) -> bool:
         model = self.model
         env = self.env
-        nodes = model.graph.nodes
+        fanins = model.graph.fanins()
         through_fixed = model.contrib_through
         changed = False
         visited: set[str] = set()
@@ -167,7 +167,7 @@ class WalkEngine:
             if cur is None or value_of(new, env) < value_of(cur, env) - _EPS:
                 annotations[current] = new
                 changed = True
-            for driver in nodes[current].fanin:
+            for driver in fanins[current]:
                 if driver not in visited:
                     stack.append(driver)
         return changed
@@ -175,7 +175,7 @@ class WalkEngine:
     # ------------------------------------------------------------------
     def coverage(self, annotations: dict[str, frozenset[Atom]]) -> float:
         """Fraction of nodes annotated (the paper's 'visited' metric)."""
-        total = len(self.model.graph.nodes)
+        total = len(self.model.graph)
         return len(annotations) / total if total else 1.0
 
 

@@ -60,7 +60,7 @@ class TestGenerator:
 
     def test_fub_partition_covers_all_tiles(self, design):
         graph = extract_graph(design.module)
-        fubs = {fub for fub in graph.fub_column() if fub}
+        fubs = {fub for fub in graph.fubs if fub}
         assert fubs == {f"TILE_{tr}_{tc}" for tr in range(2) for tc in range(2)}
 
     def test_config_validation(self):

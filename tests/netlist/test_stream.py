@@ -1,19 +1,32 @@
-"""Streaming EXLIF reader: CsrNetGraph must be extract_graph, verbatim.
+"""The EXLIF line reader: one graph, whichever front-end built it.
 
-``stream_graph`` lowers EXLIF text straight to interned CSR arrays —
-no Module, no per-node objects — so every columnar observable (node
-order, connectivity, kinds, FUBs, struct tags, memories) and every
-lazily materialized ``Node`` view must match what the object path
-(``parse_exlif`` → ``extract_graph``) produces for the same bytes.
+``read_exlif_graph`` lowers a flat single-model file line by line — no
+Module, no per-instance objects — through the same tokenizer, per-line
+checks and per-cell lowering as ``parse_exlif`` + ``extract_graph``, so
+every column of the two graphs (node order, connectivity, kinds, FUBs,
+instance names, attributes, memories) and every ``Node`` view match for
+the same text. ``exlif:`` designs take this path whenever the file is
+flat; the fuzz test at the end holds it to that on mutated netlists.
 """
 
-import pytest
+import io
 
-from repro.errors import ExlifParseError, NetlistError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ExlifParseError, NetlistError, ReproError
 from repro.netlist.builder import ModuleBuilder
-from repro.netlist.exlif import parse_exlif, write_exlif
-from repro.netlist.graph import NodeKind, extract_graph
-from repro.netlist.stream import CsrNetGraph, stream_graph
+from repro.netlist.exlif import (
+    FlattenRequired,
+    parse_exlif,
+    read_exlif_graph,
+    write_exlif,
+)
+from repro.netlist.flatten import flatten
+from repro.netlist.graph import extract_graph
+from repro.pipeline.registry import resolve_design
+from tests.rtlsim.test_random_circuits import _random_module
 
 
 def _rich_module():
@@ -41,66 +54,35 @@ def _rich_module():
     return b.done()
 
 
-def _both_graphs(tmp_path):
-    module = _rich_module()
-    text = write_exlif(module)
-    obj = extract_graph(parse_exlif(text)[module.name])
-    path = tmp_path / "rich.exlif"
-    path.write_text(text)
-    csr = stream_graph(path)
-    return obj, csr
+def _columns(graph) -> dict:
+    """Every column and table of a graph (the caches excluded)."""
+    return {k: v for k, v in vars(graph).items() if not k.startswith("_")}
 
 
-def _assert_graphs_equal(obj, csr):
-    assert isinstance(csr, CsrNetGraph)
-    assert list(obj.nodes) == list(csr.nodes)
-    o_names, o_ptr, o_ix = obj.csr_connectivity()
-    c_names, c_ptr, c_ix = csr.csr_connectivity()
-    assert o_names == list(c_names)
-    assert list(o_ptr) == list(c_ptr)
-    assert list(o_ix) == list(c_ix)
-    assert list(obj.kind_column()) == list(csr.kind_column())
-    assert list(obj.fub_column()) == list(csr.fub_column())
-    assert sorted(obj.struct_tagged()) == sorted(csr.struct_tagged())
-    assert sorted(obj.seq_items()) == sorted(csr.seq_items())
-    assert sorted(obj.input_nets()) == sorted(csr.input_nets())
-    assert sorted(obj.const_nets()) == sorted(csr.const_nets())
-    assert obj.outputs == list(csr.outputs)
-    assert sorted(obj.seq_nets()) == sorted(csr.seq_nets())
-    assert sorted(obj.comb_nets()) == sorted(csr.comb_nets())
-    assert obj.nets_by_fub() == csr.nets_by_fub()
-    assert {k: sorted(v) for k, v in obj.fanout().items()} == {
-        k: sorted(v) for k, v in csr.fanout().items()
-    }
-    assert obj.mems.keys() == csr.mems.keys()
-    for name, info in obj.mems.items():
-        got = csr.mems[name]
-        assert (info.depth, info.width, info.waddr, info.wdata, info.wen) == (
-            got.depth, got.width, got.waddr, got.wdata, got.wen
-        )
-        assert [(p.addr, p.data) for p in info.read_ports] == [
-            (p.addr, p.data) for p in got.read_ports
-        ]
+def _assert_graphs_equal(obj, read):
+    assert _columns(obj) == _columns(read)
+    assert list(obj.nodes) == list(read.nodes)
     for net, node in obj.nodes.items():
-        view = csr.nodes[net]
-        assert (node.net, node.kind, node.inst, node.cell, node.fub) == (
-            view.net, view.kind, view.inst, view.cell, view.fub
-        ), net
-        assert node.attrs == view.attrs, net
-        assert tuple(node.fanin) == tuple(view.fanin), net
+        assert node == read.nodes[net], net
+    assert obj.fanins() == read.fanins()
+    assert obj.fanout() == read.fanout()
 
 
 class TestEquivalence:
     def test_rich_module_matches_object_path(self, tmp_path):
-        obj, csr = _both_graphs(tmp_path)
-        _assert_graphs_equal(obj, csr)
+        module = _rich_module()
+        text = write_exlif(module)
+        path = tmp_path / "rich.exlif"
+        path.write_text(text)
+        read = resolve_design(f"exlif:{path}").build().graph
+        _assert_graphs_equal(extract_graph(parse_exlif(text)[module.name]), read)
 
     def test_line_iterable_source(self):
         module = _rich_module()
         text = write_exlif(module)
         obj = extract_graph(parse_exlif(text)[module.name])
-        csr = stream_graph(text.splitlines())
-        _assert_graphs_equal(obj, csr)
+        _assert_graphs_equal(obj, read_exlif_graph(text.splitlines()))
+        _assert_graphs_equal(obj, read_exlif_graph(io.StringIO(text)))
 
     def test_systolic_solves_identically_through_both_paths(self):
         from repro.core.sart import SartConfig, run_sart
@@ -113,12 +95,12 @@ class TestEquivalence:
         cfg = SystolicConfig(rows=3, cols=3, data_width=2, acc_width=4,
                              tile=2)
         module = build_systolic(cfg).module
-        csr = stream_graph(systolic_exlif_text(cfg).splitlines())
-        _assert_graphs_equal(extract_graph(module), csr)
+        read = read_exlif_graph(systolic_exlif_text(cfg).splitlines())
+        _assert_graphs_equal(extract_graph(module), read)
         sart_cfg = SartConfig()
         assert (
             run_sart(module, config=sart_cfg).node_avfs
-            == run_sart(csr, config=sart_cfg).node_avfs
+            == run_sart(read, config=sart_cfg).node_avfs
         )
 
     def test_forward_references_allowed(self):
@@ -130,14 +112,36 @@ class TestEquivalence:
             ".latch later d=g q=later init=0",
             ".end",
         ]
-        csr = stream_graph(lines)
-        assert list(csr.nodes) == ["a", "g", "later"]
-        assert tuple(csr.nodes["g"].fanin) == ("a", "later")
+        graph = read_exlif_graph(lines)
+        assert list(graph.nodes) == ["a", "g", "later"]
+        assert graph.nodes["g"].fanin == ("a", "later")
+
+    def test_hierarchical_file_lowers_after_flattening(self, tmp_path):
+        # .subckt, several models or late ports: the file itself sends
+        # exlif: through parse_exlif + flatten, into the same lowering.
+        child = ModuleBuilder("child")
+        child.output("z")
+        child.gate("NOT", [child.input("a")], out="z")
+        top = ModuleBuilder("top")
+        top.output("y")
+        top.subckt("child", {"a": top.input("x"), "z": "y"}, name="u0",
+                   attrs={"fub": "F"})
+        modules = {"top": top.done(), "child": child.done()}
+        path = tmp_path / "hier.exlif"
+        path.write_text(write_exlif(modules))
+        graph = resolve_design(f"exlif:{path}").build().graph
+        _assert_graphs_equal(extract_graph(flatten(modules["top"], modules)), graph)
+
+        late = tmp_path / "late.exlif"
+        late.write_text(".model m\n.gate BUF g a=a y=y\n.inputs a\n"
+                        ".outputs y\n.end\n")
+        graph = resolve_design(f"exlif:{late}").build().graph
+        assert list(graph.nodes) == ["a", "y"]
 
 
 class TestErrors:
     def _stream(self, lines):
-        return stream_graph(lines)
+        return read_exlif_graph(lines)
 
     def test_undriven_net_rejected(self):
         lines = [".model m", ".inputs a",
@@ -184,3 +188,127 @@ class TestErrors:
         with pytest.raises(ExlifParseError) as err:
             self._stream(lines)
         assert err.value.line_number == 3
+
+
+# A valid file with one line swapped for a malformed one; each case names
+# the line the error must point at.
+_HEAD = ".model m\n.inputs a b\n.outputs y\n"
+_TAIL = ".gate BUF yb a=x y=y\n.end\n"
+_MEM = "raddr0_0=a rdata0_0=x waddr_0=a wdata_0=b wen=b"
+MALFORMED = {
+    "gate-without-y": (".gate AND g a0=a a1=b\n", 4, "missing pin 'y'"),
+    "latch-init-x": (".latch r d=a q=x init=x\n", 4, "init='x' is not an integer"),
+    "variadic-pin-ax": (".gate AND g a0=a ax=b y=x\n", 4, "bad variadic pin"),
+    "mem-depth-two": (f".mem r depth=two width=1 {_MEM}\n", 4,
+                      "depth='two' is not an integer"),
+    "mem-init-z": (f".mem r depth=2 width=1 {_MEM} init=1,z\n", 4,
+                   "init='z' is not an integer"),
+    "net-driven-twice": (".gate BUF g1 a=a y=x\n.gate NOT g2 a=b y=x\n", 5,
+                         "net 'x' driven twice"),
+    "mem-name-twice": (f".mem r depth=2 width=1 {_MEM}\n"
+                       ".mem r depth=2 width=1 raddr0_0=b rdata0_0=x2 "
+                       "waddr_0=b wdata_0=a wen=a\n", 5, "duplicate instance 'r'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_line_is_one_typed_error(case, tmp_path):
+    from repro.pipeline import RunSpec, SartSpec, execute
+
+    line, lineno, match = MALFORMED[case]
+    text = _HEAD + line + _TAIL
+    with pytest.raises(ExlifParseError, match=match) as parsed:
+        parse_exlif(text)
+    assert parsed.value.line_number == lineno
+    path = tmp_path / "bad.exlif"
+    path.write_text(text)
+    with pytest.raises(ExlifParseError, match=match) as ran:
+        execute(RunSpec(design=f"exlif:{path}", sart=SartSpec()))
+    assert ran.value.line_number == lineno
+
+
+# ----------------------------------------------------------------------
+# fuzz: random netlists, mutated line by line
+# ----------------------------------------------------------------------
+
+def _mutate(text: str, kind: str, pick: int) -> str:
+    lines = text.split("\n")
+    at = pick % len(lines)
+    if kind == "drop-line":
+        del lines[at]
+    elif kind == "duplicate-line":
+        lines.insert((pick // 7) % len(lines), lines[at])
+    elif kind == "drop-token":
+        tokens = lines[at].split()
+        if tokens:
+            del tokens[(pick // 7) % len(tokens)]
+        lines[at] = " ".join(tokens)
+    elif kind == "word-for-integer":
+        tokens = lines[at].split()
+        numbered = [i for i, t in enumerate(tokens) if any(c.isdigit() for c in t)]
+        if numbered:
+            i = numbered[(pick // 7) % len(numbered)]
+            tokens[i] = "".join("word" if c.isdigit() else c for c in tokens[i])
+        lines[at] = " ".join(tokens)
+    elif kind == "truncate":
+        return text[: pick % (len(text) + 1)]
+    elif kind == "insert-subckt":
+        lines.insert(at, ".subckt child u_fuzz a=in0 z=fuzz_z")
+    elif kind == "rename-cell":
+        # Give one cell another cell's instance name; its outputs stay.
+        cells = [(i, tokens) for i, tokens in enumerate(map(str.split, lines))
+                 if tokens and len(tokens) > _NAME_AT.get(tokens[0], len(tokens))]
+        if len(cells) > 1:
+            (_, src), (dst, tokens) = cells[at % len(cells)], cells[(pick // 7) % len(cells)]
+            tokens[_NAME_AT[tokens[0]]] = src[_NAME_AT[src[0]]]
+            lines[dst] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+# Cell directive -> position of the instance name among the line's tokens.
+_NAME_AT = {".gate": 2, ".subckt": 2, ".latch": 1, ".mem": 1}
+
+
+MUTATIONS = ("drop-line", "duplicate-line", "drop-token", "word-for-integer",
+             "truncate", "insert-subckt", "rename-cell")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ReproError:
+        return None
+
+
+@pytest.mark.fuzz
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 10_000),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 1 << 30)),
+        max_size=3,
+    ),
+)
+def test_fuzz_one_reader(tmp_path_factory, seed, mutations):
+    """Both front-ends parse or raise a ReproError; on a flat single-model
+    file they accept or reject it alike and build the same graph."""
+    text = write_exlif(_random_module(seed, n_gates=12, n_dffs=3))
+    for kind, pick in mutations:
+        text = _mutate(text, kind, pick)
+    path = tmp_path_factory.mktemp("fuzz") / "f.exlif"
+    path.write_text(text)
+    _outcome(lambda: resolve_design(f"exlif:{path}").build())
+    modules = _outcome(lambda: parse_exlif(text))
+    try:
+        graph = read_exlif_graph(io.StringIO(text))
+    except FlattenRequired:
+        return                      # not flat: parse_exlif + flatten only
+    except ReproError:
+        graph = None
+    expected = None
+    if modules is not None and len(modules) == 1:
+        (module,) = modules.values()
+        expected = _outcome(lambda: extract_graph(module))
+    assert (graph is None) == (expected is None)
+    if graph is not None:
+        assert _columns(graph) == _columns(expected)

@@ -148,6 +148,30 @@ def test_stage_version_bump_invalidates_warm_cache(tmp_path, monkeypatch):
     assert "ports" not in cached    # pre-deadline entries are stale
 
 
+def test_plan_stored_under_format_2_is_a_miss(tmp_path, monkeypatch):
+    # Format-2 plans pickled a dict-of-Node graph; the plan stage version
+    # follows PLAN_FORMAT, so such an entry is never even opened.
+    import warnings
+
+    from repro.core.compiled import PLAN_FORMAT
+
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 3
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True))
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as patch:
+        patch.setitem(STAGE_VERSIONS, "plan", 2)
+        old = execute(spec, store=ArtifactStore(cache))
+    store = ArtifactStore(cache)
+    (stale,) = [fp for stage, fp in store.entries() if stage == "plan"]
+    store.path("plan", stale).write_bytes(b"a format-2 plan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CacheDegradedWarning)
+        outcome = execute(spec, store=ArtifactStore(cache))
+    assert not outcome.plan.cached
+    assert outcome.plan.format == 3
+    assert outcome.sart.result.node_avfs == old.sart.result.node_avfs
+
+
 def test_checkpoint_bypasses_campaign_cache(tmp_path):
     cache = tmp_path / "cache"
     ckpt = str(tmp_path / "ckpt.json")

@@ -60,6 +60,14 @@ def test_analyze_bad_ports_file(tmp_path, fig7_exlif):
         main(["analyze", str(fig7_exlif), "--ports", str(bad)])
 
 
+def test_analyze_malformed_exlif_names_the_line(tmp_path):
+    bad = tmp_path / "bad.exlif"
+    bad.write_text(".model m\n.inputs a\n.outputs y\n"
+                   ".latch r d=a q=y init=x\n.end\n")
+    with pytest.raises(SystemExit, match="line 4"):
+        main(["analyze", str(bad)])
+
+
 def test_tinycore_flow(capsys):
     rc = main(["tinycore", "fib", "--monolithic"])
     out = capsys.readouterr().out

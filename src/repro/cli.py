@@ -1,13 +1,15 @@
 """Command-line interface: ``repro-sart`` / ``python -m repro``.
 
-Every subcommand is a thin adapter over the staged analysis pipeline
-(:mod:`repro.pipeline`): it builds a declarative
-:class:`~repro.pipeline.spec.RunSpec` from its flags, executes it
-through :func:`~repro.pipeline.runner.execute`, and renders the typed
-artifacts that come back. Pass ``--cache-dir`` to any subcommand to
-persist expensive stage artifacts (golden runs, the ACE workload suite,
-compiled solve plans, campaign outcomes) in a content-addressed store;
-a warm rerun then skips straight to the stages whose inputs changed.
+Every analysis subcommand is the :class:`~repro.pipeline.spec.RunSpec`
+its flags describe, executed by :func:`_execute` through
+:func:`~repro.pipeline.runner.execute` with the one terminal renderer,
+:class:`~repro.pipeline.emit.RunRenderer`. A subcommand therefore
+prints exactly what ``repro-sart run`` prints for the same spec,
+followed only by its own post-run output (export files, the deadlines
+table). Pass ``--cache-dir`` to any subcommand to persist expensive
+stage artifacts (golden runs, the ACE workload suite, compiled solve
+plans, campaign outcomes) in a content-addressed store; a warm rerun
+then skips straight to the stages whose inputs changed.
 
 Subcommands:
 
@@ -24,8 +26,10 @@ Subcommands:
     Loop-boundary pAVF sweep (the Figure 8 study) on bigcore.
 ``diff``
     Per-FUB structural diff between two design references: changed,
-    added, and removed FUBs plus the reachable dirty set an incremental
-    re-solve starts from.
+    added, and removed FUBs plus the dirty set, the static upper bound
+    on the FUBs whose solution can differ. An ``eco`` re-solve seeds
+    only the touched FUBs and grows its front by value, so it usually
+    revisits far fewer.
 ``eco``
     Incremental SART re-solve: solve a baseline design, diff it against
     the edited design, and warm-start the edited solve so only the FUBs
@@ -42,7 +46,7 @@ Subcommands:
     Error-reporting deadline view: per-structure distributions of the
     cycles between a bit becoming corrupted and its architectural
     consumption, from the ACE lifetime analysis. ``--derating``
-    additionally prints the per-flop logic-derating summary.
+    additionally runs the per-flop logic-derating pass.
 ``beam``
     Simulated accelerated beam test (Poisson strikes into all storage)
     with the same worker controls.
@@ -74,18 +78,11 @@ import threading
 
 from repro import __version__
 from repro.errors import ReproError
-from repro.pipeline.emit import (
-    export_campaign_json,
-    export_sart,
-    print_deadlines,
-    print_derating,
-    print_runtime_summary,
-    print_stats,
-)
 from repro.pipeline.spec import (
     BeamSpec,
     CampaignSpec,
     DeratingSpec,
+    EcoSpec,
     ExportSpec,
     RunSpec,
     SartSpec,
@@ -110,6 +107,11 @@ def _sart_spec(args) -> SartSpec:
         iterations=args.iterations,
         monolithic=args.monolithic,
     )
+
+
+def _workloads_spec(args) -> WorkloadsSpec:
+    return WorkloadsSpec(per_class=args.workloads_per_class,
+                         length=args.workload_length)
 
 
 def _campaign_spec(args) -> CampaignSpec:
@@ -159,87 +161,65 @@ def _sigterm_to_exception():
 
 
 def _interrupted(args, *, code: int = 130, label: str = "interrupted") -> int:
-    """Uniform SIGINT/SIGTERM exit for campaign subcommands.
+    """Uniform SIGINT/SIGTERM exit, hinting from the executed spec.
 
     By the time this runs the campaign runtime's ``finally`` blocks
-    have already flushed every completed pass to the checkpoint file,
-    so the message can promise the work is durable.
+    have already flushed every completed pass to the checkpoint file
+    the spec names, so the message can promise the work is durable.
     """
-    path = getattr(args, "checkpoint", None) or getattr(args, "resume", None)
+    spec = getattr(args, "executed_spec", None)
+    campaign = spec.campaign if spec is not None else CampaignSpec()
+    path = campaign.checkpoint or campaign.resume
+    # `run` takes its checkpoint from the spec file, the others from flags.
+    resume, checkpoint = (
+        (f"[campaign] resume = {path!r}", "[campaign] checkpoint")
+        if args.command == "run" else (f"--resume {path}", "--checkpoint"))
     if path:
-        print(
-            f"\n{label} — completed passes are saved; rerun with "
-            f"--resume {path} to continue",
-            file=sys.stderr,
-        )
+        print(f"\n{label} — completed passes are saved; rerun with "
+              f"{resume} to continue", file=sys.stderr)
     else:
-        print(
-            f"\n{label} — no --checkpoint was given, so progress was "
-            "not saved",
-            file=sys.stderr,
-        )
+        print(f"\n{label} — no {checkpoint} was given, so progress was "
+              "not saved", file=sys.stderr)
     return code  # 128 + signal number, the conventional shell exit code
 
 
-def _render_sart(result, args) -> None:
-    print(result.report.table())
-    print_stats(result)
-    export_sart(
-        result,
-        export_csv=getattr(args, "export_csv", None),
-        export_fubs=getattr(args, "export_fubs", None),
-        export_json=getattr(args, "export_json", None),
-    )
+def _execute(args, spec: RunSpec):
+    """Run *spec* with the one terminal renderer, then the cache note.
+
+    Every spec-building subcommand goes through here, so each prints
+    what ``repro-sart run`` prints for the same spec.
+    """
+    from repro.pipeline.emit import RunRenderer, cache_note
+    from repro.pipeline.runner import execute
+
+    args.executed_spec = spec  # main()'s interrupt hint reads [campaign]
+    outcome = execute(spec, store=_store_from_args(args),
+                      observer=RunRenderer(spec))
+    cache_note(outcome.events)
+    return outcome
 
 
-def _render_sfi_standalone(outcome, program, workers) -> None:
-    from repro.sfi import overall_avf
+def _export_sart(args, outcome, *, export_json=None) -> None:
+    from repro.pipeline.emit import export_sart
 
-    campaign = outcome.result
-    avf, (lo, hi) = overall_avf(campaign.outcomes)
-    due = campaign.due_avf()
-    print(
-        f"{program}: {outcome.injections} injections over "
-        f"{outcome.golden_cycles} cycles "
-        f"(workers={workers}, passes={campaign.passes})"
-    )
-    print(f"  counts: {campaign.counts()}")
-    print(f"  SDC AVF={avf:.3f} [{lo:.3f},{hi:.3f}]  DUE AVF={due:.3f}")
-    print(
-        f"  {campaign.simulated_cycles} simulated cycles "
-        f"in {campaign.elapsed_seconds:.2f}s"
-    )
-    print_runtime_summary(campaign)
+    export_sart(outcome.sart.result, export_csv=args.export_csv,
+                export_fubs=args.export_fubs, export_json=export_json)
 
 
-def _render_beam(outcome, program, workers) -> None:
-    result = outcome.result
-    lo, hi = result.rate_interval()
-    print(
-        f"{program}: {result.exposures} exposures x "
-        f"{result.cycles_per_run} cycles under flux {result.flux:g} "
-        f"(workers={workers})"
-    )
-    print(
-        f"  {result.strikes} strikes into {result.storage_bits} storage bits: "
-        f"{result.sdc_events} SDC, {result.due_events} DUE"
-    )
-    print(
-        f"  SDC rate {result.sdc_rate_per_cycle:.3e}/cycle "
-        f"[{lo:.3e},{hi:.3e}] in {result.elapsed_seconds:.2f}s"
-    )
-    print_runtime_summary(result)
+def _export_run_summary(args, outcome) -> None:
+    if args.export_json:
+        from repro.pipeline.emit import run_summary, write_json
+
+        write_json(args.export_json,
+                   run_summary(outcome, program=outcome.design.program_name))
+        print(f"wrote run summary to {args.export_json}")
 
 
-def _render_bigcore_design(artifact) -> None:
-    design = artifact.design
-    print(f"bigcore: {design.seq_count()} sequentials, "
-          f"{len(design.array_names())} arrays")
+def _export_campaign(args, outcome) -> None:
+    if args.export_json:
+        from repro.pipeline.emit import export_campaign_json
 
-
-def _render_plan_line(plan, seconds) -> None:
-    verb = "reused from cache" if plan.cached else "lowered"
-    print(f"solve plan: {plan.n} nodes {verb} in {seconds:.2f}s")
+        export_campaign_json(outcome, args.export_json, program=args.program)
 
 
 # ----------------------------------------------------------------------
@@ -247,108 +227,51 @@ def _render_plan_line(plan, seconds) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    from repro.pipeline.runner import execute
-
     ref = f"exlif:{args.netlist}"
     if args.top:
         ref += f"@top={args.top}"
-    spec = RunSpec(design=ref, ports_file=args.ports, sart=_sart_spec(args))
-    outcome = execute(spec, store=_store_from_args(args))
-    _render_sart(outcome.sart.result, args)
+    outcome = _execute(args, RunSpec(design=ref, ports_file=args.ports,
+                                     sart=_sart_spec(args)))
+    _export_sart(args, outcome, export_json=args.export_json)
     return 0
 
 
 def cmd_tinycore(args) -> int:
-    from repro.pipeline.runner import execute
-
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=f"tinycore:{args.program}",
         sart=_sart_spec(args),
         sfi=SfiSpec(injections=args.sfi, seed=1) if args.sfi else None,
         campaign=_campaign_spec(args),
-    )
-
-    state: dict = {}
-
-    def observer(event, info):
-        if event == "golden":
-            state["golden"] = info["golden"]
-        elif event == "ports":
-            env = info["port_env"]
-            print(f"{args.program}: {state['golden'].cycles} cycles, "
-                  f"ACE fraction {env.ace_fraction:.2f}")
-            for name, p in sorted(env.ports.items()):
-                print(f"  structure {name:6s} pAVF_R={p.pavf_r:.3f} "
-                      f"pAVF_W={p.pavf_w:.3f} AVF={p.avf:.3f}")
-        elif event == "sart":
-            from repro.core.report import average_seq_avf
-
-            result = info["outcome"].result
-            _render_sart(result, args)
-            print(f"average sequential AVF: "
-                  f"{average_seq_avf(result.node_avfs):.4f}")
-        elif event == "sfi":
-            from repro.sfi import overall_avf
-
-            campaign = info["outcome"].result
-            avf, (lo, hi) = overall_avf(campaign.outcomes)
-            print(
-                f"SFI ({args.sfi} injections): AVF={avf:.3f} "
-                f"[{lo:.3f},{hi:.3f}] counts={campaign.counts()} "
-                f"in {campaign.elapsed_seconds:.1f}s"
-            )
-            print_runtime_summary(campaign)
-
-    try:
-        execute(spec, store=_store_from_args(args), observer=observer)
-    except KeyboardInterrupt:
-        return _interrupted(args)
+    ))
+    _export_sart(args, outcome, export_json=args.export_json)
     return 0
 
 
 def cmd_sfi(args) -> int:
-    from repro.pipeline.runner import execute
-
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=f"tinycore:{args.program}",
         sfi=SfiSpec(injections=args.injections, seed=args.seed,
                     per_node=args.per_node),
         campaign=_campaign_spec(args),
-    )
-    try:
-        outcome = execute(spec, store=_store_from_args(args))
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    _render_sfi_standalone(outcome.sfi, args.program, args.workers)
-    if getattr(args, "export_json", None):
-        export_campaign_json(outcome.sfi, args.export_json,
-                             program=args.program)
+    ))
+    _export_campaign(args, outcome.sfi)
     return 0
 
 
 def cmd_beam(args) -> int:
-    from repro.pipeline.runner import execute
-
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=f"tinycore:{args.program}",
         beam=BeamSpec(flux=args.flux, exposures=args.exposures,
                       seed=args.seed, include_arrays=args.include_arrays,
                       parity=args.parity),
         campaign=_campaign_spec(args),
-    )
-    try:
-        outcome = execute(spec, store=_store_from_args(args))
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    _render_beam(outcome.beam, args.program, args.workers)
-    if getattr(args, "export_json", None):
-        export_campaign_json(outcome.beam, args.export_json,
-                             program=args.program)
+    ))
+    _export_campaign(args, outcome.beam)
     return 0
 
 
 def cmd_deadlines(args) -> int:
-    from repro.pipeline.runner import execute
+    from repro.pipeline.emit import print_deadlines
 
     ref = args.design
     if ":" not in ref and "@" not in ref and not ref.startswith("bigcore"):
@@ -357,14 +280,12 @@ def cmd_deadlines(args) -> int:
     if args.derating or args.mc_trials:
         derating = DeratingSpec(mc_trials=args.mc_trials,
                                 mc_seed=args.mc_seed)
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=ref,
-        workloads=WorkloadsSpec(per_class=args.workloads_per_class,
-                                length=args.workload_length),
+        workloads=_workloads_spec(args),
         derating=derating,
         campaign=_campaign_spec(args),
-    )
-    outcome = execute(spec, store=_store_from_args(args))
+    ))
     env = outcome.port_env
     if env is None or not env.deadlines:
         print(f"{outcome.design.ref}: no deadline distributions — the "
@@ -374,70 +295,26 @@ def cmd_deadlines(args) -> int:
     print(f"{outcome.design.ref}: error-reporting deadlines "
           f"(cycles until consumption)")
     print_deadlines(env.deadlines)
-    if outcome.derating is not None:
-        print_derating(outcome.derating)
-    if getattr(args, "export_json", None):
-        from repro.pipeline.emit import run_summary, write_json
-
-        write_json(args.export_json,
-                   run_summary(outcome, program=outcome.design.program_name))
-        print(f"wrote run summary to {args.export_json}")
+    _export_run_summary(args, outcome)
     return 0
 
 
 def cmd_bigcore(args) -> int:
-    from repro.pipeline.runner import execute
-
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=f"bigcore@scale={args.scale},seed={args.seed}",
-        workloads=WorkloadsSpec(per_class=args.workloads_per_class,
-                                length=args.workload_length),
+        workloads=_workloads_spec(args),
         sart=_sart_spec(args),
-    )
-
-    def observer(event, info):
-        if event == "design":
-            _render_bigcore_design(info["artifact"])
-        elif event == "ace:run":
-            print(f"running {info['workloads']} workloads through "
-                  f"the ACE model...")
-        elif event == "ace:cached":
-            print(f"ACE suite: {info['workloads']} workloads reused "
-                  f"from cache")
-        elif event == "ports":
-            print(info["port_env"].ace_table)
-        elif event == "sart":
-            _render_sart(info["outcome"].result, args)
-
-    execute(spec, store=_store_from_args(args), observer=observer)
+    ))
+    _export_sart(args, outcome, export_json=args.export_json)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    from repro.pipeline.runner import execute
-
-    spec = RunSpec(
+    _execute(args, RunSpec(
         design=f"bigcore@scale={args.scale},seed={args.seed}",
-        workloads=WorkloadsSpec(per_class=args.workloads_per_class,
-                                length=args.workload_length),
+        workloads=_workloads_spec(args),
         sweep=SweepSpec(points=args.points),
-    )
-
-    def observer(event, info):
-        if event == "plan":
-            _render_plan_line(info["plan"], info["seconds"])
-        elif event == "sweep:batched":
-            print(f"batched sweep: {info['points']} workloads in "
-                  f"{info['seconds']:.3f}s "
-                  f"({info['nodes_per_second']:,.0f} nodes/s)")
-        elif event == "sweep:begin":
-            print("loop_pavf  avg_seq_avf  seconds")
-        elif event == "sweep:point":
-            print(f"{info['value']:9.2f}  "
-                  f"{info['result'].report.weighted_seq_avf:.4f}  "
-                  f"{info['seconds']:7.3f}")
-
-    execute(spec, store=_store_from_args(args), observer=observer)
+    ))
     return 0
 
 
@@ -468,147 +345,37 @@ def cmd_diff(args) -> int:
 
 
 def cmd_eco(args) -> int:
-    from repro.pipeline.emit import cache_note, run_summary, write_json
-    from repro.pipeline.runner import execute
-    from repro.pipeline.spec import EcoSpec
-
-    spec = RunSpec(
+    outcome = _execute(args, RunSpec(
         design=args.design,
-        workloads=WorkloadsSpec(per_class=args.workloads_per_class,
-                                length=args.workload_length),
+        workloads=_workloads_spec(args),
         sart=_sart_spec(args),
         eco=EcoSpec(baseline=args.baseline, check=args.check),
-    )
-
-    def observer(event, info):
-        if event == "eco:delta":
-            delta = info["delta"]
-            print(f"baseline: {info['baseline']}")
-            print(delta.table())
-        elif event == "eco:skip":
-            print(f"eco: falling back to a cold solve ({info['reason']})")
-        elif event == "eco:check":
-            print(f"eco check: bit-identical={info['identical']} "
-                  f"(warm {info['warm_seconds']:.2f}s, "
-                  f"cold {info['cold_seconds']:.2f}s)")
-        elif event == "ace:run":
-            print(f"running {info['workloads']} workloads through "
-                  f"the ACE model...")
-        elif event == "ace:cached":
-            print(f"ACE suite: {info['workloads']} workloads reused "
-                  f"from cache")
-        elif event == "sart":
-            result = info["outcome"].result
-            print(result.report.table())
-            print_stats(result)
-
-    outcome = execute(spec, store=_store_from_args(args), observer=observer)
-    if getattr(args, "export_json", None):
-        write_json(args.export_json, run_summary(outcome))
-        print(f"wrote run summary to {args.export_json}")
-    cache_note(outcome.events)
+    ))
+    _export_sart(args, outcome)
+    _export_run_summary(args, outcome)
     return 0
 
 
 def cmd_export(args) -> int:
-    from repro.pipeline.runner import execute
-
     if args.design == "tinycore":
-        name = args.program or "fib"
-        ref = f"tinycore:{name}"
+        ref = f"tinycore:{args.program or 'fib'}"
         if args.parity:
             ref += "@parity=1"
     elif args.design == "systolic":
         ref = f"systolic@rows={args.rows},cols={args.cols}"
     else:
         ref = f"bigcore@scale={args.scale},seed={args.seed}"
-    spec = RunSpec(
-        design=ref,
-        export=ExportSpec(output=args.output, format=args.format),
-    )
-
-    def observer(event, info):
-        if event == "export":
-            print(f"wrote {args.design} as {info['format']} to "
-                  f"{info['path']} ({len(info['module'].instances)} "
-                  f"instances)")
-
-    execute(spec, store=_store_from_args(args), observer=observer)
+    _execute(args, RunSpec(
+        design=ref, export=ExportSpec(output=args.output, format=args.format)))
     return 0
 
 
 def cmd_run(args) -> int:
-    from repro.pipeline.emit import cache_note
-    from repro.pipeline.runner import execute
     from repro.pipeline.spec import load_spec
 
-    spec = load_spec(args.spec)
-    workers = spec.campaign.workers
-
-    state: dict = {}
-
-    def observer(event, info):
-        if event == "design":
-            artifact = info["artifact"]
-            if artifact.kind == "bigcore":
-                _render_bigcore_design(artifact)
-            else:
-                print(f"design: {artifact.describe()}")
-        elif event == "golden":
-            state["golden"] = info["golden"]
-        elif event == "ports":
-            env = info["port_env"]
-            if env.source == "archsim":
-                print(f"golden run: {state['golden'].cycles} cycles, "
-                      f"ACE fraction {env.ace_fraction:.2f}")
-                for name, p in sorted(env.ports.items()):
-                    print(f"  structure {name:6s} pAVF_R={p.pavf_r:.3f} "
-                          f"pAVF_W={p.pavf_w:.3f} AVF={p.avf:.3f}")
-            elif env.source == "ace-suite":
-                print(env.ace_table)
-        elif event == "ace:run":
-            print(f"running {info['workloads']} workloads through "
-                  f"the ACE model...")
-        elif event == "ace:cached":
-            print(f"ACE suite: {info['workloads']} workloads reused "
-                  f"from cache")
-        elif event == "plan":
-            _render_plan_line(info["plan"], info["seconds"])
-        elif event == "sweep:begin":
-            print("loop_pavf  avg_seq_avf  seconds")
-        elif event == "sweep:point":
-            print(f"{info['value']:9.2f}  "
-                  f"{info['result'].report.weighted_seq_avf:.4f}  "
-                  f"{info['seconds']:7.3f}")
-        elif event == "sart":
-            result = info["outcome"].result
-            print(result.report.table())
-            print_stats(result)
-        elif event == "derating":
-            print_derating(info["derating"])
-        elif event == "export":
-            print(f"wrote {info['format']} to {info['path']} "
-                  f"({len(info['module'].instances)} instances)")
-
-    try:
-        outcome = execute(spec, store=_store_from_args(args),
-                          observer=observer)
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    program = outcome.design.program_name
-    if outcome.sfi is not None:
-        _render_sfi_standalone(outcome.sfi, program or outcome.design.ref,
-                               workers)
-    if outcome.beam is not None:
-        _render_beam(outcome.beam, program or outcome.design.ref, workers)
-    if getattr(args, "export_json", None):
-        from repro.pipeline.emit import run_summary, write_json
-
-        write_json(args.export_json, run_summary(outcome, program=program))
-        print(f"wrote run summary to {args.export_json}")
-    cache_note(outcome.events)
+    outcome = _execute(args, load_spec(args.spec))
+    _export_run_summary(args, outcome)
     return 0
-
 
 def cmd_serve(args) -> int:
     from repro.serve.server import ServeApp
@@ -774,6 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker-pool respawns after crashes before "
                             "degrading to serial execution (default 3)")
 
+    def json_opts(p):
+        p.add_argument("--export-json", metavar="PATH",
+                       help="write a JSON summary of the results")
+
+    def workload_opts(p, length=4000):
+        p.add_argument("--workloads-per-class", type=int, default=2,
+                       metavar="N",
+                       help="ACE-suite workloads per class (default 2)")
+        p.add_argument("--workload-length", type=int, default=length,
+                       help=f"ACE-suite workload length (default {length})")
+
     def common(p):
         p.add_argument("--loop-pavf", type=float, default=0.3,
                        help="injected loop-boundary pAVF (paper: 0.3)")
@@ -785,8 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-node AVFs as CSV")
         p.add_argument("--export-fubs", metavar="PATH",
                        help="write the per-FUB report as CSV")
-        p.add_argument("--export-json", metavar="PATH",
-                       help="write a JSON run summary")
+        json_opts(p)
         cache_opts(p)
 
     p = sub.add_parser("analyze", help="run SART on an EXLIF netlist")
@@ -812,8 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-node", action="store_true",
                    help="inject N faults into every sequential node instead "
                         "of sampling the node x cycle space")
-    p.add_argument("--export-json", metavar="PATH",
-                   help="write a machine-readable campaign summary")
+    json_opts(p)
     sim_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_sfi)
@@ -829,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also strike register file / data memory bits")
     p.add_argument("--parity", action="store_true",
                    help="use the parity-protected core (array strikes -> DUE)")
-    p.add_argument("--export-json", metavar="PATH",
-                   help="write a machine-readable beam summary")
+    json_opts(p)
     sim_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_beam)
@@ -850,18 +625,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-seed", type=int, default=11)
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="worker processes for the MC campaign")
-    p.add_argument("--workloads-per-class", type=int, default=2)
-    p.add_argument("--workload-length", type=int, default=4000)
-    p.add_argument("--export-json", metavar="PATH",
-                   help="write a machine-readable run summary")
+    workload_opts(p)
+    json_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_deadlines)
 
     p = sub.add_parser("bigcore", help="full flow on the synthetic big core")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workloads-per-class", type=int, default=2)
-    p.add_argument("--workload-length", type=int, default=4000)
+    workload_opts(p)
     common(p)
     p.set_defaults(func=cmd_bigcore)
 
@@ -885,10 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=11)
     p.add_argument("--scale", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workloads-per-class", type=int, default=2, metavar="N",
-                   help="ACE-suite workloads per class (default 2, "
-                        "matching bigcore)")
-    p.add_argument("--workload-length", type=int, default=3000)
+    workload_opts(p, length=3000)
     cache_opts(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -898,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(e.g. bigcore@scale=1)")
     p.add_argument("ref_b", help="target design reference "
                                  "(e.g. bigcore@scale=1,edit=LSU)")
-    p.add_argument("--export-json", metavar="PATH",
-                   help="write the delta as JSON")
+    json_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_diff)
 
@@ -913,15 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the cold solve and verify the "
                         "incremental result is bit-identical")
-    p.add_argument("--workloads-per-class", type=int, default=2)
-    p.add_argument("--workload-length", type=int, default=4000)
+    workload_opts(p)
     common(p)
     p.set_defaults(func=cmd_eco)
 
     p = sub.add_parser("run", help="execute a declarative TOML/JSON run-spec")
     p.add_argument("spec", help="run-spec file (.toml or .json)")
-    p.add_argument("--export-json", metavar="PATH",
-                   help="write a machine-readable summary of the whole run")
+    json_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_run)
 

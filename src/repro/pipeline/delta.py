@@ -203,8 +203,9 @@ class DesignDelta:
     removed: tuple[str, ...]
     unchanged: tuple[str, ...]
     # FUBs of the target whose converged solution may differ from the
-    # baseline's (per-direction reachability folded into one set — the
-    # set run_sart must re-solve).
+    # baseline's (per-direction reachability folded into one set). A
+    # static upper bound: the warm start seeds only the touched FUBs and
+    # the re-solve front grows by value, so it usually revisits fewer.
     dirty: tuple[str, ...]
 
     @property

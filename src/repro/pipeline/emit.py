@@ -1,12 +1,14 @@
 """Shared result-emission layer: human tables and machine summaries.
 
-Every flow renders its results through these helpers — the CLI
-subcommands, the ``run`` spec executor, and tests all use the same code,
-so SART reports, campaign summaries, and ``--export-*`` files are
-emitted identically no matter which entry point produced them. Campaign
-flows gain machine-readable ``--export-json`` here (backed by the
-``to_summary()`` methods on :class:`~repro.sfi.injector.CampaignResult`
-and :class:`~repro.ser.beam.BeamResult`).
+Every flow renders its results through these helpers. On the terminal
+that is one renderer, :class:`RunRenderer`: every CLI subcommand that
+builds a run-spec (``run`` included) passes it to
+:func:`~repro.pipeline.runner.execute` as the observer, so SART reports,
+campaign summaries and ``--export-*`` files come out identically no
+matter which entry point produced them. Campaign flows gain
+machine-readable ``--export-json`` here (backed by the ``to_summary()``
+methods on :class:`~repro.sfi.injector.CampaignResult` and
+:class:`~repro.ser.beam.BeamResult`).
 """
 
 from __future__ import annotations
@@ -244,3 +246,110 @@ def cache_note(outcome_events, echo: Callable[[str], None] = print) -> None:
     cached = [e.stage for e in outcome_events if e.cached]
     if cached:
         echo(f"cache: reused {', '.join(sorted(set(cached)))} artifact(s)")
+
+
+class RunRenderer:
+    """The terminal view of one executed run-spec.
+
+    An :func:`~repro.pipeline.runner.execute` observer that prints each
+    stage's result as its event arrives. Every spec-building subcommand
+    renders through it, so a subcommand prints exactly what
+    ``repro-sart run`` prints for the same spec.
+    """
+
+    def __init__(self, spec):
+        self.workers = spec.campaign.workers
+        self.name: str | None = None  # the run's program, else its design ref
+        self.golden = None
+
+    def __call__(self, event: str, info: Mapping[str, Any]) -> None:
+        if event == "design":
+            artifact = info["artifact"]
+            if self.name is None:
+                self.name = artifact.program_name or artifact.ref
+            if artifact.kind == "bigcore":
+                design = artifact.design
+                print(f"bigcore: {design.seq_count()} sequentials, "
+                      f"{len(design.array_names())} arrays")
+            else:
+                print(f"design: {artifact.describe()}")
+        elif event == "golden":
+            self.golden = info["golden"]
+        elif event == "ports":
+            env = info["port_env"]
+            if env.source == "archsim":
+                print(f"golden run: {self.golden.cycles} cycles, "
+                      f"ACE fraction {env.ace_fraction:.2f}")
+                for name, p in sorted(env.ports.items()):
+                    print(f"  structure {name:6s} pAVF_R={p.pavf_r:.3f} "
+                          f"pAVF_W={p.pavf_w:.3f} AVF={p.avf:.3f}")
+            elif env.source == "ace-suite":
+                print(env.ace_table)
+        elif event == "ace:run":
+            print(f"running {info['workloads']} workloads through "
+                  f"the ACE model...")
+        elif event == "ace:cached":
+            print(f"ACE suite: {info['workloads']} workloads reused from cache")
+        elif event == "plan":
+            plan = info["plan"]
+            verb = "reused from cache" if plan.cached else "lowered"
+            print(f"solve plan: {plan.n} nodes {verb} in {info['seconds']:.2f}s")
+        elif event == "eco:delta":
+            print(f"baseline: {info['baseline']}")
+            print(info["delta"].table())
+        elif event == "eco:skip":
+            print(f"eco: falling back to a cold solve ({info['reason']})")
+        elif event == "sart":
+            from repro.core.report import average_seq_avf
+
+            result = info["outcome"].result
+            print(result.report.table())
+            print_stats(result)
+            print(f"average sequential AVF: "
+                  f"{average_seq_avf(result.node_avfs):.4f}")
+        elif event == "eco:check":
+            print(f"eco check: bit-identical={info['identical']} "
+                  f"(warm {info['warm_seconds']:.2f}s, "
+                  f"cold {info['cold_seconds']:.2f}s)")
+        elif event == "derating":
+            print_derating(info["derating"])
+        elif event == "sweep:begin":
+            print("loop_pavf  avg_seq_avf  seconds")
+        elif event == "sweep:batched":
+            print(f"batched sweep: {info['points']} workloads in "
+                  f"{info['seconds']:.3f}s "
+                  f"({info['nodes_per_second']:,.0f} nodes/s)")
+        elif event == "sweep:point":
+            print(f"{info['value']:9.2f}  "
+                  f"{info['result'].report.weighted_seq_avf:.4f}  "
+                  f"{info['seconds']:7.3f}")
+        elif event == "sfi":
+            from repro.sfi import overall_avf
+
+            outcome = info["outcome"]
+            campaign = outcome.result
+            avf, (lo, hi) = overall_avf(campaign.outcomes)
+            print(f"{self.name}: SFI ({outcome.injections} injections) over "
+                  f"{outcome.golden_cycles} cycles "
+                  f"(workers={self.workers}, passes={campaign.passes})")
+            print(f"  counts: {campaign.counts()}")
+            print(f"  SDC AVF={avf:.3f} [{lo:.3f},{hi:.3f}]  "
+                  f"DUE AVF={campaign.due_avf():.3f}")
+            print(f"  {campaign.simulated_cycles} simulated cycles "
+                  f"in {campaign.elapsed_seconds:.2f}s")
+            print_runtime_summary(campaign)
+        elif event == "beam":
+            result = info["outcome"].result
+            lo, hi = result.rate_interval()
+            print(f"{self.name}: {result.exposures} exposures x "
+                  f"{result.cycles_per_run} cycles under flux {result.flux:g} "
+                  f"(workers={self.workers})")
+            print(f"  {result.strikes} strikes into {result.storage_bits} "
+                  f"storage bits: {result.sdc_events} SDC, "
+                  f"{result.due_events} DUE")
+            print(f"  SDC rate {result.sdc_rate_per_cycle:.3e}/cycle "
+                  f"[{lo:.3e},{hi:.3e}] in {result.elapsed_seconds:.2f}s")
+            print_runtime_summary(result)
+        elif event == "export":
+            print(f"wrote {info['format']} to {info['path']} "
+                  f"({len(info['module'].instances)} instances)")

@@ -27,7 +27,8 @@ Sections present select the stages to run: ``[sart]`` (or a bare design
 with no other section) produces the per-FUB report, ``[sweep]`` the
 Figure-8 loop sweep, ``[sfi]``/``[beam]`` the campaigns, ``[export]`` a
 netlist export, ``[derating]`` the per-flop logic-derating analysis.
-Unknown sections and keys are rejected.
+Unknown sections and keys are rejected, and each section checks its
+values against their declared types and ranges when it is built.
 """
 
 from __future__ import annotations
@@ -39,8 +40,20 @@ from typing import Any, Mapping
 from repro.errors import SpecError
 
 
+class _Section:
+    """Base of every spec section: its values are checked on construction.
+
+    A spec file, an HTTP body and the CLI flags all build sections, so a
+    bad value raises :class:`SpecError` naming ``[section] key`` before
+    anything runs, whichever front end supplied it.
+    """
+
+    def __post_init__(self) -> None:
+        _check_values(self)
+
+
 @dataclass(frozen=True)
-class WorkloadsSpec:
+class WorkloadsSpec(_Section):
     """The bigcore ACE workload suite (``[workloads]``)."""
 
     per_class: int = 2
@@ -48,50 +61,27 @@ class WorkloadsSpec:
 
 
 @dataclass(frozen=True)
-class SartSpec:
-    """SART environment knobs (``[sart]``).
-
-    Validated on construction, so a spec file, an HTTP body and the CLI
-    flags all fail the same way: a bad value raises :class:`SpecError`
-    before anything runs.
-    """
+class SartSpec(_Section):
+    """SART environment knobs (``[sart]``)."""
 
     loop_pavf: float = 0.3
     iterations: int = 20
     monolithic: bool = False
 
-    def __post_init__(self) -> None:
-        loop = self.loop_pavf
-        if (isinstance(loop, bool) or not isinstance(loop, (int, float))
-                or not 0.0 <= loop <= 1.0):
-            raise SpecError(
-                f"[sart] loop_pavf must be a number in [0, 1], got {loop!r}")
-        its = self.iterations
-        if isinstance(its, bool) or not isinstance(its, int) or its < 1:
-            raise SpecError(
-                f"[sart] iterations must be an integer >= 1, got {its!r}")
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Section):
     """Loop-boundary pAVF sweep (``[sweep]``, Figure 8).
 
     Every sweep point is evaluated in one multi-workload matrix pass
-    (:mod:`repro.core.batched`). Validated on construction, like
-    :class:`SartSpec`.
+    (:mod:`repro.core.batched`).
     """
 
     points: int = 11
 
-    def __post_init__(self) -> None:
-        points = self.points
-        if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-            raise SpecError(
-                f"[sweep] points must be an integer >= 1, got {points!r}")
-
 
 @dataclass(frozen=True)
-class SfiSpec:
+class SfiSpec(_Section):
     """Statistical fault-injection campaign (``[sfi]``)."""
 
     injections: int = 378
@@ -100,7 +90,7 @@ class SfiSpec:
 
 
 @dataclass(frozen=True)
-class BeamSpec:
+class BeamSpec(_Section):
     """Simulated accelerated beam test (``[beam]``)."""
 
     flux: float = 2e-5
@@ -111,7 +101,7 @@ class BeamSpec:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(_Section):
     """Execution substrate shared by sfi/beam (``[campaign]``)."""
 
     workers: int = 1
@@ -124,7 +114,7 @@ class CampaignSpec:
 
 
 @dataclass(frozen=True)
-class DeratingSpec:
+class DeratingSpec(_Section):
     """Logic-derating analysis (``[derating]``).
 
     The analytic per-flop derating pass always runs; ``mc_trials > 0``
@@ -137,7 +127,7 @@ class DeratingSpec:
 
 
 @dataclass(frozen=True)
-class ExportSpec:
+class ExportSpec(_Section):
     """Netlist export (``[export]``)."""
 
     output: str
@@ -145,7 +135,7 @@ class ExportSpec:
 
 
 @dataclass(frozen=True)
-class EcoSpec:
+class EcoSpec(_Section):
     """Incremental re-solve against a baseline design (``[eco]``).
 
     ``baseline`` is a design reference; the runner solves it first (its
@@ -225,7 +215,50 @@ _SECTIONS = {
     "eco": EcoSpec,
     "derating": DeratingSpec,
 }
-_BOOLEANS = {"monolithic", "per_node", "include_arrays", "parity", "check"}
+_SECTION_NAMES = {cls: name for name, cls in _SECTIONS.items()}
+
+_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+# What each declared type requires beyond the type itself: integers are
+# counts, strings are non-empty.
+_TYPE_RULES = {
+    "int": (lambda v: v >= 1, "an integer >= 1"),
+    "float": (lambda v: v == v, "a number"),
+    "bool": (lambda v: True, "true or false"),
+    "str": (lambda v: v != "", "a non-empty string"),
+}
+
+# Knobs whose rule differs from their type's.
+_FIELD_RULES = {
+    "loop_pavf": (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "flux": (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "pass_timeout": (lambda v: v > 0, "a number > 0"),
+    "seed": (lambda v: True, "an integer"),
+    "mc_seed": (lambda v: True, "an integer"),
+    "mc_trials": (lambda v: v >= 0, "an integer >= 0"),
+    "max_pool_restarts": (lambda v: v >= 0, "an integer >= 0"),
+    "format": (lambda v: v in ("exlif", "verilog"), "'exlif' or 'verilog'"),
+}
+
+
+def _check_values(section) -> None:
+    """Check every value of *section* against its declared type and rule.
+
+    Types are required, never coerced: a bool is not an integer, and an
+    integer is the only other type a float field accepts. Fields
+    declared ``| None`` also accept None.
+    """
+    for f in fields(section):
+        value = getattr(section, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        test, what = _FIELD_RULES.get(f.name) or _TYPE_RULES[kind]
+        typed = (isinstance(value, _TYPES[kind])
+                 and (kind == "bool" or not isinstance(value, bool)))
+        if not (typed and test(value)):
+            raise SpecError(f"[{_SECTION_NAMES[type(section)]}] {f.name} "
+                            f"must be {what}, got {value!r}")
 
 
 def _section(cls, data: Mapping[str, Any], name: str):
@@ -237,13 +270,8 @@ def _section(cls, data: Mapping[str, Any], name: str):
         raise SpecError(
             f"unknown key(s) {sorted(unknown)} in [{name}]; have {sorted(known)}"
         )
-    kwargs = dict(data)
-    for key in sorted(_BOOLEANS & set(kwargs)):
-        if not isinstance(kwargs[key], bool):
-            raise SpecError(
-                f"[{name}] {key} must be true or false, got {kwargs[key]!r}")
     try:
-        return cls(**kwargs)
+        return cls(**data)
     except TypeError as exc:
         raise SpecError(f"bad [{name}] section: {exc}")
 
@@ -261,20 +289,17 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
         design = design.get("ref")
     if not isinstance(design, str) or not design:
         raise SpecError("run-spec needs a design reference: design = \"tinycore:fib\"")
-    ports = data.pop("ports", None)
-    ports_file = None
-    if ports is not None:
-        if isinstance(ports, Mapping):
-            extra = set(ports) - {"file"}
-            if extra:
-                raise SpecError(
-                    f"unknown key(s) {sorted(extra)} in [ports]; have ['file']"
-                )
-            ports_file = ports.get("file")
-        elif isinstance(ports, str):
-            ports_file = ports
-        else:
-            raise SpecError("[ports] must be a table with a 'file' key or a string")
+    ports_file = data.pop("ports", None)
+    if isinstance(ports_file, Mapping):
+        extra = set(ports_file) - {"file"}
+        if extra:
+            raise SpecError(
+                f"unknown key(s) {sorted(extra)} in [ports]; have ['file']"
+            )
+        ports_file = ports_file.get("file")
+    if ports_file is not None and not (isinstance(ports_file, str) and ports_file):
+        raise SpecError("[ports] must be a table with a 'file' key or a "
+                        f"non-empty string, got {ports_file!r}")
     sections: dict[str, Any] = {}
     for name, cls in _SECTIONS.items():
         raw = data.pop(name, None)

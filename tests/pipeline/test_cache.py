@@ -41,7 +41,7 @@ def test_bigcore_warm_cache_cli(tmp_path, capsys):
 
     # The warm run re-solves cold: apart from timing and cache lines it
     # prints exactly what the cold run printed.
-    skip = ("running", "ACE suite")
+    skip = ("running", "ACE suite", "solve plan", "cache:")
     cold_rows = [l for l in _strip_timing(cold).splitlines()
                  if not l.startswith(skip)]
     warm_rows = [l for l in _strip_timing(warm).splitlines()

@@ -6,7 +6,9 @@ baseline. One shared cache directory keeps the (design-independent)
 ACE suite warm across the flows.
 """
 
+import csv
 import json
+import re
 
 import pytest
 
@@ -92,6 +94,25 @@ def test_eco_cli_with_check(cache_dir, tmp_path, capsys):
     assert doc["eco"]["dirty_fubs"] == ["LSU"]
     # The neutral edit re-solves only the edited FUB.
     assert doc["eco"]["resolved_fubs"] == 1
+
+
+def test_eco_cli_writes_csv_exports(cache_dir, tmp_path, capsys):
+    nodes, fubs = tmp_path / "nodes.csv", tmp_path / "fubs.csv"
+    assert main(["eco", EDIT, "--baseline", BASE, "--cache-dir", cache_dir,
+                 "--export-csv", str(nodes), "--export-fubs", str(fubs)]
+                + WORKLOADS) == 0
+    out = capsys.readouterr().out
+    # The edited design's report is the last one printed: one CSV row
+    # per node of its solve and one per FUB of its table.
+    n_nodes = int(re.findall(r"^nodes=(\d+) ", out, flags=re.M)[-1])
+    report = out[out.rindex("\nFUB ") + 1:].splitlines()
+    end = next(i for i, line in enumerate(report)
+               if line.startswith("WEIGHTED AVG"))
+    table_fubs = [line.split()[0] for line in report[1:end]]
+    assert len(list(csv.DictReader(nodes.open()))) == n_nodes
+    fub_rows = [row["fub"] for row in csv.DictReader(fubs.open())]
+    assert fub_rows == table_fubs + ["WEIGHTED"]
+    assert "LSU" in fub_rows
 
 
 def test_eco_cli_monolithic_falls_back_cold(cache_dir, capsys):

@@ -1,16 +1,25 @@
 """Run-specs: parsing, validation, and spec-driven execution."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SpecError
 from repro.pipeline.runner import execute
 from repro.pipeline.spec import (
+    BeamSpec,
     CampaignSpec,
+    DeratingSpec,
+    EcoSpec,
+    ExportSpec,
     RunSpec,
     SartSpec,
+    SfiSpec,
     SweepSpec,
+    WorkloadsSpec,
     load_spec,
     spec_from_mapping,
 )
@@ -99,6 +108,12 @@ def test_validation_errors(tmp_path):
                            match=r"unknown key\(s\) \['batched'\] in \[sweep\]"):
             spec_from_mapping({"design": "bigcore",
                                "sweep": {"batched": batched}})
+    # Every section checks its values the same way; each of these
+    # raised a builtin TypeError/AttributeError inside execute, or ran
+    # something other than what the spec said.
+    for section, body, message in BAD_VALUES:
+        with pytest.raises(SpecError, match=message):
+            spec_from_mapping({"design": "tinycore:fib", section: body})
     # Direct construction (the CLI path) runs the same checks.
     with pytest.raises(SpecError, match="loop_pavf"):
         SartSpec(loop_pavf=7.0)
@@ -122,6 +137,26 @@ BAD_SART = (
     ({"monolithic": 1}, "monolithic must be true or false"),
     ({"engine": "compiled"}, r"unknown key\(s\) \['engine'\] in \[sart\]"),
     ({"relax_workers": 2}, r"unknown key\(s\) \['relax_workers'\]"),
+)
+
+
+BAD_VALUES = (
+    ("sfi", {"injections": "x"},
+     r"\[sfi\] injections must be an integer >= 1, got 'x'"),
+    ("campaign", {"workers": "a"},
+     r"\[campaign\] workers must be an integer >= 1, got 'a'"),
+    ("beam", {"flux": "high"},
+     r"\[beam\] flux must be a number in \(0, 1\], got 'high'"),
+    ("workloads", {"per_class": "x"},
+     r"\[workloads\] per_class must be an integer >= 1"),
+    ("derating", {"mc_trials": "x"},
+     r"\[derating\] mc_trials must be an integer >= 0, got 'x'"),
+    ("eco", {"baseline": 5},
+     r"\[eco\] baseline must be a non-empty string, got 5"),
+    ("export", {"format": "vhdl", "output": "x.v"},
+     r"\[export\] format must be 'exlif' or 'verilog', got 'vhdl'"),
+    ("sfi", {"injections": -5},
+     r"\[sfi\] injections must be an integer >= 1, got -5"),
 )
 
 
@@ -150,78 +185,95 @@ def test_malformed_ports_file_is_a_spec_error(tmp_path, content, message):
 
 
 # ----------------------------------------------------------------------
-# spec-driven execution reproduces the hand-flagged flows
+# every spec-building subcommand prints what `run` prints for its spec
 # ----------------------------------------------------------------------
 
-def _normalize(text: str) -> str:
-    import re
-
-    text = re.sub(r"elapsed=\d+\.\d+s", "elapsed=T", text)
-    text = re.sub(r"in \d+\.\d+s", "in T", text)
-    text = re.sub(r"\d+\.\d{3}\s*$", "T", text, flags=re.M)
-    return text
+def _mask_timings(text: str) -> str:
+    text = re.sub(r"\d+\.\d+s\b", "Ts", text)
+    text = re.sub(r"[\d,]+ nodes/s", "N nodes/s", text)
+    return re.sub(r"(?<= )\d+\.\d{3}$", "T", text, flags=re.M)
 
 
-def test_run_spec_reproduces_tinycore_sfi(tmp_path, capsys):
+_WORKLOADS = ["--workloads-per-class", "1", "--workload-length", "400"]
+
+# subcommand -> (argv, regex its output after the `run` output must match)
+SUBCOMMANDS = {
+    "analyze": (["analyze", "{tmp}/fig7.exlif", "--ports", "{tmp}/ports.txt",
+                 "--monolithic", "--export-csv", "{tmp}/nodes.csv"],
+                r"wrote per-node AVFs to \S+/nodes\.csv\n"),
+    "tinycore": (["tinycore", "fib", "--sfi", "25"], ""),
+    "bigcore": (["bigcore", "--scale", "0.1", *_WORKLOADS,
+                 "--export-fubs", "{tmp}/fubs.csv"],
+                r"wrote per-FUB report to \S+/fubs\.csv\n"),
+    "sweep": (["sweep", "--points", "3", "--scale", "0.1", *_WORKLOADS], ""),
+    "eco": (["eco", "bigcore@scale=0.1,edit=LSU",
+             "--baseline", "bigcore@scale=0.1", "--check", *_WORKLOADS,
+             "--export-json", "{tmp}/eco.json"],
+            r"wrote run summary to \S+/eco\.json\n"),
+    "export": (["export", "tinycore", "{tmp}/tiny.exlif", "--program", "fib"],
+               ""),
+    "sfi": (["sfi", "fib", "--injections", "20",
+             "--export-json", "{tmp}/sfi.json"],
+            r"wrote sfi summary to \S+/sfi\.json\n"),
+    "beam": (["beam", "fib", "--exposures", "6"], ""),
+    "deadlines": (["deadlines", "fib"],
+                  r"tinycore:fib: error-reporting deadlines "
+                  r"\(cycles until consumption\)\nstructure .*\n-+\n"
+                  r"dmem .*\nrf .*\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_prints_what_run_prints(name, tmp_path, capsys,
+                                           monkeypatch):
+    """A subcommand is its RunSpec plus post-run output: its stdout is
+    `repro-sart run` on that spec, then only its own export or table
+    lines."""
+    import repro.pipeline.runner as runner
+    from repro.cli import main
+    from repro.netlist.exlif import write_exlif
+    from tests.conftest import make_fig7
+
+    (tmp_path / "fig7.exlif").write_text(write_exlif(make_fig7()[0]))
+    (tmp_path / "ports.txt").write_text(
+        "S1 0.10 0.0 0.3\nS2 0.02 0.0 0.3\nS3 0.0 0.05 0.3\nS4 0.0 0.40 0.3\n")
+    specs = []
+    execute = runner.execute
+
+    def recording_execute(spec, **kwargs):
+        specs.append(spec)
+        return execute(spec, **kwargs)
+
+    monkeypatch.setattr(runner, "execute", recording_execute)
+    argv, post = SUBCOMMANDS[name]
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    via_flags = _mask_timings(capsys.readouterr().out)
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(specs[0].to_mapping()))
+    assert main(["run", str(path)]) == 0
+    via_spec = _mask_timings(capsys.readouterr().out)
+
+    assert via_flags.startswith(via_spec), (via_flags, via_spec)
+    assert re.fullmatch(post, via_flags[len(via_spec):]), via_flags
+
+
+def test_run_interrupt_hint_names_the_spec_checkpoint(tmp_path, capsys,
+                                                      monkeypatch):
     from repro.cli import main
 
-    assert main(["tinycore", "fib", "--sfi", "25"]) == 0
-    via_flags = capsys.readouterr().out
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
 
-    path = tmp_path / "tiny.toml"
-    path.write_text(
-        'design = "tinycore:fib"\n'
-        "[sart]\n"
-        "[sfi]\ninjections = 25\nseed = 1\n"
-    )
-    assert main(["run", str(path)]) == 0
-    via_spec = capsys.readouterr().out
-
-    # The banners differ in shape, but every number must be reproduced:
-    # structure ports, the whole per-FUB table, and the campaign stats.
-    import re
-
-    spec_lines = set(_normalize(via_spec).splitlines())
-    for line in _normalize(via_flags).splitlines():
-        if line.startswith("  structure"):
-            assert line in spec_lines, line
-
-    def table_block(text):
-        lines = _normalize(text).splitlines()
-        start = next(i for i, l in enumerate(lines) if l.startswith("FUB"))
-        stop = next(i for i, l in enumerate(lines)
-                    if l.startswith("relaxation"))
-        return lines[start:stop + 1]
-
-    assert table_block(via_flags) == table_block(via_spec)
-    assert "166 cycles, ACE fraction 1.00" in via_spec
-    m = re.search(r"AVF=(\S+ \[\S+\]) counts=(\{[^}]*\})", via_flags)
-    assert m, via_flags
-    assert f"SDC AVF={m.group(1)}" in via_spec
-    assert f"counts: {m.group(2)}" in via_spec
-
-
-def test_run_spec_reproduces_sweep(tmp_path, capsys):
-    from repro.cli import main
-
-    args = ["sweep", "--points", "3", "--scale", "0.2",
-            "--workloads-per-class", "1", "--workload-length", "600"]
-    assert main(args) == 0
-    via_flags = capsys.readouterr().out
-
-    path = tmp_path / "sweep.toml"
-    path.write_text(
-        'design = "bigcore@scale=0.2"\n'
-        "[workloads]\nper_class = 1\nlength = 600\n"
-        "[sweep]\npoints = 3\n"
-    )
-    assert main(["run", str(path)]) == 0
-    via_spec = capsys.readouterr().out
-    flag_rows = [l for l in _normalize(via_flags).splitlines()
-                 if l.strip() and l[0].isdigit() or l.startswith(" ")]
-    spec_text = _normalize(via_spec)
-    for row in flag_rows:
-        assert row in spec_text, row
+    monkeypatch.setattr("repro.sfi.run_sfi_campaign", interrupt)
+    ck = tmp_path / "campaign.jsonl"
+    path = tmp_path / "sfi.toml"
+    path.write_text(f'design = "tinycore:fib"\n[sfi]\ninjections = 20\n'
+                    f'[campaign]\ncheckpoint = "{ck}"\n')
+    assert main(["run", str(path)]) == 130
+    err = capsys.readouterr().err
+    assert "progress was not saved" not in err
+    assert f"rerun with [campaign] resume = '{ck}'" in err
 
 
 def test_execute_spec_directly():
@@ -303,3 +355,120 @@ def test_derating_section_round_trips_through_mapping():
     with pytest.raises(SpecError, match=r"unknown key\(s\) \['trials'\]"):
         spec_from_mapping({"design": "tinycore:fib",
                            "derating": {"trials": 5}})
+
+
+# ----------------------------------------------------------------------
+# fuzz: run-spec documents from every front end
+# ----------------------------------------------------------------------
+
+_TEXT = st.text(alphabet="abcefilmoprstx019.:@=_-/ \"\\", max_size=10)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.integers(),
+    st.floats(), st.sampled_from([float("nan"), float("-inf"), 2e-5]),
+    _TEXT,
+    st.sampled_from(["exlif", "verilog", "tinycore:fib", "bigcore"]),
+)
+_VALUES = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+
+
+# Every section, spelled out with valid values; fuzz documents keep a
+# subset of it and overwrite a few entries.
+_FULL_DOC = RunSpec(
+    design="tinycore:fib", ports_file="ports.txt",
+    workloads=WorkloadsSpec(), sart=SartSpec(), sweep=SweepSpec(),
+    sfi=SfiSpec(), beam=BeamSpec(), derating=DeratingSpec(),
+    export=ExportSpec(output="out.v", format="verilog"),
+    eco=EcoSpec(baseline="tinycore:fib"),
+).to_mapping()
+
+
+@st.composite
+def _docs(draw):
+    doc = json.loads(json.dumps(
+        {k: v for k, v in _FULL_DOC.items()
+         if k == "design" or draw(st.booleans())}))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [(name,) for name in [*doc, "bogus"]]
+        paths += [(name, key) for name, section in doc.items()
+                  if isinstance(section, dict)
+                  for key in [*section, "bogus"]]
+        *section, key = draw(st.sampled_from(paths))
+        (doc[section[0]] if section else doc)[key] = draw(_VALUES)
+    return doc
+
+
+def _without_none(value):
+    """The document TOML can spell: TOML has no null."""
+    if isinstance(value, dict):
+        return {k: _without_none(v) for k, v in value.items()
+                if v is not None}
+    if isinstance(value, list):
+        return [_without_none(v) for v in value if v is not None]
+    return value
+
+
+def _toml_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)             # nan, inf and -inf are TOML floats
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_toml_value, value)) + "]"
+    return "{" + ", ".join(f"{json.dumps(k)} = {_toml_value(v)}"
+                           for k, v in value.items()) + "}"
+
+
+def _toml(doc: dict) -> str:
+    lines = [f"{json.dumps(k)} = {_toml_value(v)}"
+             for k, v in doc.items() if not isinstance(v, dict)]
+    for key, table in doc.items():
+        if isinstance(table, dict):
+            lines.append(f"[{json.dumps(key)}]")
+            lines += [f"{json.dumps(k)} = {_toml_value(v)}"
+                      for k, v in table.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _spec_or_none(load):
+    try:
+        return load()
+    except SpecError:
+        return None
+
+
+@pytest.mark.fuzz
+@settings(max_examples=500)
+@given(doc=_docs())
+def test_fuzz_run_spec_documents(tmp_path_factory, doc):
+    """Every document yields a RunSpec or raises SpecError, as a mapping,
+    a JSON file and a TOML file alike; an accepted spec round-trips and
+    fingerprints; the job server refuses anything else with a
+    ReproError."""
+    from repro.errors import ReproError
+    from repro.pipeline.spec import spec_fingerprint
+    from repro.serve.scheduler import JobScheduler
+
+    spec = _spec_or_none(lambda: spec_from_mapping(doc))
+    if spec is not None:
+        assert spec_from_mapping(spec.to_mapping()) == spec
+        spec_fingerprint(spec)
+    root = tmp_path_factory.mktemp("spec")
+    (root / "doc.json").write_text(json.dumps(doc))
+    assert _spec_or_none(lambda: load_spec(str(root / "doc.json"))) == spec
+    (root / "doc.toml").write_text(_toml(_without_none(doc)))
+    assert (_spec_or_none(lambda: load_spec(str(root / "doc.toml")))
+            == _spec_or_none(lambda: spec_from_mapping(_without_none(doc))))
+    scheduler = JobScheduler(root / "state")
+    try:
+        scheduler.submit(doc)
+    except ReproError:
+        pass
+    finally:
+        scheduler.drain(grace=0)

@@ -99,7 +99,7 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     # Jobs queued by older servers: their journaled normalized specs
     # spell out the since-removed [sart] engine and relax_workers keys,
     # the since-removed [campaign] backend key, or the since-removed
-    # [sweep] batched key.
+    # [sweep] batched key, or carry a value the section check refuses.
     state = tmp_path / "state"
     old_specs = {
         "0123456789abcdef" * 4: (
@@ -117,6 +117,10 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
             {"design": "bigcore@scale=0.1",
              "sweep": {"points": 4, "batched": True}},
             "['batched'] in [sweep]"),
+        "ffeeddccbbaa99887766554433221100" * 2: (
+            {"design": "tinycore:fib",
+             "sfi": {"injections": "x", "seed": 1, "per_node": False}},
+            "[sfi] injections must be an integer >= 1"),
     }
     first = JobScheduler(str(state), worker=_ok_worker)
     for fingerprint, (old_spec, _) in old_specs.items():

@@ -59,9 +59,9 @@ def test_error_codes(tmp_path):
         status, doc = post_json(f"{app.url}/jobs",
                                 {"design": "tinycore:fib", "bogus": {}})
         assert status == 400 and "bogus" in doc["error"]
-        # Bad [sart] and [sweep] values and the removed [sart]
-        # engine/relax_workers, [campaign] backend and [sweep] batched
-        # keys are refused at admission, naming the offending key.
+        # Bad section values and the removed [sart] engine/relax_workers,
+        # [campaign] backend and [sweep] batched keys are refused at
+        # admission, naming the offending key.
         for section, body in (
                 ("sart", {"iterations": "abc"}), ("sart", {"iterations": 0}),
                 ("sart", {"loop_pavf": 7}), ("sart", {"monolithic": "false"}),
@@ -69,7 +69,12 @@ def test_error_codes(tmp_path):
                 ("campaign", {"backend": "python"}),
                 ("sweep", {"points": "x"}), ("sweep", {"points": 2.5}),
                 ("sweep", {"points": 0}), ("sweep", {"points": -3}),
-                ("sweep", {"points": True}), ("sweep", {"batched": False})):
+                ("sweep", {"points": True}), ("sweep", {"batched": False}),
+                ("sfi", {"injections": "x"}), ("campaign", {"workers": "a"}),
+                ("beam", {"flux": "high"}), ("workloads", {"per_class": "x"}),
+                ("derating", {"mc_trials": "x"}), ("eco", {"baseline": 5}),
+                ("export", {"format": "vhdl", "output": "x.v"}),
+                ("sfi", {"injections": -5})):
             status, doc = post_json(f"{app.url}/jobs",
                                     {"design": "tinycore:fib", section: body})
             assert status == 400, body

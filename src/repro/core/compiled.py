@@ -8,7 +8,9 @@ This module lowers the annotated model **once** into integer form:
 * net names are interned to dense node ids,
 * fan-in/fan-out become CSR ``(indptr, indices)`` arrays,
 * annotation sets are interned to dense set ids
-  (:class:`repro.core.pavf.SetInterner`) with a memoized union kernel,
+  (:class:`repro.core.pavf.SetInterner`), each with its row of atom ids
+  in (kind, name, bit) order written as it is interned, and joined by a
+  memoized union kernel (:meth:`~repro.core.pavf.SetInterner.union_ids`),
 * the forward and backward topological orders are computed once and
   per-FUB schedules are derived from them by bucketing,
 * loop detection runs as an integer Tarjan over the CSR arrays.
@@ -26,8 +28,9 @@ index-based kernel shared by resolution, FUBIO merging and the relaxation
 trace. With the ``[numpy]`` extra installed it runs :func:`gather_halve`,
 which gathers atom values through the interner's sorted atom-id rows and
 halves them pairwise (the batched sweep runs the same kernel with one
-column per environment); otherwise a pure-Python loop sums the same atoms
-in the same order through the same tree, with bit-identical results.
+column per environment); otherwise a pure-Python loop reads the same rows
+and sums the same atoms through the same tree, with bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -37,16 +40,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.errors import SartError
 from repro.core import controlregs
 from repro.core.graphmodel import AvfModel, StructurePorts, build_model, structure_nets
-from repro.core.pavf import (
-    Atom,
-    CTRL,
-    LOOP,
-    PavfEnv,
-    SetInterner,
-    TOP_SET,
-    collapse_if_large,
-    union,
-)
+from repro.core.pavf import Atom, CTRL, LOOP, PavfEnv, SetInterner
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.resolve import (
     NodeAvf,
@@ -71,7 +65,7 @@ HAVE_NUMPY = _np is not None
 # Layout version of the SolvePlans the artifact store pickles, recorded on
 # every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
 # what invalidates cached plans), when the SolvePlan fields change.
-PLAN_FORMAT = 3  # v3: the plan's graph is the columnar NetGraph
+PLAN_FORMAT = 4  # v4: Atom is a NamedTuple
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -85,14 +79,13 @@ _MODE_ATOM = 2     # injected atom value (loop boundaries, control regs)
 def gather_halve(interner: SetInterner, sids, table):
     """Capped tree sums of sets *sids* under the columns of *table*.
 
-    *sids* is an int64 array of set ids whose rows
-    (:meth:`SetInterner.build_rows`) are built; *table* is an
-    ``(atoms + 1, W)`` float array of atom values whose last row is
-    zeros. Sets are grouped by padded width (their size, rounded up to a
-    power of two); each group gathers its atom values through the row
-    columns into an ``(n, width, W)`` array, zero-padded by pointing the
-    spare slots at the last table row, and halves it pairwise down to
-    one value per set and column. Returns ``(len(sids), W)`` values
+    *sids* is an int64 array of set ids; *table* is an ``(atoms + 1, W)``
+    float array of atom values whose last row is zeros. Sets are grouped
+    by padded width (their size, rounded up to a power of two); each
+    group gathers its atom values through the row columns into an
+    ``(n, width, W)`` array, zero-padded by pointing the spare slots at
+    the last table row, and halves it pairwise down to one value per set
+    and column. Returns ``(len(sids), W)`` values
     capped at 1.0.
     """
     out = _np.empty((len(sids), table.shape[1]), dtype=_np.float64)
@@ -143,7 +136,6 @@ class AtomTable:
 
     def values(self, sids):
         """``(len(sids), W)`` values of set ids *sids* (all >= 0)."""
-        self.interner.build_rows(sids.tolist())
         return gather_halve(self.interner, sids, self._sync())
 
     def atom_values(self, atoms: Sequence[Atom]):
@@ -177,15 +169,8 @@ class SetEvaluator:
         self.env = env
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
         self._vals: list[float | None] = [0.0, 1.0]  # EMPTY, TOP
-        self._atom_vals: dict[Atom, float] = {}
+        self._atom_vals: list[float] = []  # by atom id, synced on demand
         self._table = AtomTable(interner, (env,)) if self.use_numpy else None
-
-    def _atom_value(self, atom: Atom) -> float:
-        val = self._atom_vals.get(atom)
-        if val is None:
-            val = self.env.lookup(atom)
-            self._atom_vals[atom] = val
-        return val
 
     def value(self, sid: int) -> float:
         """Capped tree-sum value of set *sid* (cached)."""
@@ -194,8 +179,12 @@ class SetEvaluator:
             vals.extend([None] * (len(self.interner) - len(vals)))
         val = vals[sid]
         if val is None:
-            atom_value = self._atom_value
-            level = [atom_value(a) for a in self.interner.sorted_atoms(sid)]
+            interner, atom_vals = self.interner, self._atom_vals
+            if len(atom_vals) < len(interner.atoms):
+                atom_vals.extend(map(self.env.lookup, interner.atoms[len(atom_vals):]))
+            lo = interner.row_start[sid]
+            level = list(map(atom_vals.__getitem__,
+                             interner.row_ids[lo:lo + interner.row_len[sid]]))
             k = len(level)
             if k & (k - 1):  # pad to the next power of two with exact zeros
                 level.extend([0.0] * ((1 << k.bit_length()) - k))
@@ -436,6 +425,12 @@ class SolvePlan:
 
     def _lower_model(self) -> None:
         model, ids, n = self.model, self.ids, self.n
+        # Every solve set is a union of these fixed sets, so ranking
+        # their atoms once makes every row an integer sort.
+        fixed = (model.forward_fixed, model.contrib_through, model.static_sinks)
+        self.interner.rank(
+            frozenset().union(*(atoms for table in fixed for atoms in table.values()))
+        )
         intern = self.interner.id_of
         fwd_fixed = self.fwd_fixed = [-1] * n
         for net, atoms in model.forward_fixed.items():
@@ -671,7 +666,7 @@ class SolvePlan:
         """
         fanin_ptr, fanin_ix = self.fanin_ptr, self.fanin_ix
         fixed, fub_of = self.fwd_fixed, self.fub_of
-        sets, intern = self.interner.sets, self.interner.id_of
+        union_ids = self.interner.union_ids
         memo = self._memo_for(max_terms)
         for nid in order:
             sid = fixed[nid]
@@ -705,9 +700,7 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                merged = collapse_if_large(union(*[sets[s] for s in key]), max_terms)
-                sid = intern(merged)
-                memo[key] = sid
+                sid = memo[key] = union_ids(key, max_terms)
             out[nid] = sid
 
     def _backward_pass(
@@ -722,7 +715,7 @@ class SolvePlan:
         """Backward fixpoint over *order* (consumers pass annotations up)."""
         fanout_ptr, fanout_ix = self.fanout_ptr, self.fanout_ix
         through, fub_of, sink = self.through, self.fub_of, self.sink
-        sets, intern = self.interner.sets, self.interner.id_of
+        union_ids = self.interner.union_ids
         memo = self._memo_for(max_terms)
         dangling_id = _EMPTY_ID if dangling == "unace" else _TOP_ID
         for nid in order:
@@ -759,9 +752,7 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                merged = collapse_if_large(union(*[sets[s] for s in key]), max_terms)
-                sid = intern(merged)
-                memo[key] = sid
+                sid = memo[key] = union_ids(key, max_terms)
             out[nid] = sid
 
     def solve_monolithic(

@@ -26,8 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 # Atom kinds.
 READ = "read"        # structure read-port bit (pAVF_R source)
@@ -39,13 +38,13 @@ CONST = "const"      # tie cell (conservative static source)
 TOP_KIND = "top"     # the conservative initial value 1.0
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     """One symbolic pAVF source/sink term.
 
     ``name`` is the structure name (READ/WRITE), net name (CTRL/LOOP/CONST)
     or port name (BOUNDARY); ``bit`` is the bit index within a structure
-    port (0 for singleton kinds).
+    port (0 for singleton kinds). Atoms hash, compare and order as the
+    tuple ``(kind, name, bit)``, all in C.
     """
 
     kind: str
@@ -143,10 +142,6 @@ def capped_sum(values) -> float:
     return total
 
 
-# The field order ``Atom(order=True)`` compares by, as a C-level sort key.
-_ATOM_ORDER = attrgetter("kind", "name", "bit")
-
-
 class SetInterner:
     """Shared table of canonical pAVF sets.
 
@@ -159,54 +154,93 @@ class SetInterner:
     Id 0 is always the empty set and id 1 the TOP singleton.
 
     The numeric kernels read each set as a *row*: its members' ids in the
-    dense :attr:`atoms` table, in stable (kind, name, bit) order. Rows are
-    built once per set, on first use, into three flat ``array`` columns:
-    ``row_start``/``row_len`` per set id (-1/0 until built) and
-    ``row_ids``, the concatenated atom ids. Atom ids are assigned in
-    first-seen order, so building a row never reorders older ones. The
-    rows and the atom table are derived caches: they are not pickled.
+    dense :attr:`atoms` table, in (kind, name, bit) order. A set's row is
+    written when the set is interned, into three flat ``array`` columns:
+    ``row_start``/``row_len`` per set id and ``row_ids``, the concatenated
+    atom ids. :meth:`rank` gives a plan's atoms ids in (kind, name, bit)
+    order up front, so a row is its members' ids sorted as integers; an
+    atom first seen later takes the next id, and a row holding one is
+    sorted by atom instead. Rows and atom ids are rebuilt from the sets
+    when an interner is unpickled.
     """
 
     EMPTY_ID = 0
     TOP_ID = 1
 
-    __slots__ = ("sets", "_ids", "atoms", "_atom_ids", "row_start", "row_len",
-                 "row_ids")
+    __slots__ = ("sets", "_ids", "atoms", "_atom_ids", "_ranked", "row_start",
+                 "row_len", "row_ids")
 
     def __init__(self) -> None:
         self.sets: list[frozenset[Atom]] = [EMPTY, TOP_SET]
         self._ids: dict[frozenset[Atom], int] = {EMPTY: 0, TOP_SET: 1}
-        self._reset_rows()
-
-    def _reset_rows(self) -> None:
-        # EMPTY and TOP get their rows up front, so row_ids is never empty.
         self.atoms: list[Atom] = [TOP]
         self._atom_ids: dict[Atom, int] = {TOP: 0}
+        # Atom ids below this follow (kind, name, bit) order.
+        self._ranked = 1
         self.row_start = array("q", (0, 0))
         self.row_len = array("i", (0, 1))
         self.row_ids = array("i", (0,))
 
     def __getstate__(self):
-        return (None, {"sets": self.sets, "_ids": self._ids})
+        return (None, {"sets": self.sets})
 
     def __setstate__(self, state) -> None:
-        # Also loads interners pickled with the old per-set ``_sorted``
-        # tuple cache in their slot state; it is dropped like the rows.
-        slots = state[1]
-        self.sets = slots["sets"]
-        self._ids = slots["_ids"]
-        self._reset_rows()
+        # Also loads interners pickled with more slot state (``_ids``, the
+        # old per-set ``_sorted`` cache): only the sets are read.
+        sets = state[1]["sets"]
+        self.__init__()
+        self.rank(frozenset().union(*sets))
+        for atoms in sets[2:]:
+            self._add(atoms)
 
     def __len__(self) -> int:
         return len(self.sets)
 
+    def rank(self, atoms: Iterable[Atom]) -> None:
+        """Give *atoms* and TOP ids in (kind, name, bit) order.
+
+        Only a fresh interner can be ranked: existing rows would go stale.
+        """
+        if len(self.sets) > 2 or len(self.atoms) > 1:
+            raise ValueError("rank() needs a fresh SetInterner")
+        self.atoms = sorted({TOP, *atoms})
+        self._atom_ids = {atom: aid for aid, atom in enumerate(self.atoms)}
+        self._ranked = len(self.atoms)
+        self.row_ids[0] = self._atom_ids[TOP]
+
     def id_of(self, atoms: frozenset[Atom]) -> int:
         """Intern *atoms* and return its dense id."""
         sid = self._ids.get(atoms)
-        if sid is None:
-            sid = len(self.sets)
-            self._ids[atoms] = sid
-            self.sets.append(atoms)
+        return self._add(atoms) if sid is None else sid
+
+    def union_ids(self, key: Sequence[int], max_terms: int) -> int:
+        """Id of the union of the sets *key* names.
+
+        Exact and idempotent; TOP absorbs everything, and with
+        ``max_terms > 0`` a union of more atoms collapses to TOP
+        (:func:`union` then :func:`collapse_if_large`, interned).
+        """
+        sets = self.sets
+        merged: set[Atom] = set()
+        for sid in key:
+            merged.update(sets[sid])
+        if TOP in merged or 0 < max_terms < len(merged):
+            return self.TOP_ID
+        return self.id_of(frozenset(merged))
+
+    def _add(self, atoms: frozenset[Atom]) -> int:
+        sid = len(self.sets)
+        self._ids[atoms] = sid
+        self.sets.append(atoms)
+        # An atom unknown or first seen after the ranking reads as an id
+        # at or past ``_ranked``; such a row is sorted by atom instead.
+        ranked = self._ranked
+        row = sorted(map(self._atom_ids.get, atoms, repeat(ranked)))
+        if row and row[-1] >= ranked:
+            row = list(map(self.atom_id, sorted(atoms)))
+        self.row_start.append(len(self.row_ids))
+        self.row_len.append(len(row))
+        self.row_ids.extend(row)
         return sid
 
     def canon(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
@@ -221,28 +255,8 @@ class SetInterner:
             self.atoms.append(atom)
         return aid
 
-    def build_rows(self, sids: Iterable[int]) -> None:
-        """Build the rows of every set in *sids* that has none yet."""
-        start, length = self.row_start, self.row_len
-        grow = len(self.sets) - len(start)
-        if grow > 0:
-            start.extend(repeat(-1, grow))
-            length.extend(repeat(0, grow))
-        flat, sets = self.row_ids, self.sets
-        known, atom_id = self._atom_ids.get, self.atom_id
-        for sid in [sid for sid in sids if start[sid] < 0]:
-            members = sorted(sets[sid], key=_ATOM_ORDER)
-            row = list(map(known, members))
-            if None in row:
-                row = list(map(atom_id, members))
-            start[sid] = len(flat)
-            length[sid] = len(row)
-            flat.extend(row)
-
     def sorted_atoms(self, sid: int) -> tuple[Atom, ...]:
         """Members of set *sid* in stable (kind, name, bit) order."""
-        if sid >= len(self.row_start) or self.row_start[sid] < 0:
-            self.build_rows((sid,))
         lo = self.row_start[sid]
         return tuple(map(self.atoms.__getitem__,
                          self.row_ids[lo:lo + self.row_len[sid]]))

@@ -121,7 +121,7 @@ class PlanArtifact:
     fingerprint: str
     plan: Any                    # repro.core.compiled.SolvePlan
     cached: bool = field(default=False, compare=False)
-    format: int = 3              # repro.core.compiled.PLAN_FORMAT at build
+    format: int = 4              # repro.core.compiled.PLAN_FORMAT at build
 
     @property
     def n(self) -> int:

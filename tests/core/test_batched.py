@@ -139,9 +139,10 @@ class TestBatchedEvaluator:
         assert bev.value(-1, 0) == 1.0
         assert (bev.matrix([-1, -5]) == 1.0).all()
 
-    def test_sorted_atoms_follow_the_dataclass_order(self, plan):
-        # Rows sort with a field-tuple key; this pins that key to the
-        # order Atom(order=True) defines, on every set of a solved plan.
+    def test_sorted_atoms_follow_the_atom_order(self, plan):
+        # Rows are integer sorts against the plan's atom ranking; this
+        # pins them to the (kind, name, bit) order atoms compare by, on
+        # every set of a solved plan.
         plan.solve_monolithic(0, "unace")
         interner = plan.interner
         for sid in range(len(interner)):

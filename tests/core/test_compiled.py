@@ -205,8 +205,8 @@ class TestSetEvaluator:
         py.fill(sids)
         np_.fill(sids)
         for sid in sids:
-            # Bit-identical, not approx: both sum the same sorted atoms
-            # left to right (reduceat applies the ufunc sequentially).
+            # Bit-identical, not approx: both sum the same row of atoms
+            # through the same pairwise tree.
             assert py.value(sid) == np_.value(sid)
 
     def test_values_cap_at_one(self):
@@ -290,6 +290,52 @@ class TestSetEvaluator:
             got = SetEvaluator(copy.interner, env)
             got.fill(sids)
             assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+
+
+def test_union_ids_and_rows_on_ranked_bare_and_late_interners(tinycore_module):
+    """``union_ids`` is ``union`` then ``collapse_if_large``, interned, and
+    TOP absorbs; every row, written when its set was interned, is the set
+    in atom order, whether ids follow a ranking or first sight."""
+    import pickle
+    import random
+
+    from repro.core.pavf import BOUNDARY, SetInterner, collapse_if_large, union
+
+    solved = build_plan(tinycore_module)
+    solved.solve_monolithic()
+    ranked = solved.interner
+    # Never ranked: atom ids in first-seen order, here a shuffled one.
+    bare = SolvePlan().interner
+    order = list(ranked.sets)
+    random.Random(3).shuffle(order)
+    for atoms in order:
+        bare.id_of(atoms)
+    # Ranked, then handed an atom the ranking lacks: it takes the next id
+    # but sorts before every ranked atom, so its rows sort by atom.
+    late = build_plan(tinycore_module).interner
+    stranger = Atom(BOUNDARY, "")
+    for atoms in ranked.sets[2:40]:
+        late.id_of(atoms | {stranger})
+    assert late.atoms[-1] == stranger
+    restored = pickle.loads(pickle.dumps(late))  # re-ranks, rewrites rows
+
+    rng = random.Random(11)
+    top = SetInterner.TOP_ID
+    for label, interner in (("ranked", ranked), ("bare", bare), ("late", late),
+                            ("restored", restored)):
+        sets = interner.sets
+        for _ in range(300):
+            key = tuple(rng.randrange(len(sets)) for _ in range(rng.randint(1, 5)))
+            for max_terms in (0, 3):
+                want = collapse_if_large(union(*(sets[s] for s in key)), max_terms)
+                assert interner.union_ids(key, max_terms) == interner.id_of(want), (
+                    label, key, max_terms)
+                assert interner.union_ids(key + (top,), max_terms) == top
+        assert len(interner.row_start) == len(interner.row_len) == len(sets)
+        for sid, atoms in enumerate(sets):
+            lo = interner.row_start[sid]
+            row = interner.row_ids[lo:lo + interner.row_len[sid]].tolist()
+            assert row == [interner.atom_id(a) for a in sorted(atoms)], (label, sid)
 
 
 def _pickle_with_sorted_cache(obj) -> bytes:

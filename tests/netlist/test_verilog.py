@@ -1,10 +1,15 @@
 """Structural Verilog export / strict-subset import."""
 
-import pytest
+import functools
 
-from repro.errors import ExlifParseError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ExlifParseError, ReproError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
+from repro.netlist.netlist import Module
 from repro.netlist.verilog import parse_structural_verilog, write_verilog
 from repro.rtlsim.simulator import Simulator
 from tests.conftest import make_fig7
@@ -111,3 +116,72 @@ def test_fig7_exports_cleanly():
     # graph extraction works on the re-imported netlist too
     g = extract_graph(again)
     assert len(g.seq_nets()) == len(module.sequential_instances())
+
+
+# ----------------------------------------------------------------------
+# fuzz: the writer's output for real cores, mutated line by line
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _core_texts() -> tuple[str, ...]:
+    from repro.designs.bigcore import BigcoreConfig, build_bigcore
+    from repro.designs.tinycore.core import build_tinycore
+    from repro.designs.tinycore.programs import default_dmem, program
+
+    tiny = build_tinycore(program("fib"), default_dmem("fib")).module
+    big = build_bigcore(BigcoreConfig(scale=0.1)).module
+    return tuple(write_verilog(module)[0] for module in (tiny, big))
+
+
+_JUNK = ("$", "{", "}", "(", ")", ";", "=", "<=", "?", ":", "~", "1'bx",
+         "8'd7", "[0]", "module", "endmodule", "assign", "input", "output",
+         "always", "initial", "begin", "//", "\\", "\t", "é")
+_OPERATORS = ("&", "|", "^", "~", "?", ":", "=", "<=", "(", ")", ";")
+
+
+def _mutate_verilog(text: str, kind: str, pick: int) -> str:
+    lines = text.split("\n")
+    at = pick % len(lines)
+    if kind == "truncate":
+        return text[: pick % (len(text) + 1)]
+    if kind == "truncate-line":
+        lines[at] = lines[at][: (pick // 7) % (len(lines[at]) + 1)]
+    elif kind == "drop-line":
+        del lines[at]
+    elif kind == "duplicate-line":
+        lines.insert((pick // 7) % len(lines), lines[at])
+    elif kind == "double-operator":
+        present = [op for op in _OPERATORS if op in lines[at]]
+        if present:
+            op = present[(pick // 7) % len(present)]
+            lines[at] = lines[at].replace(op, op + " " + op, 1)
+    elif kind == "junk-token":
+        tokens = lines[at].split(" ")
+        tokens.insert((pick // 7) % (len(tokens) + 1), _JUNK[(pick // 11) % len(_JUNK)])
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+VERILOG_MUTATIONS = ("truncate", "truncate-line", "drop-line", "duplicate-line",
+                     "double-operator", "junk-token")
+
+
+@pytest.mark.fuzz
+@settings(max_examples=300)
+@given(
+    core=st.sampled_from((0, 1)),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(VERILOG_MUTATIONS), st.integers(0, 1 << 30)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_fuzz_importer_parses_or_raises_a_repro_error(core, mutations):
+    """A mutated core netlist parses to a Module or raises a ReproError."""
+    text = _core_texts()[core]
+    for kind, pick in mutations:
+        text = _mutate_verilog(text, kind, pick)
+    try:
+        module = parse_structural_verilog(text)
+    except ReproError:
+        return
+    assert isinstance(module, Module)

@@ -155,7 +155,7 @@ def test_plan_stored_under_format_2_is_a_miss(tmp_path, monkeypatch):
 
     from repro.core.compiled import PLAN_FORMAT
 
-    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 3
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT
     spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True))
     cache = tmp_path / "cache"
     with monkeypatch.context() as patch:
@@ -168,7 +168,71 @@ def test_plan_stored_under_format_2_is_a_miss(tmp_path, monkeypatch):
         warnings.simplefilter("error", CacheDegradedWarning)
         outcome = execute(spec, store=ArtifactStore(cache))
     assert not outcome.plan.cached
-    assert outcome.plan.format == 3
+    assert outcome.plan.format == PLAN_FORMAT
+    assert outcome.sart.result.node_avfs == old.sart.result.node_avfs
+
+
+def _pickle_with_dataclass_atoms(obj) -> tuple[bytes, int]:
+    """Pickle *obj* the way plan formats up to 3 stored atoms: as a frozen
+    dataclass, ``object.__new__`` plus a field dict. Returns the bytes
+    and how many distinct atoms were pickled."""
+    import copyreg
+    import io
+    import pickle
+
+    from repro.core.pavf import Atom
+
+    class OldPickler(pickle.Pickler):
+        atoms = 0
+
+        def reducer_override(self, value):
+            if type(value) is not Atom:
+                return NotImplemented
+            self.atoms += 1
+            return copyreg.__newobj__, (Atom,), value._asdict()
+
+    buf = io.BytesIO()
+    pickler = OldPickler(buf, protocol=pickle.DEFAULT_PROTOCOL)
+    pickler.dump(obj)
+    return buf.getvalue(), pickler.atoms
+
+
+def test_store_written_with_dataclass_atoms_misses_cleanly(tmp_path, monkeypatch):
+    # Atoms became tuples with plan format 4, and the tuple cannot unpickle
+    # a dataclass atom. Of the stored stages only plans hold atoms, and the
+    # plan stage moved to v4 with the format: a store written under the old
+    # versions misses its plans instead of warning and deleting them.
+    import pickle
+    import warnings
+
+    from repro.core.compiled import PLAN_FORMAT
+
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 4
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True),
+                   derating=DeratingSpec(), sfi=SfiSpec(injections=12, seed=1),
+                   beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
+                   campaign=CampaignSpec(lanes_per_pass=8))
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as patch:
+        patch.setitem(STAGE_VERSIONS, "plan", 3)
+        old = execute(spec, store=ArtifactStore(cache))
+    store = ArtifactStore(cache)
+    holding_atoms = set()
+    for stage, fp in store.entries():
+        path = store.path(stage, fp)
+        blob, atoms = _pickle_with_dataclass_atoms(pickle.loads(path.read_bytes()))
+        if atoms:
+            holding_atoms.add(stage)
+            path.write_bytes(blob)
+            with pytest.raises(TypeError):
+                pickle.loads(blob)
+    assert holding_atoms == {"plan"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CacheDegradedWarning)
+        outcome = execute(spec, store=ArtifactStore(cache))
+    cached = {e.stage for e in outcome.events if e.cached}
+    assert cached == {"golden", "ports", "sfi", "beam"}
+    assert not outcome.plan.cached and outcome.plan.format == PLAN_FORMAT
     assert outcome.sart.result.node_avfs == old.sart.result.node_avfs
 
 

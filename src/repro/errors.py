@@ -54,10 +54,6 @@ class MappingError(SartError):
     """ACE-structure bit could not be mapped to an RTL bit."""
 
 
-class ConvergenceError(SartError):
-    """Relaxation failed to converge within the iteration budget."""
-
-
 class CampaignError(ReproError):
     """Fault-injection campaign misconfiguration or unrecoverable failure."""
 
@@ -121,8 +117,8 @@ class JobJournalError(ServeError):
 
     Raised when the journal file named by the server's state directory
     has an unreadable or mismatched header, or is corrupt anywhere
-    before its final (possibly torn) record — the same tolerance the
-    campaign checkpoint reader applies.
+    before its final (possibly torn) record: the reader of
+    :mod:`repro.jsonlog`, which campaign checkpoints share.
     """
 
 

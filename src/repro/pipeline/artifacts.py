@@ -37,8 +37,9 @@ Artifact types
     One SFI or beam campaign: the classified outcome set plus the
     planning context it was derived from.
 
-All artifacts are frozen; ``cached`` records whether the instance was
-loaded from the store (it is excluded from equality/fingerprints).
+All artifacts are frozen. On every stored one (all but ``SartOutcome``)
+``cached`` records whether the instance was loaded from the store (it
+is excluded from equality/fingerprints).
 """
 
 from __future__ import annotations
@@ -113,15 +114,13 @@ class PortEnv:
 class PlanArtifact:
     """A reusable compiled SolvePlan with its provenance fingerprint.
 
-    ``format`` is the on-disk plan layout version
-    (:data:`repro.core.compiled.PLAN_FORMAT`); it travels with cached
-    artifacts so stale store entries from older layouts are detectable.
+    Plans stored under an older layout are never loaded: the plan stage
+    version follows :data:`repro.core.compiled.PLAN_FORMAT`.
     """
 
     fingerprint: str
     plan: Any                    # repro.core.compiled.SolvePlan
     cached: bool = field(default=False, compare=False)
-    format: int = 4              # repro.core.compiled.PLAN_FORMAT at build
 
     @property
     def n(self) -> int:
@@ -135,7 +134,6 @@ class SartOutcome:
     fingerprint: str
     result: SartResult
     plan_fingerprint: str | None = None
-    cached: bool = field(default=False, compare=False)
     # ``[eco]`` runs: ``warm`` means the relaxation was seeded from the
     # baseline's solution with ``dirty_fubs`` as the initial re-solve set.
     warm: bool = False

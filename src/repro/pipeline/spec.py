@@ -34,6 +34,7 @@ values against their declared types and ranges when it is built.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
@@ -257,8 +258,9 @@ def _check_values(section) -> None:
         typed = (isinstance(value, _TYPES[kind])
                  and (kind == "bool" or not isinstance(value, bool)))
         if not (typed and test(value)):
+            # reprlib bounds the echo of a huge or deeply nested value.
             raise SpecError(f"[{_SECTION_NAMES[type(section)]}] {f.name} "
-                            f"must be {what}, got {value!r}")
+                            f"must be {what}, got {reprlib.repr(value)}")
 
 
 def _section(cls, data: Mapping[str, Any], name: str):
@@ -299,7 +301,7 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
         ports_file = ports_file.get("file")
     if ports_file is not None and not (isinstance(ports_file, str) and ports_file):
         raise SpecError("[ports] must be a table with a 'file' key or a "
-                        f"non-empty string, got {ports_file!r}")
+                        f"non-empty string, got {reprlib.repr(ports_file)}")
     sections: dict[str, Any] = {}
     for name, cls in _SECTIONS.items():
         raw = data.pop(name, None)

@@ -91,12 +91,6 @@ class PipelineContext:
         )
         return obj, hit
 
-    def cached_stages(self) -> set[str]:
-        return {e.stage for e in self.events if e.cached}
-
-    def computed_stages(self) -> set[str]:
-        return {e.stage for e in self.events if not e.cached}
-
 
 # ----------------------------------------------------------------------
 # stages
@@ -300,11 +294,7 @@ def stage_plan(
 
     started = time.perf_counter()
     plan, hit = ctx.memoize("plan", fp, compute)
-    from repro.core.compiled import PLAN_FORMAT
-
-    artifact = PlanArtifact(
-        fingerprint=fp, plan=plan, cached=hit, format=PLAN_FORMAT
-    )
+    artifact = PlanArtifact(fingerprint=fp, plan=plan, cached=hit)
     ctx.notify("plan", plan=artifact, seconds=time.perf_counter() - started)
     return artifact
 

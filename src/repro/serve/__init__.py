@@ -15,15 +15,13 @@ Modules
 -------
 
 ``jobs``
-    The job model and the append-only JSONL job journal (torn-record
-    tolerant, like campaign checkpoints) that makes submissions and
-    results durable across server crashes.
-``dedupe``
-    The fingerprint index coalescing identical requests onto one job,
-    plus the serve-level observability counters.
+    The job model and the append-only JSONL job journal that makes
+    submissions and results durable across server crashes; like the
+    campaign checkpoints it is a :mod:`repro.jsonlog` log.
 ``scheduler``
-    Admission control, the batch scheduler thread, and the pipeline
-    worker that executes one run-spec per job on a
+    Admission control with dedup, the job table and the ``/stats``
+    counters (all under one lock), the batch scheduler thread, and the
+    pipeline worker that executes one run-spec per job on a
     :class:`~repro.sfi.runtime.ResilientPool`.
 ``server``
     The stdlib ``ThreadingHTTPServer`` front end: job submission,

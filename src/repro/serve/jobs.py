@@ -8,9 +8,10 @@ layer and crash recovery both build on.
 
 The *journal* is an append-only JSONL file (one record per line,
 flushed immediately) recording every submission and every terminal
-transition. Like the campaign checkpoints of :mod:`repro.sfi.runtime`
-it is crash-consistent: a reader tolerates exactly one torn trailing
-record (the write a crash or SIGKILL interrupted) and refuses
+transition. It is a versioned log of :mod:`repro.jsonlog`, like the
+campaign checkpoints of :mod:`repro.sfi.runtime`, so it is
+crash-consistent the same way: the reader tolerates exactly one torn
+trailing record (the write a crash or SIGKILL interrupted) and refuses
 corruption anywhere else. On restart the server replays the journal —
 completed jobs are re-served byte-identically from their recorded
 result document, submitted-but-unfinished jobs are re-enqueued and
@@ -19,7 +20,6 @@ re-executed (campaign stages resume from their checkpoint files).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.errors import JobJournalError
+from repro.jsonlog import LogFormat, LogWriter, read_log
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -128,84 +129,35 @@ class Job:
 
 
 # ----------------------------------------------------------------------
-# journal file format (versioned JSONL; see docs/ROBUSTNESS.md)
+# journal file format (a versioned JSONL log; see docs/ROBUSTNESS.md)
 # ----------------------------------------------------------------------
 
 JOURNAL_FORMAT = "repro-serve-journal"
 JOURNAL_VERSION = 1
+JOURNAL = LogFormat(JOURNAL_FORMAT, JOURNAL_VERSION, "journal",
+                    "a serve job journal", JobJournalError)
 
 
-class JobJournal:
-    """Append-only JSONL job journal, flushed after every record.
-
-    Thread-safe: admission runs on HTTP handler threads while terminal
-    records come from the scheduler thread.
-    """
+class JobJournal(LogWriter):
+    """The append-only job journal: one record per submission and per
+    terminal transition, flushed as it is written."""
 
     def __init__(self, path: str | os.PathLike):
-        self.path = str(path)
-        self._lock = threading.Lock()
-        fresh = not (os.path.exists(self.path)
-                     and os.path.getsize(self.path) > 0)
-        self._fh = open(self.path, "a")
-        if fresh:
-            header = {"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION}
-            self._fh.write(json.dumps(header) + "\n")
-            self._fh.flush()
+        super().__init__(path, JOURNAL)
 
     def record(self, **fields: Any) -> None:
-        line = json.dumps(fields, sort_keys=True)
-        with self._lock:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self.append(fields)
 
 
 def load_journal(path: str | os.PathLike) -> list[dict]:
     """Read a job journal back as a list of records.
 
-    A missing file is an empty journal (first boot). Exactly one
-    truncated trailing record is tolerated — the write a crash
-    interrupted; corruption anywhere else, or an unrecognized header,
-    raises :class:`~repro.errors.JobJournalError`.
+    A missing or empty file is an empty journal (first boot); otherwise
+    the log reader's rules apply and a flaw raises
+    :class:`~repro.errors.JobJournalError`.
     """
-    path = str(path)
-    if not os.path.exists(path):
-        return []
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return []
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise JobJournalError(f"journal {path!r}: unreadable header") from exc
-    if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-        raise JobJournalError(f"journal {path!r}: not a serve job journal")
-    if header.get("version") != JOURNAL_VERSION:
-        raise JobJournalError(
-            f"journal {path!r}: unsupported version {header.get('version')!r} "
-            f"(this server writes version {JOURNAL_VERSION})"
-        )
-    records: list[dict] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):   # torn final write: drop that record
-                break
-            raise JobJournalError(
-                f"journal {path!r}: corrupt line {lineno}"
-            ) from exc
-        if isinstance(rec, dict):
-            records.append(rec)
-    return records
+    log = read_log(path, JOURNAL)
+    return [] if log is None else [rec for _lineno, rec in log[1]]
 
 
 def replay_journal(records: list[dict]) -> Iterator[Job]:

@@ -7,6 +7,9 @@ The scheduler owns three things:
   it, and either coalesces it onto an existing job (dedup) or journals
   and enqueues a new one. A bounded pending count turns into explicit
   backpressure (:class:`~repro.errors.QueueFullError` → HTTP 429).
+  Identical requests map to one job id, so the job table keyed by id
+  is the dedup index: N identical concurrent requests land on one job
+  and run once.
 * **Execution** — a single scheduler thread drains the queue in batches
   onto a :class:`~repro.sfi.runtime.ResilientPool`, so jobs inherit the
   campaign runtime's whole fault-tolerance story: worker-crash respawn,
@@ -33,7 +36,6 @@ import time
 from collections import deque
 
 from repro.errors import QueueFullError, ServerDrainingError, SpecError
-from repro.serve.dedupe import DedupIndex, ServeCounters
 from repro.serve.jobs import (
     DONE,
     FAILED,
@@ -49,6 +51,22 @@ from repro.serve.jobs import (
 
 # Base of the jittered exponential delay before a job's retry (seconds).
 _RETRY_BACKOFF = 0.05
+
+# The /stats counters. Monotonic; changed only under JobScheduler._cond.
+COUNTERS = (
+    "requests",        # admitted POST /jobs calls
+    "dedup_hits",      # requests coalesced onto an existing job
+    "executions",      # jobs dispatched to the pipeline
+    "completed",
+    "failed",
+    "rejected",        # 429 backpressure rejections
+    "recovered",       # jobs replayed from the journal on boot
+    "resumed",         # recovered jobs that had to re-execute
+    "retries",         # resubmissions of a failed job
+    "eco_jobs",        # completed jobs that reported an eco block
+    "warm_solves",     # eco jobs solved from the baseline's warm start
+    "cold_solves",     # eco jobs whose warm start did not apply
+)
 
 
 def job_initializer(payload: object) -> None:
@@ -89,7 +107,13 @@ def job_worker(task: dict) -> dict:
 
 
 class JobScheduler:
-    """Bounded job queue plus the batch scheduler thread."""
+    """Bounded job queue plus the batch scheduler thread.
+
+    One condition, ``_cond``, guards the queue, the running set, the job
+    table (keyed by job id, as the journal and the HTTP routes key
+    jobs) and the counters. Where a job's own ``cond`` is taken too, it
+    is taken second.
+    """
 
     def __init__(
         self,
@@ -114,8 +138,6 @@ class JobScheduler:
         self._worker = worker
         self._initializer = initializer
 
-        self.counters = ServeCounters()
-        self.index = DedupIndex(self.counters)
         self.journal = JobJournal(os.path.join(self.state_dir, "jobs.jsonl"))
 
         from repro.sfi.runtime import ResilientPool
@@ -124,6 +146,8 @@ class JobScheduler:
         self._cond = threading.Condition()
         self._queue: deque[Job] = deque()
         self._running: set[str] = set()
+        self._jobs: dict[str, Job] = {}
+        self._counters = dict.fromkeys(COUNTERS, 0)
         self._draining = False
         self._stopped = False
         self._thread = threading.Thread(
@@ -146,10 +170,11 @@ class JobScheduler:
         from repro.pipeline.spec import spec_from_mapping
 
         for job in replay_journal(load_journal(self.journal.path)):
-            if self.index.get(job.id) is not None:
-                continue   # already admitted live (pre-start submission)
-            self.index.adopt(job)
-            self.counters.bump("recovered")
+            with self._cond:
+                if job.id in self._jobs:
+                    continue   # already admitted live (pre-start submission)
+                self._jobs[job.id] = job
+                self._counters["recovered"] += 1
             if job.state in TERMINAL_STATES:
                 continue
             try:
@@ -157,8 +182,8 @@ class JobScheduler:
             except SpecError as exc:
                 self._fail(job, str(exc))
                 continue
-            self.counters.bump("resumed")
             with self._cond:
+                self._counters["resumed"] += 1
                 self._queue.append(job)
                 self._cond.notify()
 
@@ -208,25 +233,36 @@ class JobScheduler:
                 raise ServerDrainingError(
                     "server is draining and no longer accepts jobs"
                 )
+            job = self._jobs.get(job_id_for(fingerprint))
+            if job is not None and job.state != FAILED:
+                # Every later caller shares the first caller's job, even
+                # once it finished: it is served the stored result.
+                self._counters["requests"] += 1
+                self._counters["dedup_hits"] += 1
+                return job, False
             pending = len(self._queue) + len(self._running)
-            existing = self.index.get(job_id_for(fingerprint))
-            admits_new = existing is None or existing.state == FAILED
-            if admits_new and pending >= self.queue_limit:
-                self.counters.bump("rejected")
+            if pending >= self.queue_limit:
+                self._counters["rejected"] += 1
                 raise QueueFullError(
                     f"job queue is full ({pending} pending, "
                     f"limit {self.queue_limit}); retry later",
                     retry_after=max(1.0, self.job_timeout or 1.0),
                 )
-            job, created = self.index.admit(fingerprint, normalized)
-            if created:
-                self.journal.record(
-                    event="submitted", job=job.id, fingerprint=fingerprint,
-                    spec=normalized, time=job.submitted_at,
-                )
-                self._queue.append(job)
-                self._cond.notify()
-            return job, created
+            self._counters["requests"] += 1
+            if job is None:
+                job = Job(id=job_id_for(fingerprint),
+                          fingerprint=fingerprint, spec=normalized)
+                self._jobs[job.id] = job
+            else:   # resubmitting a failed job re-queues it
+                job.reset_for_retry()
+                self._counters["retries"] += 1
+            self.journal.record(
+                event="submitted", job=job.id, fingerprint=fingerprint,
+                spec=normalized, time=job.submitted_at,
+            )
+            self._queue.append(job)
+            self._cond.notify()
+            return job, True
 
     # -- execution -----------------------------------------------------
     def _loop(self) -> None:
@@ -241,6 +277,7 @@ class JobScheduler:
                 self._queue.clear()
                 for job in batch:
                     self._running.add(job.id)
+                self._counters["executions"] += len(batch)
             if batch:
                 try:
                     self._run_batch(batch)
@@ -260,7 +297,6 @@ class JobScheduler:
                     self.checkpoint_dir, f"{job.id}.jsonl"),
                 "cache_dir": self.cache_dir,
             })
-        self.counters.bump("executions", len(batch))
 
         def on_result(index: int, result: dict) -> None:
             self._complete(batch[index], result)
@@ -278,32 +314,30 @@ class JobScheduler:
                        f"attempt(s): {failure.error}")
 
     def _complete(self, job: Job, result: dict) -> None:
-        now = time.time()
-        self.journal.record(event=DONE, job=job.id, result=result, time=now)
-        self._free_slot(job)
-        job.transition(DONE, result=result)
-        self.counters.bump("completed")
+        counted = ["completed"]
         eco = result.get("eco") if isinstance(result, dict) else None
         if eco:
-            self.counters.bump("eco_jobs")
-            self.counters.bump(
-                "warm_solves" if eco.get("warm") else "cold_solves"
-            )
+            counted += ["eco_jobs",
+                        "warm_solves" if eco.get("warm") else "cold_solves"]
+        self._finish(job, DONE, counted, result=result)
         self._cleanup_checkpoint(job)
 
     def _fail(self, job: Job, message: str) -> None:
-        now = time.time()
-        self.journal.record(event=FAILED, job=job.id, error=message, time=now)
-        self._free_slot(job)
-        job.transition(FAILED, error=message)
-        self.counters.bump("failed")
+        self._finish(job, FAILED, ["failed"], error=message)
 
-    def _free_slot(self, job: Job) -> None:
-        # Release the job's admission slot before its watchers wake, so a
-        # client that sees the job finish can submit into the freed slot.
+    def _finish(self, job: Job, state: str, counted: list[str],
+                **outcome) -> None:
+        self.journal.record(event=state, job=job.id, time=time.time(),
+                            **outcome)
+        # Count the job and free its admission slot before its watchers
+        # wake, so a client that sees the job finish reads it counted in
+        # /stats and can submit into the freed slot.
         with self._cond:
+            for name in counted:
+                self._counters[name] += 1
             self._running.discard(job.id)
             self._cond.notify_all()
+        job.transition(state, **outcome)
 
     def _cleanup_checkpoint(self, job: Job) -> None:
         try:
@@ -311,7 +345,16 @@ class JobScheduler:
         except OSError:
             pass
 
-    # -- observability -------------------------------------------------
+    # -- lookup and observability --------------------------------------
+    def job(self, job_id: str) -> Job | None:
+        with self._cond:
+            return self._jobs.get(job_id)
+
+    def jobs(self) -> list[Job]:
+        """All known jobs, in admission order."""
+        with self._cond:
+            return list(self._jobs.values())
+
     def pressure(self) -> tuple[int, int]:
         """(pending, limit) for readiness/backpressure reporting."""
         with self._cond:
@@ -323,21 +366,21 @@ class JobScheduler:
             return self._draining
 
     def stats(self) -> dict:
-        with self._cond:
-            queued, running = len(self._queue), len(self._running)
-            draining = self._draining
         states: dict[str, int] = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
-        for job in self.index.jobs():
-            states[job.state] = states.get(job.state, 0) + 1
-        return {
-            "queue": {
-                "queued": queued,
-                "running": running,
+        with self._cond:
+            queue = {
+                "queued": len(self._queue),
+                "running": len(self._running),
                 "limit": self.queue_limit,
-                "draining": draining,
-            },
+                "draining": self._draining,
+            }
+            for job in self._jobs.values():
+                states[job.state] = states.get(job.state, 0) + 1
+            counters = dict(self._counters)
+        return {
+            "queue": queue,
             "jobs": states,
-            "counters": self.counters.snapshot(),
+            "counters": counters,
             "pool": {
                 "workers": self.pool.workers,
                 "restarts": self.pool.restarts,

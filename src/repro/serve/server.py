@@ -36,6 +36,10 @@ from repro.errors import QueueFullError, ServerDrainingError, SpecError
 from repro.serve.jobs import DONE, FAILED, TERMINAL_STATES, Job
 from repro.serve.scheduler import JobScheduler, job_initializer, job_worker
 
+# A run-spec document is a few hundred bytes; a larger declared body is
+# refused unread instead of being buffered.
+_MAX_BODY = 1 << 20
+
 
 class JobHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the app reference for handlers."""
@@ -65,11 +69,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()
+                and int(declared) <= _MAX_BODY):
+            # The body stays unread, so this connection cannot carry
+            # another request: close it after the 400.
+            self.close_connection = True
+            raise SpecError(f"Content-Length must be a byte count from 0 to "
+                            f"{_MAX_BODY}, not {declared!r}")
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         try:
             doc = json.loads(raw.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON and bad UTF-8; RecursionError
+            # is nesting deeper than the decoder's recursion limit.
             raise SpecError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SpecError("request body must be a JSON object (a run-spec)")
@@ -85,7 +99,8 @@ class _Handler(BaseHTTPRequestHandler):
             document = self._read_body()
             job, created = app.scheduler.submit(document)
         except SpecError as exc:
-            self._json(400, {"error": str(exc)})
+            self._json(400, {"error": str(exc)}, {"Connection": "close"}
+                       if self.close_connection else None)
         except QueueFullError as exc:
             self._json(429, {"error": str(exc)},
                        {"Retry-After": str(int(max(1, exc.retry_after)))})
@@ -110,9 +125,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._json(200, app.stats())
         elif url.path == "/jobs":
             self._json(200, {"jobs": [job.snapshot()
-                                      for job in app.scheduler.index.jobs()]})
+                                      for job in app.scheduler.jobs()]})
         elif len(parts) >= 2 and parts[0] == "jobs":
-            job = app.scheduler.index.get(parts[1])
+            job = app.scheduler.job(parts[1])
             if job is None:
                 self._json(404, {"error": f"unknown job {parts[1]!r}"})
             elif len(parts) == 2:

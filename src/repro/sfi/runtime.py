@@ -12,7 +12,8 @@ module hardens the process-pool fan-out that the lane-campaign runner
   interrupted campaign resumes with ``resume=<path>`` and reproduces
   bit-identical final results (passes are pure functions of their plan;
   replaying the missing ones in index order cannot differ from an
-  uninterrupted run).
+  uninterrupted run). The job server's journal is the same kind of
+  log (:mod:`repro.jsonlog`).
 * **Per-pass retry** — a pass that raises is retried up to a bounded
   attempt budget; a persistently-failing pass becomes a structured
   :class:`~repro.sfi.results.PassFailure` record instead of aborting the
@@ -36,7 +37,6 @@ split, and across pool restarts.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 import warnings
@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import CheckpointError
+from repro.jsonlog import LogFormat, LogWriter, read_log
 from repro.sfi.results import CRASH, TIMEOUT, PassFailure
 
 _ITEM = TypeVar("_ITEM")
@@ -157,62 +158,26 @@ def campaign_fingerprint(*parts: object) -> str:
 
 
 # ----------------------------------------------------------------------
-# checkpoint file format (versioned JSONL; see docs/ROBUSTNESS.md)
+# checkpoint file format (a versioned JSONL log; see docs/ROBUSTNESS.md)
 # ----------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "repro-campaign-checkpoint"
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointWriter:
-    """Append-only JSONL checkpoint, flushed after every record."""
-
-    def __init__(self, path: str, fingerprint: str, passes: int, *, fresh: bool):
-        self.path = path
-        self._fh = open(path, "w" if fresh else "a")
-        if fresh:
-            header = {
-                "format": CHECKPOINT_FORMAT,
-                "version": CHECKPOINT_VERSION,
-                "fingerprint": fingerprint,
-                "passes": passes,
-            }
-            self._fh.write(json.dumps(header) + "\n")
-            self._fh.flush()
-
-    def record(self, index: int, payload: object) -> None:
-        self._fh.write(json.dumps({"pass": index, "result": payload}) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
+CHECKPOINT = LogFormat("repro-campaign-checkpoint", 1, "checkpoint",
+                       "a campaign checkpoint", CheckpointError)
 
 
 def load_checkpoint(path: str, fingerprint: str, passes: int) -> dict[int, Any]:
     """Read a checkpoint back as ``{pass index: encoded result}``.
 
-    Validates the versioned header against the resuming campaign and
-    tolerates exactly one truncated trailing record (the write that a
-    crash or SIGKILL interrupted); corruption anywhere else raises
+    Validates the versioned header against the resuming campaign; a
+    record needs an integer ``pass`` in range and a ``result``. Any
+    other flaw the reader does not tolerate raises
     :class:`CheckpointError`.
     """
-    if not os.path.exists(path):
-        raise CheckpointError(f"checkpoint {path!r} does not exist")
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CheckpointError(f"checkpoint {path!r} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path!r}: unreadable header") from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"checkpoint {path!r}: not a campaign checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path!r}: unsupported version {header.get('version')!r} "
-            f"(this runtime writes version {CHECKPOINT_VERSION})"
-        )
+    log = read_log(path, CHECKPOINT)
+    if log is None:
+        state = "is empty" if os.path.exists(path) else "does not exist"
+        raise CheckpointError(f"checkpoint {path!r} {state}")
+    header, records = log
     if header.get("fingerprint") != fingerprint:
         raise CheckpointError(
             f"checkpoint {path!r} belongs to a different campaign "
@@ -223,23 +188,16 @@ def load_checkpoint(path: str, fingerprint: str, passes: int) -> dict[int, Any]:
             f"checkpoint {path!r} records a {header.get('passes')}-pass campaign, "
             f"not {passes} passes"
         )
-    records: dict[int, Any] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            if lineno == len(lines):  # torn final write: redo that pass
-                break
-            raise CheckpointError(f"checkpoint {path!r}: corrupt line {lineno}") from exc
+    results: dict[int, Any] = {}
+    for lineno, rec in records:
         index = rec.get("pass")
-        if not isinstance(index, int) or not 0 <= index < passes:
+        if type(index) is not int or not 0 <= index < passes or "result" not in rec:
             raise CheckpointError(
-                f"checkpoint {path!r}: line {lineno} has bad pass index {index!r}"
+                f"checkpoint {path!r}: corrupt line {lineno} (a record needs "
+                f"an integer pass in [0, {passes}) and a result)"
             )
-        records[index] = rec.get("result")
-    return records
+        results[index] = rec["result"]
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +539,7 @@ def run_passes(
         report.resumed = len(cached)
         pending_idx = [i for i in range(n) if i not in cached]
 
-    writer: CheckpointWriter | None = None
+    writer: LogWriter | None = None
     if opts.checkpoint:
         appending = bool(opts.resume) and (
             os.path.abspath(opts.resume) == os.path.abspath(opts.checkpoint)
@@ -592,9 +550,8 @@ def run_passes(
                 f"checkpoint {opts.checkpoint!r} already exists; resume from it "
                 "(resume=...) or remove it before starting a fresh campaign"
             )
-        writer = CheckpointWriter(
-            opts.checkpoint, fingerprint, n, fresh=not appending
-        )
+        writer = LogWriter(opts.checkpoint, CHECKPOINT,
+                           fingerprint=fingerprint, passes=n)
 
     enc = encode if encode is not None else (lambda result: result)
 
@@ -602,7 +559,7 @@ def run_passes(
         report.results[index] = result
         report.executed += 1
         if writer is not None:
-            writer.record(index, enc(result))
+            writer.append({"pass": index, "result": enc(result)})
 
     pool = ResilientPool(
         initializer, payload,

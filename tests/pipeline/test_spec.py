@@ -160,6 +160,24 @@ BAD_VALUES = (
 )
 
 
+@pytest.mark.parametrize("section, key", [
+    ("sart", "loop_pavf"), ("sfi", "seed"), ("eco", "baseline"),
+    (None, "ports"),
+])
+def test_deeply_nested_value_is_a_spec_error(section, key):
+    # The error echoes the refused value; a plain repr() of one nested
+    # deeper than the recursion limit raised RecursionError instead.
+    deep: list = []
+    for _ in range(5000):
+        deep = [deep]
+    document = {"design": "tinycore:fib"}
+    document.update({key: deep} if section is None
+                    else {section: {key: deep}})
+    with pytest.raises(SpecError, match=key) as excinfo:
+        spec_from_mapping(document)
+    assert len(str(excinfo.value)) < 200
+
+
 def test_ports_section_forms():
     spec = spec_from_mapping({"design": "exlif:x", "ports": "ports.txt"})
     assert spec.ports_file == "ports.txt"

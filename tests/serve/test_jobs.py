@@ -122,6 +122,62 @@ def test_journal_rejects_mid_file_corruption(tmp_path):
         load_journal(path)
 
 
+@pytest.mark.parametrize("line", [
+    b"[1, 2]", b'"text"', b"3", b"null", b"\xff\xfe", b"[" * 5000 + b"]" * 5000,
+])
+def test_journal_rejects_any_record_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "jobs.jsonl"
+    header = json.dumps({"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION})
+    path.write_bytes(header.encode() + b"\n" + line + b"\n"
+                     + b'{"event": "done", "job": "j"}\n')
+    with pytest.raises(JobJournalError, match="corrupt line 2"):
+        load_journal(path)
+
+
+def test_journal_written_by_the_previous_version_loads_unchanged(tmp_path):
+    # A journal as its own writer wrote it before checkpoints shared
+    # the log writer: header keys unsorted, record keys sorted.
+    records = [
+        {"event": "submitted", "job": "job-1", "fingerprint": "f",
+         "spec": {"design": "d", "sart": {"loop_pavf": 0.3}}, "time": 1.0},
+        {"event": DONE, "job": "job-1", "result": {"z": 1, "a": [2]},
+         "time": 2.0},
+    ]
+    path = tmp_path / "jobs.jsonl"
+    path.write_text(
+        json.dumps({"format": JOURNAL_FORMAT, "version": JOURNAL_VERSION})
+        + "\n" + "".join(json.dumps(rec, sort_keys=True) + "\n"
+                         for rec in records))
+    assert load_journal(path) == records
+    journal = JobJournal(path)          # reopening appends, no new header
+    journal.record(event=FAILED, job="job-2", error="x", time=3.0)
+    journal.close()
+    assert load_journal(path) == records + [
+        {"event": FAILED, "job": "job-2", "error": "x", "time": 3.0}]
+
+
+def test_reopened_journal_cuts_a_torn_final_record(tmp_path):
+    # The torn write must not fuse with the next record into a corrupt
+    # line that would stop the following boot.
+    path = tmp_path / "jobs.jsonl"
+    JobJournal(path).record(event="submitted", job="job-1")
+    with open(path, "a") as handle:
+        handle.write('{"event": "done", "job": "job-1", "resu')
+    journal = JobJournal(path)
+    journal.record(event=DONE, job="job-1", result={"x": 1})
+    journal.close()
+    assert [rec["event"] for rec in load_journal(path)] == ["submitted", DONE]
+
+
+def test_journal_writer_leaves_a_foreign_file_alone(tmp_path):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("some notes\nwithout a final newline")
+    JobJournal(path).close()
+    assert path.read_text() == "some notes\nwithout a final newline"
+    with pytest.raises(JobJournalError, match="unreadable header"):
+        load_journal(path)
+
+
 def test_journal_rejects_foreign_file(tmp_path):
     path = tmp_path / "jobs.jsonl"
     path.write_text('{"format": "something-else", "version": 1}\n')

@@ -39,16 +39,16 @@ def test_completed_job_reserved_byte_identically_after_restart(tmp_path):
     second = JobScheduler(state, worker=_ok_worker)
     second.start()
     try:
-        recovered = second.index.get(job.id)
+        recovered = second.job(job.id)
         assert recovered is not None and recovered.recovered
         assert recovered.state == DONE
         assert recovered.result == result           # byte-identical replay
-        assert second.counters.snapshot()["recovered"] == 1
-        assert second.counters.snapshot()["resumed"] == 0
+        assert second.stats()["counters"]["recovered"] == 1
+        assert second.stats()["counters"]["resumed"] == 0
         # ...and resubmitting the same spec is a pure dedup hit.
         again, created = second.submit(dict(SPEC))
         assert again is recovered and not created
-        assert second.counters.snapshot()["executions"] == 0
+        assert second.stats()["counters"]["executions"] == 0
     finally:
         second.drain(grace=5)
 
@@ -64,11 +64,11 @@ def test_unfinished_job_reexecutes_after_restart(tmp_path):
     second = JobScheduler(state, worker=_ok_worker)
     second.start()
     try:
-        recovered = second.index.get(job.id)
+        recovered = second.job(job.id)
         assert recovered is not None and recovered.recovered
         assert recovered.await_terminal(timeout=30)
         assert recovered.state == DONE
-        counters = second.counters.snapshot()
+        counters = second.stats()["counters"]
         assert counters["recovered"] == 1
         assert counters["resumed"] == 1
         assert counters["executions"] == 1
@@ -89,8 +89,8 @@ def test_restart_tolerates_torn_final_journal_record(tmp_path):
     second = JobScheduler(str(state), worker=_ok_worker)
     second.start()
     try:
-        assert second.index.get(job.id).state == DONE
-        assert second.index.get("job-torn") is None
+        assert second.job(job.id).state == DONE
+        assert second.job("job-torn") is None
     finally:
         second.drain(grace=5)
 
@@ -132,10 +132,10 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     second.start()
     try:
         for fingerprint, (_, named) in old_specs.items():
-            old = second.index.get(job_id_for(fingerprint))
+            old = second.job(job_id_for(fingerprint))
             assert old is not None and old.state == FAILED
             assert named in old.error
-        counters = second.counters.snapshot()
+        counters = second.stats()["counters"]
         assert counters["resumed"] == 0 and counters["executions"] == 0
         # ...and the server keeps serving new work.
         job, created = second.submit(dict(SPEC))
@@ -149,7 +149,7 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     third.start()
     try:
         for fingerprint in old_specs:
-            assert third.index.get(job_id_for(fingerprint)).state == FAILED
+            assert third.job(job_id_for(fingerprint)).state == FAILED
     finally:
         third.drain(grace=5)
 

@@ -6,12 +6,13 @@ runs ``workers=2``) are module level; everything else runs in-process
 """
 
 import os
+import sys
 import threading
 
 import pytest
 
 from repro.errors import QueueFullError, ServerDrainingError, SpecError
-from repro.serve.jobs import DONE, FAILED
+from repro.serve.jobs import DONE, FAILED, Job
 from repro.serve.scheduler import JobScheduler
 
 SPEC = {"design": "tinycore:fib", "sart": {"monolithic": True}}
@@ -72,11 +73,83 @@ def test_concurrent_identical_requests_share_one_execution(tmp_path):
         job = outcomes[0][0]
         assert job.await_terminal(timeout=30) and job.state == DONE
 
-        counters = sched.counters.snapshot()
+        counters = sched.stats()["counters"]
         assert counters["requests"] == 8
         assert counters["dedup_hits"] == 7
         assert counters["executions"] == 1
         assert counters["completed"] == 1
+    finally:
+        sched.drain(grace=5)
+
+
+def test_counters_hold_under_concurrent_admission(tmp_path):
+    # More clients than cores and a short switch interval: a counter
+    # bumped outside the scheduler's lock would lose updates here.
+    sched = _scheduler(tmp_path, queue_limit=1000)
+    sched.start()
+    specs = [{"design": "tinycore:fib", "sart": {"loop_pavf": k / 10}}
+             for k in range(4)]
+    barrier = threading.Barrier(16)
+    jobs = []
+
+    def client(k):
+        barrier.wait(timeout=10)
+        for rep in range(25):
+            jobs.append(sched.submit(dict(specs[(k + rep) % 4]))[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        unique = {job.id: job for job in jobs}
+        assert len(jobs) == 400 and len(unique) == 4
+        assert all(job.await_terminal(timeout=30) for job in unique.values())
+        counters = sched.stats()["counters"]
+        assert counters["requests"] == 400
+        assert counters["dedup_hits"] == 396
+        assert counters["executions"] == counters["completed"] == 4
+        assert sched.stats()["jobs"][DONE] == 4
+    finally:
+        sched.drain(grace=5)
+
+
+def _failing_worker(task):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("worker, state, counter", [
+    (_ok_worker, DONE, "completed"),
+    (_failing_worker, FAILED, "failed"),
+])
+def test_job_is_counted_before_its_watchers_wake(tmp_path, monkeypatch,
+                                                 worker, state, counter):
+    # Read the counter at the moment the job turns terminal, before
+    # any watcher can wake: a client that sees the job finish must find
+    # it counted in /stats.
+    sched = _scheduler(tmp_path, worker=worker, max_retries=1)
+    seen = []
+    transition = Job.transition
+
+    def spy(job, new_state, **outcome):
+        if new_state == state:
+            seen.append(sched.stats()["counters"][counter])
+        transition(job, new_state, **outcome)
+
+    monkeypatch.setattr(Job, "transition", spy)
+    sched.start()
+    try:
+        job, _ = sched.submit(dict(SPEC))
+        assert job.await_terminal(timeout=30) and job.state == state
+        assert seen == [1]
     finally:
         sched.drain(grace=5)
 
@@ -89,7 +162,7 @@ def test_dedup_serves_completed_job_without_reexecution(tmp_path):
         assert created and job.await_terminal(timeout=30)
         again, created2 = sched.submit(dict(SPEC))
         assert again is job and not created2
-        assert sched.counters.snapshot()["executions"] == 1
+        assert sched.stats()["counters"]["executions"] == 1
     finally:
         sched.drain(grace=5)
 
@@ -121,7 +194,7 @@ def test_invalid_spec_rejected_at_admission(tmp_path):
     try:
         with pytest.raises(SpecError, match="unknown"):
             sched.submit({"design": "tinycore:fib", "bogus": {}})
-        assert sched.counters.snapshot()["requests"] == 0
+        assert sched.stats()["counters"]["requests"] == 0
     finally:
         sched.drain(grace=5)
 
@@ -138,7 +211,7 @@ def test_backpressure_rejects_when_queue_full(tmp_path):
         # Identical requests still coalesce: dedup costs no queue slot.
         again, created = sched.submit(dict(SPEC))
         assert again is job and not created
-        assert sched.counters.snapshot()["rejected"] == 1
+        assert sched.stats()["counters"]["rejected"] == 1
         _GATE.set()
         assert job.await_terminal(timeout=30) and job.state == DONE
         # Capacity freed: the previously rejected spec is admitted now.
@@ -168,7 +241,7 @@ def test_failed_job_resubmission_reexecutes(tmp_path):
         again, created = sched.submit(dict(SPEC))
         assert again is job and created     # failed jobs re-queue
         assert job.await_terminal(timeout=30) and job.state == DONE
-        counters = sched.counters.snapshot()
+        counters = sched.stats()["counters"]
         assert counters["retries"] == 1
         assert counters["executions"] == 2
     finally:
@@ -228,7 +301,7 @@ def test_worker_crash_degrades_job_not_server(tmp_path):
              "sart": {"monolithic": True, "loop_pavf": 0.5}})
         assert created
         assert third.await_terminal(timeout=60) and third.state == DONE
-        counters = sched.counters.snapshot()
+        counters = sched.stats()["counters"]
         assert counters["failed"] == 1 and counters["completed"] == 2
     finally:
         sched.drain(grace=10)
@@ -274,7 +347,7 @@ def test_eco_counters_accumulate_from_job_results(tmp_path):
         for spec in (warm_spec, cold_spec):
             job, _ = sched.submit(dict(spec))
             assert job.await_terminal(timeout=30) and job.state == DONE
-        counters = sched.counters.snapshot()
+        counters = sched.stats()["counters"]
         assert counters["eco_jobs"] == 2
         assert counters["warm_solves"] == 1
         assert counters["cold_solves"] == 1
@@ -290,7 +363,7 @@ def test_jobs_without_eco_blocks_leave_counters_untouched(tmp_path):
     try:
         job, _ = sched.submit(dict(SPEC))
         assert job.await_terminal(timeout=30) and job.state == DONE
-        counters = sched.counters.snapshot()
+        counters = sched.stats()["counters"]
         assert counters["eco_jobs"] == 0
         assert counters["warm_solves"] == counters["cold_solves"] == 0
     finally:

@@ -1,9 +1,15 @@
 """HTTP front-end tests: routes, status codes, SSE, health, drain."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import loadgen
 from repro.serve.loadgen import get_json, percentile, post_json
@@ -210,6 +216,111 @@ def test_draining_server_rejects_submissions_with_503(tmp_path):
         _GATE.set()
     drainer.join(timeout=30)
     assert drained == [True]
+
+
+def _raw_post(app, body: bytes, length: str | None) -> tuple[int, dict, dict]:
+    """POST /jobs over a raw socket, Content-Length exactly as given.
+
+    Returns the status, the lower-cased headers and the JSON body.
+    """
+    head = [b"POST /jobs HTTP/1.1", b"Host: localhost", b"Connection: close"]
+    if length is not None:
+        head.append(b"Content-Length: " + length.encode())
+    with socket.create_connection((app.host, app.port), timeout=10) as sock:
+        sock.sendall(b"\r\n".join(head) + b"\r\n\r\n" + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        headers = {k.lower(): v for k, v in response.getheaders()}
+        return response.status, headers, json.loads(response.read())
+
+
+_DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("body, length, closes", [
+    (json.dumps(SPEC).encode(), "abc", True),
+    (json.dumps(SPEC).encode(), "-1", True),
+    (json.dumps(SPEC).encode(), str(10 ** 12), True),
+    (_DEEP_ARRAY, str(len(_DEEP_ARRAY)), False),
+])
+def test_malformed_body_is_a_400(tmp_path, body, length, closes):
+    app = _app(tmp_path)
+    try:
+        status, headers, doc = _raw_post(app, body, length)
+        assert status == 400 and doc["error"]
+        if closes:                  # the body was never read
+            assert headers["connection"] == "close"
+        status, health = get_json(f"{app.url}/healthz")
+        assert status == 200 and health["status"] == "ok"
+        status, doc = post_json(f"{app.url}/jobs", SPEC)
+        assert status == 201
+        assert loadgen.await_job(app.url, doc["id"], timeout=30)["state"] \
+            == "done"
+    finally:
+        app.drain()
+
+
+def _stub_worker(task):
+    return {"ok": True}
+
+
+@pytest.fixture(scope="module")
+def fuzz_app(tmp_path_factory):
+    app = ServeApp(str(tmp_path_factory.mktemp("fuzz") / "state"),
+                   worker=_stub_worker).start_background()
+    yield app
+    app.drain()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12,
+)
+# Objects that reach the spec checks: a design ref plus random sections.
+_SPECISH = st.fixed_dictionaries(
+    {"design": st.sampled_from(["tinycore:fib", "bigcore@scale=0.1", "nope"])},
+    optional={key: _JSON for key in (
+        "sart", "sfi", "beam", "campaign", "sweep", "eco", "ports", "bogus")},
+)
+_DEEP = st.builds(
+    lambda prefix, depth, array: (
+        prefix + (b"[" * depth + b"]" * depth if array
+                  else b'{"a": ' * depth + b"0" + b"}" * depth)
+        + b"}" * prefix.count(b"{")),
+    st.sampled_from([b"", b'{"design": "tinycore:fib", "sart": ',
+                     b'{"design": "tinycore:fib", "sfi": {"seed": ']),
+    st.integers(500, 100_000),
+    st.booleans(),
+)
+_BODIES = st.one_of(
+    st.binary(max_size=300),
+    (_JSON | _SPECISH).map(lambda value: json.dumps(value).encode()),
+    _DEEP,
+)
+_LENGTHS = st.one_of(
+    st.none(),                                    # header absent
+    st.just("exact"),
+    st.integers(max_value=-1).map(str),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+            min_size=1, max_size=8).filter(lambda text: not text.isdigit()),
+)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(body=_BODIES, length=_LENGTHS)
+def test_fuzz_raw_post_bodies(fuzz_app, body, length):
+    # Short bodies (fewer bytes than Content-Length) are out of scope:
+    # each holds a handler thread until its client disconnects.
+    length = str(len(body)) if length == "exact" else length
+    status, headers, doc = _raw_post(fuzz_app, body, length)
+    assert status in {200, 201, 400, 429, 503}
+    assert headers["content-type"] == "application/json"
+    assert isinstance(doc, dict)
+    assert get_json(f"{fuzz_app.url}/healthz")[0] == 200
 
 
 def test_percentile_interpolates():

@@ -185,6 +185,55 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(ck), self.FP, 6)
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", '{"pass": 1}', '"text"', "null", '{"result": 0}',
+        '{"pass": true, "result": 0}', '{"pass": 1.0, "result": 0}',
+        '{"pass": 6, "result": 0}', '{"pass": -1, "result": 0}',
+    ])
+    def test_rejects_any_record_but_a_pass_in_range_with_a_result(
+            self, tmp_path, line):
+        ck = tmp_path / "ck.jsonl"
+        header = json.dumps({"format": "repro-campaign-checkpoint",
+                             "version": 1, "fingerprint": self.FP,
+                             "passes": 6})
+        ck.write_text(f"{header}\n{line}\n" + '{"pass": 0, "result": 0}\n')
+        with pytest.raises(CheckpointError, match="corrupt line 2"):
+            load_checkpoint(str(ck), self.FP, 6)
+
+    def test_checkpoint_written_by_the_previous_version_loads_unchanged(
+            self, tmp_path):
+        # A checkpoint as its own writer wrote it before the job journal
+        # shared the log writer: header keys in the order format,
+        # version, fingerprint, passes, record keys unsorted.
+        plan = _chaos(tmp_path)
+        ck = tmp_path / "ck.jsonl"
+        ck.write_text(
+            json.dumps({"format": "repro-campaign-checkpoint", "version": 1,
+                        "fingerprint": self.FP, "passes": 6}) + "\n"
+            + "".join(json.dumps({"pass": i, "result": EXPECT[i]}) + "\n"
+                      for i in (4, 0, 2)))
+        assert load_checkpoint(str(ck), self.FP, 6) == {
+            i: EXPECT[i] for i in (4, 0, 2)}
+        resumed = self._run(tmp_path, plan, checkpoint=str(ck),
+                            resume=str(ck))
+        assert resumed.results == EXPECT
+        assert resumed.resumed == 3 and resumed.executed == 3
+        assert load_checkpoint(str(ck), self.FP, 6) == dict(enumerate(EXPECT))
+
+    def test_resume_after_a_torn_record_can_resume_again(self, tmp_path):
+        # The resumed run appends to the file a crash tore; a second
+        # resume must still read it.
+        plan = _chaos(tmp_path)
+        ck = str(tmp_path / "ck.jsonl")
+        self._run(tmp_path, plan, checkpoint=ck)
+        with open(ck) as handle:
+            content = handle.read()
+        open(ck, "w").write(content[:-9])  # SIGKILL mid-write
+        self._run(tmp_path, plan, checkpoint=ck, resume=ck)
+        assert load_checkpoint(ck, self.FP, 6) == dict(enumerate(EXPECT))
+        again = self._run(tmp_path, plan, checkpoint=ck, resume=ck)
+        assert again.results == EXPECT and again.resumed == 6
+
     def test_refuses_to_overwrite_existing_checkpoint(self, tmp_path):
         plan = _chaos(tmp_path)
         ck = str(tmp_path / "ck.jsonl")

@@ -29,8 +29,8 @@ def _eco_rung(scale: float, ports) -> dict:
     edit = build_bigcore(BigcoreConfig(scale=scale, seed=42, edit="LSU"))
     base_ports = map_structure_ports(base, ports)
     edit_ports = map_structure_ports(edit, ports)
-    plan_a = build_plan(base.module, base_ports, CFG)
-    plan_b = build_plan(edit.module, edit_ports, CFG)
+    plan_a = build_plan(base.module, base_ports)
+    plan_b = build_plan(edit.module, edit_ports)
 
     baseline = run_sart(base.module, base_ports, CFG, plan=plan_a)
     delta = diff_plans(plan_a, plan_b)

@@ -258,7 +258,7 @@ def test_bench_mega_systolic(bench_sart_json, tmp_path):
 
     base_cfg = SartConfig(partition_by_fub=False)
     started = time.perf_counter()
-    plan.solve_monolithic(base_cfg.max_terms, base_cfg.dangling)
+    plan.solve_monolithic(base_cfg.dangling)
     t_solve = time.perf_counter() - started
 
     values = [0.0, 0.25, 0.5, 1.0]

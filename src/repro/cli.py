@@ -319,17 +319,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    from repro.core.sart import SartConfig
     from repro.pipeline import delta as delta_mod
     from repro.pipeline.registry import resolve_design
     from repro.pipeline.stages import PipelineContext, stage_design, stage_plan
 
     ctx = PipelineContext(store=_store_from_args(args))
-    config = SartConfig()
     plans = []
     for ref in (args.ref_a, args.ref_b):
         design = stage_design(ctx, resolve_design(ref))
-        plans.append((design, stage_plan(ctx, design, None, config)))
+        plans.append((design, stage_plan(ctx, design, None)))
     (design_a, plan_a), (design_b, plan_b) = plans
     delta = delta_mod.diff_plans(
         plan_a.plan, plan_b.plan, ref_a=design_a.ref, ref_b=design_b.ref

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.compiled import (
     HAVE_NUMPY,
@@ -131,9 +131,6 @@ class BatchedResult:
     envs: list[PavfEnv]
     f_ids: Sequence[int]
     b_ids: Sequence[int]
-    max_terms: int
-    dangling: str
-    structures: Mapping | None
     reports: list[DesignReport] = field(default_factory=list)
 
     @property
@@ -149,10 +146,7 @@ class BatchedResult:
         This is the per-workload equivalence hook: it runs the exact
         scalar :func:`resolve_ids` path over the shared solve vectors.
         """
-        return resolve_ids(
-            self.plan, self.f_ids, self.b_ids, self.envs[w],
-            structures=self.structures,
-        )
+        return resolve_ids(self.plan, self.f_ids, self.b_ids, self.envs[w])
 
 
 # Aggregation masks and index groups are plan-derived and reusable across
@@ -226,9 +220,7 @@ def solve_batched(
     plan: SolvePlan,
     envs: Sequence[PavfEnv],
     *,
-    max_terms: int = 0,
     dangling: str = "unace",
-    structures: Mapping | None = None,
     use_numpy: bool | None = None,
 ) -> BatchedResult:
     """Solve once, resolve and aggregate under every environment.
@@ -239,17 +231,8 @@ def solve_batched(
     Figure-9 aggregation happen as one ``(nodes, W)`` matrix pass.
     """
     envs = list(envs)
-    f_ids, b_ids = plan.solve_monolithic(max_terms, dangling)
-    structs = structures if structures is not None else plan.model.structures
-    result = BatchedResult(
-        plan=plan,
-        envs=envs,
-        f_ids=f_ids,
-        b_ids=b_ids,
-        max_terms=max_terms,
-        dangling=dangling,
-        structures=structures,
-    )
+    f_ids, b_ids = plan.solve_monolithic(dangling)
+    result = BatchedResult(plan=plan, envs=envs, f_ids=f_ids, b_ids=b_ids)
     if not envs:
         return result
     batched = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
@@ -258,7 +241,7 @@ def solve_batched(
         loop_bits = len(plan.model.loop_nets)
         ctrl_bits = len(plan.model.ctrl_nets)
         for env in envs:
-            node_avfs = resolve_ids(plan, f_ids, b_ids, env, structures=structures)
+            node_avfs = resolve_ids(plan, f_ids, b_ids, env)
             result.reports.append(
                 fub_report(node_avfs, loop_bits=loop_bits, ctrl_bits=ctrl_bits)
             )
@@ -270,7 +253,7 @@ def solve_batched(
     b_vals = bev.matrix(b_ids)
     avf = _np.minimum(f_vals, b_vals)
     for sname, nids in meta.struct_groups.items():
-        ports = structs.get(sname)
+        ports = plan.model.structures.get(sname)
         measured = ports.avf if ports is not None else None
         if measured is not None:
             avf[nids, :] = measured
@@ -368,9 +351,5 @@ def sweep_batched(
         env.bind_kind(LOOP, value)
         envs.append(env)
     return solve_batched(
-        plan,
-        envs,
-        max_terms=config.max_terms,
-        dangling=config.dangling,
-        use_numpy=use_numpy,
+        plan, envs, dangling=config.dangling, use_numpy=use_numpy
     )

@@ -65,7 +65,7 @@ HAVE_NUMPY = _np is not None
 # Layout version of the SolvePlans the artifact store pickles, recorded on
 # every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
 # what invalidates cached plans), when the SolvePlan fields change.
-PLAN_FORMAT = 4  # v4: Atom is a NamedTuple
+PLAN_FORMAT = 5  # v5: no structural knobs; v4: Atom is a NamedTuple
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -262,11 +262,9 @@ class SolvePlan:
         self.role_l: list[str] = []
         self.mode_l: list[int] = []
         self.special_l: list[object] = []  # struct name | injected Atom | None
-        # Structural knobs the plan was built with (for config validation).
-        self.knobs: dict[str, object] = {}
         # Caches (dropped when the plan is pickled into the artifact store).
-        self._union_memo: dict[int, dict[tuple[int, ...], int]] = {}
-        self._mono_cache: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
+        self._union_memo: dict[tuple[int, ...], int] = {}
+        self._mono_cache: dict[str, tuple[list[int], list[int]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -276,36 +274,16 @@ class SolvePlan:
         cls,
         design: Module | NetGraph,
         structures: Mapping[str, StructurePorts] | None = None,
-        *,
-        detect_ctrl: bool = True,
-        ctrl_patterns: tuple[str, ...] = controlregs.DEFAULT_PATTERNS,
-        port_traffic_on_addresses: bool = True,
-        extra_struct_bits: Mapping[str, tuple[str, int]] | None = None,
     ) -> "SolvePlan":
         plan = cls()
         graph = design if isinstance(design, NetGraph) else extract_graph(design)
         plan.graph = graph
-        plan.knobs = {
-            "detect_ctrl": detect_ctrl,
-            "ctrl_patterns": tuple(ctrl_patterns),
-            "port_traffic_on_addresses": port_traffic_on_addresses,
-        }
 
         plan._lower_connectivity()
-        struct_nets = structure_nets(graph, extra_struct_bits)
-        ctrl_nets = (
-            controlregs.find_control_registers(graph, patterns=ctrl_patterns)
-            if detect_ctrl
-            else set()
-        )
-        loop_nets = plan._find_loop_nets(struct_nets | ctrl_nets)
+        ctrl_nets = controlregs.find_control_registers(graph)
+        loop_nets = plan._find_loop_nets(structure_nets(graph) | ctrl_nets)
         plan.model = build_model(
-            graph,
-            structures,
-            loop_nets=loop_nets,
-            ctrl_nets=ctrl_nets,
-            port_traffic_on_addresses=port_traffic_on_addresses,
-            extra_struct_bits=extra_struct_bits,
+            graph, structures, loop_nets=loop_nets, ctrl_nets=ctrl_nets
         )
         plan._lower_model()
         plan._build_orders()
@@ -604,25 +582,6 @@ class SolvePlan:
     def n_fubs(self) -> int:
         return len(self.fub_names)
 
-    def check_config(self, config) -> None:
-        """Reject configs whose *structural* knobs differ from the plan's.
-
-        Environment knobs (loop/ctrl/const/boundary pAVFs) and solve knobs
-        (partitioning, iterations, max_terms, dangling) are free to vary
-        across runs of one plan.
-        """
-        wanted = {
-            "detect_ctrl": config.detect_ctrl,
-            "ctrl_patterns": tuple(config.ctrl_patterns),
-            "port_traffic_on_addresses": config.port_traffic_on_addresses,
-        }
-        if wanted != self.knobs:
-            diff = sorted(k for k in wanted if wanted[k] != self.knobs[k])
-            raise SartError(
-                f"SolvePlan was built with different structural settings: {diff}; "
-                "rebuild the plan for this config"
-            )
-
     def sets_dict(self, sids: Sequence[int]) -> dict[str, frozenset[Atom]]:
         """Materialize a set-id vector as the legacy net -> frozenset map."""
         sets = self.interner.sets
@@ -642,12 +601,6 @@ class SolvePlan:
         state["_mono_cache"] = {}
         return state
 
-    def _memo_for(self, max_terms: int) -> dict[tuple[int, ...], int]:
-        memo = self._union_memo.get(max_terms)
-        if memo is None:
-            memo = self._union_memo[max_terms] = {}
-        return memo
-
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
@@ -657,7 +610,6 @@ class SolvePlan:
         this_fub: int | None,
         f_bnd: list[int] | None,
         out: list[int],
-        max_terms: int,
     ) -> None:
         """Forward fixpoint over *order* (one pass == the fixpoint).
 
@@ -667,7 +619,7 @@ class SolvePlan:
         fanin_ptr, fanin_ix = self.fanin_ptr, self.fanin_ix
         fixed, fub_of = self.fwd_fixed, self.fub_of
         union_ids = self.interner.union_ids
-        memo = self._memo_for(max_terms)
+        memo = self._union_memo
         for nid in order:
             sid = fixed[nid]
             if sid >= 0:
@@ -700,7 +652,7 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                sid = memo[key] = union_ids(key, max_terms)
+                sid = memo[key] = union_ids(key)
             out[nid] = sid
 
     def _backward_pass(
@@ -709,14 +661,13 @@ class SolvePlan:
         this_fub: int | None,
         b_bnd: list[int] | None,
         out: list[int],
-        max_terms: int,
         dangling: str,
     ) -> None:
         """Backward fixpoint over *order* (consumers pass annotations up)."""
         fanout_ptr, fanout_ix = self.fanout_ptr, self.fanout_ix
         through, fub_of, sink = self.through, self.fub_of, self.sink
         union_ids = self.interner.union_ids
-        memo = self._memo_for(max_terms)
+        memo = self._union_memo
         dangling_id = _EMPTY_ID if dangling == "unace" else _TOP_ID
         for nid in order:
             lo, hi = fanout_ptr[nid], fanout_ptr[nid + 1]
@@ -752,11 +703,11 @@ class SolvePlan:
             key = tuple(key_list)
             sid = memo.get(key)
             if sid is None:
-                sid = memo[key] = union_ids(key, max_terms)
+                sid = memo[key] = union_ids(key)
             out[nid] = sid
 
     def solve_monolithic(
-        self, max_terms: int = 0, dangling: str = "unace"
+        self, dangling: str = "unace"
     ) -> tuple[list[int], list[int]]:
         """Whole-graph solve; cached — the sets are environment-free.
 
@@ -764,14 +715,13 @@ class SolvePlan:
         every sweep point shares these exact annotation vectors and only
         re-binds atom values.
         """
-        key = (max_terms, dangling)
-        cached = self._mono_cache.get(key)
+        cached = self._mono_cache.get(dangling)
         if cached is None:
             f_out = [-1] * self.n
-            self._forward_pass(self.forder, None, None, f_out, max_terms)
+            self._forward_pass(self.forder, None, None, f_out)
             b_out = [-1] * self.n
-            self._backward_pass(self.border, None, None, b_out, max_terms, dangling)
-            cached = self._mono_cache[key] = (f_out, b_out)
+            self._backward_pass(self.border, None, None, b_out, dangling)
+            cached = self._mono_cache[dangling] = (f_out, b_out)
         return cached
 
 
@@ -786,7 +736,6 @@ def relax_compiled(
     evaluator: SetEvaluator | None = None,
     iterations: int = 20,
     tol: float = 1e-9,
-    max_terms: int = 0,
     dangling: str = "unace",
     warm_start: WarmStart | None = None,
     capture_boundary: dict | None = None,
@@ -838,10 +787,8 @@ def relax_compiled(
     for iteration in range(iterations):
         resolved.update(dirty)
         for f in dirty:
-            plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out, max_terms)
-            plan._backward_pass(
-                plan.fub_border[f], f, b_bnd, b_out, max_terms, dangling
-            )
+            plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
+            plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
 
         # FUBIO merge, marking the importers of every changed entry
         # dirty for the next iteration. Cold runs apply the MIN rule
@@ -984,7 +931,6 @@ def resolve_ids(
     env: PavfEnv,
     *,
     evaluator: SetEvaluator | None = None,
-    structures: Mapping[str, StructurePorts] | None = None,
     only: Sequence[int] | None = None,
 ) -> dict[str, NodeAvf]:
     """Index-based equivalent of :func:`repro.core.resolve.resolve`.
@@ -999,7 +945,7 @@ def resolve_ids(
         ev.fill(b_sid)
     else:
         ev.fill([t[nid] for t in (f_sid, b_sid) for nid in only])
-    structures = structures if structures is not None else plan.model.structures
+    structures = plan.model.structures
     vals = ev._vals
     names, kind_l, fub_l = plan.names, plan.kind_l, plan.fub_l
     role_l, mode_l, special_l = plan.role_l, plan.mode_l, plan.special_l

@@ -38,7 +38,7 @@ from repro.core.pavf import (
     WRITE,
     Atom,
 )
-from repro.netlist.graph import NetGraph, NodeKind
+from repro.netlist.graph import NetGraph
 
 
 @dataclass
@@ -124,20 +124,14 @@ class AvfModel:
         self.static_sinks.setdefault(net, []).append(atom)
 
 
-def structure_nets(
-    graph: NetGraph,
-    extra_struct_bits: Mapping[str, tuple[str, int]] | None = None,
-) -> set[str]:
-    """Nets that carry ACE-structure bits (DFF ``struct`` attrs + explicit).
+def structure_nets(graph: NetGraph) -> set[str]:
+    """Nets that carry ACE-structure bits (DFF ``struct`` attrs).
 
     Structure bits and control registers terminate walks, so cycles
     passing through them are not propagation loops — callers compute this
     set before loop classification and pass it as the SCC *cut*.
     """
-    nets = {net for net, _attrs in graph.struct_tagged()}
-    if extra_struct_bits:
-        nets.update(extra_struct_bits)
-    return nets
+    return {net for net, _attrs in graph.struct_tagged()}
 
 
 def build_model(
@@ -146,8 +140,6 @@ def build_model(
     *,
     loop_nets: Iterable[str] = (),
     ctrl_nets: Iterable[str] = (),
-    port_traffic_on_addresses: bool = True,
-    extra_struct_bits: Mapping[str, tuple[str, int]] | None = None,
 ) -> AvfModel:
     """Assemble the annotated model.
 
@@ -160,10 +152,9 @@ def build_model(
             control nets are removed here by precedence).
         ctrl_nets: Control-register nets
             (:func:`repro.core.controlregs.find_control_registers`).
-        port_traffic_on_addresses: When True, address/enable nets of MEM
-            ports receive the port's traffic rate as read/write atoms.
-        extra_struct_bits: Explicit net -> (structure, flat bit) bindings
-            for designs that cannot carry ``struct`` attributes.
+
+    Address and enable nets of MEM ports receive the port's traffic rate
+    as read/write atoms.
     """
     structures = dict(structures or {})
     model = AvfModel(graph=graph, structures=structures)
@@ -174,9 +165,8 @@ def build_model(
         return structures[name]
 
     # ------------------------------------------------------------------
-    # structure bits from DFF attributes and explicit bindings
+    # structure bits from DFF attributes
     # ------------------------------------------------------------------
-    bindings: dict[str, tuple[str, int]] = dict(extra_struct_bits or {})
     for net, attrs in graph.struct_tagged():
         try:
             bit = int(attrs.get("bit", "0"))
@@ -184,13 +174,8 @@ def build_model(
             raise MappingError(
                 f"node {net!r}: bad struct bit {attrs.get('bit')!r}"
             ) from exc
-        bindings[net] = (attrs["struct"], bit)
-
-    for net, (sname, bit) in bindings.items():
-        nid = graph.ids.get(net)
-        if nid is None or graph.kinds[nid] != NodeKind.SEQ:
-            raise MappingError(f"structure bit {sname}.{bit}: {net!r} is not a sequential node")
-        ports = ports_for(sname)
+        sname = attrs["struct"]
+        ports_for(sname)
         r_atom = Atom(READ, sname, bit)
         w_atom = Atom(WRITE, sname, bit)
         model.forward_fixed[net] = frozenset((r_atom,))
@@ -212,23 +197,21 @@ def build_model(
                 atom = Atom(READ, sname, flat)
                 model.forward_fixed[net] = frozenset((atom,))
                 model.atom_bindings[atom] = ("r", sname, flat)
-            if port_traffic_on_addresses:
-                ra_atom = Atom(READ, f"{sname}#raddr{pidx}", 0)
-                model.atom_bindings[ra_atom] = ("ra", sname, pidx)
-                for net in rport.addr:
-                    model.add_sink(net, ra_atom)
+            ra_atom = Atom(READ, f"{sname}#raddr{pidx}", 0)
+            model.atom_bindings[ra_atom] = ("ra", sname, pidx)
+            for net in rport.addr:
+                model.add_sink(net, ra_atom)
         for i, net in enumerate(mem.wdata):
             atom = Atom(WRITE, sname, i)
             model.atom_bindings[atom] = ("w", sname, i)
             model.add_sink(net, atom)
-        if port_traffic_on_addresses:
-            wa_atom = Atom(WRITE, f"{sname}#waddr", 0)
-            model.atom_bindings[wa_atom] = ("wa", sname, 0)
-            for net in mem.waddr:
-                model.add_sink(net, wa_atom)
-            wen_atom = Atom(WRITE, f"{sname}#wen", 0)
-            model.atom_bindings[wen_atom] = ("wen", sname, 0)
-            model.add_sink(mem.wen, wen_atom)
+        wa_atom = Atom(WRITE, f"{sname}#waddr", 0)
+        model.atom_bindings[wa_atom] = ("wa", sname, 0)
+        for net in mem.waddr:
+            model.add_sink(net, wa_atom)
+        wen_atom = Atom(WRITE, f"{sname}#wen", 0)
+        model.atom_bindings[wen_atom] = ("wen", sname, 0)
+        model.add_sink(mem.wen, wen_atom)
 
     # ------------------------------------------------------------------
     # control registers (precedence: structures win)

@@ -213,18 +213,16 @@ class SetInterner:
         sid = self._ids.get(atoms)
         return self._add(atoms) if sid is None else sid
 
-    def union_ids(self, key: Sequence[int], max_terms: int) -> int:
-        """Id of the union of the sets *key* names.
+    def union_ids(self, key: Sequence[int]) -> int:
+        """Id of the union of the sets *key* names (:func:`union`, interned).
 
-        Exact and idempotent; TOP absorbs everything, and with
-        ``max_terms > 0`` a union of more atoms collapses to TOP
-        (:func:`union` then :func:`collapse_if_large`, interned).
+        Exact and idempotent; TOP absorbs everything.
         """
         sets = self.sets
         merged: set[Atom] = set()
         for sid in key:
             merged.update(sets[sid])
-        if TOP in merged or 0 < max_terms < len(merged):
+        if TOP in merged:
             return self.TOP_ID
         return self.id_of(frozenset(merged))
 
@@ -260,13 +258,6 @@ class SetInterner:
         lo = self.row_start[sid]
         return tuple(map(self.atoms.__getitem__,
                          self.row_ids[lo:lo + self.row_len[sid]]))
-
-
-def collapse_if_large(atoms: frozenset[Atom], max_terms: int) -> frozenset[Atom]:
-    """Replace oversized sets with TOP (conservative memory guard)."""
-    if max_terms > 0 and len(atoms) > max_terms:
-        return TOP_SET
-    return atoms
 
 
 def format_set(atoms: frozenset[Atom]) -> str:

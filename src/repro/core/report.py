@@ -60,23 +60,20 @@ def fub_report(
     *,
     loop_bits: int = 0,
     ctrl_bits: int = 0,
-    include_structures: bool = False,
 ) -> DesignReport:
     """Aggregate resolved node AVFs by FUB.
 
-    ``include_structures=False`` (default) excludes structure storage bits
-    from the *sequential* average — their AVF comes from the ACE model, and
-    the paper's sequential-AVF number covers the miscellaneous sequentials,
-    not the ACE-analyzed arrays. They are also excluded from the node
-    average for the same reason.
+    Structure storage bits are excluded from the *sequential* average —
+    their AVF comes from the ACE model, and the paper's sequential-AVF
+    number covers the miscellaneous sequentials, not the ACE-analyzed
+    arrays. They are also excluded from the node average for the same
+    reason.
     """
     per_fub: dict[str, list[NodeAvf]] = {}
     for node in node_avfs.values():
         if node.kind in (NodeKind.INPUT, NodeKind.CONST):
             continue
-        if not include_structures and node.role == ROLE_STRUCT:
-            continue
-        if not include_structures and node.kind == NodeKind.MEM_RDATA:
+        if node.role == ROLE_STRUCT or node.kind == NodeKind.MEM_RDATA:
             continue
         per_fub.setdefault(node.fub, []).append(node)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import SartError, WarmStartDegradedWarning
-from repro.core import controlregs
 from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
 from repro.core.graphmodel import AvfModel, StructurePorts
 from repro.core.pavf import (
@@ -48,7 +47,11 @@ from repro.netlist.netlist import Module
 
 @dataclass
 class SartConfig:
-    """Knobs of the SART flow. Defaults follow the paper's choices."""
+    """Knobs of the SART flow. Defaults follow the paper's choices.
+
+    None of them is structural: one :class:`SolvePlan` serves every
+    config, and a new config is a new environment or solve schedule.
+    """
 
     # Injected static pAVF at loop boundaries (0.3 after the Fig. 8 sweep,
     # the paper's solution 3). Per-node measured values (solution 2, see
@@ -70,31 +73,8 @@ class SartConfig:
     partition_by_fub: bool = True
     iterations: int = 20
     tol: float = 1e-9
-    # 0 keeps exact symbolic sets (closed-form capable); >0 collapses
-    # oversized sets to TOP as a memory guard.
-    max_terms: int = 0
     # "unace" resolves never-consumed nodes to AVF 0; "top" keeps 1.0.
     dangling: str = "unace"
-    # Control-register identification.
-    detect_ctrl: bool = True
-    ctrl_patterns: tuple[str, ...] = controlregs.DEFAULT_PATTERNS
-    # Put port traffic atoms on MEM address/enable nets.
-    port_traffic_on_addresses: bool = True
-
-    def structural_knobs(self) -> tuple:
-        """The config fields a :class:`SolvePlan` is built from.
-
-        Everything else in the config is *environmental* (numeric pAVF
-        bindings, iteration budgets) and can vary freely against one
-        plan. The pipeline layer keys its plan-cache fingerprints on
-        exactly this tuple, so cached plans are reused across
-        environment changes and invalidated by structural ones.
-        """
-        return (
-            self.detect_ctrl,
-            tuple(self.ctrl_patterns),
-            self.port_traffic_on_addresses,
-        )
 
 
 @dataclass
@@ -152,27 +132,16 @@ def build_env(model: AvfModel, config: SartConfig) -> PavfEnv:
 def build_plan(
     design: Module | NetGraph,
     structures: Mapping[str, StructurePorts] | None = None,
-    config: SartConfig | None = None,
-    *,
-    extra_struct_bits: Mapping[str, tuple[str, int]] | None = None,
 ) -> SolvePlan:
     """Lower *design* once for many compiled SART runs.
 
     The plan captures everything structural — graph extraction, loop
     breaking, control-register detection, FUB partitioning, topological
-    order — so ``run_sart(..., plan=plan)`` with varying *environment*
-    knobs (loop/ctrl/const/boundary pAVFs, iterations, max_terms) skips
+    order — so ``run_sart(..., plan=plan)`` with any :class:`SartConfig`
+    (loop/ctrl/const/boundary pAVFs, partitioning, iterations) skips
     straight to propagation. Structures are captured at build time.
     """
-    config = config or SartConfig()
-    return SolvePlan.build(
-        design,
-        structures,
-        detect_ctrl=config.detect_ctrl,
-        ctrl_patterns=config.ctrl_patterns,
-        port_traffic_on_addresses=config.port_traffic_on_addresses,
-        extra_struct_bits=extra_struct_bits,
-    )
+    return SolvePlan.build(design, structures)
 
 
 def run_sart(
@@ -180,7 +149,6 @@ def run_sart(
     structures: Mapping[str, StructurePorts] | None = None,
     config: SartConfig | None = None,
     *,
-    extra_struct_bits: Mapping[str, tuple[str, int]] | None = None,
     plan: SolvePlan | None = None,
     warm_start: WarmStart | None = None,
 ) -> SartResult:
@@ -205,11 +173,7 @@ def run_sart(
         plan = getattr(plan, "plan", plan)
     plan_reused = plan is not None
     if plan is None:
-        plan = build_plan(
-            design, structures, config, extra_struct_bits=extra_struct_bits
-        )
-    else:
-        plan.check_config(config)
+        plan = build_plan(design, structures)
     graph = plan.graph
     model = plan.model
     env = build_env(model, config)
@@ -232,7 +196,6 @@ def run_sart(
             evaluator=evaluator,
             iterations=config.iterations,
             tol=config.tol,
-            max_terms=config.max_terms,
             dangling=config.dangling,
             warm_start=warm_start,
             capture_boundary=boundary_state,
@@ -254,14 +217,13 @@ def run_sart(
                 evaluator=evaluator,
                 iterations=config.iterations,
                 tol=config.tol,
-                max_terms=config.max_terms,
                 dangling=config.dangling,
                 capture_boundary=boundary_state,
             )
         f_boundary = boundary_state.get("f")
         b_boundary = boundary_state.get("b")
     else:
-        f_ids, b_ids = plan.solve_monolithic(config.max_terms, config.dangling)
+        f_ids, b_ids = plan.solve_monolithic(config.dangling)
     if (
         warm_start is not None
         and trace.warm

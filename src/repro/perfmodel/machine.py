@@ -32,17 +32,15 @@ class PerfResult:
         return self.stats.ipc
 
 
-def run_workload(
-    trace: Trace, config: MachineConfig | None = None, *, auto_mark: bool = True
-) -> PerfResult:
+def run_workload(trace: Trace, config: MachineConfig | None = None) -> PerfResult:
     """Simulate *trace* with ACE instrumentation attached.
 
-    The trace is ACE-marked in place when needed (``auto_mark``). Returns
-    structure AVFs (Eq 3) and the event counters that
+    The trace is ACE-marked in place when needed. Returns structure AVFs
+    (Eq 3) and the event counters that
     :func:`repro.ace.portavf.ports_from_analysis` turns into pAVFs.
     """
     config = config or MachineConfig()
-    if auto_mark and any(inst.ace is None for inst in trace.insts):
+    if any(inst.ace is None for inst in trace.insts):
         mark_ace(trace)
     analyzer = AceLifetimeAnalyzer()
     pipeline = Pipeline(trace, config, recorder=analyzer)

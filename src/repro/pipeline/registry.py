@@ -28,6 +28,7 @@ themselves (:mod:`repro.designs.tinycore.provider`,
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
@@ -154,12 +155,25 @@ def _coerce(params: dict[str, str], key: str, kind: Callable, default):
     raw = params.pop(key, None)
     if raw is None:
         return default
+    if kind is bool:
+        return raw.lower() in ("1", "true", "yes", "on")
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
-        raise DesignRefError(f"design parameter {key}={raw!r} is not {kind.__name__}")
+        raise DesignRefError(
+            f"design parameter {key}={raw!r} is not {kind.__name__}"
+        ) from None
+    if kind is float and not math.isfinite(value):
+        raise DesignRefError(f"design parameter {key}={raw!r} is not finite")
+    return value
+
+
+def _config(cls, ref: str, **fields):
+    """A generator config, its ValueError a DesignRefError naming *ref*."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise DesignRefError(f"{ref!r}: {exc}") from None
 
 
 def _reject_unknown(params: dict[str, str], ref: str) -> None:
@@ -183,7 +197,8 @@ def _make_bigcore(body: str, params: dict[str, str], ref: str) -> DesignProvider
 
     if body:
         raise DesignRefError(f"{ref!r}: bigcore takes @key=value parameters only")
-    config = BigcoreConfig(
+    config = _config(
+        BigcoreConfig, ref,
         seed=_coerce(params, "seed", int, 42),
         scale=_coerce(params, "scale", float, 1.0),
         fub_count=_coerce(params, "fub_count", int, None),
@@ -200,7 +215,8 @@ def _make_systolic(body: str, params: dict[str, str], ref: str) -> DesignProvide
 
     if body:
         raise DesignRefError(f"{ref!r}: systolic takes @key=value parameters only")
-    config = SystolicConfig(
+    config = _config(
+        SystolicConfig, ref,
         rows=_coerce(params, "rows", int, 8),
         cols=_coerce(params, "cols", int, 8),
         data_width=_coerce(params, "data_width", int, 8),

@@ -144,7 +144,7 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
         return None
     provider = resolve_design(spec.eco.baseline)
     base_design = stage_design(ctx, provider)
-    base_plan = stage_plan(ctx, base_design, outcome.port_env, config)
+    base_plan = stage_plan(ctx, base_design, outcome.port_env)
     base_sart = stage_sart(
         ctx, base_design, outcome.port_env, config, base_plan
     )
@@ -220,7 +220,7 @@ def execute(
     # --- SART report ---------------------------------------------------
     if "sart" in stages:
         config = sart_config(spec.sart or SartSpec())
-        outcome.plan = stage_plan(ctx, design, outcome.port_env, config)
+        outcome.plan = stage_plan(ctx, design, outcome.port_env)
         warm = None
         if spec.eco is not None:
             warm = _eco_warm_start(ctx, spec, outcome, config)
@@ -244,9 +244,7 @@ def execute(
         from repro.core.batched import sweep_batched
 
         if outcome.plan is None:
-            outcome.plan = stage_plan(
-                ctx, design, outcome.port_env, SartConfig()
-            )
+            outcome.plan = stage_plan(ctx, design, outcome.port_env)
         points = spec.sweep.points
         ctx.notify("sweep:begin", plan=outcome.plan, points=points)
         values = [i / (points - 1) if points > 1 else 0.0

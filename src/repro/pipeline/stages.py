@@ -15,8 +15,8 @@ stage     keyed on
 golden    design fingerprint (+ cycle budget)
 ports     design fingerprint + golden cycles (archsim), or the
           workload-suite signature (ACE suite; design-independent)
-plan      design + port-env fingerprints + the structural SartConfig
-          knobs (:meth:`~repro.core.sart.SartConfig.structural_knobs`)
+plan      design + port-env fingerprints (a plan is its design and its
+          ports; every SartConfig field varies freely against it)
 sfi/beam  design fingerprint + full campaign plan parameters; skipped
           when checkpoint/resume is in play and never saved for
           campaigns that recorded permanent pass failures
@@ -253,10 +253,12 @@ def stage_ports_file(ctx: PipelineContext, path: str) -> PortEnv:
             )
         try:
             values = [float(text) for text in fields[1:]]
+            if not all(0.0 <= value <= 1.0 for value in values):  # NaN too
+                raise ValueError
         except ValueError:
             raise SpecError(
-                f"{path}:{lineno}: pavf_r, pavf_w and avf must be numbers, "
-                f"got {line!r}"
+                f"{path}:{lineno}: pavf_r, pavf_w and avf must be numbers "
+                f"in [0, 1], got {line!r}"
             ) from None
         name = fields[0]
         ports[name] = StructurePorts(
@@ -280,17 +282,14 @@ def stage_plan(
     ctx: PipelineContext,
     design: DesignArtifact,
     port_env: PortEnv | None,
-    config: SartConfig,
 ) -> PlanArtifact:
     """Lower the design once into a reusable compiled SolvePlan."""
     env_fp = port_env.fingerprint if port_env is not None else None
-    fp = stage_fingerprint(
-        "plan", design.fingerprint, env_fp, config.structural_knobs()
-    )
+    fp = stage_fingerprint("plan", design.fingerprint, env_fp)
 
     def compute():
         ports = port_env.ports if port_env is not None else None
-        return build_plan(design.target, ports, config)
+        return build_plan(design.target, ports)
 
     started = time.perf_counter()
     plan, hit = ctx.memoize("plan", fp, compute)
@@ -323,7 +322,7 @@ def stage_sart(
         plan.fingerprint,
         port_env.fingerprint if port_env is not None else None,
         config.loop_pavf, config.iterations, config.partition_by_fub,
-        config.max_terms, config.dangling,
+        config.dangling,
     )
     outcome = SartOutcome(
         fingerprint=fp,

@@ -54,11 +54,8 @@ class BeamConfig:
     # Arrays are parity/ECC protected in the modelled product (their
     # strikes become DUE, not SDC) — matching the paper's setup, which
     # deliberately minimized array contributions to the beam SDC signal.
+    # The program ROM is never struck: it is assumed hardened/reloadable.
     include_arrays: bool = False
-    include_irom: bool = False   # program ROM assumed hardened/reloadable
-    # Continuous beam operation: corruption still in architectural state
-    # when a run ends is consumed by subsequent runs, so it counts as SDC.
-    count_architectural_state: bool = True
     # Build the parity-protected core: array strikes raise DUE instead of
     # silently corrupting data (enable include_arrays to exercise it).
     parity: bool = False
@@ -185,8 +182,9 @@ def _run_beam_pass(
                 simulator.mems[s.target].flip_bit(lane, s.addr, s.bit)
 
     verdicts = lane_verdicts(payload.run(sim, strike))
-    # payload.extra is BeamConfig.count_architectural_state.
-    silent = (SDC, UNKNOWN) if payload.extra else (SDC,)
+    # Continuous beam operation: corruption still in architectural state
+    # when a run ends is consumed by subsequent runs, so it counts as SDC.
+    silent = (SDC, UNKNOWN)
     return sum(v in silent for v in verdicts), verdicts.count(DUE), len(group)
 
 
@@ -223,7 +221,7 @@ def run_beam_test(
     bits = len(seq_nets)
     if config.include_arrays:
         for inst, mem in graph.mems.items():
-            if not config.include_irom and inst == "u_irom":
+            if inst == "u_irom":
                 continue
             targets.append(("mem", inst))
             bits += mem.depth * mem.width
@@ -247,11 +245,11 @@ def run_beam_test(
     report = run_lane_passes(
         "beam", _run_beam_pass, program, dmem_init, netlist,
         batches(exposures, lanes_per_pass),
+        # False, True stand where the program-ROM and architectural-state
+        # settings were hashed, so earlier checkpoints keep resuming.
         (config.flux, config.exposures, config.seed, config.max_cycles,
-         config.include_arrays, config.include_irom,
-         config.count_architectural_state, config.parity),
+         config.include_arrays, False, True, config.parity),
         max_cycles=config.max_cycles, workers=workers, runtime=runtime,
-        extra=config.count_architectural_state,
         decode=tuple,  # JSON round-trips the (sdc, due, devices) tuple as a list
     )
     for pass_result in report.results:

@@ -49,9 +49,6 @@ from repro.serve.jobs import (
     replay_journal,
 )
 
-# Base of the jittered exponential delay before a job's retry (seconds).
-_RETRY_BACKOFF = 0.05
-
 # The /stats counters. Monotonic; changed only under JobScheduler._cond.
 COUNTERS = (
     "requests",        # admitted POST /jobs calls
@@ -306,7 +303,6 @@ class JobScheduler:
             max_retries=self.max_retries,
             timeout=self.job_timeout,
             on_result=on_result,
-            backoff_base=_RETRY_BACKOFF,
         )
         for failure in failures:
             self._fail(batch[failure.index],

@@ -52,6 +52,11 @@ class JobHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: JobHTTPServer
+    # Socket timeout (seconds) on every read and write: a client that
+    # sends fewer body bytes than its Content-Length, or goes silent
+    # mid-request, is dropped (handle_one_request catches the
+    # TimeoutError) instead of holding its handler thread.
+    timeout = 30
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002

@@ -73,28 +73,27 @@ class DegradedExecutionWarning(UserWarning):
     """The runtime fell back to serial in-process execution."""
 
 
-def backoff_delay(
-    index: int,
-    attempt: int,
-    *,
-    base: float,
-    cap: float = 2.0,
-    seed: int = 0,
-) -> float:
+# Base of the retry backoff (seconds) and its ceiling. Every pool run
+# (campaign passes and server jobs) waits this schedule between attempts.
+RETRY_DELAY = 0.05
+RETRY_DELAY_CAP = 2.0
+
+
+def backoff_delay(index: int, attempt: int, *, base: float) -> float:
     """Deterministic bounded jittered exponential retry backoff.
 
     The delay inserted *before* retry *attempt* of pass *index* (attempt
     1 is the first try and never waits): ``base`` seconds doubling per
-    attempt, capped at ``cap``, scaled by a jitter factor in [0.5, 1.0)
-    derived by hashing ``(seed, index, attempt)``. The schedule is a
-    pure function of its inputs — seeded tests see identical delays —
-    while different passes de-phase, so a sick pool is not hammered by
-    the whole campaign retrying in lockstep.
+    attempt, capped at :data:`RETRY_DELAY_CAP`, scaled by a jitter
+    factor in [0.5, 1.0) derived by hashing ``(index, attempt)``. The
+    schedule is a pure function of its inputs — tests see identical
+    delays — while different passes de-phase, so a sick pool is not
+    hammered by the whole campaign retrying in lockstep.
     """
     if base <= 0.0 or attempt <= 1:
         return 0.0
-    raw = min(cap, base * (2.0 ** (attempt - 2)))
-    digest = hashlib.sha256(f"{seed}:{index}:{attempt}".encode()).digest()
+    raw = min(RETRY_DELAY_CAP, base * (2.0 ** (attempt - 2)))
+    digest = hashlib.sha256(f"{index}:{attempt}".encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
     return raw * (0.5 + 0.5 * unit)
 
@@ -110,9 +109,9 @@ class RuntimeOptions:
     appends completed passes to a JSONL file; ``resume`` loads one
     first and skips the passes it already holds. ``max_pool_restarts``
     bounds how many times a broken pool is respawned before the runtime
-    degrades to serial execution. ``retry_backoff`` is the base of the
-    bounded jittered exponential delay inserted before each retry
-    attempt (:func:`backoff_delay`; 0 restores immediate re-queue).
+    degrades to serial execution. Each retry attempt first waits the
+    fixed backoff schedule (:func:`backoff_delay` from
+    :data:`RETRY_DELAY`).
     """
 
     max_retries: int = 3
@@ -120,7 +119,6 @@ class RuntimeOptions:
     checkpoint: str | None = None
     resume: str | None = None
     max_pool_restarts: int = 3
-    retry_backoff: float = 0.05
 
 
 @dataclass
@@ -302,18 +300,16 @@ class ResilientPool:
         max_retries: int = 3,
         timeout: float | None = None,
         on_result: Callable[[int, Any], None] | None = None,
-        backoff_base: float = 0.0,
     ) -> list[PassFailure]:
         """Run ``fn(tasks[i])`` for every index, surviving failures.
 
         *on_result(index, result)* fires as each task completes (the
         checkpoint hook). Permanent failures come back as
-        :class:`PassFailure` records. A non-zero
-        ``backoff_base`` inserts the bounded jittered exponential delay
-        of :func:`backoff_delay` before each retry attempt instead of
-        re-queueing immediately (requeues caused by a broken pool or a
-        cancelled not-yet-started task keep their attempt number and
-        never wait — the pool respawn itself is the pause).
+        :class:`PassFailure` records. Each retry attempt waits the
+        bounded jittered exponential delay of :func:`backoff_delay`
+        instead of re-queueing immediately (requeues caused by a broken
+        pool or a cancelled not-yet-started task keep their attempt
+        number and never wait — the pool respawn itself is the pause).
         """
         idxs = [i for i in (indices if indices is not None else range(len(tasks)))]
         max_retries = max(1, int(max_retries))
@@ -326,7 +322,7 @@ class ResilientPool:
             return failures
 
         def retry_ready(index: int, attempt: int) -> float:
-            return time.monotonic() + backoff_delay(index, attempt, base=backoff_base)
+            return time.monotonic() + backoff_delay(index, attempt, base=RETRY_DELAY)
 
         def fail(index: int, attempts: int, kind: str, message: str) -> None:
             failures.append(
@@ -573,7 +569,6 @@ def run_passes(
             max_retries=opts.max_retries,
             timeout=opts.pass_timeout,
             on_result=on_result,
-            backoff_base=opts.retry_backoff,
         )
     finally:
         # Flush-and-release even on KeyboardInterrupt: whatever completed

@@ -34,7 +34,6 @@ from repro.core.pavf import (
     PavfEnv,
     SetInterner,
     TOP_SET,
-    collapse_if_large,
     union,
     value_of,
 )
@@ -58,7 +57,6 @@ def solve_forward(
     *,
     nets: Iterable[str] | None = None,
     boundary: Mapping[str, frozenset[Atom]] | None = None,
-    max_terms: int = 0,
     interner: SetInterner | None = None,
 ) -> dict[str, frozenset[Atom]]:
     """Forward propagation: f(n) = union of f over fan-in.
@@ -116,8 +114,7 @@ def solve_forward(
             elif len(fanin) == 1:
                 out[net] = value_for(fanin[0])
             else:
-                merged = collapse_if_large(union(*(value_for(d) for d in fanin)), max_terms)
-                out[net] = interner.canon(merged)
+                out[net] = interner.canon(union(*(value_for(d) for d in fanin)))
         for dep in dependents.get(net, ()):
             indegree[dep] -= 1
             if indegree[dep] == 0:
@@ -134,7 +131,6 @@ def solve_backward(
     *,
     nets: Iterable[str] | None = None,
     boundary: Mapping[str, frozenset[Atom]] | None = None,
-    max_terms: int = 0,
     dangling: str = "unace",
     interner: SetInterner | None = None,
 ) -> dict[str, frozenset[Atom]]:
@@ -196,8 +192,7 @@ def solve_backward(
         elif len(pieces) == 1:
             out[net] = pieces[0]
         else:
-            merged = collapse_if_large(union(*pieces), max_terms)
-            out[net] = interner.canon(merged)
+            out[net] = interner.canon(union(*pieces))
         for dep in dependents.get(net, ()):
             indegree[dep] -= 1
             if indegree[dep] == 0:
@@ -227,7 +222,6 @@ def relax(
     *,
     iterations: int = 20,
     tol: float = 1e-9,
-    max_terms: int = 0,
     dangling: str = "unace",
     partition: FubPartition | None = None,
     interner: SetInterner | None = None,
@@ -260,14 +254,13 @@ def relax(
         for nets in partition.fubs.values():
             new_f.update(
                 solve_forward(
-                    model, nets=nets, boundary=f_boundary, max_terms=max_terms,
-                    interner=interner,
+                    model, nets=nets, boundary=f_boundary, interner=interner
                 )
             )
             new_b.update(
                 solve_backward(
-                    model, nets=nets, boundary=b_boundary, max_terms=max_terms,
-                    dangling=dangling, interner=interner,
+                    model, nets=nets, boundary=b_boundary, dangling=dangling,
+                    interner=interner,
                 )
             )
 

@@ -57,20 +57,9 @@ def run_reference(
     # Structure bits and control registers terminate walks, so cycles
     # passing through them are not propagation loops: identify them
     # before loop classification.
-    struct_nets = structure_nets(graph)
-    ctrl_nets = (
-        controlregs.find_control_registers(graph, patterns=config.ctrl_patterns)
-        if config.detect_ctrl
-        else set()
-    )
-    loop_nets = loops.find_loop_nets(graph, cut=struct_nets | ctrl_nets)
-    model = build_model(
-        graph,
-        structures,
-        loop_nets=loop_nets,
-        ctrl_nets=ctrl_nets,
-        port_traffic_on_addresses=config.port_traffic_on_addresses,
-    )
+    ctrl_nets = controlregs.find_control_registers(graph)
+    loop_nets = loops.find_loop_nets(graph, cut=structure_nets(graph) | ctrl_nets)
+    model = build_model(graph, structures, loop_nets=loop_nets, ctrl_nets=ctrl_nets)
     env = build_env(model, config)
 
     trace = None
@@ -86,15 +75,12 @@ def run_reference(
             env,
             iterations=config.iterations,
             tol=config.tol,
-            max_terms=config.max_terms,
             dangling=config.dangling,
         )
         f_sets, b_sets, trace = relaxed.f_sets, relaxed.b_sets, relaxed.trace
     else:
-        f_sets = solve_forward(model, max_terms=config.max_terms)
-        b_sets = solve_backward(
-            model, max_terms=config.max_terms, dangling=config.dangling
-        )
+        f_sets = solve_forward(model)
+        b_sets = solve_backward(model, dangling=config.dangling)
 
     node_avfs = resolve(model, f_sets, b_sets, env)
     report = fub_report(

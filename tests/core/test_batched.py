@@ -114,7 +114,7 @@ class TestBatchedEvaluator:
     @needs_numpy
     def test_matrix_columns_bitwise_match_scalar_evaluator(self, plan, envs):
         # Warm the interner with the solve's sets, then compare every id.
-        f_ids, b_ids = plan.solve_monolithic(0, "unace")
+        f_ids, b_ids = plan.solve_monolithic("unace")
         sids = sorted({int(s) for s in list(f_ids) + list(b_ids) if s >= 0})
         bev = BatchedEvaluator(plan.interner, envs)
         grid = bev.matrix(sids)
@@ -143,7 +143,7 @@ class TestBatchedEvaluator:
         # Rows are integer sorts against the plan's atom ranking; this
         # pins them to the (kind, name, bit) order atoms compare by, on
         # every set of a solved plan.
-        plan.solve_monolithic(0, "unace")
+        plan.solve_monolithic("unace")
         interner = plan.interner
         for sid in range(len(interner)):
             assert interner.sorted_atoms(sid) == tuple(sorted(interner.sets[sid]))
@@ -158,7 +158,7 @@ class TestBatchedEvaluator:
 
         copy = pickle.loads(pickle.dumps(plan))
         interner = copy.interner
-        f_ids, b_ids = copy.solve_monolithic(0, "unace")
+        f_ids, b_ids = copy.solve_monolithic("unace")
         bev = BatchedEvaluator(interner, envs)
         before = bev.matrix(f_ids)
         # New sets with atoms the table has not seen, after the fill.

@@ -12,7 +12,6 @@ from repro.core.compiled import HAVE_NUMPY, SetEvaluator, SolvePlan, resolve_ids
 from repro.core.graphmodel import StructurePorts
 from repro.core.pavf import Atom, LOOP, PavfEnv
 from repro.core.sart import SartConfig, build_env, build_plan, run_sart
-from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
 from repro.verify.reference import run_reference
@@ -156,15 +155,6 @@ class TestSolvePlan:
         # The second environment re-evaluated cached vectors: no new sets.
         assert len(plan.interner) == sets_before
 
-    def test_structural_mismatch_rejected(self, tinycore_module):
-        plan = build_plan(tinycore_module)
-        with pytest.raises(SartError, match="structural"):
-            run_sart(
-                tinycore_module,
-                config=SartConfig(detect_ctrl=False),
-                plan=plan,
-            )
-
     def test_environment_knobs_are_free(self, tinycore_module):
         plan = build_plan(tinycore_module)
         cfg = SartConfig(
@@ -172,7 +162,6 @@ class TestSolvePlan:
             ctrl_pavf=0.5,
             const_pavf=0.2,
             iterations=5,
-            max_terms=64,
             dangling="top",
             partition_by_fub=False,
         )
@@ -293,13 +282,13 @@ class TestSetEvaluator:
 
 
 def test_union_ids_and_rows_on_ranked_bare_and_late_interners(tinycore_module):
-    """``union_ids`` is ``union`` then ``collapse_if_large``, interned, and
-    TOP absorbs; every row, written when its set was interned, is the set
-    in atom order, whether ids follow a ranking or first sight."""
+    """``union_ids`` is ``union``, interned, and TOP absorbs; every row,
+    written when its set was interned, is the set in atom order, whether
+    ids follow a ranking or first sight."""
     import pickle
     import random
 
-    from repro.core.pavf import BOUNDARY, SetInterner, collapse_if_large, union
+    from repro.core.pavf import BOUNDARY, SetInterner, union
 
     solved = build_plan(tinycore_module)
     solved.solve_monolithic()
@@ -326,11 +315,9 @@ def test_union_ids_and_rows_on_ranked_bare_and_late_interners(tinycore_module):
         sets = interner.sets
         for _ in range(300):
             key = tuple(rng.randrange(len(sets)) for _ in range(rng.randint(1, 5)))
-            for max_terms in (0, 3):
-                want = collapse_if_large(union(*(sets[s] for s in key)), max_terms)
-                assert interner.union_ids(key, max_terms) == interner.id_of(want), (
-                    label, key, max_terms)
-                assert interner.union_ids(key + (top,), max_terms) == top
+            want = union(*(sets[s] for s in key))
+            assert interner.union_ids(key) == interner.id_of(want), (label, key)
+            assert interner.union_ids(key + (top,)) == top
         assert len(interner.row_start) == len(interner.row_len) == len(sets)
         for sid, atoms in enumerate(sets):
             lo = interner.row_start[sid]

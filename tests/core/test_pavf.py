@@ -12,7 +12,6 @@ from repro.core.pavf import (
     Atom,
     PavfEnv,
     capped_sum,
-    collapse_if_large,
     format_set,
     union,
     value_of,
@@ -83,13 +82,6 @@ def test_capped_sum():
     assert capped_sum([0.4, 0.3]) == pytest.approx(0.7)
     assert capped_sum([0.8, 0.8]) == 1.0
     assert capped_sum([]) == 0.0
-
-
-def test_collapse_if_large():
-    atoms = frozenset(Atom(READ, f"S{i}", 0) for i in range(10))
-    assert collapse_if_large(atoms, 5) == TOP_SET
-    assert collapse_if_large(atoms, 0) == atoms  # 0 disables
-    assert collapse_if_large(atoms, 20) == atoms
 
 
 def test_format_set_stable():

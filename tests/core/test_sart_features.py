@@ -88,13 +88,6 @@ class TestControlRegisters:
         assert res.node_avfs[stage].backward == 0.0
         assert res.avf(stage) == 0.0
 
-    def test_detection_can_be_disabled(self):
-        b = ModuleBuilder("m")
-        tie = b.input("tie_in")
-        cfg = b.dff(tie, name="cfg_mode")
-        res = run_sart(b.done(), None, SartConfig(detect_ctrl=False, partition_by_fub=False))
-        assert res.node_avfs[cfg].role != "ctrl"
-
 
 class TestMemoriesAsStructures:
     def _design(self):
@@ -172,20 +165,12 @@ class TestMapping:
         with pytest.raises(MappingError):
             build_model(g, None)
 
-    def test_explicit_binding_must_be_sequential(self):
-        b = ModuleBuilder("m")
-        x = b.input("x")
-        y = b.gate("BUF", [x])
-        g = extract_graph(b.done())
-        with pytest.raises(MappingError):
-            build_model(g, None, extra_struct_bits={y: ("S", 0)})
-
     def test_explicit_binding_works(self):
         b = ModuleBuilder("m")
         x = b.input("x")
-        q = b.dff(x, name="q")
+        q = b.dff(x, name="q", attrs={"struct": "S", "bit": "3"})
         g = extract_graph(b.done())
-        model = build_model(g, None, extra_struct_bits={q: ("S", 3)})
+        model = build_model(g, None)
         assert model.struct_nodes[q] == ("S", 3)
         assert Atom(READ, "S", 3) in model.forward_fixed[q]
         assert Atom(WRITE, "S", 3) in model.contrib_through[q]

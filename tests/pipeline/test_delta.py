@@ -84,7 +84,7 @@ def _design(
 
 
 def _plan(module):
-    return build_plan(module, STRUCTS, CFG)
+    return build_plan(module, STRUCTS)
 
 
 def _solve(module, plan=None, warm_start=None, config=CFG):

@@ -1,8 +1,13 @@
 """Design registry: reference grammar, providers, and fingerprints."""
 
-import pytest
+import dataclasses
+import math
 
-from repro.errors import DesignRefError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import DesignRefError, ReproError
 from repro.pipeline.registry import (
     DesignProvider,
     ExlifProvider,
@@ -137,6 +142,20 @@ def test_bad_refs():
         resolve_design("bigcore@warp=9")
     with pytest.raises(DesignRefError, match="is not float"):
         resolve_design("bigcore@scale=fast")
+    # Non-finite numbers and configs the generators refuse name the
+    # parameter or the ref instead of failing inside the generator.
+    for ref in ("bigcore@scale=nan", "bigcore@scale=inf",
+                "bigcore@scale=-inf", "systolic@rows=3,tile=nan"):
+        with pytest.raises(DesignRefError, match=r"is not (finite|int)"):
+            resolve_design(ref)
+    with pytest.raises(DesignRefError, match="scale='nan' is not finite"):
+        resolve_design("bigcore", scale="nan")
+    for ref, reason in (("systolic@rows=0", "rows >= 1"),
+                        ("systolic@cols=-2", "cols >= 1"),
+                        ("systolic@tile=0", "tile must be >= 1"),
+                        ("systolic@acc_width=4", "acc_width must be >= data_width")):
+        with pytest.raises(DesignRefError, match=f"{ref!r}: .*{reason}"):
+            resolve_design(ref)
     with pytest.raises(DesignRefError, match="unknown program"):
         resolve_design("tinycore:quux").build()
 
@@ -156,3 +175,43 @@ def test_register_scheme():
         assert isinstance(resolve_design("fake:x"), Fake)
     finally:
         _SCHEMES.pop("fake", None)
+
+
+_REF_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0x10", "1_0", "", "x",
+                     "true", "LSU", "0.2"]),
+)
+_REF_PARAMS = st.dictionaries(
+    st.sampled_from(["scale", "seed", "fub_count", "feedback_fubs", "edit",
+                     "rows", "cols", "data_width", "acc_width", "tile",
+                     "parity", "top", "bogus", ""]),
+    _REF_VALUES, max_size=4,
+)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=500)
+@given(scheme=st.sampled_from(["bigcore", "systolic", "tinycore", "exlif",
+                               "mystery", ""]),
+       body=st.sampled_from(["", ":fib", ":quux", ":missing.exlif", ":@"]),
+       params=_REF_PARAMS,
+       junk=st.text(alphabet="@=,: ", max_size=3))
+def test_fuzz_design_refs(scheme, body, params, junk):
+    """A design ref resolves or raises a ReproError; an accepted ref's
+    provider names and fingerprints itself, and every float parameter
+    of its generator config is finite."""
+    tail = ",".join(f"{key}={value}" for key, value in params.items())
+    ref = scheme + body + (f"@{tail}" if tail else "") + junk
+    try:
+        provider = resolve_design(ref)
+        provider.ref
+        provider.fingerprint()
+    except ReproError:
+        return
+    config = getattr(provider, "config", None)
+    if config is not None:
+        for name, value in dataclasses.asdict(config).items():
+            if isinstance(value, float):
+                assert math.isfinite(value), (ref, name, value)

@@ -189,17 +189,71 @@ def test_ports_section_forms():
         spec_from_mapping({"design": "exlif:x", "ports": {"path": "p"}})
 
 
+_OUT_OF_RANGE = r"ports\.txt:2: pavf_r, pavf_w and avf must be numbers in \[0, 1\]"
+
+
 @pytest.mark.parametrize("content, message", [
     ("S2 0.1\n", r"ports\.txt:2: expected 'name pavf_r pavf_w \[avf\]'"),
     ("S2 0.1 high\n", r"ports\.txt:2: pavf_r, pavf_w and avf must be numbers"),
     (None, r"ports\.txt: cannot read ports file"),
-], ids=["short-line", "not-a-number", "unreadable"])
+    ("rf 1.5 0.2\n", _OUT_OF_RANGE),
+    ("dmem nan 0.1\n", _OUT_OF_RANGE),
+    ("rf 0.1 -0.2\n", _OUT_OF_RANGE),
+    ("rf 0.1 inf\n", _OUT_OF_RANGE),
+    ("rf 0.1 0.2 1.5\n", _OUT_OF_RANGE),
+    ("rf 0.1 0.2 nan\n", _OUT_OF_RANGE),
+], ids=["short-line", "not-a-number", "unreadable", "pavf-r-above-one",
+        "pavf-r-nan", "pavf-w-negative", "pavf-w-inf", "avf-above-one",
+        "avf-nan"])
 def test_malformed_ports_file_is_a_spec_error(tmp_path, content, message):
     path = tmp_path / "ports.txt"
     if content is not None:
         path.write_text("S1 0.1 0.0 0.3\n" + content)
     with pytest.raises(SpecError, match=message):
         execute(RunSpec(design="tinycore:fib", ports_file=str(path)))
+
+
+_PORT_NUMBERS = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.floats().map(repr),
+    st.integers(-2, 2).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.0", "1_0", "0x1", "high",
+                     "0.5#", "１"]),
+)
+_PORT_LINES = st.one_of(
+    st.builds(
+        lambda name, values, comment: " ".join([name, *values]) + comment,
+        st.sampled_from(["rf", "dmem", "S1", "irom#x"]),
+        st.lists(_PORT_NUMBERS, max_size=5),
+        st.sampled_from(["", " # note", "#"]),
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=300)
+@given(lines=st.lists(_PORT_LINES, max_size=6))
+def test_fuzz_ports_files(tmp_path_factory, lines):
+    """A ports file loads or raises a ReproError, and every table it
+    loads binds into a PavfEnv: each value is a pAVF in [0, 1]."""
+    from repro.core.pavf import READ, Atom, PavfEnv
+    from repro.core.symbolic import atom_value
+    from repro.errors import ReproError
+    from repro.pipeline.stages import PipelineContext, stage_ports_file
+
+    path = tmp_path_factory.mktemp("ports") / "ports.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        port_env = stage_ports_file(PipelineContext(), str(path))
+    except ReproError:
+        return
+    env = PavfEnv()
+    for name, ports in port_env.ports.items():
+        for role in ("r", "w", "ra", "wa"):
+            env.bind(Atom(READ, name, 0), atom_value(ports, role, 0))
+        if ports.avf is not None:
+            env.bind(Atom(READ, name, 1), ports.avf)
 
 
 # ----------------------------------------------------------------------

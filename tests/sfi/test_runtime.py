@@ -18,8 +18,10 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.sfi import plan_campaign, run_sfi_campaign
+from repro.sfi import runtime
 from repro.sfi.results import CRASH, TIMEOUT, PassFailure
 from repro.sfi.runtime import (
+    RETRY_DELAY_CAP,
     DegradedExecutionWarning,
     RuntimeOptions,
     backoff_delay,
@@ -349,32 +351,33 @@ class TestRetryBackoff:
         assert backoff_delay(3, 5, base=-1.0) == 0.0
 
     def test_deterministic_for_seeded_inputs(self):
-        first = [backoff_delay(i, a, base=0.1, seed=42)
+        first = [backoff_delay(i, a, base=0.1)
                  for i in range(4) for a in range(2, 6)]
-        second = [backoff_delay(i, a, base=0.1, seed=42)
+        second = [backoff_delay(i, a, base=0.1)
                   for i in range(4) for a in range(2, 6)]
         assert first == second
 
     def test_jitter_window_and_exponential_growth(self):
         for attempt in range(2, 8):
-            nominal = min(2.0, 0.1 * 2 ** (attempt - 2))
-            delay = backoff_delay(7, attempt, base=0.1, cap=2.0, seed=3)
+            nominal = min(RETRY_DELAY_CAP, 0.1 * 2 ** (attempt - 2))
+            delay = backoff_delay(7, attempt, base=0.1)
             assert 0.5 * nominal <= delay < nominal
 
     def test_cap_bounds_the_schedule(self):
-        assert backoff_delay(0, 50, base=1.0, cap=0.25) < 0.25
+        assert backoff_delay(0, 50, base=1.0) < RETRY_DELAY_CAP
 
     def test_passes_dephase(self):
-        delays = {backoff_delay(i, 2, base=1.0, seed=0) for i in range(16)}
+        delays = {backoff_delay(i, 2, base=1.0) for i in range(16)}
         assert len(delays) > 1  # jitter separates concurrent retriers
 
-    def test_retries_still_converge_with_backoff(self, tmp_path):
+    def test_retries_still_converge_with_backoff(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runtime, "RETRY_DELAY", 0.2)
         plan = _chaos(tmp_path, raises={1: 1})
         t0 = time.monotonic()
         report = run_passes(
             chaos_worker, chaos_init, plan, list(range(3)),
             workers=1,
-            options=RuntimeOptions(max_retries=3, retry_backoff=0.2),
+            options=RuntimeOptions(max_retries=3),
         )
         elapsed = time.monotonic() - t0
         assert report.results == [0, 1, 4]
@@ -382,13 +385,14 @@ class TestRetryBackoff:
         # Attempt 2 of pass 1 waited at least the jitter floor (0.5x).
         assert elapsed >= 0.09
 
-    def test_pool_path_applies_backoff_between_attempts(self, tmp_path):
+    def test_pool_path_applies_backoff_between_attempts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runtime, "RETRY_DELAY", 0.2)
         plan = _chaos(tmp_path, raises={2: 2})
         t0 = time.monotonic()
         report = run_passes(
             chaos_worker, chaos_init, plan, list(range(6)),
             workers=2,
-            options=RuntimeOptions(max_retries=3, retry_backoff=0.2),
+            options=RuntimeOptions(max_retries=3),
         )
         elapsed = time.monotonic() - t0
         assert report.results == EXPECT

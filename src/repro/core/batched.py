@@ -37,7 +37,6 @@ from repro.core.compiled import (
     _MODE_ATOM,
     _MODE_STRUCT,
     AtomTable,
-    SetEvaluator,
     SolvePlan,
     resolve_ids,
 )
@@ -56,7 +55,7 @@ _TOP_ID = SetInterner.TOP_ID
 
 
 class BatchedEvaluator:
-    """Values of interned sets under W environments at once.
+    """Values of interned sets under W environments at once (numpy only).
 
     ``matrix(sids)`` returns a ``(len(sids), W)`` float array whose
     column *w* is bit-identical to ``SetEvaluator(interner, envs[w])``
@@ -66,31 +65,17 @@ class BatchedEvaluator:
     :func:`~repro.core.compiled.resolve_ids`.
     """
 
-    def __init__(
-        self,
-        interner: SetInterner,
-        envs: Sequence[PavfEnv],
-        *,
-        use_numpy: bool | None = None,
-    ):
+    def __init__(self, interner: SetInterner, envs: Sequence[PavfEnv]):
         self.interner = interner
         self.envs = list(envs)
         self.width = len(self.envs)
-        self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
-        if self.use_numpy:
-            self._table = AtomTable(interner, self.envs)
-            # One dense row of W values per set id, valid where filled;
-            # EMPTY and TOP are seeded like SetEvaluator's.
-            self._vals = _np.zeros((len(interner), self.width), dtype=_np.float64)
-            self._vals[_TOP_ID] = 1.0
-            self._filled = _np.zeros(len(interner), dtype=bool)
-            self._filled[[_EMPTY_ID, _TOP_ID]] = True
-        # Fallback path: one scalar evaluator per environment.
-        self._scalar = (
-            None
-            if self.use_numpy
-            else [SetEvaluator(interner, env, use_numpy=False) for env in self.envs]
-        )
+        self._table = AtomTable(interner, self.envs)
+        # One dense row of W values per set id, valid where filled;
+        # EMPTY and TOP are seeded like SetEvaluator's.
+        self._vals = _np.zeros((len(interner), self.width), dtype=_np.float64)
+        self._vals[_TOP_ID] = 1.0
+        self._filled = _np.zeros(len(interner), dtype=bool)
+        self._filled[[_EMPTY_ID, _TOP_ID]] = True
 
     def _fill(self, sids) -> None:
         grow = len(self.interner) - len(self._filled)
@@ -107,20 +92,12 @@ class BatchedEvaluator:
             self._filled[pending] = True
 
     def matrix(self, sids: Sequence[int]):
-        """``(len(sids), W)`` values; requires numpy."""
+        """``(len(sids), W)`` values of set ids *sids*."""
         sids = _np.asarray(sids, dtype=_np.int64)
         self._fill(sids)
         out = self._vals[_np.maximum(sids, 0)]
         out[sids < 0] = 1.0
         return out
-
-    def value(self, sid: int, w: int) -> float:
-        """Scalar value of set *sid* under environment *w*."""
-        if sid < 0:
-            return 1.0
-        if not self.use_numpy:
-            return self._scalar[w].value(sid)
-        return float(self.matrix((sid,))[0, w])
 
 
 @dataclass

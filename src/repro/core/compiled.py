@@ -12,8 +12,11 @@ This module lowers the annotated model **once** into integer form:
   in (kind, name, bit) order written as it is interned, and joined by a
   memoized union kernel (:meth:`~repro.core.pavf.SetInterner.union_ids`),
 * the forward and backward topological orders are computed once and
-  per-FUB schedules are derived from them by bucketing,
-* loop detection runs as an integer Tarjan over the CSR arrays.
+  per-FUB schedules are derived from them by bucketing.
+
+The model itself (structure bits, control registers, loop boundaries)
+comes from :func:`~repro.core.graphmodel.build_model`, whose loop finder
+runs over the same fan-in CSR the plan shares with the graph.
 
 A :class:`SolvePlan` bundles all of that and is reusable across many
 :class:`~repro.core.pavf.PavfEnv` bindings: monolithic solves are purely
@@ -38,8 +41,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import SartError
-from repro.core import controlregs
-from repro.core.graphmodel import AvfModel, StructurePorts, build_model, structure_nets
+from repro.core.graphmodel import AvfModel, StructurePorts, build_model
 from repro.core.pavf import Atom, CTRL, LOOP, PavfEnv, SetInterner
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.resolve import (
@@ -280,11 +282,7 @@ class SolvePlan:
         plan.graph = graph
 
         plan._lower_connectivity()
-        ctrl_nets = controlregs.find_control_registers(graph)
-        loop_nets = plan._find_loop_nets(structure_nets(graph) | ctrl_nets)
-        plan.model = build_model(
-            graph, structures, loop_nets=loop_nets, ctrl_nets=ctrl_nets
-        )
+        plan.model = build_model(graph, structures)
         plan._lower_model()
         plan._build_orders()
         plan._build_partition_arrays()
@@ -313,93 +311,6 @@ class SolvePlan:
                 src = fanin_ix[i]
                 fanout_ix[cursor[src]] = nid
                 cursor[src] += 1
-
-    def _find_loop_nets(self, cut: set[str]) -> set[str]:
-        """Integer Tarjan over the CSR fan-in arrays (paper Section 4.3).
-
-        Same classification as :func:`repro.core.loops.find_loop_nets`:
-        nodes in *cut* break cycles, sequential members of non-trivial
-        SCCs (or with self edges) become loop boundaries.
-        """
-        n = self.n
-        ids, names = self.ids, self.names
-        fanin_ptr, fanin_ix = self.fanin_ptr, self.fanin_ix
-        kinds = self.graph.kinds
-        is_cut = bytearray(n)
-        for net in cut:
-            nid = ids.get(net)
-            if nid is not None:
-                is_cut[nid] = 1
-
-        UNSEEN = -1
-        index = [UNSEEN] * n
-        lowlink = [0] * n
-        on_stack = bytearray(n)
-        stack: list[int] = []
-        counter = 0
-        loops: set[str] = set()
-
-        def classify(component: list[int]) -> None:
-            if len(component) == 1:
-                nid = component[0]
-                if is_cut[nid]:
-                    return
-                lo, hi = fanin_ptr[nid], fanin_ptr[nid + 1]
-                if nid not in fanin_ix[lo:hi]:
-                    return
-            seq = [
-                names[m]
-                for m in component
-                if kinds[m] == NodeKind.SEQ
-            ]
-            if not seq:
-                raise SartError(
-                    "combinational cycle in node graph (validation should "
-                    f"have caught this): {sorted(names[m] for m in component)[:8]}"
-                )
-            loops.update(seq)
-
-        for root in range(n):
-            if index[root] != UNSEEN:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                nid, child_i = work[-1]
-                if child_i == 0:
-                    index[nid] = lowlink[nid] = counter
-                    counter += 1
-                    stack.append(nid)
-                    on_stack[nid] = 1
-                lo = fanin_ptr[nid]
-                hi = lo if is_cut[nid] else fanin_ptr[nid + 1]
-                advanced = False
-                for i in range(lo + child_i, hi):
-                    child = fanin_ix[i]
-                    if index[child] == UNSEEN:
-                        work[-1] = (nid, i - lo + 1)
-                        work.append((child, 0))
-                        advanced = True
-                        break
-                    if on_stack[child]:
-                        if index[child] < lowlink[nid]:
-                            lowlink[nid] = index[child]
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[nid] < lowlink[parent]:
-                        lowlink[parent] = lowlink[nid]
-                if lowlink[nid] == index[nid]:
-                    component: list[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = 0
-                        component.append(member)
-                        if member == nid:
-                            break
-                    classify(component)
-        return loops
 
     def _lower_model(self) -> None:
         model, ids, n = self.model, self.ids, self.n

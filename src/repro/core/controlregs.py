@@ -9,7 +9,8 @@ write-ports."
 Identification here uses, in order:
 
 1. the explicit ``ctrlreg`` instance attribute set by the design,
-2. configurable name patterns (``cfg``/``csr``/``ctrl`` conventions),
+2. the name patterns of :data:`DEFAULT_PATTERNS` (``cfg``/``csr``/
+   ``ctrlreg`` conventions),
 
 mirroring the paper's name-based convention. Driving-clock identification
 has no equivalent in our single-clock substrate.
@@ -18,37 +19,28 @@ has no equivalent in our single-clock substrate.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from repro.netlist.graph import NetGraph
 
-DEFAULT_PATTERNS: tuple[str, ...] = (
+DEFAULT_PATTERNS: tuple[re.Pattern, ...] = tuple(re.compile(p) for p in (
     r"(^|[_/])cfg([_/\[]|$)",
     r"(^|[_/])csr([_/\[]|$)",
     r"(^|[_/])ctrlreg([_/\[]|$)",
-)
+))
 
 
-def find_control_registers(
-    graph: NetGraph,
-    patterns: Iterable[str] = DEFAULT_PATTERNS,
-    exclude: Iterable[str] = (),
-) -> set[str]:
+def find_control_registers(graph: NetGraph) -> set[str]:
     """Nets of sequential nodes identified as control-register bits.
 
-    *exclude* removes nets already claimed by another role (e.g. structure
-    bits — a latch array named ``cfg_table`` stays a structure).
+    A structure bit that also matches keeps its structure role: that
+    precedence is applied by :func:`~repro.core.graphmodel.build_model`.
     """
-    compiled = [re.compile(p) for p in patterns]
-    excluded = set(exclude)
     found: set[str] = set()
     for net, inst, attrs in graph.seq_items():
-        if net in excluded:
-            continue
         if attrs.get("ctrlreg"):
             found.add(net)
             continue
         subject = f"{inst or ''} {net}"
-        if any(rx.search(subject) for rx in compiled):
+        if any(rx.search(subject) for rx in DEFAULT_PATTERNS):
             found.add(net)
     return found

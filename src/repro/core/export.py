@@ -17,7 +17,7 @@ from repro.core.resolve import NodeAvf
 from repro.core.sart import SartResult
 
 
-def node_avfs_csv(result: SartResult, *, only_sequential: bool = False) -> str:
+def node_avfs_csv(result: SartResult) -> str:
     """Per-node AVF table: net, instance, fub, kind, role, fwd, bwd, avf."""
     out = io.StringIO()
     writer = csv.writer(out)
@@ -25,8 +25,6 @@ def node_avfs_csv(result: SartResult, *, only_sequential: bool = False) -> str:
                      "forward", "backward", "avf", "visited"])
     graph = result.model.graph
     for net, node in sorted(result.node_avfs.items()):
-        if only_sequential and node.kind != "seq":
-            continue
         inst = graph.inst(graph.ids[net]) or ""
         writer.writerow([
             net, inst, node.fub, node.kind, node.role,
@@ -98,10 +96,8 @@ def closed_form_text(result: SartResult, nets: Iterable[str] | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-def worst_nodes(
-    result: SartResult, count: int = 20, *, sequential_only: bool = True
-) -> list[NodeAvf]:
-    """The highest-AVF nodes — the hardened-cell shopping list.
+def worst_nodes(result: SartResult, count: int = 20) -> list[NodeAvf]:
+    """The highest-AVF sequential nodes — the hardened-cell shopping list.
 
     This is the paper's stated purpose: "A fast and accurate means of
     determining the most vulnerable sequentials is required to determine
@@ -110,7 +106,7 @@ def worst_nodes(
     """
     pool = [
         node for node in result.node_avfs.values()
-        if (not sequential_only or node.kind == "seq") and node.role != "struct"
+        if node.kind == "seq" and node.role != "struct"
     ]
     pool.sort(key=lambda n: (-n.avf, n.net))
     return pool[:count]

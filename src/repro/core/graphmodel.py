@@ -26,9 +26,11 @@ even when its enable gives it a hold loop).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import MappingError
+from repro.core.controlregs import find_control_registers
+from repro.core.loops import find_loop_nets
 from repro.core.pavf import (
     BOUNDARY,
     CONST,
@@ -117,44 +119,28 @@ class AvfModel:
     # atom -> (role, structure, flat bit); role in r/w/ra/wa/wen.
     atom_bindings: dict[Atom, tuple[str, str, int]] = field(default_factory=dict)
 
-    def is_backward_fixed(self, net: str) -> bool:
-        return net in self.contrib_through
-
     def add_sink(self, net: str, atom: Atom) -> None:
         self.static_sinks.setdefault(net, []).append(atom)
-
-
-def structure_nets(graph: NetGraph) -> set[str]:
-    """Nets that carry ACE-structure bits (DFF ``struct`` attrs).
-
-    Structure bits and control registers terminate walks, so cycles
-    passing through them are not propagation loops — callers compute this
-    set before loop classification and pass it as the SCC *cut*.
-    """
-    return {net for net, _attrs in graph.struct_tagged()}
 
 
 def build_model(
     graph: NetGraph,
     structures: Mapping[str, StructurePorts] | None = None,
-    *,
-    loop_nets: Iterable[str] = (),
-    ctrl_nets: Iterable[str] = (),
 ) -> AvfModel:
-    """Assemble the annotated model.
+    """Assemble the annotated model: SART's one front end.
 
     Args:
         graph: Extracted node graph of the flattened design.
         structures: Port AVFs per structure name. Structures referenced by
             the netlist but missing here get conservative defaults.
-        loop_nets: Sequential nets classified as loop boundaries
-            (:func:`repro.core.loops.find_loop_nets` output — structure and
-            control nets are removed here by precedence).
-        ctrl_nets: Control-register nets
-            (:func:`repro.core.controlregs.find_control_registers`).
 
-    Address and enable nets of MEM ports receive the port's traffic rate
-    as read/write atoms.
+    Structure bits come from DFF ``struct`` attrs and MEM instances;
+    control registers from :func:`~repro.core.controlregs.
+    find_control_registers`; loop boundaries from
+    :func:`~repro.core.loops.find_loop_nets`, with the graph cut at the
+    structure bits and control registers, where walks terminate. Address
+    and enable nets of MEM ports receive the port's traffic rate as
+    read/write atoms.
     """
     structures = dict(structures or {})
     model = AvfModel(graph=graph, structures=structures)
@@ -216,7 +202,7 @@ def build_model(
     # ------------------------------------------------------------------
     # control registers (precedence: structures win)
     # ------------------------------------------------------------------
-    for net in ctrl_nets:
+    for net in find_control_registers(graph):
         if net in model.struct_nodes:
             continue
         model.ctrl_nets.add(net)
@@ -225,11 +211,9 @@ def build_model(
         model.contrib_through[net] = frozenset()
 
     # ------------------------------------------------------------------
-    # loop boundaries (structures and control registers excluded)
+    # loop boundaries (a cut node is never one)
     # ------------------------------------------------------------------
-    for net in loop_nets:
-        if net in model.struct_nodes or net in model.ctrl_nets:
-            continue
+    for net in find_loop_nets(graph, model.struct_nodes.keys() | model.ctrl_nets):
         model.loop_nets.add(net)
         atom_set = frozenset((Atom(LOOP, net),))
         model.forward_fixed[net] = atom_set

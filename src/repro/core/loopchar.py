@@ -28,26 +28,26 @@ def measure_activity(
     nets: Iterable[str],
     *,
     cycles: int,
-    lane: int = 0,
     stimulus=None,
 ) -> dict[str, float]:
     """Per-net value-change rate over a *cycles*-long simulation.
 
     ``stimulus(sim, cycle)`` may drive primary inputs each cycle. The
-    simulator is reset first. Returns net -> changes / cycles in [0, 1].
+    simulator is reset first and lane 0 is observed. Returns net ->
+    changes / cycles in [0, 1].
     """
     nets = list(nets)
     if cycles < 1:
         raise SartError("measure_activity needs at least one cycle")
     sim.reset()
-    previous = {net: sim.peek_lane(net, lane) for net in nets}
+    previous = {net: sim.peek_lane(net, 0) for net in nets}
     changes = {net: 0 for net in nets}
     for cycle in range(cycles):
         if stimulus is not None:
             stimulus(sim, cycle)
         sim.step()
         for net in nets:
-            value = sim.peek_lane(net, lane)
+            value = sim.peek_lane(net, 0)
             if value != previous[net]:
                 changes[net] += 1
                 previous[net] = value

@@ -7,119 +7,111 @@ finds loops in the node graph, breaks them, and injects a static pAVF at
 the loop-boundary nodes — 0.3 after the Figure 8 sweep.
 
 We find strongly connected components of the node graph with an iterative
-Tarjan (recursion-free: node graphs have very long paths). Every
-*sequential* node inside a non-trivial SCC — or with a self edge, which is
-how enabled flops appear after extraction — becomes a loop-boundary node:
-a pseudo-structure where walks start and stop with the injected value.
-Combinational nodes inside an SCC need no special treatment: once the
-sequential loop nodes are fixed, every remaining dependency path is
-acyclic (pure combinational cycles are rejected by netlist validation).
+Tarjan over the graph's integer fan-in CSR (recursion-free: node graphs
+have very long paths). Every *sequential* node inside a non-trivial SCC —
+or with a self edge, which is how enabled flops appear after extraction —
+becomes a loop-boundary node: a pseudo-structure where walks start and
+stop with the injected value. Combinational nodes inside an SCC need no
+special treatment: once the sequential loop nodes are fixed, every
+remaining dependency path is acyclic (pure combinational cycles are
+rejected by netlist validation).
+
+:func:`~repro.core.graphmodel.build_model` is the one caller: it cuts the
+graph at the structure bits and control registers it has assigned first.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.errors import SartError
 from repro.netlist.graph import NetGraph, NodeKind
 
 
-def strongly_connected_components(
-    graph: NetGraph, cut: frozenset[str] | set[str] = frozenset()
-) -> list[list[str]]:
-    """Tarjan SCCs over fanin edges, iterative. Returns lists of nets.
+def find_loop_nets(graph: NetGraph, cut: Iterable[str]) -> set[str]:
+    """Nets of sequential nodes that participate in a loop.
 
-    Nodes in *cut* are treated as having no fan-in: pAVF walks terminate
-    at ACE structures and control registers, so a cycle passing through
-    one is not a propagation loop (the paper's walks "start and stop" at
-    structures). Pass the structure/control nets here before classifying
-    loops.
+    A node is in a loop when its SCC has more than one member or when it
+    has a self edge. Nodes in *cut* (structure bits, control registers)
+    are treated as having no fan-in: pAVF walks terminate there, so a
+    cycle passing through one is not a propagation loop. Only sequential
+    members are returned (they are the boundary nodes the paper injects
+    values into); an SCC containing no sequential node at all is a
+    combinational cycle, which raises :class:`SartError`.
     """
-    index_counter = 0
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    fanins = graph.fanins()
-    empty: tuple[str, ...] = ()
+    n = len(graph)
+    ids, names, kinds = graph.ids, graph.names, graph.kinds
+    fanin_ptr, fanin_ix = graph.fanin_ptr, graph.fanin_ix
+    is_cut = bytearray(n)
+    for net in cut:
+        nid = ids.get(net)
+        if nid is not None:
+            is_cut[nid] = 1
 
-    for root in fanins:
-        if root in index:
+    UNSEEN = -1
+    index = [UNSEEN] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    counter = 0
+    loops: set[str] = set()
+
+    def classify(component: list[int]) -> None:
+        if len(component) == 1:
+            # Almost every SCC is a single node, which is a loop only via
+            # a self edge (never when cut: its fan-in is not traversed).
+            nid = component[0]
+            if is_cut[nid]:
+                return
+            lo, hi = fanin_ptr[nid], fanin_ptr[nid + 1]
+            if nid not in fanin_ix[lo:hi]:
+                return
+        seq = [names[m] for m in component if kinds[m] == NodeKind.SEQ]
+        if not seq:
+            raise SartError(
+                "combinational cycle in node graph (validation should "
+                f"have caught this): {sorted(names[m] for m in component)[:8]}"
+            )
+        loops.update(seq)
+
+    for root in range(n):
+        if index[root] != UNSEEN:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
-            net, child_i = work[-1]
+            nid, child_i = work[-1]
             if child_i == 0:
-                index[net] = index_counter
-                lowlink[net] = index_counter
-                index_counter += 1
-                stack.append(net)
-                on_stack.add(net)
-            fanin = empty if net in cut else fanins[net]
+                index[nid] = lowlink[nid] = counter
+                counter += 1
+                stack.append(nid)
+                on_stack[nid] = 1
+            lo = fanin_ptr[nid]
+            hi = lo if is_cut[nid] else fanin_ptr[nid + 1]
             advanced = False
-            for i in range(child_i, len(fanin)):
-                child = fanin[i]
-                if child not in index:
-                    work[-1] = (net, i + 1)
+            for i in range(lo + child_i, hi):
+                child = fanin_ix[i]
+                if index[child] == UNSEEN:
+                    work[-1] = (nid, i - lo + 1)
                     work.append((child, 0))
                     advanced = True
                     break
-                if child in on_stack:
-                    lowlink[net] = min(lowlink[net], index[child])
+                if on_stack[child]:
+                    if index[child] < lowlink[nid]:
+                        lowlink[nid] = index[child]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[net])
-            if lowlink[net] == index[net]:
-                component = []
+                if lowlink[nid] < lowlink[parent]:
+                    lowlink[parent] = lowlink[nid]
+            if lowlink[nid] == index[nid]:
+                component: list[int] = []
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
+                    on_stack[member] = 0
                     component.append(member)
-                    if member == net:
+                    if member == nid:
                         break
-                sccs.append(component)
-    return sccs
-
-
-def find_loop_nets(graph: NetGraph, cut: frozenset[str] | set[str] = frozenset()) -> set[str]:
-    """Nets of sequential nodes that participate in a loop.
-
-    A node is in a loop when its SCC has more than one member or when it
-    has a self edge. Only sequential members are returned (they are the
-    boundary nodes the paper injects values into); an SCC containing no
-    sequential node at all would be a combinational cycle, which is a
-    structural error. *cut* lists nets (structure bits, control
-    registers) that break cycles because walks terminate there.
-    """
-    loops: set[str] = set()
-    cut_set = cut if isinstance(cut, (set, frozenset)) else set(cut)
-    fanins, ids, kinds = graph.fanins(), graph.ids, graph.kinds
-    for component in strongly_connected_components(graph, cut_set):
-        if len(component) == 1:
-            # Fast path: almost every SCC is a single node, which is a
-            # loop only via a self edge (and never when cut — cut nodes
-            # have no fan-in, so their self edge is not traversed).
-            net = component[0]
-            if net in cut_set or net not in fanins[net]:
-                continue
-        # A multi-node SCC cannot contain cut nodes (no fan-in).
-        seq = {net for net in component if kinds[ids[net]] == NodeKind.SEQ}
-        if not seq:
-            raise SartError(
-                "combinational cycle in node graph (validation should have "
-                f"caught this): {sorted(component)[:8]}"
-            )
-        loops.update(seq)
+                classify(component)
     return loops
-
-
-def loop_statistics(graph: NetGraph, loop_nets: set[str]) -> dict[str, float]:
-    """Loop inventory as the paper reports it (Section 6.1)."""
-    seq_total = len(graph.seq_nets())
-    return {
-        "loop_bits": len(loop_nets),
-        "sequential_bits": seq_total,
-        "loop_fraction": (len(loop_nets) / seq_total) if seq_total else 0.0,
-    }

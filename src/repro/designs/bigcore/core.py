@@ -10,6 +10,7 @@ genuinely needs multiple iterations to converge.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -52,9 +53,16 @@ _TEMPLATES: tuple[FubTemplate, ...] = (
 )
 
 
+# Largest node graph a generator config may ask for. It admits every
+# size the repo runs (bigcore scale 4 is ~56k nodes, systolic 104x104
+# 1,018,538) and refuses a size that would generate for hours.
+MAX_NODES = 2_000_000
+
+
 @dataclass(frozen=True)
 class BigcoreConfig:
-    """Generator parameters."""
+    """Generator parameters; a ``scale`` not above 0, a ``fub_count``
+    below 1 or a config above :data:`MAX_NODES` is a ValueError."""
 
     seed: int = 42
     scale: float = 1.0         # multiplies fabric size and array width
@@ -63,6 +71,37 @@ class BigcoreConfig:
     # ECO probe: name of one FUB to re-buffer post-generation (see
     # _apply_fub_edit). None builds the pristine design.
     edit: str | None = None
+
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise ValueError(f"scale must be > 0, got {self.scale:g}")
+        if self.fub_count is not None and self.fub_count < 1:
+            raise ValueError("fub_count must be >= 1")
+        try:
+            nodes = _node_bound(self)
+        except OverflowError:  # a scale int() cannot hold
+            nodes = math.inf
+        if nodes > MAX_NODES:
+            raise ValueError(
+                f"scale={self.scale:g} generates up to {nodes:.3g} nodes, "
+                f"above the {MAX_NODES:,}-node ceiling"
+            )
+
+
+def _node_bound(config: BigcoreConfig) -> int:
+    """Upper bound on the node count of the graph *config* generates.
+
+    Per FUB: a node per staged input, control register and output
+    buffer; three per FSM bit (flop, XOR, AND); two per array bit and
+    fabric flop (the flop and the gate driving it); and, as if every FUB
+    had them, the core's input and output nodes and four feedback flops.
+    Plus the two ECO inverters.
+    """
+    return 2 + sum(
+        2 * (t.inputs + t.outputs) + 4 + t.ctrl_regs + 3 * t.fsms * t.fsm_bits
+        + 2 * (t.arrays * t.array_width + t.fabric_flops)
+        for t in _templates(config)
+    )
 
 
 @dataclass
@@ -85,8 +124,7 @@ def build_bigcore(config: BigcoreConfig | None = None) -> BigcoreDesign:
     """Generate the synthetic core (deterministic per config)."""
     config = config or BigcoreConfig()
     rng = random.Random(config.seed)
-    templates = _TEMPLATES[: config.fub_count] if config.fub_count else _TEMPLATES
-    templates = [_scaled(t, config.scale) for t in templates]
+    templates = _templates(config)
 
     b = ModuleBuilder("bigcore")
     # Top-level stimulus bundle (the RTL boundary pseudo-structure).
@@ -170,6 +208,11 @@ def _apply_fub_edit(module: Module, fub: str) -> None:
         f"{fub}/eco_inv2", "NOT", {"a": mid, "y": out}, attrs={"fub": fub}
     ))
     target.conn["d"] = out
+
+
+def _templates(config: BigcoreConfig) -> list[FubTemplate]:
+    """The FUB templates *config* selects, at its scale."""
+    return [_scaled(t, config.scale) for t in _TEMPLATES[: config.fub_count]]
 
 
 def _scaled(template: FubTemplate, scale: float) -> FubTemplate:

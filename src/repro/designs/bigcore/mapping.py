@@ -20,13 +20,15 @@ from repro.core.graphmodel import StructurePorts
 from repro.designs.bigcore.core import BigcoreDesign
 from repro.errors import MappingError
 
+# Relative spread of each array's rates around its structure's, and the
+# seed that draws it (one fixed draw per array, in array order).
+JITTER = 0.25
+JITTER_SEED = 7
+
 
 def map_structure_ports(
     design: BigcoreDesign,
     model_ports: Mapping[str, StructurePorts],
-    *,
-    jitter: float = 0.25,
-    seed: int = 7,
 ) -> dict[str, StructurePorts]:
     """Build the per-array StructurePorts table for SART.
 
@@ -35,10 +37,8 @@ def map_structure_ports(
         model_ports: ACE-model output, keyed by performance-model structure
             name (fetch_buffer, inst_queue, rob, regfile, load_queue,
             store_buffer).
-        jitter: Relative spread applied per array (0 disables).
-        seed: Jitter determinism.
     """
-    rng = random.Random(seed)
+    rng = random.Random(JITTER_SEED)
     out: dict[str, StructurePorts] = {}
     for array_name, kind in design.structure_kinds.items():
         base = model_ports.get(kind)
@@ -46,7 +46,7 @@ def map_structure_ports(
             raise MappingError(
                 f"array {array_name!r} maps to {kind!r}, absent from the ACE model"
             )
-        factor = 1.0 + rng.uniform(-jitter, jitter) if jitter > 0 else 1.0
+        factor = 1.0 + rng.uniform(-JITTER, JITTER)
         out[array_name] = StructurePorts(
             name=array_name,
             pavf_r=_clamp(_scalar(base.pavf_r) * factor),

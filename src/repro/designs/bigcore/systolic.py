@@ -39,6 +39,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO
 
+from repro.designs.bigcore.core import MAX_NODES
 from repro.netlist.exlif import cell_line
 from repro.netlist.netlist import INPUT, OUTPUT, Instance, Module
 from repro.netlist.validate import validate_module
@@ -61,6 +62,12 @@ class SystolicConfig:
             raise ValueError("acc_width must be >= data_width")
         if self.tile < 1:
             raise ValueError("tile must be >= 1")
+        nodes = node_count(self)
+        if nodes > MAX_NODES:
+            raise ValueError(
+                f"the array is {nodes:.3g} nodes, above the "
+                f"{MAX_NODES:,}-node ceiling"
+            )
 
 
 @dataclass

@@ -27,16 +27,18 @@ class TinycoreProvider:
     program: str
     parity: bool = False
 
+    def __post_init__(self):
+        if self.program not in PROGRAMS:
+            raise DesignRefError(
+                f"unknown program {self.program!r}; have {sorted(PROGRAMS)}"
+            )
+
     @property
     def ref(self) -> str:
         suffix = "@parity=1" if self.parity else ""
         return f"tinycore:{self.program}{suffix}"
 
     def words(self) -> tuple[list[int], list[int] | None]:
-        if self.program not in PROGRAMS:
-            raise DesignRefError(
-                f"unknown program {self.program!r}; have {sorted(PROGRAMS)}"
-            )
         return program(self.program), default_dmem(self.program)
 
     def fingerprint(self) -> str:

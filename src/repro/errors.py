@@ -73,18 +73,20 @@ class PipelineError(ReproError):
     """Error in the staged analysis pipeline (registry, store, runner)."""
 
 
-class DesignRefError(PipelineError):
+class SpecError(PipelineError):
+    """A declarative run-spec file is malformed or inconsistent."""
+
+
+class DesignRefError(SpecError):
     """A design reference could not be resolved to a provider.
 
     References take the form ``tinycore:<program>``,
     ``bigcore[@scale=...,seed=...]``, or ``exlif:<path>[@top=...]``;
     this is raised for unknown schemes, unknown programs, malformed
-    parameter lists, and missing EXLIF files.
+    parameter lists, sizes above the generators' node ceiling, and
+    missing EXLIF files. A bad reference is a bad spec: the job server
+    answers it with a 400.
     """
-
-
-class SpecError(PipelineError):
-    """A declarative run-spec file is malformed or inconsistent."""
 
 
 class CacheDegradedWarning(UserWarning):

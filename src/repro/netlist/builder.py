@@ -74,9 +74,6 @@ class ModuleBuilder:
     def input_bus(self, name: str, width: int) -> list[str]:
         return [self.input(n) for n in bus(name, width)]
 
-    def output_bus(self, name: str, width: int) -> list[str]:
-        return [self.output(n) for n in bus(name, width)]
-
     # ------------------------------------------------------------------
     # instances
     # ------------------------------------------------------------------
@@ -134,9 +131,6 @@ class ModuleBuilder:
 
     def or_(self, *ins: str, **kw) -> str:
         return self.gate("OR", list(ins), **kw)
-
-    def nand_(self, *ins: str, **kw) -> str:
-        return self.gate("NAND", list(ins), **kw)
 
     def nor_(self, *ins: str, **kw) -> str:
         return self.gate("NOR", list(ins), **kw)

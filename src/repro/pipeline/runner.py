@@ -96,8 +96,6 @@ class RunOutcome:
     beam: CampaignOutcome | None = None
     export_path: str | None = None
     events: list[StageEvent] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 def sart_config(spec: SartSpec) -> SartConfig:
@@ -294,6 +292,4 @@ def execute(
         outcome.beam = stage_beam(ctx, beam_design, spec.beam, spec.campaign)
 
     outcome.events = ctx.events
-    outcome.cache_hits = ctx.store.hits
-    outcome.cache_misses = ctx.store.misses
     return outcome

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.errors import SpecError
+from repro.pipeline.registry import resolve_design
 
 
 class _Section:
@@ -291,6 +292,7 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
         design = design.get("ref")
     if not isinstance(design, str) or not design:
         raise SpecError("run-spec needs a design reference: design = \"tinycore:fib\"")
+    resolve_design(design)  # a bad ref raises here, before anything runs
     ports_file = data.pop("ports", None)
     if isinstance(ports_file, Mapping):
         extra = set(ports_file) - {"file"}
@@ -312,6 +314,8 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
             f"unknown section(s) {sorted(data)}; "
             f"have {sorted(_SECTIONS) + ['design', 'ports']}"
         )
+    if "eco" in sections:
+        resolve_design(sections["eco"].baseline)
     return RunSpec(
         design=design,
         workloads=sections.get("workloads"),

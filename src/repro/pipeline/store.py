@@ -49,14 +49,12 @@ _STAGE_OK = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
 class ArtifactStore:
     """Pickle-backed content-addressed store rooted at *root*.
 
-    ``hits``/``misses`` count ``fetch`` outcomes for observability (the
-    warm-cache smoke test and ``BENCH_pipeline.json`` read them).
+    Each ``fetch`` reports whether it hit; the pipeline records that on
+    its :class:`~repro.pipeline.stages.StageEvent` as ``cached``.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     def path(self, stage: str, fingerprint: str) -> Path:
@@ -121,9 +119,7 @@ class ArtifactStore:
         """
         obj = self.load(stage, fingerprint)
         if obj is not None:
-            self.hits += 1
             return obj, True
-        self.misses += 1
         obj = compute()
         if keep is None or keep(obj):
             self.persist(stage, fingerprint, obj)
@@ -156,9 +152,9 @@ class ArtifactStore:
     def stats(self) -> dict:
         """On-disk footprint snapshot (served by ``/stats`` in serve mode).
 
-        Counts the directory, not this instance's hit/miss tallies: the
-        server's worker processes write the same root through their own
-        store objects, so the disk is the only shared source of truth.
+        Counts the directory: the server's worker processes write the same
+        root through their own store objects, so the disk is the only
+        shared source of truth.
         """
         per_stage: dict[str, int] = {}
         total_bytes = 0
@@ -181,10 +177,6 @@ class NullStore:
 
     root = None
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def load(self, stage: str, fingerprint: str) -> None:
         return None
 
@@ -195,7 +187,6 @@ class NullStore:
         self, stage: str, fingerprint: str, compute: Callable[[], Any],
         *, keep: Callable[[Any], bool] | None = None,
     ) -> tuple[Any, bool]:
-        self.misses += 1
         return compute(), False
 
     def entries(self) -> list[tuple[str, str]]:

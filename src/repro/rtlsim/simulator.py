@@ -220,10 +220,6 @@ class MemState:
         else:
             overlay[addr] = word
 
-    def diverged_lanes(self) -> set[int]:
-        """Lanes whose memory contents differ from the shared base."""
-        return {lane for lane, overlay in self.overlays.items() if overlay}
-
 
 class Simulator:
     """Compile and simulate a flattened module, ``lanes`` runs at a time."""

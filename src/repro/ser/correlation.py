@@ -96,11 +96,6 @@ class CorrelationRow:
         low, high = self.measured.rate_interval()
         return low <= self.modeled_sart <= high
 
-    @property
-    def derated_within_measurement_error(self) -> bool:
-        low, high = self.measured.rate_interval()
-        return low <= self.modeled_derated <= high
-
 
 def model_rates(
     name: str,

@@ -66,13 +66,13 @@ class FitModel:
         return out
 
 
-def sdc_rate_per_cycle(model: FitModel, flux_scale: float = 1.0) -> float:
-    """Expected SDC events per simulated cycle under a given flux.
+def sdc_rate_per_cycle(model: FitModel) -> float:
+    """Expected SDC events per simulated cycle.
 
     Under the beam substitution, a strike hits a given bit with
-    probability ``intrinsic x flux_scale`` per cycle and upsets the
-    program with probability AVF, so the expected event rate is simply
-    the accumulated FIT times the flux scale. This is the quantity the
-    measured beam rate is correlated against.
+    probability ``intrinsic_fit_per_bit`` per cycle (the flux is part of
+    that rate) and upsets the program with probability AVF, so the
+    expected event rate is simply the accumulated FIT. This is the
+    quantity the measured beam rate is correlated against.
     """
-    return model.total_fit() * flux_scale
+    return model.total_fit()

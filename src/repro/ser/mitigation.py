@@ -81,12 +81,11 @@ def select_cells(
     *,
     target_reduction: float,
     option: HardeningOption = SEUT,
-    max_cells: int | None = None,
 ) -> MitigationPlan:
     """Greedy selection meeting *target_reduction* of sequential SDC FIT.
 
     Raises :class:`ReproError` when the target is infeasible (even
-    hardening every flop cannot reach it, or the cell budget runs out).
+    hardening every flop cannot reach it).
     """
     if not 0.0 < target_reduction < 1.0:
         raise ReproError("target_reduction must be in (0, 1)")
@@ -106,17 +105,13 @@ def select_cells(
     for node in sorted(flops, key=lambda n: -n.avf):
         if plan.achieved_fit <= plan.target_fit:
             break
-        if max_cells is not None and len(plan.selected) >= max_cells:
-            break
         plan.selected.append(node)
         plan.achieved_fit -= node.avf * saving_per_cell
         plan.total_cost += option.area_cost
     if not plan.met_target:
         raise ReproError(
             f"target {target_reduction:.0%} unreachable with {option.name} "
-            f"(best achievable {1 - plan.achieved_fit / base:.0%}"
-            + (f" within {max_cells} cells" if max_cells is not None else "")
-            + ")"
+            f"(best achievable {1 - plan.achieved_fit / base:.0%})"
         )
     return plan
 

@@ -2,15 +2,16 @@
 
 SART itself has one solve path, the compiled engine of
 :mod:`repro.core.compiled`. Two older engines implement the same
-semantics independently and stay only as references: the dict-based
-fixpoint (:mod:`repro.verify.dataflow`, monolithic or with its own
-partitioned relaxation) and the faithful walk engine
+propagation semantics independently and stay only as references: the
+dict-based fixpoint (:mod:`repro.verify.dataflow`, monolithic or with
+its own partitioned relaxation) and the faithful walk engine
 (:mod:`repro.verify.walker`). :func:`run_reference` runs either of them
-through the rest of the paper's flow (graph extraction, loop breaking,
-control registers, model, environment, resolution, per-FUB report) and
+through the rest of the paper's flow (graph extraction, the one front
+end :func:`~repro.core.graphmodel.build_model` with its loop breaking
+and control registers, environment, resolution, per-FUB report) and
 returns the same :class:`~repro.core.sart.SartResult` shape, so the
 cross-engine oracle, the equivalence tests and the ablation benchmarks
-compare like for like.
+compare propagation engines on one model.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import time
 from typing import Mapping
 
-from repro.core import controlregs, loops
-from repro.core.graphmodel import StructurePorts, build_model, structure_nets
+from repro.core.graphmodel import StructurePorts, build_model
 from repro.core.report import fub_report
 from repro.core.resolve import resolve
 from repro.core.sart import SartConfig, SartResult, build_env
@@ -53,13 +53,7 @@ def run_reference(
     config = config or SartConfig()
     started = time.perf_counter()
     graph = design if isinstance(design, NetGraph) else extract_graph(design)
-
-    # Structure bits and control registers terminate walks, so cycles
-    # passing through them are not propagation loops: identify them
-    # before loop classification.
-    ctrl_nets = controlregs.find_control_registers(graph)
-    loop_nets = loops.find_loop_nets(graph, cut=structure_nets(graph) | ctrl_nets)
-    model = build_model(graph, structures, loop_nets=loop_nets, ctrl_nets=ctrl_nets)
+    model = build_model(graph, structures)
     env = build_env(model, config)
 
     trace = None

@@ -32,15 +32,16 @@ from repro.core.graphmodel import AvfModel
 from repro.core.pavf import Atom, PavfEnv, TOP_SET, union, value_of
 
 _EPS = 1e-12
+# Rounds of walks per phase before giving up on a quiet round.
+MAX_ROUNDS = 100
 
 
 class WalkEngine:
     """Runs forward and backward walk rounds over a model."""
 
-    def __init__(self, model: AvfModel, env: PavfEnv, max_rounds: int = 100):
+    def __init__(self, model: AvfModel, env: PavfEnv):
         self.model = model
         self.env = env
-        self.max_rounds = max_rounds
         self.rounds_used = 0
 
     # ------------------------------------------------------------------
@@ -54,7 +55,7 @@ class WalkEngine:
         annotations: dict[str, frozenset[Atom]] = dict(fixed)
         sources = list(fixed)
 
-        for round_no in range(self.max_rounds):
+        for round_no in range(MAX_ROUNDS):
             changed = False
             for source in sources:
                 if self._walk_forward(source, annotations, fanout):
@@ -118,7 +119,7 @@ class WalkEngine:
                 sources.extend(fanin)
         sources = list(dict.fromkeys(sources))
 
-        for round_no in range(self.max_rounds):
+        for round_no in range(MAX_ROUNDS):
             changed = False
             for source in sources:
                 if self._walk_backward(source, annotations, fanout):

@@ -122,21 +122,10 @@ class TestBatchedEvaluator:
             scalar = SetEvaluator(plan.interner, env)
             for i, sid in enumerate(sids):
                 assert grid[i, w] == scalar.value(sid), (sid, w)
-                assert bev.value(sid, w) == scalar.value(sid)
-
-    def test_scalar_fallback_matches_per_env_evaluator(self, plan, envs):
-        bev = BatchedEvaluator(plan.interner, envs, use_numpy=False)
-        assert not bev.use_numpy or not HAVE_NUMPY
-        for sid in range(min(len(plan.interner), 64)):
-            for w, env in enumerate(envs):
-                assert bev.value(sid, w) == SetEvaluator(
-                    plan.interner, env, use_numpy=False
-                ).value(sid)
 
     @needs_numpy
     def test_unvisited_ids_evaluate_to_one(self, plan, envs):
         bev = BatchedEvaluator(plan.interner, envs)
-        assert bev.value(-1, 0) == 1.0
         assert (bev.matrix([-1, -5]) == 1.0).all()
 
     def test_sorted_atoms_follow_the_atom_order(self, plan):

@@ -33,11 +33,6 @@ def test_node_csv_complete(result):
         assert 0.0 <= float(row["avf"]) <= 1.0
 
 
-def test_node_csv_sequential_filter(result):
-    rows = list(csv.DictReader(io.StringIO(node_avfs_csv(result, only_sequential=True))))
-    assert rows and all(r["kind"] == "seq" for r in rows)
-
-
 def test_fub_csv(result):
     rows = list(csv.DictReader(io.StringIO(fub_report_csv(result))))
     assert rows[-1]["fub"] == "WEIGHTED"
@@ -68,4 +63,4 @@ def test_worst_nodes_sorted(result):
     assert len(worst) == 3
     avfs = [n.avf for n in worst]
     assert avfs == sorted(avfs, reverse=True)
-    assert all(n.role != "struct" for n in worst)
+    assert all(n.kind == "seq" and n.role != "struct" for n in worst)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.controlregs import find_control_registers
-from repro.core.loops import find_loop_nets, loop_statistics, strongly_connected_components
+from repro.core.graphmodel import build_model
+from repro.core.loops import find_loop_nets
+from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
-from repro.netlist.graph import extract_graph
+from repro.netlist.graph import GraphBuilder, NodeKind, extract_graph
+from repro.pipeline.registry import resolve_design
 
 
 def _fsm_module():
@@ -27,7 +30,7 @@ def _fsm_module():
 
 def test_fsm_loop_detected():
     g = extract_graph(_fsm_module())
-    loops = find_loop_nets(g)
+    loops = find_loop_nets(g, set())
     assert "s0" in loops
     # s1's feedback goes through s0? n1 = AND(s0, s1): s1 -> n1 -> s1. Yes.
     assert "s1" in loops
@@ -44,7 +47,30 @@ def test_enabled_flop_is_a_loop():
     en = b.input("en")
     q = b.dff(d, en=en)
     g = extract_graph(b.done())
-    assert find_loop_nets(g) == {q}
+    assert find_loop_nets(g, set()) == {q}
+
+
+def test_cut_enabled_flop_is_not_a_loop():
+    # A latch-array bit holds through its enable too, but walks stop at
+    # structure bits: cut there, its self edge is not a loop.
+    b = ModuleBuilder("m")
+    d = b.input("d")
+    en = b.input("en")
+    q = b.dff(d, en=en, attrs={"struct": "ARR", "bit": "0"})
+    p = b.dff(d, en=en)
+    g = extract_graph(b.done())
+    assert find_loop_nets(g, {q}) == {p}
+    model = build_model(g, None)
+    assert q in model.struct_nodes and model.loop_nets == {p}
+
+
+def test_combinational_cycle_raises():
+    gb = GraphBuilder("cyc")
+    gb.add_node("x", NodeKind.INPUT)
+    gb.add_node("a", NodeKind.COMB, fanin=("x", "b"))
+    gb.add_node("b", NodeKind.COMB, fanin=("a",))
+    with pytest.raises(SartError, match="combinational cycle"):
+        find_loop_nets(gb.finish(), set())
 
 
 def test_plain_pipeline_has_no_loops():
@@ -53,23 +79,7 @@ def test_plain_pipeline_has_no_loops():
     q = b.dff(x)
     b.dff(q)
     g = extract_graph(b.done())
-    assert find_loop_nets(g) == set()
-
-
-def test_scc_partitions_nodes():
-    g = extract_graph(_fsm_module())
-    sccs = strongly_connected_components(g)
-    flattened = [n for scc in sccs for n in scc]
-    assert sorted(flattened) == sorted(g.nodes)
-
-
-def test_loop_statistics():
-    g = extract_graph(_fsm_module())
-    loops = find_loop_nets(g)
-    stats = loop_statistics(g, loops)
-    assert stats["loop_bits"] == len(loops)
-    assert stats["sequential_bits"] == len(g.seq_nets())
-    assert 0 < stats["loop_fraction"] < 1
+    assert find_loop_nets(g, set()) == set()
 
 
 def test_counter_loop():
@@ -85,8 +95,20 @@ def test_counter_loop():
     for i in range(3):
         b.dff(nxt[i], q=q_nets[i], name=f"ff{i}")
     g = extract_graph(b.done())
-    loops = find_loop_nets(g)
+    loops = find_loop_nets(g, set())
     assert set(q_nets) <= loops
+
+
+@pytest.mark.parametrize("ref, counts", [
+    ("tinycore:fib", (160, 0)),
+    ("bigcore@scale=0.3", (56, 36)),
+    ("systolic@rows=4,cols=4", (256, 1)),
+])
+def test_model_loop_and_ctrl_counts(ref, counts):
+    # build_model is the one front end: these counts pin its loop finder
+    # and control-register rule on each built-in design family.
+    model = build_model(extract_graph(resolve_design(ref).build().module))
+    assert (len(model.loop_nets), len(model.ctrl_nets)) == counts
 
 
 class TestControlRegs:
@@ -112,17 +134,11 @@ class TestControlRegs:
         assert q3 not in found and q4 not in found
 
     def test_exclusion_wins(self):
+        # A latch array named like a config register stays a structure.
         b = ModuleBuilder("m")
         x = b.input("x")
         q = b.dff(x, name="cfg_table", attrs={"struct": "CFG", "bit": "0"})
         g = extract_graph(b.done())
-        found = find_control_registers(g, exclude={q})
-        assert q not in found
-
-    def test_custom_patterns(self):
-        b = ModuleBuilder("m")
-        x = b.input("x")
-        q = b.dff(x, name="special_reg")
-        g = extract_graph(b.done())
-        assert q in find_control_registers(g, patterns=[r"special"])
-        assert q not in find_control_registers(g)
+        assert q in find_control_registers(g)
+        model = build_model(g, None)
+        assert q in model.struct_nodes and q not in model.ctrl_nets

@@ -5,7 +5,6 @@ import pytest
 from repro.core.graphmodel import StructurePorts
 from repro.core.partition import partition_by_fub
 from repro.core.sart import SartConfig, build_env, run_sart
-from repro.core import controlregs, loops
 from repro.core.graphmodel import build_model
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
@@ -41,7 +40,7 @@ STRUCTS = {
 def test_partition_by_fub_splits_and_finds_exports():
     module, fub_nets = _chain_of_fubs()
     g = extract_graph(module)
-    model = build_model(g, STRUCTS, loop_nets=(), ctrl_nets=())
+    model = build_model(g, STRUCTS)
     part = partition_by_fub(model)
     assert set(part.fubs) >= {"FUB0", "FUB1", "FUB2", "FUB3"}
     # Each FUB boundary contributes one forward and one backward export.
@@ -63,7 +62,7 @@ def test_value_crosses_one_partition_per_iteration():
     # "any walk can only cross one partition during each iteration"
     module, fub_nets = _chain_of_fubs(n_fubs=4)
     g = extract_graph(module)
-    model = build_model(g, STRUCTS, loop_nets=(), ctrl_nets=())
+    model = build_model(g, STRUCTS)
     env = build_env(model, SartConfig())
     # After 1 iteration, FUB3 has not yet seen SRC's forward value: its
     # forward estimate is the conservative TOP (1.0).

@@ -59,13 +59,13 @@ def test_bigcore_warm_cache_events(tmp_path):
     store = ArtifactStore(tmp_path / "cache")
     cold = execute(spec, store=store)
     assert not any(e.cached for e in cold.events)
-    assert cold.cache_misses >= 2  # ace + plan
+    assert {"ace", "plan"} <= {e.stage for e in cold.events}
 
     store = ArtifactStore(tmp_path / "cache")
     warm = execute(spec, store=store)
-    assert {e.stage for e in warm.events if e.cached} == {"ace", "plan"}
-    assert warm.cache_hits == 2
-    assert warm.cache_misses == 0
+    # Every stage the store keeps hits: no stage recomputes.
+    assert sorted(e.stage for e in warm.events if e.cached) == ["ace", "plan"]
+    assert {e.stage for e in warm.events if not e.cached} == {"design", "sart"}
     # Without an [eco] section the solve runs cold and reports no eco block.
     assert not warm.sart.warm
     assert "eco" not in run_summary(warm)

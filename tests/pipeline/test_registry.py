@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.designs.bigcore.systolic import node_count
 from repro.errors import DesignRefError, ReproError
 from repro.pipeline.registry import (
     DesignProvider,
@@ -153,11 +155,29 @@ def test_bad_refs():
     for ref, reason in (("systolic@rows=0", "rows >= 1"),
                         ("systolic@cols=-2", "cols >= 1"),
                         ("systolic@tile=0", "tile must be >= 1"),
-                        ("systolic@acc_width=4", "acc_width must be >= data_width")):
+                        ("systolic@acc_width=4", "acc_width must be >= data_width"),
+                        # An empty template list failed in the generator
+                        # with an IndexError.
+                        ("bigcore@fub_count=-20", "fub_count must be >= 1"),
+                        ("bigcore@fub_count=0", "fub_count must be >= 1"),
+                        # A scale <= 0 built the minimum core under a
+                        # fingerprint of its own.
+                        ("bigcore@scale=0", "scale must be > 0"),
+                        ("bigcore@scale=-1e306", "scale must be > 0"),
+                        # Sizes above the node ceiling, refused before
+                        # anything is generated (1e300 built until killed).
+                        ("bigcore@scale=1e300", "node ceiling"),
+                        ("bigcore@scale=1e306", "node ceiling"),
+                        ("systolic@rows=100000,cols=100000", "node ceiling")):
+        started = time.perf_counter()
         with pytest.raises(DesignRefError, match=f"{ref!r}: .*{reason}"):
             resolve_design(ref)
+        assert time.perf_counter() - started < 1.0
+    # The ceiling admits every size the repo runs.
+    resolve_design("bigcore@scale=4")
+    assert node_count(resolve_design("systolic@rows=104,cols=104").config) == 1_018_538
     with pytest.raises(DesignRefError, match="unknown program"):
-        resolve_design("tinycore:quux").build()
+        resolve_design("tinycore:quux")
 
 
 def test_register_scheme():

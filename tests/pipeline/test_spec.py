@@ -78,6 +78,18 @@ def test_validation_errors(tmp_path):
         spec_from_mapping({"design": "tinycore:fib", "sfi": {"injection": 5}})
     with pytest.raises(SpecError, match="must be a table"):
         spec_from_mapping({"design": "tinycore:fib", "sart": 3})
+    # The design and the [eco] baseline resolve at parse time, without
+    # building anything or reading a file (the EXLIF file need not exist).
+    spec_from_mapping({"design": f"exlif:{tmp_path}/absent.exlif",
+                       "eco": {"baseline": "bigcore@scale=4"}})
+    for doc, message in (
+            ({"design": "bigcore@scale=abc"}, "is not float"),
+            ({"design": "nope:x"}, "unknown design scheme"),
+            ({"design": "systolic@rows=100000,cols=100000"}, "node ceiling"),
+            ({"design": "tinycore:fib", "eco": {"baseline": "bigcore@warp=9"}},
+             "unknown design parameter")):
+        with pytest.raises(SpecError, match=message):
+            spec_from_mapping(doc)
     with pytest.raises(SpecError, match="cannot read"):
         load_spec(str(tmp_path / "missing.toml"))
     bad = tmp_path / "bad.toml"

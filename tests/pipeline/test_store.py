@@ -88,7 +88,6 @@ def test_fetch_counts_hits_and_misses(tmp_path):
     assert (obj, hit, len(calls)) == ([1, 2, 3], False, 1)
     obj, hit = store.fetch("ace", FP, compute)
     assert (obj, hit, len(calls)) == ([1, 2, 3], True, 1)
-    assert (store.hits, store.misses) == (1, 1)
 
 
 def test_fetch_keep_vetoes_the_save(tmp_path):
@@ -126,4 +125,3 @@ def test_null_store_never_caches():
     store.save("golden", FP, 42)
     assert store.load("golden", FP) is None
     assert store.entries() == []
-    assert (store.hits, store.misses) == (0, 1)

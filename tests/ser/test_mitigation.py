@@ -68,8 +68,6 @@ def test_infeasible_target_raises(result):
     with pytest.raises(ReproError, match="unreachable"):
         select_cells(result, target_reduction=0.99,
                      option=HardeningOption("weak", residual=0.6))
-    with pytest.raises(ReproError, match="unreachable"):
-        select_cells(result, target_reduction=0.8, option=SEUT, max_cells=2)
 
 
 def test_target_validation(result):

@@ -45,7 +45,7 @@ class TestFitModel:
     def test_derating_and_rate(self):
         m = FitModel(intrinsic_fit_per_bit=1e-5)
         m.add("seq", 1.0, bits=100, derating=0.5)
-        assert sdc_rate_per_cycle(m, flux_scale=2.0) == pytest.approx(1e-3)
+        assert sdc_rate_per_cycle(m) == pytest.approx(5e-4)
 
     def test_average_avf(self):
         m = FitModel(intrinsic_fit_per_bit=1.0)

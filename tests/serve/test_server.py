@@ -85,6 +85,19 @@ def test_error_codes(tmp_path):
                                     {"design": "tinycore:fib", section: body})
             assert status == 400, body
             assert next(iter(body)) in doc["error"]
+        # Design refs resolve at admission: a malformed or oversized one
+        # is a 400 naming it, not a job that fails or hangs in a worker.
+        for spec, named in (
+                ({"design": "bigcore@scale=abc"}, "scale='abc'"),
+                ({"design": "nope:x"}, "'nope'"),
+                ({"design": "tinycore:quux"}, "unknown program"),
+                ({"design": "bigcore@scale=1e300"}, "node ceiling"),
+                ({"design": "tinycore:fib", "eco": {"baseline": "nope:x"}},
+                 "'nope'")):
+            status, doc = post_json(f"{app.url}/jobs", spec)
+            assert status == 400 and named in doc["error"], (spec, doc)
+        status, doc = get_json(f"{app.url}/jobs")
+        assert status == 200 and doc["jobs"] == []
 
         request = urllib.request.Request(
             f"{app.url}/jobs", data=b"not json", method="POST")

@@ -2,8 +2,9 @@
 """Malformed-input smoke: one bad case per trust-boundary input.
 
 Feeds ``repro-sart`` a malformed EXLIF line, a bad run-spec value, an
-out-of-range ports-file value and a non-finite design-ref parameter.
-Each case must exit non-zero, name the offending line or key, and print
+out-of-range ports-file value, a non-finite design-ref parameter and an
+oversized design ref. Each case must exit non-zero within
+:data:`CASE_TIMEOUT` seconds, name the offending line or key, and print
 no traceback (a ``ReproError`` is one line, never a stack).
 
 Usage::
@@ -44,7 +45,16 @@ CASES = {
         ["bigcore", "--scale", "nan"],
         "scale='nan'",
     ),
+    # Refused by the generators' node ceiling before anything is built.
+    "oversized design ref": (
+        {},
+        ["bigcore", "--scale", "1e300"],
+        "scale=1e+300",
+    ),
 }
+
+# Seconds one case may take; each is refused at start-up, in a few.
+CASE_TIMEOUT = 60
 
 
 def main() -> int:
@@ -54,10 +64,15 @@ def main() -> int:
             for filename, text in files.items():
                 Path(tmp, filename).write_text(text.replace("{dir}", tmp))
             args = [arg.replace("{dir}", tmp) for arg in argv]
-            run = subprocess.run(
-                [sys.executable, "-m", "repro.cli", *args],
-                capture_output=True, text=True, timeout=120,
-            )
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-m", "repro.cli", *args],
+                    capture_output=True, text=True, timeout=CASE_TIMEOUT,
+                )
+            except subprocess.TimeoutExpired:
+                failed += 1
+                print(f"FAIL {name}: still running after {CASE_TIMEOUT} s")
+                continue
             output = run.stdout + run.stderr
             problems = [why for why, bad in (
                 ("exited 0", run.returncode == 0),

@@ -18,20 +18,20 @@ from __future__ import annotations
 import pytest
 
 from conftest import print_table
-from repro.ser.beam import BeamConfig
+from repro.pipeline import BeamSpec
 from repro.ser.correlation import correlate_workloads
 
-BEAM = BeamConfig(flux=1e-5, exposures=378, seed=77)
+BEAM = BeamSpec(flux=1e-5, exposures=378, seed=77)
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return correlate_workloads(("lattice2d", "md5mix"), beam_config=BEAM)
+    return correlate_workloads(("lattice2d", "md5mix"), beam=BEAM)
 
 
 def test_bench_fig10_correlation(benchmark):
     result = benchmark.pedantic(
-        lambda: correlate_workloads(("lattice2d", "md5mix"), beam_config=BEAM),
+        lambda: correlate_workloads(("lattice2d", "md5mix"), beam=BEAM),
         rounds=1, iterations=1,
     )
 

@@ -11,7 +11,7 @@ Run:  python examples/silicon_correlation.py [exposures]
 
 import sys
 
-from repro.ser.beam import BeamConfig
+from repro.pipeline import BeamSpec
 from repro.ser.correlation import correlate_workloads
 
 
@@ -20,10 +20,10 @@ def bar(value: float, scale: float = 14.0) -> str:
 
 
 def main(exposures: int = 378):
-    config = BeamConfig(flux=1e-5, exposures=exposures, seed=77)
-    print(f"beam: flux={config.flux:g} upsets/bit/cycle, "
+    beam = BeamSpec(flux=1e-5, exposures=exposures, seed=77)
+    print(f"beam: flux={beam.flux:g} upsets/bit/cycle, "
           f"{exposures} device exposures per workload\n")
-    rows = correlate_workloads(("lattice2d", "md5mix"), beam_config=config)
+    rows = correlate_workloads(("lattice2d", "md5mix"), beam=beam)
 
     for row in rows:
         norm = row.normalized()

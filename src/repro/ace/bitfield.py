@@ -90,19 +90,3 @@ def ace_bits_for(fields: Sequence[FieldSpec], inst: "Inst") -> int:
     if not inst.ace:
         return 0
     return sum(f.bits for f in fields if f.is_ace(inst))
-
-
-def field_breakdown(fields: Sequence[FieldSpec], insts) -> dict[str, float]:
-    """Average ACE fraction per field over ACE instructions (diagnostics)."""
-    counts = {f.name: 0 for f in fields}
-    n_ace = 0
-    for inst in insts:
-        if not inst.ace:
-            continue
-        n_ace += 1
-        for f in fields:
-            if f.is_ace(inst):
-                counts[f.name] += 1
-    if not n_ace:
-        return {f.name: 0.0 for f in fields}
-    return {name: c / n_ace for name, c in counts.items()}

@@ -8,9 +8,8 @@ AVF, the port rates, occupancy, and the Little's-law decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from repro.ace.lifetime import StructureAvf
 from repro.perfmodel.machine import PerfResult
 
 
@@ -77,10 +76,3 @@ def structure_table(results: Iterable[PerfResult]) -> str:
             f"{row.mean_ace_latency:>9.1f}{regime:>12}"
         )
     return "\n".join(lines)
-
-
-def per_workload_avfs(
-    results: Iterable[PerfResult], structure: str
-) -> dict[str, float]:
-    """One structure's AVF per workload (variation across the suite)."""
-    return {r.workload: r.structures[structure].avf() for r in results}

@@ -132,16 +132,6 @@ def value_of(atoms: frozenset[Atom], env: PavfEnv) -> float:
     return total
 
 
-def capped_sum(values) -> float:
-    """Plain numeric union (paper Eq 5/10): sum capped at 1.0."""
-    total = 0.0
-    for v in values:
-        total += v
-        if total >= 1.0:
-            return 1.0
-    return total
-
-
 class SetInterner:
     """Shared table of canonical pAVF sets.
 

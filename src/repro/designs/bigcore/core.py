@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field, replace
 
 from repro.designs.bigcore.fubs import FubResult, FubTemplate, generate_fub
-from repro.errors import NetlistError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.netlist import Instance, Module
 from repro.netlist.validate import validate_module
@@ -62,7 +61,8 @@ MAX_NODES = 2_000_000
 @dataclass(frozen=True)
 class BigcoreConfig:
     """Generator parameters; a ``scale`` not above 0, a ``fub_count``
-    below 1 or a config above :data:`MAX_NODES` is a ValueError."""
+    below 1, a negative ``feedback_fubs``, an ``edit`` that names no
+    selected FUB or a config above :data:`MAX_NODES` is a ValueError."""
 
     seed: int = 42
     scale: float = 1.0         # multiplies fabric size and array width
@@ -77,6 +77,11 @@ class BigcoreConfig:
             raise ValueError(f"scale must be > 0, got {self.scale:g}")
         if self.fub_count is not None and self.fub_count < 1:
             raise ValueError("fub_count must be >= 1")
+        if self.feedback_fubs < 0:
+            raise ValueError("feedback_fubs must be >= 0")
+        fubs = [t.name for t in _TEMPLATES[: self.fub_count]]
+        if self.edit is not None and self.edit not in fubs:
+            raise ValueError(f"edit={self.edit!r} names no FUB; have {fubs}")
         try:
             nodes = _node_bound(self)
         except OverflowError:  # a scale int() cannot hold
@@ -191,13 +196,7 @@ def _apply_fub_edit(module: Module, fub: str) -> None:
             and "d" in inst.conn
         ),
         key=lambda inst: inst.name,
-        default=None,
     )
-    if target is None:
-        raise NetlistError(
-            f"edit={fub!r}: no plain DFF to edit in that FUB "
-            "(unknown FUB name, or only structure/control bits)"
-        )
     source = target.conn["d"]
     mid = module.add_net(f"{fub}/eco$1")
     out = module.add_net(f"{fub}/eco$2")

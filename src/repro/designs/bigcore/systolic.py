@@ -58,6 +58,8 @@ class SystolicConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("systolic array needs rows >= 1 and cols >= 1")
+        if self.data_width < 1:
+            raise ValueError("data_width must be >= 1")
         if self.acc_width < self.data_width:
             raise ValueError("acc_width must be >= data_width")
         if self.tile < 1:

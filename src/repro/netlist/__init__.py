@@ -14,7 +14,7 @@ All nets are single-bit; multi-bit buses are a naming convention
 bit-granular analysis: every pAVF walk is performed per structure *bit*.
 """
 
-from repro.netlist.cells import CELLS, CellSpec, is_sequential_cell
+from repro.netlist.cells import CELLS, CellSpec
 from repro.netlist.netlist import Instance, Module, Port
 from repro.netlist.builder import ModuleBuilder, bus
 from repro.netlist.flatten import flatten
@@ -35,7 +35,6 @@ __all__ = [
     "bus",
     "extract_graph",
     "flatten",
-    "is_sequential_cell",
     "parse_exlif",
     "parse_structural_verilog",
     "validate_module",

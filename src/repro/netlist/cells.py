@@ -126,12 +126,6 @@ CELLS: dict[str, CellSpec] = {
 }
 
 
-def is_sequential_cell(kind: str) -> bool:
-    """Return True when *kind* is a primitive whose state crosses cycles."""
-    spec = CELLS.get(kind)
-    return spec is not None and spec.is_sequential
-
-
 def mem_pins(depth: int, width: int, nread: int) -> tuple[list[str], list[str]]:
     """Return ``(input_pins, output_pins)`` of a MEM instance.
 

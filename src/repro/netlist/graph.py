@@ -192,9 +192,6 @@ class NetGraph:
         """Nets driven by flip-flops — the paper's 'sequentials'."""
         return self._nets_of(NodeKind.SEQ)
 
-    def comb_nets(self) -> list[str]:
-        return self._nets_of(NodeKind.COMB)
-
     def input_nets(self) -> list[str]:
         return self._nets_of(NodeKind.INPUT)
 

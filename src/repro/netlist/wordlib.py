@@ -14,23 +14,6 @@ from repro.errors import NetlistError
 from repro.netlist.builder import ModuleBuilder
 
 
-def const_word(b: ModuleBuilder, value: int, width: int) -> list[str]:
-    """A constant word built from CONST0/CONST1 cells."""
-    zero = None
-    one = None
-    out = []
-    for i in range(width):
-        if (value >> i) & 1:
-            if one is None:
-                one = b.const1()
-            out.append(one)
-        else:
-            if zero is None:
-                zero = b.const0()
-            out.append(zero)
-    return out
-
-
 def word_not(b: ModuleBuilder, a: Sequence[str]) -> list[str]:
     return [b.not_(bit) for bit in a]
 
@@ -111,11 +94,6 @@ def increment(b: ModuleBuilder, a: Sequence[str], by_one: str | None = None) -> 
     return out
 
 
-def is_zero(b: ModuleBuilder, a: Sequence[str]) -> str:
-    """1 when the whole word is zero."""
-    return b.nor_(*a)
-
-
 def word_eq(b: ModuleBuilder, a: Sequence[str], c: Sequence[str]) -> str:
     """1 when the two words are bit-for-bit equal."""
     _check_widths(a, c)
@@ -142,24 +120,6 @@ def shift_right_const(b: ModuleBuilder, a: Sequence[str], amount: int) -> list[s
     zero = b.const0()
     width = len(a)
     return list(a[min(amount, width):]) + [zero] * min(amount, width)
-
-
-def barrel_shift_left(b: ModuleBuilder, a: Sequence[str], amt: Sequence[str]) -> list[str]:
-    """Logical left shift by a variable amount (barrel shifter)."""
-    word = list(a)
-    for stage, sbit in enumerate(amt):
-        shifted = shift_left_const(b, word, 1 << stage)
-        word = word_mux2(b, word, shifted, sbit)
-    return word
-
-
-def barrel_shift_right(b: ModuleBuilder, a: Sequence[str], amt: Sequence[str]) -> list[str]:
-    """Logical right shift by a variable amount (barrel shifter)."""
-    word = list(a)
-    for stage, sbit in enumerate(amt):
-        shifted = shift_right_const(b, word, 1 << stage)
-        word = word_mux2(b, word, shifted, sbit)
-    return word
 
 
 def rotate_left_const(b: ModuleBuilder, a: Sequence[str], amount: int) -> list[str]:

@@ -220,9 +220,6 @@ class DesignDelta:
     def dirty_fraction(self) -> float:
         return len(self.dirty) / self.n_fubs if self.n_fubs else 0.0
 
-    def is_noop(self) -> bool:
-        return not (self.changed or self.added or self.removed)
-
     def to_mapping(self) -> dict[str, Any]:
         return {
             "ref_a": self.ref_a,

@@ -11,11 +11,8 @@ simulated beam test (:mod:`repro.ser.beam`) achieves useful statistics.
 
 from repro.rtlsim.simulator import Simulator
 from repro.rtlsim.levelize import levelize
-from repro.rtlsim.probes import Probe, StateSnapshot
 
 __all__ = [
-    "Probe",
     "Simulator",
-    "StateSnapshot",
     "levelize",
 ]

@@ -18,6 +18,9 @@ For each beam-tested workload we build four numbers:
 With ``intrinsic_fit_per_bit`` set to the beam flux, a modeled FIT is
 directly an expected SDC rate per cycle, so the values share units and
 can be normalized to arbitrary units exactly like the paper's plot.
+
+All four come from one :func:`~repro.pipeline.execute` run per workload
+(``[sart]``, ``[derating]`` and ``[beam]``), the flow the CLI runs.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from dataclasses import dataclass
 
 from repro.core.report import average_seq_avf
 from repro.core.resolve import ROLE_STRUCT
-from repro.core.sart import SartConfig, SartResult, run_sart
-from repro.designs.tinycore.archsim import tinycore_structure_ports
-from repro.designs.tinycore.core import build_tinycore
-from repro.designs.tinycore.harness import run_gate_level
-from repro.designs.tinycore.programs import default_dmem, program
+from repro.core.sart import SartResult
 from repro.netlist.graph import NodeKind
-from repro.ser.beam import BeamConfig, BeamResult, run_beam_test
+from repro.pipeline.runner import RunOutcome, execute
+from repro.pipeline.spec import BeamSpec, DeratingSpec, RunSpec, SartSpec
+from repro.ser.beam import BeamResult
 from repro.ser.fit import FitModel
 
 # Loop-boundary pAVF calibrated for tinycore. Unlike the paper's design,
@@ -97,27 +98,48 @@ class CorrelationRow:
         return low <= self.modeled_sart <= high
 
 
-def model_rates(
-    name: str,
-    *,
-    flux: float,
-    sart_config: SartConfig | None = None,
-    include_arrays: bool = True,
-) -> tuple[float, float, float, float, SartResult]:
-    """Modeled SDC rates for one workload (proxy and SART variants)."""
-    words, dmem = program(name), default_dmem(name)
-    netlist = build_tinycore(words, dmem)
-    golden = run_gate_level(words, dmem, netlist=netlist)
-    ports, _trace, _sim = tinycore_structure_ports(
-        name, words, dmem, gate_cycles=golden.cycles
-    )
-    config = sart_config or SartConfig(loop_pavf=TINYCORE_LOOP_PAVF)
-    sart = run_sart(netlist.module, ports, config)
+def calibrated_run(name: str, **sections) -> RunOutcome:
+    """Run workload *name* on tinycore through :func:`~repro.pipeline.execute`:
+    a SART solve at :data:`TINYCORE_LOOP_PAVF` plus the spec *sections*
+    given (``derating=``, ``beam=``, ...)."""
+    return execute(RunSpec(
+        design=f"tinycore:{name}",
+        sart=SartSpec(loop_pavf=TINYCORE_LOOP_PAVF),
+        **sections,
+    ))
 
-    seq_nodes = [
-        n for n in sart.node_avfs.values()
-        if n.kind == NodeKind.SEQ and n.role != ROLE_STRUCT
-    ]
+
+def _seq_nodes(sart: SartResult) -> list:
+    return [n for n in sart.node_avfs.values()
+            if n.kind == NodeKind.SEQ and n.role != ROLE_STRUCT]
+
+
+def _rate(outcome: RunOutcome, flops, *, flux: float,
+          include_arrays: bool) -> float:
+    """Eq 1 as an expected SDC rate per cycle: one bit per
+    ``(avf, derating)`` pair in *flops*, plus with *include_arrays*
+    every data array at its structure AVF. Array bits keep derating 1: a
+    strike there corrupts stored data directly, with no combinational
+    logic in between."""
+    model = FitModel(intrinsic_fit_per_bit=flux)
+    for avf, derating in flops:
+        model.add("sequentials", avf, bits=1, derating=derating)
+    if include_arrays:
+        ports = outcome.port_env.ports
+        for mem_name, mem in outcome.sart.result.model.graph.mems.items():
+            sname = mem.attrs.get("struct", mem_name)
+            if sname == "irom":
+                continue  # the beam does not strike the program ROM
+            port = ports.get(sname)
+            avf = port.avf if port is not None and port.avf is not None else 1.0
+            model.add("arrays", avf, bits=mem.depth * mem.width)
+    return model.total_fit()
+
+
+def _model_rates(outcome: RunOutcome, *, flux: float, include_arrays: bool):
+    sart = outcome.sart.result
+    ports = outcome.port_env.ports
+    seq_nodes = _seq_nodes(sart)
     # The conservative proxy ("conservatively using structure AVFs as a
     # proxy for the sequential AVF"): pipeline flops stage register-file
     # data, so the register file's structure AVF is the natural proxy;
@@ -127,105 +149,74 @@ def model_rates(
     else:
         struct_avfs = [p.avf for p in ports.values() if p.avf is not None]
         proxy_avf = max(struct_avfs) if struct_avfs else 1.0
-
-    def array_contribution(model: FitModel) -> None:
-        if not include_arrays:
-            return
-        for mem_name, mem in sart.model.graph.mems.items():
-            sname = mem.attrs.get("struct", mem_name)
-            if sname == "irom":
-                continue  # the beam does not strike the program ROM
-            avf = ports[sname].avf if sname in ports else 1.0
-            model.add("arrays", avf or 0.0, bits=mem.depth * mem.width)
-
-    proxy_model = FitModel(intrinsic_fit_per_bit=flux)
-    for node in seq_nodes:
-        proxy_model.add("sequentials", proxy_avf, bits=1)
-    array_contribution(proxy_model)
-
-    sart_model = FitModel(intrinsic_fit_per_bit=flux)
-    for node in seq_nodes:
-        sart_model.add("sequentials", node.avf, bits=1)
-    array_contribution(sart_model)
-
-    seq_avf_sart = average_seq_avf(sart.node_avfs)
     return (
-        proxy_model.total_fit(),
-        sart_model.total_fit(),
+        _rate(outcome, [(proxy_avf, 1.0)] * len(seq_nodes), flux=flux,
+              include_arrays=include_arrays),
+        _rate(outcome, [(n.avf, 1.0) for n in seq_nodes], flux=flux,
+              include_arrays=include_arrays),
         proxy_avf,
-        seq_avf_sart,
+        average_seq_avf(sart.node_avfs),
         sart,
     )
 
 
-def derated_rate(
-    sart: SartResult,
+def model_rates(
+    name: str,
     *,
     flux: float,
     include_arrays: bool = True,
-):
-    """Logic-derated expected SDC rate for an already-solved design.
+) -> tuple[float, float, float, float, SartResult]:
+    """Modeled SDC rates for one workload (proxy and SART variants)."""
+    return _model_rates(calibrated_run(name), flux=flux,
+                        include_arrays=include_arrays)
 
-    Per-flop ``FIT = AVF x intrinsic x derating`` with the analytic
-    derating factors from :mod:`repro.ser.derating`. Array bits keep
-    derating 1: a strike there corrupts stored data directly, with no
-    combinational logic in between. Returns ``(rate, DeratingResult)``.
+
+def derated_rate(
+    outcome: RunOutcome,
+    *,
+    flux: float,
+    include_arrays: bool = True,
+) -> float:
+    """Logic-derated expected SDC rate of a run with ``[sart]`` and
+    ``[derating]`` sections.
+
+    Per-flop ``FIT = AVF x intrinsic x derating`` with the run's analytic
+    derating factors (:mod:`repro.ser.derating`).
     """
-    from repro.ser.derating import analytic_derating
-
-    derating = analytic_derating(sart.model.graph)
-    model = FitModel(intrinsic_fit_per_bit=flux)
-    for node in sart.node_avfs.values():
-        if node.kind == NodeKind.SEQ and node.role != ROLE_STRUCT:
-            model.add("sequentials", node.avf, bits=1,
-                      derating=derating.factor(node.net))
-    if include_arrays:
-        ports = sart.model.structures or {}
-        for mem_name, mem in sart.model.graph.mems.items():
-            sname = mem.attrs.get("struct", mem_name)
-            if sname == "irom":
-                continue  # the beam does not strike the program ROM
-            port = ports.get(sname)
-            avf = port.avf if port is not None and port.avf is not None else 1.0
-            model.add("arrays", avf, bits=mem.depth * mem.width)
-    return model.total_fit(), derating
+    factors = outcome.derating.flop_derating
+    flops = [(n.avf, factors.get(n.net, 1.0))
+             for n in _seq_nodes(outcome.sart.result)]
+    return _rate(outcome, flops, flux=flux, include_arrays=include_arrays)
 
 
 def correlate_workloads(
     names=("lattice2d", "md5mix"),
     *,
-    beam_config: BeamConfig | None = None,
-    sart_config: SartConfig | None = None,
+    beam: BeamSpec | None = None,
 ) -> list[CorrelationRow]:
-    """Run the full Figure 10 experiment for the given workloads."""
-    beam_config = beam_config or BeamConfig()
+    """Run the full Figure 10 experiment for the given workloads: one
+    pipeline run per workload (SART, derating and the *beam* test)."""
+    beam = beam or BeamSpec()
     rows = []
     for name in names:
-        words, dmem = program(name), default_dmem(name)
-        measured = run_beam_test(
-            words, dmem, beam_config,
-        )
-        proxy_rate, sart_rate, proxy_avf, sart_avf, sart = model_rates(
-            name,
-            flux=beam_config.flux,
-            sart_config=sart_config,
-            include_arrays=beam_config.include_arrays,
-        )
-        derated, derating = derated_rate(
-            sart, flux=beam_config.flux,
-            include_arrays=beam_config.include_arrays,
+        outcome = calibrated_run(name, derating=DeratingSpec(), beam=beam)
+        proxy_rate, sart_rate, proxy_avf, sart_avf, sart = _model_rates(
+            outcome, flux=beam.flux, include_arrays=beam.include_arrays,
         )
         rows.append(
             CorrelationRow(
                 workload=name,
-                measured=measured,
+                measured=outcome.beam.result,
                 modeled_proxy=proxy_rate,
                 modeled_sart=sart_rate,
                 seq_avf_proxy=proxy_avf,
                 seq_avf_sart=sart_avf,
                 sart=sart,
-                modeled_derated=derated,
-                mean_derating=derating.mean(),
+                modeled_derated=derated_rate(
+                    outcome, flux=beam.flux,
+                    include_arrays=beam.include_arrays,
+                ),
+                mean_derating=outcome.derating.summary["mean"],
             )
         )
     return rows

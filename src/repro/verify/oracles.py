@@ -27,11 +27,11 @@ check that quietly stopped looking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.core.report import average_seq_avf
-from repro.core.resolve import NodeAvf, ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
 from repro.core.sart import SartConfig, SartResult, run_sart
 from repro.rtlsim.simulator import Simulator
 from repro.verify.reference import run_reference
@@ -346,13 +346,15 @@ class SfiConsistencyOracle(Oracle):
     truth on tinycore.
 
     The paper's conservatism contract: the analytical estimate tracks
-    but does not *undershoot* measurement. We inject ``injections``
-    faults uniformly into tinycore's sequential nodes, form the SFI SDC
-    AVF with its Wilson interval, and predict the same quantity from
-    SART as the mean sequential AVF over the injectable nodes. The check
-    fails when the analytical prediction drops below the interval's
-    lower bound minus ``slack`` (model optimistic: the paper's Figure 10
-    contract is broken) or exceeds 1.0 trivially capped territory.
+    but does not *undershoot* measurement. The measurement is the
+    campaign ``repro-sart sfi`` runs (``injections`` faults uniformly
+    into tinycore's sequential nodes), its SDC AVF with its Wilson
+    interval; SART predicts the same quantity as the mean sequential AVF
+    over the injectable nodes. Both sides run through
+    :func:`~repro.pipeline.execute`. The check fails when the
+    analytical prediction drops below the interval's lower bound minus
+    ``slack`` (model optimistic: the paper's Figure 10 contract is
+    broken).
 
     ``analytic`` and ``measure`` are injectable seams for mutation-kill
     tests (a corrupted analytic model must be caught).
@@ -387,48 +389,29 @@ class SfiConsistencyOracle(Oracle):
         return []
 
     def _default_analytic(self, program: str) -> float:
-        from repro.designs.tinycore.archsim import tinycore_structure_ports
-        from repro.designs.tinycore.core import build_tinycore
-        from repro.designs.tinycore.harness import run_gate_level
-        from repro.designs.tinycore.programs import default_dmem, program as prog
-        from repro.ser.correlation import TINYCORE_LOOP_PAVF
+        from repro.ser.correlation import calibrated_run
 
-        words, dmem = prog(program), default_dmem(program)
-        netlist = build_tinycore(words, dmem)
-        golden = run_gate_level(words, dmem, netlist=netlist)
-        ports, _trace, _sim = tinycore_structure_ports(
-            program, words, dmem, gate_cycles=golden.cycles)
-        result = run_sart(netlist.module, ports,
-                          SartConfig(loop_pavf=TINYCORE_LOOP_PAVF))
-        return average_seq_avf(result.node_avfs)
+        return average_seq_avf(calibrated_run(program).sart.result.node_avfs)
 
     def _default_measure(self, program: str, injections: int,
                          seed: int) -> tuple[float, float, float]:
-        from repro.designs.tinycore.core import build_tinycore
-        from repro.designs.tinycore.programs import default_dmem, program as prog
-        from repro.designs.tinycore.harness import run_gate_level
-        from repro.core.resolve import ROLE_STRUCT as _RS  # noqa: F401
-        from repro.sfi import overall_avf, plan_campaign, run_sfi_campaign
+        from repro.pipeline import RunSpec, SfiSpec, execute
+        from repro.sfi import overall_avf
 
-        words, dmem = prog(program), default_dmem(program)
-        netlist = build_tinycore(words, dmem)
-        golden = run_gate_level(words, dmem, netlist=netlist)
-        seq_nets = sorted(
-            inst.conn["q"] for inst in netlist.module.instances.values()
-            if inst.kind == "DFF" and "struct" not in inst.attrs
-        )
-        plans = plan_campaign(seq_nets, golden.cycles, injections, seed=seed)
-        campaign = run_sfi_campaign(words, dmem, plans, netlist=netlist)
-        avf, (lo, hi) = overall_avf(campaign.outcomes)
+        outcome = execute(RunSpec(
+            design=f"tinycore:{program}",
+            sfi=SfiSpec(injections=injections, seed=seed)))
+        avf, (lo, hi) = overall_avf(outcome.sfi.result.outcomes)
         return avf, lo, hi
 
 
 class DeadlineSanityOracle(Oracle):
     """Structural sanity of the error-reporting deadline distributions.
 
-    Runs the ACE lifetime analysis on a tinycore program and checks
-    every per-structure deadline summary for the invariants the
-    accumulator guarantees by construction:
+    Reads the deadline summaries a pipeline run of a tinycore program
+    carries (its ACE lifetime analysis) and checks each structure's
+    summary for the invariants the accumulator guarantees by
+    construction:
 
     * quantile monotonicity — ``p50 <= p95 <= max`` and ``mean <= max``;
     * bounded support — no deadline can exceed the traced campaign
@@ -490,21 +473,10 @@ class DeadlineSanityOracle(Oracle):
         return out
 
     def _default_analysis(self, program: str) -> Mapping[str, Mapping]:
-        from repro.designs.tinycore.archsim import tinycore_structure_ports
-        from repro.designs.tinycore.core import build_tinycore
-        from repro.designs.tinycore.harness import run_gate_level
-        from repro.designs.tinycore.programs import default_dmem, program as prog
+        from repro.pipeline import RunSpec, execute
 
-        words, dmem = prog(program), default_dmem(program)
-        netlist = build_tinycore(words, dmem)
-        golden = run_gate_level(words, dmem, netlist=netlist)
-        ports, _trace, _sim = tinycore_structure_ports(
-            program, words, dmem, gate_cycles=golden.cycles)
-        return {
-            name: port.deadlines
-            for name, port in ports.items()
-            if getattr(port, "deadlines", None)
-        }
+        outcome = execute(RunSpec(design=f"tinycore:{program}"))
+        return outcome.port_env.deadlines or {}
 
 
 class DeratedSerOracle(Oracle):
@@ -518,6 +490,9 @@ class DeratedSerOracle(Oracle):
     architectural model carries, so unlike the SFI check this one is
     two-sided: a rate *below* the widened interval means the masking
     model derates too aggressively, *above* means it stopped derating.
+    The rate folds in the ``[derating]`` factors of the pipeline run
+    (:func:`repro.ser.correlation.derated_rate`); the beam is the
+    ``[beam]`` stage of another.
 
     ``derated`` and ``measure`` are injectable seams for mutation-kill
     tests.
@@ -554,33 +529,20 @@ class DeratedSerOracle(Oracle):
         return []
 
     def _default_derated(self, program: str) -> float:
-        from repro.designs.tinycore.archsim import tinycore_structure_ports
-        from repro.designs.tinycore.core import build_tinycore
-        from repro.designs.tinycore.harness import run_gate_level
-        from repro.designs.tinycore.programs import default_dmem, program as prog
-        from repro.ser.beam import BeamConfig
-        from repro.ser.correlation import TINYCORE_LOOP_PAVF, derated_rate
+        from repro.pipeline import BeamSpec, DeratingSpec
+        from repro.ser.correlation import calibrated_run, derated_rate
 
-        words, dmem = prog(program), default_dmem(program)
-        netlist = build_tinycore(words, dmem)
-        golden = run_gate_level(words, dmem, netlist=netlist)
-        ports, _trace, _sim = tinycore_structure_ports(
-            program, words, dmem, gate_cycles=golden.cycles)
-        result = run_sart(netlist.module, ports,
-                          SartConfig(loop_pavf=TINYCORE_LOOP_PAVF))
-        config = BeamConfig()
-        rate, _derating = derated_rate(
-            result, flux=config.flux, include_arrays=config.include_arrays)
-        return rate
+        beam = BeamSpec()
+        return derated_rate(calibrated_run(program, derating=DeratingSpec()),
+                            flux=beam.flux, include_arrays=beam.include_arrays)
 
     def _default_measure(self, program: str, exposures: int,
                          seed: int) -> tuple[float, float, float]:
-        from repro.designs.tinycore.programs import default_dmem, program as prog
-        from repro.ser.beam import BeamConfig, run_beam_test
+        from repro.pipeline import BeamSpec, RunSpec, execute
 
-        words, dmem = prog(program), default_dmem(program)
-        result = run_beam_test(
-            words, dmem, BeamConfig(exposures=exposures, seed=seed))
+        result = execute(RunSpec(
+            design=f"tinycore:{program}",
+            beam=BeamSpec(exposures=exposures, seed=seed))).beam.result
         lo, hi = result.rate_interval()
         return result.sdc_rate_per_cycle, lo, hi
 

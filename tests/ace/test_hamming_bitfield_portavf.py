@@ -7,7 +7,6 @@ from repro.ace.bitfield import (
     IQ_FIELDS,
     ROB_FIELDS,
     ace_bits_for,
-    field_breakdown,
     total_bits,
 )
 from repro.ace.hamming import HammingAnalyzer, naive_tag_avf
@@ -94,16 +93,6 @@ class TestBitFields:
                        ("store", dict(addr=0)), ("branch", dict(taken=True))]:
             inst = Inst(seq=0, op=op, ace=True, **kw)
             assert 0 < ace_bits_for(IQ_FIELDS, inst) <= total_bits(IQ_FIELDS)
-
-    def test_field_breakdown(self):
-        insts = [
-            Inst(seq=0, op="alu", dst=1, imm=True, ace=True),
-            Inst(seq=1, op="alu", dst=1, imm=False, ace=True),
-            Inst(seq=2, op="nop", ace=False),
-        ]
-        breakdown = field_breakdown(IQ_FIELDS, insts)
-        assert breakdown["opcode"] == 1.0
-        assert breakdown["imm"] == 0.5
 
 
 class TestPortAvf:

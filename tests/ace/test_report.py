@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ace.report import per_workload_avfs, structure_rows, structure_table
+from repro.ace.report import structure_rows, structure_table
 from repro.perfmodel.machine import run_workload
 from repro.workloads.generator import WorkloadSpec, generate_trace
 
@@ -35,12 +35,6 @@ def test_table_renders(results):
     assert "structure" in text and "regime" in text
     assert "rob" in text
     assert text.count("\n") == len(results[0].structures)
-
-
-def test_per_workload_variation(results):
-    avfs = per_workload_avfs(results, "rob")
-    assert set(avfs) == {"w0", "w1", "w2"}
-    assert all(0.0 <= v <= 1.0 for v in avfs.values())
 
 
 def test_empty_results():

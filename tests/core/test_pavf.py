@@ -11,7 +11,6 @@ from repro.core.pavf import (
     WRITE,
     Atom,
     PavfEnv,
-    capped_sum,
     format_set,
     union,
     value_of,
@@ -76,12 +75,6 @@ def test_env_copy_is_independent():
     clone = env.copy()
     clone.bind(A, 0.9)
     assert env.lookup(A) == 0.2
-
-
-def test_capped_sum():
-    assert capped_sum([0.4, 0.3]) == pytest.approx(0.7)
-    assert capped_sum([0.8, 0.8]) == 1.0
-    assert capped_sum([]) == 0.0
 
 
 def test_format_set_stable():

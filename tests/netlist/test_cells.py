@@ -5,7 +5,6 @@ import pytest
 from repro.netlist.cells import (
     CELLS,
     VARIADIC_GATES,
-    is_sequential_cell,
     mem_addr_bits,
     mem_pins,
 )
@@ -18,10 +17,9 @@ def test_every_variadic_gate_declared():
 
 
 def test_dff_and_mem_are_sequential():
-    assert is_sequential_cell("DFF")
-    assert is_sequential_cell("MEM")
-    assert not is_sequential_cell("AND")
-    assert not is_sequential_cell("NOPE")
+    assert CELLS["DFF"].is_sequential
+    assert CELLS["MEM"].is_sequential
+    assert not CELLS["AND"].is_sequential
 
 
 @pytest.mark.parametrize(

@@ -41,11 +41,13 @@ def test_bigcore_edit_param_changes_ref_and_fingerprint():
 
 
 def test_bigcore_edit_rejects_unknown_fub():
-    from repro.designs.bigcore import BigcoreConfig, build_bigcore
-    from repro.errors import NetlistError
+    from repro.designs.bigcore import BigcoreConfig
 
-    with pytest.raises(NetlistError, match="no plain DFF"):
-        build_bigcore(BigcoreConfig(scale=0.1, edit="NOSUCH"))
+    # Refused by the config, before anything is generated.
+    with pytest.raises(ValueError, match="edit='NOSUCH' names no FUB"):
+        BigcoreConfig(scale=0.1, edit="NOSUCH")
+    with pytest.raises(ValueError, match="edit='LSU' names no FUB"):
+        BigcoreConfig(scale=0.1, fub_count=3, edit="LSU")
 
 
 # ----------------------------------------------------------------------

@@ -164,6 +164,15 @@ def test_bad_refs():
                         # fingerprint of its own.
                         ("bigcore@scale=0", "scale must be > 0"),
                         ("bigcore@scale=-1e306", "scale must be > 0"),
+                        # Undriven nets at build, a no-feedback core under
+                        # a fingerprint of its own, a NetlistError at build.
+                        ("systolic@data_width=0,acc_width=0,rows=2,cols=2",
+                         "data_width must be >= 1"),
+                        ("systolic@data_width=-1,acc_width=4,rows=2,cols=2",
+                         "data_width must be >= 1"),
+                        ("bigcore@feedback_fubs=-3", "feedback_fubs must be >= 0"),
+                        ("bigcore@edit=NOPE", "edit='NOPE' names no FUB"),
+                        ("bigcore@fub_count=3,edit=LSU", "edit='LSU' names no FUB"),
                         # Sizes above the node ceiling, refused before
                         # anything is generated (1e300 built until killed).
                         ("bigcore@scale=1e300", "node ceiling"),
@@ -175,6 +184,7 @@ def test_bad_refs():
         assert time.perf_counter() - started < 1.0
     # The ceiling admits every size the repo runs.
     resolve_design("bigcore@scale=4")
+    resolve_design("bigcore@edit=LSU")
     assert node_count(resolve_design("systolic@rows=104,cols=104").config) == 1_018_538
     with pytest.raises(DesignRefError, match="unknown program"):
         resolve_design("tinycore:quux")

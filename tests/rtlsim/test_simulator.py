@@ -8,7 +8,6 @@ from repro.errors import SimulationError
 from repro.netlist import wordlib
 from repro.netlist.builder import ModuleBuilder
 from repro.rtlsim.levelize import levelize
-from repro.rtlsim.probes import Probe, StateSnapshot
 from repro.rtlsim.simulator import Simulator
 
 
@@ -149,24 +148,6 @@ class TestMemory:
         sim.poke("ra[2]", 0)
         assert sim.peek_word(rd, 0) == 10
         assert sim.peek_word(rd, 1) == 20
-
-
-def test_probe_and_snapshot():
-    module, q = _counter()
-    sim = Simulator(module, lanes=2)
-    probe = Probe(nets=q)
-    for _ in range(4):
-        probe.sample(sim)
-        sim.step()
-    assert probe.history[0] == [(0, 0), (1, 1), (2, 2), (3, 3)]
-    assert probe.lanes_mismatching(0) == set()
-    sim.flip(q[0], 0b10)
-    probe.sample(sim)
-    assert probe.lanes_mismatching(0) == {1}
-    snap0 = StateSnapshot.capture(sim, 0)
-    snap1 = StateSnapshot.capture(sim, 1)
-    assert snap0.differs_from(snap1)
-    assert not snap0.differs_from(snap0)
 
 
 def test_combinational_cycle_raises():

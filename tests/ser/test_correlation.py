@@ -4,7 +4,8 @@ The heavy end-to-end path (beam + SART on real workloads) is covered by
 `tests/ser/test_ser.py` and the Figure 10 benchmark; these tests pin the
 row arithmetic, including the degenerate inputs: an empty campaign
 (zero measured events), a single-component model, and zero-variance
-(constant) AVF vectors where proxy and SART agree exactly.
+(constant) AVF vectors where proxy and SART agree exactly, plus the
+modeled rates of one real workload.
 """
 
 from __future__ import annotations
@@ -105,6 +106,15 @@ def test_tinycore_loop_pavf_is_calibrated_between_bounds():
 
 
 @pytest.mark.slow
+def test_model_rates_pinned_on_fib():
+    # Pinned at the values of a hand-wired build -> golden run -> ports
+    # -> SART chain: the pipeline run must reproduce them bit for bit.
+    assert model_rates("fib", flux=1e-5, include_arrays=False)[:4] == (
+        0.0011650000000000026, 0.0009119999999999954,
+        0.5, 0.39141630901287694)
+
+
+@pytest.mark.slow
 def test_model_rates_sart_below_proxy_on_real_workload():
     proxy_rate, sart_rate, proxy_avf, sart_avf, sart = model_rates(
         "fib", flux=2e-5)
@@ -112,3 +122,6 @@ def test_model_rates_sart_below_proxy_on_real_workload():
     assert 0.0 < sart_rate <= proxy_rate
     assert 0.0 < sart_avf <= proxy_avf <= 1.0
     assert sart.node_avfs
+    # With the data arrays, pinned like the test above.
+    assert (proxy_rate, sart_rate) == (0.0036100000000000056,
+                                       0.003103999999999991)

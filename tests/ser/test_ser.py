@@ -4,6 +4,7 @@ import pytest
 
 from repro.designs.tinycore.programs import default_dmem, program
 from repro.errors import CampaignError, ReproError
+from repro.pipeline import BeamSpec
 from repro.ser.beam import BeamConfig, run_beam_test
 from repro.ser.correlation import TINYCORE_LOOP_PAVF, correlate_workloads, model_rates
 from repro.ser.fit import FitModel, sdc_rate_per_cycle
@@ -91,7 +92,7 @@ class TestCorrelation:
     def rows(self):
         return correlate_workloads(
             ("lattice2d", "md5mix"),
-            beam_config=BeamConfig(flux=1e-5, exposures=189, seed=77),
+            beam=BeamSpec(flux=1e-5, exposures=189, seed=77),
         )
 
     def test_proxy_overpredicts(self, rows):

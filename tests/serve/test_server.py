@@ -92,6 +92,10 @@ def test_error_codes(tmp_path):
                 ({"design": "nope:x"}, "'nope'"),
                 ({"design": "tinycore:quux"}, "unknown program"),
                 ({"design": "bigcore@scale=1e300"}, "node ceiling"),
+                ({"design": "bigcore@edit=NOPE"}, "names no FUB"),
+                ({"design": "bigcore@feedback_fubs=-3"}, "feedback_fubs"),
+                ({"design": "systolic@data_width=0,acc_width=0,rows=2,cols=2"},
+                 "data_width"),
                 ({"design": "tinycore:fib", "eco": {"baseline": "nope:x"}},
                  "'nope'")):
             status, doc = post_json(f"{app.url}/jobs", spec)

@@ -17,6 +17,7 @@ from repro.verify.oracles import (
     CaseContext,
     CrossEngineOracle,
     CtrlPinnedOracle,
+    DeadlineSanityOracle,
     LaneIsolationOracle,
     LoopMonotonicityOracle,
     MinResolutionOracle,
@@ -106,6 +107,26 @@ def test_sfi_oracle_slack_tolerates_boundary():
         analytic=lambda program: 0.26,
         measure=lambda program, injections, seed: (0.4, 0.3, 0.5))
     assert oracle.check(None) == []
+
+
+# The global oracles check the flow users run: their default seams are
+# pipeline runs, so a hand-wired copy that drifts from it fails here.
+
+def test_deadline_oracle_reads_the_pipeline_run():
+    from repro.pipeline import RunSpec, execute
+
+    assert (DeadlineSanityOracle()._default_analysis("fib")
+            == execute(RunSpec("tinycore:fib")).port_env.deadlines)
+
+
+def test_sfi_oracle_measures_the_cli_campaign():
+    from repro.pipeline import RunSpec, SfiSpec, execute
+    from repro.sfi import overall_avf
+
+    outcome = execute(RunSpec("tinycore:fib", sfi=SfiSpec(96, 7)))
+    avf, (lo, hi) = overall_avf(outcome.sfi.result.outcomes)
+    measured = SfiConsistencyOracle()._default_measure("fib", 96, 7)
+    assert measured == (avf, lo, hi)
 
 
 def test_registry_names_unique_and_complete():

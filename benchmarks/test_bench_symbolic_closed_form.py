@@ -56,20 +56,18 @@ def test_bench_closed_form_matches_full_run(bigcore_design, base_run, new_worklo
     fresh = run_sart(bigcore_design.module, new_workload_ports, CFG)
     full_seconds = time.perf_counter() - started
 
-    worst = max(
-        abs(reevaluated[net].avf - fresh.avf(net)) for net in fresh.node_avfs
-    )
+    differing = sum(reevaluated[net] != node for net, node in fresh.node_avfs.items())
     speedup = full_seconds / max(reeval_seconds, 1e-9)
     print_table(
         "Closed-form re-evaluation vs full SART re-run (new workload pAVFs)",
-        ["method", "seconds", "max |AVF diff|"],
+        ["method", "seconds", "records differing"],
         [
-            ["full SART re-run", full_seconds, 0.0],
-            ["closed-form plug-in", reeval_seconds, worst],
+            ["full SART re-run", full_seconds, 0],
+            ["closed-form plug-in", reeval_seconds, differing],
         ],
     )
     print(f"speedup {speedup:.1f}x; equations hold {closed.term_count():,} terms")
-    assert worst < 1e-12
+    assert reevaluated == fresh.node_avfs
     assert speedup > 1.5
 
 

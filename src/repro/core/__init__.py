@@ -13,8 +13,8 @@ Pipeline (paper Section 5, "Implementation and Tool Flow"):
    with loop breaking, control-register injection and per-FUB relaxation
    (:mod:`repro.core.sart`).
 5. Every node is annotated with ``AVF = MIN(forward, backward)``
-   (:mod:`repro.core.resolve`), and per-FUB reports are produced
-   (:mod:`repro.core.report`).
+   (:func:`repro.core.compiled.resolve_ids`), and per-FUB reports are
+   produced (:mod:`repro.core.report`).
 """
 
 from repro.core.pavf import TOP, Atom, PavfEnv, union, value_of

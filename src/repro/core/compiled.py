@@ -843,8 +843,12 @@ def resolve_ids(
     *,
     evaluator: SetEvaluator | None = None,
     only: Sequence[int] | None = None,
+    structures: Mapping[str, StructurePorts] | None = None,
 ) -> dict[str, NodeAvf]:
-    """Index-based equivalent of :func:`repro.core.resolve.resolve`.
+    """Final per-node AVFs of a solve's set-id vectors (paper Table 1).
+
+    Structure bits keep their measured AVF from *structures* (the plan's
+    table by default), injected nodes their value, the rest get the MIN.
 
     *only* restricts resolution to those node ids — the incremental
     (ECO) path resolves just the re-solved FUBs' nodes and reuses the
@@ -856,7 +860,8 @@ def resolve_ids(
         ev.fill(b_sid)
     else:
         ev.fill([t[nid] for t in (f_sid, b_sid) for nid in only])
-    structures = plan.model.structures
+    if structures is None:
+        structures = plan.model.structures
     vals = ev._vals
     names, kind_l, fub_l = plan.names, plan.kind_l, plan.fub_l
     role_l, mode_l, special_l = plan.role_l, plan.mode_l, plan.special_l

@@ -40,7 +40,7 @@ from repro.core.pavf import (
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.report import DesignReport, fub_report
 from repro.core.resolve import NodeAvf
-from repro.core.symbolic import ClosedForm, atom_value
+from repro.core.symbolic import ClosedForm, bind_structures
 from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
 
@@ -96,12 +96,26 @@ class SartResult:
     # repro.core.relaxation.WarmStart.
     f_boundary: dict[str, frozenset[Atom]] | None = None
     b_boundary: dict[str, frozenset[Atom]] | None = None
+    # The plan the result was solved on; None for the reference engines
+    # (repro.verify.reference), which solve without one.
+    plan: SolvePlan | None = None
 
     def closed_form(self) -> ClosedForm:
-        """Closed-form equations for workload re-evaluation (Section 5.2)."""
-        return ClosedForm(
-            model=self.model, f_sets=self.f_sets, b_sets=self.b_sets, base_env=self.env
-        )
+        """Closed-form equations for workload re-evaluation (Section 5.2).
+
+        The result's sets are interned into its plan: identity hits for a
+        cold solve, new ids only for the baseline sets an ECO result
+        carries over.
+        """
+        if self.plan is None:
+            raise SartError("closed forms need a result solved on a SolvePlan (run_sart)")
+        intern, names = self.plan.interner.id_of, self.plan.names
+
+        def ids(sets: dict[str, frozenset[Atom]]) -> list[int]:
+            return [-1 if (s := sets.get(name)) is None else intern(s) for name in names]
+
+        return ClosedForm(plan=self.plan, f_ids=ids(self.f_sets),
+                          b_ids=ids(self.b_sets), base_env=self.env)
 
     def avf(self, net: str) -> float:
         return self.node_avfs[net].avf
@@ -116,11 +130,7 @@ def build_env(model: AvfModel, config: SartConfig) -> PavfEnv:
     if config.loop_pavf_per_net:
         for net, value in config.loop_pavf_per_net.items():
             env.bind(Atom(LOOP, net), value)
-    for atom, (role, sname, bit) in model.atom_bindings.items():
-        ports = model.structures.get(sname)
-        if ports is None:
-            continue
-        env.bind(atom, atom_value(ports, role, bit))
+    bind_structures(env, model, model.structures)
     overrides = config.boundary_overrides or {}
     for net in model.graph.input_nets():
         env.bind(Atom(BOUNDARY, net), overrides.get(net, config.boundary_in_pavf))
@@ -171,7 +181,6 @@ def run_sart(
     # in a ``.plan`` attribute) wherever a bare plan is expected.
     if plan is not None and not isinstance(plan, SolvePlan):
         plan = getattr(plan, "plan", plan)
-    plan_reused = plan is not None
     if plan is None:
         plan = build_plan(design, structures)
     graph = plan.graph
@@ -275,7 +284,6 @@ def run_sart(
         "ctrl_bits": float(len(model.ctrl_nets)),
         "structure_bits": float(len(model.struct_nodes)),
         "visited_fraction": report.visited_fraction,
-        "plan_reused": 1.0 if plan_reused else 0.0,
     }
     if trace is not None and trace.warm:
         stats["warm"] = 1.0
@@ -295,4 +303,5 @@ def run_sart(
         stats=stats,
         f_boundary=f_boundary,
         b_boundary=b_boundary,
+        plan=plan,
     )

@@ -10,8 +10,10 @@ from the ACE model then plug those values into the closed form equations."
 Because the propagated values are symbolic atom sets, the closed form
 falls out directly: every node's equation is
 ``AVF(n) = MIN(sum(f-atoms), sum(b-atoms))`` (sums capped at 1.0). A
-:class:`ClosedForm` captures the per-node sets and re-evaluates them under
-fresh structure port AVFs without re-running any walk or relaxation.
+:class:`ClosedForm` is a view over the solve's plan, set ids and
+environment: re-evaluating it under fresh structure port AVFs rebinds the
+structure atoms and runs the solve's own resolution
+(:func:`~repro.core.compiled.resolve_ids`), with no walk or relaxation.
 """
 
 from __future__ import annotations
@@ -19,27 +21,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.compiled import SolvePlan, resolve_ids
 from repro.core.graphmodel import AvfModel, StructurePorts
-from repro.core.pavf import Atom, PavfEnv, format_set, value_of
-from repro.core.resolve import NodeAvf, resolve
+from repro.core.pavf import PavfEnv, format_set
+from repro.core.resolve import NodeAvf
 
 
 @dataclass
 class ClosedForm:
-    """Per-node symbolic AVF equations, re-evaluable in O(nodes)."""
+    """Per-node symbolic AVF equations over a solve plan, re-evaluable in O(nodes)."""
 
-    model: AvfModel
-    f_sets: dict[str, frozenset[Atom]]
-    b_sets: dict[str, frozenset[Atom]]
+    plan: SolvePlan
+    f_ids: list[int]
+    b_ids: list[int]
     base_env: PavfEnv
 
     def equation_for(self, net: str) -> str:
         """Human-readable closed-form equation of one node."""
-        f = self.f_sets.get(net)
-        b = self.b_sets.get(net)
-        f_str = format_set(f) if f is not None else "TOP"
-        b_str = format_set(b) if b is not None else "TOP"
-        return f"AVF({net}) = MIN({f_str}, {b_str})"
+        nid = self.plan.ids.get(net)
+        terms = []
+        for ids in (self.f_ids, self.b_ids):
+            sid = -1 if nid is None else ids[nid]
+            terms.append(format_set(self.plan.interner.sets[sid]) if sid >= 0 else "TOP")
+        return f"AVF({net}) = MIN({terms[0]}, {terms[1]})"
 
     def evaluate(
         self, structures: Mapping[str, StructurePorts] | None = None
@@ -50,24 +54,27 @@ class ClosedForm:
         keep their original values). Injected values (loops, control
         registers, boundaries) are retained from the base environment.
         """
-        env = self.base_env.copy()
-        effective = dict(self.model.structures)
+        model = self.plan.model
+        env, effective = self.base_env, model.structures
         if structures:
-            effective.update(structures)
-            for atom, (role, sname, bit) in self.model.atom_bindings.items():
-                ports = effective.get(sname)
-                if ports is None:
-                    continue
-                env.bind(atom, atom_value(ports, role, bit))
-        return resolve(self.model, self.f_sets, self.b_sets, env, structures=effective)
+            env, effective = env.copy(), {**effective, **structures}
+            bind_structures(env, model, effective)
+        return resolve_ids(self.plan, self.f_ids, self.b_ids, env, structures=effective)
 
     def term_count(self) -> int:
         """Total number of atom terms across all equations (size metric)."""
-        total = 0
-        for sets in (self.f_sets, self.b_sets):
-            for atoms in sets.values():
-                total += len(atoms)
-        return total
+        row_len = self.plan.interner.row_len
+        return sum(row_len[s] for ids in (self.f_ids, self.b_ids) for s in ids if s >= 0)
+
+
+def bind_structures(
+    env: PavfEnv, model: AvfModel, structures: Mapping[str, StructurePorts]
+) -> None:
+    """Bind every structure atom of *model* to its value in *structures*."""
+    for atom, (role, sname, bit) in model.atom_bindings.items():
+        ports = structures.get(sname)
+        if ports is not None:
+            env.bind(atom, atom_value(ports, role, bit))
 
 
 def atom_value(ports: StructurePorts, role: str, bit: int) -> float:

@@ -34,7 +34,7 @@ from repro.pipeline.artifacts import (
     SartOutcome,
 )
 from repro.pipeline.fingerprint import fingerprint, stage_fingerprint
-from repro.pipeline.registry import DesignProvider, register_scheme, resolve_design
+from repro.pipeline.registry import DesignProvider, resolve_design
 from repro.pipeline.runner import RunOutcome, SweepPoint, execute, sart_config
 from repro.pipeline.spec import (
     BeamSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "execute",
     "fingerprint",
     "load_spec",
-    "register_scheme",
     "resolve_design",
     "sart_config",
     "spec_from_mapping",

@@ -21,8 +21,7 @@ and one reference grammar resolved by :func:`resolve_design`::
 Concrete providers for the built-in designs live with the designs
 themselves (:mod:`repro.designs.tinycore.provider`,
 :mod:`repro.designs.bigcore.provider`); external netlists are handled by
-:class:`ExlifProvider` here. Third-party design families can join with
-:func:`register_scheme`.
+:class:`ExlifProvider` here.
 """
 
 from __future__ import annotations
@@ -241,13 +240,6 @@ _SCHEMES: dict[str, Callable[[str, dict[str, str], str], DesignProvider]] = {
     "systolic": _make_systolic,
     "exlif": _make_exlif,
 }
-
-
-def register_scheme(
-    name: str, factory: Callable[[str, dict[str, str], str], DesignProvider]
-) -> None:
-    """Register a design scheme: ``factory(body, params, ref) -> provider``."""
-    _SCHEMES[name] = factory
 
 
 def resolve_design(ref: str, **overrides: Any) -> DesignProvider:

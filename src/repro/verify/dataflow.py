@@ -24,11 +24,10 @@ the equivalence tests; run it on a design with
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.core.graphmodel import AvfModel
-from repro.core.partition import FubPartition, partition_by_fub
 from repro.core.pavf import (
     Atom,
     PavfEnv,
@@ -39,17 +38,6 @@ from repro.core.pavf import (
 )
 from repro.core.relaxation import RelaxationTrace
 from repro.netlist.graph import NodeKind
-
-
-def shared_interner(interner: SetInterner | None) -> SetInterner:
-    """Normalize an optional interner argument (None -> fresh table).
-
-    Both directional solvers intern the sets they produce through this
-    helper's result, so passing one :class:`SetInterner` to a forward and a
-    backward solve (as :func:`relax` does across all FUBs and iterations)
-    shares every duplicate annotation set between them.
-    """
-    return interner if interner is not None else SetInterner()
 
 
 def solve_forward(
@@ -74,7 +62,7 @@ def solve_forward(
 
     members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
-    interner = shared_interner(interner)
+    interner = interner if interner is not None else SetInterner()
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
@@ -155,7 +143,7 @@ def solve_backward(
 
     members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
-    interner = shared_interner(interner)
+    interner = interner if interner is not None else SetInterner()
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
@@ -209,11 +197,47 @@ def solve_backward(
 # ----------------------------------------------------------------------
 
 @dataclass
+class FubPartition:
+    """Net sets per FUB plus the FUBIO interconnect net lists.
+
+    "It may be advantageous to partition the RTL ... For our purposes,
+    the natural boundaries of the RTL are at the FUB boundaries." Each
+    node's FUB comes from its ``fub`` instance attribute (inherited
+    through flattening); untagged nodes form the ``""`` partition.
+    """
+
+    fubs: dict[str, set[str]] = field(default_factory=dict)
+    # Nets whose forward value must be exported (sources of cross edges).
+    forward_exports: set[str] = field(default_factory=set)
+    # Nets whose backward value must be exported (consumers of cross edges).
+    backward_exports: set[str] = field(default_factory=set)
+
+
+def partition_by_fub(model: AvfModel) -> FubPartition:
+    """Partition the node graph along FUB boundaries.
+
+    For every cross-partition edge the source net's forward value is
+    exported to the consuming FUB and the consumer's backward value to
+    the producing FUB.
+    """
+    part = FubPartition()
+    graph = model.graph
+    names, fubs, ptr, ix = graph.names, graph.fubs, graph.fanin_ptr, graph.fanin_ix
+    for net, fub in zip(names, fubs):
+        part.fubs.setdefault(fub, set()).add(net)
+    for nid, net in enumerate(names):
+        for j in ix[ptr[nid]:ptr[nid + 1]]:
+            if fubs[j] != fubs[nid]:
+                part.forward_exports.add(names[j])
+                part.backward_exports.add(net)
+    return part
+
+
+@dataclass
 class RelaxationResult:
     f_sets: dict[str, frozenset[Atom]]
     b_sets: dict[str, frozenset[Atom]]
     trace: RelaxationTrace
-    partition: FubPartition
 
 
 def relax(
@@ -223,8 +247,6 @@ def relax(
     iterations: int = 20,
     tol: float = 1e-9,
     dangling: str = "unace",
-    partition: FubPartition | None = None,
-    interner: SetInterner | None = None,
 ) -> RelaxationResult:
     """Run the partitioned analysis to convergence (or *iterations*).
 
@@ -237,11 +259,11 @@ def relax(
     resolved pAVF of its sequential nodes, the quantity the paper plotted
     to declare 20 iterations sufficient.
     """
-    partition = partition or partition_by_fub(model)
+    partition = partition_by_fub(model)
     trace = RelaxationTrace()
     # One interner across every FUB, iteration and direction: duplicate
     # annotation sets are shared instead of re-allocated per solve.
-    interner = shared_interner(interner)
+    interner = SetInterner()
 
     f_boundary: dict[str, frozenset[Atom]] = {}
     b_boundary: dict[str, frozenset[Atom]] = {}
@@ -279,7 +301,7 @@ def relax(
             trace.converged = True
             break
 
-    return RelaxationResult(f_sets=f_sets, b_sets=b_sets, trace=trace, partition=partition)
+    return RelaxationResult(f_sets=f_sets, b_sets=b_sets, trace=trace)
 
 
 def _merge(

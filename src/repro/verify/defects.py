@@ -17,10 +17,13 @@ test with a sledgehammer defect but miss real regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.resolve import NodeAvf, ROLE_CTRL, ROLE_STRUCT
 from repro.core.sart import SartResult
+
+if TYPE_CHECKING:
+    from repro.pipeline.runner import RunOutcome
 
 
 @dataclass(frozen=True)
@@ -33,10 +36,10 @@ class Defect:
     # Seam hooks; each defect sets exactly the one its oracle reads.
     mutate_sart: Callable[[str, SartResult], SartResult] | None = None
     make_sim: Callable | None = None
-    analytic: Callable[[str], float] | None = None
+    analytic: Callable[[RunOutcome], float] | None = None
     corrupt_corpus: Callable[[dict], dict] | None = None
     corrupt_deadlines: Callable[[dict], dict] | None = None
-    derated: Callable[[str], float] | None = None
+    derated: Callable[[RunOutcome], float] | None = None
 
 
 def _replace_node(result: SartResult, net: str, **changes) -> SartResult:
@@ -147,7 +150,7 @@ def _bitrot_make_sim(module, lanes=1):
     return _BitrotSimulator(Simulator(module, lanes=lanes))
 
 
-def _optimistic_analytic(program: str) -> float:
+def _optimistic_analytic(run: RunOutcome) -> float:
     return 0.001  # far below any real tinycore SFI interval
 
 
@@ -167,7 +170,7 @@ def _inflate_deadline_bin(summaries: dict) -> dict:
     return corrupted
 
 
-def _underderated_rate(program: str) -> float:
+def _underderated_rate(run: RunOutcome) -> float:
     return 1e-9  # masking model derates everything away: far below any beam
 
 

@@ -346,18 +346,21 @@ class SfiConsistencyOracle(Oracle):
     truth on tinycore.
 
     The paper's conservatism contract: the analytical estimate tracks
-    but does not *undershoot* measurement. The measurement is the
-    campaign ``repro-sart sfi`` runs (``injections`` faults uniformly
-    into tinycore's sequential nodes), its SDC AVF with its Wilson
-    interval; SART predicts the same quantity as the mean sequential AVF
-    over the injectable nodes. Both sides run through
-    :func:`~repro.pipeline.execute`. The check fails when the
+    but does not *undershoot* measurement. Both sides come from one
+    :func:`~repro.ser.correlation.calibrated_run` with an ``[sfi]``
+    section. The measurement is its campaign, the one ``repro-sart sfi``
+    runs (``injections`` faults uniformly into tinycore's sequential
+    nodes; the sfi stage reads no SART output): its SDC AVF with its
+    Wilson interval. SART predicts the same quantity as the mean
+    sequential AVF over the injectable nodes. The check fails when the
     analytical prediction drops below the interval's lower bound minus
     ``slack`` (model optimistic: the paper's Figure 10 contract is
     broken).
 
-    ``analytic`` and ``measure`` are injectable seams for mutation-kill
-    tests (a corrupted analytic model must be caught).
+    ``analytic`` (run -> predicted AVF) and ``measure`` (run -> SDC AVF
+    and interval) are injectable seams for mutation-kill tests (a
+    corrupted analytic model must be caught); with both injected no run
+    is made and they receive ``None``.
     """
 
     name = "sfi-consistency"
@@ -374,10 +377,18 @@ class SfiConsistencyOracle(Oracle):
         self._analytic = analytic
         self._measure = measure
 
+    def run(self):
+        """The oracle's one pipeline run: SART plus the ``[sfi]`` campaign."""
+        from repro.pipeline import SfiSpec
+        from repro.ser.correlation import calibrated_run
+
+        return calibrated_run(
+            self.program, sfi=SfiSpec(injections=self.injections, seed=self.seed))
+
     def check(self, subject=None, ctx=None) -> list[Violation]:
-        predicted = (self._analytic or self._default_analytic)(self.program)
-        avf, lo, hi = (self._measure or self._default_measure)(
-            self.program, self.injections, self.seed)
+        run = None if self._analytic and self._measure else self.run()
+        predicted = (self._analytic or self._default_analytic)(run)
+        avf, lo, hi = (self._measure or self._default_measure)(run)
         case = (f"tinycore:{self.program} x{self.injections} "
                 f"(seed {self.seed})")
         if predicted < lo - self.slack:
@@ -388,20 +399,15 @@ class SfiConsistencyOracle(Oracle):
                 f"{avf:.3f}) by more than slack={self.slack}")]
         return []
 
-    def _default_analytic(self, program: str) -> float:
-        from repro.ser.correlation import calibrated_run
+    @staticmethod
+    def _default_analytic(run) -> float:
+        return average_seq_avf(run.sart.result.node_avfs)
 
-        return average_seq_avf(calibrated_run(program).sart.result.node_avfs)
-
-    def _default_measure(self, program: str, injections: int,
-                         seed: int) -> tuple[float, float, float]:
-        from repro.pipeline import RunSpec, SfiSpec, execute
+    @staticmethod
+    def _default_measure(run) -> tuple[float, float, float]:
         from repro.sfi import overall_avf
 
-        outcome = execute(RunSpec(
-            design=f"tinycore:{program}",
-            sfi=SfiSpec(injections=injections, seed=seed)))
-        avf, (lo, hi) = overall_avf(outcome.sfi.result.outcomes)
+        avf, (lo, hi) = overall_avf(run.sfi.result.outcomes)
         return avf, lo, hi
 
 
@@ -490,12 +496,13 @@ class DeratedSerOracle(Oracle):
     architectural model carries, so unlike the SFI check this one is
     two-sided: a rate *below* the widened interval means the masking
     model derates too aggressively, *above* means it stopped derating.
-    The rate folds in the ``[derating]`` factors of the pipeline run
-    (:func:`repro.ser.correlation.derated_rate`); the beam is the
-    ``[beam]`` stage of another.
+    Both sides come from one pipeline run: the rate folds in its
+    ``[derating]`` factors (:func:`repro.ser.correlation.derated_rate`),
+    the measurement is its ``[beam]`` stage.
 
-    ``derated`` and ``measure`` are injectable seams for mutation-kill
-    tests.
+    ``derated`` (run -> model rate) and ``measure`` (run -> beam rate
+    and interval) are injectable seams for mutation-kill tests; with
+    both injected no run is made and they receive ``None``.
     """
 
     name = "derated-ser"
@@ -503,7 +510,7 @@ class DeratedSerOracle(Oracle):
 
     def __init__(self, program: str = "fib", exposures: int = 252,
                  slack: float = 0.25, seed: int = 2024,
-                 derated: Callable[[str], float] | None = None,
+                 derated: Callable[..., float] | None = None,
                  measure: Callable[..., tuple[float, float, float]] | None = None):
         self.program = program
         self.exposures = exposures
@@ -512,10 +519,19 @@ class DeratedSerOracle(Oracle):
         self._derated = derated
         self._measure = measure
 
+    def run(self):
+        """The oracle's one pipeline run: SART, ``[derating]`` and ``[beam]``."""
+        from repro.pipeline import BeamSpec, DeratingSpec
+        from repro.ser.correlation import calibrated_run
+
+        return calibrated_run(
+            self.program, derating=DeratingSpec(),
+            beam=BeamSpec(exposures=self.exposures, seed=self.seed))
+
     def check(self, subject=None, ctx=None) -> list[Violation]:
-        predicted = (self._derated or self._default_derated)(self.program)
-        rate, lo, hi = (self._measure or self._default_measure)(
-            self.program, self.exposures, self.seed)
+        run = None if self._derated and self._measure else self.run()
+        predicted = (self._derated or self._default_derated)(run)
+        rate, lo, hi = (self._measure or self._default_measure)(run)
         case = (f"tinycore:{self.program} x{self.exposures} exposures "
                 f"(seed {self.seed})")
         floor, ceiling = lo * (1.0 - self.slack), hi * (1.0 + self.slack)
@@ -528,21 +544,16 @@ class DeratedSerOracle(Oracle):
                 f"{self.slack:.0%})")]
         return []
 
-    def _default_derated(self, program: str) -> float:
-        from repro.pipeline import BeamSpec, DeratingSpec
-        from repro.ser.correlation import calibrated_run, derated_rate
+    @staticmethod
+    def _default_derated(run) -> float:
+        from repro.ser.correlation import derated_rate
 
-        beam = BeamSpec()
-        return derated_rate(calibrated_run(program, derating=DeratingSpec()),
-                            flux=beam.flux, include_arrays=beam.include_arrays)
+        beam = run.spec.beam
+        return derated_rate(run, flux=beam.flux, include_arrays=beam.include_arrays)
 
-    def _default_measure(self, program: str, exposures: int,
-                         seed: int) -> tuple[float, float, float]:
-        from repro.pipeline import BeamSpec, RunSpec, execute
-
-        result = execute(RunSpec(
-            design=f"tinycore:{program}",
-            beam=BeamSpec(exposures=exposures, seed=seed))).beam.result
+    @staticmethod
+    def _default_measure(run) -> tuple[float, float, float]:
+        result = run.beam.result
         lo, hi = result.rate_interval()
         return result.sdc_rate_per_cycle, lo, hi
 

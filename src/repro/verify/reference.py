@@ -11,7 +11,9 @@ end :func:`~repro.core.graphmodel.build_model` with its loop breaking
 and control registers, environment, resolution, per-FUB report) and
 returns the same :class:`~repro.core.sart.SartResult` shape, so the
 cross-engine oracle, the equivalence tests and the ablation benchmarks
-compare propagation engines on one model.
+compare propagation engines on one model. Its resolution phase is
+:func:`resolve`, the dict-keyed reference of
+:func:`repro.core.compiled.resolve_ids`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,22 @@ from __future__ import annotations
 import time
 from typing import Mapping
 
-from repro.core.graphmodel import StructurePorts, build_model
+from repro.core.graphmodel import AvfModel, StructurePorts, build_model
+from repro.core.pavf import CTRL, LOOP, TOP, Atom, PavfEnv, value_of
 from repro.core.report import fub_report
-from repro.core.resolve import resolve
+from repro.core.resolve import (
+    ROLE_CONST,
+    ROLE_CTRL,
+    ROLE_INPUT,
+    ROLE_LOGIC,
+    ROLE_LOOP,
+    ROLE_MEM,
+    ROLE_STRUCT,
+    NodeAvf,
+)
 from repro.core.sart import SartConfig, SartResult, build_env
 from repro.errors import SartError
-from repro.netlist.graph import NetGraph, extract_graph
+from repro.netlist.graph import NetGraph, NodeKind, extract_graph
 from repro.netlist.netlist import Module
 from repro.verify.dataflow import relax, solve_backward, solve_forward
 from repro.verify.walker import WalkEngine, fill_unvisited
@@ -92,3 +104,43 @@ def run_reference(
         elapsed_seconds=time.perf_counter() - started,
         stats=stats,
     )
+
+
+def resolve(
+    model: AvfModel,
+    f_sets: Mapping[str, frozenset[Atom]],
+    b_sets: Mapping[str, frozenset[Atom]],
+    env: PavfEnv,
+) -> dict[str, NodeAvf]:
+    """Compute the final per-node AVF from the two directional estimates."""
+    out: dict[str, NodeAvf] = {}
+    graph = model.graph
+    for net, kind, fub in zip(graph.names, graph.kinds, graph.fubs):
+        f_set, b_set = f_sets.get(net), b_sets.get(net)
+        f_val = value_of(f_set, env) if f_set is not None else 1.0
+        b_val = value_of(b_set, env) if b_set is not None else 1.0
+        avf = min(f_val, b_val)
+        visited = not (
+            (f_set is None or TOP in f_set) and (b_set is None or TOP in b_set)
+        )
+        if net in model.struct_nodes:
+            role, visited = ROLE_STRUCT, True
+            ports = model.structures.get(model.struct_nodes[net][0])
+            if ports is not None and ports.avf is not None:
+                avf = ports.avf
+        elif net in model.loop_nets:
+            role, visited, avf = ROLE_LOOP, True, env.lookup(Atom(LOOP, net))
+        elif net in model.ctrl_nets:
+            # Control registers are structure-like: their AVF is the
+            # injected read-port value (100 % by default), not an estimate.
+            role, visited, avf = ROLE_CTRL, True, env.lookup(Atom(CTRL, net))
+        elif kind == NodeKind.CONST:
+            role = ROLE_CONST
+        elif kind == NodeKind.INPUT:
+            role = ROLE_INPUT
+        elif kind == NodeKind.MEM_RDATA:
+            role, visited = ROLE_MEM, True
+        else:
+            role = ROLE_LOGIC
+        out[net] = NodeAvf(net, kind, fub, role, avf, f_val, b_val, visited)
+    return out

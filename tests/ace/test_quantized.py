@@ -1,9 +1,12 @@
 """Quantized (windowed) AVF tests."""
 
+import random
+
 import pytest
 
 from repro.ace.quantized import TeeRecorder, WindowedPortCounter, quantized_seq_avf
 from repro.core.graphmodel import StructurePorts
+from repro.core.report import average_seq_avf
 from repro.core.sart import SartConfig, run_sart
 from repro.errors import AceError
 from repro.netlist.builder import ModuleBuilder
@@ -81,6 +84,36 @@ def test_quantized_time_series_through_closed_form():
     ]
     series = quantized_seq_avf(closed, windows)
     assert series == pytest.approx([0.1, 0.9, 0.0])
+
+
+def test_quantized_series_equals_per_window_solves():
+    # Pipeline stages behind wide joins of source structures, so each
+    # stage's AVF is a sum of several atoms: the series must be each
+    # window's fresh solve exactly, rounding included.
+    rng = random.Random(3)
+    b = ModuleBuilder("joins")
+    tie = b.input("tie_in")
+    srcs = [b.dff(tie, name=f"s{i}", attrs={"struct": f"S{i}", "bit": "0"})
+            for i in range(8)]
+    for j in range(12):
+        stage = b.dff(b.or_(*rng.sample(srcs, rng.randint(3, 8))), name=f"p{j}")
+        b.dff(stage, name=f"k{j}", attrs={"struct": f"K{j}", "bit": "0"})
+    module = b.done()
+
+    def ports(seed):
+        rng = random.Random(seed)
+        table = {f"S{i}": StructurePorts(f"S{i}", pavf_r=rng.uniform(0.0, 0.2), pavf_w=0.0)
+                 for i in range(8)}
+        table.update({f"K{j}": StructurePorts(f"K{j}", pavf_r=0.0, pavf_w=1.0)
+                      for j in range(12)})
+        return table
+
+    cfg = SartConfig(partition_by_fub=False)
+    closed = run_sart(module, ports(0), cfg).closed_form()
+    windows = [ports(seed) for seed in range(1, 9)]
+    assert quantized_seq_avf(closed, windows) == [
+        average_seq_avf(run_sart(module, table, cfg).node_avfs) for table in windows
+    ]
 
 
 def test_end_to_end_windowed_perfmodel():

@@ -1,14 +1,15 @@
 """Partitioned relaxation (Section 5.2) and closed-form re-evaluation."""
 
+import random
+
 import pytest
 
 from repro.core.graphmodel import StructurePorts
-from repro.core.partition import partition_by_fub
-from repro.core.sart import SartConfig, build_env, run_sart
+from repro.core.sart import SartConfig, build_env, build_plan, run_sart
 from repro.core.graphmodel import build_model
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
-from repro.verify.dataflow import relax
+from repro.verify.dataflow import partition_by_fub, relax
 
 
 def _chain_of_fubs(n_fubs=4, stages_per_fub=2):
@@ -111,9 +112,9 @@ class TestClosedForm:
         module2, fub_nets2 = _chain_of_fubs()
         fresh = run_sart(module2, new_structs, SartConfig(partition_by_fub=False))
         reevaluated = cf.evaluate(new_structs)
+        assert reevaluated == fresh.node_avfs
         for nets in fub_nets.values():
             for net in nets:
-                assert reevaluated[net].avf == pytest.approx(fresh.avf(net)), net
                 assert reevaluated[net].avf == pytest.approx(0.05)
 
     def test_equation_rendering(self, fig7):
@@ -133,6 +134,50 @@ class TestClosedForm:
         new["S1"] = StructurePorts("S1", pavf_r=0.10, pavf_w=0.0, avf=0.77)
         out = cf.evaluate(new)
         assert out[nets["s1"]].avf == pytest.approx(0.77)
+
+
+@pytest.fixture(scope="module")
+def small_bigcore():
+    """A bigcore graph with random per-structure port AVFs."""
+    from repro.designs.bigcore import BigcoreConfig, build_bigcore
+
+    graph = extract_graph(build_bigcore(BigcoreConfig(scale=0.1, seed=42)).module)
+    names = sorted(build_plan(graph).model.structures)
+
+    def ports(seed):
+        rng = random.Random(seed)
+        return {name: StructurePorts(name, pavf_r=rng.uniform(0.0, 0.3),
+                                     pavf_w=rng.uniform(0.0, 0.3), avf=rng.random())
+                for name in names}
+
+    return graph, ports
+
+
+class TestClosedFormIsTheSolve:
+    """A plug-in runs the solve's own resolution: equal, not approximately equal."""
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_self_plug_in_equals_the_solve(self, small_bigcore, partitioned):
+        graph, ports = small_bigcore
+        res = run_sart(graph, ports(1), SartConfig(partition_by_fub=partitioned))
+        assert res.closed_form().evaluate() == res.node_avfs
+        assert res.closed_form().evaluate(ports(1)) == res.node_avfs
+
+    def test_new_ports_plug_in_equals_a_fresh_solve(self, small_bigcore):
+        graph, ports = small_bigcore
+        cfg = SartConfig(partition_by_fub=False)
+        closed = run_sart(graph, ports(1), cfg).closed_form()
+        for seed in (2, 3):
+            fresh = run_sart(graph, ports(seed), cfg)
+            assert closed.evaluate(ports(seed)) == fresh.node_avfs
+
+    def test_reference_results_have_no_closed_form(self):
+        from repro.errors import SartError
+        from repro.verify.reference import run_reference
+
+        module, _ = _chain_of_fubs()
+        with pytest.raises(SartError, match="SolvePlan"):
+            run_reference(module, STRUCTS).closed_form()
 
 
 def test_report_weighting(fig7):

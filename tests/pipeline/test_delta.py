@@ -253,6 +253,12 @@ class TestWarmStartFromResult:
         assert warm.trace.resolved_fubs < warm.trace.warm_fubs + \
             warm.trace.dirty_fubs
 
+    def test_warm_result_closed_form_is_the_solve(self):
+        # The baseline's sets a warm result carries over are interned
+        # into the new plan, so its closed form evaluates to the solve.
+        warm, _ = self._warm_vs_cold(_design(), _design(value_edit="B"))
+        assert warm.closed_form().evaluate() == warm.node_avfs
+
     def test_saturating_edit_is_bit_identical(self):
         # Rewiring B to the raw input raises its exports to the TOP
         # value: the merge must re-saturate to the canonical TOP set,

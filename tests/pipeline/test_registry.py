@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from repro.designs.bigcore.systolic import node_count
 from repro.errors import DesignRefError, ReproError
-from repro.pipeline.registry import (
-    DesignProvider,
-    ExlifProvider,
-    register_scheme,
-    resolve_design,
-)
-from repro.pipeline.registry import _SCHEMES
+from repro.pipeline.registry import DesignProvider, ExlifProvider, resolve_design
 
 
 def test_tinycore_ref():
@@ -188,23 +182,6 @@ def test_bad_refs():
     assert node_count(resolve_design("systolic@rows=104,cols=104").config) == 1_018_538
     with pytest.raises(DesignRefError, match="unknown program"):
         resolve_design("tinycore:quux")
-
-
-def test_register_scheme():
-    class Fake:
-        ref = "fake:x"
-
-        def fingerprint(self):
-            return "0" * 64
-
-        def build(self):
-            raise NotImplementedError
-
-    register_scheme("fake", lambda body, params, ref: Fake())
-    try:
-        assert isinstance(resolve_design("fake:x"), Fake)
-    finally:
-        _SCHEMES.pop("fake", None)
 
 
 _REF_VALUES = st.one_of(

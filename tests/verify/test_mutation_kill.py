@@ -75,8 +75,8 @@ def test_lane_isolation_defect_killed():
 
 def test_sfi_defect_killed():
     defect = get_defect("sfi-consistency")
-    measure = lambda program, injections, seed: (0.31, 0.25, 0.38)  # noqa: E731
-    clean = SfiConsistencyOracle(analytic=lambda p: 0.39, measure=measure)
+    measure = lambda run: (0.31, 0.25, 0.38)  # noqa: E731
+    clean = SfiConsistencyOracle(analytic=lambda run: 0.39, measure=measure)
     assert clean.check(None) == []
     broken = SfiConsistencyOracle(analytic=defect.analytic, measure=measure)
     violations = broken.check(None)
@@ -104,8 +104,8 @@ def test_deadline_defect_killed():
 
 def test_derated_ser_defect_killed():
     defect = get_defect("derated-ser")
-    measure = lambda program, exposures, seed: (1.5e-3, 1.1e-3, 1.9e-3)  # noqa: E731
-    clean = DeratedSerOracle(derated=lambda p: 1.2e-3, measure=measure)
+    measure = lambda run: (1.5e-3, 1.1e-3, 1.9e-3)  # noqa: E731
+    clean = DeratedSerOracle(derated=lambda run: 1.2e-3, measure=measure)
     assert clean.check(None) == []
     broken = DeratedSerOracle(derated=defect.derated, measure=measure)
     violations = broken.check(None)
@@ -114,10 +114,10 @@ def test_derated_ser_defect_killed():
 
 def test_derated_ser_two_sided():
     # Unlike the SFI check, the derated band rejects both directions.
-    measure = lambda program, exposures, seed: (1.5e-3, 1.0e-3, 2.0e-3)  # noqa: E731
-    high = DeratedSerOracle(derated=lambda p: 3.0e-3, measure=measure)
+    measure = lambda run: (1.5e-3, 1.0e-3, 2.0e-3)  # noqa: E731
+    high = DeratedSerOracle(derated=lambda run: 3.0e-3, measure=measure)
     assert high.check(None), "over-prediction must fire"
-    low = DeratedSerOracle(derated=lambda p: 1.0e-4, measure=measure)
+    low = DeratedSerOracle(derated=lambda run: 1.0e-4, measure=measure)
     assert low.check(None), "under-prediction must fire"
 
 

@@ -18,6 +18,7 @@ from repro.verify.oracles import (
     CrossEngineOracle,
     CtrlPinnedOracle,
     DeadlineSanityOracle,
+    DeratedSerOracle,
     LaneIsolationOracle,
     LoopMonotonicityOracle,
     MinResolutionOracle,
@@ -91,12 +92,12 @@ def test_lane_isolation_oracle_clean_on_mem_circuit():
 
 def test_sfi_oracle_seams_drive_verdict():
     clean = SfiConsistencyOracle(
-        analytic=lambda program: 0.5,
-        measure=lambda program, injections, seed: (0.4, 0.3, 0.5))
+        analytic=lambda run: 0.5,
+        measure=lambda run: (0.4, 0.3, 0.5))
     assert clean.check(None) == []
     optimistic = SfiConsistencyOracle(
-        analytic=lambda program: 0.1,
-        measure=lambda program, injections, seed: (0.4, 0.3, 0.5))
+        analytic=lambda run: 0.1,
+        measure=lambda run: (0.4, 0.3, 0.5))
     violations = optimistic.check(None)
     assert violations and "undershoots" in violations[0].message
 
@@ -104,8 +105,8 @@ def test_sfi_oracle_seams_drive_verdict():
 def test_sfi_oracle_slack_tolerates_boundary():
     oracle = SfiConsistencyOracle(
         slack=0.05,
-        analytic=lambda program: 0.26,
-        measure=lambda program, injections, seed: (0.4, 0.3, 0.5))
+        analytic=lambda run: 0.26,
+        measure=lambda run: (0.4, 0.3, 0.5))
     assert oracle.check(None) == []
 
 
@@ -125,8 +126,23 @@ def test_sfi_oracle_measures_the_cli_campaign():
 
     outcome = execute(RunSpec("tinycore:fib", sfi=SfiSpec(96, 7)))
     avf, (lo, hi) = overall_avf(outcome.sfi.result.outcomes)
-    measured = SfiConsistencyOracle()._default_measure("fib", 96, 7)
-    assert measured == (avf, lo, hi)
+    oracle = SfiConsistencyOracle(injections=96, seed=7)
+    assert oracle._default_measure(oracle.run()) == (avf, lo, hi)
+
+
+def test_statistical_oracles_make_one_pipeline_run(monkeypatch):
+    # Both sides of each check come from one run: one tinycore build.
+    from repro.pipeline import runner
+
+    builds = []
+    real = runner.stage_design
+    monkeypatch.setattr(runner, "stage_design", lambda ctx, provider: (
+        builds.append(provider.ref) or real(ctx, provider)))
+    assert SfiConsistencyOracle(injections=96).check(None) == []
+    assert builds == ["tinycore:fib"]
+    builds.clear()
+    assert DeratedSerOracle().check(None) == []
+    assert builds == ["tinycore:fib"]
 
 
 def test_registry_names_unique_and_complete():

@@ -32,7 +32,7 @@ def _eco_rung(scale: float, ports) -> dict:
     plan_a = build_plan(base.module, base_ports)
     plan_b = build_plan(edit.module, edit_ports)
 
-    baseline = run_sart(base.module, base_ports, CFG, plan=plan_a)
+    baseline = run_sart(plan=plan_a, config=CFG)
     delta = diff_plans(plan_a, plan_b)
     assert delta.touched == {"LSU"}
     warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
@@ -42,12 +42,11 @@ def _eco_rung(scale: float, ports) -> dict:
     # happens to fire it would be charged to that solve.
     gc.collect()
     started = time.perf_counter()
-    cold = run_sart(edit.module, edit_ports, CFG, plan=plan_b)
+    cold = run_sart(plan=plan_b, config=CFG)
     cold_s = time.perf_counter() - started
     gc.collect()
     started = time.perf_counter()
-    warm = run_sart(edit.module, edit_ports, CFG, plan=plan_b,
-                    warm_start=warm_start)
+    warm = run_sart(plan=plan_b, config=CFG, warm_start=warm_start)
     warm_s = time.perf_counter() - started
 
     # Bit-identical, not approximately equal.

@@ -31,8 +31,7 @@ def test_bench_fig8_loop_sweep(benchmark, bigcore_design, bigcore_ports):
         points = []
         for value in SWEEP:
             config = SartConfig(loop_pavf=value, partition_by_fub=False)
-            result = run_sart(bigcore_design.module, bigcore_ports, config,
-                              plan=plan)
+            result = run_sart(plan=plan, config=config)
             points.append((value, result.report.weighted_seq_avf))
         return points
 

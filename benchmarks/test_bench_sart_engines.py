@@ -89,9 +89,9 @@ def _compare(graph, ports, *, rounds):
     t_cold, cold = _best_of(lambda: run_sart(graph, ports), rounds)
     plan = build_plan(graph, ports)
     warm_cfg = SartConfig()
-    run_sart(graph, ports, warm_cfg, plan=plan)  # populate plan caches
+    run_sart(plan=plan, config=warm_cfg)  # populate plan caches
     t_warm, warm = _best_of(
-        lambda: run_sart(graph, ports, warm_cfg, plan=plan), rounds
+        lambda: run_sart(plan=plan, config=warm_cfg), rounds
     )
     return {
         "seed_seconds": t_seed,
@@ -186,7 +186,7 @@ def test_bench_batched_workload_sweep(scale2_setup, bench_sart_json):
         reports = []
         for value in values:
             cfg = SartConfig(partition_by_fub=False, loop_pavf=value)
-            reports.append(run_sart(graph, ports, cfg, plan=plan).report)
+            reports.append(run_sart(plan=plan, config=cfg).report)
         return reports
 
     _looped()  # warm the plan's monolithic cache for both paths
@@ -270,7 +270,7 @@ def test_bench_mega_systolic(bench_sart_json, tmp_path):
     delta = 0.0
     for w in (0, 3):
         cfg_point = SartConfig(partition_by_fub=False, loop_pavf=values[w])
-        point = run_sart(graph, config=cfg_point, plan=plan)
+        point = run_sart(plan=plan, config=cfg_point)
         rows_a = {r.fub: r.seq_avg_avf for r in point.report.fubs}
         rows_b = {r.fub: r.seq_avg_avf for r in batched.report(w).fubs}
         assert rows_a.keys() == rows_b.keys()

@@ -22,15 +22,16 @@ def test_serve_throughput_and_dedup(tmp_path, bench_serve_json):
         queue_limit=64,
     ).start_background()
     try:
-        doc = run_load(app.url, clients=4, requests=6, dedup_burst=8)
+        doc = run_load(app.url, clients=4, requests=240, dedup_burst=8)
     finally:
         app.drain()
 
     assert doc["errors"] == []
-    assert doc["completed"] == 6
+    assert doc["completed"] == 240
     assert doc["requests_per_second"] > 0
-    assert doc["latency_p50_seconds"] <= doc["latency_p99_seconds"]
-    # Later jobs reuse the design/golden/plan artifacts of earlier ones.
+    assert doc["latency_p50_seconds"] <= doc["latency_p95_seconds"]
+    # Later jobs reuse the golden/ports/plan artifacts of earlier ones
+    # (designs are never stored).
     assert doc["cache_hit_rate"] > 0
 
     burst = doc["dedup_burst"]

@@ -321,12 +321,13 @@ def cmd_sweep(args) -> int:
 def cmd_diff(args) -> int:
     from repro.pipeline import delta as delta_mod
     from repro.pipeline.registry import resolve_design
-    from repro.pipeline.stages import PipelineContext, stage_design, stage_plan
+    from repro.pipeline.runner import resolve
+    from repro.pipeline.stages import PipelineContext, stage_plan
 
     ctx = PipelineContext(store=_store_from_args(args))
     plans = []
     for ref in (args.ref_a, args.ref_b):
-        design = stage_design(ctx, resolve_design(ref))
+        design = resolve(ctx, resolve_design(ref))
         plans.append((design, stage_plan(ctx, design, None)))
     (design_a, plan_a), (design_b, plan_b) = plans
     delta = delta_mod.diff_plans(
@@ -415,7 +416,7 @@ def cmd_loadgen(args) -> int:
         f"{doc['completed']}/{doc['requests']} jobs in {doc['seconds']:.2f}s "
         f"({doc['requests_per_second']:.1f} req/s)  "
         f"p50={doc['latency_p50_seconds'] * 1000:.0f}ms "
-        f"p99={doc['latency_p99_seconds'] * 1000:.0f}ms"
+        f"p95={doc['latency_p95_seconds'] * 1000:.0f}ms"
     )
     burst = doc["dedup_burst"]
     print(

@@ -221,7 +221,7 @@ class SolvePlan:
     """One-time lowering of a design for many propagation solves.
 
     Build with :meth:`build` (or :func:`repro.core.sart.build_plan`), then
-    pass to ``run_sart(..., plan=plan)`` any number of times. Everything
+    pass to ``run_sart(plan=plan)`` any number of times. Everything
     that does not depend on the numeric environment — graph extraction,
     loop breaking, control-register detection, FUB partitioning, topo
     order, and the monolithic annotation sets themselves — is computed

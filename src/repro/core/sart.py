@@ -147,15 +147,16 @@ def build_plan(
 
     The plan captures everything structural — graph extraction, loop
     breaking, control-register detection, FUB partitioning, topological
-    order — so ``run_sart(..., plan=plan)`` with any :class:`SartConfig`
-    (loop/ctrl/const/boundary pAVFs, partitioning, iterations) skips
-    straight to propagation. Structures are captured at build time.
+    order — so ``run_sart(plan=plan, config=...)`` with any
+    :class:`SartConfig` (loop/ctrl/const/boundary pAVFs, partitioning,
+    iterations) skips straight to propagation. Structures are captured
+    at build time.
     """
     return SolvePlan.build(design, structures)
 
 
 def run_sart(
-    design: Module | NetGraph,
+    design: Module | NetGraph | None = None,
     structures: Mapping[str, StructurePorts] | None = None,
     config: SartConfig | None = None,
     *,
@@ -164,9 +165,11 @@ def run_sart(
 ) -> SartResult:
     """Run the full SART flow and return per-node sequential AVFs.
 
-    A :class:`SolvePlan` drives the propagation; pass one built by
-    :func:`build_plan` to amortize the lowering across many runs
-    (*design*/*structures* are then taken from the plan).
+    A :class:`SolvePlan` drives the propagation. Pass *design* and its
+    *structures* to lower one, or a *plan* built by :func:`build_plan`
+    to amortize the lowering across many runs; a plan carries its
+    design and structures, so passing either with it is a
+    :class:`~repro.errors.SartError`.
 
     *warm_start* (ECO mode) seeds the partitioned relaxation from a
     previous converged solution so only the dirty FUBs re-solve; build
@@ -177,12 +180,15 @@ def run_sart(
     config = config or SartConfig()
     started = time.perf_counter()
 
-    # Accept a pipeline PlanArtifact (or anything wrapping a SolvePlan
-    # in a ``.plan`` attribute) wherever a bare plan is expected.
-    if plan is not None and not isinstance(plan, SolvePlan):
-        plan = getattr(plan, "plan", plan)
     if plan is None:
+        if design is None:
+            raise SartError("run_sart needs a design or a plan")
         plan = build_plan(design, structures)
+    elif design is not None or structures is not None:
+        raise SartError(
+            "run_sart takes a plan or a design with its structures, not "
+            "both: the plan already carries its design and structures"
+        )
     graph = plan.graph
     model = plan.model
     env = build_env(model, config)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.designs.bigcore.core import BigcoreConfig, build_bigcore
 from repro.designs.bigcore.systolic import SystolicConfig, build_systolic
-from repro.pipeline.artifacts import DesignArtifact
+from repro.pipeline.artifacts import BuiltDesign
 from repro.pipeline.fingerprint import stage_fingerprint
 
 
@@ -23,6 +23,7 @@ class BigcoreProvider:
     """``bigcore[@scale=...,seed=...]`` — the synthetic scale design."""
 
     config: BigcoreConfig = BigcoreConfig()
+    kind = "bigcore"
 
     @property
     def ref(self) -> str:
@@ -43,15 +44,10 @@ class BigcoreProvider:
             c.edit,
         )
 
-    def build(self) -> DesignArtifact:
+    def build(self) -> BuiltDesign:
         design = build_bigcore(self.config)
-        return DesignArtifact(
-            ref=self.ref,
-            kind="bigcore",
-            fingerprint=self.fingerprint(),
-            module=design.module,
-            design=design,
-        )
+        return BuiltDesign(kind=self.kind, fingerprint=self.fingerprint(),
+                           module=design.module, design=design)
 
 
 @dataclass(frozen=True)
@@ -59,6 +55,7 @@ class SystolicProvider:
     """``systolic[@rows=...,cols=...]`` — the MAC-array scale design."""
 
     config: SystolicConfig = SystolicConfig()
+    kind = "systolic"
 
     @property
     def ref(self) -> str:
@@ -79,12 +76,7 @@ class SystolicProvider:
             c.tile,
         )
 
-    def build(self) -> DesignArtifact:
+    def build(self) -> BuiltDesign:
         design = build_systolic(self.config)
-        return DesignArtifact(
-            ref=self.ref,
-            kind="systolic",
-            fingerprint=self.fingerprint(),
-            module=design.module,
-            design=design,
-        )
+        return BuiltDesign(kind=self.kind, fingerprint=self.fingerprint(),
+                           module=design.module, design=design)

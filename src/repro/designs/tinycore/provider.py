@@ -4,7 +4,7 @@ Adapts a tinycore benchmark program to the uniform
 :class:`~repro.pipeline.registry.DesignProvider` protocol: a stable
 fingerprint over the actual program image (words + data memory + parity
 variant, not just the name) and a :class:`~repro.pipeline.artifacts
-.DesignArtifact` carrying the simulable netlist for the gate-level
+.BuiltDesign` carrying the simulable netlist for the gate-level
 branches (golden run, SFI, beam) alongside the flattened module SART
 analyzes.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.programs import PROGRAMS, default_dmem, program
 from repro.errors import DesignRefError
-from repro.pipeline.artifacts import DesignArtifact
+from repro.pipeline.artifacts import BuiltDesign
 from repro.pipeline.fingerprint import stage_fingerprint
 
 
@@ -26,6 +26,7 @@ class TinycoreProvider:
 
     program: str
     parity: bool = False
+    kind = "tinycore"
 
     def __post_init__(self):
         if self.program not in PROGRAMS:
@@ -41,22 +42,17 @@ class TinycoreProvider:
     def words(self) -> tuple[list[int], list[int] | None]:
         return program(self.program), default_dmem(self.program)
 
-    def fingerprint(self) -> str:
-        words, dmem = self.words()
+    def _fingerprint(self, words: list[int], dmem: list[int] | None) -> str:
         return stage_fingerprint(
             "design", "tinycore", self.program, self.parity, words, dmem
         )
 
-    def build(self) -> DesignArtifact:
+    def fingerprint(self) -> str:
+        return self._fingerprint(*self.words())
+
+    def build(self) -> BuiltDesign:
         words, dmem = self.words()
         netlist = build_tinycore(words, dmem, parity=self.parity)
-        return DesignArtifact(
-            ref=self.ref,
-            kind="tinycore",
-            fingerprint=self.fingerprint(),
-            module=netlist.module,
-            netlist=netlist,
-            program=tuple(words),
-            dmem=tuple(dmem) if dmem is not None else None,
-            program_name=self.program,
-        )
+        return BuiltDesign(kind=self.kind,
+                           fingerprint=self._fingerprint(words, dmem),
+                           module=netlist.module, netlist=netlist)

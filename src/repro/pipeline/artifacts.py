@@ -13,11 +13,16 @@ Artifact types
 --------------
 
 ``DesignArtifact``
-    A built design: the flattened netlist
+    A resolved design: its reference, kind and fingerprint, plus what
+    its provider knows without building (a tinycore program image). Its
+    :class:`BuiltDesign` parts are built once, on first access, so a run
+    whose stages all hit the store builds nothing.
+``BuiltDesign``
+    What a build produces: the flattened netlist
     :class:`~repro.netlist.netlist.Module` of a generated design, or the
     lowered :class:`~repro.netlist.graph.NetGraph` of an ``exlif:`` file,
     plus whatever design-specific inventory downstream stages need
-    (tinycore netlist + program words, bigcore FUB inventory).
+    (tinycore netlist, bigcore FUB inventory).
 ``GoldenRun``
     The durable facts of a fault-free gate-level run: cycle count and
     the architectural observation surface. Both the SART branch (cycle
@@ -45,35 +50,80 @@ is excluded from equality/fingerprints).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import cached_property
+from typing import Any, Callable, Mapping
 
 from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartResult
+from repro.errors import DesignRefError
 from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
 
 
 @dataclass(frozen=True)
-class DesignArtifact:
-    """A built design plus the inventory downstream stages need."""
+class BuiltDesign:
+    """The parts of a design only a build produces."""
 
-    ref: str                     # normalized registry reference
-    kind: str                    # "tinycore" | "bigcore" | "exlif"
-    fingerprint: str
+    kind: str                    # "tinycore" | "bigcore" | "systolic" | "exlif"
+    fingerprint: str             # of what was built (an exlif: file as read)
     module: Module | None = None  # flattened netlist (generated designs)
     graph: NetGraph | None = None  # lowered node graph (exlif:)
-    # tinycore: the simulable netlist and its program image.
-    netlist: Any = None          # TinycoreNetlist | None
-    program: tuple[int, ...] | None = None
-    dmem: tuple[int, ...] | None = None
-    program_name: str | None = None
-    # bigcore: the generated design inventory (structure_kinds etc.).
-    design: Any = None           # BigcoreDesign | None
+    netlist: Any = None          # tinycore: TinycoreNetlist | None
+    design: Any = None           # bigcore/systolic: the generator's inventory
 
     @property
     def target(self) -> Module | NetGraph:
         """What the analysis stages lower: the graph when there is one."""
         return self.graph if self.graph is not None else self.module
+
+
+@dataclass(frozen=True)
+class DesignArtifact:
+    """A resolved design; its built parts are built on first access.
+
+    *build* produces the :class:`BuiltDesign`. A build of anything but
+    the resolved fingerprint (an ``exlif:`` file edited since it was
+    resolved) is a :class:`~repro.errors.DesignRefError`, so no artifact
+    computed from it is stored under the resolved key.
+    """
+
+    ref: str                     # normalized registry reference
+    kind: str
+    fingerprint: str
+    build: Callable[[], BuiltDesign] = field(compare=False, repr=False)
+    # tinycore: the program image.
+    program: tuple[int, ...] | None = None
+    dmem: tuple[int, ...] | None = None
+    program_name: str | None = None
+
+    @cached_property
+    def built(self) -> BuiltDesign:
+        built = self.build()
+        if built.fingerprint != self.fingerprint:
+            raise DesignRefError(
+                f"{self.ref} changed between resolution and build"
+            )
+        return built
+
+    @property
+    def module(self) -> Module | None:
+        return self.built.module
+
+    @property
+    def graph(self) -> NetGraph | None:
+        return self.built.graph
+
+    @property
+    def netlist(self) -> Any:
+        return self.built.netlist
+
+    @property
+    def design(self) -> Any:
+        return self.built.design
+
+    @property
+    def target(self) -> Module | NetGraph:
+        return self.built.target
 
     def describe(self) -> str:
         return f"{self.ref} [{self.fingerprint[:12]}]"

@@ -7,9 +7,10 @@ EXLIF parse + flatten). The registry replaces that with one protocol:
 .. code-block:: python
 
     class DesignProvider(Protocol):
+        kind: str                      # "tinycore", "bigcore", ...
         ref: str                       # normalized reference string
         def fingerprint(self) -> str   # content address of the design
-        def build(self) -> DesignArtifact
+        def build(self) -> BuiltDesign
 
 and one reference grammar resolved by :func:`resolve_design`::
 
@@ -33,20 +34,23 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
 from repro.errors import DesignRefError
-from repro.pipeline.artifacts import DesignArtifact
+from repro.pipeline.artifacts import BuiltDesign
 from repro.pipeline.fingerprint import stage_fingerprint
 
 
 @runtime_checkable
 class DesignProvider(Protocol):
-    """Anything that can produce a fingerprinted :class:`DesignArtifact`."""
+    """Anything that can fingerprint a design without building it, and
+    build it."""
+
+    kind: str
 
     @property
     def ref(self) -> str: ...
 
     def fingerprint(self) -> str: ...
 
-    def build(self) -> DesignArtifact: ...
+    def build(self) -> BuiltDesign: ...
 
 
 # Text-mode read size for hashing and reading EXLIF files.
@@ -61,11 +65,13 @@ class ExlifProvider:
     invalidates downstream caches even when the path is unchanged. The
     file decides how it is read: a flat single-model file lowers line by
     line into the node graph, one with ``.subckt`` or several ``.model``
-    blocks is parsed and flattened first. The artifact carries the graph.
+    blocks is parsed and flattened first. The build carries the graph,
+    and its fingerprint is the digest of the text it parsed.
     """
 
     path: str
     top: str | None = None
+    kind = "exlif"
 
     @property
     def ref(self) -> str:
@@ -112,7 +118,7 @@ class ExlifProvider:
             )
         return flatten(modules[top], modules)
 
-    def build(self) -> DesignArtifact:
+    def build(self) -> BuiltDesign:
         from repro.netlist.exlif import FlattenRequired, read_exlif_graph
         from repro.netlist.graph import extract_graph
 
@@ -126,11 +132,8 @@ class ExlifProvider:
             # Hierarchy, several models or another top: parse and flatten.
             digest = hashlib.sha256()
             graph = extract_graph(self.flat_module("\n".join(self._lines(digest))))
-        return DesignArtifact(
-            ref=self.ref,
-            kind="exlif",
-            fingerprint=self._fingerprint(digest),
-            graph=graph,
+        return BuiltDesign(
+            kind=self.kind, fingerprint=self._fingerprint(digest), graph=graph
         )
 
 

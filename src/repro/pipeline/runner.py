@@ -3,8 +3,9 @@
 :func:`execute` takes a :class:`~repro.pipeline.spec.RunSpec`, resolves
 the design through the registry, and runs exactly the stages the spec
 declares, threading typed artifacts between them and consulting the
-artifact store at every boundary. The CLI subcommands are thin adapters
-that build a spec from flags and render the returned
+artifact store at every boundary. The design itself is built only when
+a stage misses the store and reads it. The CLI subcommands are thin
+adapters that build a spec from flags and render the returned
 :class:`RunOutcome`; ``repro-sart run <spec.toml>`` executes a spec
 straight from disk.
 
@@ -48,6 +49,7 @@ from repro.pipeline.stages import (
     stage_golden,
     stage_plan,
     stage_ports_file,
+    stage_resolve,
     stage_sart,
     stage_sfi,
 )
@@ -107,9 +109,18 @@ def sart_config(spec: SartSpec) -> SartConfig:
     )
 
 
+def resolve(ctx: PipelineContext, provider) -> DesignArtifact:
+    """The ``design`` stage of *provider*; the design is built on first use.
+
+    The build runs through this module's ``stage_design`` attribute, so
+    whatever wraps that attribute sees every build.
+    """
+    return stage_resolve(ctx, provider, lambda: stage_design(ctx, provider))
+
+
 def _export_design(design: DesignArtifact, provider, export, notify) -> str:
-    # An exlif: design carries only its graph; the export re-reads the file.
-    module = design.module if design.module is not None else provider.flat_module()
+    # An exlif: design builds only its graph; the export re-reads the file.
+    module = provider.flat_module() if design.kind == "exlif" else design.module
     if export.format == "exlif":
         from repro.netlist.exlif import write_exlif
 
@@ -140,12 +151,9 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
     if outcome.plan.plan.n_fubs < 2:
         ctx.notify("eco:skip", reason="eco needs a multi-FUB plan")
         return None
-    provider = resolve_design(spec.eco.baseline)
-    base_design = stage_design(ctx, provider)
+    base_design = resolve(ctx, resolve_design(spec.eco.baseline))
     base_plan = stage_plan(ctx, base_design, outcome.port_env)
-    base_sart = stage_sart(
-        ctx, base_design, outcome.port_env, config, base_plan
-    )
+    base_sart = stage_sart(ctx, outcome.port_env, config, base_plan)
     delta = delta_mod.diff_plans(
         base_plan.plan, outcome.plan.plan,
         ref_a=base_design.ref, ref_b=outcome.design.ref,
@@ -159,14 +167,12 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
     return warm
 
 
-def _eco_check(ctx, design: DesignArtifact, outcome: RunOutcome,
-               config: SartConfig) -> None:
-    """``[eco] check``: cold-solve the design and verify equivalence."""
+def _eco_check(ctx, outcome: RunOutcome, config: SartConfig) -> None:
+    """``[eco] check``: cold-solve the plan and verify equivalence."""
     from repro.core.sart import run_sart
     from repro.errors import PipelineError
 
-    ports = outcome.port_env.ports if outcome.port_env is not None else None
-    cold = run_sart(design.target, ports, config, plan=outcome.plan.plan)
+    cold = run_sart(plan=outcome.plan.plan, config=config)
     warm_result = outcome.sart.result
     identical = (
         warm_result.node_avfs == cold.node_avfs
@@ -192,7 +198,7 @@ def execute(
     """Execute every stage composition *spec* declares."""
     ctx = PipelineContext(store=store, observer=observer)
     provider = resolve_design(spec.design)
-    design = stage_design(ctx, provider)
+    design = resolve(ctx, provider)
     outcome = RunOutcome(spec=spec, design=design)
     stages = spec.stages()
 
@@ -223,11 +229,10 @@ def execute(
         if spec.eco is not None:
             warm = _eco_warm_start(ctx, spec, outcome, config)
         outcome.sart = stage_sart(
-            ctx, design, outcome.port_env, config, outcome.plan,
-            warm_start=warm,
+            ctx, outcome.port_env, config, outcome.plan, warm_start=warm,
         )
         if spec.eco is not None and spec.eco.check:
-            _eco_check(ctx, design, outcome, config)
+            _eco_check(ctx, outcome, config)
 
     # --- logic derating ------------------------------------------------
     if "derating" in stages:
@@ -283,10 +288,10 @@ def execute(
 
             raise SpecError("the beam stage needs a tinycore design")
         beam_design = design
-        if spec.beam.parity and getattr(design.netlist, "due", None) is None:
+        if spec.beam.parity and not provider.parity:
             # The beam wants the parity-protected variant but the run's
             # design is the plain core: resolve the protected sibling.
-            beam_design = stage_design(
+            beam_design = resolve(
                 ctx, resolve_design(spec.design, parity="1")
             )
         outcome.beam = stage_beam(ctx, beam_design, spec.beam, spec.campaign)

@@ -12,6 +12,9 @@ The cache contract per stage:
 ========  ==========================================================
 stage     keyed on
 ========  ==========================================================
+design    never stored: resolution fingerprints it without building,
+          and the build runs once, on the first stage miss that
+          reads a built part
 golden    design fingerprint (+ cycle budget)
 ports     design fingerprint + golden cycles (archsim), or the
           workload-suite signature (ACE suite; design-independent)
@@ -38,6 +41,7 @@ from typing import Any, Callable, Mapping
 from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, build_plan, run_sart
 from repro.pipeline.artifacts import (
+    BuiltDesign,
     CampaignOutcome,
     DeratingArtifact,
     DesignArtifact,
@@ -108,16 +112,39 @@ def _port_deadlines(
     return deadlines or None
 
 
-def stage_design(ctx: PipelineContext, provider) -> DesignArtifact:
-    """Build the design (cheap relative to analysis; never persisted)."""
+def stage_resolve(
+    ctx: PipelineContext, provider, build: Callable[[], BuiltDesign]
+) -> DesignArtifact:
+    """The ``design`` stage: resolve *provider* to an unbuilt artifact.
+
+    The artifact carries the ref, kind and fingerprint, and a tinycore
+    design's program image. *build* runs on the first access to a built
+    part; every stage reads those only inside its memoized compute, so a
+    run whose stages all hit the store builds nothing.
+    """
     started = time.perf_counter()
-    artifact = provider.build()
+    image = {}
+    if provider.kind == "tinycore":
+        words, dmem = provider.words()
+        image = {"program_name": provider.program, "program": tuple(words),
+                 "dmem": tuple(dmem) if dmem is not None else None}
+    artifact = DesignArtifact(provider.ref, provider.kind,
+                              provider.fingerprint(), build, **image)
     ctx.events.append(
         StageEvent("design", artifact.fingerprint, False,
                    time.perf_counter() - started)
     )
     ctx.notify("design", artifact=artifact)
     return artifact
+
+
+def stage_design(ctx: PipelineContext, provider) -> BuiltDesign:
+    """Build a resolved design: on first use, never persisted.
+
+    It runs inside the first stage that reads a built part and records
+    no event: its time is that stage's.
+    """
+    return provider.build()
 
 
 def stage_golden(
@@ -288,8 +315,11 @@ def stage_plan(
     fp = stage_fingerprint("plan", design.fingerprint, env_fp)
 
     def compute():
+        nonlocal started
         ports = port_env.ports if port_env is not None else None
-        return build_plan(design.target, ports)
+        target = design.target
+        started = time.perf_counter()  # the lowering's time, not the build's
+        return build_plan(target, ports)
 
     started = time.perf_counter()
     plan, hit = ctx.memoize("plan", fp, compute)
@@ -300,23 +330,21 @@ def stage_plan(
 
 def stage_sart(
     ctx: PipelineContext,
-    design: DesignArtifact,
     port_env: PortEnv | None,
     config: SartConfig,
     plan: PlanArtifact,
     *,
     warm_start=None,
 ) -> SartOutcome:
-    """One SART solve (propagation + resolution), never persisted.
+    """One SART solve (propagation + resolution) on *plan*, never persisted.
 
+    The plan carries its design and ports, so the solve builds nothing.
     *warm_start* (the ``[eco]`` flow, built by
     :func:`repro.pipeline.delta.warm_start_from_result`) seeds the
     relaxation from a baseline solution; without it the solve runs cold.
     """
     started = time.perf_counter()
-    ports = port_env.ports if port_env is not None else None
-    result = run_sart(design.target, ports, config, plan=plan.plan,
-                      warm_start=warm_start)
+    result = run_sart(plan=plan.plan, config=config, warm_start=warm_start)
     fp = fingerprint(
         "sart",
         plan.fingerprint,
@@ -451,17 +479,18 @@ def stage_sfi(
     from repro.sfi.campaign import resolve_lanes_per_pass
 
     lanes = resolve_lanes_per_pass(campaign.lanes_per_pass)
-    seqs = extract_graph(design.netlist.module).seq_nets()
-    plans = plan_campaign(
-        seqs, golden.cycles - 2, spec.injections, seed=spec.seed,
-        per_node=spec.per_node,
-    )
     fp = stage_fingerprint(
         "sfi", design.fingerprint, golden.cycles, spec.injections, spec.seed,
         spec.per_node, max_cycles, lanes,
     )
+    plans = []
 
     def compute():
+        seqs = extract_graph(design.netlist.module).seq_nets()
+        plans.extend(plan_campaign(
+            seqs, golden.cycles - 2, spec.injections, seed=spec.seed,
+            per_node=spec.per_node,
+        ))
         return run_sfi_campaign(
             list(design.program), list(design.dmem) if design.dmem else None,
             plans, netlist=design.netlist,
@@ -470,9 +499,12 @@ def stage_sfi(
         )
 
     result, hit = _memoize_campaign(ctx, "sfi", fp, compute, campaign)
+    # A hit planned nothing, but a stored result has no failed passes:
+    # it holds one outcome per planned injection.
     outcome = CampaignOutcome(
         fingerprint=fp, kind="sfi", result=result,
-        injections=len(plans), golden_cycles=golden.cycles, cached=hit,
+        injections=len(result.outcomes) if hit else len(plans),
+        golden_cycles=golden.cycles, cached=hit,
     )
     ctx.notify("sfi", outcome=outcome)
     return outcome

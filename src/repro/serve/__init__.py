@@ -29,7 +29,7 @@ Modules
     graceful drain.
 ``loadgen``
     A concurrent load generator emitting ``BENCH_serve.json``
-    (requests/s, dedup and cache hit rates, p50/p99 latency).
+    (requests/s, dedup and cache hit rates, p50/p95 latency).
 
 Everything runs on the standard library — no new runtime dependencies.
 """

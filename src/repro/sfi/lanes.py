@@ -136,8 +136,16 @@ def lane_verdicts(run: GateLevelRun, *, latent: bool = False) -> list[str]:
     """
     golden_out = run.outputs[0]
     golden_halted = 0 in run.halted_lanes
-    golden_state = run.architectural_state(0)[1:]
-    latent_lanes = run.sim.lanes_differing_from(0) if latent else ()
+    if latent:
+        # Every flop and memory overlay is compared: a lane outside the
+        # set holds lane 0's register file and data memory.
+        state_differs = run.sim.lanes_differing_from(0).__contains__
+    else:
+        golden_state = run.architectural_state(0)[1:]
+
+        def state_differs(lane: int) -> bool:
+            return run.architectural_state(lane)[1:] != golden_state
+
     due_net = run.netlist.due
     due_bits = run.sim.peek(due_net) if due_net is not None else 0
     verdicts = []
@@ -147,8 +155,7 @@ def lane_verdicts(run: GateLevelRun, *, latent: bool = False) -> list[str]:
         elif (run.outputs[lane] != golden_out
               or (lane in run.halted_lanes) != golden_halted):
             verdicts.append(SDC)
-        elif (lane in latent_lanes
-              or run.architectural_state(lane)[1:] != golden_state):
+        elif state_differs(lane):
             verdicts.append(UNKNOWN)
         else:
             verdicts.append(MASKED)

@@ -45,7 +45,7 @@ def plan(module):
     return build_plan(module, STRUCTS)
 
 
-def _per_point_reports(module, plan):
+def _per_point_reports(plan):
     reports = []
     loop_bits = len(plan.model.loop_nets)
     ctrl_bits = len(plan.model.ctrl_nets)
@@ -53,7 +53,7 @@ def _per_point_reports(module, plan):
         cfg = SartConfig(
             partition_by_fub=False, loop_pavf=value
         )
-        result = run_sart(module, STRUCTS, cfg, plan=plan)
+        result = run_sart(plan=plan, config=cfg)
         reports.append(
             fub_report(
                 result.node_avfs, loop_bits=loop_bits, ctrl_bits=ctrl_bits
@@ -63,18 +63,18 @@ def _per_point_reports(module, plan):
 
 
 class TestSweepEquivalence:
-    def test_reports_match_per_point_flow(self, module, plan):
+    def test_reports_match_per_point_flow(self, plan):
         batched = sweep_batched(
             plan, SWEEP, SartConfig(partition_by_fub=False)
         )
-        expected = _per_point_reports(module, plan)
+        expected = _per_point_reports(plan)
         assert batched.width == len(SWEEP)
         for w in range(batched.width):
             got, want = batched.report(w), expected[w]
             assert got.fubs == want.fubs, SWEEP[w]
             assert got.weighted_seq_avf == want.weighted_seq_avf, SWEEP[w]
 
-    def test_node_avfs_hook_matches_run_sart(self, module, plan):
+    def test_node_avfs_hook_matches_run_sart(self, plan):
         batched = sweep_batched(
             plan, SWEEP, SartConfig(partition_by_fub=False)
         )
@@ -82,7 +82,7 @@ class TestSweepEquivalence:
             cfg = SartConfig(
                 partition_by_fub=False, loop_pavf=value
             )
-            result = run_sart(module, STRUCTS, cfg, plan=plan)
+            result = run_sart(plan=plan, config=cfg)
             assert batched.node_avfs(w) == result.node_avfs, value
 
     @needs_numpy

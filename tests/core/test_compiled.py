@@ -12,6 +12,7 @@ from repro.core.compiled import HAVE_NUMPY, SetEvaluator, SolvePlan, resolve_ids
 from repro.core.graphmodel import StructurePorts
 from repro.core.pavf import Atom, LOOP, PavfEnv
 from repro.core.sart import SartConfig, build_env, build_plan, run_sart
+from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
 from repro.verify.reference import run_reference
@@ -139,18 +140,30 @@ class TestSolvePlan:
         for loop_pavf in (0.0, 0.3, 1.0):
             cfg = SartConfig(loop_pavf=loop_pavf)
             fresh = run_sart(tinycore_module, config=cfg)
-            reused = run_sart(tinycore_module, config=cfg, plan=plan)
+            reused = run_sart(plan=plan, config=cfg)
             _assert_results_match(fresh, reused, tol=0.0)
             assert reused.plan is plan
+
+    def test_plan_or_design_never_both(self, tinycore_module):
+        # A plan carries its design and structures: a second copy of
+        # either would be ignored.
+        plan = build_plan(tinycore_module)
+        structures = {"rf": StructurePorts("rf", pavf_r=0.5, pavf_w=0.5)}
+        with pytest.raises(SartError, match="not both"):
+            run_sart(tinycore_module, structures, plan=plan)
+        with pytest.raises(SartError, match="not both"):
+            run_sart(structures=structures, plan=plan)
+        with pytest.raises(SartError, match="not both"):
+            run_sart(tinycore_module, plan=plan)
+        with pytest.raises(SartError, match="needs a design or a plan"):
+            run_sart()
 
     def test_monolithic_reuse_is_cached(self, tinycore_module):
         plan = build_plan(tinycore_module)
         cfg = dict(partition_by_fub=False)
-        run_sart(tinycore_module, config=SartConfig(**cfg), plan=plan)
+        run_sart(plan=plan, config=SartConfig(**cfg))
         sets_before = len(plan.interner)
-        run_sart(
-            tinycore_module, config=SartConfig(loop_pavf=0.7, **cfg), plan=plan
-        )
+        run_sart(plan=plan, config=SartConfig(loop_pavf=0.7, **cfg))
         # The second environment re-evaluated cached vectors: no new sets.
         assert len(plan.interner) == sets_before
 
@@ -164,7 +177,7 @@ class TestSolvePlan:
             dangling="top",
             partition_by_fub=False,
         )
-        res = run_sart(tinycore_module, config=cfg, plan=plan)
+        res = run_sart(plan=plan, config=cfg)
         assert 0.0 <= res.report.weighted_seq_avf <= 1.0
 
 

@@ -88,8 +88,8 @@ def _plan(module):
 
 
 def _solve(module, plan=None, warm_start=None, config=CFG):
-    return run_sart(module, STRUCTS, config,
-                    plan=plan or _plan(module), warm_start=warm_start)
+    return run_sart(plan=plan or _plan(module), config=config,
+                    warm_start=warm_start)
 
 
 def _assert_identical(warm, cold):

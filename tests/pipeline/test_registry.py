@@ -14,14 +14,18 @@ from repro.pipeline.registry import DesignProvider, ExlifProvider, resolve_desig
 
 
 def test_tinycore_ref():
+    from repro.pipeline.runner import resolve
+    from repro.pipeline.stages import PipelineContext
+
     provider = resolve_design("tinycore:fib")
     assert isinstance(provider, DesignProvider)
     assert provider.ref == "tinycore:fib"
-    artifact = provider.build()
+    artifact = resolve(PipelineContext(), provider)
     assert artifact.kind == "tinycore"
     assert artifact.program_name == "fib"
-    assert artifact.netlist is not None
     assert artifact.fingerprint == provider.fingerprint()
+    assert artifact.netlist is not None
+    assert artifact.built.fingerprint == provider.fingerprint()
 
 
 def test_tinycore_parity_ref():

@@ -106,6 +106,58 @@ class TestExecution:
         assert [o.outcome for o in a.outcomes] == [o.outcome for o in b.outcomes]
 
 
+def _full_state_verdicts(run, latent):
+    """Lane verdicts that compare every lane's architectural state."""
+    from repro.sfi.campaign import DUE, MASKED, SDC, UNKNOWN
+
+    golden_state = run.architectural_state(0)[1:]
+    latent_lanes = run.sim.lanes_differing_from(0) if latent else ()
+    due_net = run.netlist.due
+    due_bits = run.sim.peek(due_net) if due_net is not None else 0
+    verdicts = []
+    for lane in range(1, run.sim.lanes):
+        if (due_bits >> lane) & 1 and not due_bits & 1:
+            verdicts.append(DUE)
+        elif (run.outputs[lane] != run.outputs[0]
+              or (lane in run.halted_lanes) != (0 in run.halted_lanes)):
+            verdicts.append(SDC)
+        elif (lane in latent_lanes
+              or run.architectural_state(lane)[1:] != golden_state):
+            verdicts.append(UNKNOWN)
+        else:
+            verdicts.append(MASKED)
+    return verdicts
+
+
+def test_lane_verdicts_equal_a_full_state_comparison(fib_setup):
+    from repro.rtlsim.simulator import Simulator
+    from repro.sfi.lanes import lane_verdicts
+
+    words, dmem, netlist, golden, seqs = fib_setup
+    plans = plan_campaign(seqs, golden.cycles - 2, 48, seed=5)
+    # Lanes past the flop faults take a register-file or data-memory
+    # strike, so the memory overlays are compared too.
+    strikes = [("u_rf" if i % 2 else "u_dmem", 10 + 15 * i, i % 8, i % 16)
+               for i in range(8)]
+    sim = Simulator(netlist.module, lanes=1 + len(plans) + len(strikes))
+
+    def inject(simulator, cycle):
+        for lane, plan in enumerate(plans, start=1):
+            if plan.cycle == cycle:
+                simulator.flip(plan.net, 1 << lane)
+        for lane, (mem, at, addr, bit) in enumerate(strikes,
+                                                    start=1 + len(plans)):
+            if at == cycle:
+                simulator.mems[mem].flip_bit(lane, addr, bit)
+
+    run = run_gate_level(words, dmem, netlist=netlist, sim=sim,
+                         on_cycle=inject)
+    for latent in (True, False):
+        verdicts = lane_verdicts(run, latent=latent)
+        assert verdicts == _full_state_verdicts(run, latent), latent
+    assert {"masked", "unknown", "sdc"} <= set(lane_verdicts(run, latent=True))
+
+
 class TestAggregation:
     def test_aggregate_by_node(self, fib_setup):
         words, dmem, netlist, golden, seqs = fib_setup

@@ -9,6 +9,10 @@ Boots ``repro-sart serve`` on a free port and checks, in order:
 * a tinycore job POSTs (201), its event stream is
   ``text/event-stream`` and reaches the ``end`` event, and its result
   reads ``state == "done"``;
+* a second job on the same design with another ``loop_pavf`` (the warm
+  path) serves the ``weighted_seq_avf`` a local run of its spec makes,
+  and with ``--cache-dir`` its ``cached_stages`` include ``golden``,
+  ``ports`` and ``plan``;
 * SIGTERM drains the server: it exits 143 and logs ``drained``.
 
 Usage::
@@ -36,6 +40,9 @@ import urllib.request
 BOOT_TIMEOUT = 30  # seconds until the server must answer /readyz
 JOB_TIMEOUT = 120  # seconds the job may take to reach its end event
 JOB = {"design": "tinycore:fib", "sart": {"monolithic": True}}
+WARM_JOB = {"design": "tinycore:fib",
+            "sart": {"monolithic": True, "loop_pavf": 0.7}}
+WARM_STAGES = {"golden", "ports", "plan"}
 
 
 def _pump(stream, lines: list[str], booted: threading.Event) -> None:
@@ -70,9 +77,9 @@ def _malformed_post(host: str, port: int) -> None:
         assert "error" in json.loads(bad.read())
 
 
-def _job(base: str) -> dict:
+def _job(base: str, spec: dict) -> dict:
     request = urllib.request.Request(
-        base + "/jobs", data=json.dumps(JOB).encode(),
+        base + "/jobs", data=json.dumps(spec).encode(),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(request, timeout=10) as r:
         assert r.status == 201, r.status
@@ -87,6 +94,20 @@ def _job(base: str) -> dict:
         doc = json.loads(r.read())
     assert doc["state"] == "done", doc
     return doc
+
+
+def _warm_job(base: str, cached: bool) -> None:
+    """The warm path serves what a local run computes; *cached*: the
+    run's golden run, ports and plan come from the store."""
+    from repro.pipeline import execute, spec_from_mapping
+    from repro.pipeline.emit import run_summary
+
+    result = _job(base, WARM_JOB)["result"]
+    local = run_summary(execute(spec_from_mapping(WARM_JOB)))
+    assert result["weighted_seq_avf"] == local["weighted_seq_avf"], \
+        (result["weighted_seq_avf"], local["weighted_seq_avf"])
+    if cached:
+        assert WARM_STAGES <= set(result["cached_stages"]), result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,9 +135,10 @@ def main(argv: list[str] | None = None) -> int:
             host, port = base.removeprefix("http://").rsplit(":", 1)
             _ready(base)
             _malformed_post(host, int(port))
-            doc = _job(base)
+            doc = _job(base, JOB)
             print("serve smoke: weighted_seq_avf =",
                   doc["result"]["weighted_seq_avf"])
+            _warm_job(base, cached=bool(args.cache_dir))
             server.send_signal(signal.SIGTERM)
             code = server.wait(timeout=60)
             reader.join(timeout=10)

@@ -30,16 +30,24 @@ def pytest_collection_modifyitems(items):
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
 from repro.workloads import default_suite
 
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
-BENCH_SART_PATH = Path(__file__).resolve().parent.parent / "BENCH_sart.json"
-BENCH_PIPELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
-BENCH_SERVE_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-BENCH_ECO_PATH = Path(__file__).resolve().parent.parent / "BENCH_eco.json"
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench/ is a directory of plain modules beside src/; its reference
+# loop gauges the host a record was taken on.
+sys.path.insert(0, str(ROOT))
+from perfbench.hostspeed import time_reference_loop  # noqa: E402
+
+BENCH_JSON_PATH = ROOT / "BENCH_simulator.json"
+BENCH_SART_PATH = ROOT / "BENCH_sart.json"
+BENCH_PIPELINE_PATH = ROOT / "BENCH_pipeline.json"
+BENCH_SERVE_PATH = ROOT / "BENCH_serve.json"
+BENCH_ECO_PATH = ROOT / "BENCH_eco.json"
 
 
 def _flush_bench(path: Path, data: dict) -> None:
     """Merge *data* into the JSON sink at *path* (partial runs refresh
-    only their own keys)."""
+    only their own keys). The ``host`` block names the interpreter and
+    machine and times ``perfbench/hostspeed.py``'s reference loop, the
+    figure perfbench scales its timings by."""
     if not data:
         return
     merged: dict[str, object] = {}
@@ -52,6 +60,7 @@ def _flush_bench(path: Path, data: dict) -> None:
     merged["host"] = {
         "python": sys.version.split()[0],
         "machine": platform.machine(),
+        "ref_loop_s": round(time_reference_loop(), 4),
     }
     path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {path}")

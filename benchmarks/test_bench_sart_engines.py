@@ -13,19 +13,26 @@ engine ships with:
   configuration: sweeps, per-net loop studies and re-analysis all hold a
   plan), with the cold build+solve time reported alongside.
 
-Results land in ``BENCH_sart.json`` as a scale ladder — ``smoke`` (0.5),
-``scale2``, ``scale4``, and the ``mega`` rung (a 10^6-node systolic
-array streamed straight from EXLIF) — each with ``nodes_per_second``,
-plus ``batched_sweep`` (one matrix pass for a 16-workload Figure-8
-sweep vs the per-workload loop). The ``smoke`` subset (``-k smoke``)
-runs the equivalence + timing check on ``--scale 0.5`` in well under
-30 s for CI, with or without numpy installed; the mega rung carries
-``@pytest.mark.mega`` and is deselected from tier-1.
+Results land in ``BENCH_sart.json``: the bigcore rungs ``smoke`` (0.5),
+``scale2`` and ``scale4``, each with ``nodes_per_second``;
+``batched_sweep`` (one matrix pass for a 16-workload Figure-8 sweep vs
+the per-workload loop); and the systolic ladder ``ladder_<side>``
+(24, 40, 64 and 104 per side, the last 10^6 nodes), each rung a
+per-phase record from its own process (``benchmarks/ladder.py``). The
+``smoke`` subset (``-k smoke``) runs the equivalence + timing check on
+``--scale 0.5`` in well under 30 s for CI, with or without numpy
+installed, and CI runs the 24 x 24 rung; the larger rungs carry
+``@pytest.mark.mega`` and run only with ``-m mega``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -221,79 +228,37 @@ def test_bench_batched_workload_sweep(scale2_setup, bench_sart_json):
         assert record["speedup"] >= 3.0
 
 
-@pytest.mark.mega
-def test_bench_mega_systolic(bench_sart_json, tmp_path):
-    """The 10^6-node rung: streamed systolic array, batched workloads.
+@pytest.mark.parametrize("side", [
+    24, *(pytest.param(side, marks=pytest.mark.mega) for side in (40, 64, 104))
+])
+def test_bench_ladder_rung(side, bench_sart_json):
+    """One systolic rung, ``side`` x ``side``, in a fresh process.
 
-    EXLIF streamed to disk, read back line by line through ``exlif:``
-    into the columnar graph (no Module), lowered to one plan, solved
-    once, evaluated under a 4-point workload sweep — checked
-    bit-equivalent (1e-9) against the per-workload compiled engine on a
-    sample of sweep points.
+    ``benchmarks/ladder.py`` times parse, plan, solve, resolve+report
+    and a 4-point batched sweep, records set storage and peak RSS, and
+    checks two sweep points against per-point ``run_sart``. The 24 x 24
+    rung (54,538 nodes) is the CI smoke; the others carry the ``mega``
+    marker (104 x 104 is 1,018,538 nodes).
     """
-    from repro.designs.bigcore.systolic import (
-        SystolicConfig,
-        node_count,
-        write_systolic_exlif,
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "ladder.py"), str(side)],
+        env=env, capture_output=True, text=True,
     )
-    from repro.pipeline.registry import resolve_design
-
-    cfg = SystolicConfig(rows=104, cols=104)
-    expected = node_count(cfg)
-    assert expected >= 1_000_000
-
-    path = tmp_path / "mega.exlif"
-    started = time.perf_counter()
-    write_systolic_exlif(cfg, path)
-    t_write = time.perf_counter() - started
-
-    started = time.perf_counter()
-    graph = resolve_design(f"exlif:{path}").build().graph
-    t_stream = time.perf_counter() - started
-    assert len(graph) == expected
-
-    started = time.perf_counter()
-    plan = build_plan(graph)
-    t_plan = time.perf_counter() - started
-
-    base_cfg = SartConfig(partition_by_fub=False)
-    started = time.perf_counter()
-    plan.solve_monolithic(base_cfg.dangling)
-    t_solve = time.perf_counter() - started
-
-    values = [0.0, 0.25, 0.5, 1.0]
-    started = time.perf_counter()
-    batched = sweep_batched(plan, values, base_cfg)
-    t_batched = time.perf_counter() - started
-
-    # Per-workload compiled reference on a sample of the sweep.
-    delta = 0.0
-    for w in (0, 3):
-        cfg_point = SartConfig(partition_by_fub=False, loop_pavf=values[w])
-        point = run_sart(plan=plan, config=cfg_point)
-        rows_a = {r.fub: r.seq_avg_avf for r in point.report.fubs}
-        rows_b = {r.fub: r.seq_avg_avf for r in batched.report(w).fubs}
-        assert rows_a.keys() == rows_b.keys()
-        delta = max(delta, *(abs(rows_a[f] - rows_b[f]) for f in rows_a))
-
-    record = {
-        "nodes": expected,
-        "write_seconds": t_write,
-        "stream_seconds": t_stream,
-        "plan_seconds": t_plan,
-        "solve_seconds": t_solve,
-        "nodes_per_second": expected / t_solve,
-        "batched_sweep_seconds": t_batched,
-        "workloads": len(values),
-        "max_fub_delta": delta,
-        "numpy": HAVE_NUMPY,
-    }
-    bench_sart_json["mega"] = record
+    assert run.returncode == 0, run.stderr
+    record = json.loads(run.stdout.splitlines()[-1])
+    bench_sart_json[f"ladder_{side}"] = record
     print(
-        f"\nmega rung ({expected} nodes): stream {t_stream:.1f}s, "
-        f"plan {t_plan:.1f}s, solve {t_solve:.1f}s "
-        f"({record['nodes_per_second']:.0f} nodes/s), "
-        f"4-workload batched sweep {t_batched:.1f}s, "
-        f"max fub delta {delta:.2e}"
+        f"\nladder {side}x{side} ({record['nodes']} nodes): parse "
+        f"{record['parse_seconds']:.1f}s, plan {record['plan_seconds']:.1f}s, "
+        f"solve {record['solve_seconds']:.1f}s "
+        f"({record['solve_nodes_per_second']} nodes/s), resolve+report "
+        f"{record['resolve_report_seconds']:.1f}s, sweep "
+        f"{record['sweep_seconds']:.1f}s; sets "
+        f"{record['set_storage_bytes'] / 2**20:.1f} MB; VmHWM "
+        f"{record['vmhwm_after_solve_mb']:.0f} MB after the solve, "
+        f"{record['vmhwm_end_mb']:.0f} MB at the end"
     )
-    assert delta <= 1e-9

@@ -8,9 +8,9 @@ This module lowers the annotated model **once** into integer form:
 * net names are interned to dense node ids,
 * fan-in/fan-out become CSR ``(indptr, indices)`` arrays,
 * annotation sets are interned to dense set ids
-  (:class:`repro.core.pavf.SetInterner`), each with its row of atom ids
-  in (kind, name, bit) order written as it is interned, and joined by a
-  memoized union kernel (:meth:`~repro.core.pavf.SetInterner.union_ids`),
+  (:class:`repro.core.pavf.SetInterner`), each held only as its row of
+  atom ids in (kind, name, bit) order, and joined by a memoized union
+  kernel that merges rows (:meth:`~repro.core.pavf.SetInterner.union_ids`),
 * the forward and backward topological orders are computed once and
   per-FUB schedules are derived from them by bucketing.
 
@@ -67,7 +67,7 @@ HAVE_NUMPY = _np is not None
 # Layout version of the SolvePlans the artifact store pickles, recorded on
 # every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
 # what invalidates cached plans), when the SolvePlan fields change.
-PLAN_FORMAT = 5  # v5: no structural knobs; v4: Atom is a NamedTuple
+PLAN_FORMAT = 6  # v6: interner rows only; v5: no structural knobs
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -76,6 +76,9 @@ _TOP_ID = SetInterner.TOP_ID
 _MODE_MIN = 0      # AVF = MIN(forward, backward)
 _MODE_STRUCT = 1   # measured structure AVF when available, else MIN
 _MODE_ATOM = 2     # injected atom value (loop boundaries, control regs)
+
+# Gathered values per step of gather_halve: bounds its temporaries.
+_GATHER_CHUNK = 1 << 18
 
 
 def gather_halve(interner: SetInterner, sids, table):
@@ -87,10 +90,12 @@ def gather_halve(interner: SetInterner, sids, table):
     group gathers its atom values through the row columns into an
     ``(n, width, W)`` array, zero-padded by pointing the spare slots at
     the last table row, and halves it pairwise down to one value per set
-    and column. Returns ``(len(sids), W)`` values
-    capped at 1.0.
+    and column. A group is walked in steps of about ``_GATHER_CHUNK``
+    gathered values, so the temporary arrays stay bounded whatever the
+    batch. Returns ``(len(sids), W)`` values capped at 1.0.
     """
-    out = _np.empty((len(sids), table.shape[1]), dtype=_np.float64)
+    n_env = table.shape[1]
+    out = _np.empty((len(sids), n_env), dtype=_np.float64)
     zero = len(table) - 1
     # Views of the row columns live only inside this call: an ``array``
     # that exports its buffer cannot grow.
@@ -103,12 +108,15 @@ def gather_halve(interner: SetInterner, sids, table):
     for exp in _np.flatnonzero(_np.bincount(exps)).tolist():
         group = _np.flatnonzero(exps == exp)
         cols = _np.arange(1 << exp, dtype=_np.int64)
-        gather = flat[_np.minimum(starts[group, None] + cols, last)]
-        gather[cols >= lens[group, None]] = zero
-        level = table[gather]
-        while level.shape[1] > 1:
-            level = level[:, 0::2] + level[:, 1::2]
-        out[group] = _np.minimum(level[:, 0], 1.0)
+        step = max(1, _GATHER_CHUNK // (n_env << exp))
+        for at in range(0, len(group), step):
+            rows = group[at:at + step]
+            gather = flat[_np.minimum(starts[rows, None] + cols, last)]
+            gather[cols >= lens[rows, None]] = zero
+            level = table[gather]
+            while level.shape[1] > 1:
+                level = level[:, 0::2] + level[:, 1::2]
+            out[rows] = _np.minimum(level[:, 0], 1.0)
     return out
 
 
@@ -329,7 +337,7 @@ class SolvePlan:
             through[ids[net]] = intern(atoms)
         sink = self.sink = [-1] * n
         for net, atoms in model.static_sinks.items():
-            sink[ids[net]] = intern(frozenset(atoms))
+            sink[ids[net]] = intern(atoms)
 
     def _build_orders(self) -> None:
         n = self.n
@@ -493,16 +501,6 @@ class SolvePlan:
     def n_fubs(self) -> int:
         return len(self.fub_names)
 
-    def sets_dict(self, sids: Sequence[int]) -> dict[str, frozenset[Atom]]:
-        """Materialize a set-id vector as the legacy net -> frozenset map."""
-        sets = self.interner.sets
-        names = self.names
-        return {
-            names[nid]: sets[sid]
-            for nid, sid in enumerate(sids)
-            if sid >= 0
-        }
-
     def __getstate__(self):
         state = self.__dict__.copy()
         # A pickled plan (the artifact store's copy) rebuilds its memo and
@@ -649,8 +647,7 @@ def relax_compiled(
     tol: float = 1e-9,
     dangling: str = "unace",
     warm_start: WarmStart | None = None,
-    capture_boundary: dict | None = None,
-) -> tuple[list[int], list[int], RelaxationTrace]:
+) -> tuple[list[int], list[int], list[int], list[int], RelaxationTrace]:
     """Jacobi relaxation across FUB partitions on the compiled kernels.
 
     Matches the dict-based reference :func:`repro.verify.dataflow.relax`
@@ -671,13 +668,13 @@ def relax_compiled(
     actual value influence and the run converges when values quiesce,
     on the same ``tol`` a cold run uses.
 
-    *capture_boundary*, when a dict, receives the converged FUBIO tables
-    — ``{"f"|"b": {net: frozenset}}`` over ``plan.f_exports`` /
-    ``plan.b_exports`` — which later warm starts need verbatim: a
-    boundary entry may hold an older set than the owner's final output
-    at the same value (the MIN merge keeps the first set to reach a
-    value), and replaying that tie history is what keeps warm re-solves
-    bit-identical.
+    Returns the forward and backward node set ids, the converged FUBIO
+    tables as set-id vectors (TOP off ``plan.f_exports`` /
+    ``plan.b_exports``) and the trace. Later warm starts need the tables
+    verbatim: a boundary entry may hold an older set than the owner's
+    final output at the same value (the MIN merge keeps the first set to
+    reach a value), and replaying that tie history is what keeps warm
+    re-solves bit-identical.
     """
     ev = evaluator or SetEvaluator(plan.interner, env)
     n, n_fubs = plan.n, plan.n_fubs
@@ -750,16 +747,7 @@ def relax_compiled(
         dirty = sorted(next_dirty)
     trace.resolved_fubs = len(resolved)
     trace.resolved_fub_ids = tuple(sorted(resolved))
-    if capture_boundary is not None:
-        sets = plan.interner.sets
-        names = plan.names
-        capture_boundary["f"] = {
-            names[nid]: sets[f_bnd[nid]] for nid in plan.f_exports
-        }
-        capture_boundary["b"] = {
-            names[nid]: sets[b_bnd[nid]] for nid in plan.b_exports
-        }
-    return f_out, b_out, trace
+    return f_out, b_out, f_bnd, b_bnd, trace
 
 
 def _apply_warm_start(
@@ -770,25 +758,20 @@ def _apply_warm_start(
 ) -> list[int]:
     """Seed the FUBIO boundaries from *warm*; return the initial dirty list.
 
-    Seeds are name-keyed (plan node ids do not survive a rebuild); names
-    absent from the new plan are skipped — they belong to removed FUBs.
+    Seeds are name-keyed (plan node ids do not survive a rebuild): each
+    export of this plan takes the baseline's entry for its name, whose
+    atoms are interned here; an export the baseline lacks belongs to a
+    dirty FUB and is solved before any merge reads it.
     Node outputs stay unseeded (-1): the merge skips entries whose owner
     never re-solved — an unsolved owner's exports cannot have changed —
     and the final result reuses the baseline's outputs for untouched
     FUBs, so interning every node set would be pure overhead on the path
     whose whole point is to skip O(n) work.
     """
-    ids = plan.ids
-    intern = plan.interner.id_of
-    dirty = [
-        f for f, fub in enumerate(plan.fub_names) if fub in warm.dirty_fubs
-    ]
-    for table, seeds in ((f_bnd, warm.f_boundary), (b_bnd, warm.b_boundary)):
-        for name, value in seeds.items():
-            nid = ids.get(name)
-            if nid is not None:
-                table[nid] = intern(value)
-    return dirty
+    base, carried = warm.baseline, {}
+    base.f_boundary.copy_into(plan, plan.f_exports, f_bnd, carried)
+    base.b_boundary.copy_into(plan, plan.b_exports, b_bnd, carried)
+    return [f for f, fub in enumerate(plan.fub_names) if fub in warm.dirty_fubs]
 
 
 def _record_fub_averages_compiled(

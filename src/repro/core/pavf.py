@@ -12,20 +12,26 @@ appear:
   and when merging refined values at FUB boundaries (Eq 7).
 
 To make the union exact (idempotent, no double counting on reconvergent
-fanout) a propagated value is a *frozenset of atoms*; each atom is a
-symbolic source — a structure port bit, a control register, a loop
-boundary, a boundary pseudo-structure port or the conservative TOP. The
-numeric value of a set is the capped sum of its atoms' values under a
+fanout) a propagated value is a *set of atoms*; each atom is a symbolic
+source — a structure port bit, a control register, a loop boundary, a
+boundary pseudo-structure port or the conservative TOP. The numeric
+value of a set is the capped sum of its atoms' values under a
 :class:`PavfEnv` binding. Keeping sets symbolic is also what enables the
 paper's closed-form re-evaluation optimization (Section 5.2): new workload
 pAVFs are just a new environment.
+
+The solver holds each distinct set once, as a sorted row of integer atom
+ids in a :class:`SetInterner`, and unions rows. :func:`union` and
+:func:`value_of` are the same algebra on ``frozenset`` values, which the
+reference solvers (:mod:`repro.verify`) propagate directly.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from struct import pack
+from sys import getsizeof
 from typing import Iterable, NamedTuple, Sequence
 
 # Atom kinds.
@@ -63,7 +69,6 @@ class Atom(NamedTuple):
 
 TOP = Atom(TOP_KIND, "", 0)
 TOP_SET: frozenset[Atom] = frozenset((TOP,))
-EMPTY: frozenset[Atom] = frozenset()
 
 
 @dataclass
@@ -133,36 +138,39 @@ def value_of(atoms: frozenset[Atom], env: PavfEnv) -> float:
 
 
 class SetInterner:
-    """Shared table of canonical pAVF sets.
+    """Shared table of canonical pAVF sets, each stored as a row of atom ids.
 
     Propagation produces the same annotation set at many nodes (every net
-    fed by one reconvergent cone carries an identical frozenset). Interning
-    keeps one instance per distinct set — in *both* walk directions and
-    across relaxation iterations — and assigns each a dense integer id the
+    fed by one reconvergent cone carries an identical set). Interning
+    keeps one row per distinct set — in *both* walk directions and across
+    relaxation iterations — and assigns each a dense integer id the
     compiled kernels (:mod:`repro.core.compiled`) index with.
 
-    Id 0 is always the empty set and id 1 the TOP singleton.
+    Id 0 is always the empty set and id 1 the TOP singleton; a set that
+    holds TOP is TOP (TOP absorbs every union).
 
-    The numeric kernels read each set as a *row*: its members' ids in the
-    dense :attr:`atoms` table, in (kind, name, bit) order. A set's row is
-    written when the set is interned, into three flat ``array`` columns:
-    ``row_start``/``row_len`` per set id and ``row_ids``, the concatenated
-    atom ids. :meth:`rank` gives a plan's atoms ids in (kind, name, bit)
-    order up front, so a row is its members' ids sorted as integers; an
-    atom first seen later takes the next id, and a row holding one is
-    sorted by atom instead. Rows and atom ids are rebuilt from the sets
-    when an interner is unpickled.
+    A set's *row* is its members' ids in the dense :attr:`atoms` table,
+    in (kind, name, bit) order, kept in three flat ``array`` columns:
+    ``row_start``/``row_len`` per set id and ``row_ids``, the
+    concatenated atom ids. The row is also the hash-cons key: an index
+    maps the hash of its bytes to the set id (a row whose hash another
+    row already holds takes the next free key), and :meth:`union_ids`
+    merges integer rows. :meth:`rank` gives a plan's atoms ids in
+    (kind, name, bit) order up front, so a row is its members' ids sorted
+    as integers; an atom first seen later takes the next id, and a row
+    holding one is sorted by atom instead. Atoms enter as atoms only at
+    the edges (:meth:`id_of`) and leave as atoms only through
+    :meth:`sorted_atoms`. A pickle holds the atom table and the row
+    columns; unpickling rebuilds the index from the rows.
     """
 
     EMPTY_ID = 0
     TOP_ID = 1
 
-    __slots__ = ("sets", "_ids", "atoms", "_atom_ids", "_ranked", "row_start",
+    __slots__ = ("atoms", "_atom_ids", "_ranked", "_index", "row_start",
                  "row_len", "row_ids")
 
     def __init__(self) -> None:
-        self.sets: list[frozenset[Atom]] = [EMPTY, TOP_SET]
-        self._ids: dict[frozenset[Atom], int] = {EMPTY: 0, TOP_SET: 1}
         self.atoms: list[Atom] = [TOP]
         self._atom_ids: dict[Atom, int] = {TOP: 0}
         # Atom ids below this follow (kind, name, bit) order.
@@ -170,70 +178,85 @@ class SetInterner:
         self.row_start = array("q", (0, 0))
         self.row_len = array("i", (0, 1))
         self.row_ids = array("i", (0,))
+        self._reindex()
 
     def __getstate__(self):
-        return (None, {"sets": self.sets})
+        return (self.atoms, self._ranked, self.row_start, self.row_len, self.row_ids)
 
     def __setstate__(self, state) -> None:
-        # Also loads interners pickled with more slot state (``_ids``, the
-        # old per-set ``_sorted`` cache): only the sets are read.
-        sets = state[1]["sets"]
-        self.__init__()
-        self.rank(frozenset().union(*sets))
-        for atoms in sets[2:]:
-            self._add(atoms)
+        self.atoms, self._ranked, self.row_start, self.row_len, self.row_ids = state
+        self._atom_ids = {atom: aid for aid, atom in enumerate(self.atoms)}
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the row index from the row columns, in id order."""
+        self._index: dict[int, int] = {}
+        data = self.row_ids.tobytes()
+        for lo, n in zip(self.row_start, self.row_len):
+            self._find(data[4 * lo:4 * (lo + n)])
+
+    def _find(self, key: bytes) -> int:
+        """Id of the row whose bytes are *key*, appended if new.
+
+        The index maps the hash of a row's bytes to its id; a row whose
+        hash another row holds takes the next free key (linear probing).
+        """
+        index, h = self._index, hash(key)
+        while (sid := index.get(h)) is not None:
+            lo = self.row_start[sid]
+            if self.row_ids[lo:lo + self.row_len[sid]].tobytes() == key:
+                return sid
+            h += 1
+        sid = index[h] = len(index)
+        if sid == len(self.row_len):  # else: a row being reindexed
+            self.row_start.append(len(self.row_ids))
+            self.row_len.append(len(key) >> 2)
+            self.row_ids.frombytes(key)
+        return sid
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.row_len)
 
     def rank(self, atoms: Iterable[Atom]) -> None:
         """Give *atoms* and TOP ids in (kind, name, bit) order.
 
         Only a fresh interner can be ranked: existing rows would go stale.
         """
-        if len(self.sets) > 2 or len(self.atoms) > 1:
+        if len(self.row_len) > 2 or len(self.atoms) > 1:
             raise ValueError("rank() needs a fresh SetInterner")
         self.atoms = sorted({TOP, *atoms})
         self._atom_ids = {atom: aid for aid, atom in enumerate(self.atoms)}
         self._ranked = len(self.atoms)
         self.row_ids[0] = self._atom_ids[TOP]
+        self._reindex()
 
-    def id_of(self, atoms: frozenset[Atom]) -> int:
-        """Intern *atoms* and return its dense id."""
-        sid = self._ids.get(atoms)
-        return self._add(atoms) if sid is None else sid
+    def id_of(self, atoms: Iterable[Atom]) -> int:
+        """Intern the set of *atoms* and return its dense id."""
+        atoms = set(atoms)
+        if TOP in atoms:
+            return self.TOP_ID
+        # New atoms take their ids in atom order, whatever the hash order.
+        return self._intern(sorted(map(self.atom_id, sorted(atoms))))
 
     def union_ids(self, key: Sequence[int]) -> int:
-        """Id of the union of the sets *key* names (:func:`union`, interned).
+        """Id of the union of the sets *key* names, merged row by row.
 
         Exact and idempotent; TOP absorbs everything.
         """
-        sets = self.sets
-        merged: set[Atom] = set()
-        for sid in key:
-            merged.update(sets[sid])
-        if TOP in merged:
+        if self.TOP_ID in key:
             return self.TOP_ID
-        return self.id_of(frozenset(merged))
+        start, length, ids = self.row_start, self.row_len, self.row_ids
+        merged: set[int] = set()
+        for sid in key:
+            lo = start[sid]
+            merged.update(ids[lo:lo + length[sid]])
+        return self._intern(sorted(merged))
 
-    def _add(self, atoms: frozenset[Atom]) -> int:
-        sid = len(self.sets)
-        self._ids[atoms] = sid
-        self.sets.append(atoms)
-        # An atom unknown or first seen after the ranking reads as an id
-        # at or past ``_ranked``; such a row is sorted by atom instead.
-        ranked = self._ranked
-        row = sorted(map(self._atom_ids.get, atoms, repeat(ranked)))
-        if row and row[-1] >= ranked:
-            row = list(map(self.atom_id, sorted(atoms)))
-        self.row_start.append(len(self.row_ids))
-        self.row_len.append(len(row))
-        self.row_ids.extend(row)
-        return sid
-
-    def canon(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
-        """Return the shared canonical instance equal to *atoms*."""
-        return self.sets[self.id_of(atoms)]
+    def _intern(self, row: list[int]) -> int:
+        """Id of the set whose atom ids, sorted as integers, are *row*."""
+        if row and row[-1] >= self._ranked:
+            row.sort(key=self.atoms.__getitem__)
+        return self._find(pack(f"{len(row)}i", *row))
 
     def atom_id(self, atom: Atom) -> int:
         """Dense id of *atom* in :attr:`atoms` (added on first sight)."""
@@ -249,8 +272,14 @@ class SetInterner:
         return tuple(map(self.atoms.__getitem__,
                          self.row_ids[lo:lo + self.row_len[sid]]))
 
+    def nbytes(self) -> int:
+        """Bytes of the set storage: the row columns and the row index."""
+        index = self._index
+        return sum(map(getsizeof, (self.row_start, self.row_len, self.row_ids,
+                                   index, *index, *index.values())))
 
-def format_set(atoms: frozenset[Atom]) -> str:
+
+def format_set(atoms: Iterable[Atom]) -> str:
     """Human-readable rendering, stable order (for closed-form printing)."""
     if not atoms:
         return "0"

@@ -13,7 +13,10 @@ engine is checked against lives in :mod:`repro.verify.dataflow`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.sart import SartResult
 
 
 @dataclass
@@ -41,19 +44,21 @@ class RelaxationTrace:
 class WarmStart:
     """Seed state for an incremental (ECO) relaxation.
 
-    Carries a baseline converged solution keyed by net name (node/set
-    ids are plan-private and do not survive a rebuild):
+    Carries the ``baseline`` result, a converged partitioned solve on
+    another plan, read by net name (node and set ids are plan-private
+    and do not survive a rebuild):
 
-    * ``f_boundary``/``b_boundary`` — converged FUBIO boundary entries,
-      the relaxation's seed. They are kept apart from node values
-      because the MIN merge keeps the *first* set to reach a value: at
-      convergence a boundary entry may hold an older, equal-valued set
-      than the owner's final output, and bit-identical replay must
-      preserve that history.
-    * ``f_sets``/``b_sets``/``baseline_avfs`` — converged per-node
-      annotation sets and resolved AVFs (name -> NodeAvf). The solver
-      front end reuses them for every FUB the re-solve never touched
-      instead of re-resolving the whole design.
+    * its ``f_boundary``/``b_boundary`` — converged FUBIO boundary
+      entries — are the relaxation's seed, read for the new plan's
+      exports. They are kept apart from node values because the MIN
+      merge keeps the *first* set to reach a value: at convergence a
+      boundary entry may hold an older, equal-valued set than the
+      owner's final output, and bit-identical replay must preserve that
+      history.
+    * its ``f_sets``/``b_sets``/``node_avfs`` — converged per-node
+      annotation sets and resolved AVFs. The solver front end reuses
+      them for every FUB the re-solve never touched instead of
+      re-resolving the whole design.
     * ``dirty_fubs`` — the FUBs the relaxation re-solves up front.
       Everything else starts converged and is only re-solved if a
       boundary merge dirties it.
@@ -75,8 +80,4 @@ class WarmStart:
     """
 
     dirty_fubs: frozenset[str]
-    f_sets: Mapping[str, frozenset] = field(default_factory=dict)
-    b_sets: Mapping[str, frozenset] = field(default_factory=dict)
-    f_boundary: Mapping[str, frozenset] = field(default_factory=dict)
-    b_boundary: Mapping[str, frozenset] = field(default_factory=dict)
-    baseline_avfs: Mapping[str, Any] = field(default_factory=dict)
+    baseline: SartResult

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import SartError, WarmStartDegradedWarning
 from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
@@ -77,25 +77,104 @@ class SartConfig:
     dangling: str = "unace"
 
 
+class SetMap(Mapping[str, frozenset]):
+    """Net name -> annotation set, read from a plan's set-id vector.
+
+    Only the ids are held: a lookup builds the set's ``frozenset`` from
+    its row. Nets whose id is negative are absent. Two maps over one
+    plan compare by their ids, since the interner holds each set once.
+
+    *carried* is ``(base, nids, memo)`` on an ECO result: the entries of
+    node ids *nids* are the baseline map *base*'s sets, copied into this
+    plan (:meth:`copy_into`) on the map's first use, so a re-solve that
+    nobody asks for sets pays no copy.
+    """
+
+    __slots__ = ("plan", "_ids", "_carried")
+
+    def __init__(self, plan: SolvePlan, ids: list[int], carried=None):
+        self.plan, self._ids, self._carried = plan, ids, carried
+
+    @property
+    def ids(self) -> list[int]:
+        """Set id per node id (-1 = absent)."""
+        if self._carried is not None:
+            base, nids, memo = self._carried
+            self._carried = None
+            base.copy_into(self.plan, nids, self._ids, memo)
+        return self._ids
+
+    def sid(self, net: str) -> int:
+        """Set id of *net*'s entry in the plan's interner; -1 when absent."""
+        nid = self.plan.ids.get(net)
+        return -1 if nid is None else self.ids[nid]
+
+    def copy_into(self, plan: SolvePlan, nids: Iterable[int], out: list[int],
+                  memo: dict[int, int]) -> None:
+        """Set ``out[nid]`` to the id in *plan* of this map's set for its net.
+
+        Covers each node id in *nids* whose net this map holds; the rest
+        of *out* is left as it is. A set crosses plans by its atoms, and
+        *memo* maps this plan's set ids to *plan*'s, so a set many nets
+        share is interned once; maps over one plan may share it.
+        """
+        names, here, ids = plan.names, self.plan.ids, self.ids
+        atoms_of, intern = self.plan.interner.sorted_atoms, plan.interner.id_of
+        for nid in nids:
+            at = here.get(names[nid])
+            if at is None or (sid := ids[at]) < 0:
+                continue
+            got = memo.get(sid)
+            if got is None:
+                got = memo[sid] = intern(atoms_of(sid))
+            out[nid] = got
+
+    def __getitem__(self, net: str) -> frozenset[Atom]:
+        sid = self.sid(net)
+        if sid < 0:
+            raise KeyError(net)
+        return frozenset(self.plan.interner.sorted_atoms(sid))
+
+    def __contains__(self, net) -> bool:
+        return self.sid(net) >= 0
+
+    def __iter__(self):
+        names = self.plan.names
+        return (names[nid] for nid, sid in enumerate(self.ids) if sid >= 0)
+
+    def __len__(self) -> int:
+        return sum(sid >= 0 for sid in self.ids)
+
+    def __eq__(self, other):
+        if isinstance(other, SetMap) and other.plan is self.plan:
+            return self.ids == other.ids
+        return super().__eq__(other)
+
+
 @dataclass
 class SartResult:
-    """Everything a SART run produces."""
+    """Everything a SART run produces.
+
+    The set tables map net names to annotation sets. On a result solved
+    on a plan they are :class:`SetMap` views over the solve's set-id
+    vectors; the reference engines return plain dicts.
+    """
 
     node_avfs: dict[str, NodeAvf]
     report: DesignReport
     model: AvfModel
     env: PavfEnv
-    f_sets: dict[str, frozenset[Atom]]
-    b_sets: dict[str, frozenset[Atom]]
+    f_sets: Mapping[str, frozenset[Atom]]
+    b_sets: Mapping[str, frozenset[Atom]]
     config: SartConfig
     trace: RelaxationTrace | None = None
     elapsed_seconds: float = 0.0
     stats: dict[str, float] = field(default_factory=dict)
-    # Converged FUBIO boundary tables (partitioned runs only) —
-    # the extra state a later warm start must replay verbatim; see
-    # repro.core.relaxation.WarmStart.
-    f_boundary: dict[str, frozenset[Atom]] | None = None
-    b_boundary: dict[str, frozenset[Atom]] | None = None
+    # Converged FUBIO boundary tables (partitioned runs only; TOP off
+    # the exports) — the extra state a later warm start must replay
+    # verbatim; see repro.core.relaxation.WarmStart.
+    f_boundary: SetMap | None = None
+    b_boundary: SetMap | None = None
     # The plan the result was solved on; None for the reference engines
     # (repro.verify.reference), which solve without one.
     plan: SolvePlan | None = None
@@ -103,19 +182,14 @@ class SartResult:
     def closed_form(self) -> ClosedForm:
         """Closed-form equations for workload re-evaluation (Section 5.2).
 
-        The result's sets are interned into its plan: identity hits for a
-        cold solve, new ids only for the baseline sets an ECO result
-        carries over.
+        The equations are the solve's own set ids; reading them copies an
+        ECO result's carried-over baseline sets into the plan
+        (:class:`SetMap`).
         """
         if self.plan is None:
             raise SartError("closed forms need a result solved on a SolvePlan (run_sart)")
-        intern, names = self.plan.interner.id_of, self.plan.names
-
-        def ids(sets: dict[str, frozenset[Atom]]) -> list[int]:
-            return [-1 if (s := sets.get(name)) is None else intern(s) for name in names]
-
-        return ClosedForm(plan=self.plan, f_ids=ids(self.f_sets),
-                          b_ids=ids(self.b_sets), base_env=self.env)
+        return ClosedForm(plan=self.plan, f_ids=self.f_sets.ids,
+                          b_ids=self.b_sets.ids, base_env=self.env)
 
     def avf(self, net: str) -> float:
         return self.node_avfs[net].avf
@@ -194,8 +268,8 @@ def run_sart(
     env = build_env(model, config)
 
     trace: RelaxationTrace | None = None
-    f_boundary: dict[str, frozenset[Atom]] | None = None
-    b_boundary: dict[str, frozenset[Atom]] | None = None
+    f_boundary: SetMap | None = None
+    b_boundary: SetMap | None = None
     partitioned = config.partition_by_fub and plan.n_fubs > 1
     if warm_start is not None and not partitioned:
         raise SartError(
@@ -204,17 +278,13 @@ def run_sart(
         )
     evaluator = SetEvaluator(plan.interner, env)
     if partitioned:
-        boundary_state: dict = {}
-        f_ids, b_ids, trace = relax_compiled(
-            plan,
-            env,
-            evaluator=evaluator,
-            iterations=config.iterations,
-            tol=config.tol,
-            dangling=config.dangling,
-            warm_start=warm_start,
-            capture_boundary=boundary_state,
-        )
+        def relax(warm: WarmStart | None):
+            return relax_compiled(
+                plan, env, evaluator=evaluator, iterations=config.iterations,
+                tol=config.tol, dangling=config.dangling, warm_start=warm,
+            )
+
+        f_ids, b_ids, f_bnd, b_bnd, trace = relax(warm_start)
         if warm_start is not None and not trace.converged:
             # A truncated warm trajectory is not comparable to a
             # truncated cold one (different starting points), so restart
@@ -225,26 +295,11 @@ def run_sart(
                 WarmStartDegradedWarning,
                 stacklevel=2,
             )
-            boundary_state = {}
-            f_ids, b_ids, trace = relax_compiled(
-                plan,
-                env,
-                evaluator=evaluator,
-                iterations=config.iterations,
-                tol=config.tol,
-                dangling=config.dangling,
-                capture_boundary=boundary_state,
-            )
-        f_boundary = boundary_state.get("f")
-        b_boundary = boundary_state.get("b")
+            f_ids, b_ids, f_bnd, b_bnd, trace = relax(None)
+        f_boundary, b_boundary = SetMap(plan, f_bnd), SetMap(plan, b_bnd)
     else:
         f_ids, b_ids = plan.solve_monolithic(config.dangling)
-    if (
-        warm_start is not None
-        and trace.warm
-        and trace.converged
-        and warm_start.baseline_avfs
-    ):
+    if warm_start is not None and trace.warm and trace.converged:
         # Assemble the result from the baseline: only nodes of FUBs the
         # cascade actually re-solved need fresh resolution; everything
         # else is bit-identical to the seeded baseline by construction.
@@ -254,30 +309,27 @@ def run_sart(
         fresh = resolve_ids(
             plan, f_ids, b_ids, env, evaluator=evaluator, only=recompute
         )
-        # Rebuild the tables in plan (node-id) order — the same
+        # Rebuild the table in plan (node-id) order — the same
         # order a cold solve emits — so every downstream consumer
-        # that folds over them (per-FUB averages, weighted report
-        # figures) sums floats in the identical sequence.
-        names, interned = plan.names, plan.interner.sets
-        base_avfs = warm_start.baseline_avfs
-        base_f, base_b = warm_start.f_sets, warm_start.b_sets
+        # that folds over it (per-FUB averages, weighted report
+        # figures) sums floats in the identical sequence. Untouched
+        # nodes keep the baseline's sets, carried into this plan's maps.
+        names, base = plan.names, warm_start.baseline
         node_avfs: dict[str, NodeAvf] = {}
-        f_sets: dict[str, frozenset[Atom]] = {}
-        b_sets: dict[str, frozenset[Atom]] = {}
+        kept: list[int] = []
         for nid in range(plan.n):
             name = names[nid]
             if fub_of[nid] in resolved_set:
                 node_avfs[name] = fresh[name]
-                f_sets[name] = interned[f_ids[nid]]
-                b_sets[name] = interned[b_ids[nid]]
             else:
-                node_avfs[name] = base_avfs[name]
-                f_sets[name] = base_f[name]
-                b_sets[name] = base_b[name]
+                node_avfs[name] = base.node_avfs[name]
+                kept.append(nid)
+        carried: dict[int, int] = {}
+        f_sets = SetMap(plan, f_ids, (base.f_sets, kept, carried))
+        b_sets = SetMap(plan, b_ids, (base.b_sets, kept, carried))
     else:
         node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
-        f_sets = plan.sets_dict(f_ids)
-        b_sets = plan.sets_dict(b_ids)
+        f_sets, b_sets = SetMap(plan, f_ids), SetMap(plan, b_ids)
 
     report = fub_report(
         node_avfs, loop_bits=len(model.loop_nets), ctrl_bits=len(model.ctrl_nets)

@@ -42,7 +42,8 @@ class ClosedForm:
         terms = []
         for ids in (self.f_ids, self.b_ids):
             sid = -1 if nid is None else ids[nid]
-            terms.append(format_set(self.plan.interner.sets[sid]) if sid >= 0 else "TOP")
+            terms.append(format_set(self.plan.interner.sorted_atoms(sid))
+                         if sid >= 0 else "TOP")
         return f"AVF({net}) = MIN({terms[0]}, {terms[1]})"
 
     def evaluate(

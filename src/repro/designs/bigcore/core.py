@@ -136,15 +136,12 @@ def build_bigcore(config: BigcoreConfig | None = None) -> BigcoreDesign:
     top_in = b.input_bus("core_in", templates[0].inputs)
 
     results: list[FubResult] = []
-    kinds: dict[str, str] = {}
     available: list[str] = list(top_in)
     for idx, template in enumerate(templates):
         sources = list(available)
         rng.shuffle(sources)
         result = generate_fub(b, template, rng, sources)
         results.append(result)
-        for name, _w in result.arrays:
-            kinds[name] = template.structure_kind
         # Next FUB consumes this one's outputs plus some of the previous.
         available = list(result.output_ports)
         if idx >= 1:
@@ -169,7 +166,18 @@ def build_bigcore(config: BigcoreConfig | None = None) -> BigcoreDesign:
     if config.edit:
         _apply_fub_edit(module, config.edit)
     validate_module(module)
-    return BigcoreDesign(module=module, fubs=results, config=config, structure_kinds=kinds)
+    return BigcoreDesign(module=module, fubs=results, config=config,
+                         structure_kinds=structure_kinds(config))
+
+
+def structure_kinds(config: BigcoreConfig) -> dict[str, str]:
+    """Latch array -> performance-model kind of the design *config* makes.
+
+    The arrays follow from the templates alone (``generate_fub`` names
+    array *a* of FUB *F* ``F.arr<a>``), so this needs no build.
+    """
+    return {f"{t.name}.arr{a}": t.structure_kind
+            for t in _templates(config) for a in range(t.arrays)}
 
 
 def _apply_fub_edit(module: Module, fub: str) -> None:

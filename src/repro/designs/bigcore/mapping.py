@@ -17,7 +17,6 @@ import random
 from typing import Mapping
 
 from repro.core.graphmodel import StructurePorts
-from repro.designs.bigcore.core import BigcoreDesign
 from repro.errors import MappingError
 
 # Relative spread of each array's rates around its structure's, and the
@@ -27,13 +26,14 @@ JITTER_SEED = 7
 
 
 def map_structure_ports(
-    design: BigcoreDesign,
+    design,
     model_ports: Mapping[str, StructurePorts],
 ) -> dict[str, StructurePorts]:
     """Build the per-array StructurePorts table for SART.
 
     Args:
-        design: The generated bigcore.
+        design: The generated bigcore, or its resolved design artifact:
+            only its ``structure_kinds`` are read.
         model_ports: ACE-model output, keyed by performance-model structure
             name (fetch_buffer, inst_queue, rob, regfile, load_queue,
             store_buffer).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.designs.bigcore.core import BigcoreConfig, build_bigcore
+from repro.designs.bigcore.core import BigcoreConfig, build_bigcore, structure_kinds
 from repro.designs.bigcore.systolic import SystolicConfig, build_systolic
 from repro.pipeline.artifacts import BuiltDesign
 from repro.pipeline.fingerprint import stage_fingerprint
@@ -43,6 +43,10 @@ class BigcoreProvider:
             "design", "bigcore", c.seed, c.scale, c.fub_count, c.feedback_fubs,
             c.edit,
         )
+
+    def structure_kinds(self) -> dict[str, str]:
+        """Array -> performance-model kind, known without a build."""
+        return structure_kinds(self.config)
 
     def build(self) -> BuiltDesign:
         design = build_bigcore(self.config)

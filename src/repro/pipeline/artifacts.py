@@ -14,9 +14,10 @@ Artifact types
 
 ``DesignArtifact``
     A resolved design: its reference, kind and fingerprint, plus what
-    its provider knows without building (a tinycore program image). Its
-    :class:`BuiltDesign` parts are built once, on first access, so a run
-    whose stages all hit the store builds nothing.
+    its provider knows without building (a tinycore program image, the
+    bigcore array kinds). Its :class:`BuiltDesign` parts are built once,
+    on first access, so a run whose stages all hit the store builds
+    nothing.
 ``BuiltDesign``
     What a build produces: the flattened netlist
     :class:`~repro.netlist.netlist.Module` of a generated design, or the
@@ -95,6 +96,8 @@ class DesignArtifact:
     program: tuple[int, ...] | None = None
     dmem: tuple[int, ...] | None = None
     program_name: str | None = None
+    # bigcore: latch array -> performance-model kind (the port mapping's key).
+    structure_kinds: Mapping[str, str] | None = field(default=None, compare=False)
 
     @cached_property
     def built(self) -> BuiltDesign:

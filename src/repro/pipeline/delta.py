@@ -354,26 +354,7 @@ def warm_start_from_result(
             continue
         if any(name not in f_base or name not in b_base for name in by_fub[f]):
             dirty.add(f)
-
-    # Seed everything the baseline knows; names the new plan lacks are
-    # skipped at apply time, nodes new to the edited design (their FUB is
-    # dirty) are solved on the first iteration before any merge reads them.
-    names = plan.names
-    f_boundary = {
-        names[nid]: baseline.f_boundary[names[nid]]
-        for nid in plan.f_exports
-        if names[nid] in baseline.f_boundary
-    }
-    b_boundary = {
-        names[nid]: baseline.b_boundary[names[nid]]
-        for nid in plan.b_exports
-        if names[nid] in baseline.b_boundary
-    }
     return WarmStart(
         dirty_fubs=frozenset(plan.fub_names[f] for f in dirty),
-        f_sets=f_base,
-        b_sets=b_base,
-        f_boundary=f_boundary,
-        b_boundary=b_boundary,
-        baseline_avfs=baseline.node_avfs,
+        baseline=baseline,
     )

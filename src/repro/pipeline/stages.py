@@ -117,10 +117,11 @@ def stage_resolve(
 ) -> DesignArtifact:
     """The ``design`` stage: resolve *provider* to an unbuilt artifact.
 
-    The artifact carries the ref, kind and fingerprint, and a tinycore
-    design's program image. *build* runs on the first access to a built
-    part; every stage reads those only inside its memoized compute, so a
-    run whose stages all hit the store builds nothing.
+    The artifact carries the ref, kind and fingerprint, a tinycore
+    design's program image and a bigcore design's array kinds. *build*
+    runs on the first access to a built part; every stage reads those
+    only inside its memoized compute, so a run whose stages all hit the
+    store builds nothing.
     """
     started = time.perf_counter()
     image = {}
@@ -128,6 +129,8 @@ def stage_resolve(
         words, dmem = provider.words()
         image = {"program_name": provider.program, "program": tuple(words),
                  "dmem": tuple(dmem) if dmem is not None else None}
+    elif provider.kind == "bigcore":
+        image = {"structure_kinds": provider.structure_kinds()}
     artifact = DesignArtifact(provider.ref, provider.kind,
                               provider.fingerprint(), build, **image)
     ctx.events.append(
@@ -215,7 +218,7 @@ def stage_ace_ports(
 
     The expensive half (the suite itself) is design-independent and
     cached on the suite signature alone; the per-array mapping is cheap
-    and recomputed against the design at hand.
+    and recomputed from the resolved design's array kinds, with no build.
     """
     from repro.workloads.suite import suite_signature
 
@@ -238,7 +241,7 @@ def stage_ace_ports(
 
     from repro.designs.bigcore import map_structure_ports
 
-    mapped = map_structure_ports(design.design, suite["model_ports"])
+    mapped = map_structure_ports(design, suite["model_ports"])
     env = PortEnv(
         fingerprint=fingerprint("ports", "ace-suite", ace_fp, design.fingerprint),
         ports=mapped,

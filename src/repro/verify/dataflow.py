@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.core.graphmodel import AvfModel
-from repro.core.pavf import (
-    Atom,
-    PavfEnv,
-    SetInterner,
-    TOP_SET,
-    union,
-    value_of,
-)
+from repro.core.pavf import Atom, PavfEnv, TOP_SET, union, value_of
 from repro.core.relaxation import RelaxationTrace
 from repro.netlist.graph import NodeKind
 
@@ -45,7 +38,6 @@ def solve_forward(
     *,
     nets: Iterable[str] | None = None,
     boundary: Mapping[str, frozenset[Atom]] | None = None,
-    interner: SetInterner | None = None,
 ) -> dict[str, frozenset[Atom]]:
     """Forward propagation: f(n) = union of f over fan-in.
 
@@ -62,7 +54,6 @@ def solve_forward(
 
     members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
-    interner = interner if interner is not None else SetInterner()
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
@@ -102,7 +93,7 @@ def solve_forward(
             elif len(fanin) == 1:
                 out[net] = value_for(fanin[0])
             else:
-                out[net] = interner.canon(union(*(value_for(d) for d in fanin)))
+                out[net] = union(*(value_for(d) for d in fanin))
         for dep in dependents.get(net, ()):
             indegree[dep] -= 1
             if indegree[dep] == 0:
@@ -120,7 +111,6 @@ def solve_backward(
     nets: Iterable[str] | None = None,
     boundary: Mapping[str, frozenset[Atom]] | None = None,
     dangling: str = "unace",
-    interner: SetInterner | None = None,
 ) -> dict[str, frozenset[Atom]]:
     """Backward propagation: b(n) = union of what each consumer passes up.
 
@@ -143,7 +133,6 @@ def solve_backward(
 
     members = subset if subset is not None else graph.names
     out: dict[str, frozenset[Atom]] = {}
-    interner = interner if interner is not None else SetInterner()
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
@@ -180,7 +169,7 @@ def solve_backward(
         elif len(pieces) == 1:
             out[net] = pieces[0]
         else:
-            out[net] = interner.canon(union(*pieces))
+            out[net] = union(*pieces)
         for dep in dependents.get(net, ()):
             indegree[dep] -= 1
             if indegree[dep] == 0:
@@ -261,10 +250,6 @@ def relax(
     """
     partition = partition_by_fub(model)
     trace = RelaxationTrace()
-    # One interner across every FUB, iteration and direction: duplicate
-    # annotation sets are shared instead of re-allocated per solve.
-    interner = SetInterner()
-
     f_boundary: dict[str, frozenset[Atom]] = {}
     b_boundary: dict[str, frozenset[Atom]] = {}
     f_sets: dict[str, frozenset[Atom]] = {}
@@ -275,14 +260,11 @@ def relax(
         new_b: dict[str, frozenset[Atom]] = {}
         for nets in partition.fubs.values():
             new_f.update(
-                solve_forward(
-                    model, nets=nets, boundary=f_boundary, interner=interner
-                )
+                solve_forward(model, nets=nets, boundary=f_boundary)
             )
             new_b.update(
                 solve_backward(
                     model, nets=nets, boundary=b_boundary, dangling=dangling,
-                    interner=interner,
                 )
             )
 

@@ -135,7 +135,8 @@ class TestBatchedEvaluator:
         plan.solve_monolithic("unace")
         interner = plan.interner
         for sid in range(len(interner)):
-            assert interner.sorted_atoms(sid) == tuple(sorted(interner.sets[sid]))
+            atoms = interner.sorted_atoms(sid)
+            assert atoms == tuple(sorted(set(atoms)))
 
     @needs_numpy
     def test_matrix_keeps_values_as_the_interner_grows(self, plan, envs):
@@ -152,7 +153,7 @@ class TestBatchedEvaluator:
         before = bev.matrix(f_ids)
         # New sets with atoms the table has not seen, after the fill.
         grown = [
-            interner.id_of(interner.sets[sid] | {Atom(LOOP, f"extra{i}")})
+            interner.id_of({*interner.sorted_atoms(sid), Atom(LOOP, f"extra{i}")})
             for i, sid in enumerate(sorted({s for s in b_ids if s >= 0})[:50])
         ]
         after = bev.matrix(list(f_ids) + grown)

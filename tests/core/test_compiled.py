@@ -7,11 +7,13 @@ while being reusable across environments.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.compiled import HAVE_NUMPY, SetEvaluator, SolvePlan, resolve_ids
 from repro.core.graphmodel import StructurePorts
-from repro.core.pavf import Atom, LOOP, PavfEnv
-from repro.core.sart import SartConfig, build_env, build_plan, run_sart
+from repro.core.pavf import BOUNDARY, CONST, CTRL, LOOP, READ, WRITE, Atom, PavfEnv
+from repro.core.sart import SartConfig, SetMap, build_env, build_plan, run_sart
 from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
@@ -263,19 +265,32 @@ class TestSetEvaluator:
             fast.fill(sids)
             assert [fast.value(sid) for sid in sids] == got[:, 0].tolist()
 
-    def test_interner_pickled_with_old_sorted_cache_evaluates_identically(self):
-        import pickle
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    def test_chunked_gather_equals_one_shot_at_every_padded_width(self, monkeypatch):
+        import random
 
-        interner, env, sids = self._random_env_and_sets()
-        restored = pickle.loads(_pickle_with_sorted_cache(interner))
-        again = pickle.loads(pickle.dumps(restored))
-        for copy in (restored, again):
-            assert copy.sets == interner.sets
-            for use_numpy in (False, HAVE_NUMPY):
-                want = SetEvaluator(interner, env, use_numpy=use_numpy)
-                got = SetEvaluator(copy, env, use_numpy=use_numpy)
-                got.fill(sids)
-                assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+        import numpy as np
+
+        from repro.core import compiled
+        from repro.core.compiled import gather_halve
+
+        rng = random.Random(2)
+        interner = SolvePlan().interner
+        pool = [Atom(LOOP, f"n{i}") for i in range(70)]
+        sids = np.asarray([interner.id_of(rng.sample(pool, k))
+                           for k in self.SIZES for _ in range(9)] + [0, 1])
+        envs = [PavfEnv(kind_defaults={LOOP: 0.003 * (w + 1)}) for w in range(3)]
+        for atom in pool[::3]:
+            envs[1].bind(atom, rng.random() * 0.05)
+        table = np.array([[env.lookup(atom) for env in envs] for atom in interner.atoms]
+                         + [[0.0] * len(envs)])
+        monkeypatch.setattr(compiled, "_GATHER_CHUNK", 1 << 40)
+        whole = gather_halve(interner, sids, table)
+        for chunk in (1, 7, 100, 1 << 18):
+            monkeypatch.setattr(compiled, "_GATHER_CHUNK", chunk)
+            assert np.array_equal(gather_halve(interner, sids, table), whole)
+        ref = [SetEvaluator(interner, env, use_numpy=False) for env in envs]
+        assert whole.tolist() == [[ev.value(sid) for ev in ref] for sid in sids.tolist()]
 
     def test_plan_pickle_round_trip_evaluates_identically(self, tinycore_module):
         import pickle
@@ -286,78 +301,108 @@ class TestSetEvaluator:
         sids = sorted({s for s in f_ids + b_ids if s >= 0})
         want = SetEvaluator(plan.interner, env)
         want.fill(sids)
-        for blob in (pickle.dumps(plan), _pickle_with_sorted_cache(plan)):
-            copy = pickle.loads(blob)
-            got = SetEvaluator(copy.interner, env)
-            got.fill(sids)
-            assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+        copy = pickle.loads(pickle.dumps(plan))
+        got = SetEvaluator(copy.interner, env)
+        got.fill(sids)
+        assert [got.value(s) for s in sids] == [want.value(s) for s in sids]
+        # The pickle holds the atom table and the rows; the index rebuilt
+        # from them finds every set again instead of adding a copy.
+        interner = copy.interner
+        assert interner.atoms == plan.interner.atoms
+        assert interner.row_ids == plan.interner.row_ids
+        for sid in range(len(interner)):
+            assert interner.id_of(interner.sorted_atoms(sid)) == sid
+        assert len(interner) == len(plan.interner)
 
 
-def test_union_ids_and_rows_on_ranked_bare_and_late_interners(tinycore_module):
-    """``union_ids`` is ``union``, interned, and TOP absorbs; every row,
-    written when its set was interned, is the set in atom order, whether
-    ids follow a ranking or first sight."""
+_POOL = [Atom(kind, f"n{i % 5}", i) for i, kind in enumerate(
+    (READ, WRITE, LOOP, CTRL, BOUNDARY, CONST) * 4)]
+
+
+@given(data=st.data())
+def test_union_ids_and_rows_on_ranked_bare_and_late_interners(data):
+    """``union_ids`` merges rows into exactly ``union``, interned: TOP
+    absorbs, and a row is its set in atom order whether its atoms were
+    ranked, first seen after a ranking (late) or never ranked (bare)."""
+    import pickle
+
+    from repro.core.pavf import TOP, TOP_SET, SetInterner, union
+
+    interner = SetInterner()
+    ranked = data.draw(st.sets(st.sampled_from(_POOL)), label="ranked")
+    if ranked:
+        interner.rank(ranked)
+    sets = data.draw(st.lists(
+        st.frozensets(st.sampled_from(_POOL + [TOP]), max_size=8),
+        min_size=1, max_size=12), label="sets")
+    sids = [interner.id_of(atoms) for atoms in sets]
+    restored = pickle.loads(pickle.dumps(interner))
+    keys = data.draw(st.lists(st.lists(
+        st.integers(0, len(sets) - 1), min_size=1, max_size=4)), label="keys")
+    for table in (interner, restored):
+        for atoms, sid in zip(sets, sids):
+            assert table.id_of(atoms) == sid
+        for key in keys:
+            want = union(*(sets[i] for i in key))
+            got = table.union_ids(tuple(sids[i] for i in key))
+            assert got == table.id_of(want)
+            assert frozenset(table.sorted_atoms(got)) == want
+            assert (got == SetInterner.TOP_ID) == (want == TOP_SET)
+        assert len(table.row_start) == len(table.row_len) == len(table)
+        for sid in range(len(table)):
+            atoms = table.sorted_atoms(sid)
+            assert list(atoms) == sorted(set(atoms))
+            assert TOP not in atoms or sid == SetInterner.TOP_ID
+            lo = table.row_start[sid]
+            row = table.row_ids[lo:lo + table.row_len[sid]].tolist()
+            assert row == [table.atom_id(a) for a in atoms]
+
+
+def test_interner_holds_rows_only_within_a_storage_budget():
+    """A solved plan's interner keeps each set as its row of atom ids and
+    the row index, no ``frozenset``, at a bounded cost per atom entry."""
+    from repro.designs.bigcore.systolic import SystolicConfig, build_systolic
+
+    plan = build_plan(build_systolic(SystolicConfig(rows=8, cols=8)).module)
+    plan.solve_monolithic()
+    interner = plan.interner
+    for slot in type(interner).__slots__:
+        value = getattr(interner, slot)
+        held = [*value, *value.values()] if isinstance(value, dict) else (
+            value if isinstance(value, list) else [value])
+        assert not any(isinstance(item, (set, frozenset)) for item in held), slot
+    entries = len(interner.row_ids)
+    assert entries > 50_000
+    assert interner.nbytes() <= 20 * entries
+
+
+def test_rows_whose_hashes_collide_intern_apart(monkeypatch):
+    # The index keys rows by hash; a row whose hash is taken probes on
+    # and is told apart by its bytes. Make every row of one length collide.
     import pickle
     import random
 
-    from repro.core.pavf import BOUNDARY, SetInterner, union
+    from repro.core import pavf
+    from repro.core.pavf import SetInterner, union
 
-    solved = build_plan(tinycore_module)
-    solved.solve_monolithic()
-    ranked = solved.interner
-    # Never ranked: atom ids in first-seen order, here a shuffled one.
-    bare = SolvePlan().interner
-    order = list(ranked.sets)
-    random.Random(3).shuffle(order)
-    for atoms in order:
-        bare.id_of(atoms)
-    # Ranked, then handed an atom the ranking lacks: it takes the next id
-    # but sorts before every ranked atom, so its rows sort by atom.
-    late = build_plan(tinycore_module).interner
-    stranger = Atom(BOUNDARY, "")
-    for atoms in ranked.sets[2:40]:
-        late.id_of(atoms | {stranger})
-    assert late.atoms[-1] == stranger
-    restored = pickle.loads(pickle.dumps(late))  # re-ranks, rewrites rows
-
-    rng = random.Random(11)
-    top = SetInterner.TOP_ID
-    for label, interner in (("ranked", ranked), ("bare", bare), ("late", late),
-                            ("restored", restored)):
-        sets = interner.sets
-        for _ in range(300):
-            key = tuple(rng.randrange(len(sets)) for _ in range(rng.randint(1, 5)))
-            want = union(*(sets[s] for s in key))
-            assert interner.union_ids(key) == interner.id_of(want), (label, key)
-            assert interner.union_ids(key + (top,)) == top
-        assert len(interner.row_start) == len(interner.row_len) == len(sets)
-        for sid, atoms in enumerate(sets):
-            lo = interner.row_start[sid]
-            row = interner.row_ids[lo:lo + interner.row_len[sid]].tolist()
-            assert row == [interner.atom_id(a) for a in sorted(atoms)], (label, sid)
-
-
-def _pickle_with_sorted_cache(obj) -> bytes:
-    """Pickle *obj* the way interners were pickled before the row columns:
-    slot state ``sets``, ``_ids`` and the per-set ``_sorted`` tuple cache
-    (only EMPTY and TOP filled, as on a freshly cached plan)."""
-    import copyreg
-    import io
-    import pickle
-
-    from repro.core.pavf import TOP, SetInterner
-
-    class OldPickler(pickle.Pickler):
-        def reducer_override(self, value):
-            if type(value) is not SetInterner:
-                return NotImplemented
-            cached = [(), (TOP,)] + [None] * (len(value) - 2)
-            state = {"sets": value.sets, "_ids": value._ids, "_sorted": cached}
-            return copyreg.__newobj__, (SetInterner,), (None, state)
-
-    buf = io.BytesIO()
-    OldPickler(buf, protocol=pickle.DEFAULT_PROTOCOL).dump(obj)
-    return buf.getvalue()
+    monkeypatch.setattr(pavf, "hash", len, raising=False)
+    rng = random.Random(5)
+    sets = [frozenset(rng.sample(_POOL, rng.randint(0, 4))) for _ in range(80)]
+    interner = SetInterner()
+    interner.rank(_POOL[::2])
+    sids = [interner.id_of(atoms) for atoms in sets]
+    # Five row lengths give five hashes for every row: most collide.
+    assert len(interner) > 5
+    restored = pickle.loads(pickle.dumps(interner))
+    for table in (interner, restored):
+        assert len(table) == len(set(sets)) + (frozenset() not in sets) + 1
+        for atoms, sid in zip(sets, sids):
+            assert table.id_of(atoms) == sid
+            assert frozenset(table.sorted_atoms(sid)) == atoms
+        for _ in range(50):
+            key = rng.sample(range(len(sets)), 3)
+            got = table.union_ids([sids[i] for i in key])
+            assert frozenset(table.sorted_atoms(got)) == union(*(sets[i] for i in key))
 
 
 def test_resolve_ids_matches_resolve(tinycore_module):
@@ -367,7 +412,7 @@ def test_resolve_ids_matches_resolve(tinycore_module):
     env = build_env(plan.model, SartConfig())
     f_ids, b_ids = plan.solve_monolithic()
     got = resolve_ids(plan, f_ids, b_ids, env)
-    want = resolve(plan.model, plan.sets_dict(f_ids), plan.sets_dict(b_ids), env)
+    want = resolve(plan.model, SetMap(plan, f_ids), SetMap(plan, b_ids), env)
     assert got.keys() == want.keys()
     for net, nw in want.items():
         ng = got[net]

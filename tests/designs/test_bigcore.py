@@ -5,6 +5,7 @@ import pytest
 from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, run_sart
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
+from repro.designs.bigcore.core import _TEMPLATES, structure_kinds
 from repro.designs.bigcore.mapping import JITTER
 from repro.errors import MappingError
 from repro.netlist.graph import extract_graph
@@ -69,6 +70,24 @@ def test_mapping(small):
         # Each array's rate is its structure's, within the fixed jitter.
         want = base[kinds[name]].pavf_r
         assert abs(_scalar(p.pavf_r) - want) <= want * JITTER + 1e-12
+
+
+@pytest.mark.parametrize("config", [
+    SMALL,
+    BigcoreConfig(scale=0.3, seed=2, edit="LSU"),
+    BigcoreConfig(scale=2.5, fub_count=2, feedback_fubs=0),
+], ids=["small", "edit", "wide"])
+def test_structure_kinds_follow_from_the_config(config):
+    design = build_bigcore(config)
+    kinds = structure_kinds(config)
+    assert list(kinds) == design.array_names()
+    in_netlist = {inst.attrs["struct"] for inst in design.module.instances.values()
+                  if "struct" in inst.attrs}
+    assert set(kinds) == in_netlist
+    kind_of = {t.name: t.structure_kind for t in _TEMPLATES}
+    assert kinds == {name: kind_of[fub.name]
+                     for fub in design.fubs for name, _w in fub.arrays}
+    assert design.structure_kinds == kinds
 
 
 def test_mapping_missing_kind(small):

@@ -206,7 +206,7 @@ def test_store_written_with_dataclass_atoms_misses_cleanly(tmp_path, monkeypatch
 
     from repro.core.compiled import PLAN_FORMAT
 
-    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 5
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
     spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True),
                    derating=DeratingSpec(), sfi=SfiSpec(injections=12, seed=1),
                    beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
@@ -233,6 +233,60 @@ def test_store_written_with_dataclass_atoms_misses_cleanly(tmp_path, monkeypatch
     assert cached == {"golden", "ports", "sfi", "beam"}
     assert not outcome.plan.cached
     assert outcome.sart.result.node_avfs == old.sart.result.node_avfs
+
+
+def _pickle_as_format_5(obj) -> bytes:
+    """Pickle *obj* the way plan format 5 stored set interners: slot
+    state holding every interned set as a frozenset."""
+    import copyreg
+    import io
+    import pickle
+
+    from repro.core.pavf import SetInterner
+
+    class OldPickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is not SetInterner:
+                return NotImplemented
+            sets = [frozenset(value.sorted_atoms(sid)) for sid in range(len(value))]
+            return copyreg.__newobj__, (SetInterner,), (None, {"sets": sets})
+
+    buf = io.BytesIO()
+    OldPickler(buf, protocol=pickle.DEFAULT_PROTOCOL).dump(obj)
+    return buf.getvalue()
+
+
+def test_plan_pickled_under_format_5_misses_cleanly(tmp_path, monkeypatch):
+    # Format 6 pickles an interner's rows and atom table and cannot load
+    # the frozensets format 5 stored. The plan stage version follows the
+    # format, so a format-5 entry is never opened: the run misses and
+    # lowers the plan again, with no warning and the same result.
+    import pickle
+    import warnings
+
+    from repro.core.compiled import PLAN_FORMAT
+
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True))
+    cache = tmp_path / "cache"
+    with monkeypatch.context() as patch:
+        patch.setitem(STAGE_VERSIONS, "plan", 5)
+        old = execute(spec, store=ArtifactStore(cache))
+    store = ArtifactStore(cache)
+    (stale,) = [fp for stage, fp in store.entries() if stage == "plan"]
+    path = store.path("plan", stale)
+    blob = _pickle_as_format_5(pickle.loads(path.read_bytes()))
+    with pytest.raises(ValueError):
+        pickle.loads(blob)
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CacheDegradedWarning)
+        outcome = execute(spec, store=ArtifactStore(cache))
+    assert not outcome.plan.cached
+    assert outcome.sart.result.node_avfs == old.sart.result.node_avfs
+    # The format-5 entry was never opened, so never dropped either.
+    assert path.read_bytes() == blob
+    assert len([fp for stage, fp in store.entries() if stage == "plan"]) == 2
 
 
 def test_checkpoint_bypasses_campaign_cache(tmp_path):

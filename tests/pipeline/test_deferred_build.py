@@ -13,6 +13,7 @@ from repro.pipeline import (
     RunSpec,
     SartSpec,
     SfiSpec,
+    WorkloadsSpec,
     execute,
     runner,
 )
@@ -48,6 +49,21 @@ def test_warm_sart_run_with_a_new_loop_pavf_builds_nothing(tmp_path, builds):
     assert (stable_result(run_summary(warm))
             == stable_result(run_summary(execute(spec))))
     assert builds == ["tinycore:fib"]
+
+
+def test_warm_bigcore_run_builds_nothing(tmp_path, builds):
+    # The port mapping reads the array kinds the resolved ref carries.
+    cache = tmp_path / "cache"
+    spec = RunSpec("bigcore@scale=0.1",
+                   workloads=WorkloadsSpec(per_class=1, length=300))
+    cold = execute(spec, store=ArtifactStore(cache))
+    assert builds == ["bigcore@scale=0.1,seed=42"]
+    builds.clear()
+    warm = execute(spec, store=ArtifactStore(cache))
+    assert builds == []
+    assert [e.stage for e in warm.events] == [e.stage for e in cold.events]
+    assert {e.stage for e in warm.events if e.cached} == {"ace", "plan"}
+    assert stable_result(run_summary(warm)) == stable_result(run_summary(cold))
 
 
 @pytest.mark.parametrize("spec, cold_builds", [

@@ -259,6 +259,22 @@ class TestWarmStartFromResult:
         warm, _ = self._warm_vs_cold(_design(), _design(value_edit="B"))
         assert warm.closed_form().evaluate() == warm.node_avfs
 
+    def test_warm_result_seeds_the_next_warm_start(self):
+        # An ECO result is a baseline too: its maps, whose untouched
+        # entries are copied from the first baseline when first read,
+        # seed the next edit's re-solve, which still lands on cold.
+        module_a, module_b = _design(), _design(edit="B")
+        module_c = _design(value_edit="C")
+        plan_a, plan_b, plan_c = _plan(module_a), _plan(module_b), _plan(module_c)
+        first = _solve(module_a, plan=plan_a)
+        warm_b = _solve(module_b, plan=plan_b, warm_start=warm_start_from_result(
+            plan_b, diff_plans(plan_a, plan_b).touched, first))
+        warm_c = _solve(module_c, plan=plan_c, warm_start=warm_start_from_result(
+            plan_c, diff_plans(plan_b, plan_c).touched, warm_b))
+        assert warm_b.trace.warm and warm_c.trace.warm
+        _assert_identical(warm_c, _solve(module_c, plan=plan_c))
+        _assert_identical(warm_b, _solve(module_b, plan=plan_b))
+
     def test_saturating_edit_is_bit_identical(self):
         # Rewiring B to the raw input raises its exports to the TOP
         # value: the merge must re-saturate to the canonical TOP set,

@@ -24,7 +24,9 @@ structural, so their set-id vectors are cached and a new environment (a
 Figure 8 sweep point, a ``loop_pavf_per_net`` study) is a re-evaluation,
 not a re-solve. Partitioned relaxation re-runs per-FUB kernels against the
 cached schedules, in the calling process, re-solving only FUBs whose
-imported boundary values changed in the previous merge.
+imported boundary values changed in the previous merge; its first sweep,
+every FUB against TOP boundaries, is structural too and cached the same
+way.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
@@ -275,6 +277,7 @@ class SolvePlan:
         # Caches (dropped when the plan is pickled into the artifact store).
         self._union_memo: dict[tuple[int, ...], int] = {}
         self._mono_cache: dict[str, tuple[list[int], list[int]]] = {}
+        self._sweep_cache: dict[str, tuple[list[int], list[int]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -505,10 +508,16 @@ class SolvePlan:
         state = self.__dict__.copy()
         # A pickled plan (the artifact store's copy) rebuilds its memo and
         # solve caches on demand; only the interner table itself must
-        # travel, because the fixed set ids reference it.
+        # travel, because the fixed set ids reference it. The first-sweep
+        # cache is left out, so the pickle keeps the format-6 fields.
         state["_union_memo"] = {}
         state["_mono_cache"] = {}
+        del state["_sweep_cache"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._sweep_cache = {}
 
     # ------------------------------------------------------------------
     # kernels
@@ -633,6 +642,26 @@ class SolvePlan:
             cached = self._mono_cache[dangling] = (f_out, b_out)
         return cached
 
+    def cold_sweep(
+        self, dangling: str = "unace"
+    ) -> tuple[list[int], list[int]]:
+        """A cold relaxation's first sweep; cached, never to be mutated.
+
+        Every FUB solves against TOP boundaries, so the sweep's set ids
+        depend on the plan and *dangling* alone, like the monolithic
+        sets; only the merge that follows reads the environment.
+        """
+        cached = self._sweep_cache.get(dangling)
+        if cached is None:
+            top = [_TOP_ID] * self.n
+            f_out = [-1] * self.n
+            b_out = [-1] * self.n
+            for f in range(self.n_fubs):
+                self._forward_pass(self.fub_forder[f], f, top, f_out)
+                self._backward_pass(self.fub_border[f], f, top, b_out, dangling)
+            cached = self._sweep_cache[dangling] = (f_out, b_out)
+        return cached
+
 
 # ----------------------------------------------------------------------
 # partitioned relaxation (paper Section 5.2) on the compiled kernels
@@ -655,6 +684,8 @@ def relax_compiled(
     decision), except that a FUB is re-solved only when one of the
     boundary values it imports changed in the previous merge: an
     unchanged-input re-solve would reproduce its previous sets verbatim.
+    A cold run's first sweep comes from :meth:`SolvePlan.cold_sweep`,
+    computed once per plan.
 
     *warm_start* switches the relaxation to ECO mode: FUBIO boundary
     entries are pre-seeded from a baseline's converged solution
@@ -680,23 +711,27 @@ def relax_compiled(
     n, n_fubs = plan.n, plan.n_fubs
     f_bnd = [_TOP_ID] * n
     b_bnd = [_TOP_ID] * n
-    f_out = [-1] * n
-    b_out = [-1] * n
     trace = RelaxationTrace()
-    dirty: list[int] = list(range(n_fubs))
     warm = warm_start is not None
     if warm:
+        f_out = [-1] * n
+        b_out = [-1] * n
         dirty = _apply_warm_start(plan, warm_start, f_bnd, b_bnd)
         trace.warm = True
         trace.dirty_fubs = len(dirty)
         trace.warm_fubs = n_fubs - len(dirty)
+    else:
+        # The first sweep solves every FUB, and the plan has it cached.
+        f_out, b_out = map(list, plan.cold_sweep(dangling))
+        dirty = list(range(n_fubs))
     resolved: set[int] = set()
 
     for iteration in range(iterations):
         resolved.update(dirty)
-        for f in dirty:
-            plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
-            plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
+        if warm or iteration:  # a cold first sweep is already in the outputs
+            for f in dirty:
+                plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
+                plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
 
         # FUBIO merge, marking the importers of every changed entry
         # dirty for the next iteration. Cold runs apply the MIN rule
@@ -738,9 +773,7 @@ def relax_compiled(
         trace.iterations = iteration + 1
         trace.max_delta.append(delta)
         _record_fub_averages_compiled(
-            plan, f_out, b_out, ev, trace,
-            fubs=dirty if warm else None,
-        )
+            plan, f_out, b_out, ev, trace, dirty, repeat=not warm)
         if delta <= tol:
             trace.converged = True
             break
@@ -780,26 +813,29 @@ def _record_fub_averages_compiled(
     b_out: list[int],
     ev: SetEvaluator,
     trace: RelaxationTrace,
-    fubs: list[int] | None = None,
+    fubs: list[int],
+    *,
+    repeat: bool,
 ) -> None:
-    """Record per-FUB average AVFs; *fubs* restricts to a subset.
+    """Record the average AVF of each FUB in *fubs*, those solved this
+    iteration.
 
-    Warm runs pass the FUBs solved this iteration: untouched
-    FUBs' node outputs are intentionally unseeded there, and their
-    converged averages are the baseline's anyway.
+    With *repeat* (a cold run) every other FUB repeats its last average:
+    its outputs have not changed since. A warm run records *fubs* only:
+    untouched FUBs' node outputs are intentionally unseeded there, and
+    their converged averages are the baseline's anyway.
     """
-    if fubs is None:
-        ev.fill(f_out)
-        ev.fill(b_out)
-        fub_list = range(len(plan.fub_names))
-    else:
-        ev.fill(
-            [t[nid] for t in (f_out, b_out) for f in fubs for nid in plan.fub_seq[f]]
-        )
-        fub_list = fubs
+    ev.fill(
+        [t[nid] for t in (f_out, b_out) for f in fubs for nid in plan.fub_seq[f]]
+    )
     vals = ev._vals
-    for f in fub_list:
-        fub = plan.fub_names[f]
+    solved = set(fubs)
+    for f, fub in enumerate(plan.fub_names):
+        if f not in solved:
+            if repeat:
+                history = trace.fub_avg[fub]
+                history.append(history[-1])
+            continue
         seq = plan.fub_seq[f]
         if seq:
             total = 0.0

@@ -28,8 +28,13 @@ derating  design fingerprint + sart fingerprint (when a solve rode
           the MC estimator is bit-identical across them
 ========  ==========================================================
 
-SART solves are *not* persisted: with a cached plan they are
-re-evaluations, which is the paper's own speed story.
+SART solves are *not* persisted. A solve on a cached plan skips the
+lowering, and a store keeps the plan it loaded resident, so later runs
+through that store solve on the same object. What such a solve reuses
+depends on its mode: a monolithic solve re-evaluates the plan's cached
+set vectors under its environment, while the default partitioned solve
+reuses the plan's cached first relaxation sweep and its union memo and
+re-runs the later sweeps, their merges, and the resolution.
 """
 
 from __future__ import annotations

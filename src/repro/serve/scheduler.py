@@ -34,6 +34,7 @@ import os
 import threading
 import time
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.errors import QueueFullError, ServerDrainingError, SpecError
 from repro.serve.jobs import (
@@ -48,6 +49,9 @@ from repro.serve.jobs import (
     load_journal,
     replay_journal,
 )
+
+if TYPE_CHECKING:
+    from repro.pipeline.store import ArtifactStore
 
 # The /stats counters. Monotonic; changed only under JobScheduler._cond.
 COUNTERS = (
@@ -66,6 +70,15 @@ COUNTERS = (
 )
 
 
+# One artifact store per cache directory for the life of the process, so
+# every warm job gets the resident artifacts of the jobs before it: the
+# same SolvePlan object, with no unpickling and its union memo warm.
+# Sharing a plan relies on one job at a time per process: jobs run on the
+# one scheduler thread (a one-job batch runs there even with a pool), or
+# one at a time in each pool worker, which builds its own map.
+_STORES: dict[str, ArtifactStore] = {}
+
+
 def job_initializer(payload: object) -> None:
     """Worker-process setup hook (state travels in each task instead)."""
 
@@ -74,10 +87,11 @@ def job_worker(task: dict) -> dict:
     """Execute one run-spec job inside a pool worker.
 
     *task* carries the normalized spec mapping, the job's checkpoint
-    path, and the cache directory. Checkpoint/resume are injected fresh
-    on every attempt: attempt 2 of a job whose attempt 1 checkpointed a
-    few passes must resume from that file rather than fail the
-    "checkpoint already exists" freshness check.
+    path, and the cache directory, whose store the process keeps
+    (:data:`_STORES`). Checkpoint/resume are injected fresh on every
+    attempt: attempt 2 of a job whose attempt 1 checkpointed a few
+    passes must resume from that file rather than fail the "checkpoint
+    already exists" freshness check.
     """
     from repro.pipeline.emit import run_summary
     from repro.pipeline.runner import execute
@@ -98,7 +112,11 @@ def job_worker(task: dict) -> dict:
         mapping["campaign"] = campaign
     spec = spec_from_mapping(mapping)
     cache_dir = task.get("cache_dir")
-    store = ArtifactStore(cache_dir) if cache_dir else None
+    store = None
+    if cache_dir:
+        store = _STORES.get(cache_dir)
+        if store is None:
+            store = _STORES[cache_dir] = ArtifactStore(cache_dir)
     outcome = execute(spec, store=store)
     return run_summary(outcome)
 

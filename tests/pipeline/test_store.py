@@ -125,3 +125,74 @@ def test_null_store_never_caches():
     store.save("golden", FP, 42)
     assert store.load("golden", FP) is None
     assert store.entries() == []
+
+
+# ----------------------------------------------------------------------
+# the resident set
+# ----------------------------------------------------------------------
+
+def _blob_bytes(store, stage, fp):
+    return store.path(stage, fp).stat().st_size
+
+
+def test_second_load_returns_the_held_object_without_its_file(tmp_path):
+    store = ArtifactStore(tmp_path)
+    store.save("golden", FP, {"cycles": 166})
+    first = store.load("golden", FP)
+    store.path("golden", FP).unlink()
+    assert store.load("golden", FP) is first
+    # A store that did not load it reads the disk, and misses.
+    assert ArtifactStore(tmp_path).load("golden", FP) is None
+
+
+def test_a_loaded_artifact_is_held(tmp_path):
+    ArtifactStore(tmp_path).save("golden", FP, {"cycles": 166})
+    store = ArtifactStore(tmp_path)
+    first = store.load("golden", FP)
+    store.path("golden", FP).unlink()
+    assert store.load("golden", FP) is first
+
+
+def test_byte_bound_evicts_the_least_recently_used(tmp_path, monkeypatch):
+    import repro.pipeline.store as store_mod
+
+    store = ArtifactStore(tmp_path)
+    fps = ["a" * 64, "b" * 64, "c" * 64]
+    for fp in fps[:2]:
+        store.save("golden", fp, list(range(100)))
+    size = _blob_bytes(store, "golden", fps[0])
+    # Room for two artifacts of this size, not three.
+    monkeypatch.setattr(store_mod, "RESIDENT_BYTES", 2 * size + size // 2)
+    a = store.load("golden", fps[0])          # a is now the most recent
+    store.save("golden", fps[2], list(range(100)))
+    for fp in fps:
+        store.path("golden", fp).unlink()
+    assert store.load("golden", fps[0]) is a
+    assert store.load("golden", fps[1]) is None   # evicted
+    assert store.load("golden", fps[2]) == list(range(100))
+
+
+def test_an_artifact_over_the_budget_is_not_held(tmp_path, monkeypatch):
+    import repro.pipeline.store as store_mod
+
+    monkeypatch.setattr(store_mod, "RESIDENT_BYTES", 64)
+    store = ArtifactStore(tmp_path)
+    store.save("golden", FP, list(range(100)))
+    assert _blob_bytes(store, "golden", FP) > 64
+    first = store.load("golden", FP)
+    assert store.load("golden", FP) is not first   # unpickled again
+    store.path("golden", FP).unlink()
+    assert store.load("golden", FP) is None
+
+
+def test_an_artifact_keep_vetoes_is_not_held(tmp_path):
+    store = ArtifactStore(tmp_path)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return ["partial"]
+
+    store.fetch("sfi", FP, compute, keep=lambda obj: False)
+    obj, hit = store.fetch("sfi", FP, compute, keep=lambda obj: False)
+    assert (obj, hit, len(calls)) == (["partial"], False, 2)

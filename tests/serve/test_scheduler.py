@@ -368,3 +368,32 @@ def test_jobs_without_eco_blocks_leave_counters_untouched(tmp_path):
         assert counters["warm_solves"] == counters["cold_solves"] == 0
     finally:
         sched.drain(grace=5)
+
+
+def test_job_worker_keeps_one_store_per_cache_dir(tmp_path, monkeypatch):
+    # Two warm jobs in one process unpickle the plan once: the second
+    # gets the resident plan the first loaded.
+    import pickle
+
+    import repro.serve.scheduler as scheduler
+    from repro.pipeline import ArtifactStore, execute, spec_from_mapping
+    from repro.serve.jobs import stable_result
+    from repro.serve.scheduler import job_worker
+
+    cache = str(tmp_path / "cache")
+    warm = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.4}}
+    execute(spec_from_mapping(warm), store=ArtifactStore(cache))
+    monkeypatch.setattr(scheduler, "_STORES", {})
+    loaded = []
+    real_load = pickle.load
+
+    def counting_load(handle, *args, **kwargs):
+        loaded.append(os.path.basename(os.path.dirname(handle.name)))
+        return real_load(handle, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "load", counting_load)
+    first = job_worker({"spec": warm, "cache_dir": cache})
+    second = job_worker({"spec": warm, "cache_dir": cache})
+    assert loaded.count("plan") == 1
+    assert {"golden", "ports", "plan"} <= set(second["cached_stages"])
+    assert stable_result(first) == stable_result(second)

@@ -6,13 +6,14 @@ Boots ``repro-sart serve`` on a free port and checks, in order:
 * ``/readyz`` answers 200 within :data:`BOOT_TIMEOUT` seconds;
 * a POST whose ``Content-Length`` is ``abc`` is a 400 with a JSON
   ``error`` (the job below still completes);
-* a tinycore job POSTs (201), its event stream is
+* a monolithic tinycore job POSTs (201), its event stream is
   ``text/event-stream`` and reaches the ``end`` event, and its result
   reads ``state == "done"``;
-* a second job on the same design with another ``loop_pavf`` (the warm
-  path) serves the ``weighted_seq_avf`` a local run of its spec makes,
-  and with ``--cache-dir`` its ``cached_stages`` include ``golden``,
-  ``ports`` and ``plan``;
+* two more jobs on the same design, each with another ``loop_pavf``
+  and the default partitioned solve (the warm path: with ``--cache-dir``
+  their ``cached_stages`` include ``golden``, ``ports`` and ``plan``);
+* every job's result equals ``run_summary`` of a local run of its spec,
+  timings and cache provenance aside (``stable_result``);
 * SIGTERM drains the server: it exits 143 and logs ``drained``.
 
 Usage::
@@ -40,8 +41,8 @@ import urllib.request
 BOOT_TIMEOUT = 30  # seconds until the server must answer /readyz
 JOB_TIMEOUT = 120  # seconds the job may take to reach its end event
 JOB = {"design": "tinycore:fib", "sart": {"monolithic": True}}
-WARM_JOB = {"design": "tinycore:fib",
-            "sart": {"monolithic": True, "loop_pavf": 0.7}}
+WARM_JOBS = ({"design": "tinycore:fib", "sart": {"loop_pavf": 0.7}},
+             {"design": "tinycore:fib", "sart": {"loop_pavf": 0.35}})
 WARM_STAGES = {"golden", "ports", "plan"}
 
 
@@ -96,18 +97,20 @@ def _job(base: str, spec: dict) -> dict:
     return doc
 
 
-def _warm_job(base: str, cached: bool) -> None:
-    """The warm path serves what a local run computes; *cached*: the
-    run's golden run, ports and plan come from the store."""
+def _checked_job(base: str, spec: dict, cached: bool) -> dict:
+    """Run *spec* on the server; its result must be what a local run
+    computes. *cached*: the run's golden run, ports and plan come from
+    the store."""
     from repro.pipeline import execute, spec_from_mapping
     from repro.pipeline.emit import run_summary
+    from repro.serve.jobs import stable_result
 
-    result = _job(base, WARM_JOB)["result"]
-    local = run_summary(execute(spec_from_mapping(WARM_JOB)))
-    assert result["weighted_seq_avf"] == local["weighted_seq_avf"], \
-        (result["weighted_seq_avf"], local["weighted_seq_avf"])
+    result = _job(base, spec)["result"]
+    local = run_summary(execute(spec_from_mapping(spec)))
+    assert stable_result(result) == stable_result(local), (spec, result, local)
     if cached:
         assert WARM_STAGES <= set(result["cached_stages"]), result
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,10 +138,10 @@ def main(argv: list[str] | None = None) -> int:
             host, port = base.removeprefix("http://").rsplit(":", 1)
             _ready(base)
             _malformed_post(host, int(port))
-            doc = _job(base, JOB)
-            print("serve smoke: weighted_seq_avf =",
-                  doc["result"]["weighted_seq_avf"])
-            _warm_job(base, cached=bool(args.cache_dir))
+            result = _checked_job(base, JOB, cached=False)
+            print("serve smoke: weighted_seq_avf =", result["weighted_seq_avf"])
+            for spec in WARM_JOBS:
+                _checked_job(base, spec, cached=bool(args.cache_dir))
             server.send_signal(signal.SIGTERM)
             code = server.wait(timeout=60)
             reader.join(timeout=10)

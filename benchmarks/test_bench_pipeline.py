@@ -1,18 +1,25 @@
-"""Artifact-cache benchmark — cold vs warm pipeline runs.
+"""Pipeline benchmarks — cold vs warm runs, and a cold run by layer.
 
 The pipeline's on-disk artifact store (``--cache-dir``) exists so that
 re-running an analysis skips the expensive stages: the ACE workload
 suite and the compiled-plan lowering for bigcore, the golden gate-level
-run for tinycore campaigns. This bench measures that directly — the
+run for tinycore campaigns. ``warm_cache`` measures that directly — the
 same run-spec executed cold and then warm against one cache directory —
-and records the wall-time split in ``BENCH_pipeline.json``.
+and ``cold_bigcore`` times each layer of a cold ``bigcore@scale=1`` run,
+the path every first run of the CLI takes. Both land in
+``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
+import repro.designs.bigcore.core
+import repro.pipeline.runner
+import repro.pipeline.stages
 from conftest import print_table
+from perfbench.hostspeed import time_reference_loop
 from repro.pipeline import (
     ArtifactStore,
     RunSpec,
@@ -80,5 +87,75 @@ def test_bench_pipeline_warm_cache_smoke(tmp_path, bench_pipeline_json):
             "cached_stages": sorted(
                 e.stage for e in t_warm.events if e.cached
             ),
+        },
+    }
+
+
+# Each layer of a cold bigcore run, by the module attribute the pipeline
+# calls it through. The build runs inside the plan stage, before
+# ``build_plan``; ``validate_s`` is part of ``build_s``.
+COLD_LAYERS = (
+    ("ace_suite_s", repro.pipeline.runner, "stage_ace_ports"),
+    ("build_s", repro.pipeline.runner, "stage_design"),
+    ("validate_s", repro.designs.bigcore.core, "validate_module"),
+    ("plan_s", repro.pipeline.stages, "build_plan"),
+    ("solve_s", repro.pipeline.stages, "run_sart"),
+)
+# (label, ACE instructions per workload, cold runs): perfbench's
+# bigcore_report length and the CLI default, each over the default 16
+# workloads.
+COLD_SUITES = (("16x500", 500, 5), ("16x4000", 4000, 2))
+
+
+def _timed_layer(fn, key: str, seconds: dict):
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[key] += time.perf_counter() - started
+    return timed
+
+
+def test_bench_pipeline_cold_bigcore(monkeypatch, bench_pipeline_json):
+    ref_before = time_reference_loop()
+    record: dict[str, dict] = {}
+    for label, length, runs in COLD_SUITES:
+        spec = RunSpec(design="bigcore@scale=1",
+                       workloads=WorkloadsSpec(length=length))
+        samples, tables = [], set()
+        for _ in range(runs):
+            seconds = dict.fromkeys([k for k, _, _ in COLD_LAYERS], 0.0)
+            with monkeypatch.context() as patch:
+                for key, owner, attr in COLD_LAYERS:
+                    patch.setattr(owner, attr,
+                                  _timed_layer(getattr(owner, attr), key, seconds))
+                outcome, seconds["total_s"] = _timed(spec, None)
+            samples.append(seconds)
+            tables.add(outcome.sart.result.report.table())
+        assert len(tables) == 1  # every cold run reports the same
+        assert all(s["validate_s"] < s["build_s"] for s in samples)
+        record[label] = {
+            key: round(statistics.median(s[key] for s in samples), 4)
+            for key in samples[0]
+        }
+        record[label]["runs"] = runs
+    ref_after = time_reference_loop()
+
+    layers = [k for k, _, _ in COLD_LAYERS] + ["total_s"]
+    print_table(
+        "cold bigcore@scale=1 by layer (median seconds)",
+        ["suite"] + layers,
+        [[label] + [record[label][k] for k in layers] for label in record],
+    )
+    bench_pipeline_json["cold_bigcore"] = {
+        "design": "bigcore@scale=1",
+        "workloads_per_class": WorkloadsSpec().per_class,
+        "suites": record,
+        # perfbench/hostspeed.py's reference loop, timed before and after:
+        # divide a figure by it to compare records taken on other hosts.
+        "host": {
+            "ref_loop_s_before": round(ref_before, 4),
+            "ref_loop_s_after": round(ref_after, 4),
         },
     }

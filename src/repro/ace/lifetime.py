@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 from repro.errors import AceError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Segment:
     start: int
     ace_bits: int
@@ -194,73 +194,18 @@ class StructureAvf:
         return summary
 
 
-class AceLifetimeAnalyzer:
-    """Implements the :class:`~repro.perfmodel.structures.EventRecorder`."""
+class _Table:
+    """One structure's accumulators and its open segments, keyed by entry."""
 
-    def __init__(self) -> None:
-        self.structures: dict[str, StructureAvf] = {}
-        self._open: dict[tuple[str, int], _Segment] = {}
-        self._latency_sum: dict[str, float] = {}
-        self._latency_count: dict[str, int] = {}
-        self._finished = False
+    __slots__ = ("stats", "open", "latency_sum", "latency_count")
 
-    def register(
-        self, name: str, entries: int, bits_per_entry: int, nread: int = 1, nwrite: int = 1
-    ) -> None:
-        if name in self.structures:
-            raise AceError(f"structure {name!r} registered twice")
-        self.structures[name] = StructureAvf(
-            name=name, entries=entries, bits_per_entry=bits_per_entry,
-            nread=nread, nwrite=nwrite,
-        )
+    def __init__(self, stats: StructureAvf) -> None:
+        self.stats = stats
+        self.open: dict[int, _Segment] = {}
+        self.latency_sum = 0.0
+        self.latency_count = 0
 
-    def _require(self, struct: str) -> StructureAvf:
-        found = self.structures.get(struct)
-        if found is None:
-            raise AceError(f"events for unregistered structure {struct!r}")
-        return found
-
-    # ------------------------------------------------------------------
-    # EventRecorder interface
-    # ------------------------------------------------------------------
-    def on_write(
-        self, struct: str, entry: int, cycle: int, ace: bool, ace_bits: int | None, bits: int
-    ) -> None:
-        stats = self._require(struct)
-        key = (struct, entry)
-        previous = self._open.pop(key, None)
-        if previous is not None:
-            self._close_segment(stats, previous, cycle, consumed=previous.reads > 0)
-        effective_bits = ace_bits if ace_bits is not None else (bits if ace else 0)
-        self._open[key] = _Segment(start=cycle, ace_bits=effective_bits)
-        stats.total_writes += 1
-        if effective_bits > 0:
-            stats.ace_writes += 1
-            stats.ace_write_bitsum += effective_bits
-
-    def on_read(self, struct: str, entry: int, cycle: int, ace: bool) -> None:
-        stats = self._require(struct)
-        segment = self._open.get((struct, entry))
-        if segment is None:
-            raise AceError(f"{struct}[{entry}]: read before write")
-        segment.last_read = cycle
-        segment.reads += 1
-        stats.total_reads += 1
-        if ace and segment.ace_bits > 0:
-            stats.ace_reads += 1
-            stats.ace_read_bitsum += segment.ace_bits
-
-    def on_release(self, struct: str, entry: int, cycle: int, consumed: bool) -> None:
-        stats = self._require(struct)
-        segment = self._open.pop((struct, entry), None)
-        if segment is None:
-            raise AceError(f"{struct}[{entry}]: release before write")
-        self._close_segment(stats, segment, cycle, consumed=consumed)
-
-    # ------------------------------------------------------------------
-    def _close_segment(
-        self, stats: StructureAvf, segment: _Segment, end: int, consumed: bool
-    ) -> None:
+    def close(self, segment: _Segment, end: int, consumed: bool) -> None:
         if segment.ace_bits <= 0:
             return
         if segment.last_read is not None:
@@ -271,6 +216,7 @@ class AceLifetimeAnalyzer:
             span = max(0, end - segment.start)
         else:
             span = 0  # written, never needed: un-ACE residency
+        stats = self.stats
         stats.ace_bit_cycles += span * segment.ace_bits
         if segment.last_read is not None or consumed:
             # A consumption event: the span is the error-reporting
@@ -278,27 +224,103 @@ class AceLifetimeAnalyzer:
             # nothing (and contribute 0 bit-cycles above), which keeps
             # histogram mass == ace_bit_cycles exact.
             stats.deadlines.record(span, segment.ace_bits)
-        self._latency_sum[stats.name] = self._latency_sum.get(stats.name, 0.0) + span
-        self._latency_count[stats.name] = self._latency_count.get(stats.name, 0) + 1
+        self.latency_sum += span
+        self.latency_count += 1
 
+
+class AceLifetimeAnalyzer:
+    """Implements the :class:`~repro.perfmodel.structures.EventRecorder`.
+
+    Events name their structure by string; each handler looks the name up
+    once and then works on that structure's own table of open segments.
+    """
+
+    def __init__(self) -> None:
+        self.structures: dict[str, StructureAvf] = {}
+        self._tables: dict[str, _Table] = {}
+        self._finished = False
+
+    def register(
+        self, name: str, entries: int, bits_per_entry: int, nread: int = 1, nwrite: int = 1
+    ) -> None:
+        if name in self.structures:
+            raise AceError(f"structure {name!r} registered twice")
+        stats = StructureAvf(
+            name=name, entries=entries, bits_per_entry=bits_per_entry,
+            nread=nread, nwrite=nwrite,
+        )
+        self.structures[name] = stats
+        self._tables[name] = _Table(stats)
+
+    # ------------------------------------------------------------------
+    # EventRecorder interface
+    # ------------------------------------------------------------------
+    def on_write(
+        self, struct: str, entry: int, cycle: int, ace: bool, ace_bits: int | None, bits: int
+    ) -> None:
+        table = self._tables.get(struct)
+        if table is None:
+            raise _unregistered(struct)
+        previous = table.open.pop(entry, None)
+        if previous is not None:
+            table.close(previous, cycle, consumed=previous.reads > 0)
+        effective_bits = ace_bits if ace_bits is not None else (bits if ace else 0)
+        table.open[entry] = _Segment(cycle, effective_bits)
+        stats = table.stats
+        stats.total_writes += 1
+        if effective_bits > 0:
+            stats.ace_writes += 1
+            stats.ace_write_bitsum += effective_bits
+
+    def on_read(self, struct: str, entry: int, cycle: int, ace: bool) -> None:
+        table = self._tables.get(struct)
+        if table is None:
+            raise _unregistered(struct)
+        segment = table.open.get(entry)
+        if segment is None:
+            raise AceError(f"{struct}[{entry}]: read before write")
+        segment.last_read = cycle
+        segment.reads += 1
+        stats = table.stats
+        stats.total_reads += 1
+        if ace and segment.ace_bits > 0:
+            stats.ace_reads += 1
+            stats.ace_read_bitsum += segment.ace_bits
+
+    def on_release(self, struct: str, entry: int, cycle: int, consumed: bool) -> None:
+        table = self._tables.get(struct)
+        if table is None:
+            raise _unregistered(struct)
+        segment = table.open.pop(entry, None)
+        if segment is None:
+            raise AceError(f"{struct}[{entry}]: release before write")
+        table.close(segment, cycle, consumed=consumed)
+
+    # ------------------------------------------------------------------
     def finish(self, cycles: int) -> dict[str, StructureAvf]:
         """Close the analysis window; open segments become 'unknown'."""
         if self._finished:
             raise AceError("finish() called twice")
         self._finished = True
-        for (struct, _entry), segment in self._open.items():
-            if segment.ace_bits > 0:
-                stats = self.structures[struct]
-                stats.unknown_bit_cycles += max(0, cycles - segment.start) * segment.ace_bits
-        self._open.clear()
-        for stats in self.structures.values():
+        for table in self._tables.values():
+            stats = table.stats
+            for segment in table.open.values():
+                if segment.ace_bits > 0:
+                    stats.unknown_bit_cycles += max(0, cycles - segment.start) * segment.ace_bits
+            table.open.clear()
             stats.cycles = cycles
         return self.structures
 
     def mean_ace_latency(self, struct: str) -> float:
         """Average ACE residency per value (Little's-law latency term)."""
-        count = self._latency_count.get(struct, 0)
-        return self._latency_sum.get(struct, 0.0) / count if count else 0.0
+        table = self._tables.get(struct)
+        if table is None or not table.latency_count:
+            return 0.0
+        return table.latency_sum / table.latency_count
+
+
+def _unregistered(struct: str) -> AceError:
+    return AceError(f"events for unregistered structure {struct!r}")
 
 
 def merge_deadline_summaries(summaries: Iterable[Mapping]) -> dict:

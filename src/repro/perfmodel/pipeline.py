@@ -16,6 +16,19 @@ architecturally correct execution") and squashed unconsumed when the
 bubble ends. This reproduces the un-ACE structure traffic that wrong-path
 execution contributes in a real ACE model without needing alternate-path
 trace content.
+
+Issue is event driven. Dispatch appends each instruction to a wait list
+of dispatched but unissued instructions, which is therefore in program
+order, and gives it a count of its producers that have not completed;
+it also registers the instruction with each of those producers. When a
+producer completes, execute decrements the count of every instruction
+registered with it. Each cycle, issue takes the oldest instructions on
+the wait list whose count is zero, up to the issue width, so no cycle
+re-tests the producers of every waiting instruction. Dispatch also
+resolves each source register to the physical register issue will read,
+its producer's. That register stays mapped until a younger writer of the
+same architectural register commits, which cannot happen before the
+reader issues.
 """
 
 from __future__ import annotations
@@ -66,19 +79,22 @@ class PipelineConfig:
     max_cycles: int = 2_000_000
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _InFlight:
+    """One instruction from dispatch to commit."""
+
     inst: Inst
+    ace: bool
     rob_entry: int
-    iq_entry: int | None = None
+    iq_entry: int | None = None  # None once issued
     lq_entry: int | None = None
     sb_entry: int | None = None
     phys: int | None = None
-    producers: tuple[tuple[int, int], ...] = ()  # (producer seq, arch reg)
-    issued: bool = False
+    src_phys: tuple[int, ...] = ()  # physical registers read at issue
+    pending: int = 0  # producers that have not completed
+    waiters: list[_InFlight] = field(default_factory=list)  # consumers
     done: bool = False
     remaining: int = 0
-    reads: int = 0
 
 
 @dataclass
@@ -138,11 +154,14 @@ class Pipeline:
         self._fetch_bubble = 0
         self._wrong_path_entries: list[int] = []
         self._fetched: deque[tuple[Inst, int]] = deque()  # (inst, fb entry)
-        self._inflight: dict[int, _InFlight] = {}
-        self._rob_order: deque[int] = deque()
-        self._executing: list[int] = []
+        self._rob_order: deque[_InFlight] = deque()
+        self._waiting: list[_InFlight] = []  # dispatched, unissued; program order
+        self._executing: list[_InFlight] = []
+        # (op, dst is None, imm, ace) -> (IQ, ROB) ACE bits: all the field
+        # predicates read
+        self._field_bits: dict[tuple, tuple[int, int]] = {}
         # rename state
-        self._arch_map: dict[int, int] = {}   # arch reg -> latest writer seq
+        self._arch_map: dict[int, _InFlight] = {}  # arch reg -> latest writer
         self._arch_phys: dict[int, int] = {}  # arch reg -> committed phys entry
         self._phys_reads: dict[int, int] = {}  # phys entry -> read count
 
@@ -216,6 +235,7 @@ class Pipeline:
             if not self._fetched:
                 return
             inst, fb_entry = self._fetched[0]
+            writes = inst.writes_register()
             if self.rob.is_full() or self.iq.is_full():
                 self.stats.dispatch_stall_cycles += 1
                 return
@@ -225,7 +245,7 @@ class Pipeline:
             if inst.op == OP_STORE and self.sb.is_full():
                 self.stats.dispatch_stall_cycles += 1
                 return
-            if inst.writes_register() and self.regfile.is_full():
+            if writes and self.regfile.is_full():
                 self.stats.dispatch_stall_cycles += 1
                 return
             self._fetched.popleft()
@@ -233,16 +253,29 @@ class Pipeline:
             self.fetch_buffer.read(fb_entry, cycle, ace)
             self.fetch_buffer.release(fb_entry, cycle, consumed=True)
 
-            iq_bits = ace_bits_for(IQ_FIELDS, inst) if c.use_bitfields else None
-            rob_bits = ace_bits_for(ROB_FIELDS, inst) if c.use_bitfields else None
+            if c.use_bitfields:
+                key = (inst.op, inst.dst is None, inst.imm, ace)
+                bits = self._field_bits.get(key)
+                if bits is None:
+                    bits = self._field_bits[key] = (
+                        ace_bits_for(IQ_FIELDS, inst), ace_bits_for(ROB_FIELDS, inst)
+                    )
+                iq_bits, rob_bits = bits
+            else:
+                iq_bits = rob_bits = None
             rob_entry = self.rob.alloc(cycle, ace, ace_bits=rob_bits)
             iq_entry = self.iq.alloc(cycle, ace, ace_bits=iq_bits)
-            producers = tuple(
-                (self._arch_map[reg], reg) for reg in inst.srcs if reg in self._arch_map
-            )
-            flight = _InFlight(
-                inst=inst, rob_entry=rob_entry, iq_entry=iq_entry, producers=producers
-            )
+            flight = _InFlight(inst=inst, ace=ace, rob_entry=rob_entry, iq_entry=iq_entry)
+            src_phys = []
+            for reg in inst.srcs:
+                producer = self._arch_map.get(reg)
+                if producer is None:
+                    continue
+                src_phys.append(producer.phys)
+                if not producer.done:
+                    producer.waiters.append(flight)
+                    flight.pending += 1
+            flight.src_phys = tuple(src_phys)
             if inst.op == OP_LOAD:
                 flight.lq_entry = self.lq.alloc(cycle, ace)
             if inst.op == OP_STORE:
@@ -252,78 +285,64 @@ class Pipeline:
                 # cannot drain them). Address/data are recorded at
                 # execute, when they exist.
                 flight.sb_entry = self.sb.alloc(cycle, ace, record=False)
-            if inst.writes_register():
+            if writes:
                 # Rename: allocate the phys reg now, silently — the write
                 # event is recorded at writeback, when the value arrives.
                 flight.phys = self.regfile.alloc(cycle, ace=False, record=False)
                 self._phys_reads[flight.phys] = 0
-            self._inflight[inst.seq] = flight
-            self._rob_order.append(inst.seq)
-            if inst.writes_register():
-                self._arch_map[inst.dst] = inst.seq
+                self._arch_map[inst.dst] = flight
+            self._rob_order.append(flight)
+            self._waiting.append(flight)
 
     def _issue(self, cycle: int) -> None:
+        width = self.config.issue_width
         issued = 0
-        for seq in list(self._rob_order):
-            if issued >= self.config.issue_width:
-                return
-            flight = self._inflight[seq]
-            if flight.issued:
+        for flight in self._waiting:
+            if issued >= width:
+                break
+            if flight.pending:
                 continue
-            ready = all(
-                self._inflight[p].done
-                for p, _reg in flight.producers
-                if p in self._inflight
-            )
-            if not ready:
-                continue
-            flight.issued = True
             flight.remaining = self._latency(flight.inst)
-            ace = bool(flight.inst.ace)
+            ace = flight.ace
             self.iq.read(flight.iq_entry, cycle, ace)
             self.iq.release(flight.iq_entry, cycle, consumed=True)
             flight.iq_entry = None
             if flight.sb_entry is not None:
                 self.sb.write(flight.sb_entry, cycle, ace)
-            for producer_seq, reg in flight.producers:
-                producer = self._inflight.get(producer_seq)
-                if producer is not None and producer.phys is not None:
-                    phys = producer.phys
-                elif reg in self._arch_phys:
-                    phys = self._arch_phys[reg]  # producer already committed
-                else:
-                    continue
+            for phys in flight.src_phys:
                 self.regfile.read(phys, cycle, ace)
                 self._phys_reads[phys] = self._phys_reads.get(phys, 0) + 1
-            self._executing.append(seq)
+            self._executing.append(flight)
             issued += 1
+        if issued:
+            self._waiting = [f for f in self._waiting if f.iq_entry is not None]
 
     def _execute(self, cycle: int) -> None:
         still = []
-        for seq in self._executing:
-            flight = self._inflight[seq]
+        for flight in self._executing:
             flight.remaining -= 1
             if flight.remaining > 0:
-                still.append(seq)
+                still.append(flight)
                 continue
             flight.done = True
-            ace = bool(flight.inst.ace)
+            for waiter in flight.waiters:
+                waiter.pending -= 1
+            flight.waiters.clear()
             if flight.phys is not None:
-                self.regfile.write(flight.phys, cycle, ace)
+                self.regfile.write(flight.phys, cycle, flight.ace)
             if flight.lq_entry is not None:
-                self.lq.read(flight.lq_entry, cycle, ace)
+                self.lq.read(flight.lq_entry, cycle, flight.ace)
         self._executing = still
 
     def _commit(self, cycle: int) -> None:
         for _ in range(self.config.commit_width):
             if not self._rob_order:
                 return
-            seq = self._rob_order[0]
-            flight = self._inflight[seq]
+            flight = self._rob_order[0]
             if not flight.done:
                 return
             self._rob_order.popleft()
-            ace = bool(flight.inst.ace)
+            ace = flight.ace
             self.rob.read(flight.rob_entry, cycle, ace)
             self.rob.release(flight.rob_entry, cycle, consumed=True)
             if flight.lq_entry is not None:
@@ -332,22 +351,16 @@ class Pipeline:
                 self.sb.read(flight.sb_entry, cycle, ace)
                 self.sb.release(flight.sb_entry, cycle, consumed=True)
             if flight.phys is not None:
-                inst = flight.inst
                 # Free the previous mapping of this arch reg: its value is
                 # dead once a younger writer commits.
-                self._release_previous_phys(inst.dst, seq, cycle)
+                self._release_previous_phys(flight.inst.dst, flight.phys, cycle)
             self.stats.committed += 1
-            self._inflight.pop(seq)
 
-    def _release_previous_phys(self, arch_reg: int, new_seq: int, cycle: int) -> None:
+    def _release_previous_phys(self, arch_reg: int, new_phys: int, cycle: int) -> None:
         old_phys = self._arch_phys.get(arch_reg)
         if old_phys is not None:
             consumed = self._phys_reads.get(old_phys, 0) > 0
             self.regfile.release(old_phys, cycle, consumed=consumed)
             self._phys_reads.pop(old_phys, None)
         # The committing writer's phys becomes the architectural mapping.
-        self._arch_phys[arch_reg] = self._current_phys_of(new_seq)
-
-    def _current_phys_of(self, seq: int) -> int | None:
-        flight = self._inflight.get(seq)
-        return flight.phys if flight is not None else None
+        self._arch_phys[arch_reg] = new_phys

@@ -71,7 +71,7 @@ def test_bench_littles_law():
         result = run_workload(trace, config)
         for name in ("rob", "inst_queue"):
             stats = result.structures[name]
-            latency = result.analyzer.mean_ace_latency(name)
+            latency = result.lifetimes[name].mean_ace_latency()
             little = latency * stats.ace_throughput() / stats.entries
             rows.append([result.workload, name, stats.avf(), little])
     print_table(

@@ -13,11 +13,9 @@ Run:  python examples/quantized_avf.py
 """
 
 from repro import SartConfig, run_sart
-from repro.ace.lifetime import AceLifetimeAnalyzer
 from repro.ace.portavf import ports_from_analysis
-from repro.ace.quantized import TeeRecorder, WindowedPortCounter, quantized_seq_avf
+from repro.ace.quantized import quantized_seq_avf, run_windowed
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
-from repro.perfmodel.pipeline import Pipeline, PipelineConfig
 from repro.perfmodel.trace import mark_ace, merge_traces
 from repro.workloads.generator import WorkloadSpec, generate_trace
 
@@ -43,31 +41,22 @@ def main():
     print("building bigcore, walking once...")
     design = build_bigcore(BigcoreConfig(scale=0.5))
 
-    trace = phased_trace()
-    lifetime = AceLifetimeAnalyzer()
-    windows = WindowedPortCounter(window=WINDOW)
-    pipeline = Pipeline(trace, PipelineConfig(), recorder=TeeRecorder(lifetime, windows))
-    for s in pipeline.structures:
-        lifetime.register(s.name, s.entries, s.bits_per_entry, s.nread, s.nwrite)
-        windows.register(s.name, s.nread, s.nwrite)
-    stats = pipeline.run()
-    structures = lifetime.finish(stats.cycles)
+    structures, windows = run_windowed(phased_trace(), WINDOW)
+    cycles = structures["rob"].cycles
 
     # One SART walk at whole-run pAVFs; the windows plug into its equations.
     whole_run = map_structure_ports(design, ports_from_analysis(structures))
     result = run_sart(design.module, whole_run, SartConfig(partition_by_fub=False))
     closed = result.closed_form()
-    tables = [
-        map_structure_ports(design, t) for t in windows.window_ports(stats.cycles)
-    ]
+    tables = [map_structure_ports(design, t) for t in windows]
     series = quantized_seq_avf(closed, tables)
 
-    print(f"\n{stats.cycles} cycles in {len(series)} windows of {WINDOW}; "
+    print(f"\n{cycles} cycles in {len(series)} windows of {WINDOW}; "
           f"whole-run avg {result.report.weighted_seq_avf:.3f}\n")
     peak = max(series) or 1.0
     for i, avf in enumerate(series):
         bar = "#" * max(1, int(40 * avf / peak))
-        print(f"  window {i:2d} [{i*WINDOW:5d}..{min((i+1)*WINDOW, stats.cycles):5d})"
+        print(f"  window {i:2d} [{i*WINDOW:5d}..{min((i+1)*WINDOW, cycles):5d})"
               f"  {avf:.3f}  {bar}")
     print("\nphases (compute / idle / memory) are visible as AVF level shifts;")
     print("no re-walk was needed for any window (closed-form plug-in only).")

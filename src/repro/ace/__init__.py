@@ -15,19 +15,18 @@ Implements the analytical substrate the paper builds on:
   read/write event rates into the pAVF_R / pAVF_W values SART propagates.
 """
 
-from repro.ace.lifetime import AceLifetimeAnalyzer, StructureAvf
-from repro.ace.portavf import analyze_workload, ports_from_analysis
+from repro.ace.lifetime import StructureAvf, StructureLifetime
+from repro.ace.portavf import ports_from_analysis
 from repro.ace.bitfield import FieldSpec, IQ_FIELDS, ROB_FIELDS, ace_bits_for
 from repro.ace.hamming import HammingAnalyzer
 
 __all__ = [
-    "AceLifetimeAnalyzer",
     "FieldSpec",
     "HammingAnalyzer",
     "IQ_FIELDS",
     "ROB_FIELDS",
     "StructureAvf",
+    "StructureLifetime",
     "ace_bits_for",
-    "analyze_workload",
     "ports_from_analysis",
 ]

@@ -1,8 +1,12 @@
 """ACE lifetime analysis (Mukherjee et al. [1]; paper Eq 3).
 
-The analyzer consumes write/read/release events from the performance
-model's structures and integrates, per structure, the number of
-bit-cycles during which the structure held ACE (or unknown) state:
+Every modelled structure owns one :class:`StructureLifetime` and reports
+its own write/read/release events to it: a performance-model
+:class:`~repro.perfmodel.structures.SimStructure` builds one from its
+size, width and port counts, and tinycore's archsim holds one for its
+register file and one for its data memory. A lifetime integrates the
+number of bit-cycles during which its structure held ACE (or unknown)
+state:
 
 * a segment opens at a write with its ACE bit count;
 * ACE residency accrues from the write to the **last read** of the
@@ -14,8 +18,9 @@ bit-cycles during which the structure held ACE (or unknown) state:
   ACE, exactly as Eq 3 prescribes ("ACE+unknown bits").
 
 ``StructureAvf.avf`` is then ACE bit-cycles divided by (bits x cycles).
-The same event stream feeds the port counters used for pAVF extraction
-(:mod:`repro.ace.portavf`).
+The same events feed the ACE read/write counters and bit sums that
+:mod:`repro.ace.portavf` turns into port AVFs, and that
+:mod:`repro.ace.quantized` splits into time windows.
 
 Beyond the AVF integral, every consumed segment also records its
 **error-reporting deadline** — the number of cycles between the write
@@ -194,18 +199,31 @@ class StructureAvf:
         return summary
 
 
-class _Table:
-    """One structure's accumulators and its open segments, keyed by entry."""
+class StructureLifetime:
+    """One modelled structure's ACE lifetime analysis.
 
-    __slots__ = ("stats", "open", "latency_sum", "latency_count")
+    Owns the structure's :class:`StructureAvf` counters, its open
+    segments keyed by entry and its ACE latency sums. The structure
+    reports its own events here, so no event names a structure and a
+    structure's size, width and port counts are given once, where it is
+    constructed.
+    """
 
-    def __init__(self, stats: StructureAvf) -> None:
-        self.stats = stats
+    __slots__ = ("stats", "open", "latency_sum", "latency_count", "_finished")
+
+    def __init__(
+        self, name: str, entries: int, bits_per_entry: int, nread: int = 1, nwrite: int = 1
+    ) -> None:
+        self.stats = StructureAvf(
+            name=name, entries=entries, bits_per_entry=bits_per_entry,
+            nread=nread, nwrite=nwrite,
+        )
         self.open: dict[int, _Segment] = {}
         self.latency_sum = 0.0
         self.latency_count = 0
+        self._finished = False
 
-    def close(self, segment: _Segment, end: int, consumed: bool) -> None:
+    def _close(self, segment: _Segment, end: int, consumed: bool) -> None:
         if segment.ace_bits <= 0:
             return
         if segment.last_read is not None:
@@ -227,100 +245,58 @@ class _Table:
         self.latency_sum += span
         self.latency_count += 1
 
-
-class AceLifetimeAnalyzer:
-    """Implements the :class:`~repro.perfmodel.structures.EventRecorder`.
-
-    Events name their structure by string; each handler looks the name up
-    once and then works on that structure's own table of open segments.
-    """
-
-    def __init__(self) -> None:
-        self.structures: dict[str, StructureAvf] = {}
-        self._tables: dict[str, _Table] = {}
-        self._finished = False
-
-    def register(
-        self, name: str, entries: int, bits_per_entry: int, nread: int = 1, nwrite: int = 1
-    ) -> None:
-        if name in self.structures:
-            raise AceError(f"structure {name!r} registered twice")
-        stats = StructureAvf(
-            name=name, entries=entries, bits_per_entry=bits_per_entry,
-            nread=nread, nwrite=nwrite,
-        )
-        self.structures[name] = stats
-        self._tables[name] = _Table(stats)
-
-    # ------------------------------------------------------------------
-    # EventRecorder interface
-    # ------------------------------------------------------------------
-    def on_write(
-        self, struct: str, entry: int, cycle: int, ace: bool, ace_bits: int | None, bits: int
-    ) -> None:
-        table = self._tables.get(struct)
-        if table is None:
-            raise _unregistered(struct)
-        previous = table.open.pop(entry, None)
+    def write(self, entry: int, cycle: int, ace: bool, ace_bits: int | None = None) -> None:
+        """A value lands in *entry*; *ace_bits* defaults to the full
+        width for an ACE value and 0 otherwise."""
+        previous = self.open.pop(entry, None)
         if previous is not None:
-            table.close(previous, cycle, consumed=previous.reads > 0)
-        effective_bits = ace_bits if ace_bits is not None else (bits if ace else 0)
-        table.open[entry] = _Segment(cycle, effective_bits)
-        stats = table.stats
+            self._close(previous, cycle, consumed=previous.reads > 0)
+        stats = self.stats
+        effective_bits = (
+            ace_bits if ace_bits is not None else (stats.bits_per_entry if ace else 0)
+        )
+        self.open[entry] = _Segment(cycle, effective_bits)
         stats.total_writes += 1
         if effective_bits > 0:
             stats.ace_writes += 1
             stats.ace_write_bitsum += effective_bits
 
-    def on_read(self, struct: str, entry: int, cycle: int, ace: bool) -> None:
-        table = self._tables.get(struct)
-        if table is None:
-            raise _unregistered(struct)
-        segment = table.open.get(entry)
+    def read(self, entry: int, cycle: int, ace: bool) -> None:
+        segment = self.open.get(entry)
         if segment is None:
-            raise AceError(f"{struct}[{entry}]: read before write")
+            raise AceError(f"{self.stats.name}[{entry}]: read before write")
         segment.last_read = cycle
         segment.reads += 1
-        stats = table.stats
+        stats = self.stats
         stats.total_reads += 1
         if ace and segment.ace_bits > 0:
             stats.ace_reads += 1
             stats.ace_read_bitsum += segment.ace_bits
 
-    def on_release(self, struct: str, entry: int, cycle: int, consumed: bool) -> None:
-        table = self._tables.get(struct)
-        if table is None:
-            raise _unregistered(struct)
-        segment = table.open.pop(entry, None)
+    def release(self, entry: int, cycle: int, consumed: bool) -> None:
+        segment = self.open.pop(entry, None)
         if segment is None:
-            raise AceError(f"{struct}[{entry}]: release before write")
-        table.close(segment, cycle, consumed=consumed)
+            raise AceError(f"{self.stats.name}[{entry}]: release before write")
+        self._close(segment, cycle, consumed=consumed)
 
-    # ------------------------------------------------------------------
-    def finish(self, cycles: int) -> dict[str, StructureAvf]:
+    def finish(self, cycles: int) -> StructureAvf:
         """Close the analysis window; open segments become 'unknown'."""
         if self._finished:
-            raise AceError("finish() called twice")
+            raise AceError(f"{self.stats.name}: finish() called twice")
         self._finished = True
-        for table in self._tables.values():
-            stats = table.stats
-            for segment in table.open.values():
-                if segment.ace_bits > 0:
-                    stats.unknown_bit_cycles += max(0, cycles - segment.start) * segment.ace_bits
-            table.open.clear()
-            stats.cycles = cycles
-        return self.structures
+        stats = self.stats
+        for segment in self.open.values():
+            if segment.ace_bits > 0:
+                stats.unknown_bit_cycles += max(0, cycles - segment.start) * segment.ace_bits
+        self.open.clear()
+        stats.cycles = cycles
+        return stats
 
-    def mean_ace_latency(self, struct: str) -> float:
+    def mean_ace_latency(self) -> float:
         """Average ACE residency per value (Little's-law latency term)."""
-        table = self._tables.get(struct)
-        if table is None or not table.latency_count:
+        if not self.latency_count:
             return 0.0
-        return table.latency_sum / table.latency_count
-
-
-def _unregistered(struct: str) -> AceError:
-    return AceError(f"events for unregistered structure {struct!r}")
+        return self.latency_sum / self.latency_count
 
 
 def merge_deadline_summaries(summaries: Iterable[Mapping]) -> dict:

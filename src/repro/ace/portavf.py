@@ -7,11 +7,13 @@ reads from the structure by the total number of cycles simulated. For a
 write port, we divide the number of ACE writes to the structure by the
 number of simulated cycles."
 
-:func:`analyze_workload` runs the ACE-instrumented performance model;
-:func:`ports_from_analysis` converts the event counters into
+:func:`ports_from_analysis` converts the event counters of the
+ACE-instrumented performance model
+(:func:`repro.perfmodel.machine.run_workload`) into
 :class:`~repro.core.graphmodel.StructurePorts`; :func:`average_ports`
 aggregates across a workload suite (the paper collected pAVFs over 547
-workloads and used the suite-level values).
+workloads and used the suite-level values), and :func:`suite_ports`
+does both for a suite of traces.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ from repro.core.graphmodel import StructurePorts
 from repro.errors import AceError
 
 if TYPE_CHECKING:  # avoid a circular import at runtime (machine uses ace)
-    from repro.perfmodel.machine import MachineConfig, PerfResult
-    from repro.perfmodel.trace import Trace
-
-
-def analyze_workload(trace: "Trace", config: "MachineConfig | None" = None) -> "PerfResult":
-    """Run one workload through the ACE model (thin alias, re-exported)."""
-    from repro.perfmodel.machine import run_workload
-
-    return run_workload(trace, config)
+    from repro.perfmodel.machine import PerfResult
 
 
 def ports_from_analysis(
@@ -89,20 +83,17 @@ def average_ports(
     return out
 
 
-def suite_ports(
-    traces, config=None, *, bitwise: bool = True
-) -> "tuple[dict[str, StructurePorts], list[PerfResult]]":
-    """Run a workload suite and return suite-average ports + per-run data."""
-    results = [analyze_workload(t, config) for t in traces]
-    averaged = average_ports(
-        ports_from_analysis(r.structures, bitwise=bitwise) for r in results
-    )
+def suite_ports(traces) -> "tuple[dict[str, StructurePorts], list[PerfResult]]":
+    """Run a workload suite and return suite-average bit-weighted ports
+    + per-run data."""
+    from repro.perfmodel.machine import run_workload
+
+    results = [run_workload(t) for t in traces]
+    averaged = average_ports(ports_from_analysis(r.structures) for r in results)
     return averaged, results
 
 
-def suite_ports_and_table(
-    traces, config=None, *, bitwise: bool = True
-) -> "tuple[dict[str, StructurePorts], str]":
+def suite_ports_and_table(traces) -> "tuple[dict[str, StructurePorts], str]":
     """Run a workload suite; return suite-average ports + rendered table.
 
     The artifact-friendly sibling of :func:`suite_ports`: instead of the
@@ -113,7 +104,7 @@ def suite_ports_and_table(
     """
     from repro.ace.report import structure_table
 
-    averaged, results = suite_ports(traces, config, bitwise=bitwise)
+    averaged, results = suite_ports(traces)
     return averaged, structure_table(results)
 
 

@@ -54,7 +54,7 @@ def structure_rows(results: Iterable[PerfResult]) -> list[StructureRow]:
                 pavf_w=sum(s.pavf_w_bitwise() for s in stats) / n,
                 mean_occupancy=sum(r.occupancy.get(name, 0.0) for r in results) / n,
                 mean_ace_latency=sum(
-                    r.analyzer.mean_ace_latency(name) for r in results
+                    r.lifetimes[name].mean_ace_latency() for r in results
                 ) / n,
             )
         )

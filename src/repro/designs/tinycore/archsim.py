@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ace.lifetime import AceLifetimeAnalyzer
+from repro.ace.lifetime import StructureLifetime
 from repro.ace.portavf import ports_from_analysis
 from repro.core.graphmodel import StructurePorts
 from repro.designs.tinycore.isa import DMEM_DEPTH, Decoded, IMEM_DEPTH, NREGS, decode
@@ -188,9 +188,8 @@ def tinycore_structure_ports(
     trace, sim = trace_from_program(name, program, dmem_init, max_steps)
     cycles = gate_cycles if gate_cycles is not None else int(sim.steps * 1.5) + 1
 
-    analyzer = AceLifetimeAnalyzer()
-    analyzer.register("rf", NREGS, 16, nread=2, nwrite=1)
-    analyzer.register("dmem", DMEM_DEPTH, 16, nread=1, nwrite=1)
+    rf = StructureLifetime("rf", NREGS, 16, nread=2, nwrite=1)
+    dmem = StructureLifetime("dmem", DMEM_DEPTH, 16, nread=1, nwrite=1)
 
     reg_written = [False] * NREGS
     mem_written = [False] * DMEM_DEPTH
@@ -199,21 +198,21 @@ def tinycore_structure_ports(
         cyc = _scale(seq, sim.steps, cycles)
         for reg in inst.srcs:
             if reg_written[reg]:
-                analyzer.on_read("rf", reg, cyc, ace)
+                rf.read(reg, cyc, ace)
         if inst.dst is not None:
             if reg_written[inst.dst]:
-                analyzer.on_release("rf", inst.dst, cyc, consumed=True)
-            analyzer.on_write("rf", inst.dst, cyc, ace, None, 16)
+                rf.release(inst.dst, cyc, consumed=True)
+            rf.write(inst.dst, cyc, ace)
             reg_written[inst.dst] = True
         if inst.op == "load" and addr is not None:
             if mem_written[addr]:
-                analyzer.on_read("dmem", addr, cyc, ace)
+                dmem.read(addr, cyc, ace)
         elif inst.op == "store" and addr is not None:
             if mem_written[addr]:
-                analyzer.on_release("dmem", addr, cyc, consumed=True)
-            analyzer.on_write("dmem", addr, cyc, ace, None, 16)
+                dmem.release(addr, cyc, consumed=True)
+            dmem.write(addr, cyc, ace)
             mem_written[addr] = True
-    structures = analyzer.finish(cycles)
+    structures = {s.stats.name: s.finish(cycles) for s in (rf, dmem)}
     ports = ports_from_analysis(structures, bitwise=False)
 
     # Instruction ROM: read-only structure. pAVF_R = ACE fetch rate; its

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ace.lifetime import AceLifetimeAnalyzer, StructureAvf
+from repro.ace.lifetime import StructureAvf, StructureLifetime
 from repro.perfmodel.pipeline import Pipeline, PipelineConfig, PipelineStats
 from repro.perfmodel.trace import Trace, mark_ace
 
@@ -19,9 +19,13 @@ class PerfResult:
 
     workload: str
     stats: PipelineStats
-    structures: dict[str, StructureAvf]
-    analyzer: AceLifetimeAnalyzer
+    lifetimes: dict[str, StructureLifetime]
     occupancy: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def structures(self) -> dict[str, StructureAvf]:
+        """Each structure's finished ACE counters, by structure name."""
+        return {name: lifetime.stats for name, lifetime in self.lifetimes.items()}
 
     @property
     def cycles(self) -> int:
@@ -42,23 +46,13 @@ def run_workload(trace: Trace, config: MachineConfig | None = None) -> PerfResul
     config = config or MachineConfig()
     if any(inst.ace is None for inst in trace.insts):
         mark_ace(trace)
-    analyzer = AceLifetimeAnalyzer()
-    pipeline = Pipeline(trace, config, recorder=analyzer)
-    for structure in pipeline.structures:
-        analyzer.register(
-            structure.name,
-            structure.entries,
-            structure.bits_per_entry,
-            nread=structure.nread,
-            nwrite=structure.nwrite,
-        )
+    pipeline = Pipeline(trace, config)
     stats = pipeline.run()
-    structures = analyzer.finish(stats.cycles)
-    occupancy = {s.name: s.mean_occupancy() for s in pipeline.structures}
+    for structure in pipeline.structures:
+        structure.lifetime.finish(stats.cycles)
     return PerfResult(
         workload=trace.name,
         stats=stats,
-        structures=structures,
-        analyzer=analyzer,
-        occupancy=occupancy,
+        lifetimes={s.name: s.lifetime for s in pipeline.structures},
+        occupancy={s.name: s.mean_occupancy() for s in pipeline.structures},
     )

@@ -112,38 +112,38 @@ class PipelineStats:
 
 
 class Pipeline:
-    """One pipeline instance bound to a trace and an event recorder."""
+    """One pipeline instance bound to a trace; each of its structures
+    carries its own ACE lifetime analysis."""
 
-    def __init__(self, trace: Trace, config: PipelineConfig, recorder=None):
+    def __init__(self, trace: Trace, config: PipelineConfig):
         if any(inst.ace is None for inst in trace.insts):
             raise TraceError("trace must be ACE-marked (run mark_ace first)")
         self.trace = trace
         self.config = config
-        self.recorder = recorder
         c = config
         self.fetch_buffer = SimStructure(
             "fetch_buffer", c.fetch_buffer_entries, c.fetch_entry_bits,
-            nread=c.dispatch_width, nwrite=c.fetch_width, recorder=recorder,
+            nread=c.dispatch_width, nwrite=c.fetch_width,
         )
         self.iq = SimStructure(
             "inst_queue", c.iq_entries, total_bits(IQ_FIELDS),
-            nread=c.issue_width, nwrite=c.dispatch_width, recorder=recorder,
+            nread=c.issue_width, nwrite=c.dispatch_width,
         )
         self.rob = SimStructure(
             "rob", c.rob_entries, total_bits(ROB_FIELDS),
-            nread=c.commit_width, nwrite=c.dispatch_width, recorder=recorder,
+            nread=c.commit_width, nwrite=c.dispatch_width,
         )
         self.regfile = SimStructure(
             "regfile", c.phys_regs, c.reg_bits,
-            nread=2 * c.issue_width, nwrite=c.issue_width, recorder=recorder,
+            nread=2 * c.issue_width, nwrite=c.issue_width,
         )
         self.lq = SimStructure(
             "load_queue", c.lq_entries, c.lq_bits,
-            nread=c.issue_width, nwrite=c.dispatch_width, recorder=recorder,
+            nread=c.issue_width, nwrite=c.dispatch_width,
         )
         self.sb = SimStructure(
             "store_buffer", c.sb_entries, c.sb_bits,
-            nread=c.commit_width, nwrite=c.issue_width, recorder=recorder,
+            nread=c.commit_width, nwrite=c.issue_width,
         )
         self.structures = [
             self.fetch_buffer, self.iq, self.rob, self.regfile, self.lq, self.sb

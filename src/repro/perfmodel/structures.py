@@ -1,30 +1,20 @@
-"""Modelled storage structures with ACE event reporting.
+"""Modelled storage structures with ACE lifetime analysis.
 
 Every micro-architectural structure in the performance model is a
 :class:`SimStructure`: a fixed pool of entries with allocate/read/release
-operations. Each operation is forwarded to an attached *recorder* (the
-ACE instrumentation — :class:`repro.ace.lifetime.AceLifetimeAnalyzer`
-implements the interface), which is how "read/write events" reach ACE
-lifetime analysis and the port-AVF counters without the pipeline knowing
-anything about AVF.
+operations. Each structure builds its own
+:class:`~repro.ace.lifetime.StructureLifetime` from its size, width and
+port counts and reports every operation to it, which is how
+"read/write events" reach ACE lifetime analysis and the port-AVF
+counters without the pipeline knowing anything about AVF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
+from repro.ace.lifetime import StructureLifetime
 from repro.errors import AceError
-
-
-class EventRecorder(Protocol):
-    """Interface the ACE instrumentation implements."""
-
-    def on_write(self, struct: str, entry: int, cycle: int, ace: bool, ace_bits: int | None, bits: int) -> None: ...
-
-    def on_read(self, struct: str, entry: int, cycle: int, ace: bool) -> None: ...
-
-    def on_release(self, struct: str, entry: int, cycle: int, consumed: bool) -> None: ...
 
 
 @dataclass
@@ -36,7 +26,7 @@ class SimStructure:
         entries: Number of entries.
         bits_per_entry: Width used for AVF weighting.
         nread / nwrite: Port counts (used to normalize port AVFs).
-        recorder: Optional ACE event sink.
+        lifetime: The structure's ACE lifetime analysis.
     """
 
     name: str
@@ -44,7 +34,7 @@ class SimStructure:
     bits_per_entry: int
     nread: int = 1
     nwrite: int = 1
-    recorder: EventRecorder | None = None
+    lifetime: StructureLifetime = field(init=False, repr=False)
     _free: list[int] = field(default_factory=list)
     _busy: set[int] = field(default_factory=set)
     occupancy_accum: int = 0
@@ -52,6 +42,9 @@ class SimStructure:
 
     def __post_init__(self) -> None:
         self._free = list(range(self.entries))
+        self.lifetime = StructureLifetime(
+            self.name, self.entries, self.bits_per_entry, self.nread, self.nwrite
+        )
 
     # ------------------------------------------------------------------
     def is_full(self) -> bool:
@@ -85,31 +78,24 @@ class SimStructure:
             return None
         entry = self._free.pop()
         self._busy.add(entry)
-        if record and self.recorder is not None:
-            self.recorder.on_write(
-                self.name, entry, cycle, ace, ace_bits, self.bits_per_entry
-            )
+        if record:
+            self.lifetime.write(entry, cycle, ace, ace_bits)
         return entry
 
     def write(self, entry: int, cycle: int, ace: bool, ace_bits: int | None = None) -> None:
         """Overwrite an already-allocated entry (recorded as a new write)."""
         if entry not in self._busy:
             raise AceError(f"{self.name}: write to unallocated entry {entry}")
-        if self.recorder is not None:
-            self.recorder.on_write(
-                self.name, entry, cycle, ace, ace_bits, self.bits_per_entry
-            )
+        self.lifetime.write(entry, cycle, ace, ace_bits)
 
     def read(self, entry: int, cycle: int, ace: bool) -> None:
         if entry not in self._busy:
             raise AceError(f"{self.name}: read of unallocated entry {entry}")
-        if self.recorder is not None:
-            self.recorder.on_read(self.name, entry, cycle, ace)
+        self.lifetime.read(entry, cycle, ace)
 
     def release(self, entry: int, cycle: int, consumed: bool = True) -> None:
         if entry not in self._busy:
             raise AceError(f"{self.name}: release of unallocated entry {entry}")
         self._busy.discard(entry)
         self._free.append(entry)
-        if self.recorder is not None:
-            self.recorder.on_release(self.name, entry, cycle, consumed)
+        self.lifetime.release(entry, cycle, consumed)

@@ -6,124 +6,118 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ace.lifetime import (
-    AceLifetimeAnalyzer,
     DeadlineDistribution,
+    StructureLifetime,
     merge_deadline_summaries,
 )
 from repro.errors import AceError
 
 
-def _analyzer(entries=4, bits=8, **kw):
-    a = AceLifetimeAnalyzer()
-    a.register("s", entries, bits, **kw)
-    return a
+def _lifetime(entries=4, bits=8, **kw):
+    return StructureLifetime("s", entries, bits, **kw)
 
 
 def test_write_read_evict_residency():
-    a = _analyzer(entries=1, bits=8)
-    a.on_write("s", 0, cycle=10, ace=True, ace_bits=None, bits=8)
-    a.on_read("s", 0, cycle=30, ace=True)
-    a.on_release("s", 0, cycle=50, consumed=True)
-    stats = a.finish(100)["s"]
+    a = _lifetime(entries=1, bits=8)
+    a.write(0, cycle=10, ace=True)
+    a.read(0, cycle=30, ace=True)
+    a.release(0, cycle=50, consumed=True)
+    stats = a.finish(100)
     # ACE residency runs write(10) -> last read(30): 20 cycles x 8 bits.
     assert stats.ace_bit_cycles == 20 * 8
     assert stats.avf() == pytest.approx(20 * 8 / (8 * 100))
 
 
 def test_unread_value_is_unace():
-    a = _analyzer(entries=1, bits=8)
-    a.on_write("s", 0, 0, ace=True, ace_bits=None, bits=8)
-    a.on_release("s", 0, 40, consumed=False)
-    stats = a.finish(100)["s"]
+    a = _lifetime(entries=1, bits=8)
+    a.write(0, 0, ace=True)
+    a.release(0, 40, consumed=False)
+    stats = a.finish(100)
     assert stats.ace_bit_cycles == 0
     assert stats.avf() == 0.0
 
 
 def test_consumed_without_read_counts_full_span():
     # e.g. store buffer drain: release IS the consumption.
-    a = _analyzer(entries=1, bits=8)
-    a.on_write("s", 0, 10, ace=True, ace_bits=None, bits=8)
-    a.on_release("s", 0, 25, consumed=True)
-    stats = a.finish(100)["s"]
+    a = _lifetime(entries=1, bits=8)
+    a.write(0, 10, ace=True)
+    a.release(0, 25, consumed=True)
+    stats = a.finish(100)
     assert stats.ace_bit_cycles == 15 * 8
 
 
 def test_open_segment_counts_as_unknown():
-    a = _analyzer(entries=1, bits=8)
-    a.on_write("s", 0, 60, ace=True, ace_bits=None, bits=8)
-    stats = a.finish(100)["s"]
+    a = _lifetime(entries=1, bits=8)
+    a.write(0, 60, ace=True)
+    stats = a.finish(100)
     assert stats.unknown_bit_cycles == 40 * 8
     assert stats.avf() == pytest.approx(40 * 8 / (8 * 100))
 
 
 def test_unace_write_contributes_nothing():
-    a = _analyzer(entries=1, bits=8)
-    a.on_write("s", 0, 0, ace=False, ace_bits=None, bits=8)
-    a.on_read("s", 0, 50, ace=False)
-    a.on_release("s", 0, 60, consumed=True)
-    stats = a.finish(100)["s"]
+    a = _lifetime(entries=1, bits=8)
+    a.write(0, 0, ace=False)
+    a.read(0, 50, ace=False)
+    a.release(0, 60, consumed=True)
+    stats = a.finish(100)
     assert stats.ace_bit_cycles == 0
     assert stats.ace_reads == 0
 
 
 def test_bitfield_weighting():
-    a = _analyzer(entries=1, bits=10)
-    a.on_write("s", 0, 0, ace=True, ace_bits=3, bits=10)  # 3 of 10 bits ACE
-    a.on_read("s", 0, 10, ace=True)
-    a.on_release("s", 0, 20, consumed=True)
-    stats = a.finish(10)["s"]
+    a = _lifetime(entries=1, bits=10)
+    a.write(0, 0, ace=True, ace_bits=3)  # 3 of 10 bits ACE
+    a.read(0, 10, ace=True)
+    a.release(0, 20, consumed=True)
+    stats = a.finish(10)
     assert stats.ace_bit_cycles == 10 * 3
     assert stats.pavf_r_bitwise() == pytest.approx(3 / (10 * 10))
     assert stats.pavf_r() == pytest.approx(1 / 10)
 
 
 def test_overwrite_closes_previous_segment():
-    a = _analyzer(entries=1, bits=4)
-    a.on_write("s", 0, 0, ace=True, ace_bits=None, bits=4)
-    a.on_read("s", 0, 5, ace=True)
-    a.on_write("s", 0, 9, ace=True, ace_bits=None, bits=4)  # overwrite
-    a.on_read("s", 0, 12, ace=True)
-    a.on_release("s", 0, 20, consumed=True)
-    stats = a.finish(20)["s"]
+    a = _lifetime(entries=1, bits=4)
+    a.write(0, 0, ace=True)
+    a.read(0, 5, ace=True)
+    a.write(0, 9, ace=True)  # overwrite
+    a.read(0, 12, ace=True)
+    a.release(0, 20, consumed=True)
+    stats = a.finish(20)
     assert stats.ace_bit_cycles == (5 - 0) * 4 + (12 - 9) * 4
 
 
 def test_port_rates_normalized_by_ports():
-    a = _analyzer(entries=4, bits=8, nread=2, nwrite=2)
+    a = _lifetime(entries=4, bits=8, nread=2, nwrite=2)
     for entry in range(4):
-        a.on_write("s", entry, entry, ace=True, ace_bits=None, bits=8)
-        a.on_read("s", entry, entry + 1, ace=True)
-        a.on_release("s", entry, entry + 2, consumed=True)
-    stats = a.finish(10)["s"]
+        a.write(entry, entry, ace=True)
+        a.read(entry, entry + 1, ace=True)
+        a.release(entry, entry + 2, consumed=True)
+    stats = a.finish(10)
     assert stats.pavf_r() == pytest.approx(4 / (10 * 2))
     assert stats.pavf_w() == pytest.approx(4 / (10 * 2))
 
 
 def test_event_errors():
-    a = _analyzer()
-    with pytest.raises(AceError, match="unregistered"):
-        a.on_write("ghost", 0, 0, True, None, 8)
+    a = _lifetime()
     with pytest.raises(AceError, match="read before write"):
-        a.on_read("s", 0, 0, True)
+        a.read(0, 0, True)
     with pytest.raises(AceError, match="release before write"):
-        a.on_release("s", 0, 0, True)
-    with pytest.raises(AceError, match="twice"):
-        a.register("s", 4, 8)
+        a.release(0, 0, True)
     a.finish(1)
     with pytest.raises(AceError, match="twice"):
         a.finish(1)
 
 
 def test_mean_ace_latency_and_throughput():
-    a = _analyzer(entries=2, bits=8)
-    a.on_write("s", 0, 0, ace=True, ace_bits=None, bits=8)
-    a.on_read("s", 0, 10, ace=True)
-    a.on_release("s", 0, 10, consumed=True)
-    a.on_write("s", 1, 0, ace=True, ace_bits=None, bits=8)
-    a.on_read("s", 1, 30, ace=True)
-    a.on_release("s", 1, 30, consumed=True)
-    stats = a.finish(100)["s"]
-    assert a.mean_ace_latency("s") == pytest.approx(20.0)
+    a = _lifetime(entries=2, bits=8)
+    a.write(0, 0, ace=True)
+    a.read(0, 10, ace=True)
+    a.release(0, 10, consumed=True)
+    a.write(1, 0, ace=True)
+    a.read(1, 30, ace=True)
+    a.release(1, 30, consumed=True)
+    stats = a.finish(100)
+    assert a.mean_ace_latency() == pytest.approx(20.0)
     assert stats.ace_throughput() == pytest.approx(2 / 100)
 
 
@@ -133,15 +127,15 @@ def test_littles_law_relationship():
     With every write ACE and full-entry widths, ACE bit-cycles equal
     (sum of residencies) x bits, so AVF == mean_latency x throughput / entries.
     """
-    a = _analyzer(entries=4, bits=16)
+    a = _lifetime(entries=4, bits=16)
     spans = [(0, 10), (5, 25), (40, 90), (50, 60)]
     for entry, (start, end) in enumerate(spans):
-        a.on_write("s", entry, start, ace=True, ace_bits=None, bits=16)
-        a.on_read("s", entry, end, ace=True)
-        a.on_release("s", entry, end, consumed=True)
+        a.write(entry, start, ace=True)
+        a.read(entry, end, ace=True)
+        a.release(entry, end, consumed=True)
     cycles = 100
-    stats = a.finish(cycles)["s"]
-    latency = a.mean_ace_latency("s")
+    stats = a.finish(cycles)
+    latency = a.mean_ace_latency()
     throughput = stats.ace_throughput()
     little = latency * throughput / stats.entries
     assert stats.avf() == pytest.approx(little)
@@ -182,22 +176,23 @@ def _events_of(segments):
 
 
 def _feed(events, order_key):
-    """Run one interleaving of the event stream through a fresh analyzer.
+    """Run one interleaving of the event stream through a fresh lifetime.
 
     *order_key* may reorder events across entries freely but must keep
-    each entry's own (cycle, seq) order — the validity constraint the
-    recorder interface imposes.
+    each entry's own (cycle, seq) order — the validity constraint a
+    structure's event stream obeys.
     """
-    a = AceLifetimeAnalyzer()
-    a.register("s", entries=max(1, len({e[1] for e in events}) or 1), bits_per_entry=8)
+    a = StructureLifetime(
+        "s", entries=max(1, len({e[1] for e in events}) or 1), bits_per_entry=8
+    )
     for cycle, entry, _seq, kind, arg in sorted(events, key=order_key):
         if kind == "write":
-            a.on_write("s", entry, cycle, ace=arg > 0, ace_bits=arg, bits=8)
+            a.write(entry, cycle, ace=arg > 0, ace_bits=arg)
         elif kind == "read":
-            a.on_read("s", entry, cycle, ace=True)
+            a.read(entry, cycle, ace=True)
         else:
-            a.on_release("s", entry, cycle, consumed=arg)
-    return a.finish(CYCLES)["s"]
+            a.release(entry, cycle, consumed=arg)
+    return a.finish(CYCLES)
 
 
 @given(SEGMENTS)
@@ -255,38 +250,34 @@ def test_deadline_quantiles_cover_the_mass(entries):
 
 def test_deadline_degenerate_inputs():
     # Zero-ACE structure: no events, zero mass, zero AVF.
-    a = AceLifetimeAnalyzer()
-    a.register("s", 2, 8)
-    a.on_write("s", 0, 0, ace=False, ace_bits=None, bits=8)
-    a.on_read("s", 0, 5, ace=False)
-    a.on_release("s", 0, 9, consumed=True)
-    stats = a.finish(50)["s"]
+    a = StructureLifetime("s", 2, 8)
+    a.write(0, 0, ace=False)
+    a.read(0, 5, ace=False)
+    a.release(0, 9, consumed=True)
+    stats = a.finish(50)
     assert stats.deadlines.events == 0
     assert stats.deadline_summary()["mass_cycles"] == 0.0
 
     # Never-consumed write: architecturally masked, no deadline event.
-    b = AceLifetimeAnalyzer()
-    b.register("s", 1, 8)
-    b.on_write("s", 0, 0, ace=True, ace_bits=None, bits=8)
-    b.on_release("s", 0, 30, consumed=False)
-    stats = b.finish(50)["s"]
+    b = StructureLifetime("s", 1, 8)
+    b.write(0, 0, ace=True)
+    b.release(0, 30, consumed=False)
+    stats = b.finish(50)
     assert stats.deadlines.events == 0
     assert stats.ace_bit_cycles == 0.0
 
     # Empty structure: all-zero summary, merge of nothing is empty.
-    c = AceLifetimeAnalyzer()
-    c.register("s", 1, 8)
-    summary = c.finish(10)["s"].deadline_summary()
+    c = StructureLifetime("s", 1, 8)
+    summary = c.finish(10).deadline_summary()
     assert summary["events"] == 0 and summary["max"] == 0
     assert merge_deadline_summaries([])["events"] == 0
 
     # Same-cycle write+consume: a zero-cycle deadline is a real event.
-    d = AceLifetimeAnalyzer()
-    d.register("s", 1, 8)
-    d.on_write("s", 0, 7, ace=True, ace_bits=None, bits=8)
-    d.on_read("s", 0, 7, ace=True)
-    d.on_release("s", 0, 7, consumed=True)
-    stats = d.finish(10)["s"]
+    d = StructureLifetime("s", 1, 8)
+    d.write(0, 7, ace=True)
+    d.read(0, 7, ace=True)
+    d.release(0, 7, consumed=True)
+    stats = d.finish(10)
     assert stats.deadlines.events == 1
     assert stats.deadlines.histogram == {0: 8.0}
 
@@ -320,20 +311,18 @@ def _deadline_chunk_worker(item: int) -> dict:
         if attempt <= plan.raises.get(item, 0):
             raise ValueError(f"chunk {item} scripted failure "
                              f"(attempt {attempt})")
-    a = AceLifetimeAnalyzer()
-    a.register("s", len(_CHAOS_SEGMENTS), 8)
+    a = StructureLifetime("s", len(_CHAOS_SEGMENTS), 8)
     for entry, (start, offsets, tail, ace_bits, consumed) in enumerate(
             _CHAOS_SEGMENTS):
         if entry % _N_CHUNKS != item:
             continue
-        a.on_write("s", entry, start, ace=ace_bits > 0,
-                   ace_bits=ace_bits, bits=8)
+        a.write(entry, start, ace=ace_bits > 0, ace_bits=ace_bits)
         cycle = start
         for offset in offsets:
             cycle += offset
-            a.on_read("s", entry, cycle, ace=True)
-        a.on_release("s", entry, cycle + tail, consumed=consumed)
-    return a.finish(CYCLES)["s"].deadline_summary()
+            a.read(entry, cycle, ace=True)
+        a.release(entry, cycle + tail, consumed=consumed)
+    return a.finish(CYCLES).deadline_summary()
 
 
 def test_deadline_chaos_resume_merge_equals_one_shot(tmp_path):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.ace.quantized import TeeRecorder, WindowedPortCounter, quantized_seq_avf
+from repro.ace.lifetime import StructureLifetime
+from repro.ace.quantized import WindowedPortCounter, quantized_seq_avf, run_windowed
 from repro.core.graphmodel import StructurePorts
 from repro.core.report import average_seq_avf
 from repro.core.sart import SartConfig, run_sart
@@ -14,52 +15,55 @@ from repro.netlist.builder import ModuleBuilder
 
 class TestWindowedCounter:
     def test_counts_land_in_right_windows(self):
-        c = WindowedPortCounter(window=10)
-        c.register("s")
-        c.on_read("s", 0, cycle=3, ace=True)
-        c.on_read("s", 0, cycle=9, ace=True)
-        c.on_read("s", 0, cycle=10, ace=True)   # second window
-        c.on_read("s", 0, cycle=25, ace=False)  # un-ACE: ignored
-        c.on_write("s", 0, cycle=15, ace=True, ace_bits=None, bits=8)
+        c = WindowedPortCounter(StructureLifetime("s", 1, 8), window=10)
+        c.write(0, cycle=0, ace=True)
+        c.read(0, cycle=3, ace=True)
+        c.read(0, cycle=9, ace=True)
+        c.read(0, cycle=10, ace=True)   # second window
+        c.write(0, cycle=15, ace=True)
+        c.read(0, cycle=25, ace=False)  # un-ACE: ignored
         tables = c.window_ports(total_cycles=30)
         assert len(tables) == 3
-        assert tables[0]["s"].pavf_r == pytest.approx(2 / 10)
-        assert tables[1]["s"].pavf_r == pytest.approx(1 / 10)
-        assert tables[1]["s"].pavf_w == pytest.approx(1 / 10)
-        assert tables[2]["s"].pavf_r == 0.0
+        assert tables[0].pavf_r == pytest.approx(2 / 10)
+        assert tables[0].pavf_w == pytest.approx(1 / 10)
+        assert tables[1].pavf_r == pytest.approx(1 / 10)
+        assert tables[1].pavf_w == pytest.approx(1 / 10)
+        assert tables[2].pavf_r == 0.0
 
     def test_partial_tail_window_normalized(self):
-        c = WindowedPortCounter(window=10)
-        c.register("s")
-        c.on_read("s", 0, cycle=22, ace=True)
+        c = WindowedPortCounter(StructureLifetime("s", 1, 8), window=10)
+        c.write(0, cycle=0, ace=True)
+        c.read(0, cycle=22, ace=True)
         tables = c.window_ports(total_cycles=24)
-        assert tables[2]["s"].pavf_r == pytest.approx(1 / 4)  # 4-cycle tail
+        assert tables[2].pavf_r == pytest.approx(1 / 4)  # 4-cycle tail
 
     def test_port_normalization(self):
-        c = WindowedPortCounter(window=10)
-        c.register("s", nread=2)
+        c = WindowedPortCounter(StructureLifetime("s", 1, 8, nread=2), window=10)
+        c.write(0, 0, ace=True)
         for cycle in range(10):
-            c.on_read("s", 0, cycle, ace=True)
+            c.read(0, cycle, ace=True)
         tables = c.window_ports(total_cycles=10)
-        assert tables[0]["s"].pavf_r == pytest.approx(0.5)
+        assert tables[0].pavf_r == pytest.approx(0.5)
+
+    def test_bit_field_weighting(self):
+        # 3 of 10 bits ACE: the window reads the whole run's bit-weighted
+        # rates (Section 5.1), not the plain event rates.
+        lifetime = StructureLifetime("s", 1, 10)
+        c = WindowedPortCounter(lifetime, window=10)
+        c.write(0, 0, ace=True, ace_bits=3)
+        c.read(0, 4, ace=True)
+        c.release(0, 6, consumed=True)
+        [window] = c.window_ports(total_cycles=10)
+        stats = lifetime.finish(10)
+        assert window.pavf_r == pytest.approx(3 / (10 * 10))
+        assert window.pavf_w == pytest.approx(3 / (10 * 10))
+        assert window.pavf_r == stats.pavf_r_bitwise()
+        assert window.pavf_w == stats.pavf_w_bitwise()
+        assert stats.ace_bit_cycles == 4 * 3  # events reached the lifetime
 
     def test_bad_window_rejected(self):
         with pytest.raises(AceError):
-            WindowedPortCounter(window=0)
-
-
-def test_tee_recorder_fans_out():
-    a = WindowedPortCounter(window=5)
-    b = WindowedPortCounter(window=5)
-    a.register("s")
-    b.register("s")
-    tee = TeeRecorder(a, b, None)
-    tee.on_read("s", 0, 1, True)
-    tee.on_write("s", 0, 2, True, None, 8)
-    tee.on_release("s", 0, 3, True)
-    for counter in (a, b):
-        t = counter.window_ports(5)
-        assert t[0]["s"].pavf_r > 0 and t[0]["s"].pavf_w > 0
+            WindowedPortCounter(StructureLifetime("s", 1, 8), window=0)
 
 
 def test_quantized_time_series_through_closed_form():
@@ -117,26 +121,21 @@ def test_quantized_series_equals_per_window_solves():
 
 
 def test_end_to_end_windowed_perfmodel():
-    """Windowed counting alongside the normal lifetime analysis."""
-    from repro.ace.lifetime import AceLifetimeAnalyzer
-    from repro.perfmodel.pipeline import Pipeline, PipelineConfig
+    """Windowing leaves the whole run's counters as they are, and each
+    structure's window ports add up to its whole-run bit sums."""
+    from repro.perfmodel.machine import run_workload
     from repro.perfmodel.trace import mark_ace
     from repro.workloads.generator import WorkloadSpec, generate_trace
 
     trace = mark_ace(generate_trace(WorkloadSpec(name="q", length=3000)))
-    lifetime = AceLifetimeAnalyzer()
-    windows = WindowedPortCounter(window=200)
-    pipeline = Pipeline(trace, PipelineConfig(), recorder=TeeRecorder(lifetime, windows))
-    for s in pipeline.structures:
-        lifetime.register(s.name, s.entries, s.bits_per_entry, s.nread, s.nwrite)
-        windows.register(s.name, s.nread, s.nwrite)
-    stats = pipeline.run()
-    lifetime.finish(stats.cycles)
-    tables = windows.window_ports(stats.cycles)
-    assert len(tables) == -(-stats.cycles // 200)
-    # Aggregate of windowed ACE reads equals the lifetime analyzer's count.
-    total_reads = sum(
-        t["rob"].pavf_r * min(200, stats.cycles - i * 200) * lifetime.structures["rob"].nread
-        for i, t in enumerate(tables)
-    )
-    assert total_reads == pytest.approx(lifetime.structures["rob"].ace_reads, abs=1.0)
+    structures, tables = run_windowed(trace, 200)
+    assert structures == run_workload(trace).structures
+    cycles = structures["rob"].cycles
+    spans = [min(200, cycles - i * 200) for i in range(-(-cycles // 200))]
+    assert len(tables) == len(spans)
+    for name, stats in structures.items():
+        scale = [span * stats.bits_per_entry for span in spans]
+        read_bits = sum(t[name].pavf_r * k * stats.nread for t, k in zip(tables, scale))
+        write_bits = sum(t[name].pavf_w * k * stats.nwrite for t, k in zip(tables, scale))
+        assert read_bits == pytest.approx(stats.ace_read_bitsum), name
+        assert write_bits == pytest.approx(stats.ace_write_bitsum), name

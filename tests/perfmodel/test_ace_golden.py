@@ -2,7 +2,7 @@
 
 The ACE-instrumented pipeline feeds every bigcore port AVF and every
 error-reporting deadline histogram, so a refactor of the pipeline or the
-lifetime recorder must not move one counter. This test runs one workload
+lifetime analysis must not move one counter. This test runs one workload
 per suite class under four machine configurations and hashes every
 workload's :class:`PipelineStats`, every :class:`StructureAvf` counter,
 mean occupancy and ACE latency, every deadline summary and the rendered
@@ -67,7 +67,7 @@ def _structure_doc(result, name: str) -> dict:
            for f in fields(stats) if f.name != "deadlines"}
     doc["deadlines"] = _canon(stats.deadline_summary())
     doc["mean_occupancy"] = _canon(result.occupancy[name])
-    doc["mean_ace_latency"] = _canon(result.analyzer.mean_ace_latency(name))
+    doc["mean_ace_latency"] = _canon(result.lifetimes[name].mean_ace_latency())
     return doc
 
 

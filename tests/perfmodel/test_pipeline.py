@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ace.lifetime import AceLifetimeAnalyzer
 from repro.errors import TraceError
 from repro.perfmodel.isa import Inst
 from repro.perfmodel.machine import MachineConfig, run_workload

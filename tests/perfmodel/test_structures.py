@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.ace.lifetime import AceLifetimeAnalyzer
 from repro.errors import AceError
 from repro.perfmodel.structures import SimStructure
 
 
-def _structure(recorder=None, entries=3):
-    return SimStructure("s", entries, 8, recorder=recorder)
+def _structure(entries=3):
+    return SimStructure("s", entries, 8)
 
 
 def test_alloc_until_full():
@@ -43,27 +42,24 @@ def test_errors_on_unallocated():
         s.write(0, 0, True)
 
 
-def test_events_reach_recorder():
-    analyzer = AceLifetimeAnalyzer()
-    analyzer.register("s", 3, 8)
-    s = _structure(recorder=analyzer)
+def test_events_reach_lifetime():
+    s = _structure()
     entry = s.alloc(0, True)
     s.read(entry, 4, True)
     s.release(entry, 6, consumed=True)
-    stats = analyzer.finish(10)["s"]
+    stats = s.lifetime.finish(10)
+    assert (stats.name, stats.entries, stats.bits_per_entry) == ("s", 3, 8)
     assert stats.total_writes == 1
     assert stats.total_reads == 1
     assert stats.ace_bit_cycles == 4 * 8
 
 
 def test_silent_alloc_defers_write_event():
-    analyzer = AceLifetimeAnalyzer()
-    analyzer.register("s", 3, 8)
-    s = _structure(recorder=analyzer)
+    s = _structure()
     entry = s.alloc(0, ace=False, record=False)  # rename-style reservation
     s.write(entry, 5, ace=True)                  # data arrives later
     s.read(entry, 9, ace=True)
     s.release(entry, 9, consumed=True)
-    stats = analyzer.finish(10)["s"]
+    stats = s.lifetime.finish(10)
     assert stats.total_writes == 1               # only the real write counted
     assert stats.ace_bit_cycles == 4 * 8

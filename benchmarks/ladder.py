@@ -61,7 +61,7 @@ def run_rung(side: int, workdir: Path) -> dict:
     graph = timed("parse", lambda: resolve_design(f"exlif:{path}").build().graph)
     assert len(graph) == nodes
     plan = timed("plan", lambda: build_plan(graph))
-    base = SartConfig(partition_by_fub=False)
+    base = SartConfig()
     timed("solve", lambda: plan.solve_monolithic(base.dangling))
     record["solve_nodes_per_second"] = round(nodes / record["solve_seconds"])
     record["sets"] = len(plan.interner)
@@ -75,8 +75,7 @@ def run_rung(side: int, workdir: Path) -> dict:
     # Not timed: the sweep's points equal the per-point flow.
     delta = 0.0
     for w in CHECKED:
-        point = run_sart(plan=plan, config=SartConfig(partition_by_fub=False,
-                                                      loop_pavf=SWEEP[w]))
+        point = run_sart(plan=plan, config=SartConfig(loop_pavf=SWEEP[w]))
         rows_a = {r.fub: r.seq_avg_avf for r in point.report.fubs}
         rows_b = {r.fub: r.seq_avg_avf for r in batch.report(w).fubs}
         assert rows_a.keys() == rows_b.keys()

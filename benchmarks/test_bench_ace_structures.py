@@ -91,12 +91,12 @@ def test_bench_bitfield_refinement(model_ports):
     rows = []
     drops = []
     for result in results[:6]:
-        plain = ports_from_analysis(result.structures, bitwise=False)
-        refined = ports_from_analysis(result.structures, bitwise=True)
+        refined = ports_from_analysis(result.structures)
         for name in ("inst_queue", "rob"):
-            drop = 1 - refined[name].pavf_r / max(plain[name].pavf_r, 1e-12)
+            plain = result.structures[name].pavf_r()
+            drop = 1 - refined[name].pavf_r / max(plain, 1e-12)
             drops.append(drop)
-            rows.append([result.workload, name, plain[name].pavf_r,
+            rows.append([result.workload, name, plain,
                          refined[name].pavf_r, f"{drop:.0%}"])
     print_table(
         "Bit Field Analysis — pAVF_R before/after (control structures)",

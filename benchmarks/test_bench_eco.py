@@ -7,13 +7,19 @@ strict subset of the FUBs, land bit-identically on the cold solution,
 and do so in a fraction of the cold wall time. The smoke rung (CI)
 runs at scale 0.3; the full rung pins the headline ratio at scale 4.
 
+"Cold" is the same per-FUB relaxation run from TOP with every FUB
+dirty (:func:`repro.verify.reference.run_relaxation`), so the gated
+ratio compares two relaxations; "mono" is the monolithic solve every
+non-ECO run takes, and warm must beat it too.
+
 Records per rung in ``BENCH_eco.json``: node/FUB counts, the static
-dirty set vs the dynamic re-solve front, and cold/warm wall seconds.
-The timings are medians of :data:`PAIRS` cold/warm pairs, each on a
-freshly unpickled plan, so no pair reads a cache another pair filled
-(a plan caches a cold relaxation's first sweep); the ratio is the median
-of the pairs' ratios. One pair's ratio scatters too widely between runs
-to gate on.
+dirty set vs the dynamic re-solve front, both relaxations' iteration
+counts, and cold/warm/mono wall seconds with both ratios. The timings
+are medians of :data:`PAIRS` pairs: a cold and a warm solve on one
+freshly unpickled plan, and a monolithic solve on another, so no solve
+reads a union memo or set cache another pair filled; a ratio is the
+median of the pairs' ratios. One pair's ratio scatters too widely
+between runs to gate on.
 """
 
 from __future__ import annotations
@@ -24,21 +30,21 @@ import statistics
 import time
 
 from conftest import print_table
-from repro.core.sart import SartConfig, build_plan, run_sart
+from repro.core.sart import build_plan, run_sart
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
 from repro.pipeline.delta import diff_plans, warm_start_from_result
+from repro.verify.reference import run_relaxation
 
-CFG = SartConfig(partition_by_fub=True, iterations=20)
 PAIRS = 5
 
 
-def _timed(plan, **kwargs):
+def _timed(solve, plan, **kwargs):
     # Each timed solve starts from a collected heap: at scale 4 one full
     # collection of the set-up garbage costs ~0.25 s, and wherever it
     # happens to fire it would be charged to that solve.
     gc.collect()
     started = time.perf_counter()
-    result = run_sart(plan=plan, config=CFG, **kwargs)
+    result = solve(plan=plan, **kwargs)
     return result, time.perf_counter() - started
 
 
@@ -50,30 +56,35 @@ def _eco_rung(scale: float, ports) -> dict:
     plan_a = build_plan(base.module, base_ports)
     plan_b = build_plan(edit.module, edit_ports)
 
-    baseline = run_sart(plan=plan_a, config=CFG)
+    baseline = run_sart(plan=plan_a)
     delta = diff_plans(plan_a, plan_b)
     assert delta.touched == {"LSU"}
     warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
     blob = pickle.dumps(plan_b, protocol=pickle.HIGHEST_PROTOCOL)
 
-    cold_times, warm_times = [], []
+    cold_times, warm_times, mono_times = [], [], []
     for _ in range(PAIRS):
         plan = pickle.loads(blob)
-        cold, cold_s = _timed(plan)
-        warm, warm_s = _timed(plan, warm_start=warm_start)
+        cold, cold_s = _timed(run_relaxation, plan)
+        warm, warm_s = _timed(run_sart, plan, warm_start=warm_start)
+        mono, mono_s = _timed(run_sart, pickle.loads(blob))
         cold_times.append(cold_s)
         warm_times.append(warm_s)
+        mono_times.append(mono_s)
         # Bit-identical, not approximately equal.
-        assert warm.node_avfs == cold.node_avfs
+        assert cold.trace.converged
+        assert warm.node_avfs == cold.node_avfs == mono.node_avfs
         assert warm.f_sets == cold.f_sets
         assert warm.b_sets == cold.b_sets
-        assert warm.report == cold.report
+        assert warm.report == cold.report == mono.report
         # The dynamic re-solve front is a strict subset of the FUBs.
         assert warm.trace.warm and warm.trace.converged
         assert 0 < warm.trace.resolved_fubs < plan_b.n_fubs
     cold_s = statistics.median(cold_times)
     warm_s = statistics.median(warm_times)
+    mono_s = statistics.median(mono_times)
     assert warm_s < cold_s
+    assert warm_s < mono_s
 
     return {
         "scale": scale,
@@ -86,18 +97,23 @@ def _eco_rung(scale: float, ports) -> dict:
         "pairs": PAIRS,
         "cold_seconds": round(cold_s, 4),
         "warm_seconds": round(warm_s, 4),
+        "mono_seconds": round(mono_s, 4),
         "warm_over_cold": round(statistics.median(
             w / c for w, c in zip(warm_times, cold_times)), 4),
+        "warm_over_mono": round(statistics.median(
+            w / m for w, m in zip(warm_times, mono_times)), 4),
     }
 
 
 def _report(title: str, record: dict) -> None:
     print_table(
         title,
-        ["nodes", "FUBs", "re-solved", "cold s", "warm s", "ratio"],
+        ["nodes", "FUBs", "re-solved", "cold iters", "cold s", "warm s",
+         "mono s", "warm/cold", "warm/mono"],
         [[record["nodes"], record["fubs"], record["resolved_fubs"],
-          record["cold_seconds"], record["warm_seconds"],
-          record["warm_over_cold"]]],
+          record["cold_iterations"], record["cold_seconds"],
+          record["warm_seconds"], record["mono_seconds"],
+          record["warm_over_cold"], record["warm_over_mono"]]],
     )
 
 

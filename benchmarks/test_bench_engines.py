@@ -24,8 +24,8 @@ from repro.verify.reference import run_reference
 
 # dangling="top" matches the walk engine's unvisited-stays-conservative
 # behaviour (the dataflow default refines dead logic to AVF 0).
-DATAFLOW_CFG = SartConfig(partition_by_fub=False, dangling="top")
-WALK_CFG = SartConfig(partition_by_fub=False)
+DATAFLOW_CFG = SartConfig(dangling="top")
+WALK_CFG = SartConfig()
 
 
 @pytest.fixture(scope="module")

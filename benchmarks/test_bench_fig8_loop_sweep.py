@@ -30,7 +30,7 @@ def test_bench_fig8_loop_sweep(benchmark, bigcore_design, bigcore_ports):
     def sweep():
         points = []
         for value in SWEEP:
-            config = SartConfig(loop_pavf=value, partition_by_fub=False)
+            config = SartConfig(loop_pavf=value)
             result = run_sart(plan=plan, config=config)
             points.append((value, result.report.weighted_seq_avf))
         return points
@@ -59,8 +59,7 @@ def test_bench_fig8_loop_sweep(benchmark, bigcore_design, bigcore_ports):
 
 def test_bench_fig8_loop_fraction_matches_paper(bigcore_design, bigcore_ports):
     """Sanity anchor: the design sits in the paper's 2-3 % loop regime."""
-    result = run_sart(bigcore_design.module, bigcore_ports,
-                      SartConfig(partition_by_fub=False))
+    result = run_sart(bigcore_design.module, bigcore_ports)
     frac = result.stats["loop_bits"] / result.stats["sequentials"]
     print(f"\nloop bits: {int(result.stats['loop_bits'])} / "
           f"{int(result.stats['sequentials'])} = {frac:.1%} (paper: 2-3%)")

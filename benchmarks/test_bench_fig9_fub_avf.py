@@ -17,16 +17,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import print_table
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from repro.ser.fit import FitModel
 
 
 def test_bench_fig9_per_fub_avf(benchmark, bigcore_design, bigcore_ports):
     def run():
-        return run_sart(
-            bigcore_design.module, bigcore_ports,
-            SartConfig(partition_by_fub=True, iterations=20),
-        )
+        return run_sart(bigcore_design.module, bigcore_ports)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     report = result.report
@@ -62,8 +59,7 @@ def test_bench_fig9_per_fub_avf(benchmark, bigcore_design, bigcore_ports):
 def test_bench_section61_fit_reduction(bigcore_design, bigcore_ports, model_ports):
     """~10 % modeled SDC FIT reduction vs the structure-AVF proxy."""
     ports, _ = model_ports
-    result = run_sart(bigcore_design.module, bigcore_ports,
-                      SartConfig(partition_by_fub=True, iterations=20))
+    result = run_sart(bigcore_design.module, bigcore_ports)
 
     # Whole-core FIT: arrays keep their ACE AVFs in both models; only the
     # sequential component changes (proxy vs per-node sequential AVFs).

@@ -41,7 +41,7 @@ def setup():
 def test_bench_loop_solutions(benchmark, setup):
     words, dmem, netlist, golden, ports = setup
 
-    base = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    base = run_sart(netlist.module, ports)
     loop_nets = base.model.loop_nets
 
     def characterize():
@@ -54,11 +54,11 @@ def test_bench_loop_solutions(benchmark, setup):
           f"max {stats['max']:.2f}")
 
     variants = {
-        "solution 3 @ 0.3 (paper)": SartConfig(partition_by_fub=False, loop_pavf=0.3),
-        "solution 3 @ 0.45 (calibrated)": SartConfig(partition_by_fub=False, loop_pavf=0.45),
-        "solution 3 @ 1.0 (conservative)": SartConfig(partition_by_fub=False, loop_pavf=1.0),
+        "solution 3 @ 0.3 (paper)": SartConfig(loop_pavf=0.3),
+        "solution 3 @ 0.45 (calibrated)": SartConfig(loop_pavf=0.45),
+        "solution 3 @ 1.0 (conservative)": SartConfig(loop_pavf=1.0),
         "solution 2 (measured rates)": SartConfig(
-            partition_by_fub=False, loop_pavf_per_net=rates
+            loop_pavf_per_net=rates
         ),
     }
 
@@ -81,14 +81,14 @@ def test_bench_loop_solutions(benchmark, setup):
     )
 
     avg_paper = average_seq_avf(
-        run_sart(netlist.module, ports, SartConfig(partition_by_fub=False, loop_pavf=0.3)).node_avfs
+        run_sart(netlist.module, ports, SartConfig(loop_pavf=0.3)).node_avfs
     )
     avg_cons = average_seq_avf(
-        run_sart(netlist.module, ports, SartConfig(partition_by_fub=False, loop_pavf=1.0)).node_avfs
+        run_sart(netlist.module, ports, SartConfig(loop_pavf=1.0)).node_avfs
     )
     avg_meas = average_seq_avf(
         run_sart(netlist.module, ports,
-                 SartConfig(partition_by_fub=False, loop_pavf_per_net=rates)).node_avfs
+                 SartConfig(loop_pavf_per_net=rates)).node_avfs
     )
     # The fully conservative static value bounds SFI from above; the
     # measured rates produce the tightest (lowest) estimate. On a

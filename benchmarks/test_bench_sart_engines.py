@@ -187,12 +187,12 @@ def test_bench_batched_workload_sweep(scale2_setup, bench_sart_json):
     graph, ports = scale2_setup
     plan = build_plan(graph, ports)
     values = [i / 15 for i in range(16)]
-    base_cfg = SartConfig(partition_by_fub=False)
+    base_cfg = SartConfig()
 
     def _looped():
         reports = []
         for value in values:
-            cfg = SartConfig(partition_by_fub=False, loop_pavf=value)
+            cfg = SartConfig(loop_pavf=value)
             reports.append(run_sart(plan=plan, config=cfg).report)
         return reports
 

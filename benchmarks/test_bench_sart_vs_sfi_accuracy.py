@@ -41,7 +41,7 @@ def data():
     golden = run_gate_level(words, dmem, netlist=netlist)
     ports, _, _ = tinycore_structure_ports(PROGRAM, words, dmem, gate_cycles=golden.cycles)
     sart = run_sart(netlist.module, ports,
-                    SartConfig(partition_by_fub=False, loop_pavf=TINYCORE_LOOP_PAVF))
+                    SartConfig(loop_pavf=TINYCORE_LOOP_PAVF))
     graph = extract_graph(netlist.module)
     seqs = graph.seq_nets()
     sample = seqs[:: max(1, len(seqs) // 40)][:40]

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from conftest import print_table
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
 
 SCALES = (0.25, 0.5, 1.0, 2.0)
@@ -28,8 +28,7 @@ def test_bench_scaling(benchmark, model_ports):
             design = build_bigcore(BigcoreConfig(scale=scale, seed=42))
             mapped = map_structure_ports(design, ports)
             started = time.perf_counter()
-            result = run_sart(design.module, mapped,
-                              SartConfig(partition_by_fub=True, iterations=20))
+            result = run_sart(design.module, mapped)
             elapsed = time.perf_counter() - started
             rows.append((scale, len(design.module.instances),
                          int(result.stats["sequentials"]), elapsed,
@@ -38,7 +37,7 @@ def test_bench_scaling(benchmark, model_ports):
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_table(
-        "SART wall time vs design scale (partitioned, 20-iteration budget)",
+        "SART wall time vs design scale (default solve)",
         ["scale", "instances", "sequentials", "seconds", "avg seq AVF"],
         [list(r) for r in rows],
     )

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import print_table
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
@@ -40,7 +40,7 @@ def setup():
 
 def test_bench_sart_single_run(benchmark, setup):
     words, dmem, netlist, golden, ports = setup
-    result = benchmark(lambda: run_sart(netlist.module, ports, SartConfig(partition_by_fub=False)))
+    result = benchmark(lambda: run_sart(netlist.module, ports))
     assert result.stats["sequentials"] == 233
 
 
@@ -49,7 +49,7 @@ def test_bench_speed_ratio(setup):
     seqs = extract_graph(netlist.module).seq_nets()
 
     started = time.perf_counter()
-    sart = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    sart = run_sart(netlist.module, ports)
     sart_seconds = time.perf_counter() - started
 
     # SFI over a 12-node sample, then extrapolate to all nodes.
@@ -83,8 +83,7 @@ def test_bench_speed_scales_with_design(bigcore_design, bigcore_ports):
     """SART wall time on the 7.8k-flop bigcore stays in seconds; SFI's
     simulation count would scale as nodes x cycles x workloads."""
     started = time.perf_counter()
-    result = run_sart(bigcore_design.module, bigcore_ports,
-                      SartConfig(partition_by_fub=True, iterations=20))
+    result = run_sart(bigcore_design.module, bigcore_ports)
     elapsed = time.perf_counter() - started
     seqs = int(result.stats["sequentials"])
     print(f"\nbigcore: {seqs} sequentials resolved in {elapsed:.2f}s "

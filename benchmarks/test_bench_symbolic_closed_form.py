@@ -23,7 +23,7 @@ from repro.core.sart import SartConfig, run_sart
 from repro.designs.bigcore import map_structure_ports
 from repro.workloads import suite_by_class
 
-CFG = SartConfig(partition_by_fub=False)
+CFG = SartConfig()
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, run_sart
 from repro.netlist.builder import ModuleBuilder
 
-CFG = SartConfig(partition_by_fub=False)
+CFG = SartConfig()
 
 
 def _structs(**kv):
@@ -99,7 +99,7 @@ def test_bench_rules_conservative_vs_sfi(benchmark):
     netlist = build_tinycore(words, dmem)
     golden = run_gate_level(words, dmem, netlist=netlist)
     ports, _, _ = tinycore_structure_ports(name, words, dmem, gate_cycles=golden.cycles)
-    sart = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False, loop_pavf=1.0))
+    sart = run_sart(netlist.module, ports, SartConfig(loop_pavf=1.0))
 
     graph = extract_graph(netlist.module)
     # Non-loop pipeline flops only: the pure Table 1 regime.

@@ -13,7 +13,7 @@ Run:  python examples/closed_form_workloads.py
 
 import time
 
-from repro import SartConfig, run_sart
+from repro import run_sart
 from repro.ace.portavf import suite_ports
 from repro.core.report import average_seq_avf
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
@@ -27,7 +27,7 @@ def main():
     mapped = map_structure_ports(design, base_ports)
 
     started = time.perf_counter()
-    base = run_sart(design.module, mapped, SartConfig(partition_by_fub=False))
+    base = run_sart(design.module, mapped)
     walk_seconds = time.perf_counter() - started
     closed = base.closed_form()
     print(f"baseline walk: {walk_seconds:.2f}s, "

@@ -31,7 +31,7 @@ def main(scale: float = 0.5):
     for i in range(11):
         value = i / 10
         result = run_sart(design.module, ports,
-                          SartConfig(loop_pavf=value, partition_by_fub=False))
+                          SartConfig(loop_pavf=value))
         points.append((value, result.report.weighted_seq_avf))
         loops = int(result.stats["loop_bits"])
 

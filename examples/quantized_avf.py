@@ -12,7 +12,7 @@ visibly track the phases.
 Run:  python examples/quantized_avf.py
 """
 
-from repro import SartConfig, run_sart
+from repro import run_sart
 from repro.ace.portavf import ports_from_analysis
 from repro.ace.quantized import quantized_seq_avf, run_windowed
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
@@ -46,7 +46,7 @@ def main():
 
     # One SART walk at whole-run pAVFs; the windows plug into its equations.
     whole_run = map_structure_ports(design, ports_from_analysis(structures))
-    result = run_sart(design.module, whole_run, SartConfig(partition_by_fub=False))
+    result = run_sart(design.module, whole_run)
     closed = result.closed_form()
     tables = [map_structure_ports(design, t) for t in windows]
     series = quantized_seq_avf(closed, tables)

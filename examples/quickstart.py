@@ -7,7 +7,7 @@ equation.
 Run:  python examples/quickstart.py
 """
 
-from repro import SartConfig, StructurePorts, run_sart
+from repro import StructurePorts, run_sart
 from repro.netlist.builder import ModuleBuilder
 
 
@@ -42,7 +42,7 @@ def main():
         "S3": StructurePorts("S3", pavf_r=0.0, pavf_w=0.05, avf=0.30),
         "S4": StructurePorts("S4", pavf_r=0.0, pavf_w=0.40, avf=0.30),
     }
-    result = run_sart(module, structures, SartConfig(partition_by_fub=False))
+    result = run_sart(module, structures)
 
     print("node   forward  backward  AVF=MIN  closed form")
     closed = result.closed_form()

@@ -31,25 +31,22 @@ if TYPE_CHECKING:  # avoid a circular import at runtime (machine uses ace)
 
 
 def ports_from_analysis(
-    structures: Mapping[str, StructureAvf], *, bitwise: bool = True
+    structures: Mapping[str, StructureAvf],
 ) -> dict[str, StructurePorts]:
     """Convert ACE counters to structure port AVFs.
 
-    ``bitwise=True`` applies the bit-field refinement (each ACE event
-    weighted by the fraction of entry bits that were ACE); ``False`` uses
-    the plain event rates.
+    The port AVFs carry the bit-field refinement (each ACE event weighted
+    by the fraction of entry bits that were ACE); the plain event rates
+    are ``StructureAvf.pavf_r()``/``pavf_w()``.
     """
-    out: dict[str, StructurePorts] = {}
-    for name, stats in structures.items():
-        if bitwise:
-            r, w = stats.pavf_r_bitwise(), stats.pavf_w_bitwise()
-        else:
-            r, w = stats.pavf_r(), stats.pavf_w()
-        out[name] = StructurePorts(
-            name=name, pavf_r=r, pavf_w=w, avf=stats.avf(),
+    return {
+        name: StructurePorts(
+            name=name, pavf_r=stats.pavf_r_bitwise(),
+            pavf_w=stats.pavf_w_bitwise(), avf=stats.avf(),
             deadlines=stats.deadline_summary(),
         )
-    return out
+        for name, stats in structures.items()
+    }
 
 
 def average_ports(

@@ -102,11 +102,7 @@ def _store_from_args(args):
 
 
 def _sart_spec(args) -> SartSpec:
-    return SartSpec(
-        loop_pavf=args.loop_pavf,
-        iterations=args.iterations,
-        monolithic=args.monolithic,
-    )
+    return SartSpec(loop_pavf=args.loop_pavf)
 
 
 def _workloads_spec(args) -> WorkloadsSpec:
@@ -453,8 +449,10 @@ def cmd_verify(args) -> int:
     )
 
     if args.list_oracles:
-        for oracle in default_oracles():
-            print(f"{oracle.name:18s} [{oracle.scope}]")
+        oracles = default_oracles()
+        width = max(len(oracle.name) for oracle in oracles)
+        for oracle in oracles:
+            print(f"{oracle.name:{width}s}  [{oracle.scope}]")
         return 0
 
     options = VerifyOptions(
@@ -554,10 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--loop-pavf", type=float, default=0.3,
                        help="injected loop-boundary pAVF (paper: 0.3)")
-        p.add_argument("--iterations", type=int, default=20,
-                       help="relaxation iteration budget (paper: 20)")
-        p.add_argument("--monolithic", action="store_true",
-                       help="solve the whole graph at once instead of per FUB")
         p.add_argument("--export-csv", metavar="PATH",
                        help="write per-node AVFs as CSV")
         p.add_argument("--export-fubs", metavar="PATH",

@@ -22,11 +22,11 @@ A :class:`SolvePlan` bundles all of that and is reusable across many
 :class:`~repro.core.pavf.PavfEnv` bindings: monolithic solves are purely
 structural, so their set-id vectors are cached and a new environment (a
 Figure 8 sweep point, a ``loop_pavf_per_net`` study) is a re-evaluation,
-not a re-solve. Partitioned relaxation re-runs per-FUB kernels against the
-cached schedules, in the calling process, re-solving only FUBs whose
-imported boundary values changed in the previous merge; its first sweep,
-every FUB against TOP boundaries, is structural too and cached the same
-way.
+not a re-solve. The partitioned relaxation (:func:`relax_compiled`)
+re-runs per-FUB kernels against the cached schedules, re-solving only
+FUBs whose imported boundary sets changed in the previous merge; it
+lands on the monolithic fixpoint and serves the ECO warm start and the
+convergence study.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
@@ -277,7 +277,6 @@ class SolvePlan:
         # Caches (dropped when the plan is pickled into the artifact store).
         self._union_memo: dict[tuple[int, ...], int] = {}
         self._mono_cache: dict[str, tuple[list[int], list[int]]] = {}
-        self._sweep_cache: dict[str, tuple[list[int], list[int]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -508,16 +507,10 @@ class SolvePlan:
         state = self.__dict__.copy()
         # A pickled plan (the artifact store's copy) rebuilds its memo and
         # solve caches on demand; only the interner table itself must
-        # travel, because the fixed set ids reference it. The first-sweep
-        # cache is left out, so the pickle keeps the format-6 fields.
+        # travel, because the fixed set ids reference it.
         state["_union_memo"] = {}
         state["_mono_cache"] = {}
-        del state["_sweep_cache"]
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._sweep_cache = {}
 
     # ------------------------------------------------------------------
     # kernels
@@ -631,7 +624,9 @@ class SolvePlan:
 
         This cache is what turns the Figure 8 sweep into re-evaluations:
         every sweep point shares these exact annotation vectors and only
-        re-binds atom values.
+        re-binds atom values. Once they are cached no later solve of
+        this *dangling* mode reads the union memo, so the memo is
+        emptied; a later relaxation rebuilds what it needs.
         """
         cached = self._mono_cache.get(dangling)
         if cached is None:
@@ -640,26 +635,7 @@ class SolvePlan:
             b_out = [-1] * self.n
             self._backward_pass(self.border, None, None, b_out, dangling)
             cached = self._mono_cache[dangling] = (f_out, b_out)
-        return cached
-
-    def cold_sweep(
-        self, dangling: str = "unace"
-    ) -> tuple[list[int], list[int]]:
-        """A cold relaxation's first sweep; cached, never to be mutated.
-
-        Every FUB solves against TOP boundaries, so the sweep's set ids
-        depend on the plan and *dangling* alone, like the monolithic
-        sets; only the merge that follows reads the environment.
-        """
-        cached = self._sweep_cache.get(dangling)
-        if cached is None:
-            top = [_TOP_ID] * self.n
-            f_out = [-1] * self.n
-            b_out = [-1] * self.n
-            for f in range(self.n_fubs):
-                self._forward_pass(self.fub_forder[f], f, top, f_out)
-                self._backward_pass(self.fub_border[f], f, top, b_out, dangling)
-            cached = self._sweep_cache[dangling] = (f_out, b_out)
+            self._union_memo.clear()
         return cached
 
 
@@ -673,114 +649,87 @@ def relax_compiled(
     *,
     evaluator: SetEvaluator | None = None,
     iterations: int = 20,
-    tol: float = 1e-9,
     dangling: str = "unace",
     warm_start: WarmStart | None = None,
-) -> tuple[list[int], list[int], list[int], list[int], RelaxationTrace]:
+) -> tuple[list[int], list[int], RelaxationTrace]:
     """Jacobi relaxation across FUB partitions on the compiled kernels.
 
-    Matches the dict-based reference :func:`repro.verify.dataflow.relax`
-    iteration for iteration (same merges, same trace, same convergence
-    decision), except that a FUB is re-solved only when one of the
-    boundary values it imports changed in the previous merge: an
-    unchanged-input re-solve would reproduce its previous sets verbatim.
-    A cold run's first sweep comes from :meth:`SolvePlan.cold_sweep`,
-    computed once per plan.
+    Each iteration re-solves the dirty FUBs against the FUBIO boundary
+    entries, then merges: an export entry takes its exporter's new set
+    whenever the set id changed, and marks the FUBs importing it dirty
+    for the next iteration. The run has converged when no entry
+    changed; each entry then holds its exporter's final set, so the
+    node sets are the monolithic fixpoint (the system is acyclic once
+    the fixed nodes cut it, so that fixpoint is unique).
+    ``trace.max_delta`` records the largest value change of a merge.
+    The paper's budget is *iterations* = 20.
 
-    *warm_start* switches the relaxation to ECO mode: FUBIO boundary
-    entries are pre-seeded from a baseline's converged solution
-    (:class:`~repro.core.relaxation.WarmStart`) and the initial re-solve
-    set shrinks from every FUB to ``warm_start.dirty_fubs``. The seeds
-    are the *baseline's* fixpoint, which an edit may have moved in
-    either direction, so the merge accepts any boundary whose *value*
-    changed — increases included — while still rejecting equal-value
-    set churn, exactly as the cold MIN merge keeps the first set to
-    reach a value. The re-solve front then expands along the edit's
-    actual value influence and the run converges when values quiesce,
-    on the same ``tol`` a cold run uses.
+    A cold run starts from TOP boundaries with every FUB dirty.
+    *warm_start* (ECO mode) starts from a baseline's solution instead
+    (:class:`~repro.core.relaxation.WarmStart`) with only
+    ``warm_start.dirty_fubs`` dirty, so the re-solve front expands along
+    the edit's actual influence.
 
-    Returns the forward and backward node set ids, the converged FUBIO
-    tables as set-id vectors (TOP off ``plan.f_exports`` /
-    ``plan.b_exports``) and the trace. Later warm starts need the tables
-    verbatim: a boundary entry may hold an older set than the owner's
-    final output at the same value (the MIN merge keeps the first set to
-    reach a value), and replaying that tie history is what keeps warm
-    re-solves bit-identical.
+    Returns the forward and backward node set ids and the trace. On a
+    warm run the node ids of FUBs never re-solved stay -1: their sets
+    are the baseline's.
     """
     ev = evaluator or SetEvaluator(plan.interner, env)
     n, n_fubs = plan.n, plan.n_fubs
     f_bnd = [_TOP_ID] * n
     b_bnd = [_TOP_ID] * n
+    f_out = [-1] * n
+    b_out = [-1] * n
     trace = RelaxationTrace()
     warm = warm_start is not None
     if warm:
-        f_out = [-1] * n
-        b_out = [-1] * n
         dirty = _apply_warm_start(plan, warm_start, f_bnd, b_bnd)
         trace.warm = True
         trace.dirty_fubs = len(dirty)
         trace.warm_fubs = n_fubs - len(dirty)
     else:
-        # The first sweep solves every FUB, and the plan has it cached.
-        f_out, b_out = map(list, plan.cold_sweep(dangling))
         dirty = list(range(n_fubs))
     resolved: set[int] = set()
+    value = ev.value
+    merges = (
+        (plan.f_exports, f_out, f_bnd, plan.f_importers),
+        (plan.b_exports, b_out, b_bnd, plan.b_importers),
+    )
 
     for iteration in range(iterations):
         resolved.update(dirty)
-        if warm or iteration:  # a cold first sweep is already in the outputs
-            for f in dirty:
-                plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
-                plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
+        for f in dirty:
+            plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
+            plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
 
-        # FUBIO merge, marking the importers of every changed entry
-        # dirty for the next iteration. Cold runs apply the MIN rule
-        # (values only descend from TOP); warm runs accept any value
-        # *change* — seeds are a stale fixpoint, not a lower bound —
-        # but both keep the old set on equal-value ties, so the tie
-        # history matches a cold run. A cold boundary entry only ever
-        # leaves TOP on a strict value decrease, so any cold entry at
-        # the TOP value *is* TOP; a warm increase that saturates must
-        # therefore store TOP itself, not the computed set, to land on
-        # the same representation.
+        # FUBIO merge; an owner that never solved (-1) exports nothing new.
+        changed = False
         delta = 0.0
         next_dirty: set[int] = set()
-        value = ev.value
-        top_val = value(_TOP_ID)
-        for nid in plan.f_exports:
-            new = f_out[nid]
-            old = f_bnd[nid]
-            if new == old or new < 0:
-                continue
-            new_val, old_val = value(new), value(old)
-            if new_val < old_val or (warm and new_val > old_val):
-                f_bnd[nid] = _TOP_ID if new_val >= top_val else new
-                next_dirty.update(plan.f_importers.get(nid, ()))
-                if abs(old_val - new_val) > delta:
-                    delta = abs(old_val - new_val)
-        for nid in plan.b_exports:
-            new = b_out[nid]
-            old = b_bnd[nid]
-            if new == old or new < 0:
-                continue
-            new_val, old_val = value(new), value(old)
-            if new_val < old_val or (warm and new_val > old_val):
-                b_bnd[nid] = _TOP_ID if new_val >= top_val else new
-                next_dirty.update(plan.b_importers.get(nid, ()))
-                if abs(old_val - new_val) > delta:
-                    delta = abs(old_val - new_val)
+        for exports, out, bnd, importers in merges:
+            for nid in exports:
+                new = out[nid]
+                old = bnd[nid]
+                if new == old or new < 0:
+                    continue
+                bnd[nid] = new
+                changed = True
+                next_dirty.update(importers.get(nid, ()))
+                step = abs(value(old) - value(new))
+                if step > delta:
+                    delta = step
 
         trace.iterations = iteration + 1
         trace.max_delta.append(delta)
         _record_fub_averages_compiled(
             plan, f_out, b_out, ev, trace, dirty, repeat=not warm)
-        if delta <= tol:
+        if not changed:
             trace.converged = True
             break
         dirty = sorted(next_dirty)
     trace.resolved_fubs = len(resolved)
     trace.resolved_fub_ids = tuple(sorted(resolved))
-    return f_out, b_out, f_bnd, b_bnd, trace
+    return f_out, b_out, trace
 
 
 def _apply_warm_start(
@@ -792,7 +741,7 @@ def _apply_warm_start(
     """Seed the FUBIO boundaries from *warm*; return the initial dirty list.
 
     Seeds are name-keyed (plan node ids do not survive a rebuild): each
-    export of this plan takes the baseline's entry for its name, whose
+    export of this plan takes the baseline's set for its name, whose
     atoms are interned here; an export the baseline lacks belongs to a
     dirty FUB and is solved before any merge reads it.
     Node outputs stay unseeded (-1): the merge skips entries whose owner
@@ -802,8 +751,8 @@ def _apply_warm_start(
     whose whole point is to skip O(n) work.
     """
     base, carried = warm.baseline, {}
-    base.f_boundary.copy_into(plan, plan.f_exports, f_bnd, carried)
-    base.b_boundary.copy_into(plan, plan.b_exports, b_bnd, carried)
+    base.f_sets.copy_into(plan, plan.f_exports, f_bnd, carried)
+    base.b_sets.copy_into(plan, plan.b_exports, b_bnd, carried)
     return [f for f, fub in enumerate(plan.fub_names) if fub in warm.dirty_fubs]
 
 

@@ -63,8 +63,6 @@ def summary_json(result: SartResult) -> str:
         "elapsed_seconds": result.elapsed_seconds,
         "config": {
             "loop_pavf": result.config.loop_pavf,
-            "partition_by_fub": result.config.partition_by_fub,
-            "iterations": result.config.iterations,
         },
         "fubs": [
             {

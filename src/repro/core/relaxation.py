@@ -2,12 +2,12 @@
 
 The compiled engine (:func:`repro.core.compiled.relax_compiled`) solves
 the design one FUB at a time and iterates Jacobi style: each iteration
-re-solves every FUB against the FUBIO values merged at the end of the
-previous one, so a pAVF value crosses exactly one partition per
-iteration, as the paper notes. This module holds the record of such a
-run (:class:`RelaxationTrace`) and the seed state of an incremental one
-(:class:`WarmStart`). The dict-based reference relaxation the compiled
-engine is checked against lives in :mod:`repro.verify.dataflow`.
+re-solves the FUBs whose imported FUBIO sets changed in the merge at the
+end of the previous one, so a pAVF value crosses exactly one partition
+per iteration, as the paper notes. It converges on the monolithic
+fixpoint; :func:`repro.verify.reference.run_relaxation` checks that.
+This module holds the record of such a run (:class:`RelaxationTrace`)
+and the seed state of an incremental one (:class:`WarmStart`).
 """
 
 from __future__ import annotations
@@ -44,39 +44,31 @@ class RelaxationTrace:
 class WarmStart:
     """Seed state for an incremental (ECO) relaxation.
 
-    Carries the ``baseline`` result, a converged partitioned solve on
-    another plan, read by net name (node and set ids are plan-private
-    and do not survive a rebuild):
+    Carries the ``baseline`` result, a solve on another plan, read by
+    net name (node and set ids are plan-private and do not survive a
+    rebuild):
 
-    * its ``f_boundary``/``b_boundary`` — converged FUBIO boundary
-      entries — are the relaxation's seed, read for the new plan's
-      exports. They are kept apart from node values because the MIN
-      merge keeps the *first* set to reach a value: at convergence a
-      boundary entry may hold an older, equal-valued set than the
-      owner's final output, and bit-identical replay must preserve that
-      history.
-    * its ``f_sets``/``b_sets``/``node_avfs`` — converged per-node
-      annotation sets and resolved AVFs. The solver front end reuses
-      them for every FUB the re-solve never touched instead of
-      re-resolving the whole design.
+    * its ``f_sets``/``b_sets`` — per-node annotation sets — seed the
+      relaxation's FUBIO boundary entries for the new plan's exports; a
+      converged relaxation's boundary entries are its exporters' final
+      sets, so the baseline's node sets are all a seed needs;
+    * its ``node_avfs`` and those same sets are reused for every FUB the
+      re-solve never touches instead of re-resolving the whole design;
     * ``dirty_fubs`` — the FUBs the relaxation re-solves up front.
       Everything else starts converged and is only re-solved if a
       boundary merge dirties it.
 
     The *entire* baseline solution is seeded, including FUBs whose
-    values the edit may have changed, and ``dirty_fubs`` lists only the
-    structurally changed FUBs. Seeds are then *not* lower bounds (an
-    edit can raise values), so the relaxation switches its merge to
-    replace-on-set-change and converges on quiescence: a re-solved
-    export that differs from its seed — in either direction — replaces
-    it and dirties the importers, so the re-solve front expands along
-    the edit's *actual value influence* and stops where the solution
-    provably stopped changing. The underlying node system is acyclic
-    (fixed nodes cut every cycle), so its fixpoint is unique and
-    quiescence lands bit-identically on the cold answer while touching
-    only the influenced region — typically a tiny fraction of the
-    design, where any static reachability bound would re-solve most of
-    it.
+    values the edit may change, and ``dirty_fubs`` lists only the
+    structurally changed FUBs. A re-solved export whose set differs
+    from its seed replaces it and dirties its importers, so the
+    re-solve front expands along the edit's *actual influence* and
+    stops where the solution stopped changing. The underlying node
+    system is acyclic (fixed nodes cut every cycle), so its fixpoint is
+    unique and the converged run lands bit-identically on the cold
+    answer while touching only the influenced region — typically a tiny
+    fraction of the design, where any static reachability bound would
+    re-solve most of it.
     """
 
     dirty_fubs: frozenset[str]

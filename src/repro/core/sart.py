@@ -8,8 +8,9 @@ netlist (or a pre-extracted node graph):
 3. map ACE-structure bits onto RTL bits and build the annotated model,
 4. bind the ACE-model port AVFs plus the injected values into a
    :class:`~repro.core.pavf.PavfEnv`,
-5. propagate on the compiled engine (:mod:`repro.core.compiled`),
-   monolithically or per FUB with relaxation, and
+5. propagate on the compiled engine (:mod:`repro.core.compiled`):
+   one monolithic solve, or for an ECO re-solve a per-FUB relaxation
+   seeded from a baseline, and
 6. resolve ``AVF = MIN(forward, backward)`` per node and aggregate per FUB.
 
 Steps 1-3 are structural and live in a reusable
@@ -50,7 +51,7 @@ class SartConfig:
     """Knobs of the SART flow. Defaults follow the paper's choices.
 
     None of them is structural: one :class:`SolvePlan` serves every
-    config, and a new config is a new environment or solve schedule.
+    config, and a new config is a new environment.
     """
 
     # Injected static pAVF at loop boundaries (0.3 after the Fig. 8 sweep,
@@ -69,10 +70,6 @@ class SartConfig:
     boundary_in_pavf: float = 1.0
     boundary_out_pavf: float = 1.0
     boundary_overrides: dict[str, float] | None = None
-    # Partitioned relaxation (Section 5.2) vs one monolithic solve.
-    partition_by_fub: bool = True
-    iterations: int = 20
-    tol: float = 1e-9
     # "unace" resolves never-consumed nodes to AVF 0; "top" keeps 1.0.
     dangling: str = "unace"
 
@@ -167,14 +164,11 @@ class SartResult:
     f_sets: Mapping[str, frozenset[Atom]]
     b_sets: Mapping[str, frozenset[Atom]]
     config: SartConfig
+    # The relaxation's record; set on an ECO (warm-started) result and
+    # on repro.verify.reference.run_relaxation's.
     trace: RelaxationTrace | None = None
     elapsed_seconds: float = 0.0
     stats: dict[str, float] = field(default_factory=dict)
-    # Converged FUBIO boundary tables (partitioned runs only; TOP off
-    # the exports) — the extra state a later warm start must replay
-    # verbatim; see repro.core.relaxation.WarmStart.
-    f_boundary: SetMap | None = None
-    b_boundary: SetMap | None = None
     # The plan the result was solved on; None for the reference engines
     # (repro.verify.reference), which solve without one.
     plan: SolvePlan | None = None
@@ -222,9 +216,8 @@ def build_plan(
     The plan captures everything structural — graph extraction, loop
     breaking, control-register detection, FUB partitioning, topological
     order — so ``run_sart(plan=plan, config=...)`` with any
-    :class:`SartConfig` (loop/ctrl/const/boundary pAVFs, partitioning,
-    iterations) skips straight to propagation. Structures are captured
-    at build time.
+    :class:`SartConfig` (loop/ctrl/const/boundary pAVFs) skips straight
+    to propagation. Structures are captured at build time.
     """
     return SolvePlan.build(design, structures)
 
@@ -245,11 +238,13 @@ def run_sart(
     design and structures, so passing either with it is a
     :class:`~repro.errors.SartError`.
 
-    *warm_start* (ECO mode) seeds the partitioned relaxation from a
-    previous converged solution so only the dirty FUBs re-solve; build
-    one with :mod:`repro.pipeline.delta`. It needs FUB partitioning on a
+    Without *warm_start* the solve is the plan's cached monolithic
+    fixpoint. *warm_start* (ECO mode) seeds the partitioned relaxation
+    from a baseline solution so only the FUBs the edit influences
+    re-solve; build one with :mod:`repro.pipeline.delta`. It needs a
     multi-FUB design and raises :class:`~repro.errors.SartError`
-    otherwise.
+    otherwise. A warm start that does not converge within the
+    relaxation's budget warns and falls back to the monolithic solve.
     """
     config = config or SartConfig()
     started = time.perf_counter()
@@ -263,43 +258,34 @@ def run_sart(
             "run_sart takes a plan or a design with its structures, not "
             "both: the plan already carries its design and structures"
         )
-    graph = plan.graph
-    model = plan.model
-    env = build_env(model, config)
+    env = build_env(plan.model, config)
+    evaluator = SetEvaluator(plan.interner, env)
 
     trace: RelaxationTrace | None = None
-    f_boundary: SetMap | None = None
-    b_boundary: SetMap | None = None
-    partitioned = config.partition_by_fub and plan.n_fubs > 1
-    if warm_start is not None and not partitioned:
-        raise SartError(
-            "warm_start requires FUB partitioning and a multi-FUB design; "
-            "run cold instead"
-        )
-    evaluator = SetEvaluator(plan.interner, env)
-    if partitioned:
-        def relax(warm: WarmStart | None):
-            return relax_compiled(
-                plan, env, evaluator=evaluator, iterations=config.iterations,
-                tol=config.tol, dangling=config.dangling, warm_start=warm,
+    if warm_start is not None:
+        if plan.n_fubs < 2:
+            raise SartError(
+                "warm_start requires a multi-FUB design; run cold instead"
             )
-
-        f_ids, b_ids, f_bnd, b_bnd, trace = relax(warm_start)
-        if warm_start is not None and not trace.converged:
-            # A truncated warm trajectory is not comparable to a
-            # truncated cold one (different starting points), so restart
-            # cold to keep ECO output bit-identical with non-ECO runs.
+        f_ids, b_ids, trace = relax_compiled(
+            plan, env, evaluator=evaluator, dangling=config.dangling,
+            warm_start=warm_start,
+        )
+        if not trace.converged:
+            # A truncated warm trajectory is not the fixpoint; the cold
+            # solve keeps ECO output bit-identical with non-ECO runs.
             warnings.warn(
                 "warm start did not converge in "
-                f"{config.iterations} iterations; restarting cold",
+                f"{trace.iterations} iterations; restarting cold",
                 WarmStartDegradedWarning,
                 stacklevel=2,
             )
-            f_ids, b_ids, f_bnd, b_bnd, trace = relax(None)
-        f_boundary, b_boundary = SetMap(plan, f_bnd), SetMap(plan, b_bnd)
-    else:
+            trace = None
+    if trace is None:
         f_ids, b_ids = plan.solve_monolithic(config.dangling)
-    if warm_start is not None and trace.warm and trace.converged:
+        node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
+        f_sets, b_sets = SetMap(plan, f_ids), SetMap(plan, b_ids)
+    else:
         # Assemble the result from the baseline: only nodes of FUBs the
         # cascade actually re-solved need fresh resolution; everything
         # else is bit-identical to the seeded baseline by construction.
@@ -315,7 +301,7 @@ def run_sart(
         # figures) sums floats in the identical sequence. Untouched
         # nodes keep the baseline's sets, carried into this plan's maps.
         names, base = plan.names, warm_start.baseline
-        node_avfs: dict[str, NodeAvf] = {}
+        node_avfs = {}
         kept: list[int] = []
         for nid in range(plan.n):
             name = names[nid]
@@ -327,17 +313,35 @@ def run_sart(
         carried: dict[int, int] = {}
         f_sets = SetMap(plan, f_ids, (base.f_sets, kept, carried))
         b_sets = SetMap(plan, b_ids, (base.b_sets, kept, carried))
-    else:
-        node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
-        f_sets, b_sets = SetMap(plan, f_ids), SetMap(plan, b_ids)
+    return sart_result(plan, config, env, node_avfs, f_sets, b_sets,
+                       trace=trace, started=started)
 
+
+def sart_result(
+    plan: SolvePlan,
+    config: SartConfig,
+    env: PavfEnv,
+    node_avfs: dict[str, NodeAvf],
+    f_sets: SetMap,
+    b_sets: SetMap,
+    *,
+    trace: RelaxationTrace | None = None,
+    started: float,
+) -> SartResult:
+    """The :class:`SartResult` of a solve on *plan*: its per-FUB report
+    and run statistics around the resolved *node_avfs* and set maps.
+
+    *started* is the :func:`time.perf_counter` reading the solve began
+    at.
+    """
+    model = plan.model
     report = fub_report(
         node_avfs, loop_bits=len(model.loop_nets), ctrl_bits=len(model.ctrl_nets)
     )
     elapsed = time.perf_counter() - started
     stats = {
-        "nodes": float(len(graph)),
-        "sequentials": float(len(graph.seq_nets())),
+        "nodes": float(len(plan.graph)),
+        "sequentials": float(len(plan.graph.seq_nets())),
         "loop_bits": float(len(model.loop_nets)),
         "ctrl_bits": float(len(model.ctrl_nets)),
         "structure_bits": float(len(model.struct_nodes)),
@@ -359,7 +363,5 @@ def run_sart(
         trace=trace,
         elapsed_seconds=elapsed,
         stats=stats,
-        f_boundary=f_boundary,
-        b_boundary=b_boundary,
         plan=plan,
     )

@@ -213,7 +213,7 @@ def tinycore_structure_ports(
             dmem.write(addr, cyc, ace)
             mem_written[addr] = True
     structures = {s.stats.name: s.finish(cycles) for s in (rf, dmem)}
-    ports = ports_from_analysis(structures, bitwise=False)
+    ports = ports_from_analysis(structures)
 
     # Instruction ROM: read-only structure. pAVF_R = ACE fetch rate; its
     # own AVF approximated by the fraction of words fetched as ACE.

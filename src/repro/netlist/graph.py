@@ -198,13 +198,6 @@ class NetGraph:
     def const_nets(self) -> list[str]:
         return self._nets_of(NodeKind.CONST)
 
-    def nets_by_fub(self) -> dict[str, list[str]]:
-        """FUB name -> nets of nodes tagged with that FUB."""
-        by_fub: dict[str, list[str]] = {}
-        for net, fub in zip(self.names, self.fubs):
-            by_fub.setdefault(fub, []).append(net)
-        return by_fub
-
     def struct_tagged(self):
         """Yield ``(net, attrs)`` of SEQ nodes carrying a ``struct`` attr."""
         kinds, names = self.kinds, self.names

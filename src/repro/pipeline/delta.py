@@ -31,7 +31,7 @@ can actually observe it:
   marks only the structurally changed FUBs dirty. The relaxation then
   runs its replace-on-change merge (see
   :class:`~repro.core.relaxation.WarmStart`): the re-solve front expands
-  along the edit's *actual value influence* instead of the static
+  along the edit's *actual influence* instead of the static
   closure — which on designs like bigcore, whose FUBs form one connected
   dependency web, is the difference between re-solving one FUB and
   re-solving all of them. The converged result is bit-identical to a
@@ -329,19 +329,17 @@ def warm_start_from_result(
     :meth:`DesignDelta.touched`). The entire baseline solution is
     seeded — including FUBs the edit may influence — and only the
     touched FUBs enter the dirty set; the relaxation's replace-on-change
-    merge then expands the re-solve front along the edit's actual value
-    influence (see :class:`~repro.core.relaxation.WarmStart`). Returns
-    None when the baseline
-    has nothing safe to seed from: not a converged compiled partitioned
-    run, or no captured boundary tables. FUBs whose nodes the baseline
-    does not fully cover (added or renamed ones reaching this path) are
-    folded into the dirty set rather than trusted partially.
+    merge then expands the re-solve front along the edit's actual
+    influence (see :class:`~repro.core.relaxation.WarmStart`). Any
+    baseline solved on a plan seeds, from its ``f_sets``/``b_sets``.
+    Returns None when the baseline has nothing safe to seed from: no
+    plan (a reference engine's result), or a relaxation that did not
+    converge. FUBs whose nodes the baseline does not fully cover (added
+    or renamed ones reaching this path) are folded into the dirty set
+    rather than trusted partially.
     """
-    if (
-        baseline.trace is None
-        or not baseline.trace.converged
-        or baseline.f_boundary is None
-        or baseline.b_boundary is None
+    if baseline.plan is None or (
+        baseline.trace is not None and not baseline.trace.converged
     ):
         return None
     by_fub = _fub_node_names(plan)

@@ -102,11 +102,7 @@ class RunOutcome:
 
 def sart_config(spec: SartSpec) -> SartConfig:
     """The SartConfig a ``[sart]`` section describes."""
-    return SartConfig(
-        loop_pavf=spec.loop_pavf,
-        partition_by_fub=not spec.monolithic,
-        iterations=spec.iterations,
-    )
+    return SartConfig(loop_pavf=spec.loop_pavf)
 
 
 def resolve(ctx: PipelineContext, provider) -> DesignArtifact:
@@ -141,10 +137,9 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
     This is the one place that decides whether a solve warm-starts. The
     baseline design goes through the same design/plan/sart stages as any
     run (so a configured store serves its ACE suite and plan), then the
-    two compiled plans are diffed and the baseline's converged solution
-    seeds the main solve. Returns None — and the main solve runs cold —
-    when the eco path cannot apply (single-FUB design, or a baseline
-    without a converged partitioned solution).
+    two compiled plans are diffed and the baseline's solution seeds the
+    main solve. Returns None — and the main solve runs cold — on a
+    single-FUB design, which has no partition to re-solve.
     """
     from repro.pipeline import delta as delta_mod
 
@@ -159,12 +154,9 @@ def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig)
         ref_a=base_design.ref, ref_b=outcome.design.ref,
     )
     ctx.notify("eco:delta", delta=delta, baseline=base_design.ref)
-    warm = delta_mod.warm_start_from_result(
+    return delta_mod.warm_start_from_result(
         outcome.plan.plan, delta.touched, base_sart.result
     )
-    if warm is None:
-        ctx.notify("eco:skip", reason="baseline solution is not seedable")
-    return warm
 
 
 def _eco_check(ctx, outcome: RunOutcome, config: SartConfig) -> None:
@@ -254,7 +246,7 @@ def execute(
                   for i in range(points)]
         plan = outcome.plan.plan
         started = time.perf_counter()
-        batch = sweep_batched(plan, values, SartConfig(partition_by_fub=False))
+        batch = sweep_batched(plan, values, SartConfig())
         elapsed = time.perf_counter() - started
         ctx.notify(
             "sweep:batched", points=points, seconds=elapsed,

@@ -13,7 +13,6 @@ TOML example (``docs/ARCHITECTURE.md`` documents every key)::
 
     [sart]
     loop_pavf = 0.3
-    monolithic = true
 
     [sfi]
     injections = 100
@@ -67,8 +66,6 @@ class SartSpec(_Section):
     """SART environment knobs (``[sart]``)."""
 
     loop_pavf: float = 0.3
-    iterations: int = 20
-    monolithic: bool = False
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,9 @@ derating  design fingerprint + sart fingerprint (when a solve rode
 
 SART solves are *not* persisted. A solve on a cached plan skips the
 lowering, and a store keeps the plan it loaded resident, so later runs
-through that store solve on the same object. What such a solve reuses
-depends on its mode: a monolithic solve re-evaluates the plan's cached
-set vectors under its environment, while the default partitioned solve
-reuses the plan's cached first relaxation sweep and its union memo and
-re-runs the later sweeps, their merges, and the resolution.
+through that store solve on the same object: a cold solve re-evaluates
+the plan's cached monolithic set vectors under its environment, and only
+an ``[eco]`` re-solve runs the partitioned relaxation.
 """
 
 from __future__ import annotations
@@ -359,8 +357,7 @@ def stage_sart(
         "sart",
         plan.fingerprint,
         port_env.fingerprint if port_env is not None else None,
-        config.loop_pavf, config.iterations, config.partition_by_fub,
-        config.dangling,
+        config.loop_pavf, config.dangling,
     )
     outcome = SartOutcome(
         fingerprint=fp,

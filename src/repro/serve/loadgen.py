@@ -81,12 +81,10 @@ def _spec_for(index: int, total: int) -> dict:
     # Distinct fingerprints, shared design/golden/plan artifacts: only
     # the loop-boundary pAVF varies.
     pavf = round(index / max(1, total - 1), 4) if total > 1 else 0.5
-    return {"design": "tinycore:fib",
-            "sart": {"monolithic": True, "loop_pavf": pavf}}
+    return {"design": "tinycore:fib", "sart": {"loop_pavf": pavf}}
 
 
-DEDUP_SPEC = {"design": "tinycore:fib",
-              "sart": {"monolithic": True, "loop_pavf": 0.123456}}
+DEDUP_SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.123456}}
 
 
 def run_load(base_url: str, *, clients: int = 4, requests: int = 8,

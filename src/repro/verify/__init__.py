@@ -12,7 +12,9 @@ The reference solvers the cross-engine oracle and the equivalence tests
 compare the compiled engine against also live here: the dict-based
 fixpoint (:mod:`repro.verify.dataflow`) and the faithful walk engine
 (:mod:`repro.verify.walker`), run on a design by
-:func:`~repro.verify.reference.run_reference`.
+:func:`~repro.verify.reference.run_reference`, and the cold per-FUB
+relaxation the relaxation-fixpoint oracle checks,
+:func:`~repro.verify.reference.run_relaxation`.
 """
 
 from repro.verify.cases import (
@@ -42,7 +44,7 @@ from repro.verify.oracles import (
     default_oracles,
     oracles_by_name,
 )
-from repro.verify.reference import run_reference
+from repro.verify.reference import run_reference, run_relaxation
 from repro.verify.shrink import shrink
 
 __all__ = [
@@ -70,6 +72,7 @@ __all__ = [
     "random_spec",
     "replay",
     "run_reference",
+    "run_relaxation",
     "run_verify",
     "shrink",
     "update_corpus",

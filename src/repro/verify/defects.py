@@ -72,6 +72,17 @@ def _cross_engine_mutation(engine: str, result: SartResult) -> SartResult:
     return _replace_node(result, net, avf=nudged)
 
 
+def _relaxation_fixpoint_mutation(engine: str, result: SartResult) -> SartResult:
+    # The fault a merge by value makes: a boundary whose true set sums
+    # to 1.0 stays TOP, so a node behind it reads as unvisited.
+    if engine != "relaxed":
+        return result
+    net = _pick(result, lambda n: n.visited)
+    if net is None:
+        return result
+    return _replace_node(result, net, visited=False)
+
+
 def _range_mutation(engine: str, result: SartResult) -> SartResult:
     if engine != "compiled":
         return result
@@ -191,6 +202,12 @@ DEFECTS: dict[str, Defect] = {
             oracle="cross-engine",
             description="dataflow engine nudges one node AVF by 1e-6",
             mutate_sart=_cross_engine_mutation,
+        ),
+        Defect(
+            name="relaxation-fixpoint",
+            oracle="relaxation-fixpoint",
+            description="relaxed result leaves one visited node unvisited",
+            mutate_sart=_relaxation_fixpoint_mutation,
         ),
         Defect(
             name="range",

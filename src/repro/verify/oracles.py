@@ -34,7 +34,7 @@ from repro.core.report import average_seq_avf
 from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
 from repro.core.sart import SartConfig, SartResult, run_sart
 from repro.rtlsim.simulator import Simulator
-from repro.verify.reference import run_reference
+from repro.verify.reference import run_reference, run_relaxation
 from repro.verify.cases import (
     CircuitSpec,
     DesignCase,
@@ -77,19 +77,24 @@ class CaseContext:
         self.mutate = mutate
         self._cache: dict[tuple, SartResult] = {}
 
-    def sart(self, *, engine: str = "compiled", loop_pavf: float | None = None,
-             partition: bool = True) -> SartResult:
+    def sart(self, *, engine: str = "compiled",
+             loop_pavf: float | None = None) -> SartResult:
         """SART result of the case; *engine* ``"compiled"`` is the
-        production solver, ``"dataflow"``/``"walk"`` the references of
+        production solver, ``"relaxed"`` the cold per-FUB relaxation on
+        the compiled result's plan
+        (:func:`~repro.verify.reference.run_relaxation`), and
+        ``"dataflow"``/``"walk"`` the references of
         :func:`~repro.verify.reference.run_reference`."""
         loop = self.case.spec.loop_pavf if loop_pavf is None else loop_pavf
-        key = (engine, loop, partition)
+        key = (engine, loop)
         found = self._cache.get(key)
         if found is None:
-            config = SartConfig(loop_pavf=loop, partition_by_fub=partition)
+            config = SartConfig(loop_pavf=loop)
             case = self.case
             if engine == "compiled":
                 found = run_sart(case.module, case.structures, config)
+            elif engine == "relaxed":
+                found = run_relaxation(self.sart(loop_pavf=loop).plan, config)
             else:
                 found = run_reference(case.module, case.structures, config,
                                       engine=engine)
@@ -186,11 +191,7 @@ class CtrlPinnedOracle(Oracle):
 
 
 class CrossEngineOracle(Oracle):
-    """The compiled engine and the dataflow reference resolve identically (<= tol).
-
-    Both the monolithic fixpoint and the partitioned relaxation paths
-    are compared — they take different code routes through both engines.
-    """
+    """The compiled engine and the dataflow reference resolve identically (<= tol)."""
 
     name = "cross-engine"
 
@@ -198,26 +199,61 @@ class CrossEngineOracle(Oracle):
         self.tol = tol
 
     def check(self, case: DesignCase, ctx: CaseContext) -> list[Violation]:
+        compiled = ctx.sart(engine="compiled")
+        dataflow = ctx.sart(engine="dataflow")
+        if set(compiled.node_avfs) != set(dataflow.node_avfs):
+            return [Violation(self.name, case.describe(),
+                              "engines disagree on the node set")]
+        worst = None
+        for net, node in compiled.node_avfs.items():
+            delta = abs(node.avf - dataflow.node_avfs[net].avf)
+            if delta > self.tol and (worst is None or delta > worst[1]):
+                worst = (net, delta)
+        if worst is None:
+            return []
+        return [Violation(
+            self.name, case.describe(),
+            f"compiled vs dataflow diverge at {worst[0]} "
+            f"by {worst[1]:.3e} (tol {self.tol:.0e})")]
+
+
+class RelaxationFixpointOracle(Oracle):
+    """The per-FUB relaxation lands on the monolithic fixpoint.
+
+    On the case's plan, the cold relaxation (paper Section 5.2) must
+    converge within its budget, and every ``NodeAvf`` (``visited``
+    included) and every forward and backward set id must equal the
+    monolithic solve's: the same sets, not sets of the same value.
+    """
+
+    name = "relaxation-fixpoint"
+
+    def check(self, case: DesignCase, ctx: CaseContext) -> list[Violation]:
+        mono = ctx.sart()
+        relaxed = ctx.sart(engine="relaxed")
         out = []
-        for partition in (False, True):
-            compiled = ctx.sart(engine="compiled", partition=partition)
-            dataflow = ctx.sart(engine="dataflow", partition=partition)
-            mode = "partitioned" if partition else "monolithic"
-            if set(compiled.node_avfs) != set(dataflow.node_avfs):
+        if not relaxed.trace.converged:
+            out.append(Violation(
+                self.name, case.describe(),
+                f"relaxation did not converge in "
+                f"{relaxed.trace.iterations} iterations"))
+        for net, node in mono.node_avfs.items():
+            if relaxed.node_avfs[net] != node:
                 out.append(Violation(
                     self.name, case.describe(),
-                    f"{mode}: engines disagree on the node set"))
-                continue
-            worst = None
-            for net, node in compiled.node_avfs.items():
-                delta = abs(node.avf - dataflow.node_avfs[net].avf)
-                if delta > self.tol and (worst is None or delta > worst[1]):
-                    worst = (net, delta)
-            if worst is not None:
-                out.append(Violation(
-                    self.name, case.describe(),
-                    f"{mode}: compiled vs dataflow diverge at {worst[0]} "
-                    f"by {worst[1]:.3e} (tol {self.tol:.0e})"))
+                    f"{net}: relaxed {relaxed.node_avfs[net]} differs from "
+                    f"monolithic {node}"))
+                break  # one witness is enough
+        names = mono.plan.names
+        for label, got, want in (("forward", relaxed.f_sets, mono.f_sets),
+                                 ("backward", relaxed.b_sets, mono.b_sets)):
+            for nid, (a, b) in enumerate(zip(got.ids, want.ids)):
+                if a != b:
+                    out.append(Violation(
+                        self.name, case.describe(),
+                        f"{names[nid]}: relaxed {label} set id {a} is not "
+                        f"the monolithic {b}"))
+                    break
         return out
 
 
@@ -569,6 +605,7 @@ def default_oracles() -> list[Oracle]:
         MinResolutionOracle(),
         CtrlPinnedOracle(),
         CrossEngineOracle(),
+        RelaxationFixpointOracle(),
         LoopMonotonicityOracle(),
         LaneIsolationOracle(),
         SfiConsistencyOracle(),

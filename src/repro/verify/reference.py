@@ -3,17 +3,21 @@
 SART itself has one solve path, the compiled engine of
 :mod:`repro.core.compiled`. Two older engines implement the same
 propagation semantics independently and stay only as references: the
-dict-based fixpoint (:mod:`repro.verify.dataflow`, monolithic or with
-its own partitioned relaxation) and the faithful walk engine
-(:mod:`repro.verify.walker`). :func:`run_reference` runs either of them
-through the rest of the paper's flow (graph extraction, the one front
-end :func:`~repro.core.graphmodel.build_model` with its loop breaking
-and control registers, environment, resolution, per-FUB report) and
-returns the same :class:`~repro.core.sart.SartResult` shape, so the
-cross-engine oracle, the equivalence tests and the ablation benchmarks
-compare propagation engines on one model. Its resolution phase is
-:func:`resolve`, the dict-keyed reference of
+dict-based fixpoint (:mod:`repro.verify.dataflow`) and the faithful walk
+engine (:mod:`repro.verify.walker`). :func:`run_reference` runs either
+of them monolithically through the rest of the paper's flow (graph
+extraction, the one front end :func:`~repro.core.graphmodel.build_model`
+with its loop breaking and control registers, environment, resolution,
+per-FUB report) and returns the same :class:`~repro.core.sart.SartResult`
+shape, so the cross-engine oracle, the equivalence tests and the
+ablation benchmarks compare propagation engines on one model. Its
+resolution phase is :func:`resolve`, the dict-keyed reference of
 :func:`repro.core.compiled.resolve_ids`.
+
+:func:`run_relaxation` runs the paper's per-FUB relaxation (Section 5.2)
+cold on a plan and resolves it like ``run_sart``: the relaxation-fixpoint
+oracle checks that it lands on the monolithic solve, and the convergence
+study and the ablation benchmarks read its trace.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Mapping
 
+from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
 from repro.core.graphmodel import AvfModel, StructurePorts, build_model
 from repro.core.pavf import CTRL, LOOP, TOP, Atom, PavfEnv, value_of
 from repro.core.report import fub_report
@@ -34,11 +39,11 @@ from repro.core.resolve import (
     ROLE_STRUCT,
     NodeAvf,
 )
-from repro.core.sart import SartConfig, SartResult, build_env
+from repro.core.sart import SartConfig, SartResult, SetMap, build_env, sart_result
 from repro.errors import SartError
 from repro.netlist.graph import NetGraph, NodeKind, extract_graph
 from repro.netlist.netlist import Module
-from repro.verify.dataflow import relax, solve_backward, solve_forward
+from repro.verify.dataflow import solve_backward, solve_forward
 from repro.verify.walker import WalkEngine, fill_unvisited
 
 DATAFLOW = "dataflow"
@@ -54,10 +59,9 @@ def run_reference(
 ) -> SartResult:
     """Run the SART flow on *design* with a reference engine.
 
-    *engine* is ``"dataflow"`` (partitioned relaxation when
-    ``config.partition_by_fub`` and the design has several FUBs, one
-    monolithic fixpoint otherwise) or ``"walk"`` (always monolithic; the
-    rounds of walks used are reported as ``stats["walker_rounds"]``).
+    *engine* is ``"dataflow"`` (one monolithic fixpoint) or ``"walk"``
+    (the rounds of walks used are reported as
+    ``stats["walker_rounds"]``).
     """
     if engine not in (DATAFLOW, WALK):
         raise SartError(f"unknown reference engine {engine!r}; "
@@ -68,22 +72,12 @@ def run_reference(
     model = build_model(graph, structures)
     env = build_env(model, config)
 
-    trace = None
     stats: dict[str, float] = {}
     if engine == WALK:
         walker = WalkEngine(model, env)
         f_sets = fill_unvisited(walker.run_forward(), graph.names)
         b_sets = fill_unvisited(walker.run_backward(), graph.names)
         stats["walker_rounds"] = float(walker.rounds_used)
-    elif config.partition_by_fub and len(graph.nets_by_fub()) > 1:
-        relaxed = relax(
-            model,
-            env,
-            iterations=config.iterations,
-            tol=config.tol,
-            dangling=config.dangling,
-        )
-        f_sets, b_sets, trace = relaxed.f_sets, relaxed.b_sets, relaxed.trace
     else:
         f_sets = solve_forward(model)
         b_sets = solve_backward(model, dangling=config.dangling)
@@ -100,10 +94,35 @@ def run_reference(
         f_sets=f_sets,
         b_sets=b_sets,
         config=config,
-        trace=trace,
         elapsed_seconds=time.perf_counter() - started,
         stats=stats,
     )
+
+
+def run_relaxation(
+    plan: SolvePlan,
+    config: SartConfig | None = None,
+    *,
+    iterations: int = 20,
+) -> SartResult:
+    """A cold per-FUB relaxation of *plan*, resolved into a SartResult.
+
+    Every FUB starts dirty against TOP boundaries and the run stops at
+    convergence or after *iterations* (the paper's 20); ``trace`` holds
+    its record. Converged, its sets and node AVFs are the monolithic
+    solve's (``run_sart(plan=plan, config=config)``).
+    """
+    started = time.perf_counter()
+    config = config or SartConfig()
+    env = build_env(plan.model, config)
+    evaluator = SetEvaluator(plan.interner, env)
+    f_ids, b_ids, trace = relax_compiled(
+        plan, env, evaluator=evaluator, iterations=iterations,
+        dangling=config.dangling,
+    )
+    node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
+    return sart_result(plan, config, env, node_avfs, SetMap(plan, f_ids),
+                       SetMap(plan, b_ids), trace=trace, started=started)
 
 
 def resolve(

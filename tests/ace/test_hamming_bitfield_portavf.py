@@ -112,10 +112,9 @@ class TestPortAvf:
 
     def test_bitwise_refinement_not_higher(self):
         res = self._result()
-        plain = ports_from_analysis(res.structures, bitwise=False)
-        refined = ports_from_analysis(res.structures, bitwise=True)
-        for name in plain:
-            assert refined[name].pavf_r <= plain[name].pavf_r + 1e-12
+        refined = ports_from_analysis(res.structures)
+        for name, stats in res.structures.items():
+            assert refined[name].pavf_r <= stats.pavf_r() + 1e-12
 
     def test_average_ports(self):
         a = {"s": StructurePorts("s", pavf_r=0.2, pavf_w=0.4, avf=0.1)}
@@ -145,6 +144,4 @@ class TestPortAvf:
     def test_dead_code_lowers_pavf(self):
         lively = self._result(dead_fraction=0.0)
         deadly = self._result(dead_fraction=0.6)
-        p_live = ports_from_analysis(lively.structures, bitwise=False)
-        p_dead = ports_from_analysis(deadly.structures, bitwise=False)
-        assert p_dead["rob"].pavf_r < p_live["rob"].pavf_r
+        assert deadly.structures["rob"].pavf_r() < lively.structures["rob"].pavf_r()

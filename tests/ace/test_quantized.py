@@ -78,7 +78,7 @@ def test_quantized_time_series_through_closed_form():
         "S": StructurePorts("S", pavf_r=0.5, pavf_w=0.0, avf=0.5),
         "K": StructurePorts("K", pavf_r=0.0, pavf_w=1.0, avf=0.5),
     }
-    result = run_sart(b.done(), base_ports, SartConfig(partition_by_fub=False))
+    result = run_sart(b.done(), base_ports)
     closed = result.closed_form()
 
     windows = [
@@ -112,7 +112,7 @@ def test_quantized_series_equals_per_window_solves():
                       for j in range(12)})
         return table
 
-    cfg = SartConfig(partition_by_fub=False)
+    cfg = SartConfig()
     closed = run_sart(module, ports(0), cfg).closed_form()
     windows = [ports(seed) for seed in range(1, 9)]
     assert quantized_seq_avf(closed, windows) == [

@@ -51,7 +51,7 @@ def _per_point_reports(plan):
     ctrl_bits = len(plan.model.ctrl_nets)
     for value in SWEEP:
         cfg = SartConfig(
-            partition_by_fub=False, loop_pavf=value
+            loop_pavf=value
         )
         result = run_sart(plan=plan, config=cfg)
         reports.append(
@@ -65,7 +65,7 @@ def _per_point_reports(plan):
 class TestSweepEquivalence:
     def test_reports_match_per_point_flow(self, plan):
         batched = sweep_batched(
-            plan, SWEEP, SartConfig(partition_by_fub=False)
+            plan, SWEEP, SartConfig()
         )
         expected = _per_point_reports(plan)
         assert batched.width == len(SWEEP)
@@ -76,18 +76,18 @@ class TestSweepEquivalence:
 
     def test_node_avfs_hook_matches_run_sart(self, plan):
         batched = sweep_batched(
-            plan, SWEEP, SartConfig(partition_by_fub=False)
+            plan, SWEEP, SartConfig()
         )
         for w, value in enumerate(SWEEP):
             cfg = SartConfig(
-                partition_by_fub=False, loop_pavf=value
+                loop_pavf=value
             )
             result = run_sart(plan=plan, config=cfg)
             assert batched.node_avfs(w) == result.node_avfs, value
 
     @needs_numpy
     def test_fallback_path_identical_to_numpy_path(self, plan):
-        cfg = SartConfig(partition_by_fub=False)
+        cfg = SartConfig()
         fast = sweep_batched(plan, SWEEP, cfg, use_numpy=True)
         slow = sweep_batched(plan, SWEEP, cfg, use_numpy=False)
         for w in range(len(SWEEP)):

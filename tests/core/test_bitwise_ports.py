@@ -6,7 +6,7 @@ from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, run_sart
 from repro.netlist.builder import ModuleBuilder
 
-CFG = SartConfig(partition_by_fub=False)
+CFG = SartConfig()
 
 
 def _vector_design(width=4):

@@ -1,9 +1,9 @@
 """Compiled propagation core: CSR kernels, SolvePlan reuse, relaxation.
 
 The compiled engine must be indistinguishable from the dict-based
-reference solver — same annotation sets monolithically, same per-node
-AVFs (within 1e-9) under partitioned relaxation, same relaxation trace —
-while being reusable across environments.
+reference solver — the same annotation sets and per-node AVFs, whether
+it solves monolithically or relaxes per FUB — while being reusable
+across environments.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.core.sart import SartConfig, SetMap, build_env, build_plan, run_sart
 from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
-from repro.verify.reference import run_reference
+from repro.verify.reference import run_reference, run_relaxation
 
 
 def _pipeline(n_fubs=4, stages_per_fub=3, fan=2):
@@ -78,9 +78,8 @@ def _assert_results_match(a, b, tol=1e-9):
 
 class TestEquivalence:
     def test_monolithic_sets_identical(self, tinycore_module):
-        cfg = dict(partition_by_fub=False)
-        a = run_reference(tinycore_module, config=SartConfig(**cfg))
-        b = run_sart(tinycore_module, config=SartConfig(**cfg))
+        a = run_reference(tinycore_module)
+        b = run_sart(tinycore_module)
         # Not just values: the interned annotation sets are the same sets.
         assert a.f_sets == b.f_sets
         assert a.b_sets == b.b_sets
@@ -88,52 +87,55 @@ class TestEquivalence:
 
     def test_partitioned_avfs_and_trace(self, tinycore_module):
         a = run_reference(tinycore_module)
-        b = run_sart(tinycore_module)
+        b = run_relaxation(build_plan(tinycore_module))
         _assert_results_match(a, b)
-        assert b.trace is not None
-        assert b.trace.iterations == a.trace.iterations
-        assert b.trace.converged == a.trace.converged
-        assert b.trace.max_delta == pytest.approx(a.trace.max_delta)
-        for fub, avgs in a.trace.fub_avg.items():
-            assert b.trace.fub_avg[fub] == pytest.approx(avgs)
+        assert b.f_sets == a.f_sets and b.b_sets == a.b_sets
+        trace = b.trace
+        assert trace.converged and trace.max_delta[-1] == 0.0
+        assert len(trace.max_delta) == trace.iterations
+        # Each FUB's last recorded average is the reference's average
+        # MIN(f, b) over its non-structure sequential nodes.
+        seq: dict[str, list[float]] = {}
+        for node in a.node_avfs.values():
+            if node.kind == "seq" and node.role != "struct":
+                seq.setdefault(node.fub, []).append(min(node.forward, node.backward))
+        for fub, avgs in trace.fub_avg.items():
+            assert len(avgs) == trace.iterations
+            vals = seq.get(fub, [])
+            want = sum(vals) / len(vals) if vals else 0.0
+            assert avgs[-1] == pytest.approx(want), fub
 
     def test_partitioned_bigcore_within_1e9(self, bigcore_half_graph):
         a = run_reference(bigcore_half_graph)
-        b = run_sart(bigcore_half_graph)
+        b = run_relaxation(build_plan(bigcore_half_graph))
         _assert_results_match(a, b, tol=1e-9)
 
     def test_walk_agreement_preserved(self):
         # dangling="top" removes the one refinement walks can't express.
         module = _pipeline()
-        cfg = dict(partition_by_fub=False, dangling="top")
-        w = run_reference(module, STRUCTS, SartConfig(**cfg), engine="walk")
-        c = run_sart(module, STRUCTS, SartConfig(**cfg))
+        cfg = SartConfig(dangling="top")
+        w = run_reference(module, STRUCTS, cfg, engine="walk")
+        c = run_sart(module, STRUCTS, cfg)
         for net, nw in w.node_avfs.items():
             assert c.node_avfs[net].avf == pytest.approx(nw.avf), net
 
 
+def _assert_relaxation_is_the_solve(plan):
+    mono = run_sart(plan=plan)
+    part = run_relaxation(plan)
+    assert part.trace.converged
+    # The same sets, not sets of the same value: visited follows.
+    assert part.node_avfs == mono.node_avfs
+    assert part.f_sets.ids == mono.f_sets.ids
+    assert part.b_sets.ids == mono.b_sets.ids
+
+
 class TestRelaxation:
     def test_partitioned_matches_monolithic_tinycore(self, tinycore_module):
-        mono = run_sart(
-            tinycore_module,
-            config=SartConfig(partition_by_fub=False),
-        )
-        part = run_sart(tinycore_module, config=SartConfig())
-        assert part.trace.converged
-        tol = part.config.tol
-        for net, nm in mono.node_avfs.items():
-            assert abs(part.node_avfs[net].avf - nm.avf) <= tol, net
+        _assert_relaxation_is_the_solve(build_plan(tinycore_module))
 
     def test_partitioned_matches_monolithic_bigcore(self, bigcore_half_graph):
-        mono = run_sart(
-            bigcore_half_graph,
-            config=SartConfig(partition_by_fub=False),
-        )
-        part = run_sart(bigcore_half_graph, config=SartConfig())
-        assert part.trace.converged
-        tol = part.config.tol
-        for net, nm in mono.node_avfs.items():
-            assert abs(part.node_avfs[net].avf - nm.avf) <= tol, net
+        _assert_relaxation_is_the_solve(build_plan(bigcore_half_graph))
 
 
 class TestSolvePlan:
@@ -162,10 +164,9 @@ class TestSolvePlan:
 
     def test_monolithic_reuse_is_cached(self, tinycore_module):
         plan = build_plan(tinycore_module)
-        cfg = dict(partition_by_fub=False)
-        run_sart(plan=plan, config=SartConfig(**cfg))
+        run_sart(plan=plan)
         sets_before = len(plan.interner)
-        run_sart(plan=plan, config=SartConfig(loop_pavf=0.7, **cfg))
+        run_sart(plan=plan, config=SartConfig(loop_pavf=0.7))
         # The second environment re-evaluated cached vectors: no new sets.
         assert len(plan.interner) == sets_before
 
@@ -175,9 +176,7 @@ class TestSolvePlan:
             loop_pavf=0.9,
             ctrl_pavf=0.5,
             const_pavf=0.2,
-            iterations=5,
             dangling="top",
-            partition_by_fub=False,
         )
         res = run_sart(plan=plan, config=cfg)
         assert 0.0 <= res.report.weighted_seq_avf <= 1.0

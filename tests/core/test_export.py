@@ -13,14 +13,14 @@ from repro.core.export import (
     summary_json,
     worst_nodes,
 )
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from tests.conftest import FIG7_STRUCTS, make_fig7
 
 
 @pytest.fixture(scope="module")
 def result():
     module, _ = make_fig7()
-    return run_sart(module, dict(FIG7_STRUCTS), SartConfig(partition_by_fub=False))
+    return run_sart(module, dict(FIG7_STRUCTS))
 
 
 def test_node_csv_complete(result):

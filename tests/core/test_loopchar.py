@@ -70,7 +70,7 @@ def test_per_net_overrides_flow_into_sart():
     structs = {"S": StructurePorts("S", pavf_r=0.0, pavf_w=1.0, avf=0.3)}
     res = run_sart(
         b.done(), structs,
-        SartConfig(partition_by_fub=False, loop_pavf=0.3,
+        SartConfig(loop_pavf=0.3,
                    loop_pavf_per_net={"state": 0.77}),
     )
     assert res.avf("state") == pytest.approx(0.77)

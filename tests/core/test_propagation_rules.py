@@ -13,7 +13,7 @@ from repro.netlist.builder import ModuleBuilder
 from repro.verify.reference import run_reference
 from tests.conftest import FIG7_STRUCTS, make_fig7, make_simple_pipe
 
-CFG = SartConfig(partition_by_fub=False)
+CFG = SartConfig()
 
 
 def _structs(**kv):
@@ -118,7 +118,7 @@ class TestFigure7:
     @pytest.fixture(params=["dataflow", "walk", "compiled"])
     def result(self, request):
         module, nets, structs = make_fig7()[0], make_fig7()[1], dict(FIG7_STRUCTS)
-        cfg = SartConfig(partition_by_fub=False)
+        cfg = SartConfig()
         if request.param == "compiled":
             return run_sart(module, structs, cfg), nets
         return run_reference(module, structs, cfg, engine=request.param), nets
@@ -153,7 +153,7 @@ class TestFigure7:
 
 def test_engines_agree_on_fig7():
     module, nets = make_fig7()
-    cfg = SartConfig(partition_by_fub=False)
+    cfg = SartConfig()
     a = run_reference(module, dict(FIG7_STRUCTS), cfg, engine="dataflow")
     module2, nets2 = make_fig7()
     b = run_reference(module2, dict(FIG7_STRUCTS), cfg, engine="walk")

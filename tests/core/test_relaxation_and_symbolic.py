@@ -5,11 +5,10 @@ import random
 import pytest
 
 from repro.core.graphmodel import StructurePorts
-from repro.core.sart import SartConfig, build_env, build_plan, run_sart
-from repro.core.graphmodel import build_model
+from repro.core.sart import build_plan, run_sart
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import extract_graph
-from repro.verify.dataflow import partition_by_fub, relax
+from repro.verify.reference import run_relaxation
 
 
 def _chain_of_fubs(n_fubs=4, stages_per_fub=2):
@@ -38,55 +37,46 @@ STRUCTS = {
 }
 
 
-def test_partition_by_fub_splits_and_finds_exports():
+def test_plan_partition_splits_and_finds_exports():
     module, fub_nets = _chain_of_fubs()
-    g = extract_graph(module)
-    model = build_model(g, STRUCTS)
-    part = partition_by_fub(model)
-    assert set(part.fubs) >= {"FUB0", "FUB1", "FUB2", "FUB3"}
+    plan = build_plan(module, STRUCTS)
+    assert set(plan.fub_names) >= {"FUB0", "FUB1", "FUB2", "FUB3"}
     # Each FUB boundary contributes one forward and one backward export.
-    assert len(part.forward_exports) >= 3
-    assert len(part.backward_exports) >= 3
+    assert len(plan.f_exports) >= 3
+    assert len(plan.b_exports) >= 3
 
 
 def test_relaxation_matches_monolithic():
     module, fub_nets = _chain_of_fubs()
-    mono = run_sart(module, STRUCTS, SartConfig(partition_by_fub=False))
-    part = run_sart(module, STRUCTS, SartConfig(partition_by_fub=True, iterations=20))
+    plan = build_plan(module, STRUCTS)
+    mono = run_sart(plan=plan)
+    part = run_relaxation(plan)
+    assert part.node_avfs == mono.node_avfs
     for nets in fub_nets.values():
         for net in nets:
-            assert part.avf(net) == pytest.approx(mono.avf(net)), net
             assert part.avf(net) == pytest.approx(0.1)  # min(0.3, 0.1)
 
 
 def test_value_crosses_one_partition_per_iteration():
     # "any walk can only cross one partition during each iteration"
     module, fub_nets = _chain_of_fubs(n_fubs=4)
-    g = extract_graph(module)
-    model = build_model(g, STRUCTS)
-    env = build_env(model, SartConfig())
+    plan = build_plan(module, STRUCTS)
     # After 1 iteration, FUB3 has not yet seen SRC's forward value: its
     # forward estimate is the conservative TOP (1.0).
-    one = relax(model, env, iterations=1)
-    from repro.core.pavf import value_of, TOP_SET
-
-    f3 = one.f_sets[fub_nets["FUB3"][0]]
-    assert value_of(f3, env) == 1.0
+    one = run_relaxation(plan, iterations=1)
+    assert one.node_avfs[fub_nets["FUB3"][0]].forward == 1.0
     # After enough iterations it has converged to 0.3.
-    full = relax(model, env, iterations=20)
-    f3 = full.f_sets[fub_nets["FUB3"][0]]
-    assert value_of(f3, env) == pytest.approx(0.3)
+    full = run_relaxation(plan)
+    assert full.node_avfs[fub_nets["FUB3"][0]].forward == pytest.approx(0.3)
     assert full.trace.converged
 
 
 def test_convergence_trace_monotone_flattening():
     module, _ = _chain_of_fubs(n_fubs=5)
-    res = run_sart(module, STRUCTS, SartConfig(partition_by_fub=True, iterations=20))
-    trace = res.trace
-    assert trace is not None
+    trace = run_relaxation(build_plan(module, STRUCTS)).trace
     assert trace.converged
-    # max delta shrinks to zero
-    assert trace.max_delta[-1] <= 1e-9
+    # the last merge changed nothing
+    assert trace.max_delta[-1] == 0.0
     # per-FUB averages are recorded for every iteration
     for series in trace.fub_avg.values():
         assert len(series) == trace.iterations
@@ -94,7 +84,7 @@ def test_convergence_trace_monotone_flattening():
 
 def test_iteration_budget_respected():
     module, _ = _chain_of_fubs(n_fubs=6)
-    res = run_sart(module, STRUCTS, SartConfig(partition_by_fub=True, iterations=2))
+    res = run_relaxation(build_plan(module, STRUCTS), iterations=2)
     assert res.trace.iterations == 2
     assert not res.trace.converged
 
@@ -102,7 +92,7 @@ def test_iteration_budget_respected():
 class TestClosedForm:
     def test_reevaluation_matches_full_run(self):
         module, fub_nets = _chain_of_fubs()
-        base = run_sart(module, STRUCTS, SartConfig(partition_by_fub=False))
+        base = run_sart(module, STRUCTS)
         cf = base.closed_form()
 
         new_structs = {
@@ -110,7 +100,7 @@ class TestClosedForm:
             "SNK": StructurePorts("SNK", pavf_r=0.0, pavf_w=0.9, avf=0.5),
         }
         module2, fub_nets2 = _chain_of_fubs()
-        fresh = run_sart(module2, new_structs, SartConfig(partition_by_fub=False))
+        fresh = run_sart(module2, new_structs)
         reevaluated = cf.evaluate(new_structs)
         assert reevaluated == fresh.node_avfs
         for nets in fub_nets.values():
@@ -119,7 +109,7 @@ class TestClosedForm:
 
     def test_equation_rendering(self, fig7):
         module, nets, structs = fig7
-        res = run_sart(module, structs, SartConfig(partition_by_fub=False))
+        res = run_sart(module, structs)
         cf = res.closed_form()
         eq = cf.equation_for(nets["g2"])
         assert "pR(S1.0) + pR(S2.0)" in eq
@@ -128,7 +118,7 @@ class TestClosedForm:
 
     def test_structure_avf_override(self, fig7):
         module, nets, structs = fig7
-        res = run_sart(module, structs, SartConfig(partition_by_fub=False))
+        res = run_sart(module, structs)
         cf = res.closed_form()
         new = dict(structs)
         new["S1"] = StructurePorts("S1", pavf_r=0.10, pavf_w=0.0, avf=0.77)
@@ -153,23 +143,63 @@ def small_bigcore():
     return graph, ports
 
 
+@pytest.fixture(scope="module")
+def half_bigcore_runs():
+    """Pipeline runs by (design ref, suite per class, length, eco), memoized."""
+    from functools import cache
+
+    from repro.pipeline import RunSpec, WorkloadsSpec, execute
+    from repro.pipeline.spec import EcoSpec
+
+    @cache
+    def run(ref, per_class, length, eco=False):
+        return execute(RunSpec(
+            design=ref, workloads=WorkloadsSpec(per_class=per_class, length=length),
+            eco=EcoSpec(baseline="bigcore@scale=0.5") if eco else None))
+
+    return run
+
+
 class TestClosedFormIsTheSolve:
     """A plug-in runs the solve's own resolution: equal, not approximately equal."""
 
-    @pytest.mark.parametrize("partitioned", [False, True])
-    def test_self_plug_in_equals_the_solve(self, small_bigcore, partitioned):
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_self_plug_in_equals_the_solve(self, small_bigcore, relaxed):
         graph, ports = small_bigcore
-        res = run_sart(graph, ports(1), SartConfig(partition_by_fub=partitioned))
+        plan = build_plan(graph, ports(1))
+        res = run_relaxation(plan) if relaxed else run_sart(plan=plan)
         assert res.closed_form().evaluate() == res.node_avfs
         assert res.closed_form().evaluate(ports(1)) == res.node_avfs
 
     def test_new_ports_plug_in_equals_a_fresh_solve(self, small_bigcore):
         graph, ports = small_bigcore
-        cfg = SartConfig(partition_by_fub=False)
-        closed = run_sart(graph, ports(1), cfg).closed_form()
+        closed = run_sart(graph, ports(1)).closed_form()
         for seed in (2, 3):
-            fresh = run_sart(graph, ports(seed), cfg)
+            fresh = run_sart(graph, ports(seed))
             assert closed.evaluate(ports(seed)) == fresh.node_avfs
+
+    @pytest.mark.parametrize("kind", ["default", "relaxed", "eco"])
+    def test_another_suites_ports_plug_in_equal_a_fresh_solve(
+            self, half_bigcore_runs, kind):
+        # bigcore@scale=0.5 solved under a 2x500 suite's ports, then
+        # evaluated under a 1x300 suite's: every record equals the
+        # fresh 1x300 solve, for the default (monolithic) result, a
+        # cold relaxation on its plan, and an [eco] warm result.
+        run = half_bigcore_runs
+        if kind == "eco":
+            base, fresh = run("bigcore@scale=0.5,edit=LSU", 2, 500, eco=True), \
+                run("bigcore@scale=0.5,edit=LSU", 1, 300)
+            assert base.sart.result.trace.warm
+        else:
+            base, fresh = run("bigcore@scale=0.5", 2, 500), \
+                run("bigcore@scale=0.5", 1, 300)
+        result = base.sart.result
+        if kind == "relaxed":
+            result = run_relaxation(base.plan.plan)
+        new_ports = fresh.plan.plan.model.structures
+        assert new_ports != result.plan.model.structures
+        assert result.closed_form().evaluate(new_ports) == \
+            fresh.sart.result.node_avfs
 
     def test_reference_results_have_no_closed_form(self):
         from repro.errors import SartError
@@ -182,7 +212,7 @@ class TestClosedFormIsTheSolve:
 
 def test_report_weighting(fig7):
     module, nets, structs = fig7
-    res = run_sart(module, structs, SartConfig(partition_by_fub=False))
+    res = run_sart(module, structs)
     rep = res.report
     # structure bits excluded from sequential aggregate
     assert rep.seq_count == 5  # q1a q2a q1b q3a q3b (structure bits excluded)

@@ -29,7 +29,7 @@ class TestLoops:
     def test_loop_node_gets_injected_value(self):
         module, state, _ = _loop_design()
         structs = {"SK": StructurePorts("SK", pavf_r=0.0, pavf_w=1.0, avf=0.3)}
-        res = run_sart(module, structs, SartConfig(loop_pavf=0.3, partition_by_fub=False))
+        res = run_sart(module, structs, SartConfig(loop_pavf=0.3))
         assert res.avf(state) == pytest.approx(0.3)
         assert res.node_avfs[state].role == "loop"
 
@@ -40,7 +40,7 @@ class TestLoops:
         module, state, pipeline = _loop_design()
         structs = {"SK": StructurePorts("SK", pavf_r=0.0, pavf_w=1.0, avf=0.3)}
         res = run_sart(
-            module, structs, SartConfig(loop_pavf=loop_pavf, partition_by_fub=False)
+            module, structs, SartConfig(loop_pavf=loop_pavf)
         )
         for net in pipeline:
             assert res.avf(net) == pytest.approx(loop_pavf)
@@ -56,7 +56,7 @@ class TestLoops:
         n = b.xor_("state", q)
         b.dff(n, q="state", name="fsm")
         structs = {"S": StructurePorts("S", pavf_r=1.0, pavf_w=0.0, avf=0.5)}
-        res = run_sart(module := b.done(), structs, SartConfig(loop_pavf=0.25, partition_by_fub=False))
+        res = run_sart(module := b.done(), structs, SartConfig(loop_pavf=0.25))
         assert res.node_avfs[q].backward == pytest.approx(0.25)
         assert res.avf(q) == pytest.approx(0.25)
 
@@ -69,7 +69,7 @@ class TestControlRegisters:
         q = b.dff(cfg, name="q")
         b.dff(q, name="snk", attrs={"struct": "SK", "bit": "0"})
         structs = {"SK": StructurePorts("SK", pavf_r=0.0, pavf_w=0.6, avf=0.2)}
-        res = run_sart(b.done(), structs, SartConfig(partition_by_fub=False))
+        res = run_sart(b.done(), structs)
         assert res.node_avfs[cfg].role == "ctrl"
         assert res.avf(cfg) == 1.0
         # downstream sees pAVF_R = 1.0 forward, 0.6 backward
@@ -83,7 +83,7 @@ class TestControlRegisters:
         stage = b.dff(src, name="stage")
         b.dff(stage, name="cfg_only_consumer")
         structs = {"S": StructurePorts("S", pavf_r=0.9, pavf_w=0.0, avf=0.5)}
-        res = run_sart(b.done(), structs, SartConfig(partition_by_fub=False))
+        res = run_sart(b.done(), structs)
         # stage's only consumer is the ctrl reg -> backward value is 0
         assert res.node_avfs[stage].backward == 0.0
         assert res.avf(stage) == 0.0
@@ -107,7 +107,7 @@ class TestMemoriesAsStructures:
     def test_mem_ports_source_and_sink(self):
         module, stage_in, stage_out = self._design()
         structs = {"RF": StructurePorts("RF", pavf_r=0.2, pavf_w=0.4, avf=0.35)}
-        res = run_sart(module, structs, SartConfig(partition_by_fub=False, boundary_out_pavf=1.0))
+        res = run_sart(module, structs, SartConfig(boundary_out_pavf=1.0))
         for net in stage_in:
             # backward: mem write-port bits carry pAVF_W = 0.4
             assert res.node_avfs[net].backward == pytest.approx(0.4)
@@ -119,7 +119,7 @@ class TestMemoriesAsStructures:
     def test_mem_rdata_reported_as_mem_role(self):
         module, _, _ = self._design()
         structs = {"RF": StructurePorts("RF", pavf_r=0.2, pavf_w=0.4, avf=0.35)}
-        res = run_sart(module, structs, SartConfig(partition_by_fub=False))
+        res = run_sart(module, structs)
         mem_nodes = [n for n in res.node_avfs.values() if n.role == "mem"]
         assert len(mem_nodes) == 4
 
@@ -135,7 +135,7 @@ class TestBoundaries:
             b.done(),
             None,
             SartConfig(
-                boundary_in_pavf=0.11, boundary_out_pavf=0.22, partition_by_fub=False
+                boundary_in_pavf=0.11, boundary_out_pavf=0.22
             ),
         )
         assert res.node_avfs[q].forward == pytest.approx(0.11)
@@ -150,9 +150,9 @@ class TestDangling:
         src = b.dff(tie, name="src", attrs={"struct": "S", "bit": "0"})
         dead = b.dff(src, name="dead")  # consumed by nothing
         structs = {"S": StructurePorts("S", pavf_r=1.0, pavf_w=0.0, avf=0.5)}
-        res = run_sart(b.done(), structs, SartConfig(partition_by_fub=False, dangling="unace"))
+        res = run_sart(b.done(), structs, SartConfig(dangling="unace"))
         assert res.avf(dead) == 0.0
-        res2 = run_sart(b.done(), structs, SartConfig(partition_by_fub=False, dangling="top"))
+        res2 = run_sart(b.done(), structs, SartConfig(dangling="top"))
         assert res2.avf(dead) == 1.0
 
 
@@ -179,7 +179,7 @@ class TestMapping:
 def test_stats_and_coverage():
     module, _, _ = _loop_design()
     structs = {"SK": StructurePorts("SK", pavf_r=0.0, pavf_w=1.0, avf=0.3)}
-    res = run_sart(module, structs, SartConfig(partition_by_fub=False))
+    res = run_sart(module, structs)
     assert res.stats["sequentials"] == 4  # fsm, q1, q2, sink
     assert res.stats["loop_bits"] == 1
     assert res.report.visited_fraction > 0.9
@@ -198,7 +198,6 @@ class TestBoundaryOverrides:
         res = run_sart(
             b.done(), None,
             SartConfig(
-                partition_by_fub=False,
                 boundary_in_pavf=1.0,
                 boundary_overrides={"bus_in": 0.15, "y": 0.5},
             ),

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graphmodel import StructurePorts
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import SartConfig, build_plan, run_sart
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.netlist import Module
-from repro.verify.reference import run_reference
+from repro.verify.reference import run_reference, run_relaxation
 
 
 def _random_design(seed: int, n_structs: int = 3, n_flops: int = 25) -> tuple[Module, list[str]]:
@@ -68,7 +68,7 @@ def _ports(seed: int, n_structs: int = 3) -> dict[str, StructurePorts]:
     return out
 
 
-CFG = SartConfig(partition_by_fub=False)
+CFG = SartConfig()
 
 
 @settings(max_examples=25)
@@ -111,10 +111,10 @@ def test_monotone_in_port_avfs(design_seed, port_seed):
 def test_engines_agree_on_random_designs(design_seed, port_seed):
     module, _ = _random_design(design_seed)
     df = run_sart(module, _ports(port_seed),
-                  SartConfig(partition_by_fub=False, dangling="top"))
+                  SartConfig(dangling="top"))
     module2, _ = _random_design(design_seed)
     wk = run_reference(module2, _ports(port_seed),
-                       SartConfig(partition_by_fub=False), engine="walk")
+                       SartConfig(), engine="walk")
     for net in df.node_avfs:
         assert df.avf(net) == pytest.approx(wk.avf(net)), net
 
@@ -136,12 +136,13 @@ def test_closed_form_matches_fresh_run(design_seed, port_seed, new_seed):
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_partitioned_converges_to_monolithic(design_seed, port_seed):
     module, _ = _random_design(design_seed)
-    mono = run_sart(module, _ports(port_seed), CFG)
-    module2, _ = _random_design(design_seed)
-    part = run_sart(module2, _ports(port_seed),
-                    SartConfig(partition_by_fub=True, iterations=30))
-    for net in mono.node_avfs:
-        assert part.avf(net) == pytest.approx(mono.avf(net), abs=0.02), net
+    plan = build_plan(module, _ports(port_seed))
+    part = run_relaxation(plan)
+    assert part.trace.converged
+    mono = run_sart(plan=plan, config=CFG)
+    assert part.node_avfs == mono.node_avfs
+    assert part.f_sets.ids == mono.f_sets.ids
+    assert part.b_sets.ids == mono.b_sets.ids
 
 
 def _scalar(v):

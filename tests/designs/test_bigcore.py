@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.graphmodel import StructurePorts
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import build_plan, run_sart
 from repro.designs.bigcore import BigcoreConfig, build_bigcore, map_structure_ports
 from repro.designs.bigcore.core import _TEMPLATES, structure_kinds
 from repro.designs.bigcore.mapping import JITTER
 from repro.errors import MappingError
 from repro.netlist.graph import extract_graph
 from repro.netlist.validate import validate_module
+from repro.verify.reference import run_relaxation
 
 SMALL = BigcoreConfig(scale=0.15, fub_count=5, seed=3)
 
@@ -55,7 +56,7 @@ def test_inventory(small):
     assert len(small.fubs) == 5
     assert small.array_names()
     g = extract_graph(small.module)
-    fubs = set(g.nets_by_fub())
+    fubs = set(g.fubs)
     assert {"IFU", "BPU", "IDU", "RAT", "RSV"} <= fubs
 
 
@@ -97,8 +98,9 @@ def test_mapping_missing_kind(small):
 
 def test_sart_runs_on_bigcore(small):
     ports = map_structure_ports(small, _fake_model_ports())
-    res = run_sart(small.module, ports, SartConfig(partition_by_fub=True, iterations=20))
-    assert res.trace is not None and res.trace.converged
+    plan = build_plan(small.module, ports)
+    res = run_sart(plan=plan)
+    assert run_relaxation(plan).trace.converged
     assert res.report.visited_fraction > 0.93
     # loop fraction matches the paper's few-percent regime
     frac = res.stats["loop_bits"] / res.stats["sequentials"]
@@ -110,10 +112,10 @@ def test_sart_runs_on_bigcore(small):
 
 def test_partitioned_equals_monolithic(small):
     ports = map_structure_ports(small, _fake_model_ports())
-    mono = run_sart(small.module, ports, SartConfig(partition_by_fub=False))
-    part = run_sart(small.module, ports, SartConfig(partition_by_fub=True, iterations=30))
-    worst = max(abs(mono.avf(n) - part.avf(n)) for n in mono.node_avfs)
-    assert worst < 0.02
+    plan = build_plan(small.module, ports)
+    part = run_relaxation(plan)
+    assert part.trace.converged
+    assert part.node_avfs == run_sart(plan=plan).node_avfs
 
 
 def _scalar(v):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import build_plan, run_sart
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.designs.tinycore.programs import default_dmem, program
 from repro.netlist.graph import extract_graph
+from repro.verify.reference import run_relaxation
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def test_port_values_sane(lattice):
 
 def test_sart_on_tinycore(lattice):
     netlist, _, ports, _ = lattice
-    res = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    res = run_sart(netlist.module, ports)
     assert res.stats["sequentials"] == 233
     assert res.report.visited_fraction > 0.95
     # Every resolved AVF is a probability.
@@ -52,7 +53,7 @@ def test_sart_on_tinycore(lattice):
 
 def test_loops_are_the_pipeline_control_web(lattice):
     netlist, _, ports, _ = lattice
-    res = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    res = run_sart(netlist.module, ports)
     loops = res.model.loop_nets
     # tinycore is loop-dominated (bypass/stall/PC SCC) — the documented
     # contrast with the paper's 2-3 % design.
@@ -64,13 +65,10 @@ def test_loops_are_the_pipeline_control_web(lattice):
 
 def test_fub_partitioned_matches_monolithic(lattice):
     netlist, _, ports, _ = lattice
-    mono = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
-    part = run_sart(netlist.module, ports, SartConfig(partition_by_fub=True, iterations=30))
-    diffs = [
-        abs(mono.avf(n) - part.avf(n))
-        for n in mono.node_avfs
-    ]
-    assert max(diffs) < 0.02
+    plan = build_plan(netlist.module, ports)
+    part = run_relaxation(plan)
+    assert part.trace.converged
+    assert part.node_avfs == run_sart(plan=plan).node_avfs
 
 
 def test_dead_store_path_has_zero_avf():
@@ -80,7 +78,7 @@ def test_dead_store_path_has_zero_avf():
     netlist = build_tinycore(words, dmem)
     golden = run_gate_level(words, dmem, netlist=netlist)
     ports, _, _ = tinycore_structure_ports("md5mix", words, dmem, gate_cycles=golden.cycles)
-    res = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    res = run_sart(netlist.module, ports)
     st_data = [
         net for net, node in res.model.graph.nodes.items()
         if (node.inst or "").startswith("me_st_data")

@@ -69,9 +69,8 @@ def test_fub_grouping():
     q = b.dff(x)
     b.dff(q, attrs={"fub": "B"})
     g = extract_graph(b.done())
-    by_fub = g.nets_by_fub()
-    assert q in by_fub["A"]
-    assert len(by_fub["B"]) == 1
+    assert g.fubs[g.ids[q]] == "A"
+    assert g.fubs.count("B") == 1
 
 
 def test_nonflat_module_rejected():

@@ -156,7 +156,7 @@ def test_plan_stored_under_format_2_is_a_miss(tmp_path, monkeypatch):
     from repro.core.compiled import PLAN_FORMAT
 
     assert STAGE_VERSIONS["plan"] == PLAN_FORMAT
-    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True))
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec())
     cache = tmp_path / "cache"
     with monkeypatch.context() as patch:
         patch.setitem(STAGE_VERSIONS, "plan", 2)
@@ -207,7 +207,7 @@ def test_store_written_with_dataclass_atoms_misses_cleanly(tmp_path, monkeypatch
     from repro.core.compiled import PLAN_FORMAT
 
     assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
-    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True),
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec(),
                    derating=DeratingSpec(), sfi=SfiSpec(injections=12, seed=1),
                    beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
                    campaign=CampaignSpec(lanes_per_pass=8))
@@ -267,7 +267,7 @@ def test_plan_pickled_under_format_5_misses_cleanly(tmp_path, monkeypatch):
     from repro.core.compiled import PLAN_FORMAT
 
     assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
-    spec = RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True))
+    spec = RunSpec(design="tinycore:fib", sart=SartSpec())
     cache = tmp_path / "cache"
     with monkeypatch.context() as patch:
         patch.setitem(STAGE_VERSIONS, "plan", 5)
@@ -305,7 +305,7 @@ def test_checkpoint_bypasses_campaign_cache(tmp_path):
 
 
 @pytest.mark.parametrize("spec, persisted", [
-    (RunSpec(design="tinycore:fib", sart=SartSpec(monolithic=True),
+    (RunSpec(design="tinycore:fib", sart=SartSpec(),
              sfi=SfiSpec(injections=12, seed=1),
              beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
              campaign=CampaignSpec(lanes_per_pass=8)),

@@ -6,13 +6,11 @@ the same design, while re-solving only the FUBs the edit can actually
 influence.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.graphmodel import StructurePorts
 from repro.core.relaxation import WarmStart
-from repro.core.sart import SartConfig, build_plan, run_sart
+from repro.core.sart import build_plan, run_sart
 from repro.pipeline.delta import (
     DesignDelta,
     diff_plans,
@@ -27,9 +25,6 @@ STRUCTS = {
     "SNK": StructurePorts("SNK", pavf_r=0.0, pavf_w=0.1, avf=0.5),
 }
 
-CFG = SartConfig(partition_by_fub=True, iterations=20)
-
-
 def _design(
     edit=None,
     value_edit=None,
@@ -43,9 +38,8 @@ def _design(
     *edit* inserts a double inverter (numerically neutral) inside the
     named FUB; *value_edit* mixes the raw input into the named FUB's
     datapath (changes downstream values); *rewire_b* feeds B straight
-    from the input (raises B's exports to the TOP value, exercising the
-    saturation rule of the optimistic merge); *ctrl_fub* places the
-    control register (a ``cfg``-named flop) in that FUB.
+    from the input (raises B's exports to the TOP value); *ctrl_fub*
+    places the control register (a ``cfg``-named flop) in that FUB.
     """
     from repro.netlist.builder import ModuleBuilder
 
@@ -87,9 +81,30 @@ def _plan(module):
     return build_plan(module, STRUCTS)
 
 
-def _solve(module, plan=None, warm_start=None, config=CFG):
-    return run_sart(plan=plan or _plan(module), config=config,
-                    warm_start=warm_start)
+def _long_chain(value_edit=False, n_fubs=24):
+    """A chain of *n_fubs* one-flop FUBs from SRC to SNK.
+
+    *value_edit* mixes the raw input into the first FUB, a change that
+    crosses one FUB boundary per relaxation iteration.
+    """
+    from repro.netlist.builder import ModuleBuilder
+
+    b = ModuleBuilder("long")
+    tie = b.input("tie_in")
+    cur = b.dff(tie, q="src_q", name="src",
+                attrs={"struct": "SRC", "bit": "0", "fub": "F0"})
+    for f in range(n_fubs):
+        cur = b.dff(cur, q=f"F{f}_q", name=f"F{f}_r", attrs={"fub": f"F{f}"})
+        if value_edit and f == 0:
+            cur = b.and_(cur, tie, out="F0_mix", name="F0_mixer",
+                         attrs={"fub": "F0"})
+    b.dff(cur, q="snk_q", name="snk",
+          attrs={"struct": "SNK", "bit": "0", "fub": f"F{n_fubs - 1}"})
+    return b.done()
+
+
+def _solve(module, plan=None, warm_start=None):
+    return run_sart(plan=plan or _plan(module), warm_start=warm_start)
 
 
 def _assert_identical(warm, cold):
@@ -227,15 +242,14 @@ class TestDiff:
 # ----------------------------------------------------------------------
 
 class TestWarmStartFromResult:
-    def _warm_vs_cold(self, base_module, target_module, config=CFG):
+    def _warm_vs_cold(self, base_module, target_module):
         plan_a, plan_b = _plan(base_module), _plan(target_module)
-        baseline = _solve(base_module, plan=plan_a, config=config)
+        baseline = _solve(base_module, plan=plan_a)
         delta = diff_plans(plan_a, plan_b)
         warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
         assert warm_start is not None
-        warm = _solve(target_module, plan=plan_b,
-                      warm_start=warm_start, config=config)
-        cold = _solve(target_module, plan=plan_b, config=config)
+        warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
+        cold = _solve(target_module, plan=plan_b)
         _assert_identical(warm, cold)
         return warm, cold
 
@@ -277,27 +291,32 @@ class TestWarmStartFromResult:
 
     def test_saturating_edit_is_bit_identical(self):
         # Rewiring B to the raw input raises its exports to the TOP
-        # value: the merge must re-saturate to the canonical TOP set,
-        # not keep an equal-valued computed set.
+        # value: the merge must take B's new sets, whatever their value.
         self._warm_vs_cold(_design(), _design(rewire_b=True))
 
     def test_refuses_non_converged_baseline(self):
-        tight = dataclasses.replace(CFG, iterations=1)
+        from repro.verify.reference import run_relaxation
+
         module = _design()
-        baseline = _solve(module, config=tight)
+        baseline = run_relaxation(_plan(module), iterations=1)
         assert not baseline.trace.converged
         assert warm_start_from_result(_plan(module), set(), baseline) is None
+        # Converged, the same relaxation seeds like the monolithic solve.
+        relaxed = run_relaxation(_plan(module))
+        assert warm_start_from_result(_plan(module), set(), relaxed) is not None
 
     def test_refuses_baseline_without_boundaries(self):
+        # A reference engine's result holds dict sets and no plan, so it
+        # has no boundary sets to seed a plan's exports with; any result
+        # solved on a plan (run_sart's monolithic one here) seeds.
+        from repro.verify.reference import run_reference
+
         module = _design()
-        baseline = _solve(module)
-        stripped = dataclasses.replace(baseline, f_boundary=None)
-        assert warm_start_from_result(_plan(module), set(), stripped) is None
-        mono = run_sart(
-            module, STRUCTS,
-            dataclasses.replace(CFG, partition_by_fub=False),
-        )
-        assert warm_start_from_result(_plan(module), set(), mono) is None
+        reference = run_reference(module, STRUCTS)
+        assert warm_start_from_result(_plan(module), set(), reference) is None
+        mono = _solve(module)
+        assert mono.trace is None
+        assert warm_start_from_result(_plan(module), set(), mono) is not None
 
     def test_uncovered_fub_is_folded_into_the_dirty_set(self):
         # D exists only in the target; the baseline has nothing to seed
@@ -316,19 +335,17 @@ class TestWarmStartFromResult:
     def test_non_convergent_warm_start_falls_back_cold(self):
         from repro.errors import WarmStartDegradedWarning
 
-        base_module, target_module = _design(), _design(value_edit="B")
+        base_module, target_module = _long_chain(), _long_chain(value_edit=True)
         plan_b = _plan(target_module)
         baseline = _solve(base_module)
         delta = diff_plans(_plan(base_module), plan_b)
         warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
-        # One iteration is not enough for the value change to propagate
-        # to quiescence: the optimistic run must not return a truncated
-        # warm trajectory, it restarts cold.
-        tight = dataclasses.replace(CFG, iterations=1)
+        assert warm_start.dirty_fubs <= {"", "F0", "F1"}
+        # The edit crosses one FUB boundary per iteration, so 24 FUBs
+        # do not settle in the budget of 20: the run must not return a
+        # truncated warm trajectory, it restarts cold.
         with pytest.warns(WarmStartDegradedWarning, match="restarting cold"):
-            warm = _solve(target_module, plan=plan_b,
-                          warm_start=warm_start, config=tight)
-        cold = _solve(target_module, plan=plan_b, config=tight)
-        assert warm.node_avfs == cold.node_avfs
-        assert not warm.trace.warm
+            warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
+        _assert_identical(warm, _solve(target_module, plan=plan_b))
+        assert warm.trace is None
 

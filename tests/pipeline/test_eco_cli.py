@@ -117,12 +117,19 @@ def test_eco_cli_writes_csv_exports(cache_dir, tmp_path, capsys):
     assert "LSU" in fub_rows
 
 
-def test_eco_cli_monolithic_falls_back_cold(cache_dir, capsys):
-    assert main(["eco", EDIT, "--baseline", BASE, "--monolithic",
-                 "--cache-dir", cache_dir] + WORKLOADS) == 0
+def test_eco_cli_monolithic_falls_back_cold(tmp_path, capsys):
+    # A one-FUB design has no partition to re-solve: its one solve is
+    # the monolithic one, so eco runs it cold.
+    from repro.netlist.exlif import write_exlif
+    from tests.conftest import make_fig7
+
+    path = tmp_path / "fig7.exlif"
+    path.write_text(write_exlif(make_fig7()[0]))
+    ref = f"exlif:{path}"
+    assert main(["eco", ref, "--baseline", ref]) == 0
     out = capsys.readouterr().out
-    assert "eco: falling back to a cold solve" in out
-    assert "avg AVF" in out or "fub" in out  # the report still prints
+    assert "eco: falling back to a cold solve (eco needs a multi-FUB plan)" in out
+    assert "WEIGHTED AVG" in out  # the report still prints
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_sweep_equivalence():
     for point in outcome.sweep:
         direct = run_sart(
             design.module, ports,
-            SartConfig(loop_pavf=point.value, partition_by_fub=False),
+            SartConfig(loop_pavf=point.value),
         )
         assert (point.result.report.weighted_seq_avf
                 == direct.report.weighted_seq_avf)

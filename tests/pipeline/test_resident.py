@@ -24,6 +24,8 @@ from repro.pipeline import (
     WorkloadsSpec,
     execute,
 )
+from repro.pipeline.delta import diff_plans, warm_start_from_result
+from repro.verify.reference import run_relaxation
 
 
 @pytest.fixture(scope="module")
@@ -51,24 +53,47 @@ def test_a_shared_plan_solves_like_a_fresh_one(fib_plan_blob):
     shared = pickle.loads(fib_plan_blob)
     rng = random.Random(28)
     for _ in range(30):
-        config = SartConfig(
-            loop_pavf=round(rng.random(), 6),
-            iterations=rng.choice((1, 2, 3, 20)),
-            partition_by_fub=rng.random() < 0.7,
-        )
+        config = SartConfig(loop_pavf=round(rng.random(), 6))
+        # A cold relaxation on the shared plan in between, or not: it
+        # fills the union memo a monolithic solve empties.
+        iterations = rng.choice((None, 1, 2, 3, 20))
+
+        def solve(plan):
+            if iterations is None:
+                return run_sart(plan=plan, config=config)
+            return run_relaxation(plan, config, iterations=iterations)
+
         fresh = pickle.loads(fib_plan_blob)
-        assert (_observed(run_sart(plan=shared, config=config))
-                == _observed(run_sart(plan=fresh, config=config))), config
+        assert _observed(solve(shared)) == _observed(solve(fresh)), \
+            (config, iterations)
 
 
-def test_the_cold_sweep_cache_stays_out_of_the_pickle(fib_plan_blob):
-    plan = pickle.loads(fib_plan_blob)
-    run_sart(plan=plan, config=SartConfig())
-    assert plan._sweep_cache
-    state = plan.__getstate__()
-    assert "_sweep_cache" not in state
+def test_a_monolithic_solve_drops_its_union_memo():
+    workloads = WorkloadsSpec(per_class=1, length=400)
+    base = execute(RunSpec(design="bigcore@scale=0.1", workloads=workloads))
+    edit = execute(RunSpec(design="bigcore@scale=0.1,edit=LSU",
+                           workloads=workloads))
+    blob = pickle.dumps(edit.plan.plan)
+    solved = pickle.loads(blob)
+    run_sart(plan=solved)
+    assert solved._mono_cache and solved._union_memo == {}
+
+    def eco(plan):
+        touched = diff_plans(base.plan.plan, plan).touched
+        return run_sart(plan=plan, warm_start=warm_start_from_result(
+            plan, touched, base.sart.result))
+
+    # The warm relaxation rebuilds the memo it needs and lands where it
+    # lands on a plan that never solved.
+    warm, fresh = eco(solved), eco(pickle.loads(blob))
+    assert warm.trace.warm and warm.trace.converged
+    assert warm.node_avfs == fresh.node_avfs
+    assert dict(warm.f_sets) == dict(fresh.f_sets)
+    assert dict(warm.b_sets) == dict(fresh.b_sets)
+    # The artifact store's pickle of a solved plan carries neither cache.
+    assert solved._union_memo
+    state = solved.__getstate__()
     assert state["_union_memo"] == {} and state["_mono_cache"] == {}
-    assert pickle.loads(pickle.dumps(plan))._sweep_cache == {}
 
 
 @pytest.mark.parametrize("spec, stages", [

@@ -48,13 +48,13 @@ def test_toml_loading(tmp_path):
     path.write_text(
         'design = "bigcore@scale=0.2"\n'
         "[workloads]\nper_class = 1\nlength = 600\n"
-        "[sart]\nloop_pavf = 0.4\nmonolithic = true\n"
+        "[sart]\nloop_pavf = 0.4\n"
         "[campaign]\nworkers = 2\n"
     )
     spec = load_spec(str(path))
     assert spec.design == "bigcore@scale=0.2"
     assert spec.workloads.per_class == 1
-    assert spec.sart == SartSpec(loop_pavf=0.4, monolithic=True)
+    assert spec.sart == SartSpec(loop_pavf=0.4)
     assert spec.campaign.workers == 2
 
 
@@ -129,8 +129,8 @@ def test_validation_errors(tmp_path):
     # Direct construction (the CLI path) runs the same checks.
     with pytest.raises(SpecError, match="loop_pavf"):
         SartSpec(loop_pavf=7.0)
-    with pytest.raises(SpecError, match="iterations"):
-        SartSpec(iterations=0)
+    with pytest.raises(SpecError, match="loop_pavf"):
+        SartSpec(loop_pavf=-0.1)
     with pytest.raises(SpecError, match="points"):
         SweepSpec(points=0)
 
@@ -141,12 +141,10 @@ BAD_SART = (
     ({"loop_pavf": "0.3"}, "loop_pavf must be a number"),
     ({"loop_pavf": True}, "loop_pavf must be a number"),
     ({"loop_pavf": float("nan")}, "loop_pavf must be a number"),
-    ({"iterations": "abc"}, "iterations must be an integer >= 1, got 'abc'"),
-    ({"iterations": 0}, "iterations must be an integer >= 1, got 0"),
-    ({"iterations": 2.5}, "iterations must be an integer >= 1"),
-    ({"iterations": True}, "iterations must be an integer >= 1"),
-    ({"monolithic": "false"}, r"\[sart\] monolithic must be true or false"),
-    ({"monolithic": 1}, "monolithic must be true or false"),
+    # The relaxation budget and the solve mode are no [sart] keys: every
+    # cold solve is monolithic.
+    ({"iterations": 20}, r"unknown key\(s\) \['iterations'\] in \[sart\]"),
+    ({"monolithic": True}, r"unknown key\(s\) \['monolithic'\] in \[sart\]"),
     ({"engine": "compiled"}, r"unknown key\(s\) \['engine'\] in \[sart\]"),
     ({"relax_workers": 2}, r"unknown key\(s\) \['relax_workers'\]"),
 )
@@ -283,7 +281,7 @@ _WORKLOADS = ["--workloads-per-class", "1", "--workload-length", "400"]
 # subcommand -> (argv, regex its output after the `run` output must match)
 SUBCOMMANDS = {
     "analyze": (["analyze", "{tmp}/fig7.exlif", "--ports", "{tmp}/ports.txt",
-                 "--monolithic", "--export-csv", "{tmp}/nodes.csv"],
+                 "--export-csv", "{tmp}/nodes.csv"],
                 r"wrote per-node AVFs to \S+/nodes\.csv\n"),
     "tinycore": (["tinycore", "fib", "--sfi", "25"], ""),
     "bigcore": (["bigcore", "--scale", "0.1", *_WORKLOADS,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.graphmodel import StructurePorts
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from repro.errors import ReproError
 from repro.netlist.builder import ModuleBuilder
 from repro.ser.mitigation import (
@@ -37,7 +37,7 @@ def result():
         "HK": StructurePorts("HK", pavf_r=0.0, pavf_w=1.0, avf=0.8),
         "CK": StructurePorts("CK", pavf_r=0.0, pavf_w=1.0, avf=0.05),
     }
-    return run_sart(b.done(), structs, SartConfig(partition_by_fub=False))
+    return run_sart(b.done(), structs)
 
 
 def test_candidates_exclude_structures(result):

@@ -20,7 +20,7 @@ from repro.serve import loadgen
 from repro.serve.jobs import DONE, FAILED, job_id_for, stable_result
 from repro.serve.scheduler import JobScheduler
 
-SPEC = {"design": "tinycore:fib", "sart": {"monolithic": True}}
+SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.3}}
 
 
 def _ok_worker(task):
@@ -97,9 +97,10 @@ def test_restart_tolerates_torn_final_journal_record(tmp_path):
 
 def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
     # Jobs queued by older servers: their journaled normalized specs
-    # spell out the since-removed [sart] engine and relax_workers keys,
-    # the since-removed [campaign] backend key, or the since-removed
-    # [sweep] batched key, or carry a value the section check refuses.
+    # spell out the since-removed [sart] engine, relax_workers,
+    # iterations and monolithic keys, the since-removed [campaign]
+    # backend key, or the since-removed [sweep] batched key, or carry a
+    # value the section check refuses.
     state = tmp_path / "state"
     old_specs = {
         "0123456789abcdef" * 4: (
@@ -107,7 +108,12 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
              "sart": {"loop_pavf": 0.3, "iterations": 20,
                       "monolithic": True, "engine": "compiled",
                       "relax_workers": 1}},
-            "['engine', 'relax_workers']"),
+            "['engine', 'iterations', 'monolithic', 'relax_workers']"),
+        "0f1e2d3c4b5a6978" * 4: (
+            {"design": "tinycore:fib",
+             "sart": {"loop_pavf": 0.3, "iterations": 20,
+                      "monolithic": False}},
+            "['iterations', 'monolithic'] in [sart]"),
         "fedcba9876543210" * 4: (
             {"design": "tinycore:fib",
              "sfi": {"injections": 8, "seed": 1},

@@ -15,8 +15,8 @@ from repro.errors import QueueFullError, ServerDrainingError, SpecError
 from repro.serve.jobs import DONE, FAILED, Job
 from repro.serve.scheduler import JobScheduler
 
-SPEC = {"design": "tinycore:fib", "sart": {"monolithic": True}}
-OTHER_SPEC = {"design": "tinycore:fib", "sart": {"monolithic": False}}
+SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.3}}
+OTHER_SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.4}}
 
 _GATE = threading.Event()
 
@@ -276,10 +276,8 @@ def test_drain_rejects_new_work_and_finishes_in_flight(tmp_path):
 def test_worker_crash_degrades_job_not_server(tmp_path):
     scratch = tmp_path / "scratch"
     scratch.mkdir()
-    crash_spec = {"design": "tinycore:fib",
-                  "sart": {"monolithic": True, "loop_pavf": 0.666}}
-    good_spec = {"design": "tinycore:fib",
-                 "sart": {"monolithic": True, "loop_pavf": 0.25}}
+    crash_spec = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.666}}
+    good_spec = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.25}}
     sched = _scheduler(tmp_path, worker=_chaos_worker, workers=2,
                        max_retries=1, cache_dir=str(scratch))
     # Submit both before starting so they land in one pool batch (a
@@ -297,8 +295,7 @@ def test_worker_crash_degrades_job_not_server(tmp_path):
 
         # The server is still healthy: new work is admitted and runs.
         third, created = sched.submit(
-            {"design": "tinycore:fib",
-             "sart": {"monolithic": True, "loop_pavf": 0.5}})
+            {"design": "tinycore:fib", "sart": {"loop_pavf": 0.5}})
         assert created
         assert third.await_terminal(timeout=60) and third.state == DONE
         counters = sched.stats()["counters"]

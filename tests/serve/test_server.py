@@ -15,10 +15,9 @@ from repro.serve import loadgen
 from repro.serve.loadgen import get_json, percentile, post_json
 from repro.serve.server import ServeApp, _Handler
 
-SPEC = {"design": "tinycore:fib", "sart": {"monolithic": True}}
-OTHER_SPEC = {"design": "tinycore:fib", "sart": {"monolithic": False}}
-GATED_SPEC = {"design": "tinycore:fib",
-              "sart": {"monolithic": True, "loop_pavf": 0.9}}
+SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.3}}
+OTHER_SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.4}}
+GATED_SPEC = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.9}}
 
 _GATE = threading.Event()
 
@@ -65,12 +64,12 @@ def test_error_codes(tmp_path):
         status, doc = post_json(f"{app.url}/jobs",
                                 {"design": "tinycore:fib", "bogus": {}})
         assert status == 400 and "bogus" in doc["error"]
-        # Bad section values and the removed [sart] engine/relax_workers,
-        # [campaign] backend and [sweep] batched keys are refused at
-        # admission, naming the offending key.
+        # Bad section values and the removed [sart] engine/relax_workers/
+        # iterations/monolithic, [campaign] backend and [sweep] batched
+        # keys are refused at admission, naming the offending key.
         for section, body in (
-                ("sart", {"iterations": "abc"}), ("sart", {"iterations": 0}),
-                ("sart", {"loop_pavf": 7}), ("sart", {"monolithic": "false"}),
+                ("sart", {"iterations": 20}), ("sart", {"monolithic": True}),
+                ("sart", {"loop_pavf": 7}),
                 ("sart", {"engine": "walk"}), ("sart", {"relax_workers": 2}),
                 ("campaign", {"backend": "python"}),
                 ("sweep", {"points": "x"}), ("sweep", {"points": 2.5}),

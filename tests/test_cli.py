@@ -32,7 +32,7 @@ def ports_file(tmp_path):
 
 
 def test_analyze(capsys, fig7_exlif, ports_file):
-    rc = main(["analyze", str(fig7_exlif), "--ports", str(ports_file), "--monolithic"])
+    rc = main(["analyze", str(fig7_exlif), "--ports", str(ports_file)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "WEIGHTED AVG" in out
@@ -43,7 +43,7 @@ def test_analyze_with_exports(capsys, tmp_path, fig7_exlif, ports_file):
     csv_path = tmp_path / "nodes.csv"
     json_path = tmp_path / "summary.json"
     rc = main([
-        "analyze", str(fig7_exlif), "--ports", str(ports_file), "--monolithic",
+        "analyze", str(fig7_exlif), "--ports", str(ports_file),
         "--export-csv", str(csv_path), "--export-json", str(json_path),
     ])
     assert rc == 0
@@ -69,7 +69,7 @@ def test_analyze_malformed_exlif_names_the_line(tmp_path):
 
 
 def test_tinycore_flow(capsys):
-    rc = main(["tinycore", "fib", "--monolithic"])
+    rc = main(["tinycore", "fib"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "average sequential AVF" in out
@@ -96,7 +96,10 @@ def test_bigcore_small(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "WEIGHTED AVG" in out
-    assert "relaxation:" in out
+    # A cold solve is the monolithic fixpoint: every node is visited,
+    # and no relaxation ran.
+    assert "visited=100.0%" in out
+    assert "relaxation:" not in out
 
 
 def test_sweep(capsys):
@@ -112,8 +115,8 @@ def test_bad_sart_flag_is_a_spec_error():
     # The CLI builds the same validated [sart] section a spec file does.
     with pytest.raises(SystemExit, match=r"loop_pavf must be a number in \[0, 1\]"):
         main(["tinycore", "fib", "--loop-pavf", "7"])
-    with pytest.raises(SystemExit, match="iterations must be an integer >= 1"):
-        main(["tinycore", "fib", "--iterations", "0"])
+    with pytest.raises(SystemExit, match=r"loop_pavf must be a number in \[0, 1\]"):
+        main(["tinycore", "fib", "--loop-pavf", "-0.1"])
 
 
 def test_bad_sweep_points_is_a_spec_error(tmp_path):

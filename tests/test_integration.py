@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sart import SartConfig, run_sart
+from repro.core.sart import run_sart
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
@@ -23,11 +23,11 @@ def flow():
 def test_exlif_roundtrip_preserves_sart_results(flow):
     """Serialize tinycore to EXLIF, parse it back, re-run SART: identical."""
     netlist, ports = flow
-    direct = run_sart(netlist.module, ports, SartConfig(partition_by_fub=False))
+    direct = run_sart(netlist.module, ports)
 
     text = write_exlif(netlist.module)
     reparsed = parse_exlif(text)["tinycore"]
-    roundtrip = run_sart(reparsed, ports, SartConfig(partition_by_fub=False))
+    roundtrip = run_sart(reparsed, ports)
 
     assert set(direct.node_avfs) == set(roundtrip.node_avfs)
     for net in direct.node_avfs:

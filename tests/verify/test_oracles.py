@@ -70,6 +70,16 @@ def test_context_memoizes_sart_runs(loopy_case):
     assert calls == ["compiled", "dataflow"]
 
 
+def test_relaxed_engine_relaxes_the_compiled_plan(loopy_case):
+    # The relaxation-fixpoint oracle compares set ids, which only mean
+    # the same set on one plan.
+    ctx = CaseContext(loopy_case)
+    relaxed = ctx.sart(engine="relaxed")
+    assert relaxed.plan is ctx.sart().plan
+    assert relaxed.trace.converged and relaxed.trace.iterations > 1
+    assert ctx.sart(engine="relaxed") is relaxed
+
+
 def test_ctrl_oracle_reports_missing_register(loopy_case):
     case = build_case(CaseSpec(seed=42, ctrl_regs=0))
     case.ctrl_names.append("F0/cfg_phantom")
@@ -149,7 +159,7 @@ def test_registry_names_unique_and_complete():
     named = oracles_by_name()
     assert len(named) == len(default_oracles())
     assert {"range", "min-resolution", "ctrl-pinned", "cross-engine",
-            "loop-monotonicity", "lane-isolation",
+            "relaxation-fixpoint", "loop-monotonicity", "lane-isolation",
             "sfi-consistency", "deadline-sanity",
             "derated-ser"} == set(named)
 

@@ -6,12 +6,12 @@ Boots ``repro-sart serve`` on a free port and checks, in order:
 * ``/readyz`` answers 200 within :data:`BOOT_TIMEOUT` seconds;
 * a POST whose ``Content-Length`` is ``abc`` is a 400 with a JSON
   ``error`` (the job below still completes);
-* a monolithic tinycore job POSTs (201), its event stream is
+* a tinycore job POSTs (201), its event stream is
   ``text/event-stream`` and reaches the ``end`` event, and its result
   reads ``state == "done"``;
 * two more jobs on the same design, each with another ``loop_pavf``
-  and the default partitioned solve (the warm path: with ``--cache-dir``
-  their ``cached_stages`` include ``golden``, ``ports`` and ``plan``);
+  (the warm path: with ``--cache-dir`` their ``cached_stages`` include
+  ``golden``, ``ports`` and ``plan``);
 * every job's result equals ``run_summary`` of a local run of its spec,
   timings and cache provenance aside (``stable_result``);
 * SIGTERM drains the server: it exits 143 and logs ``drained``.
@@ -40,7 +40,7 @@ import urllib.request
 
 BOOT_TIMEOUT = 30  # seconds until the server must answer /readyz
 JOB_TIMEOUT = 120  # seconds the job may take to reach its end event
-JOB = {"design": "tinycore:fib", "sart": {"monolithic": True}}
+JOB = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.3}}
 WARM_JOBS = ({"design": "tinycore:fib", "sart": {"loop_pavf": 0.7}},
              {"design": "tinycore:fib", "sart": {"loop_pavf": 0.35}})
 WARM_STAGES = {"golden", "ports", "plan"}

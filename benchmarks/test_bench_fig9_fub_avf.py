@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import print_table
+from repro.core.resolve import ROLE_STRUCT
 from repro.core.sart import run_sart
 from repro.ser.fit import FitModel
 
@@ -66,17 +67,12 @@ def test_bench_section61_fit_reduction(bigcore_design, bigcore_ports, model_port
     struct_avfs = [p.avf for p in ports.values() if p.avf is not None]
     proxy_avf = sum(struct_avfs) / len(struct_avfs)
 
-    array_bits = sum(
-        len([1 for n in result.model.struct_nodes.values() if n[0] == array])
-        for array in {s for s, _ in result.model.struct_nodes.values()}
-    )
-
     def build(seq_avf_lookup):
         model = FitModel()
         for net, node in result.node_avfs.items():
             if node.kind != "seq":
                 continue
-            if net in result.model.struct_nodes:
+            if node.role == ROLE_STRUCT:
                 model.add("arrays", node.avf, bits=1)
             else:
                 model.add("sequentials", seq_avf_lookup(net), bits=1)

@@ -18,6 +18,7 @@ import pytest
 from conftest import print_table
 from repro.core.loopchar import summarize_rates, tinycore_loop_rates
 from repro.core.report import average_seq_avf
+from repro.core.resolve import ROLE_LOOP
 from repro.core.sart import SartConfig, run_sart
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
@@ -42,7 +43,7 @@ def test_bench_loop_solutions(benchmark, setup):
     words, dmem, netlist, golden, ports = setup
 
     base = run_sart(netlist.module, ports)
-    loop_nets = base.model.loop_nets
+    loop_nets = [n.net for n in base.node_avfs.values() if n.role == ROLE_LOOP]
 
     def characterize():
         return tinycore_loop_rates(words, dmem, loop_nets)

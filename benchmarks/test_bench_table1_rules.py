@@ -12,6 +12,7 @@ import pytest
 
 from conftest import print_table
 from repro.core.graphmodel import StructurePorts
+from repro.core.resolve import ROLE_LOOP, ROLE_STRUCT
 from repro.core.sart import SartConfig, run_sart
 from repro.netlist.builder import ModuleBuilder
 
@@ -105,7 +106,7 @@ def test_bench_rules_conservative_vs_sfi(benchmark):
     # Non-loop pipeline flops only: the pure Table 1 regime.
     pipe_nets = [
         n for n in graph.seq_nets()
-        if n not in sart.model.loop_nets and n not in sart.model.struct_nodes
+        if sart.node_avfs[n].role not in (ROLE_LOOP, ROLE_STRUCT)
     ]
 
     def campaign():

@@ -61,7 +61,7 @@ def main():
     print(f"\naverage sequential AVF: {result.report.weighted_seq_avf:.3f}")
 
     print("\nhardened-cell shopping list (top 10 sequential nodes):")
-    graph = result.model.graph
+    graph = result.plan.graph
     for node in worst_nodes(result, count=10):
         inst = graph.nodes[node.net].inst
         print(f"  {inst:20s} fub={node.fub:5s} role={node.role:6s} AVF={node.avf:.3f}")

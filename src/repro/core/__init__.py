@@ -6,8 +6,9 @@ Pipeline (paper Section 5, "Implementation and Tool Flow"):
    (:mod:`repro.ace.portavf`).
 2. The RTL is compiled/flattened and its node graph extracted
    (:mod:`repro.netlist`).
-3. Structure bits are mapped onto RTL bits (instance attributes or an
-   explicit binding, :mod:`repro.core.graphmodel`).
+3. Structure bits are mapped onto RTL bits from instance attributes and
+   MEM instances, once per solve plan
+   (:meth:`repro.core.compiled.SolvePlan._classify`).
 4. SART — the Sequential AVF Resolution Tool — walks pAVF values through
    the node graph: forward from read ports, backward from write ports,
    with loop breaking, control-register injection and per-FUB relaxation
@@ -18,7 +19,7 @@ Pipeline (paper Section 5, "Implementation and Tool Flow"):
 """
 
 from repro.core.pavf import TOP, Atom, PavfEnv, union, value_of
-from repro.core.graphmodel import AvfModel, StructurePorts, build_model
+from repro.core.graphmodel import StructurePorts
 from repro.core.sart import SartConfig, SartResult, run_sart
 from repro.core.report import FubReport, fub_report
 from repro.core.symbolic import ClosedForm
@@ -40,7 +41,6 @@ __all__ = [
     "summary_json",
     "tinycore_loop_rates",
     "worst_nodes",
-    "AvfModel",
     "ClosedForm",
     "FubReport",
     "PavfEnv",
@@ -48,7 +48,6 @@ __all__ = [
     "SartResult",
     "StructurePorts",
     "TOP",
-    "build_model",
     "fub_report",
     "run_sart",
     "union",

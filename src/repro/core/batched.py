@@ -42,7 +42,7 @@ from repro.core.compiled import (
 )
 from repro.core.pavf import LOOP, Atom, PavfEnv, SetInterner
 from repro.core.report import DesignReport, FubReport, fub_report
-from repro.core.resolve import NodeAvf, ROLE_STRUCT
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT, NodeAvf
 from repro.netlist.graph import NodeKind
 
 try:  # pragma: no cover - numpy presence is environment-dependent
@@ -212,11 +212,11 @@ def solve_batched(
     result = BatchedResult(plan=plan, envs=envs, f_ids=f_ids, b_ids=b_ids)
     if not envs:
         return result
+    loop_bits = plan.role_l.count(ROLE_LOOP)
+    ctrl_bits = plan.role_l.count(ROLE_CTRL)
     batched = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
     if not batched:
         # Pure-Python fallback: identical results, one pass per env.
-        loop_bits = len(plan.model.loop_nets)
-        ctrl_bits = len(plan.model.ctrl_nets)
         for env in envs:
             node_avfs = resolve_ids(plan, f_ids, b_ids, env)
             result.reports.append(
@@ -230,7 +230,7 @@ def solve_batched(
     b_vals = bev.matrix(b_ids)
     avf = _np.minimum(f_vals, b_vals)
     for sname, nids in meta.struct_groups.items():
-        ports = plan.model.structures.get(sname)
+        ports = plan.structures.get(sname)
         measured = ports.avf if ports is not None else None
         if measured is not None:
             avf[nids, :] = measured
@@ -257,8 +257,6 @@ def solve_batched(
 
     seq_total = int(meta.seq_counts.sum())
     node_total = int(meta.node_counts.sum())
-    loop_bits = len(plan.model.loop_nets)
-    ctrl_bits = len(plan.model.ctrl_nets)
     fub_names = plan.fub_names
     for w in range(width):
         rows = []
@@ -311,7 +309,7 @@ def sweep_batched(
     """Figure-8 loop-pAVF sweep as one batched evaluation.
 
     Each sweep point's environment is exactly what the per-point path
-    binds (``build_env(plan.model, SartConfig(loop_pavf=value, ...))``),
+    binds (``build_env(plan, SartConfig(loop_pavf=value, ...))``),
     so the batched reports match per-point ``run_sart`` results. The
     points differ only in the LOOP kind default, so the structure and
     boundary bindings are made once and each point re-binds that default
@@ -321,7 +319,7 @@ def sweep_batched(
 
     if config is None:
         config = SartConfig()
-    base = build_env(plan.model, config)
+    base = build_env(plan, config)
     envs = []
     for value in values:
         env = base.copy()

@@ -3,7 +3,7 @@
 The dict-based reference solver (:mod:`repro.verify.dataflow`) re-extracts
 the dependency structure (indegrees, dependents, topological order) from
 string-keyed maps on every solve — once per FUB per relaxation iteration.
-This module lowers the annotated model **once** into integer form:
+This module lowers a design **once** into integer form:
 
 * net names are interned to dense node ids,
 * fan-in/fan-out become CSR ``(indptr, indices)`` arrays,
@@ -14,9 +14,12 @@ This module lowers the annotated model **once** into integer form:
 * the forward and backward topological orders are computed once and
   per-FUB schedules are derived from them by bucketing.
 
-The model itself (structure bits, control registers, loop boundaries)
-comes from :func:`~repro.core.graphmodel.build_model`, whose loop finder
-runs over the same fan-in CSR the plan shares with the graph.
+Every node is classified once, while the plan is built
+(:meth:`SolvePlan._classify`: structure bits, control registers, loop
+boundaries, the RTL boundary), straight into the plan's per-node
+columns; the loop finder runs over the same fan-in CSR the plan shares
+with the graph. A plan carries arrays only: the reference engines
+(:mod:`repro.verify`) read its fixed sets back by net name.
 
 A :class:`SolvePlan` bundles all of that and is reusable across many
 :class:`~repro.core.pavf.PavfEnv` bindings: monolithic solves are purely
@@ -42,9 +45,21 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import SartError
-from repro.core.graphmodel import AvfModel, StructurePorts, build_model
-from repro.core.pavf import Atom, CTRL, LOOP, PavfEnv, SetInterner
+from repro.errors import MappingError, SartError
+from repro.core.controlregs import find_control_registers
+from repro.core.graphmodel import StructurePorts
+from repro.core.loops import find_loop_nets
+from repro.core.pavf import (
+    BOUNDARY,
+    CONST,
+    CTRL,
+    LOOP,
+    READ,
+    WRITE,
+    Atom,
+    PavfEnv,
+    SetInterner,
+)
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.resolve import (
     NodeAvf,
@@ -69,7 +84,7 @@ HAVE_NUMPY = _np is not None
 # Layout version of the SolvePlans the artifact store pickles, recorded on
 # every PlanArtifact. Bump it, and STAGE_VERSIONS["plan"] with it (that is
 # what invalidates cached plans), when the SolvePlan fields change.
-PLAN_FORMAT = 6  # v6: interner rows only; v5: no structural knobs
+PLAN_FORMAT = 7  # v7: no AvfModel tables; v6: interner rows only
 
 _EMPTY_ID = SetInterner.EMPTY_ID
 _TOP_ID = SetInterner.TOP_ID
@@ -240,7 +255,11 @@ class SolvePlan:
 
     def __init__(self) -> None:
         self.graph: NetGraph
-        self.model: AvfModel
+        # Port AVFs per structure (defaults for those the ports lack) and
+        # structure atom -> (role, structure, flat bit); role in
+        # r/w/ra/wa/wen.
+        self.structures: dict[str, StructurePorts] = {}
+        self.atom_bindings: dict[Atom, tuple[str, str, int]] = {}
         self.interner = SetInterner()
         self.names: list[str] = []
         self.ids: dict[str, int] = {}
@@ -274,6 +293,7 @@ class SolvePlan:
         self.role_l: list[str] = []
         self.mode_l: list[int] = []
         self.special_l: list[object] = []  # struct name | injected Atom | None
+        self.forced_visited = bytearray()  # struct/loop/ctrl/mem nodes
         # Caches (dropped when the plan is pickled into the artifact store).
         self._union_memo: dict[tuple[int, ...], int] = {}
         self._mono_cache: dict[str, tuple[list[int], list[int]]] = {}
@@ -292,11 +312,9 @@ class SolvePlan:
         plan.graph = graph
 
         plan._lower_connectivity()
-        plan.model = build_model(graph, structures)
-        plan._lower_model()
+        plan._classify(structures)
         plan._build_orders()
         plan._build_partition_arrays()
-        plan._build_resolution_metadata()
         return plan
 
     def _lower_connectivity(self) -> None:
@@ -322,24 +340,121 @@ class SolvePlan:
                 fanout_ix[cursor[src]] = nid
                 cursor[src] += 1
 
-    def _lower_model(self) -> None:
-        model, ids, n = self.model, self.ids, self.n
+    def _classify(self, structures: Mapping[str, StructurePorts] | None) -> None:
+        """Paper step 4: give every node its role and its fixed sets.
+
+        * A DFF tagged ``struct``/``bit`` is a structure bit: a forward
+          source (its READ atom) that passes its WRITE atom to its
+          drivers. MEM read data are forward sources; MEM ``wdata``,
+          read-address, write-address and enable nets are sinks of the
+          port's WRITE, ``#raddrN`` READ, ``#waddr`` and ``#wen`` atoms.
+        * A control register (:func:`~repro.core.controlregs.
+          find_control_registers`) is a forward source at 100 % whose
+          drivers get nothing ("we can omit walks up from these
+          write-ports").
+        * A loop boundary (:func:`~repro.core.loops.find_loop_nets`, cut
+          at the structure bits and control registers, where walks
+          terminate) is fixed at its LOOP atom in both directions.
+        * Tie cells and primary inputs are forward sources, primary
+          outputs sinks: the RTL-boundary pseudo-structure.
+
+        Role precedence on a sequential node: structure bit > control
+        register > loop boundary (a latch array flagged as a structure is
+        never re-classified, even when its enable gives it a hold loop).
+        Structures the netlist names but *structures* lacks get
+        conservative defaults. The fixed sets are interned, after one
+        ranking of their atoms, into ``fwd_fixed``, ``through`` and
+        ``sink``: a set id per node, -1 where the node is not fixed.
+        """
+        graph, ids, names, n = self.graph, self.ids, self.names, self.n
+        kinds = self.kind_l = graph.kinds
+        ports = self.structures = dict(structures or {})
+        bindings = self.atom_bindings
+        role_l = self.role_l = [ROLE_LOGIC] * n
+        mode_l = self.mode_l = [_MODE_MIN] * n
+        special_l = self.special_l = [None] * n
+        forced = self.forced_visited = bytearray(n)
+        fwd: list[Atom | None] = [None] * n
+        through: list[tuple[Atom, ...] | None] = [None] * n
+        sinks: dict[int, list[Atom]] = {}
+
+        def bind(atom: Atom, role: str, sname: str, bit: int) -> Atom:
+            if sname not in ports:
+                ports[sname] = StructurePorts(name=sname)
+            bindings[atom] = (role, sname, bit)
+            return atom
+
+        def add_sink(net: str, atom: Atom) -> None:
+            sinks.setdefault(ids[net], []).append(atom)
+
+        def inject(nid: int, role: str, atom: Atom, back: tuple[Atom, ...]) -> None:
+            fwd[nid], through[nid] = atom, back
+            role_l[nid], mode_l[nid], special_l[nid] = role, _MODE_ATOM, atom
+            forced[nid] = 1
+
+        for net, attrs in graph.struct_tagged():
+            try:
+                bit = int(attrs.get("bit", "0"))
+            except ValueError as exc:
+                raise MappingError(
+                    f"node {net!r}: bad struct bit {attrs.get('bit')!r}"
+                ) from exc
+            sname, nid = attrs["struct"], ids[net]
+            fwd[nid] = bind(Atom(READ, sname, bit), "r", sname, bit)
+            through[nid] = (bind(Atom(WRITE, sname, bit), "w", sname, bit),)
+            role_l[nid], mode_l[nid], special_l[nid] = ROLE_STRUCT, _MODE_STRUCT, sname
+            forced[nid] = 1
+
+        for mem in graph.mems.values():
+            sname, width = mem.attrs.get("struct", mem.inst), mem.width
+            for pidx, rport in enumerate(mem.read_ports):
+                for i, net in enumerate(rport.data):
+                    flat = pidx * width + i
+                    fwd[ids[net]] = bind(Atom(READ, sname, flat), "r", sname, flat)
+                atom = bind(Atom(READ, f"{sname}#raddr{pidx}"), "ra", sname, pidx)
+                for net in rport.addr:
+                    add_sink(net, atom)
+            for i, net in enumerate(mem.wdata):
+                add_sink(net, bind(Atom(WRITE, sname, i), "w", sname, i))
+            atom = bind(Atom(WRITE, f"{sname}#waddr"), "wa", sname, 0)
+            for net in mem.waddr:
+                add_sink(net, atom)
+            add_sink(mem.wen, bind(Atom(WRITE, f"{sname}#wen"), "wen", sname, 0))
+
+        for net in find_control_registers(graph):
+            nid = ids[net]
+            if role_l[nid] != ROLE_STRUCT:
+                inject(nid, ROLE_CTRL, Atom(CTRL, net), ())
+
+        # Only structure bits and control registers are classified yet.
+        cut = [names[nid] for nid, role in enumerate(role_l) if role != ROLE_LOGIC]
+        for net in find_loop_nets(graph, cut):
+            atom = Atom(LOOP, net)
+            inject(ids[net], ROLE_LOOP, atom, (atom,))
+
+        for nid, kind in enumerate(kinds):
+            if kind == NodeKind.CONST:
+                role_l[nid], fwd[nid] = ROLE_CONST, Atom(CONST, names[nid])
+            elif kind == NodeKind.INPUT:
+                role_l[nid], fwd[nid] = ROLE_INPUT, Atom(BOUNDARY, names[nid])
+            elif kind == NodeKind.MEM_RDATA:
+                role_l[nid] = ROLE_MEM
+                forced[nid] = 1
+        for net in graph.outputs:
+            add_sink(net, Atom(BOUNDARY, net))
+
         # Every solve set is a union of these fixed sets, so ranking
         # their atoms once makes every row an integer sort.
-        fixed = (model.forward_fixed, model.contrib_through, model.static_sinks)
-        self.interner.rank(
-            frozenset().union(*(atoms for table in fixed for atoms in table.values()))
-        )
+        atoms = {atom for atom in fwd if atom is not None}
+        atoms.update(atom for back in through if back for atom in back)
+        atoms.update(atom for row in sinks.values() for atom in row)
+        self.interner.rank(atoms)
         intern = self.interner.id_of
-        fwd_fixed = self.fwd_fixed = [-1] * n
-        for net, atoms in model.forward_fixed.items():
-            fwd_fixed[ids[net]] = intern(atoms)
-        through = self.through = [-1] * n
-        for net, atoms in model.contrib_through.items():
-            through[ids[net]] = intern(atoms)
+        self.fwd_fixed = [-1 if atom is None else intern((atom,)) for atom in fwd]
+        self.through = [-1 if back is None else intern(back) for back in through]
         sink = self.sink = [-1] * n
-        for net, atoms in model.static_sinks.items():
-            sink[ids[net]] = intern(atoms)
+        for nid, row in sinks.items():
+            sink[nid] = intern(row)
 
     def _build_orders(self) -> None:
         n = self.n
@@ -456,45 +571,11 @@ class SolvePlan:
         self.f_importers = {nid: tuple(sorted(s)) for nid, s in f_imp.items()}
         self.b_importers = {nid: tuple(sorted(s)) for nid, s in b_imp.items()}
 
-        struct_ids = {self.ids[net] for net in self.model.struct_nodes}
         self.fub_seq = [[] for _ in self.fub_names]
-        kinds = self.graph.kinds
+        kinds, role_l = self.kind_l, self.role_l
         for nid in range(self.n):
-            if kinds[nid] == NodeKind.SEQ and nid not in struct_ids:
+            if kinds[nid] == NodeKind.SEQ and role_l[nid] != ROLE_STRUCT:
                 self.fub_seq[fub_of[nid]].append(nid)
-
-    def _build_resolution_metadata(self) -> None:
-        model, names = self.model, self.names
-        kind_l = self.kind_l = self.graph.kinds
-        role_l = self.role_l = [ROLE_LOGIC] * self.n
-        mode_l = self.mode_l = [_MODE_MIN] * self.n
-        special_l = self.special_l = [None] * self.n
-        # visited is forced True for struct/loop/ctrl/mem nodes.
-        self.forced_visited = forced = bytearray(self.n)
-        for nid, net in enumerate(names):
-            kind = kind_l[nid]
-            if net in model.struct_nodes:
-                role_l[nid] = ROLE_STRUCT
-                mode_l[nid] = _MODE_STRUCT
-                special_l[nid] = model.struct_nodes[net][0]
-                forced[nid] = 1
-            elif net in model.loop_nets:
-                role_l[nid] = ROLE_LOOP
-                mode_l[nid] = _MODE_ATOM
-                special_l[nid] = Atom(LOOP, net)
-                forced[nid] = 1
-            elif net in model.ctrl_nets:
-                role_l[nid] = ROLE_CTRL
-                mode_l[nid] = _MODE_ATOM
-                special_l[nid] = Atom(CTRL, net)
-                forced[nid] = 1
-            elif kind == NodeKind.CONST:
-                role_l[nid] = ROLE_CONST
-            elif kind == NodeKind.INPUT:
-                role_l[nid] = ROLE_INPUT
-            elif kind == NodeKind.MEM_RDATA:
-                role_l[nid] = ROLE_MEM
-                forced[nid] = 1
 
     # ------------------------------------------------------------------
     # plumbing
@@ -829,7 +910,7 @@ def resolve_ids(
     else:
         ev.fill([t[nid] for t in (f_sid, b_sid) for nid in only])
     if structures is None:
-        structures = plan.model.structures
+        structures = plan.structures
     vals = ev._vals
     names, kind_l, fub_l = plan.names, plan.kind_l, plan.fub_l
     role_l, mode_l, special_l = plan.role_l, plan.mode_l, plan.special_l

@@ -32,8 +32,9 @@ DEFAULT_PATTERNS: tuple[re.Pattern, ...] = tuple(re.compile(p) for p in (
 def find_control_registers(graph: NetGraph) -> set[str]:
     """Nets of sequential nodes identified as control-register bits.
 
-    A structure bit that also matches keeps its structure role: that
-    precedence is applied by :func:`~repro.core.graphmodel.build_model`.
+    A structure bit that also matches keeps its structure role: the solve
+    plan applies that precedence when it classifies the nodes
+    (:meth:`repro.core.compiled.SolvePlan._classify`).
     """
     found: set[str] = set()
     for net, inst, attrs in graph.seq_items():

@@ -23,7 +23,7 @@ def node_avfs_csv(result: SartResult) -> str:
     writer = csv.writer(out)
     writer.writerow(["net", "instance", "fub", "kind", "role",
                      "forward", "backward", "avf", "visited"])
-    graph = result.model.graph
+    graph = result.plan.graph
     for net, node in sorted(result.node_avfs.items()):
         inst = graph.inst(graph.ids[net]) or ""
         writer.writerow([
@@ -52,7 +52,7 @@ def fub_report_csv(result: SartResult) -> str:
 def summary_json(result: SartResult) -> str:
     """Machine-readable run summary (stats + headline numbers)."""
     payload = {
-        "design": result.model.graph.name,
+        "design": result.plan.graph.name,
         "weighted_seq_avf": result.report.weighted_seq_avf,
         "weighted_node_avf": result.report.weighted_node_avf,
         "seq_count": result.report.seq_count,

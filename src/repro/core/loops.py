@@ -16,8 +16,10 @@ special treatment: once the sequential loop nodes are fixed, every
 remaining dependency path is acyclic (pure combinational cycles are
 rejected by netlist validation).
 
-:func:`~repro.core.graphmodel.build_model` is the one caller: it cuts the
-graph at the structure bits and control registers it has assigned first.
+The solve plan's classification
+(:meth:`repro.core.compiled.SolvePlan._classify`) is the one caller: it
+cuts the graph at the structure bits and control registers it has
+assigned first.
 """
 
 from __future__ import annotations

@@ -4,17 +4,18 @@
 netlist (or a pre-extracted node graph):
 
 1. extract the node graph,
-2. detect loops (Section 4.3) and control registers (Section 5.1),
-3. map ACE-structure bits onto RTL bits and build the annotated model,
-4. bind the ACE-model port AVFs plus the injected values into a
+2. map ACE-structure bits onto RTL bits, and detect control registers
+   (Section 5.1) and loops (Section 4.3),
+3. bind the ACE-model port AVFs plus the injected values into a
    :class:`~repro.core.pavf.PavfEnv`,
-5. propagate on the compiled engine (:mod:`repro.core.compiled`):
+4. propagate on the compiled engine (:mod:`repro.core.compiled`):
    one monolithic solve, or for an ECO re-solve a per-FUB relaxation
    seeded from a baseline, and
-6. resolve ``AVF = MIN(forward, backward)`` per node and aggregate per FUB.
+5. resolve ``AVF = MIN(forward, backward)`` per node and aggregate per FUB.
 
-Steps 1-3 are structural and live in a reusable
-:class:`~repro.core.compiled.SolvePlan` (:func:`build_plan`). The
+Steps 1-2 are structural and live in a reusable
+:class:`~repro.core.compiled.SolvePlan` (:func:`build_plan`), which
+classifies every node once into its per-node columns. The
 dict-based fixpoint and the faithful walk engine implement the same
 semantics as references for the oracles and equivalence tests; they run
 through :func:`repro.verify.reference.run_reference`.
@@ -29,18 +30,11 @@ from typing import Iterable, Mapping
 
 from repro.errors import SartError, WarmStartDegradedWarning
 from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
-from repro.core.graphmodel import AvfModel, StructurePorts
-from repro.core.pavf import (
-    BOUNDARY,
-    CONST,
-    CTRL,
-    LOOP,
-    Atom,
-    PavfEnv,
-)
+from repro.core.graphmodel import StructurePorts
+from repro.core.pavf import BOUNDARY, LOOP, Atom, PavfEnv
 from repro.core.relaxation import RelaxationTrace, WarmStart
 from repro.core.report import DesignReport, fub_report
-from repro.core.resolve import NodeAvf
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT, NodeAvf
 from repro.core.symbolic import ClosedForm, bind_structures
 from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
@@ -51,7 +45,9 @@ class SartConfig:
     """Knobs of the SART flow. Defaults follow the paper's choices.
 
     None of them is structural: one :class:`SolvePlan` serves every
-    config, and a new config is a new environment.
+    config, and a new config is a new environment. Control registers
+    (pAVF_R "of 100%", Section 5.1) and tie cells (a conservative static
+    source) read the environment's unbound default of 1.0.
     """
 
     # Injected static pAVF at loop boundaries (0.3 after the Fig. 8 sweep,
@@ -59,10 +55,6 @@ class SartConfig:
     # repro.core.loopchar) may override the static value individually.
     loop_pavf: float = 0.3
     loop_pavf_per_net: dict[str, float] | None = None
-    # Control registers: pAVF_R "of 100%".
-    ctrl_pavf: float = 1.0
-    # Tie cells (conservative static source).
-    const_pavf: float = 1.0
     # RTL-boundary pseudo-structure port values ("circuits that lie
     # outside of the RTL being analyzed are grouped together into one or
     # more pseudo-structures, with [their] own pAVF_R and pAVF_W values").
@@ -154,12 +146,14 @@ class SartResult:
 
     The set tables map net names to annotation sets. On a result solved
     on a plan they are :class:`SetMap` views over the solve's set-id
-    vectors; the reference engines return plain dicts.
+    vectors; the reference engines (:mod:`repro.verify.reference`)
+    return plain dicts. *plan* is the plan that classified the design;
+    a result with :class:`SetMap` tables was solved on it too.
     """
 
     node_avfs: dict[str, NodeAvf]
     report: DesignReport
-    model: AvfModel
+    plan: SolvePlan
     env: PavfEnv
     f_sets: Mapping[str, frozenset[Atom]]
     b_sets: Mapping[str, frozenset[Atom]]
@@ -169,9 +163,6 @@ class SartResult:
     trace: RelaxationTrace | None = None
     elapsed_seconds: float = 0.0
     stats: dict[str, float] = field(default_factory=dict)
-    # The plan the result was solved on; None for the reference engines
-    # (repro.verify.reference), which solve without one.
-    plan: SolvePlan | None = None
 
     def closed_form(self) -> ClosedForm:
         """Closed-form equations for workload re-evaluation (Section 5.2).
@@ -180,7 +171,7 @@ class SartResult:
         ECO result's carried-over baseline sets into the plan
         (:class:`SetMap`).
         """
-        if self.plan is None:
+        if not isinstance(self.f_sets, SetMap):
             raise SartError("closed forms need a result solved on a SolvePlan (run_sart)")
         return ClosedForm(plan=self.plan, f_ids=self.f_sets.ids,
                           b_ids=self.b_sets.ids, base_env=self.env)
@@ -189,20 +180,18 @@ class SartResult:
         return self.node_avfs[net].avf
 
 
-def build_env(model: AvfModel, config: SartConfig) -> PavfEnv:
+def build_env(plan: SolvePlan, config: SartConfig) -> PavfEnv:
     """Bind structure atoms and injected values into an environment."""
     env = PavfEnv(unbound_default=1.0)
     env.bind_kind(LOOP, config.loop_pavf)
-    env.bind_kind(CTRL, config.ctrl_pavf)
-    env.bind_kind(CONST, config.const_pavf)
     if config.loop_pavf_per_net:
         for net, value in config.loop_pavf_per_net.items():
             env.bind(Atom(LOOP, net), value)
-    bind_structures(env, model, model.structures)
+    bind_structures(env, plan.atom_bindings, plan.structures)
     overrides = config.boundary_overrides or {}
-    for net in model.graph.input_nets():
+    for net in plan.graph.input_nets():
         env.bind(Atom(BOUNDARY, net), overrides.get(net, config.boundary_in_pavf))
-    for net in model.graph.outputs:
+    for net in plan.graph.outputs:
         env.bind(Atom(BOUNDARY, net), overrides.get(net, config.boundary_out_pavf))
     return env
 
@@ -216,7 +205,7 @@ def build_plan(
     The plan captures everything structural — graph extraction, loop
     breaking, control-register detection, FUB partitioning, topological
     order — so ``run_sart(plan=plan, config=...)`` with any
-    :class:`SartConfig` (loop/ctrl/const/boundary pAVFs) skips straight
+    :class:`SartConfig` (loop/boundary pAVFs) skips straight
     to propagation. Structures are captured at build time.
     """
     return SolvePlan.build(design, structures)
@@ -258,7 +247,7 @@ def run_sart(
             "run_sart takes a plan or a design with its structures, not "
             "both: the plan already carries its design and structures"
         )
-    env = build_env(plan.model, config)
+    env = build_env(plan, config)
     evaluator = SetEvaluator(plan.interner, env)
 
     trace: RelaxationTrace | None = None
@@ -322,29 +311,29 @@ def sart_result(
     config: SartConfig,
     env: PavfEnv,
     node_avfs: dict[str, NodeAvf],
-    f_sets: SetMap,
-    b_sets: SetMap,
+    f_sets: Mapping[str, frozenset[Atom]],
+    b_sets: Mapping[str, frozenset[Atom]],
     *,
     trace: RelaxationTrace | None = None,
     started: float,
 ) -> SartResult:
-    """The :class:`SartResult` of a solve on *plan*: its per-FUB report
-    and run statistics around the resolved *node_avfs* and set maps.
+    """The :class:`SartResult` of a solve classified by *plan*: its
+    per-FUB report and run statistics around the resolved *node_avfs*
+    and set tables.
 
     *started* is the :func:`time.perf_counter` reading the solve began
     at.
     """
-    model = plan.model
-    report = fub_report(
-        node_avfs, loop_bits=len(model.loop_nets), ctrl_bits=len(model.ctrl_nets)
-    )
+    role_l = plan.role_l
+    loop_bits, ctrl_bits = role_l.count(ROLE_LOOP), role_l.count(ROLE_CTRL)
+    report = fub_report(node_avfs, loop_bits=loop_bits, ctrl_bits=ctrl_bits)
     elapsed = time.perf_counter() - started
     stats = {
         "nodes": float(len(plan.graph)),
         "sequentials": float(len(plan.graph.seq_nets())),
-        "loop_bits": float(len(model.loop_nets)),
-        "ctrl_bits": float(len(model.ctrl_nets)),
-        "structure_bits": float(len(model.struct_nodes)),
+        "loop_bits": float(loop_bits),
+        "ctrl_bits": float(ctrl_bits),
+        "structure_bits": float(role_l.count(ROLE_STRUCT)),
         "visited_fraction": report.visited_fraction,
     }
     if trace is not None and trace.warm:
@@ -355,7 +344,7 @@ def sart_result(
     return SartResult(
         node_avfs=node_avfs,
         report=report,
-        model=model,
+        plan=plan,
         env=env,
         f_sets=f_sets,
         b_sets=b_sets,
@@ -363,5 +352,4 @@ def sart_result(
         trace=trace,
         elapsed_seconds=elapsed,
         stats=stats,
-        plan=plan,
     )

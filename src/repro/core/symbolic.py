@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.compiled import SolvePlan, resolve_ids
-from repro.core.graphmodel import AvfModel, StructurePorts
-from repro.core.pavf import PavfEnv, format_set
+from repro.core.graphmodel import StructurePorts
+from repro.core.pavf import Atom, PavfEnv, format_set
 from repro.core.resolve import NodeAvf
 
 
@@ -55,11 +55,11 @@ class ClosedForm:
         keep their original values). Injected values (loops, control
         registers, boundaries) are retained from the base environment.
         """
-        model = self.plan.model
-        env, effective = self.base_env, model.structures
+        plan = self.plan
+        env, effective = self.base_env, plan.structures
         if structures:
             env, effective = env.copy(), {**effective, **structures}
-            bind_structures(env, model, effective)
+            bind_structures(env, plan.atom_bindings, effective)
         return resolve_ids(self.plan, self.f_ids, self.b_ids, env, structures=effective)
 
     def term_count(self) -> int:
@@ -69,10 +69,13 @@ class ClosedForm:
 
 
 def bind_structures(
-    env: PavfEnv, model: AvfModel, structures: Mapping[str, StructurePorts]
+    env: PavfEnv,
+    bindings: Mapping[Atom, tuple[str, str, int]],
+    structures: Mapping[str, StructurePorts],
 ) -> None:
-    """Bind every structure atom of *model* to its value in *structures*."""
-    for atom, (role, sname, bit) in model.atom_bindings.items():
+    """Bind every structure atom of *bindings* (a plan's
+    ``atom_bindings``) to its value in *structures*."""
+    for atom, (role, sname, bit) in bindings.items():
         ports = structures.get(sname)
         if ports is not None:
             env.bind(atom, atom_value(ports, role, bit))

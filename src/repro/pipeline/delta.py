@@ -47,7 +47,7 @@ from typing import Any, Iterable, Mapping
 from repro.core.compiled import SolvePlan
 from repro.core.pavf import Atom
 from repro.core.relaxation import WarmStart
-from repro.core.sart import SartResult
+from repro.core.sart import SartResult, SetMap
 
 _SEP = "\x1f"
 
@@ -332,13 +332,13 @@ def warm_start_from_result(
     merge then expands the re-solve front along the edit's actual
     influence (see :class:`~repro.core.relaxation.WarmStart`). Any
     baseline solved on a plan seeds, from its ``f_sets``/``b_sets``.
-    Returns None when the baseline has nothing safe to seed from: no
-    plan (a reference engine's result), or a relaxation that did not
-    converge. FUBs whose nodes the baseline does not fully cover (added
-    or renamed ones reaching this path) are folded into the dirty set
-    rather than trusted partially.
+    Returns None when the baseline has nothing safe to seed from: sets
+    not solved on a plan (a reference engine's dicts), or a relaxation
+    that did not converge. FUBs whose nodes the baseline does not fully
+    cover (added or renamed ones reaching this path) are folded into the
+    dirty set rather than trusted partially.
     """
-    if baseline.plan is None or (
+    if not isinstance(baseline.f_sets, SetMap) or (
         baseline.trace is not None and not baseline.trace.converged
     ):
         return None

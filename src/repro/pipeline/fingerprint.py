@@ -35,7 +35,7 @@ STAGE_VERSIONS: dict[str, int] = {
     "golden": 1,
     "ports": 2,  # v2: error-reporting deadline summaries ride on PortEnv
     "ace": 2,    # v2: suite-pooled deadline summaries in the cached suite
-    "plan": 6,   # follows repro.core.compiled.PLAN_FORMAT
+    "plan": 7,   # follows repro.core.compiled.PLAN_FORMAT
     "sart": 1,
     "sfi": 1,
     "beam": 1,

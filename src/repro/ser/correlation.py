@@ -126,7 +126,7 @@ def _rate(outcome: RunOutcome, flops, *, flux: float,
         model.add("sequentials", avf, bits=1, derating=derating)
     if include_arrays:
         ports = outcome.port_env.ports
-        for mem_name, mem in outcome.sart.result.model.graph.mems.items():
+        for mem_name, mem in outcome.sart.result.plan.graph.mems.items():
             sname = mem.attrs.get("struct", mem_name)
             if sname == "irom":
                 continue  # the beam does not strike the program ROM

@@ -13,24 +13,27 @@ Production runs use :mod:`repro.core.compiled`, which lowers the same
 semantics onto integer kernels. This module stays as the independent
 reference for the cross-engine oracle (:mod:`repro.verify.oracles`) and
 the equivalence tests; run it on a design with
-:func:`repro.verify.reference.run_reference`.
+:func:`repro.verify.reference.run_reference`, which reads the fixed sets
+of the solve plan's classification back as ``{net: frozenset}`` tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Mapping
 
-from repro.core.graphmodel import AvfModel
 from repro.core.pavf import Atom, TOP_SET, union
+from repro.netlist.graph import NetGraph
+
+# Fixed sets by net name: a solve plan's set-id columns read back.
+SetTable = Mapping[str, frozenset[Atom]]
 
 
-def solve_forward(model: AvfModel) -> dict[str, frozenset[Atom]]:
+def solve_forward(graph: NetGraph, fixed: SetTable) -> dict[str, frozenset[Atom]]:
     """Forward propagation: f(n) = union of f over fan-in.
 
-    Fixed nodes (``model.forward_fixed``) keep their source sets.
+    Fixed nodes (the nets of *fixed*) keep their source sets.
     """
-    graph = model.graph
-    fixed = model.forward_fixed
     fanins = graph.fanins()
 
     out: dict[str, frozenset[Atom]] = {}
@@ -80,22 +83,25 @@ def solve_forward(model: AvfModel) -> dict[str, frozenset[Atom]]:
 
 
 def solve_backward(
-    model: AvfModel, *, dangling: str = "unace"
+    graph: NetGraph,
+    through_fixed: SetTable,
+    sinks: SetTable,
+    *,
+    dangling: str = "unace",
 ) -> dict[str, frozenset[Atom]]:
     """Backward propagation: b(n) = union of what each consumer passes up.
 
-    A consumer with a fixed through-set (structure write bit, loop node,
-    control register) contributes that set; an ordinary consumer
-    contributes its own computed b; static sinks (memory write pins, port
-    addresses, primary outputs) contribute their atoms.
+    A consumer with a fixed through-set in *through_fixed* (structure
+    write bit, loop node, control register) contributes that set; an
+    ordinary consumer contributes its own computed b; the static *sinks*
+    of a net (memory write pins, port addresses, primary outputs)
+    contribute their atoms.
 
     ``dangling`` controls nodes with no consumers at all: ``"unace"``
     resolves them to the empty set (a value nobody reads is un-ACE — a
     refinement the walk engine cannot express), ``"top"`` keeps the
     paper's conservative 1.0 so the two engines match exactly.
     """
-    graph = model.graph
-    through_fixed = model.contrib_through
     fanout = graph.fanout()
 
     out: dict[str, frozenset[Atom]] = {}
@@ -121,9 +127,8 @@ def solve_backward(
         net = ready.popleft()
         processed += 1
         pieces = [through(m) for m in fanout.get(net, ())]
-        sinks = model.static_sinks.get(net)
-        if sinks:
-            pieces.append(frozenset(sinks))
+        if net in sinks:
+            pieces.append(sinks[net])
         if not pieces:
             out[net] = frozenset() if dangling == "unace" else TOP_SET
         elif len(pieces) == 1:

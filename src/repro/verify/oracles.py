@@ -169,7 +169,7 @@ class CtrlPinnedOracle(Oracle):
     def check(self, case: DesignCase, ctx: CaseContext) -> list[Violation]:
         result = ctx.sart()
         out = []
-        expected = result.config.ctrl_pavf
+        expected = 1.0  # the paper's pAVF_R "of 100%" (Section 5.1)
         for net in case.ctrl_names:
             node = result.node_avfs.get(net)
             if node is None:

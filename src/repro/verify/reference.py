@@ -6,13 +6,14 @@ propagation semantics independently and stay only as references: the
 dict-based fixpoint (:mod:`repro.verify.dataflow`) and the faithful walk
 engine (:mod:`repro.verify.walker`). :func:`run_reference` runs either
 of them monolithically through the rest of the paper's flow (graph
-extraction, the one front end :func:`~repro.core.graphmodel.build_model`
-with its loop breaking and control registers, environment, resolution,
-per-FUB report) and returns the same :class:`~repro.core.sart.SartResult`
+extraction, the solve plan's one classification of every node with its
+loop breaking and control registers, environment, resolution, per-FUB
+report) and returns the same :class:`~repro.core.sart.SartResult`
 shape, so the cross-engine oracle, the equivalence tests and the
-ablation benchmarks compare propagation engines on one model. Its
-resolution phase is :func:`resolve`, the dict-keyed reference of
-:func:`repro.core.compiled.resolve_ids`.
+ablation benchmarks compare propagation engines on one classification.
+The engines read the plan's fixed sets back as ``{net: frozenset}``
+tables and propagate by name. Its resolution phase is :func:`resolve`,
+the dict-keyed reference of :func:`repro.core.compiled.resolve_ids`.
 
 :func:`run_relaxation` runs the paper's per-FUB relaxation (Section 5.2)
 cold on a plan and resolves it like ``run_sart``: the relaxation-fixpoint
@@ -26,22 +27,19 @@ import time
 from typing import Mapping
 
 from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
-from repro.core.graphmodel import AvfModel, StructurePorts, build_model
-from repro.core.pavf import CTRL, LOOP, TOP, Atom, PavfEnv, value_of
-from repro.core.report import fub_report
-from repro.core.resolve import (
-    ROLE_CONST,
-    ROLE_CTRL,
-    ROLE_INPUT,
-    ROLE_LOGIC,
-    ROLE_LOOP,
-    ROLE_MEM,
-    ROLE_STRUCT,
-    NodeAvf,
+from repro.core.graphmodel import StructurePorts
+from repro.core.pavf import TOP, Atom, PavfEnv, value_of
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_MEM, ROLE_STRUCT, NodeAvf
+from repro.core.sart import (
+    SartConfig,
+    SartResult,
+    SetMap,
+    build_env,
+    build_plan,
+    sart_result,
 )
-from repro.core.sart import SartConfig, SartResult, SetMap, build_env, sart_result
 from repro.errors import SartError
-from repro.netlist.graph import NetGraph, NodeKind, extract_graph
+from repro.netlist.graph import NetGraph
 from repro.netlist.netlist import Module
 from repro.verify.dataflow import solve_backward, solve_forward
 from repro.verify.walker import WalkEngine, fill_unvisited
@@ -61,42 +59,36 @@ def run_reference(
 
     *engine* is ``"dataflow"`` (one monolithic fixpoint) or ``"walk"``
     (the rounds of walks used are reported as
-    ``stats["walker_rounds"]``).
+    ``stats["walker_rounds"]``). The design is classified by
+    :func:`~repro.core.sart.build_plan`, whose fixed sets the engine
+    reads back by net name; the result carries that plan, with plain
+    dicts as its set tables.
     """
     if engine not in (DATAFLOW, WALK):
         raise SartError(f"unknown reference engine {engine!r}; "
                         f"have {DATAFLOW!r}, {WALK!r}")
     config = config or SartConfig()
     started = time.perf_counter()
-    graph = design if isinstance(design, NetGraph) else extract_graph(design)
-    model = build_model(graph, structures)
-    env = build_env(model, config)
+    plan = build_plan(design, structures)
+    graph = plan.graph
+    env = build_env(plan, config)
+    fixed, through, sinks = (dict(SetMap(plan, ids))
+                             for ids in (plan.fwd_fixed, plan.through, plan.sink))
 
-    stats: dict[str, float] = {}
     if engine == WALK:
-        walker = WalkEngine(model, env)
+        walker = WalkEngine(graph, fixed, through, sinks, env)
         f_sets = fill_unvisited(walker.run_forward(), graph.names)
         b_sets = fill_unvisited(walker.run_backward(), graph.names)
-        stats["walker_rounds"] = float(walker.rounds_used)
     else:
-        f_sets = solve_forward(model)
-        b_sets = solve_backward(model, dangling=config.dangling)
+        f_sets = solve_forward(graph, fixed)
+        b_sets = solve_backward(graph, through, sinks, dangling=config.dangling)
 
-    node_avfs = resolve(model, f_sets, b_sets, env)
-    report = fub_report(
-        node_avfs, loop_bits=len(model.loop_nets), ctrl_bits=len(model.ctrl_nets)
-    )
-    return SartResult(
-        node_avfs=node_avfs,
-        report=report,
-        model=model,
-        env=env,
-        f_sets=f_sets,
-        b_sets=b_sets,
-        config=config,
-        elapsed_seconds=time.perf_counter() - started,
-        stats=stats,
-    )
+    node_avfs = resolve(plan, f_sets, b_sets, env)
+    result = sart_result(plan, config, env, node_avfs, f_sets, b_sets,
+                         started=started)
+    if engine == WALK:
+        result.stats["walker_rounds"] = float(walker.rounds_used)
+    return result
 
 
 def run_relaxation(
@@ -114,7 +106,7 @@ def run_relaxation(
     """
     started = time.perf_counter()
     config = config or SartConfig()
-    env = build_env(plan.model, config)
+    env = build_env(plan, config)
     evaluator = SetEvaluator(plan.interner, env)
     f_ids, b_ids, trace = relax_compiled(
         plan, env, evaluator=evaluator, iterations=iterations,
@@ -126,15 +118,16 @@ def run_relaxation(
 
 
 def resolve(
-    model: AvfModel,
+    plan: SolvePlan,
     f_sets: Mapping[str, frozenset[Atom]],
     b_sets: Mapping[str, frozenset[Atom]],
     env: PavfEnv,
 ) -> dict[str, NodeAvf]:
-    """Compute the final per-node AVF from the two directional estimates."""
+    """Compute the final per-node AVF from the two directional estimates,
+    with each node's role as *plan* classified it."""
     out: dict[str, NodeAvf] = {}
-    graph = model.graph
-    for net, kind, fub in zip(graph.names, graph.kinds, graph.fubs):
+    graph = plan.graph
+    for nid, net in enumerate(graph.names):
         f_set, b_set = f_sets.get(net), b_sets.get(net)
         f_val = value_of(f_set, env) if f_set is not None else 1.0
         b_val = value_of(b_set, env) if b_set is not None else 1.0
@@ -142,24 +135,18 @@ def resolve(
         visited = not (
             (f_set is None or TOP in f_set) and (b_set is None or TOP in b_set)
         )
-        if net in model.struct_nodes:
-            role, visited = ROLE_STRUCT, True
-            ports = model.structures.get(model.struct_nodes[net][0])
+        role = plan.role_l[nid]
+        if role == ROLE_STRUCT:
+            visited = True
+            ports = plan.structures.get(plan.special_l[nid])
             if ports is not None and ports.avf is not None:
                 avf = ports.avf
-        elif net in model.loop_nets:
-            role, visited, avf = ROLE_LOOP, True, env.lookup(Atom(LOOP, net))
-        elif net in model.ctrl_nets:
-            # Control registers are structure-like: their AVF is the
-            # injected read-port value (100 % by default), not an estimate.
-            role, visited, avf = ROLE_CTRL, True, env.lookup(Atom(CTRL, net))
-        elif kind == NodeKind.CONST:
-            role = ROLE_CONST
-        elif kind == NodeKind.INPUT:
-            role = ROLE_INPUT
-        elif kind == NodeKind.MEM_RDATA:
-            role, visited = ROLE_MEM, True
-        else:
-            role = ROLE_LOGIC
-        out[net] = NodeAvf(net, kind, fub, role, avf, f_val, b_val, visited)
+        elif role in (ROLE_LOOP, ROLE_CTRL):
+            # Loop boundaries and control registers are structure-like:
+            # their AVF is the injected value, not an estimate.
+            visited, avf = True, env.lookup(plan.special_l[nid])
+        elif role == ROLE_MEM:
+            visited = True
+        out[net] = NodeAvf(net, graph.kinds[nid], graph.fubs[nid], role, avf,
+                           f_val, b_val, visited)
     return out

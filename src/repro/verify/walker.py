@@ -28,8 +28,9 @@ a design with :func:`repro.verify.reference.run_reference`.
 
 from __future__ import annotations
 
-from repro.core.graphmodel import AvfModel
 from repro.core.pavf import Atom, PavfEnv, TOP_SET, union, value_of
+from repro.netlist.graph import NetGraph
+from repro.verify.dataflow import SetTable
 
 _EPS = 1e-12
 # Rounds of walks per phase before giving up on a quiet round.
@@ -37,10 +38,17 @@ MAX_ROUNDS = 100
 
 
 class WalkEngine:
-    """Runs forward and backward walk rounds over a model."""
+    """Runs forward and backward walk rounds over a node graph.
 
-    def __init__(self, model: AvfModel, env: PavfEnv):
-        self.model = model
+    *fixed*, *through* and *sinks* are the fixed sets by net name, as
+    :func:`~repro.verify.dataflow.solve_forward` and
+    :func:`~repro.verify.dataflow.solve_backward` read them.
+    """
+
+    def __init__(self, graph: NetGraph, fixed: SetTable, through: SetTable,
+                 sinks: SetTable, env: PavfEnv):
+        self.graph = graph
+        self.fixed, self.through, self.sinks = fixed, through, sinks
         self.env = env
         self.rounds_used = 0
 
@@ -49,9 +57,8 @@ class WalkEngine:
     # ------------------------------------------------------------------
     def run_forward(self) -> dict[str, frozenset[Atom]]:
         """All forward walks to fixpoint; returns net -> annotation."""
-        model = self.model
-        fanout = model.graph.fanout()
-        fixed = model.forward_fixed
+        fanout = self.graph.fanout()
+        fixed = self.fixed
         annotations: dict[str, frozenset[Atom]] = dict(fixed)
         sources = list(fixed)
 
@@ -66,10 +73,9 @@ class WalkEngine:
         return annotations
 
     def _walk_forward(self, source, annotations, fanout) -> bool:
-        model = self.model
         env = self.env
-        fanins = model.graph.fanins()
-        fixed = model.forward_fixed
+        fanins = self.graph.fanins()
+        fixed = self.fixed
         changed = False
         visited = {source}
         stack = [source]
@@ -104,17 +110,16 @@ class WalkEngine:
     # ------------------------------------------------------------------
     def run_backward(self) -> dict[str, frozenset[Atom]]:
         """All backward walks to fixpoint; returns net -> annotation."""
-        model = self.model
-        fanout = model.graph.fanout()
-        through_fixed = model.contrib_through
+        fanout = self.graph.fanout()
+        through_fixed = self.through
         annotations: dict[str, frozenset[Atom]] = {}
 
         # A backward walk starts at each structure write-port bit: the nets
         # driving a fixed-through consumer, and the nets with static sinks
         # (memory pins, primary outputs). Control registers contribute the
         # empty set, i.e. their write-port walks are omitted (Section 5.1).
-        sources: list[str] = list(model.static_sinks)
-        for net, fanin in model.graph.fanins().items():
+        sources: list[str] = list(self.sinks)
+        for net, fanin in self.graph.fanins().items():
             if net in through_fixed and through_fixed[net]:
                 sources.extend(fanin)
         sources = list(dict.fromkeys(sources))
@@ -130,10 +135,9 @@ class WalkEngine:
         return annotations
 
     def _walk_backward(self, source, annotations, fanout) -> bool:
-        model = self.model
         env = self.env
-        fanins = model.graph.fanins()
-        through_fixed = model.contrib_through
+        fanins = self.graph.fanins()
+        through_fixed, sinks = self.through, self.sinks
         changed = False
         visited: set[str] = set()
         stack = [source]
@@ -160,9 +164,8 @@ class WalkEngine:
                 pieces.append(annot)
             if not complete:
                 continue  # "the walk ends here"
-            sinks = model.static_sinks.get(current)
-            if sinks:
-                pieces.append(frozenset(sinks))
+            if current in sinks:
+                pieces.append(sinks[current])
             new = union(*pieces) if pieces else frozenset()
             cur = annotations.get(current)
             if cur is None or value_of(new, env) < value_of(cur, env) - _EPS:
@@ -176,7 +179,7 @@ class WalkEngine:
     # ------------------------------------------------------------------
     def coverage(self, annotations: dict[str, frozenset[Atom]]) -> float:
         """Fraction of nodes annotated (the paper's 'visited' metric)."""
-        total = len(self.model.graph)
+        total = len(self.graph)
         return len(annotations) / total if total else 1.0
 
 

@@ -19,6 +19,7 @@ from repro.core.batched import (
 from repro.core.compiled import SetEvaluator
 from repro.core.graphmodel import StructurePorts
 from repro.core.report import fub_report
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP
 from repro.core.sart import SartConfig, build_env, build_plan, run_sart
 from repro.designs.bigcore.systolic import SystolicConfig, build_systolic
 
@@ -47,8 +48,8 @@ def plan(module):
 
 def _per_point_reports(plan):
     reports = []
-    loop_bits = len(plan.model.loop_nets)
-    ctrl_bits = len(plan.model.ctrl_nets)
+    loop_bits = plan.role_l.count(ROLE_LOOP)
+    ctrl_bits = plan.role_l.count(ROLE_CTRL)
     for value in SWEEP:
         cfg = SartConfig(
             loop_pavf=value
@@ -107,7 +108,7 @@ class TestBatchedEvaluator:
     @pytest.fixture(scope="class")
     def envs(self, plan):
         return [
-            build_env(plan.model, SartConfig(loop_pavf=value))
+            build_env(plan, SartConfig(loop_pavf=value))
             for value in SWEEP
         ]
 

@@ -174,8 +174,7 @@ class TestSolvePlan:
         plan = build_plan(tinycore_module)
         cfg = SartConfig(
             loop_pavf=0.9,
-            ctrl_pavf=0.5,
-            const_pavf=0.2,
+            boundary_in_pavf=0.5,
             dangling="top",
         )
         res = run_sart(plan=plan, config=cfg)
@@ -295,7 +294,7 @@ class TestSetEvaluator:
         import pickle
 
         plan = build_plan(tinycore_module)
-        env = build_env(plan.model, SartConfig())
+        env = build_env(plan, SartConfig())
         f_ids, b_ids = plan.solve_monolithic()
         sids = sorted({s for s in f_ids + b_ids if s >= 0})
         want = SetEvaluator(plan.interner, env)
@@ -375,6 +374,25 @@ def test_interner_holds_rows_only_within_a_storage_budget():
     assert interner.nbytes() <= 20 * entries
 
 
+@pytest.mark.parametrize(
+    "ref", ["tinycore:fib", "systolic@rows=4,cols=4", "bigcore@scale=0.3"])
+def test_solved_plan_pickles_no_frozenset(ref):
+    """A plan carries arrays only: its fixed sets are set-id columns, and
+    the name-keyed frozenset tables exist only where the reference
+    engines build them, so the pickle the artifact store writes holds no
+    frozenset."""
+    import pickle
+    import pickletools
+
+    from repro.pipeline.registry import resolve_design
+
+    plan = build_plan(resolve_design(ref).build().module)
+    run_sart(plan=plan)
+    blob = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+    opcodes = {op.name for op, _, _ in pickletools.genops(blob)}
+    assert "FROZENSET" not in opcodes
+
+
 def test_rows_whose_hashes_collide_intern_apart(monkeypatch):
     # The index keys rows by hash; a row whose hash is taken probes on
     # and is told apart by its bytes. Make every row of one length collide.
@@ -408,10 +426,10 @@ def test_resolve_ids_matches_resolve(tinycore_module):
     from repro.verify.reference import resolve
 
     plan = build_plan(tinycore_module)
-    env = build_env(plan.model, SartConfig())
+    env = build_env(plan, SartConfig())
     f_ids, b_ids = plan.solve_monolithic()
     got = resolve_ids(plan, f_ids, b_ids, env)
-    want = resolve(plan.model, SetMap(plan, f_ids), SetMap(plan, b_ids), env)
+    want = resolve(plan, SetMap(plan, f_ids), SetMap(plan, b_ids), env)
     assert got.keys() == want.keys()
     for net, nw in want.items():
         ng = got[net]

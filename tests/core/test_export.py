@@ -13,6 +13,7 @@ from repro.core.export import (
     summary_json,
     worst_nodes,
 )
+from repro.core.resolve import ROLE_STRUCT
 from repro.core.sart import run_sart
 from tests.conftest import FIG7_STRUCTS, make_fig7
 
@@ -51,7 +52,8 @@ def test_summary_json(result):
 
 def test_closed_form_text(result):
     text = closed_form_text(result)
-    assert text.count("AVF(") == result.report.seq_count + len(result.model.struct_nodes)
+    structure_bits = sum(n.role == ROLE_STRUCT for n in result.node_avfs.values())
+    assert text.count("AVF(") == result.report.seq_count + structure_bits
     assert "MIN(" in text
     # restricting to specific nets works
     one = closed_form_text(result, nets=[next(iter(result.node_avfs))])

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.controlregs import find_control_registers
-from repro.core.graphmodel import build_model
 from repro.core.loops import find_loop_nets
+from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
+from repro.core.sart import build_plan
 from repro.errors import SartError
 from repro.netlist.builder import ModuleBuilder
 from repro.netlist.graph import GraphBuilder, NodeKind, extract_graph
@@ -60,8 +61,9 @@ def test_cut_enabled_flop_is_not_a_loop():
     p = b.dff(d, en=en)
     g = extract_graph(b.done())
     assert find_loop_nets(g, {q}) == {p}
-    model = build_model(g, None)
-    assert q in model.struct_nodes and model.loop_nets == {p}
+    roles = dict(zip(g.names, build_plan(g).role_l))
+    assert roles[q] == ROLE_STRUCT
+    assert {net for net, role in roles.items() if role == ROLE_LOOP} == {p}
 
 
 def test_combinational_cycle_raises():
@@ -105,10 +107,10 @@ def test_counter_loop():
     ("systolic@rows=4,cols=4", (256, 1)),
 ])
 def test_model_loop_and_ctrl_counts(ref, counts):
-    # build_model is the one front end: these counts pin its loop finder
-    # and control-register rule on each built-in design family.
-    model = build_model(extract_graph(resolve_design(ref).build().module))
-    assert (len(model.loop_nets), len(model.ctrl_nets)) == counts
+    # The plan classifies every node once: these counts pin its loop
+    # finder and control-register rule on each built-in design family.
+    role_l = build_plan(resolve_design(ref).build().module).role_l
+    assert (role_l.count(ROLE_LOOP), role_l.count(ROLE_CTRL)) == counts
 
 
 class TestControlRegs:
@@ -140,5 +142,4 @@ class TestControlRegs:
         q = b.dff(x, name="cfg_table", attrs={"struct": "CFG", "bit": "0"})
         g = extract_graph(b.done())
         assert q in find_control_registers(g)
-        model = build_model(g, None)
-        assert q in model.struct_nodes and q not in model.ctrl_nets
+        assert build_plan(g).role_l[g.ids[q]] == ROLE_STRUCT

@@ -132,7 +132,7 @@ def small_bigcore():
     from repro.designs.bigcore import BigcoreConfig, build_bigcore
 
     graph = extract_graph(build_bigcore(BigcoreConfig(scale=0.1, seed=42)).module)
-    names = sorted(build_plan(graph).model.structures)
+    names = sorted(build_plan(graph).structures)
 
     def ports(seed):
         rng = random.Random(seed)
@@ -196,8 +196,8 @@ class TestClosedFormIsTheSolve:
         result = base.sart.result
         if kind == "relaxed":
             result = run_relaxation(base.plan.plan)
-        new_ports = fresh.plan.plan.model.structures
-        assert new_ports != result.plan.model.structures
+        new_ports = fresh.plan.plan.structures
+        assert new_ports != result.plan.structures
         assert result.closed_form().evaluate(new_ports) == \
             fresh.sart.result.node_avfs
 

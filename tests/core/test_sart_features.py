@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.core.graphmodel import StructurePorts, build_model
-from repro.core.pavf import READ, WRITE, Atom
-from repro.core.sart import SartConfig, run_sart
+from repro.core.graphmodel import StructurePorts
+from repro.core.pavf import BOUNDARY, CONST, CTRL, LOOP, READ, WRITE, Atom
+from repro.core.resolve import (
+    ROLE_CONST,
+    ROLE_CTRL,
+    ROLE_INPUT,
+    ROLE_LOGIC,
+    ROLE_LOOP,
+    ROLE_MEM,
+    ROLE_STRUCT,
+)
+from repro.core.sart import SartConfig, SetMap, build_plan, run_sart
 from repro.errors import MappingError
 from repro.netlist import wordlib
 from repro.netlist.builder import ModuleBuilder
@@ -163,17 +172,90 @@ class TestMapping:
         b.dff(x, attrs={"struct": "S", "bit": "banana"})
         g = extract_graph(b.done())
         with pytest.raises(MappingError):
-            build_model(g, None)
+            build_plan(g)
 
     def test_explicit_binding_works(self):
+        # Paper step 4 is decided once, by the plan: one node of every
+        # role, its fixed forward, through and sink atoms, and what every
+        # structure atom binds to. The compiled engine and the reference
+        # engines both read this classification, so the cross-engine
+        # oracle cannot see a fault in it.
         b = ModuleBuilder("m")
-        x = b.input("x")
+        x, we = b.input("x"), b.input("we")
+        ra0, ra1, wa = b.input_bus("ra0", 1), b.input_bus("ra1", 1), b.input_bus("wa", 1)
         q = b.dff(x, name="q", attrs={"struct": "S", "bit": "3"})
-        g = extract_graph(b.done())
-        model = build_model(g, None)
-        assert model.struct_nodes[q] == ("S", 3)
-        assert Atom(READ, "S", 3) in model.forward_fixed[q]
-        assert Atom(WRITE, "S", 3) in model.contrib_through[q]
+        # Named like a control register, but a structure wins.
+        tbl = b.dff(x, name="cfg_table", attrs={"struct": "CFG", "bit": "0"})
+        cfg = b.dff(x, name="cfg_mode")
+        b.module.add_net("state")
+        b.dff(b.xor_("state", x), q="state", name="fsm")
+        tie = b.const1()
+        wd = [b.buf(q), b.and_(x, tie)]
+        rd0, rd1 = b.mem(2, 2, [ra0, ra1], wa, wd, we, name="arr",
+                         attrs={"struct": "RF"})
+        b.output("y")
+        b.gate("OR", [*rd0, *rd1, tbl, cfg, "state"], out="y")
+        plan = build_plan(b.done())
+
+        roles = {net: (role, special) for net, role, special
+                 in zip(plan.names, plan.role_l, plan.special_l)}
+        assert roles[q] == (ROLE_STRUCT, "S")
+        assert roles[tbl] == (ROLE_STRUCT, "CFG")
+        assert roles[cfg] == (ROLE_CTRL, Atom(CTRL, cfg))
+        assert roles["state"] == (ROLE_LOOP, Atom(LOOP, "state"))
+        assert roles[tie] == (ROLE_CONST, None)
+        assert roles[x] == roles[ra1[0]] == (ROLE_INPUT, None)
+        assert all(roles[net] == (ROLE_MEM, None) for net in rd0 + rd1)
+        assert roles["y"] == roles[wd[0]] == (ROLE_LOGIC, None)
+
+        fwd, through, sink = (
+            {net: set(atoms) for net, atoms in SetMap(plan, ids).items()}
+            for ids in (plan.fwd_fixed, plan.through, plan.sink)
+        )
+        assert fwd == {
+            q: {Atom(READ, "S", 3)},
+            tbl: {Atom(READ, "CFG", 0)},
+            cfg: {Atom(CTRL, cfg)},
+            "state": {Atom(LOOP, "state")},
+            tie: {Atom(CONST, tie)},
+            **{net: {Atom(BOUNDARY, net)} for net in (x, we, *ra0, *ra1, *wa)},
+            rd0[0]: {Atom(READ, "RF", 0)},
+            rd0[1]: {Atom(READ, "RF", 1)},
+            rd1[0]: {Atom(READ, "RF", 2)},
+            rd1[1]: {Atom(READ, "RF", 3)},
+        }
+        assert through == {
+            q: {Atom(WRITE, "S", 3)},
+            tbl: {Atom(WRITE, "CFG", 0)},
+            cfg: set(),
+            "state": {Atom(LOOP, "state")},
+        }
+        assert sink == {
+            wd[0]: {Atom(WRITE, "RF", 0)},
+            wd[1]: {Atom(WRITE, "RF", 1)},
+            ra0[0]: {Atom(READ, "RF#raddr0")},
+            ra1[0]: {Atom(READ, "RF#raddr1")},
+            wa[0]: {Atom(WRITE, "RF#waddr")},
+            we: {Atom(WRITE, "RF#wen")},
+            "y": {Atom(BOUNDARY, "y")},
+        }
+        assert plan.atom_bindings == {
+            Atom(READ, "S", 3): ("r", "S", 3),
+            Atom(WRITE, "S", 3): ("w", "S", 3),
+            Atom(READ, "CFG", 0): ("r", "CFG", 0),
+            Atom(WRITE, "CFG", 0): ("w", "CFG", 0),
+            **{Atom(READ, "RF", i): ("r", "RF", i) for i in range(4)},
+            Atom(READ, "RF#raddr0"): ("ra", "RF", 0),
+            Atom(READ, "RF#raddr1"): ("ra", "RF", 1),
+            Atom(WRITE, "RF", 0): ("w", "RF", 0),
+            Atom(WRITE, "RF", 1): ("w", "RF", 1),
+            Atom(WRITE, "RF#waddr"): ("wa", "RF", 0),
+            Atom(WRITE, "RF#wen"): ("wen", "RF", 0),
+        }
+        # Every structure the netlist names gets conservative defaults.
+        assert plan.structures == {
+            name: StructurePorts(name) for name in ("S", "CFG", "RF")
+        }
 
 
 def test_stats_and_coverage():

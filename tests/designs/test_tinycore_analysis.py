@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.resolve import ROLE_LOOP
 from repro.core.sart import build_plan, run_sart
 from repro.designs.tinycore.archsim import tinycore_structure_ports
 from repro.designs.tinycore.core import build_tinycore
@@ -54,11 +55,11 @@ def test_sart_on_tinycore(lattice):
 def test_loops_are_the_pipeline_control_web(lattice):
     netlist, _, ports, _ = lattice
     res = run_sart(netlist.module, ports)
-    loops = res.model.loop_nets
+    loops = [n.net for n in res.node_avfs.values() if n.role == ROLE_LOOP]
     # tinycore is loop-dominated (bypass/stall/PC SCC) — the documented
     # contrast with the paper's 2-3 % design.
     assert len(loops) > 100
-    g = res.model.graph
+    g = res.plan.graph
     pc_flops = [n for n in loops if (g.nodes[n].inst or "").startswith("pc_r")]
     assert len(pc_flops) == 10
 
@@ -80,7 +81,7 @@ def test_dead_store_path_has_zero_avf():
     ports, _, _ = tinycore_structure_ports("md5mix", words, dmem, gate_cycles=golden.cycles)
     res = run_sart(netlist.module, ports)
     st_data = [
-        net for net, node in res.model.graph.nodes.items()
+        net for net, node in res.plan.graph.nodes.items()
         if (node.inst or "").startswith("me_st_data")
     ]
     assert st_data

@@ -206,7 +206,7 @@ def test_store_written_with_dataclass_atoms_misses_cleanly(tmp_path, monkeypatch
 
     from repro.core.compiled import PLAN_FORMAT
 
-    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 7
     spec = RunSpec(design="tinycore:fib", sart=SartSpec(),
                    derating=DeratingSpec(), sfi=SfiSpec(injections=12, seed=1),
                    beam=BeamSpec(flux=5e-5, exposures=8, seed=2),
@@ -266,7 +266,7 @@ def test_plan_pickled_under_format_5_misses_cleanly(tmp_path, monkeypatch):
 
     from repro.core.compiled import PLAN_FORMAT
 
-    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 6
+    assert STAGE_VERSIONS["plan"] == PLAN_FORMAT == 7
     spec = RunSpec(design="tinycore:fib", sart=SartSpec())
     cache = tmp_path / "cache"
     with monkeypatch.context() as patch:

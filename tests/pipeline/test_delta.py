@@ -306,9 +306,10 @@ class TestWarmStartFromResult:
         assert warm_start_from_result(_plan(module), set(), relaxed) is not None
 
     def test_refuses_baseline_without_boundaries(self):
-        # A reference engine's result holds dict sets and no plan, so it
-        # has no boundary sets to seed a plan's exports with; any result
-        # solved on a plan (run_sart's monolithic one here) seeds.
+        # A reference engine's result carries its plan but holds dict
+        # sets that were not solved on it, so it has no boundary sets to
+        # seed a plan's exports with; any result solved on a plan
+        # (run_sart's monolithic one here) seeds.
         from repro.verify.reference import run_reference
 
         module = _design()

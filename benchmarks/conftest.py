@@ -40,7 +40,6 @@ BENCH_JSON_PATH = ROOT / "BENCH_simulator.json"
 BENCH_SART_PATH = ROOT / "BENCH_sart.json"
 BENCH_PIPELINE_PATH = ROOT / "BENCH_pipeline.json"
 BENCH_SERVE_PATH = ROOT / "BENCH_serve.json"
-BENCH_ECO_PATH = ROOT / "BENCH_eco.json"
 
 
 def _flush_bench(path: Path, data: dict) -> None:
@@ -101,14 +100,6 @@ def bench_serve_json():
     data: dict[str, object] = {}
     yield data
     _flush_bench(BENCH_SERVE_PATH, data)
-
-
-@pytest.fixture(scope="session")
-def bench_eco_json():
-    """Incremental re-solve (ECO) benchmark sink, BENCH_eco.json."""
-    data: dict[str, object] = {}
-    yield data
-    _flush_bench(BENCH_ECO_PATH, data)
 
 
 @pytest.fixture(scope="session")

@@ -27,14 +27,9 @@ Subcommands:
 ``diff``
     Per-FUB structural diff between two design references: changed,
     added, and removed FUBs plus the dirty set, the static upper bound
-    on the FUBs whose solution can differ. An ``eco`` re-solve seeds
-    only the touched FUBs and grows its front by value, so it usually
-    revisits far fewer.
-``eco``
-    Incremental SART re-solve: solve a baseline design, diff it against
-    the edited design, and warm-start the edited solve so only the FUBs
-    the edit influences re-solve — bit-identical to a cold run
-    (``--check`` verifies it).
+    on the FUBs whose solution can differ. It solves nothing: the
+    edited design's report comes from ``run`` or ``bigcore`` on its
+    reference.
 ``export``
     Write a built-in design (tinycore with a program, or bigcore) as
     EXLIF or structural Verilog for external tools.
@@ -82,7 +77,6 @@ from repro.pipeline.spec import (
     BeamSpec,
     CampaignSpec,
     DeratingSpec,
-    EcoSpec,
     ExportSpec,
     RunSpec,
     SartSpec,
@@ -339,18 +333,6 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_eco(args) -> int:
-    outcome = _execute(args, RunSpec(
-        design=args.design,
-        workloads=_workloads_spec(args),
-        sart=_sart_spec(args),
-        eco=EcoSpec(baseline=args.baseline, check=args.check),
-    ))
-    _export_sart(args, outcome)
-    _export_run_summary(args, outcome)
-    return 0
-
-
 def cmd_export(args) -> int:
     if args.design == "tinycore":
         ref = f"tinycore:{args.program or 'fib'}"
@@ -419,13 +401,6 @@ def cmd_loadgen(args) -> int:
         f"dedup burst: {burst['requests']} identical requests -> "
         f"{burst['distinct_jobs']} job(s), {burst['executions']} execution(s)"
     )
-    counters = doc.get("server_counters", {})
-    if counters.get("eco_jobs"):
-        print(
-            f"eco: {counters['eco_jobs']} job(s), "
-            f"{counters.get('warm_solves', 0)} warm / "
-            f"{counters.get('cold_solves', 0)} cold"
-        )
     for error in doc["errors"]:
         print(f"  ERROR {error}", file=sys.stderr)
     if args.out:
@@ -663,20 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     json_opts(p)
     cache_opts(p)
     p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser(
-        "eco", help="incremental SART re-solve against a baseline design")
-    p.add_argument("design", help="edited design reference "
-                                  "(e.g. bigcore@scale=1,edit=LSU)")
-    p.add_argument("--baseline", required=True, metavar="REF",
-                   help="baseline design reference the warm start is "
-                        "seeded from")
-    p.add_argument("--check", action="store_true",
-                   help="also run the cold solve and verify the "
-                        "incremental result is bit-identical")
-    workload_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_eco)
 
     p = sub.add_parser("run", help="execute a declarative TOML/JSON run-spec")
     p.add_argument("spec", help="run-spec file (.toml or .json)")

@@ -28,8 +28,8 @@ Figure 8 sweep point, a ``loop_pavf_per_net`` study) is a re-evaluation,
 not a re-solve. The partitioned relaxation (:func:`relax_compiled`)
 re-runs per-FUB kernels against the cached schedules, re-solving only
 FUBs whose imported boundary sets changed in the previous merge; it
-lands on the monolithic fixpoint and serves the ECO warm start and the
-convergence study.
+lands on the monolithic fixpoint and serves the convergence study (E5)
+and the ``relaxation-fixpoint`` oracle.
 
 Numeric evaluation of interned sets (:class:`SetEvaluator`) is the
 index-based kernel shared by resolution, FUBIO merging and the relaxation
@@ -60,7 +60,7 @@ from repro.core.pavf import (
     PavfEnv,
     SetInterner,
 )
-from repro.core.relaxation import RelaxationTrace, WarmStart
+from repro.core.relaxation import RelaxationTrace
 from repro.core.resolve import (
     NodeAvf,
     ROLE_CONST,
@@ -731,11 +731,11 @@ def relax_compiled(
     evaluator: SetEvaluator | None = None,
     iterations: int = 20,
     dangling: str = "unace",
-    warm_start: WarmStart | None = None,
 ) -> tuple[list[int], list[int], RelaxationTrace]:
     """Jacobi relaxation across FUB partitions on the compiled kernels.
 
-    Each iteration re-solves the dirty FUBs against the FUBIO boundary
+    The run starts from TOP boundaries with every FUB dirty. Each
+    iteration re-solves the dirty FUBs against the FUBIO boundary
     entries, then merges: an export entry takes its exporter's new set
     whenever the set id changed, and marks the FUBs importing it dirty
     for the next iteration. The run has converged when no entry
@@ -745,32 +745,16 @@ def relax_compiled(
     ``trace.max_delta`` records the largest value change of a merge.
     The paper's budget is *iterations* = 20.
 
-    A cold run starts from TOP boundaries with every FUB dirty.
-    *warm_start* (ECO mode) starts from a baseline's solution instead
-    (:class:`~repro.core.relaxation.WarmStart`) with only
-    ``warm_start.dirty_fubs`` dirty, so the re-solve front expands along
-    the edit's actual influence.
-
-    Returns the forward and backward node set ids and the trace. On a
-    warm run the node ids of FUBs never re-solved stay -1: their sets
-    are the baseline's.
+    Returns the forward and backward node set ids and the trace.
     """
     ev = evaluator or SetEvaluator(plan.interner, env)
-    n, n_fubs = plan.n, plan.n_fubs
+    n = plan.n
     f_bnd = [_TOP_ID] * n
     b_bnd = [_TOP_ID] * n
     f_out = [-1] * n
     b_out = [-1] * n
     trace = RelaxationTrace()
-    warm = warm_start is not None
-    if warm:
-        dirty = _apply_warm_start(plan, warm_start, f_bnd, b_bnd)
-        trace.warm = True
-        trace.dirty_fubs = len(dirty)
-        trace.warm_fubs = n_fubs - len(dirty)
-    else:
-        dirty = list(range(n_fubs))
-    resolved: set[int] = set()
+    dirty = list(range(plan.n_fubs))
     value = ev.value
     merges = (
         (plan.f_exports, f_out, f_bnd, plan.f_importers),
@@ -778,12 +762,11 @@ def relax_compiled(
     )
 
     for iteration in range(iterations):
-        resolved.update(dirty)
         for f in dirty:
             plan._forward_pass(plan.fub_forder[f], f, f_bnd, f_out)
             plan._backward_pass(plan.fub_border[f], f, b_bnd, b_out, dangling)
 
-        # FUBIO merge; an owner that never solved (-1) exports nothing new.
+        # FUBIO merge.
         changed = False
         delta = 0.0
         next_dirty: set[int] = set()
@@ -791,7 +774,7 @@ def relax_compiled(
             for nid in exports:
                 new = out[nid]
                 old = bnd[nid]
-                if new == old or new < 0:
+                if new == old:
                     continue
                 bnd[nid] = new
                 changed = True
@@ -802,39 +785,12 @@ def relax_compiled(
 
         trace.iterations = iteration + 1
         trace.max_delta.append(delta)
-        _record_fub_averages_compiled(
-            plan, f_out, b_out, ev, trace, dirty, repeat=not warm)
+        _record_fub_averages_compiled(plan, f_out, b_out, ev, trace, dirty)
         if not changed:
             trace.converged = True
             break
         dirty = sorted(next_dirty)
-    trace.resolved_fubs = len(resolved)
-    trace.resolved_fub_ids = tuple(sorted(resolved))
     return f_out, b_out, trace
-
-
-def _apply_warm_start(
-    plan: SolvePlan,
-    warm: WarmStart,
-    f_bnd: list[int],
-    b_bnd: list[int],
-) -> list[int]:
-    """Seed the FUBIO boundaries from *warm*; return the initial dirty list.
-
-    Seeds are name-keyed (plan node ids do not survive a rebuild): each
-    export of this plan takes the baseline's set for its name, whose
-    atoms are interned here; an export the baseline lacks belongs to a
-    dirty FUB and is solved before any merge reads it.
-    Node outputs stay unseeded (-1): the merge skips entries whose owner
-    never re-solved — an unsolved owner's exports cannot have changed —
-    and the final result reuses the baseline's outputs for untouched
-    FUBs, so interning every node set would be pure overhead on the path
-    whose whole point is to skip O(n) work.
-    """
-    base, carried = warm.baseline, {}
-    base.f_sets.copy_into(plan, plan.f_exports, f_bnd, carried)
-    base.b_sets.copy_into(plan, plan.b_exports, b_bnd, carried)
-    return [f for f, fub in enumerate(plan.fub_names) if fub in warm.dirty_fubs]
 
 
 def _record_fub_averages_compiled(
@@ -844,16 +800,10 @@ def _record_fub_averages_compiled(
     ev: SetEvaluator,
     trace: RelaxationTrace,
     fubs: list[int],
-    *,
-    repeat: bool,
 ) -> None:
     """Record the average AVF of each FUB in *fubs*, those solved this
-    iteration.
-
-    With *repeat* (a cold run) every other FUB repeats its last average:
-    its outputs have not changed since. A warm run records *fubs* only:
-    untouched FUBs' node outputs are intentionally unseeded there, and
-    their converged averages are the baseline's anyway.
+    iteration; every other FUB repeats its last average, since its
+    outputs have not changed since.
     """
     ev.fill(
         [t[nid] for t in (f_out, b_out) for f in fubs for nid in plan.fub_seq[f]]
@@ -862,9 +812,8 @@ def _record_fub_averages_compiled(
     solved = set(fubs)
     for f, fub in enumerate(plan.fub_names):
         if f not in solved:
-            if repeat:
-                history = trace.fub_avg[fub]
-                history.append(history[-1])
+            history = trace.fub_avg[fub]
+            history.append(history[-1])
             continue
         seq = plan.fub_seq[f]
         if seq:
@@ -891,24 +840,16 @@ def resolve_ids(
     env: PavfEnv,
     *,
     evaluator: SetEvaluator | None = None,
-    only: Sequence[int] | None = None,
     structures: Mapping[str, StructurePorts] | None = None,
 ) -> dict[str, NodeAvf]:
     """Final per-node AVFs of a solve's set-id vectors (paper Table 1).
 
     Structure bits keep their measured AVF from *structures* (the plan's
     table by default), injected nodes their value, the rest get the MIN.
-
-    *only* restricts resolution to those node ids — the incremental
-    (ECO) path resolves just the re-solved FUBs' nodes and reuses the
-    baseline's resolution for the rest.
     """
     ev = evaluator or SetEvaluator(plan.interner, env)
-    if only is None:
-        ev.fill(f_sid)
-        ev.fill(b_sid)
-    else:
-        ev.fill([t[nid] for t in (f_sid, b_sid) for nid in only])
+    ev.fill(f_sid)
+    ev.fill(b_sid)
     if structures is None:
         structures = plan.structures
     vals = ev._vals
@@ -918,8 +859,7 @@ def resolve_ids(
     lookup = env.lookup
     node_avf = NodeAvf
     out: dict[str, NodeAvf] = {}
-    node_ids = range(plan.n) if only is None else only
-    for nid in node_ids:
+    for nid in range(plan.n):
         net = names[nid]
         fs, bs = f_sid[nid], b_sid[nid]
         f_val = vals[fs] if fs >= 0 else 1.0

@@ -137,6 +137,11 @@ def value_of(atoms: frozenset[Atom], env: PavfEnv) -> float:
     return total
 
 
+# What SetInterner.nbytes() counts per row-index entry: a full-width
+# hash key and a set id.
+_INDEX_ENTRY_BYTES = getsizeof(1 << 62) + getsizeof(1)
+
+
 class SetInterner:
     """Shared table of canonical pAVF sets, each stored as a row of atom ids.
 
@@ -273,10 +278,16 @@ class SetInterner:
                          self.row_ids[lo:lo + self.row_len[sid]]))
 
     def nbytes(self) -> int:
-        """Bytes of the set storage: the row columns and the row index."""
+        """Bytes of the set storage: the row columns and the row index.
+
+        Each index entry counts at :data:`_INDEX_ENTRY_BYTES`: its key is
+        a salted ``hash()``, whose own size moves from one process to the
+        next.
+        """
         index = self._index
-        return sum(map(getsizeof, (self.row_start, self.row_len, self.row_ids,
-                                   index, *index, *index.values())))
+        return (sum(map(getsizeof, (self.row_start, self.row_len,
+                                    self.row_ids, index)))
+                + len(index) * _INDEX_ENTRY_BYTES)
 
 
 def format_set(atoms: Iterable[Atom]) -> str:

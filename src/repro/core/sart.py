@@ -9,8 +9,7 @@ netlist (or a pre-extracted node graph):
 3. bind the ACE-model port AVFs plus the injected values into a
    :class:`~repro.core.pavf.PavfEnv`,
 4. propagate on the compiled engine (:mod:`repro.core.compiled`):
-   one monolithic solve, or for an ECO re-solve a per-FUB relaxation
-   seeded from a baseline, and
+   one monolithic solve, cached on the plan, and
 5. resolve ``AVF = MIN(forward, backward)`` per node and aggregate per FUB.
 
 Steps 1-2 are structural and live in a reusable
@@ -24,15 +23,14 @@ through :func:`repro.verify.reference.run_reference`.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.errors import SartError, WarmStartDegradedWarning
-from repro.core.compiled import SetEvaluator, SolvePlan, relax_compiled, resolve_ids
+from repro.errors import SartError
+from repro.core.compiled import SolvePlan, resolve_ids
 from repro.core.graphmodel import StructurePorts
 from repro.core.pavf import BOUNDARY, LOOP, Atom, PavfEnv
-from repro.core.relaxation import RelaxationTrace, WarmStart
+from repro.core.relaxation import RelaxationTrace
 from repro.core.report import DesignReport, fub_report
 from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT, NodeAvf
 from repro.core.symbolic import ClosedForm, bind_structures
@@ -69,54 +67,21 @@ class SartConfig:
 class SetMap(Mapping[str, frozenset]):
     """Net name -> annotation set, read from a plan's set-id vector.
 
-    Only the ids are held: a lookup builds the set's ``frozenset`` from
-    its row. Nets whose id is negative are absent. Two maps over one
-    plan compare by their ids, since the interner holds each set once.
-
-    *carried* is ``(base, nids, memo)`` on an ECO result: the entries of
-    node ids *nids* are the baseline map *base*'s sets, copied into this
-    plan (:meth:`copy_into`) on the map's first use, so a re-solve that
-    nobody asks for sets pays no copy.
+    Only the ids (:attr:`ids`, one set id per node id) are held: a
+    lookup builds the set's ``frozenset`` from its row. Nets whose id is
+    negative are absent. Two maps over one plan compare by their ids,
+    since the interner holds each set once.
     """
 
-    __slots__ = ("plan", "_ids", "_carried")
+    __slots__ = ("plan", "ids")
 
-    def __init__(self, plan: SolvePlan, ids: list[int], carried=None):
-        self.plan, self._ids, self._carried = plan, ids, carried
-
-    @property
-    def ids(self) -> list[int]:
-        """Set id per node id (-1 = absent)."""
-        if self._carried is not None:
-            base, nids, memo = self._carried
-            self._carried = None
-            base.copy_into(self.plan, nids, self._ids, memo)
-        return self._ids
+    def __init__(self, plan: SolvePlan, ids: list[int]):
+        self.plan, self.ids = plan, ids
 
     def sid(self, net: str) -> int:
         """Set id of *net*'s entry in the plan's interner; -1 when absent."""
         nid = self.plan.ids.get(net)
         return -1 if nid is None else self.ids[nid]
-
-    def copy_into(self, plan: SolvePlan, nids: Iterable[int], out: list[int],
-                  memo: dict[int, int]) -> None:
-        """Set ``out[nid]`` to the id in *plan* of this map's set for its net.
-
-        Covers each node id in *nids* whose net this map holds; the rest
-        of *out* is left as it is. A set crosses plans by its atoms, and
-        *memo* maps this plan's set ids to *plan*'s, so a set many nets
-        share is interned once; maps over one plan may share it.
-        """
-        names, here, ids = plan.names, self.plan.ids, self.ids
-        atoms_of, intern = self.plan.interner.sorted_atoms, plan.interner.id_of
-        for nid in nids:
-            at = here.get(names[nid])
-            if at is None or (sid := ids[at]) < 0:
-                continue
-            got = memo.get(sid)
-            if got is None:
-                got = memo[sid] = intern(atoms_of(sid))
-            out[nid] = got
 
     def __getitem__(self, net: str) -> frozenset[Atom]:
         sid = self.sid(net)
@@ -158,8 +123,8 @@ class SartResult:
     f_sets: Mapping[str, frozenset[Atom]]
     b_sets: Mapping[str, frozenset[Atom]]
     config: SartConfig
-    # The relaxation's record; set on an ECO (warm-started) result and
-    # on repro.verify.reference.run_relaxation's.
+    # The relaxation's record; set on repro.verify.reference.run_relaxation's
+    # result only.
     trace: RelaxationTrace | None = None
     elapsed_seconds: float = 0.0
     stats: dict[str, float] = field(default_factory=dict)
@@ -167,9 +132,7 @@ class SartResult:
     def closed_form(self) -> ClosedForm:
         """Closed-form equations for workload re-evaluation (Section 5.2).
 
-        The equations are the solve's own set ids; reading them copies an
-        ECO result's carried-over baseline sets into the plan
-        (:class:`SetMap`).
+        The equations are the solve's own set ids.
         """
         if not isinstance(self.f_sets, SetMap):
             raise SartError("closed forms need a result solved on a SolvePlan (run_sart)")
@@ -217,7 +180,6 @@ def run_sart(
     config: SartConfig | None = None,
     *,
     plan: SolvePlan | None = None,
-    warm_start: WarmStart | None = None,
 ) -> SartResult:
     """Run the full SART flow and return per-node sequential AVFs.
 
@@ -227,13 +189,8 @@ def run_sart(
     design and structures, so passing either with it is a
     :class:`~repro.errors.SartError`.
 
-    Without *warm_start* the solve is the plan's cached monolithic
-    fixpoint. *warm_start* (ECO mode) seeds the partitioned relaxation
-    from a baseline solution so only the FUBs the edit influences
-    re-solve; build one with :mod:`repro.pipeline.delta`. It needs a
-    multi-FUB design and raises :class:`~repro.errors.SartError`
-    otherwise. A warm start that does not converge within the
-    relaxation's budget warns and falls back to the monolithic solve.
+    The solve is the plan's cached monolithic fixpoint, re-evaluated
+    under the *config*'s environment.
     """
     config = config or SartConfig()
     started = time.perf_counter()
@@ -248,62 +205,10 @@ def run_sart(
             "both: the plan already carries its design and structures"
         )
     env = build_env(plan, config)
-    evaluator = SetEvaluator(plan.interner, env)
-
-    trace: RelaxationTrace | None = None
-    if warm_start is not None:
-        if plan.n_fubs < 2:
-            raise SartError(
-                "warm_start requires a multi-FUB design; run cold instead"
-            )
-        f_ids, b_ids, trace = relax_compiled(
-            plan, env, evaluator=evaluator, dangling=config.dangling,
-            warm_start=warm_start,
-        )
-        if not trace.converged:
-            # A truncated warm trajectory is not the fixpoint; the cold
-            # solve keeps ECO output bit-identical with non-ECO runs.
-            warnings.warn(
-                "warm start did not converge in "
-                f"{trace.iterations} iterations; restarting cold",
-                WarmStartDegradedWarning,
-                stacklevel=2,
-            )
-            trace = None
-    if trace is None:
-        f_ids, b_ids = plan.solve_monolithic(config.dangling)
-        node_avfs = resolve_ids(plan, f_ids, b_ids, env, evaluator=evaluator)
-        f_sets, b_sets = SetMap(plan, f_ids), SetMap(plan, b_ids)
-    else:
-        # Assemble the result from the baseline: only nodes of FUBs the
-        # cascade actually re-solved need fresh resolution; everything
-        # else is bit-identical to the seeded baseline by construction.
-        resolved_set = set(trace.resolved_fub_ids)
-        fub_of = plan.fub_of
-        recompute = [nid for nid in range(plan.n) if fub_of[nid] in resolved_set]
-        fresh = resolve_ids(
-            plan, f_ids, b_ids, env, evaluator=evaluator, only=recompute
-        )
-        # Rebuild the table in plan (node-id) order — the same
-        # order a cold solve emits — so every downstream consumer
-        # that folds over it (per-FUB averages, weighted report
-        # figures) sums floats in the identical sequence. Untouched
-        # nodes keep the baseline's sets, carried into this plan's maps.
-        names, base = plan.names, warm_start.baseline
-        node_avfs = {}
-        kept: list[int] = []
-        for nid in range(plan.n):
-            name = names[nid]
-            if fub_of[nid] in resolved_set:
-                node_avfs[name] = fresh[name]
-            else:
-                node_avfs[name] = base.node_avfs[name]
-                kept.append(nid)
-        carried: dict[int, int] = {}
-        f_sets = SetMap(plan, f_ids, (base.f_sets, kept, carried))
-        b_sets = SetMap(plan, b_ids, (base.b_sets, kept, carried))
-    return sart_result(plan, config, env, node_avfs, f_sets, b_sets,
-                       trace=trace, started=started)
+    f_ids, b_ids = plan.solve_monolithic(config.dangling)
+    node_avfs = resolve_ids(plan, f_ids, b_ids, env)
+    return sart_result(plan, config, env, node_avfs, SetMap(plan, f_ids),
+                       SetMap(plan, b_ids), started=started)
 
 
 def sart_result(
@@ -336,11 +241,6 @@ def sart_result(
         "structure_bits": float(role_l.count(ROLE_STRUCT)),
         "visited_fraction": report.visited_fraction,
     }
-    if trace is not None and trace.warm:
-        stats["warm"] = 1.0
-        stats["warm_fubs"] = float(trace.warm_fubs)
-        stats["dirty_fubs"] = float(trace.dirty_fubs)
-        stats["resolved_fubs"] = float(trace.resolved_fubs)
     return SartResult(
         node_avfs=node_avfs,
         report=report,

@@ -188,10 +188,8 @@ def _apply_fub_edit(module: Module, fub: str) -> None:
     the netlist-level shape of a timing/drive-strength fix. Annotation
     sets pass through single-input combinational gates verbatim, so the
     converged solution of every pre-existing node is unchanged; that
-    makes this edit the canonical probe for incremental re-solve (a
-    correct ECO run must re-solve the edited FUB, find its boundary
-    exports unchanged, and stop) and keeps warm-vs-cold comparisons
-    meaningful at every scale.
+    makes this edit the canonical probe for ``repro-sart diff``, which
+    must report exactly the edited FUB as changed, at every scale.
     """
     target = min(
         (

@@ -99,17 +99,6 @@ class CacheDegradedWarning(UserWarning):
     """
 
 
-class WarmStartDegradedWarning(UserWarning):
-    """An incremental (ECO) solve fell back to a cold solve.
-
-    Emitted when a warm-started relaxation exhausts its iteration
-    budget before quiescing: a truncated warm trajectory is not
-    comparable to a truncated cold one, so the solve restarts cold to
-    keep results bit-identical with non-ECO runs. Correctness is
-    unaffected; only the incremental speedup is lost.
-    """
-
-
 class ServeError(ReproError):
     """Error in the AVF job server (admission, journal, scheduling)."""
 

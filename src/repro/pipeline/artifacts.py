@@ -187,10 +187,6 @@ class SartOutcome:
     fingerprint: str
     result: SartResult
     plan_fingerprint: str | None = None
-    # ``[eco]`` runs: ``warm`` means the relaxation was seeded from the
-    # baseline's solution with ``dirty_fubs`` as the initial re-solve set.
-    warm: bool = False
-    dirty_fubs: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

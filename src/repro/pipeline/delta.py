@@ -1,10 +1,9 @@
-"""Design deltas and per-FUB incremental re-solve (ECO mode).
+"""Design deltas: which FUBs an edit changes (``repro-sart diff``).
 
-The whole-design cache treats any netlist edit as total invalidation: a
-one-flop ECO on a million-node design re-lowers, re-solves and re-resolves
-everything. This module shifts the granularity to the paper's own unit of
-partitioning — the FUB — so an edit invalidates only the FUBs whose solve
-can actually observe it:
+The whole-design cache treats any netlist edit as total invalidation.
+This module reports an edit at the paper's own unit of partitioning,
+the FUB, so a reader can see which FUBs a netlist change touches and
+which FUBs' solutions it can reach. It reports; it solves nothing.
 
 * :func:`fub_fingerprints` hashes each FUB's *solve-relevant* structure
   out of a built :class:`~repro.core.compiled.SolvePlan` — per node: its
@@ -26,28 +25,16 @@ can actually observe it:
   graph. Dirtiness is per direction — a FUB's forward fixpoint depends
   only on its forward-ancestors, its backward fixpoint only on its
   backward-descendants.
-
-* :func:`warm_start_from_result` seeds the whole baseline solution and
-  marks only the structurally changed FUBs dirty. The relaxation then
-  runs its replace-on-change merge (see
-  :class:`~repro.core.relaxation.WarmStart`): the re-solve front expands
-  along the edit's *actual influence* instead of the static
-  closure — which on designs like bigcore, whose FUBs form one connected
-  dependency web, is the difference between re-solving one FUB and
-  re-solving all of them. The converged result is bit-identical to a
-  cold solve of the edited design.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core.compiled import SolvePlan
 from repro.core.pavf import Atom
-from repro.core.relaxation import WarmStart
-from repro.core.sart import SartResult, SetMap
 
 _SEP = "\x1f"
 
@@ -203,9 +190,8 @@ class DesignDelta:
     removed: tuple[str, ...]
     unchanged: tuple[str, ...]
     # FUBs of the target whose converged solution may differ from the
-    # baseline's (per-direction reachability folded into one set). A
-    # static upper bound: the warm start seeds only the touched FUBs and
-    # the re-solve front grows by value, so it usually revisits fewer.
+    # baseline's (per-direction reachability folded into one set): a
+    # static upper bound, not a measured change.
     dirty: tuple[str, ...]
 
     @property
@@ -303,56 +289,4 @@ def diff_plans(
         removed=removed,
         unchanged=unchanged,
         dirty=dirty,
-    )
-
-
-# ----------------------------------------------------------------------
-# warm-start assembly
-# ----------------------------------------------------------------------
-
-def _fub_node_names(plan: SolvePlan) -> list[list[str]]:
-    names = plan.names
-    by_fub: list[list[str]] = [[] for _ in range(plan.n_fubs)]
-    for nid in range(plan.n):
-        by_fub[plan.fub_of[nid]].append(names[nid])
-    return by_fub
-
-
-def warm_start_from_result(
-    plan: SolvePlan,
-    touched_fubs: Iterable[str],
-    baseline: SartResult,
-) -> WarmStart | None:
-    """Warm start for *plan* from a baseline solution.
-
-    *touched_fubs* are the changed+added FUBs of the delta (see
-    :meth:`DesignDelta.touched`). The entire baseline solution is
-    seeded — including FUBs the edit may influence — and only the
-    touched FUBs enter the dirty set; the relaxation's replace-on-change
-    merge then expands the re-solve front along the edit's actual
-    influence (see :class:`~repro.core.relaxation.WarmStart`). Any
-    baseline solved on a plan seeds, from its ``f_sets``/``b_sets``.
-    Returns None when the baseline has nothing safe to seed from: sets
-    not solved on a plan (a reference engine's dicts), or a relaxation
-    that did not converge. FUBs whose nodes the baseline does not fully
-    cover (added or renamed ones reaching this path) are folded into the
-    dirty set rather than trusted partially.
-    """
-    if not isinstance(baseline.f_sets, SetMap) or (
-        baseline.trace is not None and not baseline.trace.converged
-    ):
-        return None
-    by_fub = _fub_node_names(plan)
-    dirty = {
-        f for f, fub in enumerate(plan.fub_names) if fub in set(touched_fubs)
-    }
-    f_base, b_base = baseline.f_sets, baseline.b_sets
-    for f in range(plan.n_fubs):
-        if f in dirty:
-            continue
-        if any(name not in f_base or name not in b_base for name in by_fub[f]):
-            dirty.add(f)
-    return WarmStart(
-        dirty_fubs=frozenset(plan.fub_names[f] for f in dirty),
-        baseline=baseline,
     )

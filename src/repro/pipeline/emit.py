@@ -32,17 +32,6 @@ def print_stats(result, echo: Callable[[str], None] = print) -> None:
         f"loops={int(s['loop_bits'])} ctrl={int(s['ctrl_bits'])} "
         f"visited={s['visited_fraction']:.1%} elapsed={result.elapsed_seconds:.2f}s"
     )
-    if result.trace is not None:
-        echo(
-            f"relaxation: {result.trace.iterations} iterations, "
-            f"converged={result.trace.converged}"
-        )
-    if s.get("warm"):
-        total = int(s["warm_fubs"] + s["dirty_fubs"])
-        echo(
-            f"eco: warm start, re-solved {int(s['resolved_fubs'])}/{total} "
-            f"FUBs (dirty={int(s['dirty_fubs'])})"
-        )
 
 
 def export_sart(
@@ -183,14 +172,6 @@ def run_summary(outcome, *, program: str | None = None) -> dict:
     }
     if outcome.sart is not None:
         payload["weighted_seq_avf"] = outcome.sart.result.report.weighted_seq_avf
-        sart = outcome.sart
-        if outcome.spec.eco is not None:
-            trace = sart.result.trace
-            payload["eco"] = {
-                "warm": sart.warm,
-                "dirty_fubs": list(sart.dirty_fubs),
-                "resolved_fubs": trace.resolved_fubs if trace else 0,
-            }
     if outcome.port_env is not None and outcome.port_env.deadlines:
         payload["deadlines"] = deadline_payload(outcome.port_env.deadlines)
     if outcome.derating is not None:
@@ -294,11 +275,6 @@ class RunRenderer:
             plan = info["plan"]
             verb = "reused from cache" if plan.cached else "lowered"
             print(f"solve plan: {plan.n} nodes {verb} in {info['seconds']:.2f}s")
-        elif event == "eco:delta":
-            print(f"baseline: {info['baseline']}")
-            print(info["delta"].table())
-        elif event == "eco:skip":
-            print(f"eco: falling back to a cold solve ({info['reason']})")
         elif event == "sart":
             from repro.core.report import average_seq_avf
 
@@ -307,10 +283,6 @@ class RunRenderer:
             print_stats(result)
             print(f"average sequential AVF: "
                   f"{average_seq_avf(result.node_avfs):.4f}")
-        elif event == "eco:check":
-            print(f"eco check: bit-identical={info['identical']} "
-                  f"(warm {info['warm_seconds']:.2f}s, "
-                  f"cold {info['cold_seconds']:.2f}s)")
         elif event == "derating":
             print_derating(info["derating"])
         elif event == "sweep:begin":

@@ -131,56 +131,6 @@ def _export_design(design: DesignArtifact, provider, export, notify) -> str:
     return export.output
 
 
-def _eco_warm_start(ctx, spec: RunSpec, outcome: RunOutcome, config: SartConfig):
-    """Solve the ``[eco]`` baseline and build the warm start.
-
-    This is the one place that decides whether a solve warm-starts. The
-    baseline design goes through the same design/plan/sart stages as any
-    run (so a configured store serves its ACE suite and plan), then the
-    two compiled plans are diffed and the baseline's solution seeds the
-    main solve. Returns None — and the main solve runs cold — on a
-    single-FUB design, which has no partition to re-solve.
-    """
-    from repro.pipeline import delta as delta_mod
-
-    if outcome.plan.plan.n_fubs < 2:
-        ctx.notify("eco:skip", reason="eco needs a multi-FUB plan")
-        return None
-    base_design = resolve(ctx, resolve_design(spec.eco.baseline))
-    base_plan = stage_plan(ctx, base_design, outcome.port_env)
-    base_sart = stage_sart(ctx, outcome.port_env, config, base_plan)
-    delta = delta_mod.diff_plans(
-        base_plan.plan, outcome.plan.plan,
-        ref_a=base_design.ref, ref_b=outcome.design.ref,
-    )
-    ctx.notify("eco:delta", delta=delta, baseline=base_design.ref)
-    return delta_mod.warm_start_from_result(
-        outcome.plan.plan, delta.touched, base_sart.result
-    )
-
-
-def _eco_check(ctx, outcome: RunOutcome, config: SartConfig) -> None:
-    """``[eco] check``: cold-solve the plan and verify equivalence."""
-    from repro.core.sart import run_sart
-    from repro.errors import PipelineError
-
-    cold = run_sart(plan=outcome.plan.plan, config=config)
-    warm_result = outcome.sart.result
-    identical = (
-        warm_result.node_avfs == cold.node_avfs
-        and warm_result.f_sets == cold.f_sets
-        and warm_result.b_sets == cold.b_sets
-    )
-    ctx.notify("eco:check", identical=identical,
-               cold_seconds=cold.elapsed_seconds,
-               warm_seconds=warm_result.elapsed_seconds)
-    if not identical:
-        raise PipelineError(
-            "eco check failed: incremental solve is not bit-identical "
-            "to the cold solve"
-        )
-
-
 def execute(
     spec: RunSpec,
     *,
@@ -217,14 +167,7 @@ def execute(
     if "sart" in stages:
         config = sart_config(spec.sart or SartSpec())
         outcome.plan = stage_plan(ctx, design, outcome.port_env)
-        warm = None
-        if spec.eco is not None:
-            warm = _eco_warm_start(ctx, spec, outcome, config)
-        outcome.sart = stage_sart(
-            ctx, outcome.port_env, config, outcome.plan, warm_start=warm,
-        )
-        if spec.eco is not None and spec.eco.check:
-            _eco_check(ctx, outcome, config)
+        outcome.sart = stage_sart(ctx, outcome.port_env, config, outcome.plan)
 
     # --- logic derating ------------------------------------------------
     if "derating" in stages:

@@ -134,23 +134,6 @@ class ExportSpec(_Section):
 
 
 @dataclass(frozen=True)
-class EcoSpec(_Section):
-    """Incremental re-solve against a baseline design (``[eco]``).
-
-    ``baseline`` is a design reference; the runner solves it first (its
-    ACE suite and plan come from the artifact store when one is
-    configured), diffs the two compiled plans, and warm-starts the main
-    design's SART solve from the baseline so only the FUBs the edit
-    actually influences re-solve — bit-identical to a cold run.
-    ``check`` additionally runs the cold solve and verifies the
-    equivalence, for CI smoke and debugging.
-    """
-
-    baseline: str
-    check: bool = False
-
-
-@dataclass(frozen=True)
 class RunSpec:
     """A complete declarative description of one analysis run."""
 
@@ -163,7 +146,6 @@ class RunSpec:
     beam: BeamSpec | None = None
     campaign: CampaignSpec = field(default_factory=CampaignSpec)
     export: ExportSpec | None = None
-    eco: EcoSpec | None = None
     derating: DeratingSpec | None = None
 
     def to_mapping(self) -> dict[str, Any]:
@@ -189,7 +171,7 @@ class RunSpec:
         out = []
         if self.export:
             out.append("export")
-        if (self.sart or self.eco or self.derating
+        if (self.sart or self.derating
                 or not (self.sweep or self.sfi or self.beam or self.export)):
             out.append("sart")
         if self.derating:
@@ -211,7 +193,6 @@ _SECTIONS = {
     "beam": BeamSpec,
     "campaign": CampaignSpec,
     "export": ExportSpec,
-    "eco": EcoSpec,
     "derating": DeratingSpec,
 }
 _SECTION_NAMES = {cls: name for name, cls in _SECTIONS.items()}
@@ -311,8 +292,6 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
             f"unknown section(s) {sorted(data)}; "
             f"have {sorted(_SECTIONS) + ['design', 'ports']}"
         )
-    if "eco" in sections:
-        resolve_design(sections["eco"].baseline)
     return RunSpec(
         design=design,
         workloads=sections.get("workloads"),
@@ -323,7 +302,6 @@ def spec_from_mapping(data: Mapping[str, Any]) -> RunSpec:
         beam=sections.get("beam"),
         campaign=sections.get("campaign", CampaignSpec()),
         export=sections.get("export"),
-        eco=sections.get("eco"),
         derating=sections.get("derating"),
     )
 

@@ -30,9 +30,8 @@ derating  design fingerprint + sart fingerprint (when a solve rode
 
 SART solves are *not* persisted. A solve on a cached plan skips the
 lowering, and a store keeps the plan it loaded resident, so later runs
-through that store solve on the same object: a cold solve re-evaluates
-the plan's cached monolithic set vectors under its environment, and only
-an ``[eco]`` re-solve runs the partitioned relaxation.
+through that store solve on the same object: every solve re-evaluates
+the plan's cached monolithic set vectors under its environment.
 """
 
 from __future__ import annotations
@@ -341,18 +340,13 @@ def stage_sart(
     port_env: PortEnv | None,
     config: SartConfig,
     plan: PlanArtifact,
-    *,
-    warm_start=None,
 ) -> SartOutcome:
     """One SART solve (propagation + resolution) on *plan*, never persisted.
 
     The plan carries its design and ports, so the solve builds nothing.
-    *warm_start* (the ``[eco]`` flow, built by
-    :func:`repro.pipeline.delta.warm_start_from_result`) seeds the
-    relaxation from a baseline solution; without it the solve runs cold.
     """
     started = time.perf_counter()
-    result = run_sart(plan=plan.plan, config=config, warm_start=warm_start)
+    result = run_sart(plan=plan.plan, config=config)
     fp = fingerprint(
         "sart",
         plan.fingerprint,
@@ -363,9 +357,6 @@ def stage_sart(
         fingerprint=fp,
         result=result,
         plan_fingerprint=plan.fingerprint,
-        warm=warm_start is not None,
-        dirty_fubs=(tuple(sorted(warm_start.dirty_fubs))
-                    if warm_start is not None else ()),
     )
     ctx.events.append(
         StageEvent("sart", fp, False, time.perf_counter() - started)

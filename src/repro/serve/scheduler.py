@@ -64,9 +64,6 @@ COUNTERS = (
     "recovered",       # jobs replayed from the journal on boot
     "resumed",         # recovered jobs that had to re-execute
     "retries",         # resubmissions of a failed job
-    "eco_jobs",        # completed jobs that reported an eco block
-    "warm_solves",     # eco jobs solved from the baseline's warm start
-    "cold_solves",     # eco jobs whose warm start did not apply
 )
 
 
@@ -328,27 +325,20 @@ class JobScheduler:
                        f"attempt(s): {failure.error}")
 
     def _complete(self, job: Job, result: dict) -> None:
-        counted = ["completed"]
-        eco = result.get("eco") if isinstance(result, dict) else None
-        if eco:
-            counted += ["eco_jobs",
-                        "warm_solves" if eco.get("warm") else "cold_solves"]
-        self._finish(job, DONE, counted, result=result)
+        self._finish(job, DONE, "completed", result=result)
         self._cleanup_checkpoint(job)
 
     def _fail(self, job: Job, message: str) -> None:
-        self._finish(job, FAILED, ["failed"], error=message)
+        self._finish(job, FAILED, "failed", error=message)
 
-    def _finish(self, job: Job, state: str, counted: list[str],
-                **outcome) -> None:
+    def _finish(self, job: Job, state: str, counter: str, **outcome) -> None:
         self.journal.record(event=state, job=job.id, time=time.time(),
                             **outcome)
         # Count the job and free its admission slot before its watchers
         # wake, so a client that sees the job finish reads it counted in
         # /stats and can submit into the freed slot.
         with self._cond:
-            for name in counted:
-                self._counters[name] += 1
+            self._counters[counter] += 1
             self._running.discard(job.id)
             self._cond.notify_all()
         job.transition(state, **outcome)

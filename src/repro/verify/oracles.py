@@ -32,7 +32,8 @@ from typing import Callable, Mapping
 
 from repro.core.report import average_seq_avf
 from repro.core.resolve import ROLE_CTRL, ROLE_LOOP, ROLE_STRUCT
-from repro.core.sart import SartConfig, SartResult, run_sart
+from repro.core.compiled import SolvePlan
+from repro.core.sart import SartConfig, SartResult, build_plan, run_sart
 from repro.rtlsim.simulator import Simulator
 from repro.verify.reference import run_reference, run_relaxation
 from repro.verify.cases import (
@@ -65,10 +66,11 @@ class CaseContext:
     Oracles request SART results through :meth:`sart` instead of calling
     the engine directly. This (a) de-duplicates solves across oracles —
     the range, MIN-resolution, control-pin, and cross-engine checks all
-    share the default compiled run — and (b) provides the seam the
-    defect registry corrupts for mutation-kill testing: ``mutate`` sees
-    every result on its way out, exactly as a buggy engine would present
-    it.
+    share the default compiled run, and every loop value solves on the
+    case's one compiled plan (:attr:`plan`) — and (b) provides the seam
+    the defect registry corrupts for mutation-kill testing: ``mutate``
+    sees every result on its way out, exactly as a buggy engine would
+    present it.
     """
 
     def __init__(self, case: DesignCase,
@@ -76,15 +78,24 @@ class CaseContext:
         self.case = case
         self.mutate = mutate
         self._cache: dict[tuple, SartResult] = {}
+        self._plan: SolvePlan | None = None
+
+    @property
+    def plan(self) -> SolvePlan:
+        """The case's compiled plan, built on first use; one plan serves
+        every :class:`SartConfig`."""
+        if self._plan is None:
+            self._plan = build_plan(self.case.module, self.case.structures)
+        return self._plan
 
     def sart(self, *, engine: str = "compiled",
              loop_pavf: float | None = None) -> SartResult:
         """SART result of the case; *engine* ``"compiled"`` is the
-        production solver, ``"relaxed"`` the cold per-FUB relaxation on
-        the compiled result's plan
-        (:func:`~repro.verify.reference.run_relaxation`), and
-        ``"dataflow"``/``"walk"`` the references of
-        :func:`~repro.verify.reference.run_reference`."""
+        production solver and ``"relaxed"`` the cold per-FUB relaxation
+        (:func:`~repro.verify.reference.run_relaxation`), both on
+        :attr:`plan`, and ``"dataflow"``/``"walk"`` the references of
+        :func:`~repro.verify.reference.run_reference`, which build their
+        own plan."""
         loop = self.case.spec.loop_pavf if loop_pavf is None else loop_pavf
         key = (engine, loop)
         found = self._cache.get(key)
@@ -92,9 +103,9 @@ class CaseContext:
             config = SartConfig(loop_pavf=loop)
             case = self.case
             if engine == "compiled":
-                found = run_sart(case.module, case.structures, config)
+                found = run_sart(plan=self.plan, config=config)
             elif engine == "relaxed":
-                found = run_relaxation(self.sart(loop_pavf=loop).plan, config)
+                found = run_relaxation(self.plan, config)
             else:
                 found = run_reference(case.module, case.structures, config,
                                       engine=engine)

@@ -374,6 +374,29 @@ def test_interner_holds_rows_only_within_a_storage_budget():
     assert interner.nbytes() <= 20 * entries
 
 
+def test_interner_nbytes_does_not_depend_on_the_hash_seed():
+    """The row index is keyed by salted ``hash()`` values, so ``nbytes()``
+    counts each index entry at a fixed size: a solved plan reads the
+    same under every ``PYTHONHASHSEED``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = ("from repro.pipeline import RunSpec, execute\n"
+            "run = execute(RunSpec('tinycore:fib'))\n"
+            "print(run.plan.plan.interner.nbytes())\n")
+    readings = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        readings.add(int(done.stdout))
+    assert len(readings) == 1, readings
+
+
 @pytest.mark.parametrize(
     "ref", ["tinycore:fib", "systolic@rows=4,cols=4", "bigcore@scale=0.3"])
 def test_solved_plan_pickles_no_frozenset(ref):

@@ -145,17 +145,15 @@ def small_bigcore():
 
 @pytest.fixture(scope="module")
 def half_bigcore_runs():
-    """Pipeline runs by (design ref, suite per class, length, eco), memoized."""
+    """Pipeline runs by (design ref, suite per class, length), memoized."""
     from functools import cache
 
     from repro.pipeline import RunSpec, WorkloadsSpec, execute
-    from repro.pipeline.spec import EcoSpec
 
     @cache
-    def run(ref, per_class, length, eco=False):
+    def run(ref, per_class, length):
         return execute(RunSpec(
-            design=ref, workloads=WorkloadsSpec(per_class=per_class, length=length),
-            eco=EcoSpec(baseline="bigcore@scale=0.5") if eco else None))
+            design=ref, workloads=WorkloadsSpec(per_class=per_class, length=length)))
 
     return run
 
@@ -178,21 +176,16 @@ class TestClosedFormIsTheSolve:
             fresh = run_sart(graph, ports(seed))
             assert closed.evaluate(ports(seed)) == fresh.node_avfs
 
-    @pytest.mark.parametrize("kind", ["default", "relaxed", "eco"])
+    @pytest.mark.parametrize("kind", ["default", "relaxed"])
     def test_another_suites_ports_plug_in_equal_a_fresh_solve(
             self, half_bigcore_runs, kind):
         # bigcore@scale=0.5 solved under a 2x500 suite's ports, then
         # evaluated under a 1x300 suite's: every record equals the
-        # fresh 1x300 solve, for the default (monolithic) result, a
-        # cold relaxation on its plan, and an [eco] warm result.
+        # fresh 1x300 solve, for the default (monolithic) result and a
+        # cold relaxation on its plan.
         run = half_bigcore_runs
-        if kind == "eco":
-            base, fresh = run("bigcore@scale=0.5,edit=LSU", 2, 500, eco=True), \
-                run("bigcore@scale=0.5,edit=LSU", 1, 300)
-            assert base.sart.result.trace.warm
-        else:
-            base, fresh = run("bigcore@scale=0.5", 2, 500), \
-                run("bigcore@scale=0.5", 1, 300)
+        base, fresh = run("bigcore@scale=0.5", 2, 500), \
+            run("bigcore@scale=0.5", 1, 300)
         result = base.sart.result
         if kind == "relaxed":
             result = run_relaxation(base.plan.plan)

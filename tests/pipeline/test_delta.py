@@ -1,23 +1,17 @@
-"""Design deltas and per-FUB incremental re-solve (ECO mode).
+"""Design deltas: per-FUB fingerprints, dirty closures and plan diffs.
 
-The contract under test: a warm-started solve of an edited design is
-bit-identical — node AVFs *and* annotation sets — to a cold solve of
-the same design, while re-solving only the FUBs the edit can actually
-influence.
+The contract under test: two plans of one design differ in exactly the
+FUBs an edit touches, and the dirty set is the static closure of the
+FUBs whose converged solution the edit can reach.
 """
 
-import pytest
-
 from repro.core.graphmodel import StructurePorts
-from repro.core.relaxation import WarmStart
-from repro.core.sart import build_plan, run_sart
+from repro.core.sart import build_plan
 from repro.pipeline.delta import (
-    DesignDelta,
     diff_plans,
     dirty_fub_indices,
     fub_closures,
     fub_fingerprints,
-    warm_start_from_result,
 )
 
 STRUCTS = {
@@ -79,39 +73,6 @@ def _design(
 
 def _plan(module):
     return build_plan(module, STRUCTS)
-
-
-def _long_chain(value_edit=False, n_fubs=24):
-    """A chain of *n_fubs* one-flop FUBs from SRC to SNK.
-
-    *value_edit* mixes the raw input into the first FUB, a change that
-    crosses one FUB boundary per relaxation iteration.
-    """
-    from repro.netlist.builder import ModuleBuilder
-
-    b = ModuleBuilder("long")
-    tie = b.input("tie_in")
-    cur = b.dff(tie, q="src_q", name="src",
-                attrs={"struct": "SRC", "bit": "0", "fub": "F0"})
-    for f in range(n_fubs):
-        cur = b.dff(cur, q=f"F{f}_q", name=f"F{f}_r", attrs={"fub": f"F{f}"})
-        if value_edit and f == 0:
-            cur = b.and_(cur, tie, out="F0_mix", name="F0_mixer",
-                         attrs={"fub": "F0"})
-    b.dff(cur, q="snk_q", name="snk",
-          attrs={"struct": "SNK", "bit": "0", "fub": f"F{n_fubs - 1}"})
-    return b.done()
-
-
-def _solve(module, plan=None, warm_start=None):
-    return run_sart(plan=plan or _plan(module), warm_start=warm_start)
-
-
-def _assert_identical(warm, cold):
-    assert warm.node_avfs == cold.node_avfs
-    assert warm.f_sets == cold.f_sets
-    assert warm.b_sets == cold.b_sets
-    assert warm.report == cold.report
 
 
 def _idx(plan, fub):
@@ -235,118 +196,3 @@ class TestDiff:
         assert doc["changed"] == ["B"]
         assert doc["n_fubs"] == delta.n_fubs
         assert 0.0 < doc["dirty_fraction"] <= 1.0
-
-
-# ----------------------------------------------------------------------
-# warm start from a baseline result
-# ----------------------------------------------------------------------
-
-class TestWarmStartFromResult:
-    def _warm_vs_cold(self, base_module, target_module):
-        plan_a, plan_b = _plan(base_module), _plan(target_module)
-        baseline = _solve(base_module, plan=plan_a)
-        delta = diff_plans(plan_a, plan_b)
-        warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
-        assert warm_start is not None
-        warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
-        cold = _solve(target_module, plan=plan_b)
-        _assert_identical(warm, cold)
-        return warm, cold
-
-    def test_neutral_edit_resolves_only_the_edited_fub(self):
-        warm, _ = self._warm_vs_cold(_design(), _design(edit="B"))
-        assert warm.trace.warm and warm.trace.converged
-        assert warm.trace.resolved_fubs == 1
-        assert warm.trace.iterations < 3
-
-    def test_value_edit_is_bit_identical(self):
-        warm, cold = self._warm_vs_cold(_design(), _design(value_edit="B"))
-        assert warm.trace.warm
-        # The value change propagates beyond B but never into D.
-        assert warm.trace.resolved_fubs >= 2
-        assert warm.trace.resolved_fubs < warm.trace.warm_fubs + \
-            warm.trace.dirty_fubs
-
-    def test_warm_result_closed_form_is_the_solve(self):
-        # The baseline's sets a warm result carries over are interned
-        # into the new plan, so its closed form evaluates to the solve.
-        warm, _ = self._warm_vs_cold(_design(), _design(value_edit="B"))
-        assert warm.closed_form().evaluate() == warm.node_avfs
-
-    def test_warm_result_seeds_the_next_warm_start(self):
-        # An ECO result is a baseline too: its maps, whose untouched
-        # entries are copied from the first baseline when first read,
-        # seed the next edit's re-solve, which still lands on cold.
-        module_a, module_b = _design(), _design(edit="B")
-        module_c = _design(value_edit="C")
-        plan_a, plan_b, plan_c = _plan(module_a), _plan(module_b), _plan(module_c)
-        first = _solve(module_a, plan=plan_a)
-        warm_b = _solve(module_b, plan=plan_b, warm_start=warm_start_from_result(
-            plan_b, diff_plans(plan_a, plan_b).touched, first))
-        warm_c = _solve(module_c, plan=plan_c, warm_start=warm_start_from_result(
-            plan_c, diff_plans(plan_b, plan_c).touched, warm_b))
-        assert warm_b.trace.warm and warm_c.trace.warm
-        _assert_identical(warm_c, _solve(module_c, plan=plan_c))
-        _assert_identical(warm_b, _solve(module_b, plan=plan_b))
-
-    def test_saturating_edit_is_bit_identical(self):
-        # Rewiring B to the raw input raises its exports to the TOP
-        # value: the merge must take B's new sets, whatever their value.
-        self._warm_vs_cold(_design(), _design(rewire_b=True))
-
-    def test_refuses_non_converged_baseline(self):
-        from repro.verify.reference import run_relaxation
-
-        module = _design()
-        baseline = run_relaxation(_plan(module), iterations=1)
-        assert not baseline.trace.converged
-        assert warm_start_from_result(_plan(module), set(), baseline) is None
-        # Converged, the same relaxation seeds like the monolithic solve.
-        relaxed = run_relaxation(_plan(module))
-        assert warm_start_from_result(_plan(module), set(), relaxed) is not None
-
-    def test_refuses_baseline_without_boundaries(self):
-        # A reference engine's result carries its plan but holds dict
-        # sets that were not solved on it, so it has no boundary sets to
-        # seed a plan's exports with; any result solved on a plan
-        # (run_sart's monolithic one here) seeds.
-        from repro.verify.reference import run_reference
-
-        module = _design()
-        reference = run_reference(module, STRUCTS)
-        assert warm_start_from_result(_plan(module), set(), reference) is None
-        mono = _solve(module)
-        assert mono.trace is None
-        assert warm_start_from_result(_plan(module), set(), mono) is not None
-
-    def test_uncovered_fub_is_folded_into_the_dirty_set(self):
-        # D exists only in the target; the baseline has nothing to seed
-        # it with, so it must re-solve even though the delta computed
-        # against a D-less baseline never marked it touched.
-        base_module = _design(with_d=False)
-        target_module = _design()
-        plan_b = _plan(target_module)
-        baseline = _solve(base_module)
-        delta = diff_plans(_plan(base_module), plan_b)
-        warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
-        assert "D" in warm_start.dirty_fubs
-        warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
-        _assert_identical(warm, _solve(target_module, plan=plan_b))
-
-    def test_non_convergent_warm_start_falls_back_cold(self):
-        from repro.errors import WarmStartDegradedWarning
-
-        base_module, target_module = _long_chain(), _long_chain(value_edit=True)
-        plan_b = _plan(target_module)
-        baseline = _solve(base_module)
-        delta = diff_plans(_plan(base_module), plan_b)
-        warm_start = warm_start_from_result(plan_b, delta.touched, baseline)
-        assert warm_start.dirty_fubs <= {"", "F0", "F1"}
-        # The edit crosses one FUB boundary per iteration, so 24 FUBs
-        # do not settle in the budget of 20: the run must not return a
-        # truncated warm trajectory, it restarts cold.
-        with pytest.warns(WarmStartDegradedWarning, match="restarting cold"):
-            warm = _solve(target_module, plan=plan_b, warm_start=warm_start)
-        _assert_identical(warm, _solve(target_module, plan=plan_b))
-        assert warm.trace is None
-

@@ -24,7 +24,6 @@ from repro.pipeline import (
     WorkloadsSpec,
     execute,
 )
-from repro.pipeline.delta import diff_plans, warm_start_from_result
 from repro.verify.reference import run_relaxation
 
 
@@ -69,27 +68,20 @@ def test_a_shared_plan_solves_like_a_fresh_one(fib_plan_blob):
 
 
 def test_a_monolithic_solve_drops_its_union_memo():
-    workloads = WorkloadsSpec(per_class=1, length=400)
-    base = execute(RunSpec(design="bigcore@scale=0.1", workloads=workloads))
-    edit = execute(RunSpec(design="bigcore@scale=0.1,edit=LSU",
-                           workloads=workloads))
-    blob = pickle.dumps(edit.plan.plan)
+    run = execute(RunSpec(design="bigcore@scale=0.1",
+                          workloads=WorkloadsSpec(per_class=1, length=400)))
+    blob = pickle.dumps(run.plan.plan)
     solved = pickle.loads(blob)
     run_sart(plan=solved)
     assert solved._mono_cache and solved._union_memo == {}
 
-    def eco(plan):
-        touched = diff_plans(base.plan.plan, plan).touched
-        return run_sart(plan=plan, warm_start=warm_start_from_result(
-            plan, touched, base.sart.result))
-
-    # The warm relaxation rebuilds the memo it needs and lands where it
+    # The relaxation rebuilds the memo it needs and lands where it
     # lands on a plan that never solved.
-    warm, fresh = eco(solved), eco(pickle.loads(blob))
-    assert warm.trace.warm and warm.trace.converged
-    assert warm.node_avfs == fresh.node_avfs
-    assert dict(warm.f_sets) == dict(fresh.f_sets)
-    assert dict(warm.b_sets) == dict(fresh.b_sets)
+    relaxed, fresh = run_relaxation(solved), run_relaxation(pickle.loads(blob))
+    assert relaxed.trace.converged
+    assert relaxed.node_avfs == fresh.node_avfs
+    assert dict(relaxed.f_sets) == dict(fresh.f_sets)
+    assert dict(relaxed.b_sets) == dict(fresh.b_sets)
     # The artifact store's pickle of a solved plan carries neither cache.
     assert solved._union_memo
     state = solved.__getstate__()

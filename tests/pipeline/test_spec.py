@@ -13,7 +13,6 @@ from repro.pipeline.spec import (
     BeamSpec,
     CampaignSpec,
     DeratingSpec,
-    EcoSpec,
     ExportSpec,
     RunSpec,
     SartSpec,
@@ -78,16 +77,17 @@ def test_validation_errors(tmp_path):
         spec_from_mapping({"design": "tinycore:fib", "sfi": {"injection": 5}})
     with pytest.raises(SpecError, match="must be a table"):
         spec_from_mapping({"design": "tinycore:fib", "sart": 3})
-    # The design and the [eco] baseline resolve at parse time, without
-    # building anything or reading a file (the EXLIF file need not exist).
-    spec_from_mapping({"design": f"exlif:{tmp_path}/absent.exlif",
-                       "eco": {"baseline": "bigcore@scale=4"}})
+    # A section without its required key ([export] output) is refused.
+    with pytest.raises(SpecError, match=r"bad \[export\] section"):
+        spec_from_mapping({"design": "tinycore:fib", "export": {}})
+    # The design resolves at parse time, without building anything or
+    # reading a file (the EXLIF file need not exist).
+    spec_from_mapping({"design": f"exlif:{tmp_path}/absent.exlif"})
     for doc, message in (
             ({"design": "bigcore@scale=abc"}, "is not float"),
             ({"design": "nope:x"}, "unknown design scheme"),
             ({"design": "systolic@rows=100000,cols=100000"}, "node ceiling"),
-            ({"design": "tinycore:fib", "eco": {"baseline": "bigcore@warp=9"}},
-             "unknown design parameter")):
+            ({"design": "bigcore@warp=9"}, "unknown design parameter")):
         with pytest.raises(SpecError, match=message):
             spec_from_mapping(doc)
     with pytest.raises(SpecError, match="cannot read"):
@@ -161,8 +161,8 @@ BAD_VALUES = (
      r"\[workloads\] per_class must be an integer >= 1"),
     ("derating", {"mc_trials": "x"},
      r"\[derating\] mc_trials must be an integer >= 0, got 'x'"),
-    ("eco", {"baseline": 5},
-     r"\[eco\] baseline must be a non-empty string, got 5"),
+    ("export", {"output": 5},
+     r"\[export\] output must be a non-empty string, got 5"),
     ("export", {"format": "vhdl", "output": "x.v"},
      r"\[export\] format must be 'exlif' or 'verilog', got 'vhdl'"),
     ("sfi", {"injections": -5},
@@ -171,7 +171,7 @@ BAD_VALUES = (
 
 
 @pytest.mark.parametrize("section, key", [
-    ("sart", "loop_pavf"), ("sfi", "seed"), ("eco", "baseline"),
+    ("sart", "loop_pavf"), ("sfi", "seed"), ("export", "output"),
     (None, "ports"),
 ])
 def test_deeply_nested_value_is_a_spec_error(section, key):
@@ -288,10 +288,6 @@ SUBCOMMANDS = {
                  "--export-fubs", "{tmp}/fubs.csv"],
                 r"wrote per-FUB report to \S+/fubs\.csv\n"),
     "sweep": (["sweep", "--points", "3", "--scale", "0.1", *_WORKLOADS], ""),
-    "eco": (["eco", "bigcore@scale=0.1,edit=LSU",
-             "--baseline", "bigcore@scale=0.1", "--check", *_WORKLOADS,
-             "--export-json", "{tmp}/eco.json"],
-            r"wrote run summary to \S+/eco\.json\n"),
     "export": (["export", "tinycore", "{tmp}/tiny.exlif", "--program", "fib"],
                ""),
     "sfi": (["sfi", "fib", "--injections", "20",
@@ -370,49 +366,6 @@ def test_execute_spec_directly():
     assert [e.stage for e in outcome.events] == ["design", "golden", "sfi"]
 
 
-# ----------------------------------------------------------------------
-# [eco] — incremental re-solve sections
-# ----------------------------------------------------------------------
-
-def test_eco_section_parses_and_infers_sart():
-    from repro.pipeline.spec import EcoSpec
-
-    spec = spec_from_mapping({
-        "design": "bigcore@scale=0.1,edit=LSU",
-        "eco": {"baseline": "bigcore@scale=0.1", "check": True},
-    })
-    assert spec.eco == EcoSpec(baseline="bigcore@scale=0.1", check=True)
-    # An eco section implies a SART solve even without [sart].
-    assert spec.stages() == ["sart"]
-
-
-def test_eco_section_round_trips_through_mapping():
-    spec = spec_from_mapping({
-        "design": "bigcore@scale=0.1,edit=LSU",
-        "eco": {"baseline": "bigcore@scale=0.1"},
-    })
-    doc = spec.to_mapping()
-    assert doc["eco"] == {"baseline": "bigcore@scale=0.1", "check": False}
-    assert spec_from_mapping(doc) == spec
-
-
-def test_eco_toml_loading_and_validation(tmp_path):
-    path = tmp_path / "eco.toml"
-    path.write_text(
-        'design = "bigcore@scale=0.1,edit=LSU"\n'
-        '[eco]\nbaseline = "bigcore@scale=0.1"\ncheck = true\n'
-    )
-    spec = load_spec(str(path))
-    assert spec.eco.baseline == "bigcore@scale=0.1"
-    assert spec.eco.check is True
-    with pytest.raises(SpecError, match=r"unknown key\(s\) \['basis'\]"):
-        spec_from_mapping({
-            "design": "bigcore", "eco": {"basis": "bigcore"},
-        })
-    with pytest.raises(SpecError):
-        spec_from_mapping({"design": "bigcore", "eco": {}})
-
-
 def test_derating_section_parses_and_infers_sart():
     from repro.pipeline.spec import DeratingSpec
 
@@ -465,7 +418,6 @@ _FULL_DOC = RunSpec(
     workloads=WorkloadsSpec(), sart=SartSpec(), sweep=SweepSpec(),
     sfi=SfiSpec(), beam=BeamSpec(), derating=DeratingSpec(),
     export=ExportSpec(output="out.v", format="verilog"),
-    eco=EcoSpec(baseline="tinycore:fib"),
 ).to_mapping()
 
 

@@ -325,48 +325,6 @@ def test_malformed_ports_file_fails_its_job_not_the_server(tmp_path):
         sched.drain(grace=5)
 
 
-def _eco_worker(task):
-    """A job whose summary carries an ECO block (warm or cold by knob)."""
-    warm = task["spec"]["sart"]["loop_pavf"] > 0.5
-    return {
-        "ok": True,
-        "eco": {"warm": warm, "dirty_fubs": ["LSU"] if warm else [],
-                "resolved_fubs": 1 if warm else 15},
-    }
-
-
-def test_eco_counters_accumulate_from_job_results(tmp_path):
-    sched = _scheduler(tmp_path, worker=_eco_worker)
-    sched.start()
-    try:
-        warm_spec = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.9}}
-        cold_spec = {"design": "tinycore:fib", "sart": {"loop_pavf": 0.1}}
-        for spec in (warm_spec, cold_spec):
-            job, _ = sched.submit(dict(spec))
-            assert job.await_terminal(timeout=30) and job.state == DONE
-        counters = sched.stats()["counters"]
-        assert counters["eco_jobs"] == 2
-        assert counters["warm_solves"] == 1
-        assert counters["cold_solves"] == 1
-        # The /stats document surfaces the same counters.
-        assert sched.stats()["counters"]["eco_jobs"] == 2
-    finally:
-        sched.drain(grace=5)
-
-
-def test_jobs_without_eco_blocks_leave_counters_untouched(tmp_path):
-    sched = _scheduler(tmp_path)          # _ok_worker: no eco block
-    sched.start()
-    try:
-        job, _ = sched.submit(dict(SPEC))
-        assert job.await_terminal(timeout=30) and job.state == DONE
-        counters = sched.stats()["counters"]
-        assert counters["eco_jobs"] == 0
-        assert counters["warm_solves"] == counters["cold_solves"] == 0
-    finally:
-        sched.drain(grace=5)
-
-
 def test_job_worker_keeps_one_store_per_cache_dir(tmp_path, monkeypatch):
     # Two warm jobs in one process unpickle the plan once: the second
     # gets the resident plan the first loaded.

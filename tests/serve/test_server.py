@@ -77,7 +77,7 @@ def test_error_codes(tmp_path):
                 ("sweep", {"points": True}), ("sweep", {"batched": False}),
                 ("sfi", {"injections": "x"}), ("campaign", {"workers": "a"}),
                 ("beam", {"flux": "high"}), ("workloads", {"per_class": "x"}),
-                ("derating", {"mc_trials": "x"}), ("eco", {"baseline": 5}),
+                ("derating", {"mc_trials": "x"}), ("export", {"output": 5}),
                 ("export", {"format": "vhdl", "output": "x.v"}),
                 ("sfi", {"injections": -5})):
             status, doc = post_json(f"{app.url}/jobs",
@@ -94,9 +94,7 @@ def test_error_codes(tmp_path):
                 ({"design": "bigcore@edit=NOPE"}, "names no FUB"),
                 ({"design": "bigcore@feedback_fubs=-3"}, "feedback_fubs"),
                 ({"design": "systolic@data_width=0,acc_width=0,rows=2,cols=2"},
-                 "data_width"),
-                ({"design": "tinycore:fib", "eco": {"baseline": "nope:x"}},
-                 "'nope'")):
+                 "data_width")):
             status, doc = post_json(f"{app.url}/jobs", spec)
             assert status == 400 and named in doc["error"], (spec, doc)
         status, doc = get_json(f"{app.url}/jobs")
@@ -116,6 +114,45 @@ def test_error_codes(tmp_path):
         assert status == 404
         status, _ = post_json(f"{app.url}/nope", {})
         assert status == 404
+    finally:
+        app.drain()
+
+
+def test_an_eco_section_is_refused_at_every_entry_point(tmp_path):
+    # [eco] is no section: a spec file, a POST and a journaled job that
+    # had not finished are each refused as an unknown section, and a
+    # job that had finished is re-served as recorded.
+    from repro.errors import SpecError
+    from repro.pipeline.spec import load_spec
+    from repro.serve.jobs import DONE, job_id_for
+    from repro.serve.scheduler import JobScheduler
+
+    refused = "unknown section(s) ['eco']"
+    eco = {"design": "bigcore@scale=0.1,edit=LSU",
+           "eco": {"baseline": "bigcore@scale=0.1"}}
+    path = tmp_path / "eco.toml"
+    path.write_text('design = "bigcore@scale=0.1,edit=LSU"\n'
+                    '[eco]\nbaseline = "bigcore@scale=0.1"\n')
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(str(path))
+    assert refused in str(excinfo.value)
+
+    unfinished, finished = (job_id_for(c * 64) for c in "ab")
+    journal = JobScheduler(str(tmp_path / "state"), worker=_worker).journal
+    for job_id in (unfinished, finished):
+        journal.record(event="submitted", job=job_id, fingerprint="",
+                       spec=eco, time=0.0)
+    journal.record(event=DONE, job=finished, time=1.0, result={"ok": True})
+    journal.close()
+
+    app = _app(tmp_path)
+    try:
+        status, doc = post_json(f"{app.url}/jobs", eco)
+        assert status == 400 and refused in doc["error"]
+        status, doc = get_json(f"{app.url}/jobs/{unfinished}")
+        assert doc["state"] == "failed" and refused in doc["error"]
+        status, doc = get_json(f"{app.url}/jobs/{finished}")
+        assert doc["state"] == "done" and doc["result"] == {"ok": True}
     finally:
         app.drain()
 

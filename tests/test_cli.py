@@ -242,12 +242,11 @@ def test_loadgen_cli_against_live_server(tmp_path, capsys):
     SIGTERM→143 graceful drain — is covered by the subprocess test in
     tests/serve/test_recovery.py.)
     """
+    from repro.serve.scheduler import COUNTERS
     from repro.serve.server import ServeApp
 
     def stub_worker(task):
-        return {"ok": True,
-                "eco": {"warm": True, "dirty_fubs": ["LSU"],
-                        "resolved_fubs": 1}}
+        return {"ok": True}
 
     app = ServeApp(str(tmp_path / "state"), worker=stub_worker,
                    queue_limit=16).start_background()
@@ -260,13 +259,10 @@ def test_loadgen_cli_against_live_server(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "4 identical requests -> 1 job(s), 1 execution(s)" in out
-    assert "warm / 0 cold" in out  # jobs reported eco blocks
     doc = json.loads((tmp_path / "bench.json").read_text())
     assert doc["completed"] == 2
     assert doc["dedup_burst"]["executions"] == 1
-    counters = doc["server_counters"]
-    assert counters["eco_jobs"] == counters["completed"]
-    assert counters["warm_solves"] == counters["eco_jobs"]
+    assert set(doc["server_counters"]) == set(COUNTERS)
 
 
 def test_version_flag(capsys):

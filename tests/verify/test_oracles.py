@@ -80,6 +80,26 @@ def test_relaxed_engine_relaxes_the_compiled_plan(loopy_case):
     assert ctx.sart(engine="relaxed") is relaxed
 
 
+def test_a_case_solves_every_loop_value_on_one_plan(loopy_case, monkeypatch):
+    # The six design-scope oracles build the case's compiled plan once,
+    # and the dataflow reference builds its own.
+    from repro.core.compiled import SolvePlan
+
+    build = SolvePlan.build.__func__
+    builds = []
+
+    def counting_build(cls, *args, **kwargs):
+        builds.append(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SolvePlan, "build", classmethod(counting_build))
+    ctx = CaseContext(loopy_case)
+    for oracle in DESIGN_ORACLES:
+        assert oracle.check(loopy_case, ctx) == [], oracle.name
+    assert len(DESIGN_ORACLES) == 6 and len(builds) == 2
+    assert {ctx.sart(loop_pavf=v).plan for v in (0.1, 0.3, 0.6)} == {ctx.plan}
+
+
 def test_ctrl_oracle_reports_missing_register(loopy_case):
     case = build_case(CaseSpec(seed=42, ctrl_regs=0))
     case.ctrl_names.append("F0/cfg_phantom")

@@ -2,9 +2,13 @@
 
 Measures, on tinycore, (a) simulator cycles/second as the lane count
 grows — per-gate bigint cost rises with the lane count, but far more
-slowly than the lanes it carries — and (b) SFI campaign wall time for
+slowly than the lanes it carries — (b) SFI campaign wall time for
 the seed-era configuration (63 fault lanes per pass, serial) against the
-wide-batch and multi-worker configurations this repo now supports.
+wide-batch and multi-worker configurations this repo now supports, and
+(c) the Monte-Carlo masking estimator as campaigns run it (passes of
+trials sorted by cycle, each forked from the golden lane and ended at
+its last check) against the schedule they ran before (plan order, every
+pass from reset to halt), with identical outcomes.
 
 Results are flushed to ``BENCH_simulator.json`` via the ``bench_json``
 fixture for machine consumption (CI trend lines, the acceptance ratio).
@@ -24,11 +28,21 @@ from repro.designs.tinycore.harness import run_gate_level
 from repro.designs.tinycore.programs import default_dmem, program
 from repro.netlist.graph import extract_graph
 from repro.rtlsim.simulator import Simulator
+from repro.ser.derating import (
+    MaskingConfig,
+    _run_mask_pass,
+    measure_masking_mc,
+    plan_mask_trials,
+)
 from repro.sfi import plan_campaign, run_sfi_campaign
+from repro.sfi.campaign import batches
+from repro.sfi.lanes import LanePass, LanePayload
 
 LANE_POINTS = (1, 64, 256, 1024)
 CAMPAIGN_PROGRAM = "matmul"
 CAMPAIGN_INJECTIONS = 256
+MASKING_PROGRAMS = ("fib", "lattice2d")
+MASKING_TRIALS = 256
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +119,68 @@ def test_bench_campaign_wall_time(campaign_setup, bench_json):
         label: round(seconds, 3) for label, seconds in timings.items()
     }
     bench_json["campaign_matmul_256inj"]["wide_vs_seed_ratio"] = round(ratio, 3)
-    # The wide batch must beat the seed-era configuration decisively; the
-    # seed-vs-now comparison in docs/PERFORMANCE.md additionally folds in
-    # the MemState fast-path gains (~3x on top of this within-tree ratio).
+    # The wide batch must beat the seed-era configuration decisively.
     assert ratio < 1.0
+
+
+def _masking_from_reset(words, dmem, netlist, config):
+    """MC masking on the schedule campaigns ran before passes forked:
+    trials in plan order, every pass from reset until lane 0 halts."""
+    graph = extract_graph(netlist.module)
+    golden = run_gate_level(words, dmem, netlist=netlist)
+    trials = plan_mask_trials(config, graph.seq_nets(), golden.cycles)
+    payload = LanePayload(pass_fn=_run_mask_pass, program=words, dmem_init=dmem,
+                          netlist=netlist, max_cycles=config.max_cycles,
+                          extra=tuple(graph.outputs))
+    sims: dict[int, Simulator] = {}
+    outcomes = []
+    for index, group in enumerate(batches(trials, config.lanes_per_pass)):
+        lanes = len(group) + 1
+        if lanes not in sims:
+            sims[lanes] = Simulator(netlist.module, lanes=lanes)
+
+        def run(on_cycle, until=None, sim=sims[lanes]):
+            return run_gate_level(words, dmem, netlist=netlist, sim=sim,
+                                  on_cycle=on_cycle)
+
+        lane_pass = LanePass(index=index, start=None, ids=(), trials=tuple(group))
+        outcomes.extend(_run_mask_pass(payload, run, lane_pass))
+    return tuple(outcomes)
+
+
+def _best_of(n, fn):
+    best, value = float("inf"), None
+    for _ in range(n):
+        started = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, value
+
+
+def test_bench_masking_mc(bench_json):
+    config = MaskingConfig(trials=MASKING_TRIALS)
+    rows, record = [], {}
+    for name in MASKING_PROGRAMS:
+        words, dmem = program(name), default_dmem(name)
+        netlist = build_tinycore(words, dmem)
+        before_s, before = _best_of(
+            3, lambda: _masking_from_reset(words, dmem, netlist, config))
+        after_s, after = _best_of(
+            3, lambda: measure_masking_mc(words, dmem, config, netlist=netlist))
+        assert after.outcomes == before, f"{name}: forked passes changed outcomes"
+        record[name] = {
+            "trials": MASKING_TRIALS,
+            "propagated": after.propagated,
+            "from_reset_s": round(before_s, 3),
+            "forked_s": round(after_s, 3),
+        }
+        rows.append([name, MASKING_TRIALS, before_s, after_s, after_s / before_s])
+    print_table(
+        f"MC masking, {MASKING_TRIALS} trials, 63 lanes/pass, serial (best of 3)",
+        ["program", "trials", "from reset s", "forked s", "ratio"],
+        rows,
+    )
+    bench_json["masking_mc"] = record
 
 
 def test_bench_smoke(fib_setup, bench_json):

@@ -7,7 +7,10 @@ every functional sequential in the entire design in a single run."
 
 We measure, on tinycore: the wall time of one SART run (all 233
 sequentials resolved) vs an SFI campaign sized for comparable per-node
-confidence, then report the extrapolated full-coverage cost ratio.
+confidence, then report the extrapolated full-coverage cost ratio. The
+ratio test writes its quantities to ``BENCH_simulator.json`` under
+``speed_vs_sfi``. A faster SFI lowers the ratio: the campaign is the
+honest baseline, so it is as fast as this simulator can run it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ def test_bench_sart_single_run(benchmark, setup):
     assert result.stats["sequentials"] == 233
 
 
-def test_bench_speed_ratio(setup):
+def test_bench_speed_ratio(setup, bench_json):
     words, dmem, netlist, golden, ports = setup
     seqs = extract_graph(netlist.module).seq_nets()
 
@@ -72,6 +75,17 @@ def test_bench_speed_ratio(setup):
              INJECTIONS_PER_NODE * len(seqs), sfi_full_seconds],
         ],
     )
+    bench_json["speed_vs_sfi"] = {
+        "program": PROGRAM,
+        "sequentials": len(seqs),
+        "sart_seconds": round(sart_seconds, 4),
+        "sfi_sample_nodes": len(sample),
+        "sfi_sample_injections": len(plans),
+        "sfi_sample_seconds": round(sfi_sample_seconds, 3),
+        "sfi_full_injections": INJECTIONS_PER_NODE * len(seqs),
+        "sfi_full_seconds": round(sfi_full_seconds, 2),
+        "ratio": round(ratio, 1),
+    }
     print(f"speedup: {ratio:,.0f}x for one workload "
           f"(paper: 3-4 orders of magnitude on a real core; grows with "
           f"design size and workload count — SART is one graph solve, SFI "

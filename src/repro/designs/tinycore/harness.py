@@ -14,7 +14,19 @@ from dataclasses import dataclass, field
 from repro.designs.tinycore.archsim import ArchSim, run_program
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.errors import SimulationError
-from repro.rtlsim.simulator import Simulator
+from repro.rtlsim.simulator import SimState, Simulator
+
+
+@dataclass(frozen=True)
+class GoldenPoint:
+    """Lane 0 at the start of one cycle: its state and the outputs before it.
+
+    Every lane that has taken no fault yet equals lane 0, so a run may
+    start from here in all its lanes (``run_gate_level(start=...)``).
+    """
+
+    state: SimState
+    outputs: tuple[int, ...]
 
 
 @dataclass
@@ -26,6 +38,7 @@ class GateLevelRun:
     cycles: int
     outputs: dict[int, list[int]]          # lane -> output stream
     halted_lanes: set[int] = field(default_factory=set)
+    points: dict[int, GoldenPoint] = field(default_factory=dict)  # by cycle
 
     def dmem_words(self, lane: int, count: int = 64) -> list[int]:
         mem = self.sim.mems["u_dmem"]
@@ -53,27 +66,44 @@ def run_gate_level(
     netlist: TinycoreNetlist | None = None,
     sim: Simulator | None = None,
     on_cycle=None,
+    start: GoldenPoint | None = None,
+    record_at=(),
+    until: int | None = None,
 ) -> GateLevelRun:
     """Run *program* to HALT on the gate-level core.
 
     Pass a prebuilt *netlist*/*sim* to amortize construction across runs
-    (the SFI campaign reuses one simulator and just resets it). The run
+    (campaign passes reuse one simulator per lane width). The run
     ends when **lane 0** halts; other lanes may have diverged (that is the
     point of fault injection) and their outputs are whatever they emitted
     by then. *on_cycle(sim, cycle)* is invoked once per cycle before the
     clock edge — the fault-injection hook.
+
+    With *start* the run begins at ``start.state.cycle`` from that point's
+    state in every lane, each lane's outputs beginning with its prefix;
+    so it equals a run from reset whose lanes take no fault before that
+    cycle. At the start of each cycle in *record_at* the run records
+    lane 0 into ``points``. With *until* it ends after the hook of that
+    cycle, if lane 0 has not halted by then.
     """
     if netlist is None:
         netlist = build_tinycore(program, dmem_init)
     if sim is None:
         sim = Simulator(netlist.module, lanes=lanes)
-    else:
+    if start is None:
         sim.reset()
+        prefix: tuple[int, ...] = ()
+    else:
+        sim.restore(start.state)
+        prefix = start.outputs
 
-    outputs: dict[int, list[int]] = {lane: [] for lane in range(sim.lanes)}
+    outputs: dict[int, list[int]] = {lane: list(prefix) for lane in range(sim.lanes)}
     halted_lanes: set[int] = set()
-    cycle = 0
+    points: dict[int, GoldenPoint] = {}
+    cycle = sim.cycle
     while cycle < max_cycles:
+        if cycle in record_at:
+            points[cycle] = GoldenPoint(sim.snapshot(0), tuple(outputs[0]))
         valid_bits = sim.peek(netlist.out_valid)
         if valid_bits:
             for lane in range(sim.lanes):
@@ -88,13 +118,16 @@ def run_gate_level(
                 break
         if on_cycle is not None:
             on_cycle(sim, cycle)
+        if cycle == until:
+            break
         sim.step()
         cycle += 1
     else:
         raise SimulationError(f"tinycore did not halt within {max_cycles} cycles")
 
     return GateLevelRun(
-        netlist=netlist, sim=sim, cycles=cycle, outputs=outputs, halted_lanes=halted_lanes
+        netlist=netlist, sim=sim, cycles=cycle, outputs=outputs,
+        halted_lanes=halted_lanes, points=points,
     )
 
 

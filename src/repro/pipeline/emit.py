@@ -308,6 +308,7 @@ class RunRenderer:
             print(f"  SDC AVF={avf:.3f} [{lo:.3f},{hi:.3f}]  "
                   f"DUE AVF={campaign.due_avf():.3f}")
             print(f"  {campaign.simulated_cycles} simulated cycles "
+                  f"({campaign.stepped_cycles} stepped) "
                   f"in {campaign.elapsed_seconds:.2f}s")
             print_runtime_summary(campaign)
         elif event == "beam":

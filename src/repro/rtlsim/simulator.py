@@ -9,11 +9,12 @@ order of magnitude faster than interpreting it gate by gate. Per-gate
 cost grows sublinearly with lane count (CPython bigint limbs), so wider
 passes amortize the fixed per-cycle interpreter overhead.
 
-Memory primitives use a golden-base-plus-per-lane-overlay
-representation (:class:`MemState`), and every per-lane slow path
-iterates only the lanes that actually diverge from the golden lane, so
-mostly-golden fault-injection passes stay near fault-free cost at any
-lane count.
+Memory primitives are bit-sliced the same way (:class:`MemState`): a
+row holds one lane mask per bit, and an access partitions its lanes by
+address, so its cost follows the number of distinct addresses the lanes
+drive, not the number of lanes. :meth:`Simulator.snapshot` records one
+lane's state and :meth:`Simulator.restore` puts it into every lane, so a
+fault-injection pass can start where its first fault lands.
 
 Simulation contract (single implicit clock):
 
@@ -28,6 +29,8 @@ random bit at a random timestep").
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.netlist.cells import mem_addr_bits
@@ -65,30 +68,44 @@ def iter_bits(bits: int):
         bits ^= low
 
 
-def _uniform_scan(v: list[int], idxs: list[int], mask: int) -> tuple[int, int]:
-    """(word assembled from lane 0's bits, mask of lanes differing).
+def _split_by_address(v: list[int], steps: list[tuple[int, int]],
+                      lanes: int) -> tuple[int, list[tuple[int, int]]]:
+    """Partition *lanes* by the address they drive on a bus.
 
-    The returned divergence mask is the union over all bit nets of the
-    XOR against lane 0's uniform pattern — exactly the lanes for which a
-    per-lane slow path is needed.
+    *steps* pairs each address-bit net with its place value. Returns the
+    address bits every lane in *lanes* sets, plus ``(lane mask,
+    address)`` groups holding the remaining bits; each address bit on
+    which the lanes disagree splits the groups once, so the work follows
+    the number of distinct addresses, not the number of lanes.
     """
-    word = 0
-    div = 0
-    for i, idx in enumerate(idxs):
-        val = v[idx]
-        if val & 1:
-            word |= 1 << i
-            div |= mask ^ val
-        else:
-            div |= val
-    return word, div
+    common = 0
+    groups = [(lanes, 0)]
+    for idx, step in steps:
+        bits = v[idx] & lanes
+        if not bits:
+            continue
+        if bits == lanes:
+            common |= step
+            continue
+        split = []
+        for group, addr in groups:
+            high = group & bits
+            if not high:
+                split.append((group, addr))
+            elif high == group:
+                split.append((group, addr | step))
+            else:
+                split.append((group ^ high, addr))
+                split.append((high, addr | step))
+        groups = split
+    return common, groups
 
 
-def _gather(v: list[int], idxs: list[int], lane: int) -> int:
-    """Assemble one lane's word from a list of bit nets (LSB first)."""
+def _lane_bits(masks, lane: int) -> int:
+    """One lane's bits of a sequence of lane masks, as a word (LSB first)."""
     word = 0
-    for i, idx in enumerate(idxs):
-        if (v[idx] >> lane) & 1:
+    for i, bits in enumerate(masks):
+        if (bits >> lane) & 1:
             word |= 1 << i
     return word
 
@@ -96,129 +113,137 @@ def _gather(v: list[int], idxs: list[int], lane: int) -> int:
 class MemState:
     """State and lane-parallel access logic of one MEM instance.
 
-    Invariant maintained by every mutation: an overlay entry always
-    differs from the shared base word at the same address, so two lanes
-    see identical memory contents iff their overlay dicts are equal.
+    Storage is bit-sliced: ``rows[addr]`` is a tuple of ``width`` lane
+    masks, bit ``k`` of mask ``i`` being bit ``i`` of the word lane
+    ``k`` holds at *addr*. A read or write partitions its lanes by the
+    address they drive (:func:`_split_by_address`) and moves whole lane
+    masks, so its cost follows the number of distinct addresses, not the
+    number of lanes that diverge.
+
+    Invariant: outside ``touched``, every lane holds ``image[addr]``
+    (``rows[addr]`` broadcasts it). Each write and strike adds its
+    address to ``touched``; :meth:`divergence` folds the rows it finds
+    uniform back into ``image``, so it and :meth:`lane_word` visit only
+    rows that may differ across lanes.
     """
 
     def __init__(self, inst: Instance, index: dict[str, int], lanes: int):
         self.inst = inst
         self.depth: int = inst.params["depth"]
         self.width: int = inst.params["width"]
-        self.lanes = lanes
         self.mask = (1 << lanes) - 1
         abits = mem_addr_bits(self.depth)
-        self.abits = abits
-        self._init = list(inst.params.get("init", []))
+        self._init = [0] * self.depth
+        for addr, word in enumerate(inst.params.get("init", [])[: self.depth]):
+            self._init[addr] = word & ((1 << self.width) - 1)
         nread = inst.params.get("nread", 1)
         self.raddr = [
-            [index[inst.conn[f"raddr{p}_{i}"]] for i in range(abits)] for p in range(nread)
+            [(index[inst.conn[f"raddr{p}_{i}"]], 1 << i) for i in range(abits)]
+            for p in range(nread)
         ]
         self.rdata = [
             [index[inst.conn[f"rdata{p}_{i}"]] for i in range(self.width)] for p in range(nread)
         ]
-        self.waddr = [index[inst.conn[f"waddr_{i}"]] for i in range(abits)]
+        self.waddr = [(index[inst.conn[f"waddr_{i}"]], 1 << i) for i in range(abits)]
         self.wdata = [index[inst.conn[f"wdata_{i}"]] for i in range(self.width)]
         self.wen = index[inst.conn["wen"]]
-        self.base: list[int] = []
-        self.overlays: dict[int, dict[int, int]] = {}
+        self.image: list[int] = []
+        self.rows: list[tuple[int, ...]] = []
+        self.touched: set[int] = set()
         self.reset()
 
     def reset(self) -> None:
-        self.base = [0] * self.depth
-        for addr, word in enumerate(self._init[: self.depth]):
-            self.base[addr] = word & ((1 << self.width) - 1)
-        self.overlays = {}
+        self.load(self._init)
+
+    def load(self, words) -> None:
+        """Store *words* (one per address) in every lane."""
+        mask, bits = self.mask, range(self.width)
+        self.image = list(words)
+        row_of = {word: tuple(mask if (word >> i) & 1 else 0 for i in bits)
+                  for word in set(self.image)}
+        self.rows = [row_of[word] for word in self.image]
+        self.touched = set()
 
     # -- helpers -----------------------------------------------------------
     def lane_word(self, lane: int, addr: int) -> int:
         """Stored word at *addr* as seen by *lane*."""
-        overlay = self.overlays.get(lane)
-        if overlay is not None and addr in overlay:
-            return overlay[addr]
-        return self.base[addr]
+        if addr in self.touched:
+            return _lane_bits(self.rows[addr], lane)
+        return self.image[addr]
+
+    def lane_words(self, lane: int) -> list[int]:
+        """Every stored word as seen by *lane*, one per address."""
+        words = list(self.image)
+        for addr in self.touched:
+            words[addr] = _lane_bits(self.rows[addr], lane)
+        return words
+
+    def divergence(self, reference_lane: int = 0) -> int:
+        """Mask of the lanes whose stored words differ from *reference_lane*'s."""
+        mask = self.mask
+        ref = 1 << reference_lane
+        div = 0
+        rows = self.rows
+        for addr in list(self.touched):
+            row_div = 0
+            for bits in rows[addr]:
+                row_div |= (mask ^ bits) if bits & ref else bits
+            if row_div:
+                div |= row_div
+            else:
+                self.image[addr] = _lane_bits(rows[addr], reference_lane)
+                self.touched.discard(addr)
+        return div
 
     # -- simulation --------------------------------------------------------
     def read(self, v: list[int], port: int) -> None:
-        ref_addr, div = _uniform_scan(v, self.raddr[port], self.mask)
-        addr0 = ref_addr % self.depth
-        word0 = self.base[addr0]
-        mask = self.mask
-        outs = [(mask if (word0 >> i) & 1 else 0) for i in range(self.width)]
-        # Lanes that read the reference address but hold an overlay there.
-        for lane, overlay in self.overlays.items():
-            if (div >> lane) & 1:
-                continue
-            w = overlay.get(addr0)
-            if w is None:
-                continue
-            bit = 1 << lane
-            for i in iter_bits(w ^ word0):
-                outs[i] ^= bit
-        # Lanes whose read address diverges from the reference.
-        for lane in iter_bits(div):
-            addr = _gather(v, self.raddr[port], lane) % self.depth
-            word = self.lane_word(lane, addr)
-            bit = 1 << lane
-            for i in iter_bits(word ^ word0):
-                outs[i] ^= bit
-        for idx, word in zip(self.rdata[port], outs):
-            v[idx] = word
+        common, groups = _split_by_address(v, self.raddr[port], self.mask)
+        rows, depth = self.rows, self.depth
+        if len(groups) == 1:
+            words = rows[common % depth]
+        else:
+            words = [0] * self.width
+            for lanes, addr in groups:
+                for i, bits in enumerate(rows[(common | addr) % depth]):
+                    words[i] |= bits & lanes
+        for idx, bits in zip(self.rdata[port], words):
+            v[idx] = bits
 
     def write(self, v: list[int]) -> None:
         wen = v[self.wen]
         if wen == 0:
             return
-        mask = self.mask
-        ref_w = wen & 1
-        div = (mask ^ wen) if ref_w else wen
-        a_word, a_div = _uniform_scan(v, self.waddr, mask)
-        d_word, d_div = _uniform_scan(v, self.wdata, mask)
-        div |= a_div | d_div
-        if div == 0:
-            # Every lane writes the same word to the same address.
-            addr = a_word % self.depth
-            self.base[addr] = d_word
-            for overlay in self.overlays.values():
-                overlay.pop(addr, None)
-            return
-        if ref_w:
-            # The reference lane (and every non-diverged lane) writes
-            # d_word at addr0: commit to the base, preserve the previous
-            # word for diverged lanes that would otherwise see the change.
-            addr0 = a_word % self.depth
-            old = self.base[addr0]
-            if d_word != old:
-                self.base[addr0] = d_word
-                for lane in iter_bits(div):
-                    overlay = self.overlays.setdefault(lane, {})
-                    cur = overlay.get(addr0)
-                    if cur is None:
-                        overlay[addr0] = old
-                    elif cur == d_word:
-                        del overlay[addr0]  # view now equals the new base
-            for lane, overlay in self.overlays.items():
-                if not (div >> lane) & 1:
-                    overlay.pop(addr0, None)
-        # Diverged lanes with their write enable set perform their own write.
-        for lane in iter_bits(div & wen):
-            addr = _gather(v, self.waddr, lane) % self.depth
-            word = _gather(v, self.wdata, lane)
-            overlay = self.overlays.setdefault(lane, {})
-            if word == self.base[addr]:
-                overlay.pop(addr, None)
+        common, groups = _split_by_address(v, self.waddr, wen)
+        data = tuple(map(v.__getitem__, self.wdata))
+        rows, depth, mask = self.rows, self.depth, self.mask
+        for lanes, addr in groups:
+            addr = (common | addr) % depth
+            if lanes == mask:
+                rows[addr] = data
             else:
-                overlay[addr] = word
+                keep = mask ^ lanes
+                rows[addr] = tuple([
+                    (old & keep) | (new & lanes) for old, new in zip(rows[addr], data)
+                ])
+            self.touched.add(addr)
 
     def flip_bit(self, lane: int, addr: int, bit: int) -> None:
         """Invert one stored bit in one lane (particle strike model)."""
         addr %= self.depth
-        word = self.lane_word(lane, addr) ^ (1 << (bit % self.width))
-        overlay = self.overlays.setdefault(lane, {})
-        if word == self.base[addr]:
-            overlay.pop(addr, None)
-        else:
-            overlay[addr] = word
+        row = list(self.rows[addr])
+        row[bit % self.width] ^= 1 << lane
+        self.rows[addr] = tuple(row)
+        self.touched.add(addr)
+
+
+@dataclass(frozen=True)
+class SimState:
+    """One lane's state at the start of a cycle: what :meth:`Simulator.restore`
+    needs to continue from there in every lane."""
+
+    cycle: int
+    flops: int                              # bit i: flop i, in commit order
+    mems: tuple[tuple[int, ...], ...]       # per MEM, one word per address
 
 
 class Simulator:
@@ -329,20 +354,44 @@ class Simulator:
     # ------------------------------------------------------------------
     # simulation control
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Power-on reset: flop init values, memory init images, inputs 0."""
-        self.cycle = 0
+    def _clear(self, cycle: int) -> None:
+        """Every net 0 but the constants, at *cycle*; settle on next use."""
+        self.cycle = cycle
         values = self.values
         for i in range(len(values)):
             values[i] = 0
         for idx, bit in self._consts:
             values[idx] = self.mask if bit else 0
+        self._dirty = True
+
+    def reset(self) -> None:
+        """Power-on reset: flop init values, memory init images, inputs 0."""
+        self._clear(0)
         for inst in self._dffs:
             if inst.params.get("init", 0):
-                values[self.index[inst.conn["q"]]] = self.mask
+                self.values[self.index[inst.conn["q"]]] = self.mask
         for mem in self.mems.values():
             mem.reset()
-        self._dirty = True
+
+    def snapshot(self, lane: int = 0) -> SimState:
+        """*lane*'s flops, memory words and the cycle, for :meth:`restore`."""
+        v = self.values
+        flops = 0
+        for i, q in enumerate(self._commit_pairs):
+            if (v[q] >> lane) & 1:
+                flops |= 1 << i
+        mems = tuple(tuple(mem.lane_words(lane)) for mem in self.mems.values())
+        return SimState(cycle=self.cycle, flops=flops, mems=mems)
+
+    def restore(self, state: SimState) -> None:
+        """Put *state* into every lane: a reset that lands at ``state.cycle``."""
+        self._clear(state.cycle)
+        values = self.values
+        for i, q in enumerate(self._commit_pairs):
+            if (state.flops >> i) & 1:
+                values[q] = self.mask
+        for mem, words in zip(self.mems.values(), state.mems):
+            mem.load(words)
 
     def settle(self) -> None:
         """Evaluate combinational logic for the current cycle."""
@@ -424,24 +473,17 @@ class Simulator:
         """Lanes whose architectural state differs from *reference_lane*.
 
         Compares every flop bit and every memory word; used by the SFI
-        classifier to detect still-latent (unknown) faults.
+        classifier to detect still-latent (unknown) faults. The
+        divergence masks of all flops and of the memory rows that may
+        differ are ORed, and the union is expanded once.
         """
-        diffs: set[int] = set()
         v = self.values
         ref_bit = 1 << reference_lane
         mask = self.mask
+        div = 0
         for q in self._commit_pairs:
             val = v[q]
-            pattern = mask if val & ref_bit else 0
-            for lane in iter_bits((val ^ pattern) & mask):
-                diffs.add(lane)
+            div |= (mask ^ val) if val & ref_bit else val
         for mem in self.mems.values():
-            ref_overlay = mem.overlays.get(reference_lane, {})
-            lanes_to_check = set(mem.overlays)
-            if ref_overlay:
-                lanes_to_check.update(range(self.lanes))
-            for lane in lanes_to_check:
-                if lane != reference_lane and mem.overlays.get(lane, {}) != ref_overlay:
-                    diffs.add(lane)
-        diffs.discard(reference_lane)
-        return diffs
+            div |= mem.divergence(reference_lane)
+        return set(iter_bits(div & ~ref_bit))

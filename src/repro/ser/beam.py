@@ -12,10 +12,11 @@ Each simulator pass exposes a batch of independent "devices" (fault
 lanes) to the beam while lane 0 stays golden; a device shows SDC when its
 output stream (or halt behaviour) diverges. All strikes are planned up
 front from the seed — one (cycle, target, bit) plan per device — so the
-measurement is deterministic no matter how passes are grouped or how many
-worker processes execute them. The measured rate comes with a Poisson
-confidence interval — Figure 10's "statistical error of the measured
-value".
+measurement is deterministic no matter how passes are grouped, where
+they start or how many worker processes execute them. Devices are
+batched by their earliest strike, unstruck devices last. The measured
+rate comes with a Poisson confidence interval — Figure 10's "statistical
+error of the measured value".
 """
 
 from __future__ import annotations
@@ -29,16 +30,20 @@ from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.designs.tinycore.harness import run_gate_level
 from repro.errors import CampaignError
 from repro.netlist.graph import extract_graph
-from repro.rtlsim.simulator import Simulator
 from repro.sfi.campaign import (
     DEFAULT_FAULT_LANES,
     DUE,
     SDC,
     UNKNOWN,
-    batches,
     resolve_lanes_per_pass,
 )
-from repro.sfi.lanes import CampaignRuntime, LanePayload, lane_verdicts, run_lane_passes
+from repro.sfi.lanes import (
+    CampaignRuntime,
+    LanePass,
+    LanePayload,
+    lane_verdicts,
+    run_lane_passes,
+)
 from repro.sfi.runtime import RuntimeOptions
 
 
@@ -66,7 +71,8 @@ class BeamResult(CampaignRuntime):
     """Measured beam statistics.
 
     The devices of a pass that failed permanently are excluded from
-    ``exposures``.
+    ``exposures`` and from ``outcomes``, which holds the other devices'
+    verdicts in exposure order.
     """
 
     sdc_events: int = 0
@@ -76,6 +82,7 @@ class BeamResult(CampaignRuntime):
     strikes: int = 0
     storage_bits: int = 0
     flux: float = 0.0
+    outcomes: tuple[str, ...] = ()
 
     @property
     def sdc_rate_per_cycle(self) -> float:
@@ -166,26 +173,26 @@ def plan_beam_exposures(
 
 
 def _run_beam_pass(
-    payload: LanePayload, sim: Simulator, group: list[list[BeamStrike]]
-) -> tuple[int, int, int]:
-    """Expose one batch of devices; return (sdc_events, due_events, devices)."""
+    payload: LanePayload, run, lane_pass: LanePass
+) -> list[str]:
+    """Expose one batch of devices; return each device's verdict."""
     strikes_by_cycle: dict[int, list[tuple[BeamStrike, int]]] = {}
-    for lane_offset, strikes in enumerate(group):
+    for lane, strikes in enumerate(lane_pass.trials, 1):
         for s in strikes:
-            strikes_by_cycle.setdefault(s.cycle, []).append((s, lane_offset + 1))
+            strikes_by_cycle.setdefault(s.cycle, []).append((s, lane))
 
-    def strike(simulator: Simulator, cycle: int) -> None:
+    def strike(simulator, cycle: int) -> None:
         for s, lane in strikes_by_cycle.get(cycle, ()):
             if s.kind == "flop":
                 simulator.flip(s.target, 1 << lane)
             else:
                 simulator.mems[s.target].flip_bit(lane, s.addr, s.bit)
 
-    verdicts = lane_verdicts(payload.run(sim, strike))
-    # Continuous beam operation: corruption still in architectural state
-    # when a run ends is consumed by subsequent runs, so it counts as SDC.
-    silent = (SDC, UNKNOWN)
-    return sum(v in silent for v in verdicts), verdicts.count(DUE), len(group)
+    return lane_verdicts(run(strike))
+
+
+def _first_strike(strikes: list[BeamStrike]) -> int | None:
+    return min((s.cycle for s in strikes), default=None)
 
 
 def run_beam_test(
@@ -242,24 +249,21 @@ def run_beam_test(
         config, targets, weights, mem_sizes, bits, golden.cycles
     )
     result.strikes = sum(len(p) for p in exposures)
-    report = run_lane_passes(
-        "beam", _run_beam_pass, program, dmem_init, netlist,
-        batches(exposures, lanes_per_pass),
-        # False, True stand where the program-ROM and architectural-state
-        # settings were hashed, so earlier checkpoints keep resuming.
+    lanes = run_lane_passes(
+        "beam", _run_beam_pass, program, dmem_init, netlist, exposures,
+        _first_strike,
         (config.flux, config.exposures, config.seed, config.max_cycles,
-         config.include_arrays, False, True, config.parity),
-        max_cycles=config.max_cycles, workers=workers, runtime=runtime,
-        decode=tuple,  # JSON round-trips the (sdc, due, devices) tuple as a list
+         config.include_arrays, config.parity),
+        lanes_per_pass=lanes_per_pass, max_cycles=config.max_cycles,
+        workers=workers, runtime=runtime,
     )
-    for pass_result in report.results:
-        if pass_result is None:
-            continue  # recorded in result.failures
-        sdc, due, devices = pass_result
-        result.sdc_events += sdc
-        result.due_events += due
-        result.exposures += devices
-    result.absorb(report, started)
+    result.outcomes = tuple(v for v in lanes.verdicts if v is not None)
+    # Continuous beam operation: corruption still in architectural state
+    # when a run ends is consumed by subsequent runs, so it counts as SDC.
+    result.sdc_events = sum(v in (SDC, UNKNOWN) for v in result.outcomes)
+    result.due_events = result.outcomes.count(DUE)
+    result.exposures = len(result.outcomes)
+    result.absorb(lanes.report, started)
     return result
 
 

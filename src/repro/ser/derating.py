@@ -51,6 +51,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from repro.designs.tinycore.core import build_tinycore
@@ -58,9 +59,8 @@ from repro.designs.tinycore.harness import run_gate_level
 from repro.errors import ReproError
 from repro.netlist.cells import input_sensitivities
 from repro.netlist.graph import NetGraph, NodeKind, extract_graph
-from repro.rtlsim.simulator import Simulator
-from repro.sfi.campaign import DEFAULT_FAULT_LANES, batches
-from repro.sfi.lanes import CampaignRuntime, LanePayload, run_lane_passes
+from repro.sfi.campaign import DEFAULT_FAULT_LANES
+from repro.sfi.lanes import CampaignRuntime, LanePass, LanePayload, run_lane_passes
 from repro.sfi.runtime import RuntimeOptions
 
 # Capture probability of the "coin flip" terminals under uniform inputs:
@@ -258,43 +258,42 @@ def plan_mask_trials(
 
 
 def _run_mask_pass(
-    payload: LanePayload, sim: Simulator, group: list[MaskTrial]
-) -> list[list]:
-    """Run one batch of trials; return ``[index, propagated]`` pairs.
+    payload: LanePayload, run, lane_pass: LanePass
+) -> list[bool]:
+    """Run one batch of trials; return whether each one propagated.
 
     Lane 0 stays golden; each trial owns one fault lane. The flip lands
     at the start of its cycle (before the clock edge), the combinational
     output divergence is sampled the same cycle, and the latched state /
     memory divergence is sampled at the next cycle's entry — exactly the
-    one-logic-level capture window the analytic model scores.
+    one-logic-level capture window the analytic model scores. The pass
+    ends once its last trial is sampled.
     """
-    flips: dict[int, list[tuple[MaskTrial, int]]] = {}
-    checks: dict[int, list[tuple[MaskTrial, int]]] = {}
-    for offset, trial in enumerate(group):
-        flips.setdefault(trial.cycle, []).append((trial, offset + 1))
-        checks.setdefault(trial.cycle + 1, []).append((trial, offset + 1))
-    hits: dict[int, bool] = {}
+    flips: dict[int, list[tuple[str, int]]] = {}
+    checks: dict[int, list[int]] = {}
+    for lane, trial in enumerate(lane_pass.trials, 1):
+        flips.setdefault(trial.cycle, []).append((trial.net, lane))
+        checks.setdefault(trial.cycle + 1, []).append(lane)
+    hits = [False] * (len(lane_pass.trials) + 1)  # by lane
 
-    def on_cycle(simulator: Simulator, cycle: int) -> None:
+    def on_cycle(simulator, cycle: int) -> None:
         pending = checks.get(cycle)
         if pending:
             diverged = simulator.lanes_differing_from(0)
-            for trial, lane in pending:
+            for lane in pending:
                 if lane in diverged:
-                    hits[trial.index] = True
-        for trial, lane in flips.get(cycle, ()):
-            hits.setdefault(trial.index, False)
-            simulator.flip(trial.net, 1 << lane)
+                    hits[lane] = True
+        for net, lane in flips.get(cycle, ()):
+            simulator.flip(net, 1 << lane)
             # Combinational capture at a primary output happens within
             # the flip cycle; peeking settles the flipped state.
-            for net in payload.extra:  # the primary outputs
-                bits = simulator.peek(net)
+            for out in payload.extra:  # the primary outputs
+                bits = simulator.peek(out)
                 if ((bits >> lane) ^ bits) & 1:
-                    hits[trial.index] = True
+                    hits[lane] = True
 
-    payload.run(sim, on_cycle)
-    return [[trial.index, bool(hits.get(trial.index, False))]
-            for trial in group]
+    run(on_cycle, until=max(checks))
+    return hits[1:]
 
 
 def measure_masking_mc(
@@ -322,24 +321,15 @@ def measure_masking_mc(
     seq_nets = graph.seq_nets()
     golden = run_gate_level(program, dmem_init, netlist=netlist)
     trials = plan_mask_trials(config, seq_nets, golden.cycles)
-    report = run_lane_passes(
-        "masking", _run_mask_pass, program, dmem_init, netlist,
-        batches(trials, config.lanes_per_pass),
-        (config.trials, config.seed, config.max_cycles),
-        max_cycles=config.max_cycles, workers=workers, runtime=runtime,
-        extra=tuple(graph.outputs),
+    lanes = run_lane_passes(
+        "masking", _run_mask_pass, program, dmem_init, netlist, trials,
+        attrgetter("cycle"), (config.trials, config.seed, config.max_cycles),
+        lanes_per_pass=config.lanes_per_pass, max_cycles=config.max_cycles,
+        workers=workers, runtime=runtime, extra=tuple(graph.outputs),
     )
     result = MaskingResult(cycles=golden.cycles)
-    outcome_by_index: dict[int, bool] = {}
-    for pass_result in report.results:
-        if pass_result is None:
-            continue  # recorded in result.failures
-        for index, propagated in pass_result:
-            outcome_by_index[int(index)] = bool(propagated)
-    result.outcomes = tuple(
-        outcome_by_index[i] for i in sorted(outcome_by_index)
-    )
+    result.outcomes = tuple(v for v in lanes.verdicts if v is not None)
     result.trials = len(result.outcomes)
     result.propagated = sum(result.outcomes)
-    result.absorb(report, started)
+    result.absorb(lanes.report, started)
     return result

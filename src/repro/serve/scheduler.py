@@ -19,7 +19,8 @@ The scheduler owns three things:
   completed jobs are re-registered so their recorded results are
   re-served byte-identically, unfinished ones re-enter the queue and
   resume from their campaign checkpoints (or fail, when their journaled
-  spec no longer validates).
+  spec no longer validates; a checkpoint that cannot be resumed is
+  discarded and its campaign reruns).
 
 ``job_worker``/``job_initializer`` are module level so they pickle into
 pool workers. The worker injects the job's checkpoint path into the
@@ -88,8 +89,11 @@ def job_worker(task: dict) -> dict:
     (:data:`_STORES`). Checkpoint/resume are injected fresh on every
     attempt: attempt 2 of a job whose attempt 1 checkpointed a few
     passes must resume from that file rather than fail the "checkpoint
-    already exists" freshness check.
+    already exists" freshness check. A checkpoint the campaign refuses
+    to resume (one an older campaign recipe wrote, say) only held saved
+    work: it is deleted and the job runs from scratch.
     """
+    from repro.errors import CheckpointError
     from repro.pipeline.emit import run_summary
     from repro.pipeline.runner import execute
     from repro.pipeline.spec import spec_from_mapping
@@ -97,25 +101,28 @@ def job_worker(task: dict) -> dict:
 
     mapping = dict(task["spec"])
     checkpoint = task.get("checkpoint")
+    resume = False
     # One checkpoint file per job, so only single-campaign specs get one
     # (sfi and beam sharing a file would trip its fingerprint check).
     if checkpoint and (("sfi" in mapping) ^ ("beam" in mapping)):
         campaign = dict(mapping.get("campaign") or {})
         campaign["checkpoint"] = checkpoint
-        if os.path.exists(checkpoint) and os.path.getsize(checkpoint) > 0:
-            campaign["resume"] = checkpoint
-        else:
-            campaign.pop("resume", None)
+        campaign.pop("resume", None)
         mapping["campaign"] = campaign
-    spec = spec_from_mapping(mapping)
+        resume = os.path.exists(checkpoint) and os.path.getsize(checkpoint) > 0
     cache_dir = task.get("cache_dir")
     store = None
     if cache_dir:
         store = _STORES.get(cache_dir)
         if store is None:
             store = _STORES[cache_dir] = ArtifactStore(cache_dir)
-    outcome = execute(spec, store=store)
-    return run_summary(outcome)
+    if resume:
+        resuming = {**mapping, "campaign": {**mapping["campaign"], "resume": checkpoint}}
+        try:
+            return run_summary(execute(spec_from_mapping(resuming), store=store))
+        except CheckpointError:
+            os.unlink(checkpoint)
+    return run_summary(execute(spec_from_mapping(mapping), store=store))
 
 
 class JobScheduler:

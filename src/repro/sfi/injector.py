@@ -7,20 +7,21 @@ classified against the golden lane.
 
 Passes are independent, so campaigns fan out across worker processes
 through :func:`repro.sfi.lanes.run_lane_passes`, and every lane gets the
-shared :func:`repro.sfi.lanes.lane_verdicts` rule. Results are
-reassembled in plan order, so a fixed seed gives identical outcomes at
-any worker count.
+shared :func:`repro.sfi.lanes.lane_verdicts` rule. A pass holds
+injections sorted by cycle and starts at its first injection's cycle
+from the golden lane's state; outcomes return to plan order, so a fixed
+seed gives identical outcomes at any worker count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from repro.designs.tinycore.core import TinycoreNetlist, build_tinycore
 from repro.errors import CampaignError
-from repro.rtlsim.simulator import Simulator
 from repro.sfi.campaign import (
     DEFAULT_FAULT_LANES,
     DUE,
@@ -29,9 +30,14 @@ from repro.sfi.campaign import (
     UNKNOWN,
     FaultPlan,
     InjectionOutcome,
-    batches,
 )
-from repro.sfi.lanes import CampaignRuntime, LanePayload, lane_verdicts, run_lane_passes
+from repro.sfi.lanes import (
+    CampaignRuntime,
+    LanePass,
+    LanePayload,
+    lane_verdicts,
+    run_lane_passes,
+)
 from repro.sfi.runtime import RuntimeOptions
 
 
@@ -46,7 +52,11 @@ class CampaignResult(CampaignRuntime):
 
     outcomes: list[InjectionOutcome] = field(default_factory=list)
     passes: int = 0
+    # Passes x golden-run cycles: what the passes would simulate from
+    # reset. ``stepped_cycles`` is what they did simulate; it depends on
+    # the worker count and on resume, so it stays out of the summary.
     simulated_cycles: int = 0
+    stepped_cycles: int = 0
     workers: int = 1
 
     def counts(self) -> dict[str, int]:
@@ -94,40 +104,18 @@ class CampaignResult(CampaignRuntime):
 
 
 def _run_sfi_pass(
-    payload: LanePayload, sim: Simulator, batch: Sequence[FaultPlan]
-) -> tuple[list[InjectionOutcome], int]:
+    payload: LanePayload, run, lane_pass: LanePass
+) -> list[str]:
     """Execute one simulator pass and classify its injections."""
     by_cycle: dict[int, list[tuple[str, int]]] = {}
-    for lane_offset, plan in enumerate(batch):
-        by_cycle.setdefault(plan.cycle, []).append((plan.net, 1 << (lane_offset + 1)))
+    for lane, plan in enumerate(lane_pass.trials, 1):
+        by_cycle.setdefault(plan.cycle, []).append((plan.net, 1 << lane))
 
-    def inject(simulator: Simulator, cycle: int) -> None:
+    def inject(simulator, cycle: int) -> None:
         for net, lane_mask in by_cycle.get(cycle, ()):
             simulator.flip(net, lane_mask)
 
-    run = payload.run(sim, inject)
-    verdicts = lane_verdicts(run, latent=True)
-    return [
-        InjectionOutcome(plan=plan, outcome=verdict)
-        for plan, verdict in zip(batch, verdicts)
-    ], run.cycles
-
-
-def _encode_sfi_pass(result: tuple[list[InjectionOutcome], int]) -> list:
-    """One pass result -> JSON-able checkpoint payload."""
-    outcomes, cycles = result
-    return [cycles, [[o.plan.net, o.plan.cycle, o.outcome] for o in outcomes]]
-
-
-def _decode_sfi_pass(payload: list) -> tuple[list[InjectionOutcome], int]:
-    cycles, rows = payload
-    return (
-        [
-            InjectionOutcome(plan=FaultPlan(net=net, cycle=cycle), outcome=outcome)
-            for net, cycle, outcome in rows
-        ],
-        cycles,
-    )
+    return lane_verdicts(run(inject), latent=True)
 
 
 def run_sfi_campaign(
@@ -154,7 +142,7 @@ def run_sfi_campaign(
     serial degradation, and soft pass timeouts (docs/ROBUSTNESS.md). A
     resumed campaign reproduces the uninterrupted campaign's outcomes
     bit for bit, because the checkpoint keys on a fingerprint of the
-    program, plan list, and batching.
+    program, the plan list and each pass's injections.
     """
     started = time.perf_counter()
     if netlist is None:
@@ -164,21 +152,18 @@ def run_sfi_campaign(
         if plan.net not in known:
             raise CampaignError(f"fault plan targets unknown net {plan.net!r}")
 
-    report = run_lane_passes(
-        "sfi", _run_sfi_pass, program, dmem_init, netlist,
-        batches(plans, lanes_per_pass),
-        (max_cycles, [(p.net, p.cycle) for p in plans]),
-        max_cycles=max_cycles, workers=workers, runtime=runtime,
-        encode=_encode_sfi_pass, decode=_decode_sfi_pass,
+    lanes = run_lane_passes(
+        "sfi", _run_sfi_pass, program, dmem_init, netlist, plans,
+        attrgetter("cycle"), (max_cycles, [(p.net, p.cycle) for p in plans]),
+        lanes_per_pass=lanes_per_pass, max_cycles=max_cycles,
+        workers=workers, runtime=runtime,
     )
-    result = CampaignResult(workers=max(1, workers))
-    for pass_result in report.results:
-        if pass_result is None:
-            continue  # recorded in result.failures
-        outcomes, cycles = pass_result
-        result.passes += 1
-        result.simulated_cycles += cycles
-        result.outcomes.extend(outcomes)
-    result.absorb(report, started)
+    result = CampaignResult(
+        outcomes=[InjectionOutcome(plan=plan, outcome=verdict)
+                  for plan, verdict in zip(plans, lanes.verdicts)
+                  if verdict is not None],
+        passes=lanes.passes, simulated_cycles=lanes.cycles,
+        stepped_cycles=lanes.stepped, workers=max(1, workers),
+    )
+    result.absorb(lanes.report, started)
     return result
-

@@ -125,7 +125,7 @@ class RuntimeOptions:
 class RunReport:
     """Everything :func:`run_passes` did, pass by pass.
 
-    ``results[i]`` is pass *i*'s decoded result, or ``None`` when that
+    ``results[i]`` is pass *i*'s result, or ``None`` when that
     pass failed permanently (its :class:`PassFailure` is in
     ``failures``).
     """
@@ -164,7 +164,7 @@ CHECKPOINT = LogFormat("repro-campaign-checkpoint", 1, "checkpoint",
 
 
 def load_checkpoint(path: str, fingerprint: str, passes: int) -> dict[int, Any]:
-    """Read a checkpoint back as ``{pass index: encoded result}``.
+    """Read a checkpoint back as ``{pass index: result}``.
 
     Validates the versioned header against the resuming campaign; a
     record needs an integer ``pass`` in range and a ``result``. Any
@@ -507,8 +507,6 @@ def run_passes(
     workers: int | None = 1,
     options: RuntimeOptions | None = None,
     fingerprint: str = "",
-    encode: Callable[[_RESULT], Any] | None = None,
-    decode: Callable[[Any], _RESULT] | None = None,
 ) -> RunReport:
     """Execute every pass with checkpointing, retry, and timeouts.
 
@@ -516,10 +514,8 @@ def run_passes(
     once in this process on the serial path); *worker* and *initializer*
     must be module-level so pools pickle them. The returned
     :class:`RunReport` has ``results`` ordered by pass index (``None``
-    for permanent failures). *encode*/*decode* translate one pass result
-    to/from a JSON-serializable payload for the checkpoint file; omit
-    them when results already are (lists/ints — note JSON round-trips
-    tuples into lists, so tuple results need a ``decode``).
+    for permanent failures). A pass result goes into the checkpoint file
+    as it is, so it must be JSON-serializable.
     """
     opts = options or RuntimeOptions()
     work = list(items)
@@ -528,10 +524,9 @@ def run_passes(
     pending_idx = list(range(n))
 
     if opts.resume:
-        dec = decode if decode is not None else (lambda obj: obj)
         cached = load_checkpoint(opts.resume, fingerprint, n)
-        for index, encoded in cached.items():
-            report.results[index] = dec(encoded)
+        for index, result in cached.items():
+            report.results[index] = result
         report.resumed = len(cached)
         pending_idx = [i for i in range(n) if i not in cached]
 
@@ -549,13 +544,11 @@ def run_passes(
         writer = LogWriter(opts.checkpoint, CHECKPOINT,
                            fingerprint=fingerprint, passes=n)
 
-    enc = encode if encode is not None else (lambda result: result)
-
     def on_result(index: int, result: Any) -> None:
         report.results[index] = result
         report.executed += 1
         if writer is not None:
-            writer.append({"pass": index, "result": enc(result)})
+            writer.append({"pass": index, "result": result})
 
     pool = ResilientPool(
         initializer, payload,

@@ -322,9 +322,9 @@ class LaneIsolationOracle(Oracle):
     ``spec.lanes``-wide run is compared against a 1-lane
     :class:`~repro.rtlsim.simulator.Simulator` driven by the same
     stimulus and only lane L's fault flips: net for net every cycle, and
-    word for word in every memory at the end. A 1-lane run never takes
-    :class:`~repro.rtlsim.simulator.MemState`'s divergence paths, so it
-    is an independent reference for the per-lane overlay code.
+    word for word in every memory at the end. A 1-lane run never splits
+    a :class:`~repro.rtlsim.simulator.MemState` access by address, so it
+    is an independent reference for the bit-sliced memory code.
     ``make_sim`` builds the wide simulator only and is the injectable
     seam: tests substitute a deliberately corrupted factory to prove
     divergence is caught.

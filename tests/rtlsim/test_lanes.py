@@ -6,9 +6,10 @@ per-lane pokes and flips at awkward lane widths — 1, 63, 64 (one machine
 word exactly), 65 (first word spill) and 256 — and require each lane's
 ``peek``/``seq_state``/memory contents, and the wide
 ``lanes_differing_from`` verdict, to equal what 1-lane runs given only
-that lane's inputs and flips produce. A 1-lane run never takes
-``MemState``'s divergence paths, so it is an independent reference for
-the per-lane overlay code.
+that lane's inputs and flips produce. A 1-lane run never splits a memory
+access by address, so it is an independent reference for the
+bit-sliced memory code. A wide run restored mid-run from lane 0's state
+(the start of a forked campaign pass) must equal 1-lane runs from reset.
 """
 
 import random
@@ -21,6 +22,7 @@ from repro.designs.tinycore.programs import default_dmem, program
 from repro.errors import CampaignError, SimulationError
 from repro.netlist import wordlib
 from repro.netlist.builder import ModuleBuilder
+from repro.netlist.graph import extract_graph
 from repro.rtlsim.simulator import MAX_LANES, Simulator
 
 LANE_WIDTHS = (1, 63, 64, 65, 256)
@@ -187,6 +189,58 @@ def test_tinycore_program_equivalence(lanes):
         assert wide.sim.seq_state(lane) == flops, lane
 
 
+@pytest.mark.parametrize("lanes", LANE_WIDTHS)
+def test_run_restored_from_lane_zero_equals_one_lane_runs(lanes):
+    words, dmem = program("fib"), default_dmem("fib")
+    netlist = build_tinycore(words, dmem)
+    fork = 50
+    golden = run_gate_level(words, dmem, netlist=netlist, record_at={fork})
+    seqs = extract_graph(netlist.module).seq_nets()
+    rng = random.Random(lanes + 17)
+    # Flop flips and memory strikes, all at or after the fork.
+    flips = [(rng.randrange(fork, fork + 40), rng.choice(seqs), rng.getrandbits(lanes))
+             for _ in range(3)]
+    flips += [(rng.randrange(fork, fork + 40),
+               (rng.choice(["u_rf", "u_dmem"]), rng.randrange(8), rng.randrange(16)),
+               rng.getrandbits(lanes))]
+
+    def on_cycle(sim, cycle):
+        for cyc, target, mask in flips:
+            if cyc == cycle:
+                _strike(sim, target, mask)
+
+    wide = run_gate_level(words, dmem, netlist=netlist,
+                          sim=Simulator(netlist.module, lanes=lanes),
+                          on_cycle=on_cycle, start=golden.points[fork])
+    single = Simulator(netlist.module, lanes=1)
+    references = {}
+    states = []
+    for lane in range(lanes):
+        mine = tuple((cyc, target) for cyc, target, mask in flips if (mask >> lane) & 1)
+        if mine not in references:
+            outputs, halted, _arch, flops = _reference(single, netlist, wide.cycles, mine)
+            references[mine] = outputs, halted, flops, _mem_image(single, 0)
+        outputs, halted, flops, mems = references[mine]
+        assert wide.outputs[lane] == outputs, lane
+        assert (lane in wide.halted_lanes) == halted, lane
+        assert wide.sim.seq_state(lane) == flops, lane
+        assert _mem_image(wide.sim, lane) == mems, lane
+        states.append((flops, mems))
+    diverged = {lane for lane, state in enumerate(states) if state != states[0]}
+    assert wide.sim.lanes_differing_from(0) == diverged
+
+
+def _strike(sim, target, lane_mask):
+    """Flip a flop net, or a ``(mem, addr, bit)`` stored bit, in each lane of *lane_mask*."""
+    if isinstance(target, str):
+        sim.flip(target, lane_mask)
+        return
+    mem, addr, bit = target
+    for lane in range(sim.lanes):
+        if (lane_mask >> lane) & 1:
+            sim.mems[mem].flip_bit(lane, addr, bit)
+
+
 def _reference(sim, netlist, cycles, flips):
     """A 1-lane run of *flips*, observed as ``run_gate_level`` observes.
 
@@ -202,9 +256,9 @@ def _reference(sim, netlist, cycles, flips):
             halted.add(0)
         if cycle == cycles:
             break
-        for cyc, net in flips:
+        for cyc, target in flips:
             if cyc == cycle:
-                sim.flip(net, 1)
+                _strike(sim, target, 1)
         sim.step()
     run = GateLevelRun(netlist, sim, cycles, {0: outputs}, halted)
     return outputs, 0 in halted, run.architectural_state(0), sim.seq_state(0)

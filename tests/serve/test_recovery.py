@@ -7,6 +7,7 @@ result whose deterministic core is bit-identical to an undisturbed
 in-process execution of the same spec.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -158,6 +159,61 @@ def test_job_journaled_under_old_schema_fails_on_restart(tmp_path):
             assert third.job(job_id_for(fingerprint)).state == FAILED
     finally:
         third.drain(grace=5)
+
+
+CAMPAIGN_SPECS = [
+    {"design": "tinycore:fib", "sfi": {"injections": 42, "seed": seed},
+     "campaign": {"lanes_per_pass": 21}}
+    for seed in (7, 8)
+]
+
+
+def test_checkpoint_the_campaign_refuses_is_discarded(tmp_path):
+    # Checkpoints an older server wrote under another fingerprint recipe
+    # (pass sizes, not pass members): one left by a job that was still
+    # running at the upgrade, one by a job that failed and is resubmitted.
+    # Each is refused on resume; the job deletes it and runs from scratch.
+    from repro.pipeline.spec import spec_from_mapping
+    from repro.serve.scheduler import job_worker
+
+    state = tmp_path / "state"
+    first = JobScheduler(str(state))
+    unfinished, _ = first.submit(dict(CAMPAIGN_SPECS[0]))
+    failed, _ = first.submit(dict(CAMPAIGN_SPECS[1]))
+    first.journal.record(event=FAILED, job=failed.id, time=0.0,
+                         error="interrupted")
+    first.journal.close()                            # never started
+    checkpoints = [state / "checkpoints" / f"{job.id}.jsonl"
+                   for job in (unfinished, failed)]
+    for checkpoint in checkpoints:
+        checkpoint.write_text(
+            json.dumps({"format": "repro-campaign-checkpoint", "version": 1,
+                        "fingerprint": "e9192040364150e2", "passes": 2}) + "\n"
+            + json.dumps({"pass": 0, "result": [166, [["u_pc.q$3", 17, "masked"]]]})
+            + "\n")
+
+    second = JobScheduler(str(state))
+    second.start()
+    try:
+        assert second.job(failed.id).state == FAILED
+        retried, created = second.submit(dict(CAMPAIGN_SPECS[1]))
+        assert created and retried.id == failed.id
+        jobs = [second.job(unfinished.id), retried]
+        for job in jobs:
+            assert job.await_terminal(timeout=120) and job.state == DONE, job.error
+        # Compare only once both jobs are done: a process runs one
+        # campaign at a time (its worker state is one module global).
+        for spec, job in zip(CAMPAIGN_SPECS, jobs):
+            assert job.result["sfi"]["resumed_passes"] == 0
+            undisturbed = job_worker({
+                "spec": spec_from_mapping(spec).to_mapping(),
+                "checkpoint": None,
+                "cache_dir": None,
+            })
+            assert stable_result(job.result) == stable_result(undisturbed)
+        assert not any(checkpoint.exists() for checkpoint in checkpoints)
+    finally:
+        second.drain(grace=5)
 
 
 # -- the full kill -9 acceptance test --------------------------------------

@@ -324,12 +324,12 @@ class TestCampaignResumeEquivalence:
         words, dmem, netlist, plans = fib_campaign
         original = injector._run_sfi_pass
 
-        # Deterministic: the worker blows up on the second batch only
+        # Deterministic: the worker blows up on the second pass only
         # (workers=1 keeps it in-process, no pickling of the closure).
-        def crashy(payload, sim, batch):
-            if batch[0] in plans[10:20]:  # the second 10-plan batch
+        def crashy(payload, run, lane_pass):
+            if lane_pass.index == 1:
                 raise RuntimeError("injected batch failure")
-            return original(payload, sim, batch)
+            return original(payload, run, lane_pass)
 
         injector._run_sfi_pass = crashy
         try:
@@ -402,8 +402,9 @@ class TestRetryBackoff:
 
 
 class TestCheckpointCompatibility:
-    """Checkpoint fingerprints are pinned: a checkpoint written by an
-    earlier version of the campaign code must keep resuming."""
+    """Checkpoint fingerprints are pinned, so a change to the recipe is
+    deliberate. The recipe digests each pass's trial indices: a
+    checkpoint resumes only into the passes that wrote it."""
 
     @pytest.fixture(scope="class")
     def fib(self):
@@ -414,28 +415,54 @@ class TestCheckpointCompatibility:
         with open(path) as handle:
             return json.loads(handle.readline())["fingerprint"]
 
-    def test_sfi_fingerprint(self, tmp_path, fib):
-        words, dmem, netlist, plans = fib
-        ck = tmp_path / "sfi.jsonl"
-        run_sfi_campaign(words, dmem, plans, netlist=netlist, lanes_per_pass=10,
-                         runtime=RuntimeOptions(checkpoint=str(ck)))
-        assert self._header_fingerprint(ck) == "e9192040364150e2"
-
-    def test_beam_fingerprint(self, tmp_path, fib):
+    @staticmethod
+    def _run(kind, fib, runtime_options):
         from repro.ser.beam import BeamConfig, run_beam_test
-
-        words, dmem, _netlist, _plans = fib
-        ck = tmp_path / "beam.jsonl"
-        config = BeamConfig(flux=5e-5, exposures=24, seed=9, lanes_per_pass=8)
-        run_beam_test(words, dmem, config, runtime=RuntimeOptions(checkpoint=str(ck)))
-        assert self._header_fingerprint(ck) == "e5b3159266ef8e66"
-
-    def test_masking_fingerprint(self, tmp_path, fib):
         from repro.ser.derating import MaskingConfig, measure_masking_mc
 
-        words, dmem, netlist, _plans = fib
-        ck = tmp_path / "masking.jsonl"
+        words, dmem, netlist, plans = fib
+        if kind == "sfi":
+            return run_sfi_campaign(words, dmem, plans, netlist=netlist,
+                                    lanes_per_pass=10, runtime=runtime_options)
+        if kind == "beam":
+            config = BeamConfig(flux=5e-5, exposures=24, seed=9, lanes_per_pass=8)
+            return run_beam_test(words, dmem, config, runtime=runtime_options)
         config = MaskingConfig(trials=40, seed=3, lanes_per_pass=10)
-        measure_masking_mc(words, dmem, config, netlist=netlist,
-                           runtime=RuntimeOptions(checkpoint=str(ck)))
-        assert self._header_fingerprint(ck) == "8631e006b96bde40"
+        return measure_masking_mc(words, dmem, config, netlist=netlist,
+                                  runtime=runtime_options)
+
+    def _fingerprint(self, tmp_path, fib, kind) -> str:
+        ck = tmp_path / f"{kind}.jsonl"
+        self._run(kind, fib, RuntimeOptions(checkpoint=str(ck)))
+        return self._header_fingerprint(ck)
+
+    def test_sfi_fingerprint(self, tmp_path, fib):
+        assert self._fingerprint(tmp_path, fib, "sfi") == "e3da07663dff6735"
+
+    def test_beam_fingerprint(self, tmp_path, fib):
+        assert self._fingerprint(tmp_path, fib, "beam") == "e3bec0ea1f930461"
+
+    def test_masking_fingerprint(self, tmp_path, fib):
+        assert self._fingerprint(tmp_path, fib, "masking") == "72ce65c5c86813f2"
+
+    @pytest.mark.parametrize("kind", ["sfi", "beam", "masking"])
+    def test_checkpoint_of_plan_order_passes_is_refused(self, tmp_path, fib, kind):
+        # Passes used to take trials in plan order, and the recipe
+        # digested only the pass sizes; the sorted passes have the same
+        # sizes and other members, so such a checkpoint must not resume.
+        words, dmem, _netlist, plans = fib
+        parts, sizes, pinned = {
+            "sfi": ((100_000, [(p.net, p.cycle) for p in plans]),
+                    [10] * 4, "e9192040364150e2"),
+            "beam": ((5e-5, 24, 9, 100_000, False, False, True, False),
+                     [8] * 3, "e5b3159266ef8e66"),
+            "masking": ((40, 3, 100_000), [10] * 4, "8631e006b96bde40"),
+        }[kind]
+        old = campaign_fingerprint(kind, list(words), list(dmem), *parts, sizes)
+        assert old == pinned  # what the plan-order campaign wrote
+        ck = tmp_path / f"{kind}.jsonl"
+        ck.write_text(json.dumps({"format": "repro-campaign-checkpoint",
+                                  "version": 1, "fingerprint": old,
+                                  "passes": len(sizes)}) + "\n")
+        with pytest.raises(CheckpointError, match="different campaign"):
+            self._run(kind, fib, RuntimeOptions(resume=str(ck)))

@@ -136,7 +136,7 @@ def test_lane_verdicts_equal_a_full_state_comparison(fib_setup):
     words, dmem, netlist, golden, seqs = fib_setup
     plans = plan_campaign(seqs, golden.cycles - 2, 48, seed=5)
     # Lanes past the flop faults take a register-file or data-memory
-    # strike, so the memory overlays are compared too.
+    # strike, so the memory words are compared too.
     strikes = [("u_rf" if i % 2 else "u_dmem", 10 + 15 * i, i % 8, i % 16)
                for i in range(8)]
     sim = Simulator(netlist.module, lanes=1 + len(plans) + len(strikes))
